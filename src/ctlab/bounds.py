@@ -1,9 +1,11 @@
 """Measured terms and machine-checked verdicts for the generalization bounds.
 
-Every check computes the constituent quantities exactly where the finite
-space allows it, replaces the unspecified O(M^-1/2) constant by a measured
-log-sum-exp approximation envelope, and renders a self-auditing report whose
-verdict is recomputable from the stored terms alone.
+The constituent quantities are measured once, exactly where the finite
+space allows it (measure_sandwich for an embedding, graph.stage_graph for a
+world), with the unspecified O(M^-1/2) constant replaced by a measured
+log-sum-exp approximation envelope.  Every check is then a pure function of
+those terms and renders a self-auditing report whose verdict is
+recomputable from the stored terms alone.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .graph import build_graph, laplacian_spectrum, spectral_embedding
+from .graph import StagedGraph, spectral_embedding
 from .objectives import (
     Embedding,
     LinearHead,
@@ -23,15 +25,17 @@ from .objectives import (
     infonce_population,
     mean_head,
 )
-from .world import AugmentedSpace, World, build_augmented_space, labeling_error
+from .world import AugmentedSpace
 
 __all__ = [
     "VarianceTerms",
     "EpsAlignment",
     "BoundReport",
     "ProbeConfig",
+    "SandwichTerms",
     "variance_terms",
     "lse_approx_error",
+    "measure_sandwich",
     "theorem1_check",
     "alignment_eps",
     "theorem3_check",
@@ -197,123 +201,146 @@ def alignment_eps(f: Embedding, space: AugmentedSpace) -> EpsAlignment:
 # sandwich checks (mean-head CE vs InfoNCE)
 
 
-def _sandwich_verdict(gap, upper, lower, envelope):
-    """Both-sided verdict with the statistical-envelope escape hatch.
+@dataclass(frozen=True)
+class SandwichTerms:
+    """Every term the sandwich checks read, measured once for one embedding.
+
+    envelope is the measured LSE error (mean + 3 std) plus three InfoNCE
+    standard errors; it stands in for the unspecified O(M^-1/2) constant.
+    """
+
+    M: int
+    K: int
+    normalized: bool
+    ce_mean: float  # CE risk of the mean head
+    infonce: float
+    infonce_std_error: float
+    infonce_exact: bool
+    variance: VarianceTerms
+    eps: EpsAlignment
+    envelope: float
+
+    @property
+    def gap(self) -> float:
+        return self.ce_mean - self.infonce
+
+
+def measure_sandwich(
+    f: Embedding, space: AugmentedSpace, M: int, cfg: McConfig = McConfig()
+) -> SandwichTerms:
+    """Measure the sandwich terms of f on space with M negatives, once.
+
+    Works for any embedding; the sandwich checks refuse terms of an
+    embedding that is not normalized.
+    """
+    f.check()
+    nce, nce_se, exact = infonce_population(f, space, M, cfg)
+    lse_mean, lse_std = lse_approx_error(f, space, M, cfg.replicates, cfg.seed)
+    return SandwichTerms(
+        M=M,
+        K=int(space.labels.max()) + 1,
+        normalized=f.normalized,
+        ce_mean=ce_risk(f, mean_head(f, space), space),
+        infonce=nce,
+        infonce_std_error=nce_se,
+        infonce_exact=exact,
+        variance=variance_terms(f, space),
+        eps=alignment_eps(f, space),
+        envelope=lse_mean + 3.0 * lse_std + 3.0 * nce_se,
+    )
+
+
+def _verdict(slack, envelope) -> str:
+    """Verdict of a slack with the statistical-envelope escape hatch.
 
     A side that fails by no more than the envelope itself is attributed to
     Monte Carlo error rather than counted as a hard violation.
     """
-    up_margin = upper - gap
-    low_margin = gap - lower
-    slack = float(min(up_margin, low_margin))
     if slack >= 0.0:
-        return "holds", slack
+        return "holds"
     if slack >= -envelope - 1e-12:
-        return "violated_within_mc_error", slack
-    return "violated", slack
+        return "violated_within_mc_error"
+    return "violated"
 
 
-def theorem1_check(
-    f: Embedding, space: AugmentedSpace, M: int, cfg: McConfig = McConfig()
-) -> BoundReport:
-    """Two-sided variance sandwich between mean-head CE risk and InfoNCE.
-
-    gap = ce(mean head) - InfoNCE(M) must lie in
-    [-sqrt(V) - sqrt(V-) - V_neg/2 - envelope - log((M+1)/K),
-      sqrt(V) + sqrt(V-) + envelope - log(M/K)]
-    where the envelope is the measured LSE error (mean + 3 std) plus three
-    InfoNCE standard errors.
-    """
-    f.check()
-    if not f.normalized:
-        raise ValueError("theorem1_check: embedding must be normalized")
-    K = int(space.labels.max()) + 1
-    head = mean_head(f, space)
-    ce_mean = ce_risk(f, head, space)
-    nce, nce_se, exact = infonce_population(f, space, M, cfg)
-    vt = variance_terms(f, space)
-    lse_mean, lse_std = lse_approx_error(f, space, M, cfg.replicates, cfg.seed)
-    envelope = lse_mean + 3.0 * lse_std + 3.0 * nce_se
-    gap = ce_mean - nce
-    v_minus = 0.0 if vt.V_minus is None else vt.V_minus
-    root_terms = np.sqrt(vt.V) + np.sqrt(v_minus)
-    upper = root_terms + envelope - np.log(M / K)
-    lower = -root_terms - 0.5 * vt.V_neg - envelope - np.log((M + 1) / K)
-    verdict, slack = _sandwich_verdict(gap, upper, lower, envelope)
-    note = "label-consistent case: V_minus absent" if vt.V_minus is None else ""
+def _sandwich_report(theorem, t: SandwichTerms, upper, lower, extra, note):
+    if not t.normalized:
+        raise ValueError(f"{theorem}_check: embedding must be normalized")
+    slack = float(min(upper - t.gap, t.gap - lower))
     return BoundReport(
-        theorem="theorem1",
-        verdict=verdict,
+        theorem=theorem,
+        verdict=_verdict(slack, t.envelope),
         slack=slack,
         terms={
-            "gap": gap,
-            "ce_mean": ce_mean,
-            "infonce": nce,
-            "infonce_std_error": nce_se,
-            "infonce_exact": exact,
-            "V": vt.V,
-            "V_minus": vt.V_minus,
-            "V_neg": vt.V_neg,
-            "envelope": envelope,
+            "gap": t.gap,
+            "ce_mean": t.ce_mean,
+            "infonce": t.infonce,
+            "infonce_std_error": t.infonce_std_error,
+            "infonce_exact": t.infonce_exact,
+            "envelope": t.envelope,
             "upper": float(upper),
             "lower": float(lower),
-            "M": M,
-            "K": K,
-            "v_neg_measure": "equal-weight two-branch mixture",
+            "M": t.M,
+            "K": t.K,
+            **extra,
         },
         note=note,
     )
 
 
-def theorem3_check(
-    f: Embedding, space: AugmentedSpace, M: int, cfg: McConfig = McConfig()
-) -> BoundReport:
+def theorem1_check(t: SandwichTerms) -> BoundReport:
+    """Two-sided variance sandwich between mean-head CE risk and InfoNCE.
+
+    gap = ce(mean head) - InfoNCE(M) must lie in
+    [-sqrt(V) - sqrt(V-) - V_neg/2 - envelope - log((M+1)/K),
+      sqrt(V) + sqrt(V-) + envelope - log(M/K)].
+    """
+    vt = t.variance
+    v_minus = 0.0 if vt.V_minus is None else vt.V_minus
+    root_terms = np.sqrt(vt.V) + np.sqrt(v_minus)
+    upper = root_terms + t.envelope - np.log(t.M / t.K)
+    lower = -root_terms - 0.5 * vt.V_neg - t.envelope - np.log((t.M + 1) / t.K)
+    return _sandwich_report(
+        "theorem1",
+        t,
+        upper,
+        lower,
+        {
+            "V": vt.V,
+            "V_minus": vt.V_minus,
+            "V_neg": vt.V_neg,
+            "v_neg_measure": "equal-weight two-branch mixture",
+        },
+        "label-consistent case: V_minus absent" if vt.V_minus is None else "",
+    )
+
+
+def theorem3_check(t: SandwichTerms) -> BoundReport:
     """Alignment variant of the sandwich: eps terms replace the variance roots.
 
     eps_min and eps_max over the false-positive support stand in for the
     alignment radii of the preprocessed and raw spaces.  With no false
     positives both terms drop and the check reduces to the consistent case.
     """
-    f.check()
-    if not f.normalized:
-        raise ValueError("theorem3_check: embedding must be normalized")
-    K = int(space.labels.max()) + 1
-    head = mean_head(f, space)
-    ce_mean = ce_risk(f, head, space)
-    nce, nce_se, exact = infonce_population(f, space, M, cfg)
-    vt = variance_terms(f, space)
-    eps = alignment_eps(f, space)
-    lse_mean, lse_std = lse_approx_error(f, space, M, cfg.replicates, cfg.seed)
-    envelope = lse_mean + 3.0 * lse_std + 3.0 * nce_se
-    gap = ce_mean - nce
+    vt, eps = t.variance, t.eps
     eps_term = 0.0 if eps.empty else eps.eps_min + eps.eps_max
     # sqrt(V) survives: alignment only replaces the false-positive root
     base = np.sqrt(vt.V) + eps_term
-    upper = base + envelope - np.log(M / K)
-    lower = -base - 0.5 * vt.V_neg - envelope - np.log((M + 1) / K)
-    verdict, slack = _sandwich_verdict(gap, upper, lower, envelope)
-    return BoundReport(
-        theorem="theorem3",
-        verdict=verdict,
-        slack=slack,
-        terms={
-            "gap": gap,
-            "ce_mean": ce_mean,
-            "infonce": nce,
-            "infonce_std_error": nce_se,
-            "infonce_exact": exact,
+    upper = base + t.envelope - np.log(t.M / t.K)
+    lower = -base - 0.5 * vt.V_neg - t.envelope - np.log((t.M + 1) / t.K)
+    return _sandwich_report(
+        "theorem3",
+        t,
+        upper,
+        lower,
+        {
             "V": vt.V,
             "V_neg": vt.V_neg,
             "eps_min": eps.eps_min,
             "eps_max": eps.eps_max,
             "no_false_positives": eps.empty,
-            "envelope": envelope,
-            "upper": float(upper),
-            "lower": float(lower),
-            "M": M,
-            "K": K,
         },
-        note="no false positives: reduced to the consistent form" if eps.empty else "",
+        "no false positives: reduced to the consistent form" if eps.empty else "",
     )
 
 
@@ -322,32 +349,21 @@ def theorem3_check(
 
 
 def theorem4_check(
-    world_q: World,
-    transforms,
-    k: int,
-    probe_cfg: ProbeConfig = ProbeConfig(),
+    staged: StagedGraph, k: int, probe_cfg: ProbeConfig = ProbeConfig()
 ) -> BoundReport:
     """Downstream error of the spectral embedding against 4a/l_{k+1} + 8a.
 
-    Builds the augmentation graph of world_q, reads off the exact labeling
-    error alpha and the Laplacian eigenvalues at levels k and k+1, probes
-    the closed-form embedding with a fitted linear head, and checks the
-    achieved error against the bound.  Bounds >= 1 are vacuous; a zero
-    lambda_{k+1} leaves the bound undefined.
+    Reads the exact labeling error alpha and the Laplacian eigenvalues at
+    levels k and k+1 off the staged graph, probes the closed-form embedding
+    with a fitted linear head, and checks the achieved error against the
+    bound.  Bounds >= 1 are vacuous; a zero lambda_{k+1} leaves the bound
+    undefined.
     """
-    space = build_augmented_space(world_q, transforms)
-    G = build_graph(space)
+    G, space, alpha = staged.graph, staged.space, staged.alpha
     if not (1 <= k <= G.n):
         raise ValueError(f"theorem4_check: k={k} out of range [1, {G.n}]")
-    alpha = labeling_error(space, world_q).alpha
-    spec = laplacian_spectrum(G)
-    lam_k = float(spec.values[k - 1])
-    lam_k1 = float(spec.values[k]) if k < G.n else None
-    table = spectral_embedding(G, k)
-    f = Embedding(table=table, normalized=False)
-    # rebuild the space restricted to surviving graph nodes for the probe
-    if len(G.kept) != space.n:
-        space = _restrict_space(space, G.kept)
+    lam_k, lam_k1 = staged.levels(k)
+    f = Embedding(table=spectral_embedding(G, staged.spectrum, k), normalized=False)
     head = fit_linear_head(
         f, space, probe_cfg.steps, probe_cfg.step_size, probe_cfg.l2, probe_cfg.seed
     )
@@ -388,87 +404,52 @@ def theorem4_check(
     return BoundReport(theorem="theorem4", verdict=verdict, slack=slack, terms=terms)
 
 
-def _restrict_space(space: AugmentedSpace, kept: np.ndarray) -> AugmentedSpace:
-    cond = space.cond[:, kept]
-    cond = cond / cond.sum(axis=1, keepdims=True)
-    marginal = space.marginal[kept]
-    marginal = marginal / marginal.sum()
-    joint = space.joint[np.ix_(kept, kept)]
-    joint = joint / joint.sum()
-    return AugmentedSpace(
-        payloads=tuple(space.payloads[i] for i in kept),
-        labels=space.labels[kept].copy(),
-        cond=cond,
-        marginal=marginal,
-        joint=joint,
-        node_ids=tuple(space.node_ids[i] for i in kept),
-    )
-
-
 # ---------------------------------------------------------------------------
 # corollaries (linear head replaces the mean head on the upper side)
 
 
-def corollary_reports(
-    f: Embedding,
-    space: AugmentedSpace,
-    M: int,
-    cfg: McConfig,
-    head: LinearHead,
-) -> list:
+def corollary_reports(t: SandwichTerms, head: LinearHead, ce_linear: float) -> list:
     """Upper sides of the sandwiches with the fitted linear head's CE risk.
 
-    Valid because the fitted head cannot do worse than the mean head by
-    more than the optimization tolerance; that inequality is checked too.
-    An all-zero head signals an inadequate probe and the verdict is
-    withheld (reported vacuous with a diagnostic note).
+    ce_linear is the CE risk of head on the space t was measured on.  Valid
+    because the fitted head cannot do worse than the mean head by more than
+    the optimization tolerance; that inequality is checked too.  An
+    all-zero head signals an inadequate probe and the verdict is withheld
+    (reported vacuous with a diagnostic note).
     """
-    f.check()
-    mean = mean_head(f, space)
-    ce_mean = ce_risk(f, mean, space)
-    ce_linear = ce_risk(f, head, space)
-    reports = []
     if not np.any(head.W):
-        for base in ("theorem1", "theorem3"):
-            reports.append(
-                BoundReport(
-                    theorem=f"corollary_{base}",
-                    verdict="holds_vacuously",
-                    slack=0.0,
-                    terms={"ce_mean": ce_mean, "ce_linear": ce_linear},
-                    note="optimization-inadequate: zero head, verdict withheld",
-                )
+        return [
+            BoundReport(
+                theorem=f"corollary_{base}",
+                verdict="holds_vacuously",
+                slack=0.0,
+                terms={"ce_mean": t.ce_mean, "ce_linear": ce_linear},
+                note="optimization-inadequate: zero head, verdict withheld",
             )
-        return reports
-    head_ok = ce_linear <= ce_mean + 1e-3
-    for base_report in (
-        theorem1_check(f, space, M, cfg),
-        theorem3_check(f, space, M, cfg),
-    ):
-        t = dict(base_report.terms)
-        gap_linear = ce_linear - t["infonce"]
-        up_margin = t["upper"] - gap_linear
-        if not head_ok:
-            verdict, slack = "violated", float(min(up_margin, ce_mean + 1e-3 - ce_linear))
-        elif up_margin >= 0.0:
-            verdict, slack = "holds", float(up_margin)
-        elif up_margin >= -t["envelope"] - 1e-12:
-            verdict, slack = "violated_within_mc_error", float(up_margin)
+            for base in ("theorem1", "theorem3")
+        ]
+    head_ok = ce_linear <= t.ce_mean + 1e-3
+    gap_linear = ce_linear - t.infonce
+    reports = []
+    for base in (theorem1_check(t), theorem3_check(t)):
+        up_margin = base.terms["upper"] - gap_linear
+        if head_ok:
+            slack = float(up_margin)
+            verdict = _verdict(slack, t.envelope)
         else:
-            verdict, slack = "violated", float(up_margin)
-        t.update(
-            {
-                "ce_linear": ce_linear,
-                "gap_linear": gap_linear,
-                "head_vs_mean_ok": bool(head_ok),
-            }
-        )
+            slack = float(min(up_margin, t.ce_mean + 1e-3 - ce_linear))
+            verdict = "violated"
         reports.append(
             BoundReport(
-                theorem=f"corollary_{base_report.theorem}",
+                theorem=f"corollary_{base.theorem}",
                 verdict=verdict,
                 slack=slack,
-                terms=t,
+                terms={
+                    **base.terms,
+                    "ce_linear": ce_linear,
+                    "gap_linear": gap_linear,
+                    "head_vs_mean_ok": head_ok,
+                },
             )
         )
     return reports

@@ -19,36 +19,25 @@ import numpy as np
 from . import __version__
 from .bounds import (
     ProbeConfig,
-    alignment_eps,
     corollary_reports,
+    measure_sandwich,
     report_to_text,
     theorem1_check,
     theorem3_check,
     theorem4_check,
-    _restrict_space,
 )
 from .config import ConfigError, RunConfig, load_config, make_transforms, row_seed
-from .graph import build_graph, connected_components, laplacian_spectrum
+from .graph import connected_components, stage_graph
 from .linalg import save_matrix_text
 from .objectives import (
-    McConfig,
     ce_risk,
     classification_error,
     fit_linear_head,
-    infonce_population,
     mean_head,
     spectral_loss,
     train_free_embeddings,
 )
-from .svd import TruncationSpec
-from .world import (
-    build_augmented_space,
-    generate_world,
-    inflate,
-    labeling_error,
-    preprocess_world,
-    save_world,
-)
+from .world import generate_world, inflate, preprocess_world, save_world
 
 SWEEP_COLUMNS = [
     "q",
@@ -118,33 +107,16 @@ def _stage_world(cfg: RunConfig, raw_world, q=None):
     return world
 
 
-def _space_and_graph(world, transforms):
-    space = build_augmented_space(world, transforms)
-    graph = build_graph(space)
-    if len(graph.kept) != space.n:
-        space = _restrict_space(space, graph.kept)
-    return space, graph
-
-
 def compute_row(cfg: RunConfig, raw_world, transforms, q, k, row_key):
     """One full pipeline evaluation; returns (row dict, list of BoundReports)."""
     seed = row_seed(cfg.seed, row_key)
-    world = _stage_world(cfg, raw_world, q)
-    space, graph = _space_and_graph(world, transforms)
-    if not (1 <= k <= graph.n):
-        raise ConfigError(f"train.k: k={k} out of range [1, {graph.n}]")
-    spectrum = laplacian_spectrum(graph)
-    alpha = labeling_error(space, world).alpha
-    lam_k = float(spectrum.values[k - 1])
-    lam_k1 = float(spectrum.values[k]) if k < graph.n else None
+    staged = stage_graph(_stage_world(cfg, raw_world, q), transforms)
+    space = staged.space
+    if not (1 <= k <= staged.graph.n):
+        raise ConfigError(f"train.k: k={k} out of range [1, {staged.graph.n}]")
+    lam_k, lam_k1 = staged.levels(k)
 
-    mc = McConfig(
-        samples=cfg.mc_samples,
-        replicates=cfg.mc_replicates,
-        seed=seed,
-        n_max=cfg.mc_n_max,
-        m_max=cfg.mc_m_max,
-    )
+    mc = cfg.mc_config(seed)
     f = train_free_embeddings(
         space,
         k,
@@ -158,18 +130,17 @@ def compute_row(cfg: RunConfig, raw_world, transforms, q, k, row_key):
     head = fit_linear_head(
         f, space, cfg.probe_steps, cfg.probe_step_size, cfg.probe_l2, seed
     )
-    nce, _, _ = infonce_population(f, space, cfg.train_M, mc)
-    eps = alignment_eps(f, space)
+    terms = measure_sandwich(f, space, cfg.train_M, mc)
+    ce_linear = ce_risk(f, head, space)
     reports = []
     if "t1" in cfg.bounds_which and f.normalized:
-        reports.append(theorem1_check(f, space, cfg.train_M, mc))
+        reports.append(theorem1_check(terms))
     if "t3" in cfg.bounds_which and f.normalized:
-        reports.append(theorem3_check(f, space, cfg.train_M, mc))
+        reports.append(theorem3_check(terms))
     bound_t4 = None
     if "t4" in cfg.bounds_which:
         t4 = theorem4_check(
-            world,
-            transforms,
+            staged,
             k,
             ProbeConfig(
                 steps=cfg.probe_steps,
@@ -181,62 +152,59 @@ def compute_row(cfg: RunConfig, raw_world, transforms, q, k, row_key):
         reports.append(t4)
         bound_t4 = t4.terms.get("bound")
     if "corollaries" in cfg.bounds_which and f.normalized:
-        reports.extend(corollary_reports(f, space, cfg.train_M, mc, head))
+        reports.extend(corollary_reports(terms, head, ce_linear))
 
     row = {
         "q": q if q is not None else (cfg.svd_q if cfg.svd_mode == "keep_top_q" else None),
         "k": k,
-        "alpha_q": alpha,
+        "alpha_q": staged.alpha,
         "lambda_k_q": lam_k,
         "lambda_k1_q": lam_k1,
         "bound_t4": bound_t4,
         "probe_error": classification_error(f, head, space),
-        "infonce": nce,
+        "infonce": terms.infonce,
         "spectral_loss": spectral_loss(f, space),
-        "ce_mean": ce_risk(f, mean_head(f, space), space),
-        "ce_linear": ce_risk(f, head, space),
-        "eps_min": None if eps.empty else eps.eps_min,
-        "eps_max": None if eps.empty else eps.eps_max,
+        "ce_mean": terms.ce_mean,
+        "ce_linear": ce_linear,
+        "eps_min": None if terms.eps.empty else terms.eps.eps_min,
+        "eps_max": None if terms.eps.empty else terms.eps.eps_max,
         "verdicts": ";".join(f"{r.theorem}={r.verdict}" for r in reports),
         "seed": seed,
     }
     return row, reports
 
 
-def _map_rows(tasks, threads):
+def compute_sweep(cfg: RunConfig, raw_world, transforms, threads=1):
+    """Every configured row, each computed once, on one pool of `threads` workers.
+
+    Returns {table name: [(row, reports), ...]}: "baseline" always, then
+    "sweep_q" (the baseline row with q blank, then one row per rank) and
+    "sweep_k" (one row per dimension) when configured.
+    """
+    plan = [(None, cfg.train_k, "baseline")]
+    plan += [(q, cfg.train_k, f"q={q}") for q in cfg.svd_sweep]
+    plan += [(None, k, f"k={k}") for k in cfg.train_k_sweep]
+
+    def row(p):
+        return compute_row(cfg, raw_world, transforms, *p)
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda t: t(), tasks))
-    return [t() for t in tasks]
+            results = list(pool.map(row, plan))
+    else:  # in the main thread: a worker's own malloc arena costs ~3% peak RSS
+        results = [row(p) for p in plan]
+    (base_row, base_reports), rest = results[0], results[1:]
+    n_q = len(cfg.svd_sweep)
+    tables = {"baseline": results[:1]}
+    if cfg.svd_sweep:
+        tables["sweep_q"] = [({**base_row, "q": None}, base_reports)] + rest[:n_q]
+    if cfg.train_k_sweep:
+        tables["sweep_k"] = rest[n_q:]
+    return tables
 
 
-def sweep_q(cfg: RunConfig, raw_world, transforms, threads=1):
-    """Baseline row (no preprocessing) followed by one row per sweep q."""
-    tasks = [
-        lambda: compute_row(cfg, raw_world, transforms, None, cfg.train_k, "baseline")
-    ]
-    for q in cfg.svd_sweep:
-        tasks.append(
-            lambda q=q: compute_row(
-                cfg, raw_world, transforms, q, cfg.train_k, f"q={q}"
-            )
-        )
-    results = _map_rows(tasks, threads)
-    rows = [r for r, _ in results]
-    rows[0]["q"] = None  # baseline row carries no q
-    reports = [rep for _, reps in results for rep in reps]
-    return rows, reports
-
-
-def sweep_k(cfg: RunConfig, raw_world, transforms, threads=1):
-    tasks = [
-        lambda k=k: compute_row(
-            cfg, raw_world, transforms, None, k, f"k={k}"
-        )
-        for k in cfg.train_k_sweep
-    ]
-    results = _map_rows(tasks, threads)
-    return [r for r, _ in results], [rep for _, reps in results for rep in reps]
+def _table_reports(tables):
+    return [rep for results in tables.values() for _, reps in results for rep in reps]
 
 
 def _argmin_summary(rows, key):
@@ -281,8 +249,38 @@ def _write_manifest(cfg: RunConfig, path, extra_lines=()):
         fh.write("\n".join(lines) + "\n")
 
 
-def _violations(reports):
-    return [r for r in reports if r.verdict == "violated"]
+def _write_tables(cfg: RunConfig, out_dir, tables):
+    """Write every table in each configured format, then the manifest.
+
+    Returns the argmin summary line of each sweep table.
+    """
+    writers = {"csv": emit_csv, "text": emit_text}
+    exts = {"csv": "csv", "text": "txt"}
+    summaries = []
+    for name, results in tables.items():
+        rows = [row for row, _ in results]
+        for fmt in cfg.output_formats:
+            writers[fmt](rows, os.path.join(out_dir, f"{name}.{exts[fmt]}"))
+        if name.startswith("sweep_"):
+            summaries.append(_argmin_summary(rows, name.removeprefix("sweep_")))
+    _write_manifest(cfg, os.path.join(out_dir, "manifest.txt"), summaries)
+    return summaries
+
+
+def _write_reports(reports, path):
+    with open(path, "w", newline="\n") as fh:
+        for i, rep in enumerate(reports):
+            if i:
+                fh.write("\n")
+            fh.write(report_to_text(rep))
+
+
+def _exit_status(reports, allow_violations):
+    """Print every hard violation to stderr; 1 if any and not allowed, else 0."""
+    bad = [r for r in reports if r.verdict == "violated"]
+    for rep in bad:
+        print(f"violated: {rep.theorem} slack={rep.slack}", file=sys.stderr)
+    return 1 if bad and not allow_violations else 0
 
 
 # ---------------------------------------------------------------------------
@@ -294,42 +292,11 @@ def cmd_run(cfg: RunConfig, out_dir, threads, allow_violations):
     raw_world = generate_world(cfg.world)
     transforms = make_transforms(cfg, raw_world)
     save_world(raw_world, os.path.join(out_dir, "world"))
-
-    base_row, base_reports = compute_row(
-        cfg, raw_world, transforms, None, cfg.train_k, "baseline"
-    )
-    all_reports = list(base_reports)
-    writers = {"csv": emit_csv, "text": emit_text}
-    exts = {"csv": "csv", "text": "txt"}
-    for fmt in cfg.output_formats:
-        writers[fmt](
-            [base_row], os.path.join(out_dir, f"baseline.{exts[fmt]}")
-        )
-    summaries = []
-    if cfg.svd_sweep:
-        rows, reports = sweep_q(cfg, raw_world, transforms, threads)
-        all_reports.extend(reports)
-        for fmt in cfg.output_formats:
-            writers[fmt](rows, os.path.join(out_dir, f"sweep_q.{exts[fmt]}"))
-        summaries.append(_argmin_summary(rows, "q"))
-    if cfg.train_k_sweep:
-        rows, reports = sweep_k(cfg, raw_world, transforms, threads)
-        all_reports.extend(reports)
-        for fmt in cfg.output_formats:
-            writers[fmt](rows, os.path.join(out_dir, f"sweep_k.{exts[fmt]}"))
-        summaries.append(_argmin_summary(rows, "k"))
-    with open(os.path.join(out_dir, "bounds.txt"), "w", newline="\n") as fh:
-        for i, rep in enumerate(all_reports):
-            if i:
-                fh.write("\n")
-            fh.write(report_to_text(rep))
-    _write_manifest(cfg, os.path.join(out_dir, "manifest.txt"), summaries)
-    bad = _violations(all_reports)
-    for rep in bad:
-        print(f"violated: {rep.theorem} slack={rep.slack}", file=sys.stderr)
-    if bad and not allow_violations:
-        return 1
-    return 0
+    tables = compute_sweep(cfg, raw_world, transforms, threads)
+    _write_tables(cfg, out_dir, tables)
+    reports = _table_reports(tables)
+    _write_reports(reports, os.path.join(out_dir, "bounds.txt"))
+    return _exit_status(reports, allow_violations)
 
 
 def cmd_world(cfg, out_dir, threads, allow_violations):
@@ -353,34 +320,25 @@ def cmd_graph(cfg, out_dir, threads, allow_violations):
     os.makedirs(out_dir, exist_ok=True)
     raw_world = generate_world(cfg.world)
     transforms = make_transforms(cfg, raw_world)
-    world = _stage_world(cfg, raw_world)
-    space, graph = _space_and_graph(world, transforms)
-    spectrum = laplacian_spectrum(graph)
+    staged = stage_graph(_stage_world(cfg, raw_world), transforms)
+    graph = staged.graph
     save_matrix_text(os.path.join(out_dir, "adjacency.mat"), graph.A)
     save_matrix_text(
-        os.path.join(out_dir, "spectrum.mat"), spectrum.values.reshape(1, -1)
+        os.path.join(out_dir, "spectrum.mat"), staged.spectrum.values.reshape(1, -1)
     )
     with open(os.path.join(out_dir, "graph.txt"), "w", newline="\n") as fh:
         fh.write(f"nodes = {graph.n}\n")
         fh.write(f"components = {connected_components(graph.A)}\n")
-        fh.write(f"alpha = {labeling_error(space, world).alpha!r}\n")
+        fh.write(f"alpha = {staged.alpha!r}\n")
         fh.write(f"trace = {float(np.trace(graph.A))!r}\n")
     return 0
 
 
-def _train_embedding(cfg, seed_key="train"):
+def _train_embedding(cfg):
     raw_world = generate_world(cfg.world)
     transforms = make_transforms(cfg, raw_world)
-    world = _stage_world(cfg, raw_world)
-    space, graph = _space_and_graph(world, transforms)
-    seed = row_seed(cfg.seed, seed_key)
-    mc = McConfig(
-        samples=cfg.mc_samples,
-        replicates=cfg.mc_replicates,
-        seed=seed,
-        n_max=cfg.mc_n_max,
-        m_max=cfg.mc_m_max,
-    )
+    space = stage_graph(_stage_world(cfg, raw_world), transforms).space
+    seed = row_seed(cfg.seed, "train")
     f = train_free_embeddings(
         space,
         cfg.train_k,
@@ -389,14 +347,14 @@ def _train_embedding(cfg, seed_key="train"):
         step_size=cfg.train_step_size,
         seed=seed,
         M=cfg.train_M,
-        cfg=mc,
+        cfg=cfg.mc_config(seed),
     )
-    return f, space, world, transforms, seed, mc
+    return f, space, seed
 
 
 def cmd_train(cfg, out_dir, threads, allow_violations):
     os.makedirs(out_dir, exist_ok=True)
-    f, space, _world, _tr, _seed, _mc = _train_embedding(cfg)
+    f, space, _seed = _train_embedding(cfg)
     save_matrix_text(os.path.join(out_dir, "embedding.mat"), f.table)
     with open(os.path.join(out_dir, "embedding_nodes.txt"), "w", newline="\n") as fh:
         fh.write("\n".join(space.node_ids) + "\n")
@@ -405,7 +363,7 @@ def cmd_train(cfg, out_dir, threads, allow_violations):
 
 def cmd_probe(cfg, out_dir, threads, allow_violations):
     os.makedirs(out_dir, exist_ok=True)
-    f, space, _world, _tr, seed, _mc = _train_embedding(cfg)
+    f, space, seed = _train_embedding(cfg)
     head = fit_linear_head(
         f, space, cfg.probe_steps, cfg.probe_step_size, cfg.probe_l2, seed
     )
@@ -425,18 +383,9 @@ def cmd_bounds(cfg, out_dir, threads, allow_violations):
     os.makedirs(out_dir, exist_ok=True)
     raw_world = generate_world(cfg.world)
     transforms = make_transforms(cfg, raw_world)
-    row, reports = compute_row(cfg, raw_world, transforms, None, cfg.train_k, "bounds")
-    with open(os.path.join(out_dir, "bounds.txt"), "w", newline="\n") as fh:
-        for i, rep in enumerate(reports):
-            if i:
-                fh.write("\n")
-            fh.write(report_to_text(rep))
-    bad = _violations(reports)
-    for rep in bad:
-        print(f"violated: {rep.theorem} slack={rep.slack}", file=sys.stderr)
-    if bad and not allow_violations:
-        return 1
-    return 0
+    _row, reports = compute_row(cfg, raw_world, transforms, None, cfg.train_k, "bounds")
+    _write_reports(reports, os.path.join(out_dir, "bounds.txt"))
+    return _exit_status(reports, allow_violations)
 
 
 def cmd_sweep(cfg, out_dir, threads, allow_violations):
@@ -445,29 +394,11 @@ def cmd_sweep(cfg, out_dir, threads, allow_violations):
         raise ConfigError("sweep: neither svd.sweep nor train.k_sweep configured")
     raw_world = generate_world(cfg.world)
     transforms = make_transforms(cfg, raw_world)
-    all_reports = []
-    writers = {"csv": emit_csv, "text": emit_text}
-    exts = {"csv": "csv", "text": "txt"}
-    summaries = []
-    if cfg.svd_sweep:
-        rows, reports = sweep_q(cfg, raw_world, transforms, threads)
-        all_reports.extend(reports)
-        for fmt in cfg.output_formats:
-            writers[fmt](rows, os.path.join(out_dir, f"sweep_q.{exts[fmt]}"))
-        summaries.append(_argmin_summary(rows, "q"))
-    if cfg.train_k_sweep:
-        rows, reports = sweep_k(cfg, raw_world, transforms, threads)
-        all_reports.extend(reports)
-        for fmt in cfg.output_formats:
-            writers[fmt](rows, os.path.join(out_dir, f"sweep_k.{exts[fmt]}"))
-        summaries.append(_argmin_summary(rows, "k"))
-    _write_manifest(cfg, os.path.join(out_dir, "manifest.txt"), summaries)
-    for line in summaries:
+    tables = compute_sweep(cfg, raw_world, transforms, threads)
+    del tables["baseline"]  # written by `run` only; its row heads sweep_q
+    for line in _write_tables(cfg, out_dir, tables):
         print(line)
-    bad = _violations(all_reports)
-    if bad and not allow_violations:
-        return 1
-    return 0
+    return _exit_status(_table_reports(tables), allow_violations)
 
 
 _COMMANDS = {

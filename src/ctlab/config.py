@@ -12,6 +12,7 @@ import configparser
 import hashlib
 from dataclasses import dataclass, field
 
+from .objectives import McConfig
 from .svd import TruncationSpec
 from .world import Transform, World, WorldSpec, class_pattern
 
@@ -77,6 +78,16 @@ class RunConfig:
         if mode == "keep_top_q":
             return TruncationSpec(mode=mode, q=self.svd_q)
         return TruncationSpec(mode=mode, pair_index=self.svd_pair_index)
+
+    def mc_config(self, seed: int) -> McConfig:
+        """Monte Carlo settings of the [bounds] section, keyed by a row seed."""
+        return McConfig(
+            samples=self.mc_samples,
+            replicates=self.mc_replicates,
+            seed=seed,
+            n_max=self.mc_n_max,
+            m_max=self.mc_m_max,
+        )
 
 
 def row_seed(global_seed: int, row_key: str) -> int:
@@ -264,10 +275,10 @@ def parse_config(parser: configparser.ConfigParser) -> RunConfig:
     for name in which:
         if name not in _BOUND_NAMES:
             raise ConfigError(f"bounds.which: unknown check {name!r}")
-    mc_samples = _getint(b, "mc_samples", 20000, minimum=1)
-    mc_replicates = _getint(b, "mc_replicates", 8, minimum=2)
-    mc_n_max = _getint(b, "n_max", 60, minimum=1)
-    mc_m_max = _getint(b, "m_max", 2, minimum=1)
+    mc_samples = _getint(b, "mc_samples", McConfig.samples, minimum=1)
+    mc_replicates = _getint(b, "mc_replicates", McConfig.replicates, minimum=2)
+    mc_n_max = _getint(b, "n_max", McConfig.n_max, minimum=1)
+    mc_m_max = _getint(b, "m_max", McConfig.m_max, minimum=1)
 
     i = sec("inflation")
     inflation = _getint(i, "factor", 1, minimum=1)

@@ -12,13 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import sym_eig
-from .world import AugmentedSpace, World
+from .world import AugmentedSpace, World, build_augmented_space, labeling_error
 
 __all__ = [
     "AugmentationGraph",
     "Spectrum",
+    "StagedGraph",
     "build_graph",
     "laplacian_spectrum",
+    "stage_graph",
     "spectral_embedding",
     "TraceReport",
     "trace_check",
@@ -80,17 +82,64 @@ def laplacian_spectrum(G: AugmentationGraph) -> Spectrum:
     return Spectrum(values=eig.values, vectors=eig.vectors)
 
 
-def spectral_embedding(G: AugmentationGraph, k: int) -> np.ndarray:
+@dataclass(frozen=True)
+class StagedGraph:
+    """A world's augmented space, graph, spectrum and labeling error, built once."""
+
+    space: AugmentedSpace  # restricted to the graph's surviving nodes
+    graph: AugmentationGraph
+    spectrum: Spectrum
+    alpha: float  # exact labeling error of the world on that space
+
+    def levels(self, k: int):
+        """(lambda_k, lambda_{k+1}); lambda_{k+1} is None when k is the node count."""
+        values = self.spectrum.values
+        lam_k1 = float(values[k]) if k < self.graph.n else None
+        return float(values[k - 1]), lam_k1
+
+
+def stage_graph(world: World, transforms) -> StagedGraph:
+    """Augment a world, build its graph and eigendecompose the Laplacian once."""
+    space = build_augmented_space(world, transforms)
+    graph = build_graph(space)
+    if len(graph.kept) != space.n:
+        space = _restrict_space(space, graph.kept)
+    return StagedGraph(
+        space=space,
+        graph=graph,
+        spectrum=laplacian_spectrum(graph),
+        alpha=labeling_error(space, world).alpha,
+    )
+
+
+def _restrict_space(space: AugmentedSpace, kept: np.ndarray) -> AugmentedSpace:
+    cond = space.cond[:, kept]
+    cond = cond / cond.sum(axis=1, keepdims=True)
+    marginal = space.marginal[kept]
+    marginal = marginal / marginal.sum()
+    joint = space.joint[np.ix_(kept, kept)]
+    joint = joint / joint.sum()
+    return AugmentedSpace(
+        payloads=tuple(space.payloads[i] for i in kept),
+        labels=space.labels[kept].copy(),
+        cond=cond,
+        marginal=marginal,
+        joint=joint,
+        node_ids=tuple(space.node_ids[i] for i in kept),
+    )
+
+
+def spectral_embedding(G: AugmentationGraph, spec: Spectrum, k: int) -> np.ndarray:
     """Closed-form minimizer of the spectral contrastive loss, as an n x k table.
 
     Row x is D_xx^{-1/2} (sqrt(g_1) v_1(x), ..., sqrt(g_k) v_k(x)) with
     g_i = max(1 - lambda_i, 0) and v_i the eigenvectors of the normalized
     adjacency.  Clamping at zero is safe: directions with negative adjacency
-    eigenvalue contribute nothing to the minimizer.
+    eigenvalue contribute nothing to the minimizer.  spec is the spectrum
+    of G's Laplacian.
     """
     if not (1 <= k <= G.n):
         raise ValueError(f"spectral_embedding: k={k} out of range [1, {G.n}]")
-    spec = laplacian_spectrum(G)
     gammas = np.clip(1.0 - spec.values[:k], 0.0, None)
     table = spec.vectors[:, :k] * np.sqrt(gammas)
     table = table / np.sqrt(G.degrees)[:, None]

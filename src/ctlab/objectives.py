@@ -81,7 +81,7 @@ class McConfig:
     samples: int = 20000
     replicates: int = 8
     seed: int = 0
-    n_max: int = 50   # exact enumeration threshold on node count
+    n_max: int = 60   # exact enumeration threshold on node count
     m_max: int = 2    # exact enumeration threshold on negative count
 
 

@@ -11,8 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from ctlab.bounds import theorem1_check, theorem4_check
-from ctlab.cli import main, parse_csv, sweep_k, sweep_q
+from ctlab.bounds import measure_sandwich, theorem1_check, theorem4_check
+from ctlab.cli import compute_sweep, main, parse_csv
 from ctlab.config import load_config, make_transforms
 from ctlab.fixtures import (
     reference_transforms,
@@ -25,6 +25,7 @@ from ctlab.graph import (
     connected_components,
     laplacian_spectrum,
     spectral_embedding,
+    stage_graph,
 )
 from ctlab.objectives import (
     Embedding,
@@ -170,10 +171,10 @@ def test_03_toy_world_exactness(capsys):
     alpha = labeling_error(space, w).alpha
     if abs(alpha - 0.25) > 1e-10:
         ok, detail = False, f"alpha {alpha}"
-    f = spectral_embedding(G, 2)
+    f = spectral_embedding(G, laplacian_spectrum(G), 2)
     if np.abs(f - np.array([[1.0, 1.0], [1.0, 0.0], [1.0, -1.0]])).max() > 1e-10:
         ok, detail = False, "embedding"
-    rep = theorem4_check(w, toy_transforms(), k=2)
+    rep = theorem4_check(stage_graph(w, toy_transforms()), k=2)
     if abs(rep.terms["bound"] - 3.0) > 1e-10 or rep.terms["probe_error"] != 0.0:
         ok, detail = False, f"downstream bound {rep.terms}"
     _announce(capsys, ok, 3,
@@ -266,7 +267,7 @@ def test_06_sandwich_never_violated(capsys):
         for seed in range(12):
             f = random_embedding(space.n, 3 + seed % 3, seed=1000 * seed + space.n)
             for M in (1, 2, 5):
-                rep = theorem1_check(f, space, M, mc)
+                rep = theorem1_check(measure_sandwich(f, space, M, mc))
                 checked += 1
                 if rep.verdict == "violated":
                     ok, detail = False, f"{name} seed {seed} M {M}: {rep}"
@@ -298,7 +299,7 @@ def test_07_downstream_bound_planted_suite(capsys):
                 Transform(id=f"f{c}", kind="additive_pattern", probability=0.12,
                           pattern=class_pattern(w, c, (c + 1) % 3, 0.35))
             )
-        rep = theorem4_check(w, transforms, k=3)
+        rep = theorem4_check(stage_graph(w, transforms), k=3)
         reports.append((f"clean_seed{seed}", rep))
         if rep.terms["alpha_q"] != 0.0 or rep.terms["probe_error"] != 0.0:
             ok, detail = False, f"clean world seed {seed}: {rep.terms}"
@@ -307,10 +308,11 @@ def test_07_downstream_bound_planted_suite(capsys):
         w = reference_world(seed)
         transforms = reference_transforms(w)
         wq = preprocess_world(w, TruncationSpec(mode="keep_top_q", q=3))
-        rep = theorem4_check(wq, transforms, k=3)
+        rep = theorem4_check(stage_graph(wq, transforms), k=3)
         reports.append((f"reference_seed{seed}", rep))
     # the vacuous regime must be flagged, not silently passed
-    reports.append(("toy", theorem4_check(toy_world(), toy_transforms(), k=2)))
+    toy = stage_graph(toy_world(), toy_transforms())
+    reports.append(("toy", theorem4_check(toy, k=2)))
     for name, rep in reports:
         if rep.verdict not in ("holds", "holds_vacuously"):
             ok, detail = False, f"{name}: verdict {rep.verdict}"
@@ -331,8 +333,9 @@ def reference_run():
     cfg = load_config(REFERENCE_CONFIG)
     world = generate_world(cfg.world)
     transforms = make_transforms(cfg, world)
-    q_rows, _ = sweep_q(cfg, world, transforms, threads=2)
-    k_rows, _ = sweep_k(cfg, world, transforms, threads=2)
+    tables = compute_sweep(cfg, world, transforms, threads=2)
+    q_rows = [row for row, _ in tables["sweep_q"]]
+    k_rows = [row for row, _ in tables["sweep_k"]]
     return cfg, q_rows, k_rows
 
 

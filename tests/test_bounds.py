@@ -7,18 +7,21 @@ from ctlab.bounds import (
     alignment_eps,
     corollary_reports,
     lse_approx_error,
+    measure_sandwich,
     report_to_text,
     theorem1_check,
     theorem3_check,
     theorem4_check,
     variance_terms,
 )
+from ctlab.cli import main
 from ctlab.fixtures import (
     reference_transforms,
     reference_world,
     toy_transforms,
     toy_world,
 )
+from ctlab.graph import stage_graph
 from ctlab.objectives import (
     Embedding,
     LinearHead,
@@ -53,6 +56,82 @@ def identity_only_space():
     return build_augmented_space(
         w, [Transform(id="i", kind="identity", probability=1.0)]
     )
+
+
+def _parse_value(text):
+    if text == "none":
+        return None
+    if text in ("true", "false"):
+        return text == "true"
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _read_reports(path):
+    """Parse a bounds.txt into dicts of theorem, verdict, slack and terms."""
+    reports = []
+    for block in path.read_text().split("\n\n"):
+        rep = {"terms": {}}
+        for line in block.strip("\n").split("\n"):
+            key, _, value = line.partition(" = ")
+            if key.startswith("terms."):
+                rep["terms"][key.removeprefix("terms.")] = _parse_value(value)
+            else:
+                rep[key] = _parse_value(value)
+        reports.append(rep)
+    return reports
+
+
+def _as_stored(rep):
+    return {
+        "theorem": rep.theorem,
+        "verdict": rep.verdict,
+        "slack": rep.slack,
+        "terms": rep.terms,
+    }
+
+
+def _recompute(theorem, t):
+    """Independent (verdict, slack) of a report from its stored terms alone."""
+
+    def ladder(slack, envelope):
+        if slack >= 0.0:
+            return "holds"
+        return "violated_within_mc_error" if slack >= -envelope - 1e-12 else "violated"
+
+    if theorem in ("theorem1", "theorem3"):
+        assert t["gap"] == t["ce_mean"] - t["infonce"]
+        if theorem == "theorem1":
+            root = np.sqrt(t["V"]) + np.sqrt(t["V_minus"] or 0.0)
+        else:
+            eps = 0.0 if t["no_false_positives"] else t["eps_min"] + t["eps_max"]
+            root = np.sqrt(t["V"]) + eps
+        M, K, env = t["M"], t["K"], t["envelope"]
+        assert t["upper"] == pytest.approx(root + env - np.log(M / K), abs=1e-12)
+        lower = -root - 0.5 * t["V_neg"] - env - np.log((M + 1) / K)
+        assert t["lower"] == pytest.approx(lower, abs=1e-12)
+        slack = min(t["upper"] - t["gap"], t["gap"] - t["lower"])
+        return ladder(slack, env), slack
+    if theorem.startswith("corollary_"):
+        if "upper" not in t:  # zero head: verdict withheld
+            return "holds_vacuously", 0.0
+        assert t["gap_linear"] == t["ce_linear"] - t["infonce"]
+        margin = t["upper"] - t["gap_linear"]
+        if not t["head_vs_mean_ok"]:
+            return "violated", min(margin, t["ce_mean"] + 1e-3 - t["ce_linear"])
+        return ladder(margin, t["envelope"]), margin
+    assert theorem == "theorem4"
+    bound, err, alpha = t["bound"], t["probe_error"], t["alpha_q"]
+    if bound is None:
+        return "holds_vacuously", 0.0
+    assert bound == 4.0 * alpha / t["lambda_k1_q"] + 8.0 * alpha
+    if bound >= 1.0:
+        return "holds_vacuously", bound - err
+    return ("holds" if bound >= err else "violated"), bound - err
 
 
 class TestVarianceTerms:
@@ -158,7 +237,7 @@ class TestSandwich:
         # measured envelope is 0
         space = toy_space()
         f = constant_embedding(space.n)
-        rep = theorem1_check(f, space, M=1)
+        rep = theorem1_check(measure_sandwich(f, space, M=1))
         assert rep.verdict == "holds"
         assert abs(rep.slack) < 1e-12
         assert abs(rep.terms["gap"]) < 1e-12  # log 2 - log 2
@@ -170,46 +249,64 @@ class TestSandwich:
         for seed in range(30):
             f = random_embedding(space.n, 3, seed=seed)
             for M in (1, 2):
-                rep = theorem1_check(f, space, M)
+                rep = theorem1_check(measure_sandwich(f, space, M))
                 assert rep.verdict == "holds", (seed, M, rep)
 
-    def test_slack_recomputable_from_terms(self):
+    def test_slack_recomputable_from_terms(self, small_cfg, tmp_path):
         space = toy_space()
-        rep = theorem1_check(random_embedding(space.n, 4, seed=3), space, 2)
+        f = random_embedding(space.n, 4, seed=3)
+        rep = theorem1_check(measure_sandwich(f, space, 2))
         t = rep.terms
         want = min(t["upper"] - t["gap"], t["gap"] - t["lower"])
         assert abs(rep.slack - want) < 1e-12
+        # every report a full pipeline run writes, from its stored text alone
+        out = tmp_path / "art"
+        assert main(["run", "--config", small_cfg, "--out", str(out)]) == 0
+        stored = _read_reports(out / "bounds.txt")
+        assert {r["theorem"] for r in stored} == {
+            "theorem1",
+            "theorem3",
+            "theorem4",
+            "corollary_theorem1",
+            "corollary_theorem3",
+        }
+        for r in [_as_stored(rep)] + stored:
+            assert _recompute(r["theorem"], r["terms"]) == (r["verdict"], r["slack"]), r
 
     def test_consistent_space_note(self):
         space = identity_only_space()
-        rep = theorem1_check(random_embedding(space.n, 3, seed=0), space, 1)
+        f = random_embedding(space.n, 3, seed=0)
+        rep = theorem1_check(measure_sandwich(f, space, 1))
         assert rep.terms["V_minus"] is None
         assert "V_minus absent" in rep.note
 
     def test_requires_normalized(self):
         space = toy_space()
         f = Embedding(np.ones((space.n, 2)), normalized=False)
+        terms = measure_sandwich(f, space, 1)
         with pytest.raises(ValueError):
-            theorem1_check(f, space, 1)
+            theorem1_check(terms)
         with pytest.raises(ValueError):
-            theorem3_check(f, space, 1)
+            theorem3_check(terms)
 
     def test_alignment_variant_holds(self):
         space = toy_space()
         for seed in range(30):
-            rep = theorem3_check(random_embedding(space.n, 3, seed=seed), space, 1)
+            f = random_embedding(space.n, 3, seed=seed)
+            rep = theorem3_check(measure_sandwich(f, space, 1))
             assert rep.verdict == "holds", (seed, rep)
 
     def test_alignment_variant_consistent_reduction(self):
         space = identity_only_space()
-        rep = theorem3_check(random_embedding(space.n, 3, seed=2), space, 1)
+        f = random_embedding(space.n, 3, seed=2)
+        rep = theorem3_check(measure_sandwich(f, space, 1))
         assert rep.terms["no_false_positives"]
         assert "consistent form" in rep.note
 
 
 class TestDownstreamBound:
     def test_toy_values(self):
-        rep = theorem4_check(toy_world(), toy_transforms(), k=2)
+        rep = theorem4_check(stage_graph(toy_world(), toy_transforms()), k=2)
         t = rep.terms
         assert abs(t["alpha_q"] - 0.25) < 1e-12
         assert abs(t["lambda_k_q"] - 0.5) < 1e-12
@@ -238,7 +335,7 @@ class TestDownstreamBound:
                     pattern=class_pattern(w, c, (c + 1) % 3, 0.35),
                 )
             )
-        rep = theorem4_check(w, transforms, k=3)
+        rep = theorem4_check(stage_graph(w, transforms), k=3)
         assert rep.terms["alpha_q"] == 0.0
         assert rep.terms["bound"] == 0.0
         assert rep.terms["probe_error"] == 0.0
@@ -248,7 +345,7 @@ class TestDownstreamBound:
         w = reference_world()
         transforms = reference_transforms(w)
         wq = preprocess_world(w, TruncationSpec(mode="keep_top_q", q=3))
-        rep = theorem4_check(wq, transforms, k=3)
+        rep = theorem4_check(stage_graph(wq, transforms), k=3)
         t = rep.terms
         assert abs(t["alpha_q"] - 0.04) < 1e-9
         assert t["bound"] < 1.0
@@ -258,24 +355,25 @@ class TestDownstreamBound:
     def test_zero_lambda_leaves_bound_undefined(self):
         w = reference_world()
         identity = [Transform(id="i", kind="identity", probability=1.0)]
-        rep = theorem4_check(w, identity, k=1)
+        rep = theorem4_check(stage_graph(w, identity), k=1)
         assert rep.verdict == "holds_vacuously"
         assert rep.terms["bound"] is None
         assert "undefined" in rep.note
 
     def test_k_validated(self):
         with pytest.raises(ValueError):
-            theorem4_check(toy_world(), toy_transforms(), k=0)
+            theorem4_check(stage_graph(toy_world(), toy_transforms()), k=0)
         with pytest.raises(ValueError):
-            theorem4_check(toy_world(), toy_transforms(), k=99)
+            theorem4_check(stage_graph(toy_world(), toy_transforms()), k=99)
 
 
 class TestCorollaries:
     def test_zero_head_withheld(self):
         space = toy_space()
         f = random_embedding(space.n, 3, seed=1)
+        head = LinearHead(W=np.zeros((3, 2)))
         reports = corollary_reports(
-            f, space, 1, McConfig(), LinearHead(W=np.zeros((3, 2)))
+            measure_sandwich(f, space, 1, McConfig()), head, ce_risk(f, head, space)
         )
         assert len(reports) == 2
         for rep in reports:
@@ -286,7 +384,9 @@ class TestCorollaries:
         space = toy_space()
         f = random_embedding(space.n, 3, seed=6)
         head = fit_linear_head(f, space, steps=300, step_size=2.0)
-        reports = corollary_reports(f, space, 1, McConfig(), head)
+        reports = corollary_reports(
+            measure_sandwich(f, space, 1, McConfig()), head, ce_risk(f, head, space)
+        )
         assert [r.theorem for r in reports] == [
             "corollary_theorem1",
             "corollary_theorem3",

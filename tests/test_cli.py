@@ -1,71 +1,26 @@
-import filecmp
 import os
+import sys
 
 import pytest
 
+from ctlab import cli, objectives, world
 from ctlab.cli import SWEEP_COLUMNS, emit_csv, emit_text, main, parse_csv
 
-SMALL = """\
-[run]
-seed = 3
 
-[world]
-k = 2
-per_class = 1
-m = 6
-m_prime = 6
-q_star = 2
-nuisance_rank = 1
-nuisance_confusion = 0.9
-noise_scale = 0.0
-seed = 3
+def _count_calls(monkeypatch, fn):
+    """Count calls of fn through every ctlab module that binds it."""
+    calls = []
 
-[transforms]
-rho = 0.35
-transform_1 = identity 0.4
-transform_2 = flip 0 1 0.2
-transform_3 = flip 1 0 0.2
-transform_4 = bridge 0 1 0.1
-transform_5 = bridge 1 0 0.1
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
 
-[svd]
-mode = none
-sweep = 1, 2, 3
-
-[train]
-loss = infonce
-k = 2
-k_sweep = 1, 2
-steps = 15
-step_size = 1.0
-m = 1
-
-[probe]
-steps = 150
-step_size = 2.0
-l2 = 0.0
-
-[bounds]
-which = t1, t3, t4, corollaries
-mc_samples = 2000
-mc_replicates = 4
-n_max = 40
-m_max = 2
-
-[inflation]
-factor = 1
-
-[output]
-directory = artifacts
-formats = csv, text
-"""
-
-
-@pytest.fixture
-def small_cfg(tmp_path):
-    p = tmp_path / "small.ini"
-    p.write_text(SMALL)
-    return str(p)
+    for name, mod in list(sys.modules.items()):
+        if name == "ctlab" or name.startswith("ctlab."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
 
 
 def _tree_bytes(root):
@@ -161,6 +116,16 @@ class TestRunCommand:
         a = open(os.path.join(out1, "baseline.csv")).read()
         b = open(os.path.join(out2, "baseline.csv")).read()
         assert a != b
+
+    def test_each_row_computed_and_measured_once(self, small_cfg, tmp_path, monkeypatch):
+        rows = _count_calls(monkeypatch, cli.compute_row)
+        population = _count_calls(monkeypatch, objectives.infonce_population)
+        augment = _count_calls(monkeypatch, world.build_augmented_space)
+        assert main(["run", "--config", small_cfg, "--out", str(tmp_path / "art")]) == 0
+        n_rows = 1 + 3 + 2  # baseline, q in (1, 2, 3), k in (1, 2)
+        assert len(rows) == n_rows
+        assert len(population) == n_rows
+        assert len(augment) == n_rows
 
     def test_set_override(self, small_cfg, tmp_path):
         out = str(tmp_path / "art")

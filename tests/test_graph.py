@@ -96,29 +96,30 @@ class TestSpectralEmbedding:
     def test_toy_closed_form(self):
         # gammas are (1, 1/2, 0); rescaled eigenvectors give integer rows
         G = toy_graph()
-        f = spectral_embedding(G, 3)
+        f = spectral_embedding(G, laplacian_spectrum(G), 3)
         want = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, -1.0, 0.0]])
         assert np.allclose(f, want, atol=1e-10)
 
     def test_prefix_property(self):
         G = reference_graph()
-        f8 = spectral_embedding(G, 8)
-        f3 = spectral_embedding(G, 3)
+        spec = laplacian_spectrum(G)
+        f8 = spectral_embedding(G, spec, 8)
+        f3 = spectral_embedding(G, spec, 3)
         assert np.allclose(f8[:, :3], f3, atol=1e-12)
 
     def test_k_bounds(self):
         G = toy_graph()
         with pytest.raises(ValueError):
-            spectral_embedding(G, 0)
+            spectral_embedding(G, laplacian_spectrum(G), 0)
         with pytest.raises(ValueError):
-            spectral_embedding(G, 4)
+            spectral_embedding(G, laplacian_spectrum(G), 4)
 
     def test_gram_identity(self):
         # D^{1/2} f has orthogonal columns with norms gamma_i
         G = reference_graph()
         k = 6
         spec = laplacian_spectrum(G)
-        f = spectral_embedding(G, k)
+        f = spectral_embedding(G, spec, k)
         Fh = f * np.sqrt(G.degrees)[:, None]
         gram = Fh.T @ Fh
         gammas = np.clip(1.0 - spec.values[:k], 0.0, None)
