@@ -85,10 +85,6 @@ class McConfig:
     m_max: int = 2    # exact enumeration threshold on negative count
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
-
-
 def _pair_support(space: AugmentedSpace):
     """Indices and weights of the positive-pair joint support."""
     xs, ys = np.nonzero(space.joint)
@@ -136,52 +132,53 @@ def infonce_population(
         value = float(w @ (expect - s_pos))
         return value, 0.0, True
 
-    rng = _rng(cfg.seed)
-    flat = space.joint.ravel()
-    pair_idx = rng.choice(len(flat), size=cfg.samples, p=flat / flat.sum())
-    ax, px = np.unravel_index(pair_idx, space.joint.shape)
-    negs = rng.choice(space.n, size=(cfg.samples, M), p=space.marginal)
-    s_pos = sims[ax, px]
-    s_neg = sims[ax[:, None], negs]
-    stacked = np.concatenate([s_pos[:, None], s_neg], axis=1)
-    mx = stacked.max(axis=1)
-    lse = mx + np.log(np.sum(np.exp(stacked - mx[:, None]), axis=1))
-    losses = lse - s_pos
+    batch = _sample_batch(space, M, cfg.samples, cfg.seed)
+    a = batch[:, 0]
+    losses = _nce_losses(sims[a, batch[:, 1]], sims[a[:, None], batch[:, 2:]])
     estimate = float(np.mean(losses))
     std_error = float(np.std(losses, ddof=1) / np.sqrt(cfg.samples))
     return estimate, std_error, False
 
 
-def _batch_arrays(batch):
-    anchors = np.array([b[0] for b in batch], dtype=int)
-    positives = np.array([b[1] for b in batch], dtype=int)
-    negatives = np.array([list(b[2]) for b in batch], dtype=int)
-    return anchors, positives, negatives
+def _sample_batch(space: AugmentedSpace, M: int, samples: int, seed: int):
+    """Seeded i.i.d. batch: pairs from the joint, M negatives from the marginal."""
+    rng = np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
+    flat = space.joint.ravel()
+    pair_idx = rng.choice(len(flat), size=samples, p=flat / flat.sum())
+    ax, px = np.unravel_index(pair_idx, space.joint.shape)
+    negs = rng.choice(space.n, size=(samples, M), p=space.marginal)
+    return np.column_stack([ax, px, negs])
 
 
-def infonce_empirical(f: Embedding, batch, weights=None) -> float:
-    """Empirical InfoNCE over a batch of (anchor, positive, negatives) tuples.
-
-    Optional weights turn the plain mean into a weighted mean, which makes a
-    full-support weighted batch reproduce the population loss exactly.
-    """
-    if len(batch) == 0:
-        raise ValueError("infonce_empirical: empty batch")
-    a, pidx, negs = _batch_arrays(batch)
-    F = f.table
-    s_pos = np.sum(F[a] * F[pidx], axis=1)
-    s_neg = np.einsum("bk,bmk->bm", F[a], F[negs])
+def _nce_losses(s_pos: np.ndarray, s_neg: np.ndarray) -> np.ndarray:
+    """Per-row log(e^{s+} + sum_m e^{s_m}) - s+, stabilized by the row max."""
     stacked = np.concatenate([s_pos[:, None], s_neg], axis=1)
     mx = stacked.max(axis=1)
     lse = mx + np.log(np.sum(np.exp(stacked - mx[:, None]), axis=1))
-    losses = lse - s_pos
+    return lse - s_pos
+
+
+def infonce_empirical(f: Embedding, batch: np.ndarray, weights=None) -> float:
+    """Empirical InfoNCE over a (B, 2 + M) int batch of node indices.
+
+    Columns are anchor, positive, negative_1..negative_M.  Optional weights
+    turn the plain mean into a weighted mean, which makes a full-support
+    weighted batch reproduce the population loss exactly.
+    """
+    if len(batch) == 0:
+        raise ValueError("infonce_empirical: empty batch")
+    a, pidx, negs = batch[:, 0], batch[:, 1], batch[:, 2:]
+    F = f.table
+    s_pos = np.sum(F[a] * F[pidx], axis=1)
+    s_neg = np.einsum("bk,bmk->bm", F[a], F[negs])
+    losses = _nce_losses(s_pos, s_neg)
     if weights is None:
         return float(np.mean(losses))
     weights = np.asarray(weights, dtype=float)
     return float(weights @ losses / weights.sum())
 
 
-def infonce_gradient(f: Embedding, batch, weights=None) -> np.ndarray:
+def infonce_gradient(f: Embedding, batch: np.ndarray, weights=None) -> np.ndarray:
     """Analytic gradient of the empirical InfoNCE w.r.t. every embedding row.
 
     For a normalized embedding the Euclidean gradient is projected onto the
@@ -189,7 +186,7 @@ def infonce_gradient(f: Embedding, batch, weights=None) -> np.ndarray:
     """
     if len(batch) == 0:
         raise ValueError("infonce_gradient: empty batch")
-    a, pidx, negs = _batch_arrays(batch)
+    a, pidx, negs = batch[:, 0], batch[:, 1], batch[:, 2:]
     B, M = negs.shape
     F = f.table
     grad = np.zeros_like(F)
@@ -220,26 +217,21 @@ def infonce_gradient(f: Embedding, batch, weights=None) -> np.ndarray:
 def full_support_batch(space: AugmentedSpace, M: int):
     """Weighted batch enumerating the joint support with all negative combos.
 
-    Weight of a tuple is p(x, x+) * prod p(x_i^-); the weighted empirical
+    Rows (format of `infonce_empirical`) run over support pairs, then over
+    negative combos in lexicographic order, skipping combos of zero weight.
+    Weight of a row is p(x, x+) * prod p(x_i^-); the weighted empirical
     loss over this batch equals the population loss exactly.
     """
     xs, ys, w = _pair_support(space)
-    n = space.n
-    p = space.marginal
-    batch = []
-    weights = []
-    combos = [()]
-    combo_w = [1.0]
+    combos = np.indices((space.n,) * M).reshape(M, space.n**M).T
+    combo_w = np.ones(1)
     for _ in range(M):
-        combos = [c + (z,) for c in combos for z in range(n)]
-        combo_w = [cw * p[z] for cw in combo_w for z in range(n)]
-    for t in range(len(xs)):
-        for c, cw in zip(combos, combo_w):
-            if cw == 0.0:
-                continue
-            batch.append((int(xs[t]), int(ys[t]), c))
-            weights.append(float(w[t]) * cw)
-    return batch, np.array(weights)
+        combo_w = np.outer(combo_w, space.marginal).ravel()
+    keep = combo_w != 0.0
+    combos, combo_w = combos[keep], combo_w[keep]
+    pairs = np.repeat(np.column_stack([xs, ys]), len(combos), axis=0)
+    batch = np.column_stack([pairs, np.tile(combos, (len(xs), 1))])
+    return batch, np.outer(w, combo_w).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +287,7 @@ def train_free_embeddings(
         if M <= cfg.m_max and n <= cfg.n_max:
             batch, weights = full_support_batch(space, M)
         else:
-            rng = _rng(cfg.seed + seed + 1)
-            flat = space.joint.ravel()
-            pair_idx = rng.choice(
-                len(flat), size=cfg.samples, p=flat / flat.sum()
-            )
-            ax, px = np.unravel_index(pair_idx, space.joint.shape)
-            negs = rng.choice(n, size=(cfg.samples, M), p=space.marginal)
-            batch = list(zip(ax.tolist(), px.tolist(), map(tuple, negs.tolist())))
+            batch = _sample_batch(space, M, cfg.samples, cfg.seed + seed + 1)
             weights = None
 
         def loss_fn(T):

@@ -342,8 +342,8 @@ def _check_self_consistency(world: World) -> None:
 
 def _node_key(payload: np.ndarray) -> bytes:
     # payload-identical nodes merged; quantize to absorb float noise well below
-    # any genuine payload difference (distinct payloads differ at O(1e-2))
-    return np.round(payload, 9).tobytes()
+    # any genuine payload difference (O(1e-2)); + 0.0 folds -0.0 into 0.0
+    return (np.round(payload, 9) + 0.0).tobytes()
 
 
 def build_augmented_space(world: World, transforms) -> AugmentedSpace:
@@ -546,10 +546,24 @@ def load_world(directory) -> World:
                 raise ValueError(f"manifest: unknown key {key!r}")
     if spec is None:
         raise ValueError("manifest: missing spec line")
-    template_list = tuple(templates[c] for c in sorted(templates))
-    return World(
+    weights = np.array(weights)
+    if abs(float(weights.sum()) - 1.0) > _PROB_TOL:
+        raise ValueError(f"{manifest}: weights sum to {weights.sum()!r}, not 1")
+    if sorted(templates) != list(range(spec.K)):
+        raise ValueError(f"{manifest}: template indices are not 0..{spec.K - 1}")
+    shape = (spec.m, spec.m_prime)
+    named = [(f"template {c}", T) for c, T in templates.items()]
+    for name, P in named + [(oid, P) for oid, P, _label in originals]:
+        if P.shape != shape:
+            raise ValueError(f"{manifest}: {name} has shape {P.shape}, not {shape}")
+    world = World(
         originals=tuple(originals),
-        weights=np.array(weights),
-        templates=template_list,
+        weights=weights,
+        templates=tuple(templates[c] for c in range(spec.K)),
         spec=spec,
     )
+    try:
+        _check_self_consistency(world)
+    except ValueError as err:
+        raise ValueError(f"{manifest}: {err}") from None
+    return world

@@ -230,11 +230,11 @@ def test_05_infonce_gradient_check(capsys):
         M = int(rng.integers(1, 4))
         B = int(rng.integers(2, 7))
         table = rng.normal(size=(n, k))
-        batch = [
-            (int(rng.integers(n)), int(rng.integers(n)),
-             tuple(int(rng.integers(n)) for _ in range(M)))
+        batch = np.array([
+            [int(rng.integers(n)), int(rng.integers(n))]
+            + [int(rng.integers(n)) for _ in range(M)]
             for _ in range(B)
-        ]
+        ])
         f = Embedding(table, normalized=False)
         g = infonce_gradient(f, batch)
         fd = np.zeros_like(table)

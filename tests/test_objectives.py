@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,13 +117,13 @@ class TestInfoNcePopulation:
 class TestInfoNceEmpirical:
     def test_single_tuple(self):
         f = constant_embedding(3)
-        assert abs(infonce_empirical(f, [(0, 0, (1,))]) - np.log(2)) < 1e-12
+        assert abs(infonce_empirical(f, np.array([[0, 0, 1]])) - np.log(2)) < 1e-12
 
     def test_duplication_invariance(self):
         f = random_embedding(3, 2, seed=1)
-        batch = [(0, 1, (2,)), (2, 1, (0,))]
+        batch = np.array([[0, 1, 2], [2, 1, 0]])
         a = infonce_empirical(f, batch)
-        b = infonce_empirical(f, batch + batch)
+        b = infonce_empirical(f, np.concatenate([batch, batch]))
         assert abs(a - b) < 1e-12
 
     def test_full_support_batch_reproduces_population(self):
@@ -133,9 +136,37 @@ class TestInfoNceEmpirical:
             assert exact
             assert abs(emp - pop) < 1e-10
 
+    @pytest.mark.parametrize("M, zero_node", [(1, None), (2, None), (2, 1)])
+    def test_full_support_batch_oracle(self, M, zero_node):
+        # independent oracle: pairs and negative combos from itertools.product;
+        # a node of zero marginal mass drops every combo that draws it
+        space = toy_space()
+        if zero_node is not None:
+            p = space.marginal.copy()
+            p[zero_node] = 0.0
+            space = replace(space, marginal=p)
+        p = space.marginal
+        rows, want = [], []
+        for x, y in itertools.product(range(space.n), repeat=2):
+            if space.joint[x, y] == 0.0:
+                continue
+            for combo in itertools.product(range(space.n), repeat=M):
+                cw = 1.0
+                for z in combo:
+                    cw *= p[z]
+                if cw != 0.0:
+                    rows.append((x, y) + combo)
+                    want.append(space.joint[x, y] * cw)
+        batch, weights = full_support_batch(space, M)
+        assert batch.dtype == np.intp
+        assert batch.shape == (len(rows), 2 + M)
+        assert len(batch) == len(rows)
+        assert batch.tolist() == [list(r) for r in rows]
+        assert np.array_equal(weights, np.array(want))
+
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            infonce_empirical(constant_embedding(3), [])
+            infonce_empirical(constant_embedding(3), np.zeros((0, 3), dtype=int))
 
 
 class TestInfoNceGradient:
@@ -157,11 +188,11 @@ class TestInfoNceGradient:
         for trial in range(5):
             n, k, M = 5, 3, 2
             table = rng.normal(size=(n, k))
-            batch = [
-                (int(rng.integers(n)), int(rng.integers(n)),
-                 tuple(int(rng.integers(n)) for _ in range(M)))
+            batch = np.array([
+                [int(rng.integers(n)), int(rng.integers(n))]
+                + [int(rng.integers(n)) for _ in range(M)]
                 for _ in range(6)
-            ]
+            ])
             f = Embedding(table, normalized=False)
             g = infonce_gradient(f, batch)
             fd = self._fd(table, batch, None, h=1e-5)
@@ -171,7 +202,7 @@ class TestInfoNceGradient:
     def test_weighted_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         table = rng.normal(size=(4, 2))
-        batch = [(0, 1, (2,)), (3, 2, (1,)), (1, 0, (3,))]
+        batch = np.array([[0, 1, 2], [3, 2, 1], [1, 0, 3]])
         weights = np.array([0.5, 0.3, 0.2])
         f = Embedding(table, normalized=False)
         g = infonce_gradient(f, batch, weights)
@@ -180,7 +211,7 @@ class TestInfoNceGradient:
 
     def test_normalized_gradient_is_tangential(self):
         f = random_embedding(5, 3, seed=9)
-        batch = [(0, 1, (2, 3)), (4, 2, (0, 1))]
+        batch = np.array([[0, 1, 2, 3], [4, 2, 0, 1]])
         g = infonce_gradient(f, batch)
         radial = np.sum(g * f.table, axis=1)
         assert np.abs(radial).max() < 1e-12
@@ -237,13 +268,27 @@ class TestTraining:
 
     def test_infonce_loss_decreases(self):
         space = toy_space()
-        batch, weights = full_support_batch(space, 1)
-        f0 = train_free_embeddings(space, 2, "infonce", 0, 1.0, seed=5)
-        f1 = train_free_embeddings(space, 2, "infonce", 50, 1.0, seed=5)
-        l0 = infonce_empirical(f0, batch, weights)
-        l1 = infonce_empirical(f1, batch, weights)
-        assert l1 <= l0 + 1e-12
-        f1.check()
+        seed = 5
+        for cfg in (McConfig(), McConfig(n_max=1, samples=500)):
+            f0 = train_free_embeddings(space, 2, "infonce", 0, 1.0, seed=seed, cfg=cfg)
+            f1 = train_free_embeddings(space, 2, "infonce", 50, 1.0, seed=seed, cfg=cfg)
+            if space.n <= cfg.n_max:
+                batch, weights = full_support_batch(space, 1)
+                l0 = infonce_empirical(f0, batch, weights)
+                l1 = infonce_empirical(f1, batch, weights)
+            else:
+                again = train_free_embeddings(
+                    space, 2, "infonce", 50, 1.0, seed=seed, cfg=cfg
+                )
+                assert np.array_equal(f1.table, again.table)
+                exact = train_free_embeddings(space, 2, "infonce", 50, 1.0, seed=seed)
+                assert not np.array_equal(f1.table, exact.table)
+                # the shared sampler draws the trainer's own batch from this seed
+                own = McConfig(n_max=1, samples=500, seed=cfg.seed + seed + 1)
+                l0, _, _ = infonce_population(f0, space, 1, own)
+                l1, _, _ = infonce_population(f1, space, 1, own)
+            assert l1 <= l0 + 1e-12
+            f1.check()
 
     def test_spectral_training_reaches_closed_form(self):
         space = toy_space()

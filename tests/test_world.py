@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctlab.fixtures import (
     RHO,
@@ -8,10 +11,12 @@ from ctlab.fixtures import (
     toy_transforms,
     toy_world,
 )
+from ctlab.linalg import save_matrix_text
 from ctlab.svd import TruncationSpec
 from ctlab.world import (
     Transform,
     WorldSpec,
+    _node_key,
     apply_transform,
     build_augmented_space,
     class_pattern,
@@ -215,6 +220,24 @@ class TestAugmentedSpace:
         assert len(blank) == 1
         assert abs(space.marginal[blank[0]] - 0.75) < 1e-12
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.sampled_from([-1e-17, 1e-17]), min_size=2, max_size=2))
+    def test_signed_zero_noise_keeps_views(self, eps):
+        # each toy original has one zero entry; its twin moves it by +-1e-17,
+        # which rounds to -0.0 or 0.0 and must still key the same view
+        w = toy_world()
+        twins = tuple(
+            (oid + "t", np.where(P == 0.0, e, P), label)
+            for (oid, P, label), e in zip(w.originals, eps)
+        )
+        for (_, P, _), (_, T, _) in zip(w.originals, twins):
+            assert _node_key(T) == _node_key(P)
+        doubled = replace(
+            w, originals=w.originals + twins, weights=np.full(4, 0.25)
+        )
+        space = build_augmented_space(doubled, toy_transforms())
+        assert space.n == build_augmented_space(w, toy_transforms()).n
+
 
 class TestLabelingError:
     def test_toy_exact(self):
@@ -308,3 +331,37 @@ class TestSerialization:
             assert np.array_equal(pa, pb)
         for Ta, Tb in zip(w.templates, loaded.templates):
             assert np.array_equal(Ta, Tb)
+
+    def _saved(self, tmp_path):
+        d = tmp_path / "w"
+        save_world(reference_world(), d)
+        return d, d / "manifest.txt"
+
+    def _edit(self, manifest, old, new):
+        text = manifest.read_text()
+        assert old in text
+        manifest.write_text(text.replace(old, new, 1))
+
+    def test_weights_must_sum_to_one(self, tmp_path):
+        d, manifest = self._saved(tmp_path)
+        self._edit(manifest, "o0000.mat 0 0.16666666666666666", "o0000.mat 0 0.2")
+        with pytest.raises(ValueError, match="manifest.txt.*weights sum"):
+            load_world(d)
+
+    def test_template_indices_must_be_contiguous(self, tmp_path):
+        d, manifest = self._saved(tmp_path)
+        self._edit(manifest, "template 2 =", "template 5 =")
+        with pytest.raises(ValueError, match="manifest.txt.*template indices"):
+            load_world(d)
+
+    def test_payload_shape_must_match_templates(self, tmp_path):
+        d, _manifest = self._saved(tmp_path)
+        save_matrix_text(d / "o0003.mat", np.zeros((12, 11)))
+        with pytest.raises(ValueError, match="manifest.txt.*o0003 has shape"):
+            load_world(d)
+
+    def test_labels_must_match_ground_truth(self, tmp_path):
+        d, manifest = self._saved(tmp_path)
+        self._edit(manifest, "o0000.mat 0 ", "o0000.mat 1 ")
+        with pytest.raises(ValueError, match="manifest.txt.*latent label"):
+            load_world(d)
