@@ -238,7 +238,7 @@ def measure_sandwich(
     lse_mean, lse_std = lse_approx_error(f, space, M, cfg.replicates, cfg.seed)
     return SandwichTerms(
         M=M,
-        K=int(space.labels.max()) + 1,
+        K=space.K,
         normalized=f.normalized,
         ce_mean=ce_risk(f, mean_head(f, space), space),
         infonce=nce,

@@ -126,6 +126,7 @@ def _restrict_space(space: AugmentedSpace, kept: np.ndarray) -> AugmentedSpace:
         marginal=marginal,
         joint=joint,
         node_ids=tuple(space.node_ids[i] for i in kept),
+        K=space.K,
     )
 
 

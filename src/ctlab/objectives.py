@@ -107,29 +107,12 @@ def infonce_population(
     """
     if M < 1:
         raise ValueError("infonce_population: M must be >= 1")
-    xs, ys, w = _pair_support(space)
-    if len(xs) == 0:
+    if not np.any(space.joint):
         raise ValueError("infonce_population: empty positive-pair support")
     F = f.table
     sims = F @ F.T  # (n, n)
     if M <= cfg.m_max and space.n <= cfg.n_max:
-        p = space.marginal
-        s_pos = sims[xs, ys]
-        if M == 1:
-            # E_z log(e^{s+} + e^{s_z}) per pair, vectorized over z
-            lse = np.logaddexp(s_pos[:, None], sims[xs, :])  # (pairs, n)
-            expect = lse @ p
-        elif M == 2:
-            expect = np.empty(len(xs))
-            for t in range(len(xs)):
-                row = sims[xs[t], :]
-                lse = np.logaddexp(
-                    s_pos[t], np.logaddexp(row[:, None], row[None, :])
-                )
-                expect[t] = float(p @ lse @ p)
-        else:  # pragma: no cover - m_max guards this
-            raise ValueError("exact enumeration supports M <= 2")
-        value = float(w @ (expect - s_pos))
+        value, _ = _exact_infonce(sims, space, M)
         return value, 0.0, True
 
     batch = _sample_batch(space, M, cfg.samples, cfg.seed)
@@ -138,6 +121,70 @@ def infonce_population(
     estimate = float(np.mean(losses))
     std_error = float(np.std(losses, ddof=1) / np.sqrt(cfg.samples))
     return estimate, std_error, False
+
+
+def _exact_infonce(sims: np.ndarray, space: AugmentedSpace, M: int, coef=False):
+    """Exact population InfoNCE from the similarity table sims = F F^T.
+
+    Returns (loss, C); with coef, C = dL/dS is the (n, n) coefficient matrix
+    of the loss in the entries of S = F F^T taken as independent variables,
+    else None.  M = 1 works on (pairs, n) arrays; M = 2 loops over anchors
+    and holds (pairs of one anchor, n, n) arrays.
+    """
+    xs, ys, w = _pair_support(space)
+    p = space.marginal
+    s_pos = sims[xs, ys]
+    n = space.n
+    C = np.zeros((n, n)) if coef else None
+    if M == 1:
+        # E_z log(e^{s+} + e^{s_z}) per pair, vectorized over z
+        s_neg = sims[xs, :]
+        lse = np.logaddexp(s_pos[:, None], s_neg)  # (pairs, n)
+        expect = lse @ p
+        if coef:
+            C[xs, ys] = w * (np.exp(s_pos[:, None] - lse) @ p - 1.0)
+            neg = w[:, None] * np.exp(s_neg - lse) * p
+            C += _scatter(n, xs[:, None], np.arange(n), neg)
+    elif M == 2:
+        expect = np.empty(len(xs))
+        starts = np.searchsorted(xs, np.arange(n + 1))  # xs is sorted
+        for x in range(n):
+            sel = slice(starts[x], starts[x + 1])
+            if sel.start == sel.stop:
+                continue
+            row = sims[x, :]
+            lse = np.logaddexp(
+                s_pos[sel, None, None], np.logaddexp(row[:, None], row[None, :])
+            )  # (pairs of x, n, n), symmetric in the two negatives
+            expect[sel] = lse @ p @ p
+            if coef:
+                pos = np.exp(s_pos[sel, None, None] - lse) @ p @ p
+                C[x, ys[sel]] = w[sel] * (pos - 1.0)
+                # both negative slots give the same term by symmetry
+                neg = np.exp(row[None, :, None] - lse) @ p
+                C[x, :] += 2.0 * p * (w[sel] @ neg)
+    else:  # pragma: no cover - m_max guards this
+        raise ValueError("exact enumeration supports M <= 2")
+    return float(w @ (expect - s_pos)), C
+
+
+def _scatter(n: int, rows, cols, coef) -> np.ndarray:
+    """(n, n) matrix summing coef at (rows, cols); the three broadcast together."""
+    rows, cols, coef = np.broadcast_arrays(rows, cols, coef)
+    flat = np.bincount((rows * n + cols).ravel(), coef.ravel(), n * n)
+    return flat.reshape(n, n)
+
+
+def _gradient(F: np.ndarray, C: np.ndarray, normalized: bool) -> np.ndarray:
+    """Gradient (C + C^T) F of a loss with dL/d(F F^T) = C.
+
+    For a normalized embedding the radial part of each row is removed
+    (Riemannian gradient on the sphere).
+    """
+    grad = (C + C.T) @ F
+    if normalized:
+        grad = grad - np.sum(grad * F, axis=1, keepdims=True) * F
+    return grad
 
 
 def _sample_batch(space: AugmentedSpace, M: int, samples: int, seed: int):
@@ -186,36 +233,25 @@ def infonce_gradient(f: Embedding, batch: np.ndarray, weights=None) -> np.ndarra
     """
     if len(batch) == 0:
         raise ValueError("infonce_gradient: empty batch")
-    a, pidx, negs = batch[:, 0], batch[:, 1], batch[:, 2:]
-    B, M = negs.shape
+    a, others = batch[:, 0], batch[:, 1:]  # others: positive, then negatives
     F = f.table
-    grad = np.zeros_like(F)
-    s_pos = np.sum(F[a] * F[pidx], axis=1)
-    s_neg = np.einsum("bk,bmk->bm", F[a], F[negs])
-    stacked = np.concatenate([s_pos[:, None], s_neg], axis=1)
-    mx = stacked.max(axis=1, keepdims=True)
-    ex = np.exp(stacked - mx)
-    probs = ex / ex.sum(axis=1, keepdims=True)  # (B, 1 + M)
+    sims = np.einsum("bk,bmk->bm", F[a], F[others])  # (B, 1 + M)
+    ex = np.exp(sims - sims.max(axis=1, keepdims=True))
+    probs = ex / ex.sum(axis=1, keepdims=True)
     if weights is None:
-        w = np.full(B, 1.0 / B)
+        w = np.full(len(batch), 1.0 / len(batch))
     else:
         w = np.asarray(weights, dtype=float)
         w = w / w.sum()
-    coef_pos = w * (probs[:, 0] - 1.0)
-    np.add.at(grad, a, coef_pos[:, None] * F[pidx])
-    np.add.at(grad, pidx, coef_pos[:, None] * F[a])
-    for m in range(M):
-        coef = w * probs[:, 1 + m]
-        np.add.at(grad, a, coef[:, None] * F[negs[:, m]])
-        np.add.at(grad, negs[:, m], coef[:, None] * F[a])
-    if f.normalized:
-        radial = np.sum(grad * F, axis=1, keepdims=True)
-        grad = grad - radial * F
-    return grad
+    probs[:, 0] -= 1.0
+    C = _scatter(F.shape[0], a[:, None], others, w[:, None] * probs)
+    return _gradient(F, C, f.normalized)
 
 
 def full_support_batch(space: AugmentedSpace, M: int):
     """Weighted batch enumerating the joint support with all negative combos.
+
+    Test oracle of the exact InfoNCE engine; no pipeline path builds it.
 
     Rows (format of `infonce_empirical`) run over support pairs, then over
     negative combos in lexicographic order, skipping combos of zero weight.
@@ -273,10 +309,12 @@ def train_free_embeddings(
     """Gradient descent on a free per-node embedding table.
 
     loss "spectral" descends the exact spectral loss unconstrained; loss
-    "infonce" descends the empirical InfoNCE over a fixed full-support (or
-    seeded sampled) batch with re-projection onto the unit sphere after
-    every step.  Backtracking halves the step size whenever a step would
-    increase the loss, so the loss is non-increasing over accepted steps.
+    "infonce" descends the exact population InfoNCE (the computation of
+    `infonce_population`'s exact path) or, past its thresholds, the
+    empirical InfoNCE over one seeded sampled batch, with re-projection onto
+    the unit sphere after every step.  Backtracking halves the step size
+    whenever a step would increase the loss, so the loss is non-increasing
+    over accepted steps.
     """
     n = space.n
     if k < 1:
@@ -285,16 +323,22 @@ def train_free_embeddings(
     if loss == "infonce":
         table = table / np.linalg.norm(table, axis=1, keepdims=True)
         if M <= cfg.m_max and n <= cfg.n_max:
-            batch, weights = full_support_batch(space, M)
+
+            def loss_fn(T):
+                return _exact_infonce(T @ T.T, space, M)[0]
+
+            def grad_fn(T):
+                _, C = _exact_infonce(T @ T.T, space, M, coef=True)
+                return _gradient(T, C, True)
+
         else:
             batch = _sample_batch(space, M, cfg.samples, cfg.seed + seed + 1)
-            weights = None
 
-        def loss_fn(T):
-            return infonce_empirical(Embedding(T, True), batch, weights)
+            def loss_fn(T):
+                return infonce_empirical(Embedding(T, True), batch)
 
-        def grad_fn(T):
-            return infonce_gradient(Embedding(T, True), batch, weights)
+            def grad_fn(T):
+                return infonce_gradient(Embedding(T, True), batch)
 
         def retract(T):
             return T / np.linalg.norm(T, axis=1, keepdims=True)
@@ -342,7 +386,7 @@ def train_free_embeddings(
 
 def mean_head(f: Embedding, space: AugmentedSpace) -> MeanHead:
     """Probability-weighted class means under the augmented marginal."""
-    K = int(space.labels.max()) + 1
+    K = space.K
     mu = np.zeros((f.k, K))
     mass = np.zeros(K)
     for c in range(K):
@@ -377,7 +421,7 @@ def fit_linear_head(
     seed: int = 0,
 ) -> LinearHead:
     """Gradient descent on the CE risk plus l2 ||W||^2 / 2, from W = 0."""
-    K = int(space.labels.max()) + 1
+    K = space.K
     F = f.table
     p = space.marginal
     Y = np.zeros((space.n, K))

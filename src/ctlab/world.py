@@ -153,6 +153,7 @@ class AugmentedSpace:
     marginal: np.ndarray           # (n,), sums to 1
     joint: np.ndarray              # (n, n) positive-pair joint p(x, x+)
     node_ids: tuple                # stable node identifiers
+    K: int                         # class count of the world
 
     @property
     def n(self) -> int:
@@ -390,6 +391,7 @@ def build_augmented_space(world: World, transforms) -> AugmentedSpace:
         marginal=marginal,
         joint=joint,
         node_ids=tuple(f"n{i:04d}" for i in range(n)),
+        K=world.spec.K,
     )
     _check_space(space)
     return space
@@ -515,37 +517,44 @@ def load_world(directory) -> World:
     originals = []
     weights = []
     with open(manifest) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             key, _, value = line.partition(" = ")
-            if key == "spec":
-                parts = value.split()
-                spec = WorldSpec(
-                    K=int(parts[0]),
-                    per_class=int(parts[1]),
-                    m=int(parts[2]),
-                    m_prime=int(parts[3]),
-                    q_star=int(parts[4]),
-                    nuisance_rank=int(parts[5]),
-                    nuisance_confusion=float(parts[6]),
-                    noise_scale=float(parts[7]),
-                    seed=int(parts[8]),
-                )
-            elif key.startswith("template "):
-                c = int(key.split()[1])
-                templates[c] = load_matrix_text(os.path.join(directory, value))
-            elif key.startswith("original "):
-                oid = key.split()[1]
-                fname, label, weight = value.split()
-                payload = load_matrix_text(os.path.join(directory, fname))
-                originals.append((oid, payload, int(label)))
-                weights.append(float(weight))
-            else:
-                raise ValueError(f"manifest: unknown key {key!r}")
+            try:
+                if key == "spec":
+                    parts = value.split()
+                    if len(parts) != 9:
+                        raise ValueError(f"spec needs 9 fields, got {len(parts)}")
+                    spec = WorldSpec(
+                        K=int(parts[0]),
+                        per_class=int(parts[1]),
+                        m=int(parts[2]),
+                        m_prime=int(parts[3]),
+                        q_star=int(parts[4]),
+                        nuisance_rank=int(parts[5]),
+                        nuisance_confusion=float(parts[6]),
+                        noise_scale=float(parts[7]),
+                        seed=int(parts[8]),
+                    )
+                elif key.startswith("template "):
+                    c = int(key.split()[1])
+                    templates[c] = load_matrix_text(os.path.join(directory, value))
+                elif key.startswith("original "):
+                    parts = value.split()
+                    if len(parts) != 3:
+                        raise ValueError(f"expected 'file label weight', got {value!r}")
+                    fname, label, weight = parts
+                    payload = load_matrix_text(os.path.join(directory, fname))
+                    originals.append((key.split()[1], payload, int(label)))
+                    weights.append(float(weight))
+                else:
+                    raise ValueError(f"unknown key {key!r}")
+            except ValueError as err:
+                raise ValueError(f"{manifest}: line {lineno}: {err}") from None
     if spec is None:
-        raise ValueError("manifest: missing spec line")
+        raise ValueError(f"{manifest}: missing spec line")
     weights = np.array(weights)
     if abs(float(weights.sum()) - 1.0) > _PROB_TOL:
         raise ValueError(f"{manifest}: weights sum to {weights.sum()!r}, not 1")

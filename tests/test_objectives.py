@@ -11,7 +11,8 @@ from ctlab.fixtures import (
     toy_transforms,
     toy_world,
 )
-from ctlab.graph import build_graph, laplacian_spectrum, spectral_embedding
+from ctlab import objectives
+from ctlab.graph import _restrict_space, build_graph, laplacian_spectrum, spectral_embedding
 from ctlab.objectives import (
     Embedding,
     LinearHead,
@@ -29,7 +30,8 @@ from ctlab.objectives import (
     spectral_loss,
     train_free_embeddings,
 )
-from ctlab.world import build_augmented_space
+from ctlab.objectives import _exact_infonce, _gradient
+from ctlab.world import AugmentedSpace, build_augmented_space
 
 
 def toy_space():
@@ -39,6 +41,29 @@ def toy_space():
 def reference_space():
     w = reference_world()
     return build_augmented_space(w, reference_transforms(w))
+
+
+def random_space(n, seed, K=2):
+    """Space of n nodes with a sparse random symmetric joint; no payloads."""
+    rng = np.random.default_rng(seed)
+    A = rng.random((n, n)) * (rng.random((n, n)) < 0.4)
+    A = A + A.T + np.diag(rng.random(n))
+    A /= A.sum()
+    return AugmentedSpace(
+        payloads=(np.zeros((1, 1)),) * n,
+        labels=np.arange(n) % K,
+        cond=np.full((1, n), 1.0 / n),
+        marginal=A.sum(axis=1),
+        joint=A,
+        node_ids=tuple(f"n{i:04d}" for i in range(n)),
+        K=K,
+    )
+
+
+def exact_loss_and_grad(f, space, M):
+    F = f.table
+    loss, C = _exact_infonce(F @ F.T, space, M, coef=True)
+    return loss, _gradient(F, C, f.normalized)
 
 
 def constant_embedding(n, k=3):
@@ -220,6 +245,80 @@ class TestInfoNceGradient:
         proj = g_raw - np.sum(g_raw * f.table, axis=1, keepdims=True) * f.table
         assert np.allclose(g, proj, atol=1e-14)
 
+    @staticmethod
+    def _add_at_reference(f, batch, weights):
+        # row-by-row scatter of every (anchor, other) term into the rows
+        a, others = batch[:, 0], batch[:, 1:]
+        F = f.table
+        s = np.einsum("bk,bmk->bm", F[a], F[others])
+        probs = np.exp(s - s.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        probs[:, 0] -= 1.0
+        w = np.full(len(batch), 1.0 / len(batch)) if weights is None else weights / weights.sum()
+        grad = np.zeros_like(F)
+        for m in range(others.shape[1]):
+            coef = (w * probs[:, m])[:, None]
+            np.add.at(grad, a, coef * F[others[:, m]])
+            np.add.at(grad, others[:, m], coef * F[a])
+        if f.normalized:
+            grad -= np.sum(grad * F, axis=1, keepdims=True) * F
+        return grad
+
+    @pytest.mark.parametrize("M", [1, 3])
+    def test_matches_add_at_reference(self, M):
+        # 400 rows over 7 nodes: every index repeats many times, and anchors
+        # also appear as their own positives and negatives
+        rng = np.random.default_rng(11)
+        batch = rng.integers(7, size=(400, 2 + M))
+        for weights in (None, rng.random(400)):
+            for normalized in (True, False):
+                f = random_embedding(7, 4, seed=M, normalized=normalized)
+                got = infonce_gradient(f, batch, weights)
+                want = self._add_at_reference(f, batch, weights)
+                assert np.abs(got - want).max() < 1e-15
+
+
+class TestExactEngine:
+    @pytest.mark.parametrize("M, zero_node", [(1, None), (2, None), (2, 4)])
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_matches_full_support_oracle(self, M, zero_node, normalized):
+        # a node of zero marginal mass is never a negative; the batch drops
+        # its combos, the engine weights them by zero
+        space = random_space(8, seed=M)
+        if zero_node is not None:
+            p = space.marginal.copy()
+            p[zero_node] = 0.0
+            space = replace(space, marginal=p / p.sum())
+        f = random_embedding(space.n, 3, seed=6, normalized=normalized)
+        batch, weights = full_support_batch(space, M)
+        loss, grad = exact_loss_and_grad(f, space, M)
+        assert abs(loss - infonce_empirical(f, batch, weights)) < 1e-12
+        assert np.abs(grad - infonce_gradient(f, batch, weights)).max() < 1e-12
+        assert loss == infonce_population(f, space, M)[0]
+
+    def test_matches_full_support_oracle_on_reference_space(self):
+        space = reference_space()
+        f = random_embedding(space.n, 3, seed=2)
+        batch, weights = full_support_batch(space, 1)
+        loss, grad = exact_loss_and_grad(f, space, 1)
+        assert abs(loss - infonce_empirical(f, batch, weights)) < 1e-12
+        assert np.abs(grad - infonce_gradient(f, batch, weights)).max() < 1e-12
+
+    @pytest.mark.parametrize("M", [1, 2])
+    def test_matches_finite_differences(self, M):
+        space = random_space(6, seed=10 + M)
+        table = np.random.default_rng(M).normal(size=(space.n, 3))
+        _, grad = exact_loss_and_grad(Embedding(table, False), space, M)
+        h = 1e-6
+        fd = np.zeros_like(table)
+        for i, j in itertools.product(*map(range, table.shape)):
+            step = np.zeros_like(table)
+            step[i, j] = h
+            up = infonce_population(Embedding(table + step, False), space, M)[0]
+            down = infonce_population(Embedding(table - step, False), space, M)[0]
+            fd[i, j] = (up - down) / (2 * h)
+        assert np.abs(grad - fd).max() < 1e-8
+
 
 class TestSpectralLoss:
     def test_zero_embedding(self):
@@ -290,6 +389,28 @@ class TestTraining:
             assert l1 <= l0 + 1e-12
             f1.check()
 
+    @pytest.mark.parametrize("M", [1, 2])
+    def test_exact_loss_non_increasing_over_accepted_steps(self, M):
+        # training is deterministic, so s steps give the s-th accepted iterate
+        space = reference_space() if M == 1 else random_space(8, seed=3)
+        losses = [
+            infonce_population(
+                train_free_embeddings(space, 3, "infonce", s, 1.0, seed=4, M=M), space, M
+            )[0]
+            for s in range(12)
+        ]
+        assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
+        assert losses[-1] < losses[0]
+
+    def test_exact_path_builds_no_batch(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("exact training evaluated a batch")
+
+        for name in ("full_support_batch", "infonce_empirical", "infonce_gradient"):
+            monkeypatch.setattr(objectives, name, forbidden)
+        for M in (1, 2):
+            train_free_embeddings(toy_space(), 2, "infonce", 5, 1.0, seed=0, M=M)
+
     def test_spectral_training_reaches_closed_form(self):
         space = toy_space()
         f = train_free_embeddings(space, 2, "spectral", 2000, 0.5, seed=1)
@@ -312,6 +433,18 @@ class TestHeads:
         assert np.allclose(head.class_mass, [0.25, 0.75], atol=1e-15)
         assert np.allclose(head.mu[:, 0], [1.0, 1.0], atol=1e-12)
         assert np.allclose(head.mu[:, 1], [1.0, -1.0 / 3.0], atol=1e-12)
+
+    def test_class_count_comes_from_the_world(self):
+        # dropping every node of the top class must not shrink K silently
+        space = reference_space()
+        top = space.K - 1
+        kept = np.flatnonzero(space.labels != top)
+        restricted = _restrict_space(space, kept)
+        assert restricted.K == space.K == 3
+        f = random_embedding(restricted.n, 3, seed=0)
+        with pytest.raises(ValueError, match=f"mean_head: class {top} has zero marginal mass"):
+            mean_head(f, restricted)
+        assert fit_linear_head(f, restricted, steps=1, step_size=1.0).W.shape == (3, 3)
 
     def test_zero_head_risk_is_log_k(self):
         space = toy_space()

@@ -365,3 +365,15 @@ class TestSerialization:
         self._edit(manifest, "o0000.mat 0 ", "o0000.mat 1 ")
         with pytest.raises(ValueError, match="manifest.txt.*latent label"):
             load_world(d)
+
+    def test_original_line_needs_three_fields(self, tmp_path):
+        d, manifest = self._saved(tmp_path)
+        self._edit(manifest, "o0000.mat 0 0.16666666666666666", "o0000.mat 0")
+        with pytest.raises(ValueError, match=r"manifest.txt: line \d+: expected 'file label weight'"):
+            load_world(d)
+
+    def test_spec_fields_must_parse(self, tmp_path):
+        d, manifest = self._saved(tmp_path)
+        self._edit(manifest, "spec = 3 ", "spec = three ")
+        with pytest.raises(ValueError, match=r"manifest.txt: line 1: invalid literal for int"):
+            load_world(d)
