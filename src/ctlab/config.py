@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .objectives import McConfig
 from .svd import TruncationSpec
-from .world import Transform, World, WorldSpec, class_pattern
+from .world import PROB_TOL, World, WorldSpec, build_transform
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "row_seed", "make_transforms"]
 
@@ -321,57 +321,17 @@ def parse_config(parser: configparser.ConfigParser) -> RunConfig:
 
 def make_transforms(cfg: RunConfig, world: World):
     """Materialize transform descriptors against a generated world."""
-    transforms = []
     total = 0.0
     for name, kind, args, prob in cfg.transform_descriptors:
         total += prob
-        if kind == "identity":
-            transforms.append(Transform(id=name, kind="identity", probability=prob))
-        elif kind == "flip":
-            c, wcls = args
-            _check_class(cfg, name, c)
-            _check_class(cfg, name, wcls)
-            transforms.append(
-                Transform(
-                    id=name,
-                    kind="additive_pattern",
-                    probability=prob,
-                    pattern=class_pattern(world, c, wcls, cfg.rho),
-                )
-            )
-        elif kind == "bridge":
-            c, wcls = args
-            _check_class(cfg, name, c)
-            _check_class(cfg, name, wcls)
-            transforms.append(
-                Transform(
-                    id=name,
-                    kind="additive_pattern",
-                    probability=prob,
-                    pattern=class_pattern(world, c, wcls, cfg.rho - 1.0),
-                )
-            )
-        elif kind == "sibling":
-            (c,) = args
-            _check_class(cfg, name, c)
-            if cfg.world.per_class < 2:
-                raise ConfigError(
-                    f"transforms.{name}: sibling needs world.per_class >= 2"
-                )
-            base = c * cfg.world.per_class
-            diff = world.originals[base + 1][1] - world.originals[base][1]
-            transforms.append(
-                Transform(
-                    id=name, kind="additive_pattern", probability=prob, pattern=diff
-                )
-            )
-        else:  # block_mask
-            transforms.append(
-                Transform(id=name, kind="block_mask", probability=prob, params=args)
-            )
-    if abs(total - 1.0) > 1e-9:
+        if kind in ("flip", "bridge", "sibling"):
+            for c in args:
+                _check_class(cfg, name, c)
+        if kind == "sibling" and cfg.world.per_class < 2:
+            raise ConfigError(f"transforms.{name}: sibling needs world.per_class >= 2")
+    if abs(total - 1.0) > PROB_TOL:
         raise ConfigError(f"transforms: probabilities sum to {total}, expected 1")
-    return transforms
+    return [build_transform(world, *d, cfg.rho) for d in cfg.transform_descriptors]
 
 
 def _check_class(cfg, name, c):

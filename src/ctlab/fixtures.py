@@ -27,13 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .world import (
-    Transform,
-    World,
-    WorldSpec,
-    class_pattern,
-    generate_world,
-)
+from .world import Transform, World, WorldSpec, build_transform, generate_world
 
 __all__ = [
     "toy_world",
@@ -111,40 +105,14 @@ def reference_transforms(
     """Transform family for the reference world; probabilities must leave
     room for the identity, which absorbs the remainder."""
     K = world.spec.K
-    transforms = []
     total = K * (p_flip + p_bridge + p_sibling)
     p_id = 1.0 - total
     if p_id <= 0.0:
         raise ValueError("reference_transforms: probabilities exceed 1")
-    transforms.append(Transform(id="identity", kind="identity", probability=p_id))
+    descriptors = [("identity", "identity", (), p_id)]
     for c in range(K):
         w = (c + 1) % K
-        transforms.append(
-            Transform(
-                id=f"flip_{c}{w}",
-                kind="additive_pattern",
-                probability=p_flip,
-                pattern=class_pattern(world, c, w, rho),
-            )
-        )
-        transforms.append(
-            Transform(
-                id=f"bridge_{c}{w}",
-                kind="additive_pattern",
-                probability=p_bridge,
-                pattern=class_pattern(world, c, w, rho - 1.0),
-            )
-        )
-    per = world.spec.per_class
-    for c in range(K):
-        base = c * per
-        diff = world.originals[base + 1][1] - world.originals[base][1]
-        transforms.append(
-            Transform(
-                id=f"sibling_{c}",
-                kind="additive_pattern",
-                probability=p_sibling,
-                pattern=diff,
-            )
-        )
-    return transforms
+        descriptors.append((f"flip_{c}{w}", "flip", (c, w), p_flip))
+        descriptors.append((f"bridge_{c}{w}", "bridge", (c, w), p_bridge))
+    descriptors += [(f"sibling_{c}", "sibling", (c,), p_sibling) for c in range(K)]
+    return [build_transform(world, *d, rho) for d in descriptors]

@@ -22,8 +22,6 @@ __all__ = [
     "laplacian_spectrum",
     "stage_graph",
     "spectral_embedding",
-    "TraceReport",
-    "trace_check",
     "connected_components",
 ]
 
@@ -40,10 +38,6 @@ class AugmentationGraph:
     def n(self) -> int:
         return self.A.shape[0]
 
-    def normalized_adjacency(self) -> np.ndarray:
-        inv_sqrt = 1.0 / np.sqrt(self.degrees)
-        return self.A * np.outer(inv_sqrt, inv_sqrt)
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -51,7 +45,7 @@ class Spectrum:
     vectors: np.ndarray  # columns are the corresponding eigenvectors
 
 
-def build_graph(space: AugmentedSpace, world: World | None = None) -> AugmentationGraph:
+def build_graph(space: AugmentedSpace) -> AugmentationGraph:
     """Assemble the adjacency from the exact positive-pair joint.
 
     Zero-degree nodes (zero marginal mass) are pruned; the kept-index map
@@ -148,44 +142,18 @@ def spectral_embedding(G: AugmentationGraph, spec: Spectrum, k: int) -> np.ndarr
 
 
 def connected_components(A: np.ndarray, tol: float = 0.0) -> int:
-    """Number of connected components of the support graph of A (union-find)."""
-    n = A.shape[0]
-    parent = list(range(n))
+    """Number of connected components of the support graph of A.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if A[i, j] > tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    return len({find(i) for i in range(n)})
-
-
-@dataclass(frozen=True)
-class TraceReport:
-    trace_raw: float
-    trace_q: float
-    trace_increased: bool
-    trace_bound_holds: bool
-
-
-def trace_check(G_raw: AugmentationGraph, G_q: AugmentationGraph) -> TraceReport:
-    """Compare tr(A) before and after SVD preprocessing.
-
-    The trace of the adjacency can only grow when truncation merges
-    originals, and it always stays at most 1 (total probability mass).
+    Every node starts with its own index as label and repeatedly takes the
+    smallest label among itself and its neighbours in the symmetric support
+    (A > tol) | (A^T > tol); at the fixed point each component carries its
+    smallest node index.
     """
-    tr_raw = float(np.trace(G_raw.A))
-    tr_q = float(np.trace(G_q.A))
-    return TraceReport(
-        trace_raw=tr_raw,
-        trace_q=tr_q,
-        trace_increased=tr_q > tr_raw + 1e-12,
-        trace_bound_holds=(tr_q <= 1.0 + 1e-12) and (tr_raw <= 1.0 + 1e-12),
-    )
+    n = A.shape[0]
+    support = (A > tol) | (A.T > tol)
+    labels = np.arange(n)
+    while True:
+        spread = np.where(support, labels, labels[:, None]).min(axis=1, initial=n)
+        if np.array_equal(spread, labels):
+            return len(np.unique(labels))
+        labels = spread

@@ -7,7 +7,6 @@ downstream embeddings are bit-reproducible.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +20,6 @@ __all__ = [
     "gaussian_matrix",
     "save_matrix_text",
     "load_matrix_text",
-    "save_matrix_binary",
-    "load_matrix_binary",
 ]
 
 _SYM_TOL = 1e-10
@@ -54,17 +51,13 @@ class SymEigen:
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip each column so its first non-negligible component is positive."""
-    V = vectors.copy()
-    n = V.shape[0]
-    for j in range(V.shape[1]):
-        col = V[:, j]
-        thresh = 1e-12 * max(1.0, float(np.max(np.abs(col))))
-        for i in range(n):
-            if abs(col[i]) > thresh:
-                if col[i] < 0:
-                    V[:, j] = -col
-                break
-    return V
+    # no (n, n) float temporary beside the result: peak memory stays that of a copy
+    col_max = np.maximum(vectors.max(axis=0), -vectors.min(axis=0))  # max |col|
+    thresh = 1e-12 * np.maximum(1.0, col_max)
+    first = np.argmax((vectors > thresh) | (vectors < -thresh), axis=0)
+    lead = vectors[first, np.arange(vectors.shape[1])]
+    # a column with no entry above its threshold has |lead| <= thresh: kept
+    return vectors * np.where(lead < -thresh, -1.0, 1.0)
 
 
 def sym_eig(S) -> SymEigen:
@@ -154,7 +147,6 @@ def gaussian_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
 # CTLAB-MAT serialization
 
 _TEXT_HEADER = "CTLAB-MAT v1"
-_BIN_MAGIC = b"CTLB"
 
 
 def save_matrix_text(path, X) -> None:
@@ -182,26 +174,4 @@ def load_matrix_text(path) -> np.ndarray:
             f"{path}: expected {rows * cols} values, got {len(values)}"
         )
     X = np.array([float(v) for v in values]).reshape(rows, cols)
-    return as_matrix(X, path)
-
-
-def save_matrix_binary(path, X) -> None:
-    X = as_matrix(X, "save_matrix_binary input")
-    rows, cols = X.shape
-    with open(path, "wb") as fh:
-        fh.write(_BIN_MAGIC)
-        fh.write(struct.pack("<II", rows, cols))
-        fh.write(np.ascontiguousarray(X, dtype="<f8").tobytes())
-
-
-def load_matrix_binary(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _BIN_MAGIC:
-            raise LinalgError(f"{path}: bad magic {magic!r}")
-        rows, cols = struct.unpack("<II", fh.read(8))
-        data = fh.read(8 * rows * cols)
-    if len(data) != 8 * rows * cols:
-        raise LinalgError(f"{path}: truncated payload")
-    X = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(rows, cols)
     return as_matrix(X, path)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import gaussian_matrix
-from .world import AugmentedSpace, World
+from .world import AugmentedSpace
 
 __all__ = [
     "Embedding",
@@ -29,7 +29,6 @@ __all__ = [
     "ce_risk",
     "fit_linear_head",
     "classification_error",
-    "majority_vote_error",
     "random_embedding",
 ]
 
@@ -325,19 +324,18 @@ def train_free_embeddings(
         if M <= cfg.m_max and n <= cfg.n_max:
 
             def loss_fn(T):
-                return _exact_infonce(T @ T.T, space, M)[0]
+                return _exact_infonce(T @ T.T, space, M, coef=True)
 
-            def grad_fn(T):
-                _, C = _exact_infonce(T @ T.T, space, M, coef=True)
+            def grad_fn(T, C):
                 return _gradient(T, C, True)
 
         else:
             batch = _sample_batch(space, M, cfg.samples, cfg.seed + seed + 1)
 
             def loss_fn(T):
-                return infonce_empirical(Embedding(T, True), batch)
+                return infonce_empirical(Embedding(T, True), batch), None
 
-            def grad_fn(T):
+            def grad_fn(T, _aux):
                 return infonce_gradient(Embedding(T, True), batch)
 
         def retract(T):
@@ -347,9 +345,9 @@ def train_free_embeddings(
     elif loss == "spectral":
 
         def loss_fn(T):
-            return spectral_loss(Embedding(T, False), space)
+            return spectral_loss(Embedding(T, False), space), None
 
-        def grad_fn(T):
+        def grad_fn(T, _aux):
             return _spectral_grad(T, space)
 
         def retract(T):
@@ -359,18 +357,20 @@ def train_free_embeddings(
     else:
         raise ValueError(f"train_free_embeddings: unknown loss {loss!r}")
 
-    current = loss_fn(table)
+    # loss_fn returns (loss, aux) and grad_fn reads the aux of the same table,
+    # so the accepted candidate's evaluation also serves the next gradient
+    current, aux = loss_fn(table)
     eta = step_size
     for _ in range(steps):
-        g = grad_fn(table)
+        g = grad_fn(table, aux)
         accepted = False
         for _try in range(40):
             cand = retract(table - eta * g)
-            cand_loss = loss_fn(cand)
+            cand_loss, cand_aux = loss_fn(cand)
             if not np.isfinite(cand_loss):
                 raise RuntimeError("train_free_embeddings: loss diverged (NaN/Inf)")
             if cand_loss <= current + 1e-15:
-                table, current = cand, cand_loss
+                table, current, aux = cand, cand_loss, cand_aux
                 accepted = True
                 eta = min(eta * 1.1, step_size * 10)
                 break
@@ -444,22 +444,3 @@ def classification_error(f: Embedding, head, space: AugmentedSpace) -> float:
     logits = _logits(f, head)
     preds = np.argmax(logits, axis=1)
     return float(space.marginal @ (preds != space.labels))
-
-
-def majority_vote_error(
-    f: Embedding, head, world: World, space: AugmentedSpace
-) -> float:
-    """Error of the majority-vote classifier over originals."""
-    logits = _logits(f, head)
-    preds = np.argmax(logits, axis=1)
-    K = logits.shape[1]
-    err = 0.0
-    orig_labels = world.labels()
-    for oi in range(world.n_originals):
-        votes = np.zeros(K)
-        for c in range(K):
-            votes[c] = float(space.cond[oi, preds == c].sum())
-        maj = int(np.argmax(votes))
-        if maj != orig_labels[oi]:
-            err += float(world.weights[oi])
-    return err

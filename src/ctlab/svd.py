@@ -1,4 +1,4 @@
-"""Full, truncated, pair-discard, and randomized SVD with Eckart-Young checks.
+"""Full, truncated and pair-discard SVD with Eckart-Young checks.
 
 The full decomposition goes through the Gram matrix of the smaller side,
 which is accurate enough at desk scale (dimensions <= 256); the squared
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import LinalgError, as_matrix, gaussian_matrix, orthonormalize, sym_eig
+from .linalg import as_matrix, gaussian_matrix, orthonormalize, sym_eig
 
 __all__ = [
     "SvdFactors",
@@ -19,7 +19,6 @@ __all__ = [
     "svd_full",
     "svd_truncate",
     "truncate_matrix",
-    "rsvd",
     "EckartYoungReport",
     "eckart_young_check",
 ]
@@ -32,14 +31,6 @@ class SvdFactors:
     U: np.ndarray  # (m, r)
     S: np.ndarray  # (r,), descending, non-negative
     V: np.ndarray  # (m', r)
-
-    @property
-    def m(self) -> int:
-        return self.U.shape[0]
-
-    @property
-    def m_prime(self) -> int:
-        return self.V.shape[0]
 
     @property
     def rank_bound(self) -> int:
@@ -137,37 +128,6 @@ def svd_truncate(F: SvdFactors, spec: TruncationSpec) -> np.ndarray:
 def truncate_matrix(X, spec: TruncationSpec) -> np.ndarray:
     """Convenience wrapper: svd_truncate(svd_full(X), spec)."""
     return svd_truncate(svd_full(X), spec)
-
-
-def rsvd(
-    X,
-    q: int,
-    oversample: int = 8,
-    power_iters: int = 2,
-    seed: int = 0,
-) -> SvdFactors:
-    """Randomized truncated SVD (Gaussian sketch + power iterations).
-
-    Builds a rank-(q + oversample) range sketch with orthonormalization
-    between the alternating multiplications, factors the projected matrix
-    exactly, and truncates to q.  Deterministic for a fixed seed.
-    """
-    X = as_matrix(X, "rsvd input")
-    m, mp = X.shape
-    sketch = q + oversample
-    if q < 1 or sketch > min(m, mp):
-        raise LinalgError(
-            f"rsvd: q + oversample = {sketch} exceeds min(m, m') = {min(m, mp)}"
-        )
-    omega = gaussian_matrix(mp, sketch, seed)
-    Q = orthonormalize(X @ omega)
-    for _ in range(power_iters):
-        Z = orthonormalize(X.T @ Q)
-        Q = orthonormalize(X @ Z)
-    B = Q.T @ X  # sketch x mp
-    small = svd_full(B)
-    U = Q @ small.U
-    return SvdFactors(U=U[:, :q], S=small.S[:q].copy(), V=small.V[:, :q])
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,9 @@ __all__ = [
     "Transform",
     "AugmentedSpace",
     "LabelingReport",
+    "PROB_TOL",
     "generate_world",
+    "build_transform",
     "ground_truth_label",
     "apply_transform",
     "build_augmented_space",
@@ -53,7 +55,7 @@ __all__ = [
     "load_world",
 ]
 
-_PROB_TOL = 1e-12
+PROB_TOL = 1e-12  # how far transform or original probabilities may sum from 1
 
 # singular value plan for the planted construction
 _BACKGROUND_SIGMA = 8.0
@@ -174,7 +176,6 @@ class AugmentedSpace:
 class LabelingReport:
     alpha: float
     per_class_alpha: np.ndarray  # conditional flip probability per class
-    q: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +313,34 @@ def class_pattern(world: World, c: int, w: int, scale: float) -> np.ndarray:
     return scale * (world.templates[w] - world.templates[c])
 
 
+def build_transform(
+    world: World, tid: str, kind: str, args: tuple, probability: float, rho: float
+) -> Transform:
+    """Materialize one transform descriptor against a world.
+
+    kind "identity" takes no args; "flip" (c, w) adds the class pattern
+    rho * (T_w - T_c) and "bridge" (c, w) adds (rho - 1) * (T_w - T_c);
+    "sibling" (c,) adds the payload difference of class c's first two
+    originals; "block_mask" (r0, r1, c0, c1) zeroes that rectangle.
+    """
+    if kind == "identity":
+        return Transform(id=tid, kind="identity", probability=probability)
+    if kind == "block_mask":
+        return Transform(id=tid, kind="block_mask", probability=probability, params=args)
+    if kind == "flip":
+        pattern = class_pattern(world, *args, rho)
+    elif kind == "bridge":
+        pattern = class_pattern(world, *args, rho - 1.0)
+    elif kind == "sibling":
+        base = args[0] * world.spec.per_class
+        pattern = world.originals[base + 1][1] - world.originals[base][1]
+    else:
+        raise ValueError(f"transform {tid}: unknown kind {kind!r}")
+    return Transform(
+        id=tid, kind="additive_pattern", probability=probability, pattern=pattern
+    )
+
+
 def ground_truth_label_from_templates(payload: np.ndarray, templates) -> int:
     dists = [float(np.linalg.norm(payload - T)) for T in templates]
     return int(np.argmin(dists))  # argmin breaks ties toward the smallest index
@@ -353,9 +382,9 @@ def build_augmented_space(world: World, transforms) -> AugmentedSpace:
     if not transforms:
         raise ValueError("build_augmented_space: empty transform list")
     total_p = sum(t.probability for t in transforms)
-    if abs(total_p - 1.0) > _PROB_TOL:
+    if abs(total_p - 1.0) > PROB_TOL:
         raise ValueError(
-            f"transform probabilities sum to {total_p}, expected 1 within 1e-12"
+            f"transform probabilities sum to {total_p}, expected 1 within {PROB_TOL}"
         )
     for t in transforms:
         if not (0.0 < t.probability <= 1.0):
@@ -556,7 +585,7 @@ def load_world(directory) -> World:
     if spec is None:
         raise ValueError(f"{manifest}: missing spec line")
     weights = np.array(weights)
-    if abs(float(weights.sum()) - 1.0) > _PROB_TOL:
+    if abs(float(weights.sum()) - 1.0) > PROB_TOL:
         raise ValueError(f"{manifest}: weights sum to {weights.sum()!r}, not 1")
     if sorted(templates) != list(range(spec.K)):
         raise ValueError(f"{manifest}: template indices are not 0..{spec.K - 1}")

@@ -159,7 +159,7 @@ def test_02_spectrum_sanity(capsys):
 def test_03_toy_world_exactness(capsys):
     w = toy_world()
     space = build_augmented_space(w, toy_transforms())
-    G = build_graph(space, w)
+    G = build_graph(space)
     e = 1.0 / 8.0
     ok = True
     detail = ""

@@ -9,6 +9,7 @@ from ctlab.config import (
     make_transforms,
     row_seed,
 )
+from ctlab.fixtures import reference_transforms, reference_world
 from ctlab.world import class_pattern, generate_world
 
 REFERENCE = "configs/reference.ini"
@@ -181,12 +182,33 @@ class TestMakeTransforms:
         assert np.allclose(bridge.pattern, class_pattern(world, 0, 1, -0.65))
 
     def test_probability_sum_checked(self, tmp_path):
-        cfg = load_config(
-            write_cfg(tmp_path), overrides=["transforms.transform_1=identity 0.3"]
-        )
-        world = generate_world(cfg.world)
-        with pytest.raises(ConfigError, match="sum"):
-            make_transforms(cfg, world)
+        # 0.4000000001 sums to 1 + 1e-10: beyond the tolerance that
+        # build_augmented_space applies, so config validation rejects it too
+        for identity in ("identity 0.3", "identity 0.4000000001"):
+            cfg = load_config(
+                write_cfg(tmp_path), overrides=[f"transforms.transform_1={identity}"]
+            )
+            world = generate_world(cfg.world)
+            with pytest.raises(ConfigError, match="sum"):
+                make_transforms(cfg, world)
+
+    def test_fixture_family_matches_reference_config(self):
+        cfg = load_config(REFERENCE)
+        world = reference_world()
+        assert cfg.world == world.spec
+        by_descriptor = {
+            (kind, args): t
+            for (_, kind, args, _), t in zip(
+                cfg.transform_descriptors, make_transforms(cfg, world)
+            )
+        }
+        fixture = reference_transforms(world)
+        assert len(fixture) == len(by_descriptor)
+        for t in fixture[1:]:  # flip, bridge and sibling patterns
+            kind, classes = t.id.split("_")
+            want = by_descriptor[(kind, tuple(int(c) for c in classes))]
+            assert t.pattern.tobytes() == want.pattern.tobytes()
+            assert t.probability == want.probability
 
     def test_class_index_checked(self, tmp_path):
         cfg = load_config(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ctlab.fixtures import (
     reference_transforms,
@@ -12,7 +14,6 @@ from ctlab.graph import (
     connected_components,
     laplacian_spectrum,
     spectral_embedding,
-    trace_check,
 )
 from ctlab.svd import TruncationSpec
 from ctlab.world import Transform, build_augmented_space, preprocess_world
@@ -20,7 +21,7 @@ from ctlab.world import Transform, build_augmented_space, preprocess_world
 
 def toy_graph():
     w = toy_world()
-    return build_graph(build_augmented_space(w, toy_transforms()), w)
+    return build_graph(build_augmented_space(w, toy_transforms()))
 
 
 def reference_graph(q=None):
@@ -28,7 +29,7 @@ def reference_graph(q=None):
     transforms = reference_transforms(w)
     if q is not None:
         w = preprocess_world(w, TruncationSpec(mode="keep_top_q", q=q))
-    return build_graph(build_augmented_space(w, transforms), w)
+    return build_graph(build_augmented_space(w, transforms))
 
 
 class TestBuildGraph:
@@ -43,7 +44,7 @@ class TestBuildGraph:
     def test_degrees_equal_marginal(self):
         w = reference_world()
         space = build_augmented_space(w, reference_transforms(w))
-        G = build_graph(space, w)
+        G = build_graph(space)
         assert np.allclose(G.degrees, space.marginal[G.kept], atol=1e-14)
         assert abs(G.A.sum() - 1.0) < 1e-10
 
@@ -86,7 +87,7 @@ class TestSpectrum:
         space = build_augmented_space(
             w, [Transform(id="i", kind="identity", probability=1.0)]
         )
-        G = build_graph(space, w)
+        G = build_graph(space)
         vals = laplacian_spectrum(G).values
         assert connected_components(G.A) == 6
         assert np.sum(vals < 1e-8) == 6
@@ -136,37 +137,62 @@ class TestComponents:
 
     def test_empty(self):
         assert connected_components(np.zeros((5, 5))) == 5
+        assert connected_components(np.zeros((0, 0))) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.tuples(
+                hnp.arrays(np.float64, (n, n), elements=st.sampled_from([0.0, 0.0, 0.2, 0.5, 1.0])),
+                hnp.arrays(np.bool_, n),  # nodes stripped of every edge
+            )
+        ),
+        st.sampled_from([0.0, 0.25, 0.5]),
+    )
+    def test_matches_union_find(self, case, tol):
+        W, isolated = case
+        A = np.triu(W, 1)
+        A = A + A.T
+        A[isolated, :] = 0.0
+        A[:, isolated] = 0.0
+        n = len(A)
+        parent = list(range(n))
+
+        def find(i):
+            while parent[i] != i:
+                i = parent[i]
+            return i
+
+        for i in range(n):
+            for j in range(i + 1, n):
+                if A[i, j] > tol:
+                    parent[find(i)] = find(j)
+        assert connected_components(A, tol) == len({find(i) for i in range(n)})
 
 
 class TestTrace:
+    """tr(A), the self-loop mass that `ctlab graph` writes."""
+
     def test_toy_trace(self):
-        G = toy_graph()
-        rep = trace_check(G, G)
-        assert rep.trace_raw == 0.5
-        assert not rep.trace_increased
-        assert rep.trace_bound_holds
+        assert np.trace(toy_graph().A) == 0.5
 
     def test_cross_original_merges_preserve_trace(self):
         # merged views of *different* originals add off-diagonal mass only
         G_raw = reference_graph()
         G_q = reference_graph(q=3)
-        rep = trace_check(G_raw, G_q)
-        assert rep.trace_bound_holds
         assert G_q.n < G_raw.n
-        assert abs(rep.trace_q - rep.trace_raw) < 1e-12
-        assert not rep.trace_increased
+        assert abs(np.trace(G_q.A) - np.trace(G_raw.A)) < 1e-12
+        assert np.trace(G_raw.A) <= 1.0 + 1e-12
 
     def test_same_original_collision_raises_trace(self):
         # two transforms with identical outcomes on one original square up
         # the conditional entry, so the self-loop mass grows
         w = toy_world()
-        G1 = build_graph(build_augmented_space(w, toy_transforms()), w)
+        G1 = build_graph(build_augmented_space(w, toy_transforms()))
         both_blank = [
             Transform(id="m1", kind="block_mask", probability=0.5, params=(0, 1, 0, 2)),
             Transform(id="m2", kind="block_mask", probability=0.5, params=(0, 1, 0, 2)),
         ]
-        G2 = build_graph(build_augmented_space(w, both_blank), w)
-        rep = trace_check(G1, G2)
-        assert rep.trace_q == 1.0
-        assert rep.trace_increased
-        assert rep.trace_bound_holds
+        G2 = build_graph(build_augmented_space(w, both_blank))
+        assert np.trace(G2.A) == 1.0
+        assert np.trace(G2.A) > np.trace(G1.A) + 1e-12

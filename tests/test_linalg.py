@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ctlab.linalg import (
     LinalgError,
+    _fix_signs,
     as_matrix,
     gaussian_matrix,
-    load_matrix_binary,
     load_matrix_text,
     orthonormalize,
-    save_matrix_binary,
     save_matrix_text,
     sym_eig,
 )
@@ -54,6 +54,33 @@ class TestSymEig:
             col = eig.vectors[:, j]
             first = col[np.argmax(np.abs(col) > 1e-12)]
             assert first > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.integers(1, 6)),
+            # magnitudes straddle the 1e-12 * max(1, max|col|) threshold
+            elements=st.sampled_from(
+                [0.0, -0.0, 1e-14, -1e-14, 1e-12, -1e-12, -3e-12, 2e-10, -5e-10,
+                 0.25, -0.25, -1.0, 700.0, -700.0]
+            ),
+        )
+    )
+    def test_fix_signs_matches_column_loop(self, V):
+        def column_loop(vectors):
+            out = vectors.copy()
+            for j in range(out.shape[1]):
+                col = out[:, j]
+                thresh = 1e-12 * max(1.0, float(np.max(np.abs(col))))
+                for i in range(out.shape[0]):
+                    if abs(col[i]) > thresh:
+                        if col[i] < 0:
+                            out[:, j] = -col
+                        break
+            return out
+
+        assert _fix_signs(V).tobytes() == column_loop(V).tobytes()
 
     def test_rejects_asymmetric(self):
         with pytest.raises(LinalgError):
@@ -151,24 +178,3 @@ class TestSerialization:
         p.write_text("CTLAB-MAT v1\n2 2\n0.0 1.0 2.0\n")
         with pytest.raises(LinalgError):
             load_matrix_text(p)
-
-    def test_binary_round_trip(self, tmp_path):
-        rng = np.random.default_rng(9)
-        X = rng.normal(size=(13, 7))
-        p = tmp_path / "x.bin"
-        save_matrix_binary(p, X)
-        assert np.array_equal(load_matrix_binary(p), X)
-
-    def test_binary_magic_checked(self, tmp_path):
-        p = tmp_path / "bad.bin"
-        p.write_bytes(b"XXXX" + b"\x00" * 16)
-        with pytest.raises(LinalgError):
-            load_matrix_binary(p)
-
-    def test_binary_truncation_checked(self, tmp_path):
-        p = tmp_path / "trunc.bin"
-        save_matrix_binary(p, np.ones((4, 4)))
-        data = p.read_bytes()
-        p.write_bytes(data[:-8])
-        with pytest.raises(LinalgError):
-            load_matrix_binary(p)

@@ -24,7 +24,6 @@ from ctlab.objectives import (
     infonce_empirical,
     infonce_gradient,
     infonce_population,
-    majority_vote_error,
     mean_head,
     random_embedding,
     spectral_loss,
@@ -334,7 +333,7 @@ class TestSpectralLoss:
     def test_embedding_beats_random(self):
         w = reference_world()
         space = build_augmented_space(w, reference_transforms(w))
-        G = build_graph(space, w)
+        G = build_graph(space)
         k = 4
         table = spectral_embedding(G, laplacian_spectrum(G), k)
         best = spectral_loss(Embedding(table, False), space)
@@ -410,6 +409,20 @@ class TestTraining:
             monkeypatch.setattr(objectives, name, forbidden)
         for M in (1, 2):
             train_free_embeddings(toy_space(), 2, "infonce", 5, 1.0, seed=0, M=M)
+
+    def test_exact_path_evaluates_each_table_once(self, monkeypatch):
+        # the accepted candidate's evaluation also yields the next gradient
+        seen = []
+        engine = objectives._exact_infonce
+
+        def recording(sims, *args, **kwargs):
+            seen.append(sims.tobytes())
+            return engine(sims, *args, **kwargs)
+
+        monkeypatch.setattr(objectives, "_exact_infonce", recording)
+        train_free_embeddings(reference_space(), 3, "infonce", 5, 1.0, seed=0)
+        assert len(seen) >= 6
+        assert len(set(seen)) == len(seen)
 
     def test_spectral_training_reaches_closed_form(self):
         space = toy_space()
@@ -487,24 +500,9 @@ class TestHeads:
         # all-zero logits predict class 0 everywhere; only mass with true
         # label != 0 is wrong
         assert abs(classification_error(f, head, space) - 0.75) < 1e-15
-
-    def test_majority_vote_oracle(self):
-        w = toy_world()
-        space = build_augmented_space(w, toy_transforms())
-        f = constant_embedding(space.n, 2)
+        # predicting class 1 everywhere: the error is the label-0 marginal mass
         always_one = LinearHead(W=np.array([[0.0, 1.0], [0.0, 0.0]]))
-        # predicting class 1 everywhere: node error is the label-0 marginal
-        # mass, vote error is the weight of the label-0 original
         assert abs(classification_error(f, always_one, space) - 0.25) < 1e-15
-        assert abs(majority_vote_error(f, always_one, w, space) - 0.5) < 1e-15
-
-    def test_majority_vote_tie_breaks_low(self):
-        w = toy_world()
-        space = build_augmented_space(w, toy_transforms())
-        f = Embedding(TOY_SPECTRAL_F, normalized=False)
-        head = fit_linear_head(f, space, steps=400, step_size=2.0)
-        # original 0 splits its votes 1/2 vs 1/2; the tie goes to class 0
-        assert majority_vote_error(f, head, w, space) == 0.0
 
 
 class TestAlignmentInequality:

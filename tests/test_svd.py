@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from ctlab.svd import (
     TruncationSpec,
     eckart_young_check,
-    rsvd,
     svd_full,
     svd_truncate,
     truncate_matrix,
@@ -107,35 +106,6 @@ class TestTruncation:
             err2 = float(np.sum((X - Xq) ** 2))
             tail = float(np.sum(F.S[q:] ** 2))
             assert abs(err2 - tail) <= 1e-8 * max(tail, 1e-30)
-
-
-class TestRsvd:
-    def test_recovers_fast_decay(self):
-        rng = np.random.default_rng(7)
-        U = np.linalg.qr(rng.normal(size=(40, 40)))[0]
-        V = np.linalg.qr(rng.normal(size=(30, 30)))[0]
-        s = 10.0 * 0.3 ** np.arange(30)
-        X = (U[:, :30] * s) @ V.T
-        F = rsvd(X, q=5, seed=3)
-        assert np.allclose(F.S, s[:5], rtol=1e-6)
-        best = truncate_matrix(X, TruncationSpec(mode="keep_top_q", q=5))
-        got_err = np.linalg.norm(X - F.reconstruct())
-        best_err = np.linalg.norm(X - best)
-        assert got_err <= best_err * (1 + 1e-6) + 1e-9
-
-    def test_deterministic(self):
-        X = _rand(20, 15, 1)
-        A = rsvd(X, q=4, seed=9)
-        B = rsvd(X, q=4, seed=9)
-        assert np.array_equal(A.U, B.U)
-        assert np.array_equal(A.S, B.S)
-        assert np.array_equal(A.V, B.V)
-
-    def test_rejects_oversized_sketch(self):
-        from ctlab.linalg import LinalgError
-
-        with pytest.raises(LinalgError):
-            rsvd(_rand(10, 10, 0), q=5, oversample=8)
 
 
 class TestEckartYoung:
