@@ -114,11 +114,10 @@ def variance_terms(f: Embedding, space: AugmentedSpace) -> VarianceTerms:
         raise ValueError("variance_terms: empty label-consistent pair support")
     V = float(w_plus.sum(axis=1) @ dev) / mass_plus
     if mass_minus > 0.0:
-        # deviation of the positive view from the anchor's class mean
-        mu_anchor = head.mu.T[space.labels]  # per anchor row
-        diff = F[None, :, :] - mu_anchor[:, None, :]
-        dev_pair = np.sum(diff**2, axis=2)  # (n anchors, n positives)
-        V_minus = float(np.sum(w_minus * dev_pair)) / mass_minus
+        # deviation of the positive view from the anchor's class mean:
+        # dev_class[c, j] = ||f(j) - mu_c||^2, row picked by the anchor label
+        dev_class = np.stack([np.sum((F - mu) ** 2, axis=1) for mu in head.mu.T])
+        V_minus = float(np.sum(w_minus * dev_class[space.labels])) / mass_minus
     else:
         V_minus = None
     # same-class positive branch of the mixture
@@ -168,14 +167,18 @@ def lse_approx_error(
 
 
 def alignment_eps(f: Embedding, space: AugmentedSpace) -> EpsAlignment:
-    """Min/max embedding distance over the false-positive pair support."""
+    """Min/max embedding distance over the false-positive pair support.
+
+    Distances are taken on the joint support only, in row-major pair order,
+    so ties go to the first pair in that order.
+    """
     F = f.table
-    mask_minus = (~space.positive_mask()) & (space.joint > 0.0)
-    diff = F[:, None, :] - F[None, :, :]
-    dist = np.sqrt(np.sum(diff**2, axis=2))
-    mask_plus = space.positive_mask() & (space.joint > 0.0)
-    max_plus = float(dist[mask_plus].max()) if np.any(mask_plus) else 0.0
-    if not np.any(mask_minus):
+    xs, ys = np.nonzero(space.joint > 0.0)
+    dist = np.sqrt(np.sum((F[xs] - F[ys]) ** 2, axis=1))
+    plus = space.labels[xs] == space.labels[ys]
+    max_plus = float(dist[plus].max()) if np.any(plus) else 0.0
+    minus = np.flatnonzero(~plus)
+    if len(minus) == 0:
         return EpsAlignment(
             eps_min=0.0,
             eps_max=0.0,
@@ -184,15 +187,13 @@ def alignment_eps(f: Embedding, space: AugmentedSpace) -> EpsAlignment:
             max_plus=max_plus,
             empty=True,
         )
-    masked = np.where(mask_minus, dist, np.inf)
-    imin = np.unravel_index(int(np.argmin(masked)), masked.shape)
-    masked_max = np.where(mask_minus, dist, -np.inf)
-    imax = np.unravel_index(int(np.argmax(masked_max)), masked_max.shape)
+    imin = minus[np.argmin(dist[minus])]
+    imax = minus[np.argmax(dist[minus])]
     return EpsAlignment(
         eps_min=float(dist[imin]),
         eps_max=float(dist[imax]),
-        argmin_pair=(space.node_ids[imin[0]], space.node_ids[imin[1]]),
-        argmax_pair=(space.node_ids[imax[0]], space.node_ids[imax[1]]),
+        argmin_pair=(space.node_ids[xs[imin]], space.node_ids[ys[imin]]),
+        argmax_pair=(space.node_ids[xs[imax]], space.node_ids[ys[imax]]),
         max_plus=max_plus,
     )
 

@@ -115,8 +115,7 @@ def infonce_population(
         return value, 0.0, True
 
     batch = _sample_batch(space, M, cfg.samples, cfg.seed)
-    a = batch[:, 0]
-    losses = _nce_losses(sims[a, batch[:, 1]], sims[a[:, None], batch[:, 2:]])
+    losses, _ = _sampled_infonce(sims, _table_indices(batch, space.n))
     estimate = float(np.mean(losses))
     std_error = float(np.std(losses, ddof=1) / np.sqrt(cfg.samples))
     return estimate, std_error, False
@@ -187,21 +186,51 @@ def _gradient(F: np.ndarray, C: np.ndarray, normalized: bool) -> np.ndarray:
 
 
 def _sample_batch(space: AugmentedSpace, M: int, samples: int, seed: int):
-    """Seeded i.i.d. batch: pairs from the joint, M negatives from the marginal."""
+    """Seeded i.i.d. batch: pairs from the joint, M negatives from the marginal.
+
+    Pairs are drawn by inverse CDF over the joint's support in row-major
+    order.  This is the draw of `rng.choice` over all n^2 cells: the zero
+    cells add exact zeros to the cumulative sum and `side="right"` never
+    lands on one.
+    """
     rng = np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
-    flat = space.joint.ravel()
-    pair_idx = rng.choice(len(flat), size=samples, p=flat / flat.sum())
-    ax, px = np.unravel_index(pair_idx, space.joint.shape)
+    xs, ys, w = _pair_support(space)
+    cdf = np.cumsum(w / space.joint.sum())
+    cdf /= cdf[-1]
+    pair_idx = np.searchsorted(cdf, rng.random(samples), side="right")
     negs = rng.choice(space.n, size=(samples, M), p=space.marginal)
-    return np.column_stack([ax, px, negs])
+    return np.column_stack([xs[pair_idx], ys[pair_idx], negs])
 
 
-def _nce_losses(s_pos: np.ndarray, s_neg: np.ndarray) -> np.ndarray:
-    """Per-row log(e^{s+} + sum_m e^{s_m}) - s+, stabilized by the row max."""
-    stacked = np.concatenate([s_pos[:, None], s_neg], axis=1)
-    mx = stacked.max(axis=1)
-    lse = mx + np.log(np.sum(np.exp(stacked - mx[:, None]), axis=1))
-    return lse - s_pos
+def _table_indices(batch: np.ndarray, n: int) -> np.ndarray:
+    """(1 + M, B) indices anchor * n + other into a raveled (n, n) table.
+
+    Row 0 indexes the positive similarity, rows 1..M the negatives.
+    """
+    return np.ascontiguousarray((batch[:, :1] * n + batch[:, 1:]).T)
+
+
+def _sampled_infonce(sims: np.ndarray, flat: np.ndarray, coef=False):
+    """Per-row InfoNCE losses of a sampled batch from sims = F F^T.
+
+    flat is the batch as `_table_indices`.  Returns (losses, C); with coef,
+    C = dL/dS is the (n, n) coefficient matrix of the batch mean loss in the
+    entries of S = F F^T, else None.  The log-sum-exp is stabilized by the
+    max over each column.
+    """
+    s = np.take(sims, flat)  # (1 + M, B)
+    mx = s.max(axis=0)
+    ex = np.exp(s - mx)
+    total = ex.sum(axis=0)
+    losses = mx + np.log(total) - s[0]
+    C = None
+    if coef:
+        n = sims.shape[0]
+        probs = ex / total
+        probs[0] -= 1.0
+        probs *= 1.0 / flat.shape[1]  # each row's weight in the batch mean
+        C = np.bincount(flat.ravel(), probs.ravel(), n * n).reshape(n, n)
+    return losses, C
 
 
 def infonce_empirical(f: Embedding, batch: np.ndarray, weights=None) -> float:
@@ -217,7 +246,9 @@ def infonce_empirical(f: Embedding, batch: np.ndarray, weights=None) -> float:
     F = f.table
     s_pos = np.sum(F[a] * F[pidx], axis=1)
     s_neg = np.einsum("bk,bmk->bm", F[a], F[negs])
-    losses = _nce_losses(s_pos, s_neg)
+    stacked = np.concatenate([s_pos[:, None], s_neg], axis=1)
+    mx = stacked.max(axis=1)
+    losses = mx + np.log(np.sum(np.exp(stacked - mx[:, None]), axis=1)) - s_pos
     if weights is None:
         return float(np.mean(losses))
     weights = np.asarray(weights, dtype=float)
@@ -310,10 +341,10 @@ def train_free_embeddings(
     loss "spectral" descends the exact spectral loss unconstrained; loss
     "infonce" descends the exact population InfoNCE (the computation of
     `infonce_population`'s exact path) or, past its thresholds, the
-    empirical InfoNCE over one seeded sampled batch, with re-projection onto
-    the unit sphere after every step.  Backtracking halves the step size
-    whenever a step would increase the loss, so the loss is non-increasing
-    over accepted steps.
+    empirical InfoNCE over one seeded sampled batch (the kernel of its Monte
+    Carlo path), with re-projection onto the unit sphere after every step.
+    Backtracking halves the step size whenever a step would increase the
+    loss, so the loss is non-increasing over accepted steps.
     """
     n = space.n
     if k < 1:
@@ -326,17 +357,16 @@ def train_free_embeddings(
             def loss_fn(T):
                 return _exact_infonce(T @ T.T, space, M, coef=True)
 
-            def grad_fn(T, C):
-                return _gradient(T, C, True)
-
         else:
             batch = _sample_batch(space, M, cfg.samples, cfg.seed + seed + 1)
+            flat = _table_indices(batch, n)
 
             def loss_fn(T):
-                return infonce_empirical(Embedding(T, True), batch), None
+                losses, C = _sampled_infonce(T @ T.T, flat, coef=True)
+                return float(np.mean(losses)), C
 
-            def grad_fn(T, _aux):
-                return infonce_gradient(Embedding(T, True), batch)
+        def grad_fn(T, C):
+            return _gradient(T, C, True)
 
         def retract(T):
             return T / np.linalg.norm(T, axis=1, keepdims=True)

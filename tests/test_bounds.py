@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ctlab.bounds import (
     BoundReport,
+    EpsAlignment,
     ProbeConfig,
     alignment_eps,
     corollary_reports,
@@ -16,6 +19,7 @@ from ctlab.bounds import (
 )
 from ctlab.cli import main
 from ctlab.fixtures import (
+    reference_spec,
     reference_transforms,
     reference_world,
     toy_transforms,
@@ -37,6 +41,7 @@ from ctlab.world import (
     WorldSpec,
     build_augmented_space,
     generate_world,
+    inflate,
     preprocess_world,
 )
 
@@ -56,6 +61,61 @@ def identity_only_space():
     return build_augmented_space(
         w, [Transform(id="i", kind="identity", probability=1.0)]
     )
+
+
+def reference_and_inflated_spaces():
+    w = reference_world()
+    noisy = generate_world(replace(reference_spec(), noise_scale=0.05))
+    return (
+        build_augmented_space(w, reference_transforms(w)),
+        build_augmented_space(inflate(noisy, 4, seed=6), reference_transforms(noisy)),
+    )
+
+
+def cube_variance_terms(f, space):
+    """Variance terms with V_minus from the (n, n, k) anchor-by-positive cube."""
+    head = mean_head(f, space)
+    F = f.table
+    mu_of = head.mu.T[space.labels]
+    dev = np.sum((F - mu_of) ** 2, axis=1)
+    mask_plus = space.positive_mask()
+    w_plus = np.where(mask_plus, space.joint, 0.0)
+    w_minus = np.where(~mask_plus, space.joint, 0.0)
+    mass_plus = float(w_plus.sum())
+    mass_minus = float(w_minus.sum())
+    V = float(w_plus.sum(axis=1) @ dev) / mass_plus
+    V_minus = None
+    if mass_minus > 0.0:
+        diff = F[None, :, :] - mu_of[:, None, :]
+        V_minus = float(np.sum(w_minus * np.sum(diff**2, axis=2))) / mass_minus
+    branch_pos = float(np.sum(w_plus * dev[None, :])) / mass_plus
+    V_neg = 0.5 * branch_pos + 0.5 * float(space.marginal @ dev)
+    return (V, V_minus, V_neg, mass_plus, mass_minus)
+
+
+def cube_alignment_eps(f, space):
+    """Alignment terms from the (n, n, k) all-pairs difference cube."""
+    F = f.table
+    mask_minus = (~space.positive_mask()) & (space.joint > 0.0)
+    mask_plus = space.positive_mask() & (space.joint > 0.0)
+    dist = np.sqrt(np.sum((F[:, None, :] - F[None, :, :]) ** 2, axis=2))
+    max_plus = float(dist[mask_plus].max()) if np.any(mask_plus) else 0.0
+    if not np.any(mask_minus):
+        return EpsAlignment(0.0, 0.0, (), (), max_plus, empty=True)
+    imin = np.unravel_index(np.argmin(np.where(mask_minus, dist, np.inf)), dist.shape)
+    imax = np.unravel_index(np.argmax(np.where(mask_minus, dist, -np.inf)), dist.shape)
+    ids = space.node_ids
+    return EpsAlignment(
+        eps_min=float(dist[imin]),
+        eps_max=float(dist[imax]),
+        argmin_pair=(ids[imin[0]], ids[imin[1]]),
+        argmax_pair=(ids[imax[0]], ids[imax[1]]),
+        max_plus=max_plus,
+    )
+
+
+def _fields(vt):
+    return (vt.V, vt.V_minus, vt.V_neg, vt.x_plus_mass, vt.x_minus_mass)
 
 
 def _parse_value(text):
@@ -173,6 +233,14 @@ class TestVarianceTerms:
         assert abs(vt.V - v_num / v_mass) < 1e-12
         assert abs(vt.V_minus - vm_num / vm_mass) < 1e-12
 
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_matches_cube_oracle_bit_for_bit(self, normalized):
+        for space in reference_and_inflated_spaces():
+            for seed in range(4):
+                for k in (1, 3, 8):
+                    f = random_embedding(space.n, k, seed=seed, normalized=normalized)
+                    assert _fields(variance_terms(f, space)) == cube_variance_terms(f, space)
+
 
 class TestLseApproxError:
     def test_constant_embedding_exact(self):
@@ -229,6 +297,30 @@ class TestAlignmentEps:
         eps = alignment_eps(random_embedding(space.n, 3, seed=1), space)
         assert eps.empty
         assert eps.eps_min == 0.0 and eps.eps_max == 0.0
+
+    def test_matches_cube_oracle_bit_for_bit(self):
+        spaces = reference_and_inflated_spaces() + (identity_only_space(),)
+        for space in spaces:
+            for seed in range(4):
+                for k in (1, 3, 8):
+                    f = random_embedding(space.n, k, seed=seed)
+                    assert alignment_eps(f, space) == cube_alignment_eps(f, space)
+
+    def test_ties_go_to_the_first_pair_in_row_major_order(self):
+        # every distance is 0, so argmin and argmax both tie over the whole
+        # false-positive support and must pick its first pair
+        for space in (toy_space(),) + reference_and_inflated_spaces():
+            f = constant_embedding(space.n)
+            first = next(
+                (space.node_ids[x], space.node_ids[y])
+                for x in range(space.n)
+                for y in range(space.n)
+                if space.joint[x, y] > 0 and space.labels[x] != space.labels[y]
+            )
+            eps = alignment_eps(f, space)
+            assert eps.argmin_pair == first
+            assert eps.argmax_pair == first
+            assert eps == cube_alignment_eps(f, space)
 
 
 class TestSandwich:

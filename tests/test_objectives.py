@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctlab.fixtures import (
+    reference_spec,
     reference_transforms,
     reference_world,
     toy_transforms,
@@ -13,6 +14,7 @@ from ctlab.fixtures import (
 )
 from ctlab import objectives
 from ctlab.graph import _restrict_space, build_graph, laplacian_spectrum, spectral_embedding
+from ctlab.linalg import gaussian_matrix
 from ctlab.objectives import (
     Embedding,
     LinearHead,
@@ -29,8 +31,14 @@ from ctlab.objectives import (
     spectral_loss,
     train_free_embeddings,
 )
-from ctlab.objectives import _exact_infonce, _gradient
-from ctlab.world import AugmentedSpace, build_augmented_space
+from ctlab.objectives import (
+    _exact_infonce,
+    _gradient,
+    _sample_batch,
+    _sampled_infonce,
+    _table_indices,
+)
+from ctlab.world import AugmentedSpace, build_augmented_space, generate_world, inflate
 
 
 def toy_space():
@@ -40,6 +48,11 @@ def toy_space():
 def reference_space():
     w = reference_world()
     return build_augmented_space(w, reference_transforms(w))
+
+
+def inflated_space(factor=4):
+    w = generate_world(replace(reference_spec(), noise_scale=0.05))
+    return build_augmented_space(inflate(w, factor, seed=6), reference_transforms(w))
 
 
 def random_space(n, seed, K=2):
@@ -319,6 +332,68 @@ class TestExactEngine:
         assert np.abs(grad - fd).max() < 1e-8
 
 
+def cell_sampler(space, M, samples, seed):
+    """The sampler drawing each pair by `rng.choice` over all n^2 cells."""
+    rng = np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
+    flat = space.joint.ravel()
+    pair_idx = rng.choice(len(flat), size=samples, p=flat / flat.sum())
+    ax, px = np.unravel_index(pair_idx, space.joint.shape)
+    negs = rng.choice(space.n, size=(samples, M), p=space.marginal)
+    return np.column_stack([ax, px, negs])
+
+
+def row_major_losses(s_pos, s_neg):
+    """Per-row InfoNCE losses on (B, 1 + M) rows, stabilized by the row max."""
+    stacked = np.concatenate([s_pos[:, None], s_neg], axis=1)
+    mx = stacked.max(axis=1)
+    return mx + np.log(np.sum(np.exp(stacked - mx[:, None]), axis=1)) - s_pos
+
+
+class TestSampledKernel:
+    def test_sampler_matches_cell_reference(self):
+        for space in (reference_space(), inflated_space(8)):
+            for M in (1, 2):
+                for seed in range(10):
+                    got = _sample_batch(space, M, 3000, seed)
+                    assert np.array_equal(got, cell_sampler(space, M, 3000, seed))
+
+    def test_table_indices_layout(self):
+        batch = np.array([[0, 1, 2, 3], [2, 2, 0, 1]])
+        flat = _table_indices(batch, 4)
+        assert flat.flags.c_contiguous
+        assert flat.tolist() == [[1, 10], [2, 8], [3, 9]]
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 7])
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_matches_batch_oracle(self, M, normalized):
+        for space in (reference_space(), random_space(9, seed=M)):
+            batch = _sample_batch(space, M, 2000, seed=M)
+            f = random_embedding(space.n, 3, seed=M + 1, normalized=normalized)
+            F = f.table
+            losses, C = _sampled_infonce(F @ F.T, _table_indices(batch, space.n), coef=True)
+            assert abs(np.mean(losses) - infonce_empirical(f, batch)) < 1e-12
+            grad = _gradient(F, C, normalized)
+            assert np.abs(grad - infonce_gradient(f, batch)).max() < 1e-12
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 4, 5])
+    def test_population_matches_row_major_route(self, M):
+        # reducing over the leading axis adds the 1 + M terms in the same
+        # order as the row-major route for these M, so no bit moves
+        cfg = McConfig(samples=4000, seed=M, n_max=1)
+        for space in (reference_space(), inflated_space()):
+            f = random_embedding(space.n, 3, seed=M)
+            sims = f.table @ f.table.T
+            batch = _sample_batch(space, M, cfg.samples, cfg.seed)
+            a = batch[:, 0]
+            losses = row_major_losses(sims[a, batch[:, 1]], sims[a[:, None], batch[:, 2:]])
+            want = (
+                float(np.mean(losses)),
+                float(np.std(losses, ddof=1) / np.sqrt(cfg.samples)),
+                False,
+            )
+            assert infonce_population(f, space, M, cfg) == want
+
+
 class TestSpectralLoss:
     def test_zero_embedding(self):
         space = toy_space()
@@ -423,6 +498,56 @@ class TestTraining:
         train_free_embeddings(reference_space(), 3, "infonce", 5, 1.0, seed=0)
         assert len(seen) >= 6
         assert len(set(seen)) == len(seen)
+
+    def test_sampled_path_calls_no_batch_function(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sampled training called a batch function")
+
+        for name in ("full_support_batch", "infonce_empirical", "infonce_gradient"):
+            monkeypatch.setattr(objectives, name, forbidden)
+        cfg = McConfig(n_max=1, samples=500)
+        for M in (1, 3):
+            train_free_embeddings(toy_space(), 2, "infonce", 5, 1.0, seed=0, M=M, cfg=cfg)
+
+    def test_sampled_path_evaluates_each_table_once(self, monkeypatch):
+        # the accepted candidate's evaluation also yields the next gradient
+        seen = []
+        kernel = objectives._sampled_infonce
+
+        def recording(sims, *args, **kwargs):
+            seen.append(sims.tobytes())
+            return kernel(sims, *args, **kwargs)
+
+        monkeypatch.setattr(objectives, "_sampled_infonce", recording)
+        cfg = McConfig(n_max=1, samples=2000)
+        train_free_embeddings(reference_space(), 3, "infonce", 5, 1.0, seed=0, cfg=cfg)
+        assert len(seen) >= 6
+        assert len(set(seen)) == len(seen)
+
+    def test_sampled_path_follows_batch_oracle(self):
+        # the same backtracking descent driven by the public batch functions
+        space, k, steps, seed = reference_space(), 3, 20, 2
+        cfg = McConfig(n_max=1, samples=3000)
+        got = train_free_embeddings(space, k, "infonce", steps, 1.0, seed=seed, cfg=cfg)
+        batch = _sample_batch(space, 1, cfg.samples, cfg.seed + seed + 1)
+        table = 0.5 * gaussian_matrix(space.n, k, seed)
+        table /= np.linalg.norm(table, axis=1, keepdims=True)
+        first = current = infonce_empirical(Embedding(table, True), batch)
+        eta = 1.0
+        for _ in range(steps):
+            g = infonce_gradient(Embedding(table, True), batch)
+            for _try in range(40):
+                cand = table - eta * g
+                cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+                cand_loss = infonce_empirical(Embedding(cand, True), batch)
+                if cand_loss <= current + 1e-15:
+                    table, current, eta = cand, cand_loss, min(eta * 1.1, 10.0)
+                    break
+                eta *= 0.5
+            else:
+                break
+        assert current < first
+        assert np.abs(got.table - table).max() < 1e-13
 
     def test_spectral_training_reaches_closed_form(self):
         space = toy_space()
