@@ -66,10 +66,9 @@ class EpsAlignment:
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    steps: int = 400
+    steps: int = 300
     step_size: float = 2.0
     l2: float = 0.0
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -365,9 +364,7 @@ def theorem4_check(
         raise ValueError(f"theorem4_check: k={k} out of range [1, {G.n}]")
     lam_k, lam_k1 = staged.levels(k)
     f = Embedding(table=spectral_embedding(G, staged.spectrum, k), normalized=False)
-    head = fit_linear_head(
-        f, space, probe_cfg.steps, probe_cfg.step_size, probe_cfg.l2, probe_cfg.seed
-    )
+    head = fit_linear_head(f, space, probe_cfg.steps, probe_cfg.step_size, probe_cfg.l2)
     err = classification_error(f, head, space)
     norm_budget = 1.0 / (1.0 - lam_k) if lam_k < 1.0 else None
     terms = {

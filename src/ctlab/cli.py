@@ -107,10 +107,29 @@ def _stage_world(cfg: RunConfig, raw_world, q=None):
     return world
 
 
-def compute_row(cfg: RunConfig, raw_world, transforms, q, k, row_key):
+def _stager(cfg: RunConfig, raw_world, transforms):
+    """Return stage(q=None): the staged graph of the world of sweep rank q.
+
+    stage remembers only the latest staged world and drops it before staging
+    the next one, so rows that stage the same world in turn share its graph.
+    Two threads that miss at the same time both stage the world.
+    """
+    latest = {}
+
+    def stage(q=None):
+        staged = latest.get(q)
+        if staged is None:
+            latest.clear()
+            staged = latest[q] = stage_graph(_stage_world(cfg, raw_world, q), transforms)
+        return staged
+
+    return stage
+
+
+def compute_row(cfg: RunConfig, stage, q, k, row_key):
     """One full pipeline evaluation; returns (row dict, list of BoundReports)."""
     seed = row_seed(cfg.seed, row_key)
-    staged = stage_graph(_stage_world(cfg, raw_world, q), transforms)
+    staged = stage(q)
     space = staged.space
     if not (1 <= k <= staged.graph.n):
         raise ConfigError(f"train.k: k={k} out of range [1, {staged.graph.n}]")
@@ -127,9 +146,7 @@ def compute_row(cfg: RunConfig, raw_world, transforms, q, k, row_key):
         M=cfg.train_M,
         cfg=mc,
     )
-    head = fit_linear_head(
-        f, space, cfg.probe_steps, cfg.probe_step_size, cfg.probe_l2, seed
-    )
+    head = fit_linear_head(f, space, cfg.probe_steps, cfg.probe_step_size, cfg.probe_l2)
     terms = measure_sandwich(f, space, cfg.train_M, mc)
     ce_linear = ce_risk(f, head, space)
     reports = []
@@ -143,10 +160,7 @@ def compute_row(cfg: RunConfig, raw_world, transforms, q, k, row_key):
             staged,
             k,
             ProbeConfig(
-                steps=cfg.probe_steps,
-                step_size=cfg.probe_step_size,
-                l2=cfg.probe_l2,
-                seed=seed,
+                steps=cfg.probe_steps, step_size=cfg.probe_step_size, l2=cfg.probe_l2
             ),
         )
         reports.append(t4)
@@ -177,29 +191,31 @@ def compute_row(cfg: RunConfig, raw_world, transforms, q, k, row_key):
 def compute_sweep(cfg: RunConfig, raw_world, transforms, threads=1):
     """Every configured row, each computed once, on one pool of `threads` workers.
 
+    The rows of one world run in turn (the baseline and k rows, then one row
+    per rank q), so each distinct world is staged once at `threads` = 1.
     Returns {table name: [(row, reports), ...]}: "baseline" always, then
     "sweep_q" (the baseline row with q blank, then one row per rank) and
     "sweep_k" (one row per dimension) when configured.
     """
+    stage = _stager(cfg, raw_world, transforms)
     plan = [(None, cfg.train_k, "baseline")]
-    plan += [(q, cfg.train_k, f"q={q}") for q in cfg.svd_sweep]
     plan += [(None, k, f"k={k}") for k in cfg.train_k_sweep]
+    plan += [(q, cfg.train_k, f"q={q}") for q in cfg.svd_sweep]
 
     def row(p):
-        return compute_row(cfg, raw_world, transforms, *p)
+        return compute_row(cfg, stage, *p)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(row, plan))
     else:  # in the main thread: a worker's own malloc arena costs ~3% peak RSS
         results = [row(p) for p in plan]
-    (base_row, base_reports), rest = results[0], results[1:]
-    n_q = len(cfg.svd_sweep)
+    (base_row, base_reports), n_k = results[0], len(cfg.train_k_sweep)
     tables = {"baseline": results[:1]}
     if cfg.svd_sweep:
-        tables["sweep_q"] = [({**base_row, "q": None}, base_reports)] + rest[:n_q]
+        tables["sweep_q"] = [({**base_row, "q": None}, base_reports)] + results[1 + n_k:]
     if cfg.train_k_sweep:
-        tables["sweep_k"] = rest[n_q:]
+        tables["sweep_k"] = results[1 : 1 + n_k]
     return tables
 
 
@@ -319,8 +335,7 @@ def cmd_svd(cfg, out_dir, threads, allow_violations):
 def cmd_graph(cfg, out_dir, threads, allow_violations):
     os.makedirs(out_dir, exist_ok=True)
     raw_world = generate_world(cfg.world)
-    transforms = make_transforms(cfg, raw_world)
-    staged = stage_graph(_stage_world(cfg, raw_world), transforms)
+    staged = _stager(cfg, raw_world, make_transforms(cfg, raw_world))()
     graph = staged.graph
     save_matrix_text(os.path.join(out_dir, "adjacency.mat"), graph.A)
     save_matrix_text(
@@ -336,8 +351,7 @@ def cmd_graph(cfg, out_dir, threads, allow_violations):
 
 def _train_embedding(cfg):
     raw_world = generate_world(cfg.world)
-    transforms = make_transforms(cfg, raw_world)
-    space = stage_graph(_stage_world(cfg, raw_world), transforms).space
+    space = _stager(cfg, raw_world, make_transforms(cfg, raw_world))().space
     seed = row_seed(cfg.seed, "train")
     f = train_free_embeddings(
         space,
@@ -349,12 +363,12 @@ def _train_embedding(cfg):
         M=cfg.train_M,
         cfg=cfg.mc_config(seed),
     )
-    return f, space, seed
+    return f, space
 
 
 def cmd_train(cfg, out_dir, threads, allow_violations):
     os.makedirs(out_dir, exist_ok=True)
-    f, space, _seed = _train_embedding(cfg)
+    f, space = _train_embedding(cfg)
     save_matrix_text(os.path.join(out_dir, "embedding.mat"), f.table)
     with open(os.path.join(out_dir, "embedding_nodes.txt"), "w", newline="\n") as fh:
         fh.write("\n".join(space.node_ids) + "\n")
@@ -363,10 +377,8 @@ def cmd_train(cfg, out_dir, threads, allow_violations):
 
 def cmd_probe(cfg, out_dir, threads, allow_violations):
     os.makedirs(out_dir, exist_ok=True)
-    f, space, seed = _train_embedding(cfg)
-    head = fit_linear_head(
-        f, space, cfg.probe_steps, cfg.probe_step_size, cfg.probe_l2, seed
-    )
+    f, space = _train_embedding(cfg)
+    head = fit_linear_head(f, space, cfg.probe_steps, cfg.probe_step_size, cfg.probe_l2)
     err = classification_error(f, head, space)
     ce_lin = ce_risk(f, head, space)
     ce_mu = ce_risk(f, mean_head(f, space), space)
@@ -382,8 +394,8 @@ def cmd_probe(cfg, out_dir, threads, allow_violations):
 def cmd_bounds(cfg, out_dir, threads, allow_violations):
     os.makedirs(out_dir, exist_ok=True)
     raw_world = generate_world(cfg.world)
-    transforms = make_transforms(cfg, raw_world)
-    _row, reports = compute_row(cfg, raw_world, transforms, None, cfg.train_k, "bounds")
+    stage = _stager(cfg, raw_world, make_transforms(cfg, raw_world))
+    _row, reports = compute_row(cfg, stage, None, cfg.train_k, "bounds")
     _write_reports(reports, os.path.join(out_dir, "bounds.txt"))
     return _exit_status(reports, allow_violations)
 

@@ -12,6 +12,7 @@ import configparser
 import hashlib
 from dataclasses import dataclass, field
 
+from .bounds import ProbeConfig
 from .objectives import McConfig
 from .svd import TruncationSpec
 from .world import PROB_TOL, World, WorldSpec, build_transform
@@ -265,9 +266,9 @@ def parse_config(parser: configparser.ConfigParser) -> RunConfig:
     train_M = _getint(tr, "m", 1, minimum=1)
 
     p = sec("probe")
-    probe_steps = _getint(p, "steps", 300, minimum=0)
-    probe_step_size = _getfloat(p, "step_size", 2.0)
-    probe_l2 = _getfloat(p, "l2", 0.0)
+    probe_steps = _getint(p, "steps", ProbeConfig.steps, minimum=0)
+    probe_step_size = _getfloat(p, "step_size", ProbeConfig.step_size)
+    probe_l2 = _getfloat(p, "l2", ProbeConfig.l2)
 
     b = sec("bounds")
     which_raw = b.get("which", "t1,t3,t4,corollaries")

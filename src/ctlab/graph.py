@@ -29,10 +29,9 @@ __all__ = [
 @dataclass(frozen=True)
 class AugmentationGraph:
     A: np.ndarray          # (n, n) symmetric, entrywise >= 0, total mass 1
-    degrees: np.ndarray    # (n,), all > 0 after pruning
+    degrees: np.ndarray    # (n,), all > 0
     L: np.ndarray          # I - D^-1/2 A D^-1/2
-    labels: np.ndarray     # true labels of the surviving nodes
-    kept: np.ndarray       # indices into the original space's node list
+    labels: np.ndarray     # true labels of the nodes
 
     @property
     def n(self) -> int:
@@ -48,26 +47,17 @@ class Spectrum:
 def build_graph(space: AugmentedSpace) -> AugmentationGraph:
     """Assemble the adjacency from the exact positive-pair joint.
 
-    Zero-degree nodes (zero marginal mass) are pruned; the kept-index map
-    records the surviving node order.
+    A and labels are the space's own arrays, not copies.  Every node must
+    carry probability mass, which positive world weights and transform
+    probabilities guarantee.
     """
     A = space.joint
-    total = float(A.sum())
-    if space.n == 0 or total <= 0.0:
-        raise ValueError("build_graph: space carries no probability mass")
     degrees = A.sum(axis=1)
-    kept = np.flatnonzero(degrees > 0.0)
-    A = A[np.ix_(kept, kept)]
-    degrees = degrees[kept]
+    if not np.all(degrees > 0.0):
+        raise ValueError("build_graph: a node carries no probability mass")
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    L = np.eye(len(kept)) - A * np.outer(inv_sqrt, inv_sqrt)
-    return AugmentationGraph(
-        A=A,
-        degrees=degrees,
-        L=0.5 * (L + L.T),
-        labels=space.labels[kept].copy(),
-        kept=kept,
-    )
+    L = np.eye(space.n) - A * np.outer(inv_sqrt, inv_sqrt)
+    return AugmentationGraph(A=A, degrees=degrees, L=0.5 * (L + L.T), labels=space.labels)
 
 
 def laplacian_spectrum(G: AugmentationGraph) -> Spectrum:
@@ -80,7 +70,7 @@ def laplacian_spectrum(G: AugmentationGraph) -> Spectrum:
 class StagedGraph:
     """A world's augmented space, graph, spectrum and labeling error, built once."""
 
-    space: AugmentedSpace  # restricted to the graph's surviving nodes
+    space: AugmentedSpace
     graph: AugmentationGraph
     spectrum: Spectrum
     alpha: float  # exact labeling error of the world on that space
@@ -96,31 +86,11 @@ def stage_graph(world: World, transforms) -> StagedGraph:
     """Augment a world, build its graph and eigendecompose the Laplacian once."""
     space = build_augmented_space(world, transforms)
     graph = build_graph(space)
-    if len(graph.kept) != space.n:
-        space = _restrict_space(space, graph.kept)
     return StagedGraph(
         space=space,
         graph=graph,
         spectrum=laplacian_spectrum(graph),
         alpha=labeling_error(space, world).alpha,
-    )
-
-
-def _restrict_space(space: AugmentedSpace, kept: np.ndarray) -> AugmentedSpace:
-    cond = space.cond[:, kept]
-    cond = cond / cond.sum(axis=1, keepdims=True)
-    marginal = space.marginal[kept]
-    marginal = marginal / marginal.sum()
-    joint = space.joint[np.ix_(kept, kept)]
-    joint = joint / joint.sum()
-    return AugmentedSpace(
-        payloads=tuple(space.payloads[i] for i in kept),
-        labels=space.labels[kept].copy(),
-        cond=cond,
-        marginal=marginal,
-        joint=joint,
-        node_ids=tuple(space.node_ids[i] for i in kept),
-        K=space.K,
     )
 
 

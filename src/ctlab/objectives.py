@@ -448,7 +448,6 @@ def fit_linear_head(
     steps: int,
     step_size: float,
     l2: float = 0.0,
-    seed: int = 0,
 ) -> LinearHead:
     """Gradient descent on the CE risk plus l2 ||W||^2 / 2, from W = 0."""
     K = space.K

@@ -99,7 +99,7 @@ class WorldSpec:
 @dataclass(frozen=True)
 class World:
     originals: tuple  # tuple of (id: str, payload: np.ndarray, label: int)
-    weights: np.ndarray  # probabilities, sum to 1
+    weights: np.ndarray  # positive probabilities, sum to 1
     templates: tuple  # K class template matrices
     spec: WorldSpec
 
@@ -575,9 +575,12 @@ def load_world(directory) -> World:
                     if len(parts) != 3:
                         raise ValueError(f"expected 'file label weight', got {value!r}")
                     fname, label, weight = parts
+                    weight = float(weight)
+                    if not 0.0 < weight < np.inf:
+                        raise ValueError(f"weight {weight!r} is not finite and positive")
                     payload = load_matrix_text(os.path.join(directory, fname))
                     originals.append((key.split()[1], payload, int(label)))
-                    weights.append(float(weight))
+                    weights.append(weight)
                 else:
                     raise ValueError(f"unknown key {key!r}")
             except ValueError as err:

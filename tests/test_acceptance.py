@@ -439,7 +439,7 @@ def test_12_linear_head_tracks_mean_head(capsys):
         space = build_augmented_space(world, transforms)
         for seed in (0, 1):
             f = train_free_embeddings(space, 3, "infonce", 30, 1.0, seed=seed)
-            head = fit_linear_head(f, space, 300, 2.0, 0.0, seed)
+            head = fit_linear_head(f, space, 300, 2.0, 0.0)
             ce_lin = ce_risk(f, head, space)
             ce_mu = ce_risk(f, mean_head(f, space), space)
             checked += 1

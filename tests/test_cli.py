@@ -125,7 +125,7 @@ class TestRunCommand:
         n_rows = 1 + 3 + 2  # baseline, q in (1, 2, 3), k in (1, 2)
         assert len(rows) == n_rows
         assert len(population) == n_rows
-        assert len(augment) == n_rows
+        assert len(augment) == 4  # one per world: no q, then q in (1, 2, 3)
 
     def test_set_override(self, small_cfg, tmp_path):
         out = str(tmp_path / "art")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,13 +41,19 @@ class TestBuildGraph:
         assert np.allclose(G.A, [[e, e, 0], [e, 2 * e, e], [0, e, e]], atol=1e-15)
         assert np.allclose(G.degrees, [0.25, 0.5, 0.25], atol=1e-15)
         assert np.array_equal(G.labels, [0, 1, 1])
-        assert np.array_equal(G.kept, [0, 1, 2])
+
+    def test_zero_mass_node_raises(self):
+        space = build_augmented_space(toy_world(), toy_transforms())
+        joint = space.joint.copy()
+        joint[2, :] = joint[:, 2] = 0.0
+        with pytest.raises(ValueError, match="a node carries no probability mass"):
+            build_graph(replace(space, joint=joint))
 
     def test_degrees_equal_marginal(self):
         w = reference_world()
         space = build_augmented_space(w, reference_transforms(w))
         G = build_graph(space)
-        assert np.allclose(G.degrees, space.marginal[G.kept], atol=1e-14)
+        assert np.allclose(G.degrees, space.marginal, atol=1e-14)
         assert abs(G.A.sum() - 1.0) < 1e-10
 
     def test_adjacency_symmetric_nonnegative(self):

@@ -13,7 +13,7 @@ from ctlab.fixtures import (
     toy_world,
 )
 from ctlab import objectives
-from ctlab.graph import _restrict_space, build_graph, laplacian_spectrum, spectral_embedding
+from ctlab.graph import build_graph, laplacian_spectrum, spectral_embedding
 from ctlab.linalg import gaussian_matrix
 from ctlab.objectives import (
     Embedding,
@@ -577,7 +577,12 @@ class TestHeads:
         space = reference_space()
         top = space.K - 1
         kept = np.flatnonzero(space.labels != top)
-        restricted = _restrict_space(space, kept)
+        restricted = replace(
+            space,
+            payloads=tuple(space.payloads[i] for i in kept),
+            labels=space.labels[kept],
+            marginal=space.marginal[kept] / space.marginal[kept].sum(),
+        )
         assert restricted.K == space.K == 3
         f = random_embedding(restricted.n, 3, seed=0)
         with pytest.raises(ValueError, match=f"mean_head: class {top} has zero marginal mass"):

@@ -343,10 +343,17 @@ class TestSerialization:
         manifest.write_text(text.replace(old, new, 1))
 
     def test_weights_must_sum_to_one(self, tmp_path):
-        d, manifest = self._saved(tmp_path)
-        self._edit(manifest, "o0000.mat 0 0.16666666666666666", "o0000.mat 0 0.2")
-        with pytest.raises(ValueError, match="manifest.txt.*weights sum"):
-            load_world(d)
+        cases = [
+            ("0.2", "weights sum"),
+            ("-0.5", r"line \d+: weight -0.5 is not finite and positive"),
+            ("0.0", r"line \d+: weight 0.0 is not finite and positive"),
+            ("nan", r"line \d+: weight nan is not finite and positive"),
+        ]
+        for weight, match in cases:
+            d, manifest = self._saved(tmp_path)
+            self._edit(manifest, "o0000.mat 0 0.16666666666666666", f"o0000.mat 0 {weight}")
+            with pytest.raises(ValueError, match=f"manifest.txt.*{match}"):
+                load_world(d)
 
     def test_template_indices_must_be_contiguous(self, tmp_path):
         d, manifest = self._saved(tmp_path)
