@@ -21,7 +21,6 @@ from .objectives import (
     McConfig,
     ce_risk,
     classification_error,
-    fit_linear_head,
     infonce_population,
     mean_head,
 )
@@ -348,23 +347,25 @@ def theorem3_check(t: SandwichTerms) -> BoundReport:
 # downstream error bound
 
 
-def theorem4_check(
-    staged: StagedGraph, k: int, probe_cfg: ProbeConfig = ProbeConfig()
-) -> BoundReport:
+def theorem4_check(staged: StagedGraph, k: int, head: LinearHead) -> BoundReport:
     """Downstream error of the spectral embedding against 4a/l_{k+1} + 8a.
 
     Reads the exact labeling error alpha and the Laplacian eigenvalues at
     levels k and k+1 off the staged graph, probes the closed-form embedding
-    with a fitted linear head, and checks the achieved error against the
+    spectral_embedding(staged.graph, staged.spectrum, k) with head, the
+    linear head fitted on it, and checks the achieved error against the
     bound.  Bounds >= 1 are vacuous; a zero lambda_{k+1} leaves the bound
     undefined.
     """
     G, space, alpha = staged.graph, staged.space, staged.alpha
     if not (1 <= k <= G.n):
         raise ValueError(f"theorem4_check: k={k} out of range [1, {G.n}]")
+    if head.W.shape != (k, space.K):
+        raise ValueError(
+            f"theorem4_check: head shape {head.W.shape} is not (k, K) = ({k}, {space.K})"
+        )
     lam_k, lam_k1 = staged.levels(k)
     f = Embedding(table=spectral_embedding(G, staged.spectrum, k), normalized=False)
-    head = fit_linear_head(f, space, probe_cfg.steps, probe_cfg.step_size, probe_cfg.l2)
     err = classification_error(f, head, space)
     norm_budget = 1.0 / (1.0 - lam_k) if lam_k < 1.0 else None
     terms = {

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
-    ProbeConfig,
     corollary_reports,
     measure_sandwich,
     report_to_text,
@@ -27,9 +26,10 @@ from .bounds import (
     theorem4_check,
 )
 from .config import ConfigError, RunConfig, load_config, make_transforms, row_seed
-from .graph import connected_components, stage_graph
+from .graph import connected_components, spectral_embedding, stage_graph
 from .linalg import save_matrix_text
 from .objectives import (
+    Embedding,
     ce_risk,
     classification_error,
     fit_linear_head,
@@ -146,7 +146,13 @@ def compute_row(cfg: RunConfig, stage, q, k, row_key):
         M=cfg.train_M,
         cfg=mc,
     )
-    head = fit_linear_head(f, space, cfg.probe_steps, cfg.probe_step_size, cfg.probe_l2)
+    # the trained table and, for t4, the closed-form spectral one share one probe
+    tables = [f]
+    if "t4" in cfg.bounds_which:
+        spectral = spectral_embedding(staged.graph, staged.spectrum, k)
+        tables.append(Embedding(table=spectral, normalized=False))
+    heads = fit_linear_head(tables, space, cfg.probe_steps, cfg.probe_step_size, cfg.probe_l2)
+    head = heads[0]
     terms = measure_sandwich(f, space, cfg.train_M, mc)
     ce_linear = ce_risk(f, head, space)
     reports = []
@@ -156,13 +162,7 @@ def compute_row(cfg: RunConfig, stage, q, k, row_key):
         reports.append(theorem3_check(terms))
     bound_t4 = None
     if "t4" in cfg.bounds_which:
-        t4 = theorem4_check(
-            staged,
-            k,
-            ProbeConfig(
-                steps=cfg.probe_steps, step_size=cfg.probe_step_size, l2=cfg.probe_l2
-            ),
-        )
+        t4 = theorem4_check(staged, k, heads[1])
         reports.append(t4)
         bound_t4 = t4.terms.get("bound")
     if "corollaries" in cfg.bounds_which and f.normalized:
@@ -378,7 +378,7 @@ def cmd_train(cfg, out_dir, threads, allow_violations):
 def cmd_probe(cfg, out_dir, threads, allow_violations):
     os.makedirs(out_dir, exist_ok=True)
     f, space = _train_embedding(cfg)
-    head = fit_linear_head(f, space, cfg.probe_steps, cfg.probe_step_size, cfg.probe_l2)
+    (head,) = fit_linear_head([f], space, cfg.probe_steps, cfg.probe_step_size, cfg.probe_l2)
     err = classification_error(f, head, space)
     ce_lin = ce_risk(f, head, space)
     ce_mu = ce_risk(f, mean_head(f, space), space)

@@ -8,6 +8,7 @@ augmented marginal; positive pairs use the exact pair joint.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -443,29 +444,44 @@ def ce_risk(f: Embedding, head, space: AugmentedSpace) -> float:
 
 
 def fit_linear_head(
-    f: Embedding,
+    fs: Sequence[Embedding],
     space: AugmentedSpace,
     steps: int,
     step_size: float,
     l2: float = 0.0,
-) -> LinearHead:
-    """Gradient descent on the CE risk plus l2 ||W||^2 / 2, from W = 0."""
+) -> list[LinearHead]:
+    """Gradient descent on the CE risk plus l2 ||W||^2 / 2, from W = 0, per table.
+
+    The tables are same-shape (n, k) embeddings of one space.  Their heads
+    descend together on the stacked (T, n, k) array; every step's arithmetic
+    stays within one table, so each head has the bits of a descent on its
+    table alone.  The softmax max is taken column by column, which is exact
+    in any order; the row sum stays numpy's, whose bits a column-wise sum
+    matches only up to 7 classes.  A non-finite entry of W never turns
+    finite again under the update, so divergence is checked once, after
+    the last step.  Returns one LinearHead per table, in order.
+    """
+    F = np.stack([f.table for f in fs])
+    FT = F.transpose(0, 2, 1)
     K = space.K
-    F = f.table
-    p = space.marginal
+    p = space.marginal[:, None]
     Y = np.zeros((space.n, K))
     Y[np.arange(space.n), space.labels] = 1.0
-    W = np.zeros((f.k, K))
-    for _ in range(steps):
-        logits = F @ W
-        mx = logits.max(axis=1, keepdims=True)
-        ex = np.exp(logits - mx)
-        probs = ex / ex.sum(axis=1, keepdims=True)
-        grad = F.T @ (p[:, None] * (probs - Y)) + l2 * W
-        W = W - step_size * grad
-        if not np.all(np.isfinite(W)):
-            raise RuntimeError("fit_linear_head: diverged (NaN/Inf in W)")
-    return LinearHead(W=W)
+    W = np.zeros((F.shape[0], F.shape[2], K))
+    # a diverging head runs on quietly to the check after the loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            logits = F @ W
+            mx = logits[..., 0]
+            for c in range(1, K):
+                mx = np.maximum(mx, logits[..., c])
+            ex = np.exp(logits - mx[..., None])
+            probs = ex / ex.sum(axis=-1, keepdims=True)
+            grad = FT @ (p * (probs - Y)) + l2 * W
+            W = W - step_size * grad
+    if not np.all(np.isfinite(W)):
+        raise RuntimeError("fit_linear_head: diverged (NaN/Inf in W)")
+    return [LinearHead(W=w) for w in W]
 
 
 def classification_error(f: Embedding, head, space: AugmentedSpace) -> float:

@@ -43,6 +43,7 @@ __all__ = [
     "AugmentedSpace",
     "LabelingReport",
     "PROB_TOL",
+    "VIEW_TOL",
     "generate_world",
     "build_transform",
     "ground_truth_label",
@@ -56,6 +57,7 @@ __all__ = [
 ]
 
 PROB_TOL = 1e-12  # how far transform or original probabilities may sum from 1
+VIEW_TOL = 1e-6  # distinct views must differ by more than this in some entry
 
 # singular value plan for the planted construction
 _BACKGROUND_SIGMA = 8.0
@@ -376,8 +378,49 @@ def _node_key(payload: np.ndarray) -> bytes:
     return (np.round(payload, 9) + 0.0).tobytes()
 
 
+def _check_distinct_views(payloads, node_ids) -> None:
+    """Raise if two distinct nodes lie within VIEW_TOL of each other in max-abs.
+
+    Rounded keys can split one view across a rounding boundary; this makes
+    that split loud.  Candidates are the node pairs whose payload sums are
+    close, since |sum(a) - sum(b)| <= size * max|a - b|, and each candidate
+    is then confirmed on its entries.  With the nodes sorted by sum, the
+    pairs `offset` positions apart are scanned for offset = 1, 2, ... until
+    no pair that far apart has close sums.
+    """
+    P = np.stack(payloads).reshape(len(payloads), -1)
+    size = P.shape[1]
+    sums = P.sum(axis=1)
+    # the window also covers the rounding error of both float sums
+    window = size * (VIEW_TOL + 2 * size * np.finfo(float).eps * max(P.max(), -P.min()))
+    # Python's sort: numpy's sort kernels, used nowhere else in a run, would
+    # add about 128 KB of resident pages to every run's peak
+    keys = sums.tolist()
+    order = np.array(sorted(range(len(keys)), key=keys.__getitem__))
+    sums = sums[order]
+    for offset in range(1, len(sums)):
+        a = np.flatnonzero(sums[offset:] - sums[:-offset] <= window)
+        if not a.size:
+            break
+        i, j = order[a], order[a + offset]
+        dist = np.abs(P[i] - P[j]).max(axis=1)
+        close = np.flatnonzero(dist <= VIEW_TOL)
+        if close.size:
+            c = close[0]
+            lo, hi = sorted((int(i[c]), int(j[c])))
+            raise ValueError(
+                f"build_augmented_space: nodes {node_ids[lo]} and {node_ids[hi]} are "
+                f"distinct views {float(dist[c])!r} apart in max-abs, within "
+                f"VIEW_TOL = {VIEW_TOL}: rounded keys may have split one view"
+            )
+
+
 def build_augmented_space(world: World, transforms) -> AugmentedSpace:
-    """Enumerate all (original, transform) outcomes into a deduplicated space."""
+    """Enumerate all (original, transform) outcomes into a deduplicated space.
+
+    Views are merged on their payloads rounded to 9 decimals; two distinct
+    nodes within VIEW_TOL of each other raise ValueError.
+    """
     transforms = list(transforms)
     if not transforms:
         raise ValueError("build_augmented_space: empty transform list")
@@ -405,6 +448,8 @@ def build_augmented_space(world: World, transforms) -> AugmentedSpace:
             entries.append((oi, ni, t.probability))
 
     n = len(payloads)
+    node_ids = tuple(f"n{i:04d}" for i in range(n))
+    _check_distinct_views(payloads, node_ids)
     cond = np.zeros((world.n_originals, n))
     for oi, ni, p in entries:
         cond[oi, ni] += p
@@ -419,7 +464,7 @@ def build_augmented_space(world: World, transforms) -> AugmentedSpace:
         cond=cond,
         marginal=marginal,
         joint=joint,
-        node_ids=tuple(f"n{i:04d}" for i in range(n)),
+        node_ids=node_ids,
         K=world.spec.K,
     )
     _check_space(space)

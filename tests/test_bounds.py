@@ -25,7 +25,7 @@ from ctlab.fixtures import (
     toy_transforms,
     toy_world,
 )
-from ctlab.graph import stage_graph
+from ctlab.graph import spectral_embedding, stage_graph
 from ctlab.objectives import (
     Embedding,
     LinearHead,
@@ -44,6 +44,14 @@ from ctlab.world import (
     inflate,
     preprocess_world,
 )
+
+
+def theorem4(staged, k):
+    """theorem4_check with the spectral head fitted at the probe defaults."""
+    probe = ProbeConfig()
+    f = Embedding(spectral_embedding(staged.graph, staged.spectrum, k), normalized=False)
+    (head,) = fit_linear_head([f], staged.space, probe.steps, probe.step_size, probe.l2)
+    return theorem4_check(staged, k, head)
 
 
 def toy_space():
@@ -398,7 +406,7 @@ class TestSandwich:
 
 class TestDownstreamBound:
     def test_toy_values(self):
-        rep = theorem4_check(stage_graph(toy_world(), toy_transforms()), k=2)
+        rep = theorem4(stage_graph(toy_world(), toy_transforms()), k=2)
         t = rep.terms
         assert abs(t["alpha_q"] - 0.25) < 1e-12
         assert abs(t["lambda_k_q"] - 0.5) < 1e-12
@@ -427,7 +435,7 @@ class TestDownstreamBound:
                     pattern=class_pattern(w, c, (c + 1) % 3, 0.35),
                 )
             )
-        rep = theorem4_check(stage_graph(w, transforms), k=3)
+        rep = theorem4(stage_graph(w, transforms), k=3)
         assert rep.terms["alpha_q"] == 0.0
         assert rep.terms["bound"] == 0.0
         assert rep.terms["probe_error"] == 0.0
@@ -437,7 +445,7 @@ class TestDownstreamBound:
         w = reference_world()
         transforms = reference_transforms(w)
         wq = preprocess_world(w, TruncationSpec(mode="keep_top_q", q=3))
-        rep = theorem4_check(stage_graph(wq, transforms), k=3)
+        rep = theorem4(stage_graph(wq, transforms), k=3)
         t = rep.terms
         assert abs(t["alpha_q"] - 0.04) < 1e-9
         assert t["bound"] < 1.0
@@ -447,16 +455,23 @@ class TestDownstreamBound:
     def test_zero_lambda_leaves_bound_undefined(self):
         w = reference_world()
         identity = [Transform(id="i", kind="identity", probability=1.0)]
-        rep = theorem4_check(stage_graph(w, identity), k=1)
+        rep = theorem4(stage_graph(w, identity), k=1)
         assert rep.verdict == "holds_vacuously"
         assert rep.terms["bound"] is None
         assert "undefined" in rep.note
 
     def test_k_validated(self):
+        head = LinearHead(W=np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            theorem4_check(stage_graph(toy_world(), toy_transforms()), k=0)
+            theorem4_check(stage_graph(toy_world(), toy_transforms()), 0, head)
         with pytest.raises(ValueError):
-            theorem4_check(stage_graph(toy_world(), toy_transforms()), k=99)
+            theorem4_check(stage_graph(toy_world(), toy_transforms()), 99, head)
+
+    def test_head_shape_validated(self):
+        # a head fitted on a table of another width cannot score the k-column one
+        staged = stage_graph(toy_world(), toy_transforms())
+        with pytest.raises(ValueError, match=r"head shape \(1, 2\) is not \(k, K\) = \(2, 2\)"):
+            theorem4_check(staged, 2, LinearHead(W=np.zeros((1, 2))))
 
 
 class TestCorollaries:
@@ -475,7 +490,7 @@ class TestCorollaries:
     def test_fitted_head_holds(self):
         space = toy_space()
         f = random_embedding(space.n, 3, seed=6)
-        head = fit_linear_head(f, space, steps=300, step_size=2.0)
+        (head,) = fit_linear_head([f], space, steps=300, step_size=2.0)
         reports = corollary_reports(
             measure_sandwich(f, space, 1, McConfig()), head, ce_risk(f, head, space)
         )

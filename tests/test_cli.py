@@ -5,6 +5,9 @@ import pytest
 
 from ctlab import cli, objectives, world
 from ctlab.cli import SWEEP_COLUMNS, emit_csv, emit_text, main, parse_csv
+from ctlab.config import load_config, make_transforms
+from ctlab.graph import spectral_embedding
+from ctlab.objectives import Embedding
 
 
 def _count_calls(monkeypatch, fn):
@@ -126,6 +129,31 @@ class TestRunCommand:
         assert len(rows) == n_rows
         assert len(population) == n_rows
         assert len(augment) == 4  # one per world: no q, then q in (1, 2, 3)
+
+    @pytest.mark.parametrize("which", ["t1, t3, t4, corollaries", "t1, t3, corollaries"])
+    def test_one_probe_per_row(self, small_cfg, tmp_path, monkeypatch, which):
+        # with t4 the spectral head is fitted in the same call as the trained one
+        rows = _count_calls(monkeypatch, cli.compute_row)
+        probes = _count_calls(monkeypatch, objectives.fit_linear_head)
+        argv = ["run", "--config", small_cfg, "--out", str(tmp_path / "art")]
+        assert main(argv + ["--set", f"bounds.which={which}"]) == 0
+        assert len(rows) == 1 + 3 + 2
+        assert len(probes) == len(rows)
+
+    def test_t4_head_is_the_spectral_table_fitted_alone(self, small_cfg):
+        cfg = load_config(small_cfg)
+        raw = world.generate_world(cfg.world)
+        stage = cli._stager(cfg, raw, make_transforms(cfg, raw))
+        _row, reports = cli.compute_row(cfg, stage, None, cfg.train_k, "baseline")
+        (t4,) = [r for r in reports if r.theorem == "theorem4"]
+        staged = stage(None)
+        table = spectral_embedding(staged.graph, staged.spectrum, cfg.train_k)
+        f = Embedding(table=table, normalized=False)
+        (alone,) = objectives.fit_linear_head(
+            [f], staged.space, cfg.probe_steps, cfg.probe_step_size, cfg.probe_l2
+        )
+        assert t4.terms["probe_error"] == objectives.classification_error(f, alone, staged.space)
+        assert t4.terms["head_frob_norm"] == alone.frob_norm
 
     def test_set_override(self, small_cfg, tmp_path):
         out = str(tmp_path / "art")

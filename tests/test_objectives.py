@@ -587,7 +587,7 @@ class TestHeads:
         f = random_embedding(restricted.n, 3, seed=0)
         with pytest.raises(ValueError, match=f"mean_head: class {top} has zero marginal mass"):
             mean_head(f, restricted)
-        assert fit_linear_head(f, restricted, steps=1, step_size=1.0).W.shape == (3, 3)
+        assert fit_linear_head([f], restricted, steps=1, step_size=1.0)[0].W.shape == (3, 3)
 
     def test_zero_head_risk_is_log_k(self):
         space = toy_space()
@@ -606,21 +606,21 @@ class TestHeads:
     def test_fit_zero_steps(self):
         space = toy_space()
         f = Embedding(TOY_SPECTRAL_F, normalized=False)
-        head = fit_linear_head(f, space, steps=0, step_size=1.0)
+        (head,) = fit_linear_head([f], space, steps=0, step_size=1.0)
         assert np.array_equal(head.W, np.zeros((2, 2)))
 
     def test_fit_decreases_risk_and_separates(self):
         space = toy_space()
         f = Embedding(TOY_SPECTRAL_F, normalized=False)
-        head = fit_linear_head(f, space, steps=400, step_size=2.0)
+        (head,) = fit_linear_head([f], space, steps=400, step_size=2.0)
         assert ce_risk(f, head, space) < np.log(2) - 0.1
         assert classification_error(f, head, space) == 0.0
 
     def test_l2_shrinks_head(self):
         space = toy_space()
         f = Embedding(TOY_SPECTRAL_F, normalized=False)
-        small = fit_linear_head(f, space, steps=200, step_size=0.5, l2=1.0)
-        big = fit_linear_head(f, space, steps=200, step_size=0.5, l2=0.0)
+        (small,) = fit_linear_head([f], space, steps=200, step_size=0.5, l2=1.0)
+        (big,) = fit_linear_head([f], space, steps=200, step_size=0.5, l2=0.0)
         assert small.frob_norm < big.frob_norm
 
     def test_classification_tie_breaks_to_class_zero(self):
@@ -633,6 +633,58 @@ class TestHeads:
         # predicting class 1 everywhere: the error is the label-0 marginal mass
         always_one = LinearHead(W=np.array([[0.0, 1.0], [0.0, 0.0]]))
         assert abs(classification_error(f, always_one, space) - 0.25) < 1e-15
+
+
+def _fit_alone(F, space, steps, step_size, l2):
+    """Reference probe: the per-table descent with a row-wise max and a
+    divergence check after every step."""
+    K = space.K
+    p = space.marginal
+    Y = np.zeros((space.n, K))
+    Y[np.arange(space.n), space.labels] = 1.0
+    W = np.zeros((F.shape[1], K))
+    for _ in range(steps):
+        logits = F @ W
+        mx = logits.max(axis=1, keepdims=True)
+        ex = np.exp(logits - mx)
+        probs = ex / ex.sum(axis=1, keepdims=True)
+        grad = F.T @ (p[:, None] * (probs - Y)) + l2 * W
+        W = W - step_size * grad
+        if not np.all(np.isfinite(W)):
+            raise RuntimeError("fit_linear_head: diverged (NaN/Inf in W)")
+    return W
+
+
+class TestStackedProbe:
+    @pytest.mark.parametrize("n", [13, 54, 477])
+    @pytest.mark.parametrize("K", [2, 3, 7, 8, 12])
+    def test_each_head_is_its_table_fitted_alone(self, K, n):
+        # bit-equal, not close: stacking must not change any head.  K >= 8
+        # catches a column-wise softmax sum, whose bits differ from numpy's
+        space = random_space(n, seed=K * 1000 + n, K=K)
+        rng = np.random.default_rng(n + K)
+        for k, l2, steps in itertools.product((1, 3, 8), (0.0, 0.5), (0, 1, 300)):
+            tables = [rng.normal(size=(n, k)) for _ in range(2)]
+            heads = fit_linear_head(
+                [Embedding(t, normalized=False) for t in tables], space, steps, 2.0, l2
+            )
+            assert len(heads) == 2
+            for t, head in zip(tables, heads):
+                want = _fit_alone(t, space, steps, 2.0, l2)
+                assert np.array_equal(head.W, want), (k, l2, steps)
+                assert head.frob_norm == float(np.linalg.norm(want)), (k, l2, steps)
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_divergence_raises(self, count):
+        # the first step overflows W; the check after the loop must still see it
+        space = toy_space()
+        tables = [
+            Embedding(TOY_SPECTRAL_F * 1e10 * (t + 1), normalized=False) for t in range(count)
+        ]
+        with pytest.raises(RuntimeError, match="diverged"):
+            fit_linear_head(tables, space, steps=20, step_size=1e300)
+        with pytest.raises(RuntimeError, match="diverged"), np.errstate(all="ignore"):
+            _fit_alone(tables[0].table, space, 20, 1e300, 0.0)
 
 
 class TestAlignmentInequality:

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,8 +15,10 @@ from ctlab.fixtures import (
 from ctlab.linalg import save_matrix_text
 from ctlab.svd import TruncationSpec
 from ctlab.world import (
+    VIEW_TOL,
     Transform,
     WorldSpec,
+    _check_distinct_views,
     _node_key,
     apply_transform,
     build_augmented_space,
@@ -237,6 +240,58 @@ class TestAugmentedSpace:
         )
         space = build_augmented_space(doubled, toy_transforms())
         assert space.n == build_augmented_space(w, toy_transforms()).n
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.floats(min_value=1e-14, max_value=1e-12),
+    )
+    def test_near_twins_across_a_rounding_boundary_raise(self, j, delta):
+        # the twin of o0000 sits 2 * delta away across the 9-decimal rounding
+        # boundary (j + 1/2) * 1e-9: the keys differ, so one view would split
+        w = toy_world()
+        boundary = (j + 0.5) * 1e-9
+        (oid, P, label), rest = w.originals[0], w.originals[1:]
+        below, above = P.copy(), P.copy()
+        below[0, 1] = boundary - delta
+        above[0, 1] = boundary + delta
+        assert _node_key(below) != _node_key(above)
+        planted = replace(
+            w,
+            originals=((oid, below, label), *rest, (oid + "t", above, label)),
+            weights=np.full(3, 1.0 / 3.0),
+        )
+        # identity views: n0000 from o0000, n0003 from its twin (n0001 is the
+        # shared blank, n0002 the other original)
+        with pytest.raises(ValueError, match="nodes n0000 and n0003 are distinct views") as err:
+            build_augmented_space(planted, toy_transforms())
+        gap = float(str(err.value).split(" views ")[1].split(" apart")[0])
+        assert gap == float(np.abs(above - below).max())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=2, max_value=40),
+        st.sampled_from([0.0, 0.5 * VIEW_TOL, VIEW_TOL, 2.0 * VIEW_TOL, 0.25]),
+    )
+    def test_distinct_views_check_matches_all_pairs(self, seed, n, gap):
+        # half-integer grids give many equal payload sums, so most sum-window
+        # candidates are far apart and must be confirmed, not flagged
+        rng = np.random.default_rng(seed)
+        views = [rng.integers(-2, 3, size=(2, 3)) * 0.5 for _ in range(n)]
+        # moving every entry moves the sum by size * gap, the edge of the window
+        views.append(views[0] + gap)
+        flat = np.array([v.ravel() for v in views])
+        dist = np.abs(flat[:, None, :] - flat[None, :, :]).max(axis=2)
+        close = np.triu(dist <= VIEW_TOL, k=1)
+        ids = tuple(f"n{i:04d}" for i in range(len(views)))
+        if close.any():
+            with pytest.raises(ValueError, match=r"nodes n(\d+) and n(\d+) are") as err:
+                _check_distinct_views(views, ids)
+            a, b = (int(x) for x in re.search(r"nodes n(\d+) and n(\d+)", str(err.value)).groups())
+            assert a < b and close[a, b]
+        else:
+            _check_distinct_views(views, ids)
 
 
 class TestLabelingError:
