@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .graph import StagedGraph, spectral_embedding
+from .graph import StagedGraph
 from .objectives import (
     Embedding,
     LinearHead,
@@ -347,17 +347,17 @@ def theorem3_check(t: SandwichTerms) -> BoundReport:
 # downstream error bound
 
 
-def theorem4_check(staged: StagedGraph, k: int, head: LinearHead) -> BoundReport:
+def theorem4_check(staged: StagedGraph, spectral: Embedding, head: LinearHead) -> BoundReport:
     """Downstream error of the spectral embedding against 4a/l_{k+1} + 8a.
 
-    Reads the exact labeling error alpha and the Laplacian eigenvalues at
-    levels k and k+1 off the staged graph, probes the closed-form embedding
-    spectral_embedding(staged.graph, staged.spectrum, k) with head, the
-    linear head fitted on it, and checks the achieved error against the
-    bound.  Bounds >= 1 are vacuous; a zero lambda_{k+1} leaves the bound
-    undefined.
+    spectral is the closed-form table spectral_embedding(staged.graph,
+    staged.spectrum, k) with k = spectral.k, and head the linear head fitted
+    on it.  Reads the exact labeling error alpha and the Laplacian
+    eigenvalues at levels k and k+1 off the staged graph, scores spectral
+    with head, and checks the achieved error against the bound.  Bounds >= 1
+    are vacuous; a zero lambda_{k+1} leaves the bound undefined.
     """
-    G, space, alpha = staged.graph, staged.space, staged.alpha
+    G, space, alpha, k = staged.graph, staged.space, staged.alpha, spectral.k
     if not (1 <= k <= G.n):
         raise ValueError(f"theorem4_check: k={k} out of range [1, {G.n}]")
     if head.W.shape != (k, space.K):
@@ -365,8 +365,7 @@ def theorem4_check(staged: StagedGraph, k: int, head: LinearHead) -> BoundReport
             f"theorem4_check: head shape {head.W.shape} is not (k, K) = ({k}, {space.K})"
         )
     lam_k, lam_k1 = staged.levels(k)
-    f = Embedding(table=spectral_embedding(G, staged.spectrum, k), normalized=False)
-    err = classification_error(f, head, space)
+    err = classification_error(spectral, head, space)
     norm_budget = 1.0 / (1.0 - lam_k) if lam_k < 1.0 else None
     terms = {
         "alpha_q": alpha,

@@ -12,6 +12,7 @@ import argparse
 import csv
 import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -112,16 +113,18 @@ def _stager(cfg: RunConfig, raw_world, transforms):
 
     stage remembers only the latest staged world and drops it before staging
     the next one, so rows that stage the same world in turn share its graph.
-    Two threads that miss at the same time both stage the world.
+    One thread stages at a time, so threads that ask for a world together
+    (the pool's first rows) stage it once; the others wait and share it.
     """
     latest = {}
+    lock = threading.Lock()
 
     def stage(q=None):
-        staged = latest.get(q)
-        if staged is None:
-            latest.clear()
-            staged = latest[q] = stage_graph(_stage_world(cfg, raw_world, q), transforms)
-        return staged
+        with lock:
+            if q not in latest:
+                latest.clear()
+                latest[q] = stage_graph(_stage_world(cfg, raw_world, q), transforms)
+            return latest[q]
 
     return stage
 
@@ -149,8 +152,8 @@ def compute_row(cfg: RunConfig, stage, q, k, row_key):
     # the trained table and, for t4, the closed-form spectral one share one probe
     tables = [f]
     if "t4" in cfg.bounds_which:
-        spectral = spectral_embedding(staged.graph, staged.spectrum, k)
-        tables.append(Embedding(table=spectral, normalized=False))
+        spectral = Embedding(spectral_embedding(staged.graph, staged.spectrum, k), False)
+        tables.append(spectral)
     heads = fit_linear_head(tables, space, cfg.probe_steps, cfg.probe_step_size, cfg.probe_l2)
     head = heads[0]
     terms = measure_sandwich(f, space, cfg.train_M, mc)
@@ -162,7 +165,7 @@ def compute_row(cfg: RunConfig, stage, q, k, row_key):
         reports.append(theorem3_check(terms))
     bound_t4 = None
     if "t4" in cfg.bounds_which:
-        t4 = theorem4_check(staged, k, heads[1])
+        t4 = theorem4_check(staged, spectral, heads[1])
         reports.append(t4)
         bound_t4 = t4.terms.get("bound")
     if "corollaries" in cfg.bounds_which and f.normalized:

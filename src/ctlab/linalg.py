@@ -132,14 +132,21 @@ def gaussian_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
 
     Each row is an independent Philox stream keyed by (seed, row), so the
     output is identical no matter how rows are scheduled across workers.
+    One generator serves every row: before each row its state is reset to
+    the fresh state (counter 0, empty buffer) under that row's key.
     """
     if rows < 1 or cols < 1:
         raise LinalgError(f"gaussian_matrix: invalid shape ({rows}, {cols})")
     seed_u64 = int(seed) & 0xFFFFFFFFFFFFFFFF
     out = np.empty((rows, cols))
+    bg = np.random.Philox(key=np.array([seed_u64, 0], dtype=np.uint64))
+    gen = np.random.Generator(bg)
+    fresh = bg.state
+    key = fresh["state"]["key"]
     for r in range(rows):
-        bg = np.random.Philox(key=np.array([seed_u64, r], dtype=np.uint64))
-        out[r] = np.random.Generator(bg).standard_normal(cols)
+        key[1] = r
+        bg.state = fresh
+        gen.standard_normal(out=out[r])
     return out
 
 

@@ -311,16 +311,25 @@ def spectral_loss(f: Embedding, space: AugmentedSpace) -> float:
     -2 E_{(x,x+)}[f(x)^T f(x+)] + E_{x,x- iid marginal}[(f(x)^T f(x-))^2];
     both expectations are quadratic forms in the embedding table.
     """
-    F = f.table
-    pos = float(np.sum(space.joint * (F @ F.T)))
+    return _spectral_terms(f.table, space)[0]
+
+
+def _spectral_terms(F: np.ndarray, space: AugmentedSpace):
+    """Spectral loss of the table F from k-wide products; returns (loss, (JF, G)).
+
+    With JF = joint F and G = F^T diag(p) F, the positive term
+    sum(joint * F F^T) is sum(F * JF) and the negative term is sum(G * G),
+    so no n x n array is formed.  JF and G are the gradient's products too.
+    """
+    JF = space.joint @ F
     G = F.T @ (space.marginal[:, None] * F)  # (k, k)
-    neg = float(np.sum(G * G))
-    return -2.0 * pos + neg
+    return -2.0 * float(np.sum(F * JF)) + float(np.sum(G * G)), (JF, G)
 
 
-def _spectral_grad(F: np.ndarray, space: AugmentedSpace) -> np.ndarray:
-    G = F.T @ (space.marginal[:, None] * F)
-    return -4.0 * (space.joint @ F) + 4.0 * (space.marginal[:, None] * F) @ G
+def _spectral_grad(F: np.ndarray, space: AugmentedSpace, aux) -> np.ndarray:
+    """Gradient -4 JF + 4 diag(p) F G from the (JF, G) of `_spectral_terms(F)`."""
+    JF, G = aux
+    return -4.0 * JF + 4.0 * (space.marginal[:, None] * F) @ G
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +385,10 @@ def train_free_embeddings(
     elif loss == "spectral":
 
         def loss_fn(T):
-            return spectral_loss(Embedding(T, False), space), None
+            return _spectral_terms(T, space)
 
-        def grad_fn(T, _aux):
-            return _spectral_grad(T, space)
+        def grad_fn(T, aux):
+            return _spectral_grad(T, space, aux)
 
         def retract(T):
             return T

@@ -59,7 +59,7 @@ def _theorem4(staged, k):
     probe = ProbeConfig()
     f = Embedding(spectral_embedding(staged.graph, staged.spectrum, k), normalized=False)
     (head,) = fit_linear_head([f], staged.space, probe.steps, probe.step_size, probe.l2)
-    return theorem4_check(staged, k, head)
+    return theorem4_check(staged, f, head)
 
 
 def _announce(capsys, ok, num, desc, detail=""):

@@ -51,7 +51,7 @@ def theorem4(staged, k):
     probe = ProbeConfig()
     f = Embedding(spectral_embedding(staged.graph, staged.spectrum, k), normalized=False)
     (head,) = fit_linear_head([f], staged.space, probe.steps, probe.step_size, probe.l2)
-    return theorem4_check(staged, k, head)
+    return theorem4_check(staged, f, head)
 
 
 def toy_space():
@@ -462,16 +462,18 @@ class TestDownstreamBound:
 
     def test_k_validated(self):
         head = LinearHead(W=np.zeros((2, 2)))
+        staged = stage_graph(toy_world(), toy_transforms())
         with pytest.raises(ValueError):
-            theorem4_check(stage_graph(toy_world(), toy_transforms()), 0, head)
+            theorem4_check(staged, Embedding(np.zeros((staged.graph.n, 0)), False), head)
         with pytest.raises(ValueError):
-            theorem4_check(stage_graph(toy_world(), toy_transforms()), 99, head)
+            theorem4_check(staged, Embedding(np.zeros((staged.graph.n, 99)), False), head)
 
     def test_head_shape_validated(self):
         # a head fitted on a table of another width cannot score the k-column one
         staged = stage_graph(toy_world(), toy_transforms())
         with pytest.raises(ValueError, match=r"head shape \(1, 2\) is not \(k, K\) = \(2, 2\)"):
-            theorem4_check(staged, 2, LinearHead(W=np.zeros((1, 2))))
+            spectral = Embedding(spectral_embedding(staged.graph, staged.spectrum, 2), False)
+            theorem4_check(staged, spectral, LinearHead(W=np.zeros((1, 2))))
 
 
 class TestCorollaries:

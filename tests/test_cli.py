@@ -1,13 +1,18 @@
 import os
 import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from ctlab import cli, objectives, world
+from ctlab import cli, graph, objectives, world
 from ctlab.cli import SWEEP_COLUMNS, emit_csv, emit_text, main, parse_csv
 from ctlab.config import load_config, make_transforms
 from ctlab.graph import spectral_embedding
 from ctlab.objectives import Embedding
+
+REFERENCE = os.path.join(os.path.dirname(__file__), "..", "configs", "reference.ini")
 
 
 def _count_calls(monkeypatch, fn):
@@ -129,6 +134,42 @@ class TestRunCommand:
         assert len(rows) == n_rows
         assert len(population) == n_rows
         assert len(augment) == 4  # one per world: no q, then q in (1, 2, 3)
+
+    def test_threaded_sweep_stages_each_world_once(self, monkeypatch):
+        # the two workers ask for the first world together and stage it once
+        cfg = load_config(REFERENCE)
+        raw = world.generate_world(cfg.world)
+        staged = _count_calls(monkeypatch, graph.stage_graph)
+        cli.compute_sweep(cfg, raw, make_transforms(cfg, raw), threads=2)
+        assert len(staged) == 1 + len(cfg.svd_sweep) == 5
+
+    def test_stager_stages_once_under_contention(self, monkeypatch):
+        # more threads than cores ask for one world at once: one stages, all share it
+        calls = []
+
+        def slow_stage_graph(world, transforms):
+            calls.append(None)
+            time.sleep(0.01)
+            return object()
+
+        monkeypatch.setattr(cli, "stage_graph", slow_stage_graph)
+        monkeypatch.setattr(cli, "_stage_world", lambda cfg, raw, q=None: q)
+        stage = cli._stager(None, None, [])
+        start = threading.Barrier(8)
+
+        def ask():
+            start.wait(timeout=10)
+            return stage(None)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = [fut.result(timeout=10) for fut in [pool.submit(ask) for _ in range(8)]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) == 1
+        assert all(g is got[0] for g in got)
 
     @pytest.mark.parametrize("which", ["t1, t3, t4, corollaries", "t1, t3, corollaries"])
     def test_one_probe_per_row(self, small_cfg, tmp_path, monkeypatch, which):

@@ -159,6 +159,17 @@ class TestGaussianMatrix:
         with pytest.raises(LinalgError):
             gaussian_matrix(0, 3, 1)
 
+    @pytest.mark.parametrize("seed", [0, 5, -1, 2**63 + 7])
+    @pytest.mark.parametrize("shape", [(477, 3), (477, 8), (12, 12), (12, 30), (1, 1), (3, 1000)])
+    def test_matches_fresh_generator_per_row(self, shape, seed):
+        # oracle: a new Philox keyed by (seed, row) and a new Generator per row
+        rows, cols = shape
+        want = np.empty(shape)
+        for r in range(rows):
+            key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, r], dtype=np.uint64)
+            want[r] = np.random.Generator(np.random.Philox(key=key)).standard_normal(cols)
+        assert gaussian_matrix(rows, cols, seed).tobytes() == want.tobytes()
+
 
 class TestSerialization:
     def test_text_round_trip(self, tmp_path):

@@ -417,17 +417,56 @@ class TestSpectralLoss:
             assert best <= spectral_loss(f, space) + 1e-12
 
     def test_brute_force_oracle(self):
-        space = toy_space()
-        rng = np.random.default_rng(4)
-        F = rng.normal(size=(3, 2))
-        p = space.marginal
-        want = 0.0
-        for x in range(3):
-            for y in range(3):
-                want -= 2.0 * space.joint[x, y] * float(F[x] @ F[y])
-                want += p[x] * p[y] * float(F[x] @ F[y]) ** 2
-        got = spectral_loss(Embedding(F, False), space)
-        assert abs(got - want) < 1e-12
+        for space in (toy_space(), random_space(60, 3)):
+            rng = np.random.default_rng(4)
+            F = rng.normal(size=(space.n, 2))
+            p = space.marginal
+            want = 0.0
+            for x in range(space.n):
+                for y in range(space.n):
+                    want -= 2.0 * space.joint[x, y] * float(F[x] @ F[y])
+                    want += p[x] * p[y] * float(F[x] @ F[y]) ** 2
+            got = spectral_loss(Embedding(F, False), space)
+            assert abs(got - want) < 1e-12
+
+    def test_gradient_matches_formula(self):
+        # -4 joint F + 4 diag(p) F G, each product recomputed from F
+        space = inflated_space(8)
+        F = gaussian_matrix(space.n, 3, 7)
+        pF = space.marginal[:, None] * F
+        want = -4.0 * (space.joint @ F) + 4.0 * pF @ (F.T @ pF)
+        _, aux = objectives._spectral_terms(F, space)
+        assert objectives._spectral_grad(F, space, aux).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("factor", [1, 8])
+    def test_training_follows_n_by_n_loop(self, factor, k, seed):
+        # the backtracking descent on the loss summed over the n x n joint
+        space = reference_space() if factor == 1 else inflated_space(factor)
+        steps, step_size = 30, 1.0
+        p, J = space.marginal[:, None], space.joint
+
+        def loss(F):
+            G = F.T @ (p * F)
+            return -2.0 * float(np.sum(J * (F @ F.T))) + float(np.sum(G * G))
+
+        table = 0.5 * gaussian_matrix(space.n, k, seed)
+        current, eta = loss(table), step_size
+        for _ in range(steps):
+            g = -4.0 * (J @ table) + 4.0 * (p * table) @ (table.T @ (p * table))
+            for _try in range(40):
+                cand = table - eta * g
+                cand_loss = loss(cand)
+                if cand_loss <= current + 1e-15:
+                    table, current = cand, cand_loss
+                    eta = min(eta * 1.1, step_size * 10)
+                    break
+                eta *= 0.5
+            else:
+                break
+        got = train_free_embeddings(space, k, "spectral", steps, step_size, seed=seed)
+        assert got.table.tobytes() == table.tobytes()
 
 
 class TestTraining:
