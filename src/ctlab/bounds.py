@@ -30,7 +30,6 @@ __all__ = [
     "VarianceTerms",
     "EpsAlignment",
     "BoundReport",
-    "ProbeConfig",
     "SandwichTerms",
     "variance_terms",
     "lse_approx_error",
@@ -61,13 +60,6 @@ class EpsAlignment:
     argmax_pair: tuple
     max_plus: float  # max over label-consistent pairs of ||f(x) - f(x+)||
     empty: bool = False
-
-
-@dataclass(frozen=True)
-class ProbeConfig:
-    steps: int = 300
-    step_size: float = 2.0
-    l2: float = 0.0
 
 
 @dataclass(frozen=True)

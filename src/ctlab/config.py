@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field
 
-from .bounds import ProbeConfig
-from .objectives import McConfig
+from .objectives import McConfig, ProbeConfig
 from .svd import TruncationSpec
 from .world import PROB_TOL, World, WorldSpec, build_transform
 
@@ -112,16 +112,25 @@ def _getint(sec, key, default=None, minimum=None):
     return value
 
 
-def _getfloat(sec, key, default=None):
+def _getfloat(sec, key, default=None, minimum=None, strict=False):
+    """Float entry; with minimum, it must be finite and >= minimum (> if strict)."""
     raw = sec.get(key)
     if raw is None:
         if default is None:
             raise ConfigError(f"{sec.name}.{key}: required key missing")
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{sec.name}.{key}: expected number, got {raw!r}") from None
+    if minimum is not None and not (
+        math.isfinite(value) and (value > minimum if strict else value >= minimum)
+    ):
+        bound = ">" if strict else ">="
+        raise ConfigError(
+            f"{sec.name}.{key}: must be finite and {bound} {minimum}, got {value}"
+        )
+    return value
 
 
 def _int_list(sec, key):
@@ -262,13 +271,15 @@ def parse_config(parser: configparser.ConfigParser) -> RunConfig:
     train_k = _getint(tr, "k", 3, minimum=1)
     train_k_sweep = _int_list(tr, "k_sweep")
     train_steps = _getint(tr, "steps", 30, minimum=0)
-    train_step_size = _getfloat(tr, "step_size", 1.0)
+    train_step_size = _getfloat(tr, "step_size", 1.0, minimum=0.0, strict=True)
     train_M = _getint(tr, "m", 1, minimum=1)
 
     p = sec("probe")
     probe_steps = _getint(p, "steps", ProbeConfig.steps, minimum=0)
-    probe_step_size = _getfloat(p, "step_size", ProbeConfig.step_size)
-    probe_l2 = _getfloat(p, "l2", ProbeConfig.l2)
+    probe_step_size = _getfloat(
+        p, "step_size", ProbeConfig.step_size, minimum=0.0, strict=True
+    )
+    probe_l2 = _getfloat(p, "l2", ProbeConfig.l2, minimum=0.0)
 
     b = sec("bounds")
     which_raw = b.get("which", "t1,t3,t4,corollaries")

@@ -21,6 +21,7 @@ __all__ = [
     "MeanHead",
     "LinearHead",
     "McConfig",
+    "ProbeConfig",
     "infonce_population",
     "infonce_empirical",
     "infonce_gradient",
@@ -85,6 +86,15 @@ class McConfig:
     m_max: int = 2    # exact enumeration threshold on negative count
 
 
+@dataclass(frozen=True)
+class ProbeConfig:
+    """Defaults of `fit_linear_head`'s descent, the [probe] config section."""
+
+    steps: int = 300
+    step_size: float = 2.0
+    l2: float = 0.0
+
+
 def _pair_support(space: AugmentedSpace):
     """Indices and weights of the positive-pair joint support."""
     xs, ys = np.nonzero(space.joint)
@@ -112,7 +122,7 @@ def infonce_population(
     F = f.table
     sims = F @ F.T  # (n, n)
     if M <= cfg.m_max and space.n <= cfg.n_max:
-        value, _ = _exact_infonce(sims, space, M)
+        value, _ = _exact_infonce(space, M)(sims)
         return value, 0.0, True
 
     batch = _sample_batch(space, M, cfg.samples, cfg.seed)
@@ -122,49 +132,70 @@ def infonce_population(
     return estimate, std_error, False
 
 
-def _exact_infonce(sims: np.ndarray, space: AugmentedSpace, M: int, coef=False):
-    """Exact population InfoNCE from the similarity table sims = F F^T.
+def _exact_infonce(space: AugmentedSpace, M: int):
+    """Build the exact population InfoNCE engine of one space and M.
 
-    Returns (loss, C); with coef, C = dL/dS is the (n, n) coefficient matrix
-    of the loss in the entries of S = F F^T taken as independent variables,
-    else None.  M = 1 works on (pairs, n) arrays; M = 2 loops over anchors
-    and holds (pairs of one anchor, n, n) arrays.
+    The pair support, the M = 1 scatter indices and the M = 2 anchor offsets
+    are computed once, here.  Returns `engine(sims, coef=False) -> (loss, C)`
+    for the similarity table sims = F F^T; with coef, C = dL/dS is the
+    (n, n) coefficient matrix of the loss in the entries of S = F F^T taken
+    as independent variables, else None.  C is fresh on every call, so a C
+    returned earlier stays valid.  M = 1 works in two (pairs, n) buffers
+    owned by the engine; M = 2 loops over anchors and holds (pairs of one
+    anchor, n, n) arrays.
     """
     xs, ys, w = _pair_support(space)
     p = space.marginal
-    s_pos = sims[xs, ys]
     n = space.n
-    C = np.zeros((n, n)) if coef else None
     if M == 1:
-        # E_z log(e^{s+} + e^{s_z}) per pair, vectorized over z
-        s_neg = sims[xs, :]
-        lse = np.logaddexp(s_pos[:, None], s_neg)  # (pairs, n)
-        expect = lse @ p
-        if coef:
-            C[xs, ys] = w * (np.exp(s_pos[:, None] - lse) @ p - 1.0)
-            neg = w[:, None] * np.exp(s_neg - lse) * p
-            C += _scatter(n, xs[:, None], np.arange(n), neg)
+        neg_idx = (xs[:, None] * n + np.arange(n)).ravel()
+        S = np.empty((len(xs), n))
+        L = np.empty((len(xs), n))
     elif M == 2:
-        expect = np.empty(len(xs))
         starts = np.searchsorted(xs, np.arange(n + 1))  # xs is sorted
-        for x in range(n):
-            sel = slice(starts[x], starts[x + 1])
-            if sel.start == sel.stop:
-                continue
-            row = sims[x, :]
-            lse = np.logaddexp(
-                s_pos[sel, None, None], np.logaddexp(row[:, None], row[None, :])
-            )  # (pairs of x, n, n), symmetric in the two negatives
-            expect[sel] = lse @ p @ p
-            if coef:
-                pos = np.exp(s_pos[sel, None, None] - lse) @ p @ p
-                C[x, ys[sel]] = w[sel] * (pos - 1.0)
-                # both negative slots give the same term by symmetry
-                neg = np.exp(row[None, :, None] - lse) @ p
-                C[x, :] += 2.0 * p * (w[sel] @ neg)
     else:  # pragma: no cover - m_max guards this
         raise ValueError("exact enumeration supports M <= 2")
-    return float(w @ (expect - s_pos)), C
+
+    def engine(sims: np.ndarray, coef=False):
+        s_pos = sims[xs, ys]
+        C = np.zeros((n, n)) if coef else None
+        if M == 1:
+            # E_z log(e^{s+} + e^{s_z}) per pair, vectorized over z.  xs is in
+            # range; with the default mode="raise", take would copy via a
+            # temporary instead of writing into S
+            np.take(sims, xs, axis=0, out=S, mode="clip")
+            np.logaddexp(s_pos[:, None], S, out=L)
+            expect = L @ p
+            if coef:
+                # negatives w * exp(s_neg - lse) * p in S, positives in L
+                np.subtract(S, L, out=S)
+                np.exp(S, out=S)
+                np.multiply(w[:, None], S, out=S)
+                np.multiply(S, p, out=S)
+                np.subtract(s_pos[:, None], L, out=L)
+                np.exp(L, out=L)
+                C[xs, ys] = w * (L @ p - 1.0)
+                C += np.bincount(neg_idx, S.ravel(), n * n).reshape(n, n)
+        else:
+            expect = np.empty(len(xs))
+            for x in range(n):
+                sel = slice(starts[x], starts[x + 1])
+                if sel.start == sel.stop:
+                    continue
+                row = sims[x, :]
+                lse = np.logaddexp(
+                    s_pos[sel, None, None], np.logaddexp(row[:, None], row[None, :])
+                )  # (pairs of x, n, n), symmetric in the two negatives
+                expect[sel] = lse @ p @ p
+                if coef:
+                    pos = np.exp(s_pos[sel, None, None] - lse) @ p @ p
+                    C[x, ys[sel]] = w[sel] * (pos - 1.0)
+                    # both negative slots give the same term by symmetry
+                    neg = np.exp(row[None, :, None] - lse) @ p
+                    C[x, :] += 2.0 * p * (w[sel] @ neg)
+        return float(w @ (expect - s_pos)), C
+
+    return engine
 
 
 def _scatter(n: int, rows, cols, coef) -> np.ndarray:
@@ -363,9 +394,10 @@ def train_free_embeddings(
     if loss == "infonce":
         table = table / np.linalg.norm(table, axis=1, keepdims=True)
         if M <= cfg.m_max and n <= cfg.n_max:
+            engine = _exact_infonce(space, M)
 
             def loss_fn(T):
-                return _exact_infonce(T @ T.T, space, M, coef=True)
+                return engine(T @ T.T, coef=True)
 
         else:
             batch = _sample_batch(space, M, cfg.samples, cfg.seed + seed + 1)

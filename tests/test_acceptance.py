@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from ctlab.bounds import ProbeConfig, measure_sandwich, theorem1_check, theorem4_check
+from ctlab.bounds import measure_sandwich, theorem1_check, theorem4_check
 from ctlab.cli import compute_sweep, main, parse_csv
 from ctlab.config import load_config, make_transforms
 from ctlab.fixtures import (
@@ -30,6 +30,7 @@ from ctlab.graph import (
 from ctlab.objectives import (
     Embedding,
     McConfig,
+    ProbeConfig,
     ce_risk,
     fit_linear_head,
     infonce_empirical,

@@ -6,7 +6,6 @@ import pytest
 from ctlab.bounds import (
     BoundReport,
     EpsAlignment,
-    ProbeConfig,
     alignment_eps,
     corollary_reports,
     lse_approx_error,
@@ -30,6 +29,7 @@ from ctlab.objectives import (
     Embedding,
     LinearHead,
     McConfig,
+    ProbeConfig,
     ce_risk,
     fit_linear_head,
     mean_head,

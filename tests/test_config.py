@@ -118,6 +118,29 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="output.formats"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("train.step_size", "0"),
+            ("train.step_size", "-1"),
+            ("train.step_size", "nan"),
+            ("train.step_size", "inf"),
+            ("probe.step_size", "0"),
+            ("probe.step_size", "-1"),
+            ("probe.step_size", "nan"),
+            ("probe.step_size", "inf"),
+            ("probe.l2", "-5"),
+            ("probe.l2", "nan"),
+            ("probe.l2", "inf"),
+        ],
+    )
+    def test_degenerate_step_sizes_rejected(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+            load_config(write_cfg(tmp_path), overrides=[f"{key}={value}"])
+
+    def test_zero_l2_accepted(self, tmp_path):
+        assert load_config(write_cfg(tmp_path), overrides=["probe.l2=0"]).probe_l2 == 0.0
+
     def test_discard_requires_index(self, tmp_path):
         path = write_cfg(tmp_path, MINIMAL + "\n[svd]\nmode = discard_pair\n")
         with pytest.raises(ConfigError, match="svd.pair_index"):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -74,8 +75,66 @@ def random_space(n, seed, K=2):
 
 def exact_loss_and_grad(f, space, M):
     F = f.table
-    loss, C = _exact_infonce(F @ F.T, space, M, coef=True)
+    loss, C = _exact_infonce(space, M)(F @ F.T, coef=True)
     return loss, _gradient(F, C, f.normalized)
+
+
+def per_call_exact_infonce(sims, space, M, coef=False):
+    """The exact engine as one function that rebuilds everything per call.
+
+    The reference for the built engine's bits: same arithmetic on fresh
+    arrays, with the pair support and scatter indices made on every call.
+    """
+    xs, ys = np.nonzero(space.joint)
+    w = space.joint[xs, ys]
+    p = space.marginal
+    s_pos = sims[xs, ys]
+    n = space.n
+    C = np.zeros((n, n)) if coef else None
+    if M == 1:
+        s_neg = sims[xs, :]
+        lse = np.logaddexp(s_pos[:, None], s_neg)
+        expect = lse @ p
+        if coef:
+            C[xs, ys] = w * (np.exp(s_pos[:, None] - lse) @ p - 1.0)
+            neg = w[:, None] * np.exp(s_neg - lse) * p
+            flat = (xs[:, None] * n + np.arange(n)).ravel()
+            C += np.bincount(flat, neg.ravel(), n * n).reshape(n, n)
+    else:
+        expect = np.empty(len(xs))
+        starts = np.searchsorted(xs, np.arange(n + 1))
+        for x in range(n):
+            sel = slice(starts[x], starts[x + 1])
+            if sel.start == sel.stop:
+                continue
+            row = sims[x, :]
+            lse = np.logaddexp(
+                s_pos[sel, None, None], np.logaddexp(row[:, None], row[None, :])
+            )
+            expect[sel] = lse @ p @ p
+            if coef:
+                pos = np.exp(s_pos[sel, None, None] - lse) @ p @ p
+                C[x, ys[sel]] = w[sel] * (pos - 1.0)
+                neg = np.exp(row[None, :, None] - lse) @ p
+                C[x, :] += 2.0 * p * (w[sel] @ neg)
+    return float(w @ (expect - s_pos)), C
+
+
+def eight_node_space():
+    return random_space(8, seed=7)
+
+
+def zero_marginal_space(node=2):
+    """Eight-node space whose node `node` is an anchor but never a negative."""
+    space = eight_node_space()
+    p = space.marginal.copy()
+    p[node] = 0.0
+    return replace(space, marginal=p / p.sum())
+
+
+def unit_sims(n, seed, k=3):
+    F = random_embedding(n, k, seed=seed).table
+    return F @ F.T
 
 
 def constant_embedding(n, k=3):
@@ -317,6 +376,52 @@ class TestExactEngine:
         assert np.abs(grad - infonce_gradient(f, batch, weights)).max() < 1e-12
 
     @pytest.mark.parametrize("M", [1, 2])
+    @pytest.mark.parametrize("coef", [False, True])
+    @pytest.mark.parametrize(
+        "make_space", [reference_space, eight_node_space, zero_marginal_space]
+    )
+    def test_built_engine_matches_per_call_bits(self, M, coef, make_space):
+        space = make_space()
+        engine = _exact_infonce(space, M)
+        for seed in (1, 2):
+            sims = unit_sims(space.n, seed)
+            loss, C = engine(sims, coef=coef)
+            want_loss, want_C = per_call_exact_infonce(sims, space, M, coef=coef)
+            assert loss == want_loss
+            if coef:
+                assert np.array_equal(C, want_C)
+            else:
+                assert C is None and want_C is None
+
+    @pytest.mark.parametrize("M", [1, 2])
+    def test_engine_reuse_keeps_bits_and_earlier_results(self, M):
+        space = reference_space() if M == 1 else eight_node_space()
+        engine = _exact_infonce(space, M)
+        sims_a, sims_b = unit_sims(space.n, 3), unit_sims(space.n, 4)
+        loss_a, C_a = engine(sims_a, coef=True)
+        C_a_bits = C_a.copy()
+        loss_b, C_b = engine(sims_b, coef=True)
+        C_b_bits = C_b.copy()
+        again, C_again = engine(sims_a, coef=True)
+        engine(sims_b)
+        assert again == loss_a and np.array_equal(C_again, C_a_bits)
+        assert loss_b != loss_a
+        assert np.array_equal(C_a, C_a_bits) and np.array_equal(C_b, C_b_bits)
+
+    def test_built_engine_allocates_under_one_pairs_by_n_array(self):
+        space = reference_space()
+        engine = _exact_infonce(space, 1)
+        sims = unit_sims(space.n, 5)
+        one_array = np.count_nonzero(space.joint) * space.n * 8  # 256,608 bytes
+        tracemalloc.start()
+        try:
+            engine(sims, coef=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < one_array
+
+    @pytest.mark.parametrize("M", [1, 2])
     def test_matches_finite_differences(self, M):
         space = random_space(6, seed=10 + M)
         table = np.random.default_rng(M).normal(size=(space.n, 3))
@@ -527,13 +632,18 @@ class TestTraining:
     def test_exact_path_evaluates_each_table_once(self, monkeypatch):
         # the accepted candidate's evaluation also yields the next gradient
         seen = []
-        engine = objectives._exact_infonce
+        build = objectives._exact_infonce
 
-        def recording(sims, *args, **kwargs):
-            seen.append(sims.tobytes())
-            return engine(sims, *args, **kwargs)
+        def recording_build(*args, **kwargs):
+            engine = build(*args, **kwargs)
 
-        monkeypatch.setattr(objectives, "_exact_infonce", recording)
+            def recording(sims, *args, **kwargs):
+                seen.append(sims.tobytes())
+                return engine(sims, *args, **kwargs)
+
+            return recording
+
+        monkeypatch.setattr(objectives, "_exact_infonce", recording_build)
         train_free_embeddings(reference_space(), 3, "infonce", 5, 1.0, seed=0)
         assert len(seen) >= 6
         assert len(set(seen)) == len(seen)
