@@ -163,7 +163,7 @@ def alignment_eps(f: Embedding, space: AugmentedSpace) -> EpsAlignment:
     so ties go to the first pair in that order.
     """
     F = f.table
-    xs, ys = np.nonzero(space.joint > 0.0)
+    xs, ys, _w = space.support
     dist = np.sqrt(np.sum((F[xs] - F[ys]) ** 2, axis=1))
     plus = space.labels[xs] == space.labels[ys]
     max_plus = float(dist[plus].max()) if np.any(plus) else 0.0
@@ -207,9 +207,9 @@ class SandwichTerms:
     infonce: float
     infonce_std_error: float
     infonce_exact: bool
-    variance: VarianceTerms
+    variance: VarianceTerms | None  # None, like envelope, when not normalized
     eps: EpsAlignment
-    envelope: float
+    envelope: float | None
 
     @property
     def gap(self) -> float:
@@ -222,11 +222,12 @@ def measure_sandwich(
     """Measure the sandwich terms of f on space with M negatives, once.
 
     Works for any embedding; the sandwich checks refuse terms of an
-    embedding that is not normalized.
+    embedding that is not normalized, so V and the envelope go unmeasured.
     """
     f.check()
     nce, nce_se, exact = infonce_population(f, space, M, cfg)
-    lse_mean, lse_std = lse_approx_error(f, space, M, cfg.replicates, cfg.seed)
+    if f.normalized:
+        lse_mean, lse_std = lse_approx_error(f, space, M, cfg.replicates, cfg.seed)
     return SandwichTerms(
         M=M,
         K=space.K,
@@ -235,9 +236,9 @@ def measure_sandwich(
         infonce=nce,
         infonce_std_error=nce_se,
         infonce_exact=exact,
-        variance=variance_terms(f, space),
+        variance=variance_terms(f, space) if f.normalized else None,
         eps=alignment_eps(f, space),
-        envelope=lse_mean + 3.0 * lse_std + 3.0 * nce_se,
+        envelope=lse_mean + 3.0 * lse_std + 3.0 * nce_se if f.normalized else None,
     )
 
 
@@ -255,8 +256,6 @@ def _verdict(slack, envelope) -> str:
 
 
 def _sandwich_report(theorem, t: SandwichTerms, upper, lower, extra, note):
-    if not t.normalized:
-        raise ValueError(f"{theorem}_check: embedding must be normalized")
     slack = float(min(upper - t.gap, t.gap - lower))
     return BoundReport(
         theorem=theorem,
@@ -286,6 +285,8 @@ def theorem1_check(t: SandwichTerms) -> BoundReport:
     [-sqrt(V) - sqrt(V-) - V_neg/2 - envelope - log((M+1)/K),
       sqrt(V) + sqrt(V-) + envelope - log(M/K)].
     """
+    if not t.normalized:
+        raise ValueError("theorem1_check: embedding must be normalized")
     vt = t.variance
     v_minus = 0.0 if vt.V_minus is None else vt.V_minus
     root_terms = np.sqrt(vt.V) + np.sqrt(v_minus)
@@ -313,6 +314,8 @@ def theorem3_check(t: SandwichTerms) -> BoundReport:
     alignment radii of the preprocessed and raw spaces.  With no false
     positives both terms drop and the check reduces to the consistent case.
     """
+    if not t.normalized:
+        raise ValueError("theorem3_check: embedding must be normalized")
     vt, eps = t.variance, t.eps
     eps_term = 0.0 if eps.empty else eps.eps_min + eps.eps_max
     # sqrt(V) survives: alignment only replaces the false-positive root
@@ -407,6 +410,8 @@ def corollary_reports(t: SandwichTerms, head: LinearHead, ce_linear: float) -> l
     all-zero head signals an inadequate probe and the verdict is withheld
     (reported vacuous with a diagnostic note).
     """
+    if not t.normalized:
+        raise ValueError("corollary_reports: embedding must be normalized")
     if not np.any(head.W):
         return [
             BoundReport(

@@ -95,12 +95,6 @@ class ProbeConfig:
     l2: float = 0.0
 
 
-def _pair_support(space: AugmentedSpace):
-    """Indices and weights of the positive-pair joint support."""
-    xs, ys = np.nonzero(space.joint)
-    return xs, ys, space.joint[xs, ys]
-
-
 # ---------------------------------------------------------------------------
 # InfoNCE
 
@@ -135,16 +129,16 @@ def infonce_population(
 def _exact_infonce(space: AugmentedSpace, M: int):
     """Build the exact population InfoNCE engine of one space and M.
 
-    The pair support, the M = 1 scatter indices and the M = 2 anchor offsets
-    are computed once, here.  Returns `engine(sims, coef=False) -> (loss, C)`
-    for the similarity table sims = F F^T; with coef, C = dL/dS is the
-    (n, n) coefficient matrix of the loss in the entries of S = F F^T taken
+    The M = 1 scatter indices and the M = 2 anchor offsets of the space's
+    pair support are computed once, here.  Returns `engine(sims, coef=False)
+    -> (loss, C)` for the similarity table sims = F F^T; with coef, C = dL/dS
+    is the (n, n) coefficient matrix of the loss in the entries of S taken
     as independent variables, else None.  C is fresh on every call, so a C
     returned earlier stays valid.  M = 1 works in two (pairs, n) buffers
     owned by the engine; M = 2 loops over anchors and holds (pairs of one
     anchor, n, n) arrays.
     """
-    xs, ys, w = _pair_support(space)
+    xs, ys, w = space.support
     p = space.marginal
     n = space.n
     if M == 1:
@@ -226,7 +220,7 @@ def _sample_batch(space: AugmentedSpace, M: int, samples: int, seed: int):
     lands on one.
     """
     rng = np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
-    xs, ys, w = _pair_support(space)
+    xs, ys, w = space.support
     cdf = np.cumsum(w / space.joint.sum())
     cdf /= cdf[-1]
     pair_idx = np.searchsorted(cdf, rng.random(samples), side="right")
@@ -320,7 +314,7 @@ def full_support_batch(space: AugmentedSpace, M: int):
     Weight of a row is p(x, x+) * prod p(x_i^-); the weighted empirical
     loss over this batch equals the population loss exactly.
     """
-    xs, ys, w = _pair_support(space)
+    xs, ys, w = space.support
     combos = np.indices((space.n,) * M).reshape(M, space.n**M).T
     combo_w = np.ones(1)
     for _ in range(M):
@@ -496,30 +490,38 @@ def fit_linear_head(
     The tables are same-shape (n, k) embeddings of one space.  Their heads
     descend together on the stacked (T, n, k) array; every step's arithmetic
     stays within one table, so each head has the bits of a descent on its
-    table alone.  The softmax max is taken column by column, which is exact
-    in any order; the row sum stays numpy's, whose bits a column-wise sum
-    matches only up to 7 classes.  A non-finite entry of W never turns
-    finite again under the update, so divergence is checked once, after
-    the last step.  Returns one LinearHead per table, in order.
+    table alone.  Steps run in buffers allocated once per call.  The softmax
+    max is taken column by column, exact in any order; below 8 classes the
+    row sum is column adds too, which have the bits of numpy's row sum
+    there.  A non-finite entry of W never turns finite again, so divergence
+    is checked once, after the last step.  Returns one head per table.
     """
     F = np.stack([f.table for f in fs])
     FT = F.transpose(0, 2, 1)
     K = space.K
     p = space.marginal[:, None]
-    Y = np.zeros((space.n, K))
-    Y[np.arange(space.n), space.labels] = 1.0
-    W = np.zeros((F.shape[0], F.shape[2], K))
+    Y = np.eye(K)[space.labels]
+    W, G, decay = np.zeros((3, F.shape[0], F.shape[2], K))  # heads, grad, l2 * W
+    L = np.empty(F.shape[:2] + (K,))  # logits, softmax, then p * (probs - Y)
+    mx, total = np.empty((2,) + F.shape[:2])
     # a diverging head runs on quietly to the check after the loop
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
-            logits = F @ W
-            mx = logits[..., 0]
-            for c in range(1, K):
-                mx = np.maximum(mx, logits[..., c])
-            ex = np.exp(logits - mx[..., None])
-            probs = ex / ex.sum(axis=-1, keepdims=True)
-            grad = FT @ (p * (probs - Y)) + l2 * W
-            W = W - step_size * grad
+            np.matmul(F, W, out=L)
+            np.maximum(L[..., 0], L[..., 1], out=mx)
+            for c in range(2, K):
+                np.maximum(mx, L[..., c], out=mx)
+            np.exp(np.subtract(L, mx[..., None], out=L), out=L)
+            if K < 8:
+                np.add(L[..., 0], L[..., 1], out=total)
+                for c in range(2, K):
+                    np.add(total, L[..., c], out=total)
+            else:
+                L.sum(axis=-1, out=total)
+            np.divide(L, total[..., None], out=L)
+            np.multiply(p, np.subtract(L, Y, out=L), out=L)
+            np.add(np.matmul(FT, L, out=G), np.multiply(l2, W, out=decay), out=G)
+            np.subtract(W, np.multiply(step_size, G, out=G), out=W)
     if not np.all(np.isfinite(W)):
         raise RuntimeError("fit_linear_head: diverged (NaN/Inf in W)")
     return [LinearHead(W=w) for w in W]

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,8 +95,8 @@ class WorldSpec:
             )
         if not (0.0 <= self.nuisance_confusion <= 1.0):
             raise ValueError("WorldSpec: nuisance_confusion must be in [0, 1]")
-        if self.noise_scale < 0.0:
-            raise ValueError("WorldSpec: noise_scale must be >= 0")
+        if not (0.0 <= self.noise_scale < np.inf):
+            raise ValueError("WorldSpec: noise_scale must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -162,6 +163,12 @@ class AugmentedSpace:
     @property
     def n(self) -> int:
         return len(self.payloads)
+
+    @cached_property
+    def support(self):
+        """(xs, ys, w) of the joint's nonzero cells, row-major; cached, so read-only."""
+        xs, ys = np.nonzero(self.joint)
+        return xs, ys, self.joint[xs, ys]
 
     def positive_mask(self) -> np.ndarray:
         """Boolean (n, n) mask of label-consistent pairs (the X+ set)."""
@@ -612,6 +619,7 @@ def load_world(directory) -> World:
                         noise_scale=float(parts[7]),
                         seed=int(parts[8]),
                     )
+                    spec.validate()
                 elif key.startswith("template "):
                     c = int(key.split()[1])
                     templates[c] = load_matrix_text(os.path.join(directory, value))

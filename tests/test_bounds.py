@@ -1,11 +1,14 @@
-from dataclasses import replace
+import itertools
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from ctlab import bounds
 from ctlab.bounds import (
     BoundReport,
     EpsAlignment,
+    SandwichTerms,
     alignment_eps,
     corollary_reports,
     lse_approx_error,
@@ -32,6 +35,7 @@ from ctlab.objectives import (
     ProbeConfig,
     ce_risk,
     fit_linear_head,
+    infonce_population,
     mean_head,
     random_embedding,
 )
@@ -44,6 +48,13 @@ from ctlab.world import (
     inflate,
     preprocess_world,
 )
+
+
+def _fail(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+
+    return fail
 
 
 def theorem4(staged, k):
@@ -78,6 +89,59 @@ def reference_and_inflated_spaces():
         build_augmented_space(w, reference_transforms(w)),
         build_augmented_space(inflate(noisy, 4, seed=6), reference_transforms(noisy)),
     )
+
+
+def alignment_eps_of_joint(f, space):
+    """alignment_eps over a support recomputed from `joint > 0`."""
+    F = f.table
+    xs, ys = np.nonzero(space.joint > 0.0)
+    dist = np.sqrt(np.sum((F[xs] - F[ys]) ** 2, axis=1))
+    plus = space.labels[xs] == space.labels[ys]
+    max_plus = float(dist[plus].max()) if np.any(plus) else 0.0
+    minus = np.flatnonzero(~plus)
+    if len(minus) == 0:
+        return EpsAlignment(0.0, 0.0, (), (), max_plus, empty=True)
+    imin = minus[np.argmin(dist[minus])]
+    imax = minus[np.argmax(dist[minus])]
+    return EpsAlignment(
+        eps_min=float(dist[imin]),
+        eps_max=float(dist[imax]),
+        argmin_pair=(space.node_ids[xs[imin]], space.node_ids[ys[imin]]),
+        argmax_pair=(space.node_ids[xs[imax]], space.node_ids[ys[imax]]),
+        max_plus=max_plus,
+    )
+
+
+def all_sandwich_terms(f, space, M, cfg=McConfig()):
+    """Every sandwich term measured, whatever the embedding's normalization."""
+    nce, nce_se, exact = infonce_population(f, space, M, cfg)
+    lse_mean, lse_std = lse_approx_error(f, space, M, cfg.replicates, cfg.seed)
+    return dict(
+        ce_mean=ce_risk(f, mean_head(f, space), space),
+        infonce=nce,
+        infonce_std_error=nce_se,
+        infonce_exact=exact,
+        variance=variance_terms(f, space),
+        eps=alignment_eps_of_joint(f, space),
+        envelope=lse_mean + 3.0 * lse_std + 3.0 * nce_se,
+    )
+
+
+def inflated8_space():
+    noisy = generate_world(replace(reference_spec(), noise_scale=0.05))
+    return build_augmented_space(inflate(noisy, 8, seed=6), reference_transforms(noisy))
+
+
+TERMS = {f.name for f in fields(SandwichTerms)} - {"normalized"} | {"gap"}
+
+
+class UnreadTerms(SandwichTerms):
+    """SandwichTerms whose every term but `normalized` fails when read."""
+
+    def __getattribute__(self, name):
+        if name in TERMS:
+            raise AssertionError(f"term {name} read")
+        return super().__getattribute__(name)
 
 
 def cube_variance_terms(f, space):
@@ -314,6 +378,13 @@ class TestAlignmentEps:
                     f = random_embedding(space.n, k, seed=seed)
                     assert alignment_eps(f, space) == cube_alignment_eps(f, space)
 
+    def test_matches_support_recomputed_per_call(self):
+        spaces = reference_and_inflated_spaces() + (inflated8_space(), identity_only_space())
+        for space in spaces:
+            for seed, normalized in itertools.product(range(3), (True, False)):
+                f = random_embedding(space.n, 3, seed=seed, normalized=normalized)
+                assert alignment_eps(f, space) == alignment_eps_of_joint(f, space)
+
     def test_ties_go_to_the_first_pair_in_row_major_order(self):
         # every distance is 0, so argmin and argmax both tie over the whole
         # false-positive support and must pick its first pair
@@ -388,6 +459,55 @@ class TestSandwich:
             theorem1_check(terms)
         with pytest.raises(ValueError):
             theorem3_check(terms)
+
+    @pytest.mark.parametrize("which", ["toy", "reference", "inflated8"])
+    def test_unnormalized_terms_skip_only_what_no_check_reads(self, which, monkeypatch):
+        if which == "toy":
+            staged, k = stage_graph(toy_world(), toy_transforms()), 2
+        else:
+            if which == "reference":
+                raw = world = reference_world()
+            else:
+                raw = generate_world(replace(reference_spec(), noise_scale=0.05))
+                world = inflate(raw, 8, seed=6)
+            staged, k = stage_graph(world, reference_transforms(raw)), 3
+        space, cfg = staged.space, McConfig(samples=3000, seed=4)
+        for table in (
+            random_embedding(space.n, k, seed=5, normalized=False).table,
+            spectral_embedding(staged.graph, staged.spectrum, k),
+        ):
+            f = Embedding(table, normalized=False)
+            want = all_sandwich_terms(f, space, 1, cfg)
+            with monkeypatch.context() as m:
+                for name in ("variance_terms", "lse_approx_error"):
+                    m.setattr(bounds, name, _fail(name))
+                t = measure_sandwich(f, space, 1, cfg)
+            assert t.variance is None and t.envelope is None and not t.normalized
+            for key in ("ce_mean", "infonce", "infonce_std_error", "infonce_exact", "eps"):
+                assert getattr(t, key) == want[key], key
+            assert t.infonce_exact == (space.n <= cfg.n_max)
+
+    def test_normalized_terms_are_all_measured(self):
+        space = reference_and_inflated_spaces()[0]
+        f = random_embedding(space.n, 3, seed=5)
+        t = measure_sandwich(f, space, 1)
+        want = all_sandwich_terms(f, space, 1)
+        for key in want:
+            assert getattr(t, key) == want[key], key
+
+    def test_checks_refuse_unnormalized_terms_before_reading_any(self):
+        terms = {f.name: None for f in fields(SandwichTerms)}
+        t = UnreadTerms(**{**terms, "normalized": False})
+        head = LinearHead(W=np.ones((3, 2)))
+        calls = [
+            ("theorem1_check", lambda: theorem1_check(t)),
+            ("theorem3_check", lambda: theorem3_check(t)),
+            ("corollary_reports", lambda: corollary_reports(t, head, 0.5)),
+            ("corollary_reports", lambda: corollary_reports(t, LinearHead(W=np.zeros((3, 2))), 0.5)),
+        ]
+        for name, call in calls:
+            with pytest.raises(ValueError, match=f"^{name}: embedding must be normalized$"):
+                call()
 
     def test_alignment_variant_holds(self):
         space = toy_space()

@@ -295,6 +295,13 @@ class TestErrors:
     def test_missing_config_exits_2(self):
         assert main(["run", "--config", "/no/such.ini"]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_noise_scale_exits_2(self, tmp_path, capsys, value):
+        argv = ["graph", "--config", REFERENCE, "--out", str(tmp_path / "g")]
+        assert main(argv + ["--set", f"world.noise_scale={value}"]) == 2
+        assert "noise_scale" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
+
     def test_unknown_command_rejected(self, small_cfg):
         with pytest.raises(SystemExit):
             main(["fly", "--config", small_cfg])

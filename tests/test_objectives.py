@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -447,6 +448,18 @@ def cell_sampler(space, M, samples, seed):
     return np.column_stack([ax, px, negs])
 
 
+def support_sampler(space, M, samples, seed):
+    """The inverse-CDF sampler over a support recomputed from the joint."""
+    rng = np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
+    xs, ys = np.nonzero(space.joint)
+    w = space.joint[xs, ys]
+    cdf = np.cumsum(w / space.joint.sum())
+    cdf /= cdf[-1]
+    pair_idx = np.searchsorted(cdf, rng.random(samples), side="right")
+    negs = rng.choice(space.n, size=(samples, M), p=space.marginal)
+    return np.column_stack([xs[pair_idx], ys[pair_idx], negs])
+
+
 def row_major_losses(s_pos, s_neg):
     """Per-row InfoNCE losses on (B, 1 + M) rows, stabilized by the row max."""
     stacked = np.concatenate([s_pos[:, None], s_neg], axis=1)
@@ -461,6 +474,12 @@ class TestSampledKernel:
                 for seed in range(10):
                     got = _sample_batch(space, M, 3000, seed)
                     assert np.array_equal(got, cell_sampler(space, M, 3000, seed))
+
+    def test_sampler_matches_support_recomputed_per_call(self):
+        for space in (reference_space(), inflated_space(8)):
+            for M, seed in itertools.product((1, 2), range(4)):
+                got = _sample_batch(space, M, 3000, seed)
+                assert np.array_equal(got, support_sampler(space, M, 3000, seed))
 
     def test_table_indices_layout(self):
         batch = np.array([[0, 1, 2, 3], [2, 2, 0, 1]])
@@ -823,6 +842,34 @@ class TestStackedProbe:
                 assert np.array_equal(head.W, want), (k, l2, steps)
                 assert head.frob_norm == float(np.linalg.norm(want)), (k, l2, steps)
 
+    def test_inputs_are_not_mutated(self):
+        space = random_space(54, seed=5, K=3)
+        before = [space.marginal.copy(), space.labels.copy(), space.joint.copy()]
+        tables = [np.random.default_rng(t).normal(size=(54, 3)) for t in range(2)]
+        copies = [t.copy() for t in tables]
+        fit_linear_head([Embedding(t, False) for t in tables], space, 50, 2.0, 0.5)
+        for t, c in zip(tables, copies):
+            assert np.array_equal(t, c)
+        for a, b in zip((space.marginal, space.labels, space.joint), before):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("K", [3, 8])
+    def test_heads_survive_a_later_call(self, K):
+        # heads of one call share no buffer a later call writes into
+        space = random_space(54, seed=K, K=K)
+        rng = np.random.default_rng(K)
+        first = fit_linear_head(
+            [Embedding(rng.normal(size=(54, 3)), False) for _ in range(2)], space, 40, 2.0
+        )
+        bits = [h.W.copy() for h in first]
+        second = fit_linear_head(
+            [Embedding(rng.normal(size=(54, 3)), False) for _ in range(2)], space, 40, 2.0
+        )
+        for head, want in zip(first, bits):
+            assert np.array_equal(head.W, want)
+            assert not any(np.shares_memory(head.W, h.W) for h in second)
+        assert not np.array_equal(first[0].W, second[0].W)
+
     @pytest.mark.parametrize("count", [1, 2])
     def test_divergence_raises(self, count):
         # the first step overflows W; the check after the loop must still see it
@@ -834,6 +881,16 @@ class TestStackedProbe:
             fit_linear_head(tables, space, steps=20, step_size=1e300)
         with pytest.raises(RuntimeError, match="diverged"), np.errstate(all="ignore"):
             _fit_alone(tables[0].table, space, 20, 1e300, 0.0)
+
+
+    def test_silenced_overflow_does_not_leak(self):
+        # the descent silences its own overflow; with warnings as errors the
+        # caller still sees only the divergence error
+        tables = [Embedding(TOY_SPECTRAL_F * 1e10, normalized=False)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeError, match="diverged"):
+                fit_linear_head(tables, toy_space(), steps=20, step_size=1e300)
 
 
 class TestAlignmentInequality:

@@ -1,4 +1,7 @@
 import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -53,6 +56,8 @@ class TestWorldSpec:
             dict(nuisance_confusion=1.5),
             dict(noise_scale=-0.1),
             dict(q_star=10, nuisance_rank=5),
+            dict(noise_scale=float("nan")),
+            dict(noise_scale=float("inf")),
         ],
     )
     def test_rejects(self, kw):
@@ -185,6 +190,53 @@ class TestAugmentedSpace:
         e = 1.0 / 8.0
         want_joint = np.array([[e, e, 0], [e, 2 * e, e], [0, e, e]])
         assert np.allclose(space.joint, want_joint, atol=1e-15)
+
+    def test_support_is_the_joints_nonzero_cells_in_row_major_order(self):
+        w = reference_world()
+        for space in (
+            build_augmented_space(toy_world(), toy_transforms()),
+            build_augmented_space(w, reference_transforms(w)),
+            build_augmented_space(inflate(w, 8, seed=6), reference_transforms(w)),
+        ):
+            xs, ys, weights = space.support
+            want_xs, want_ys = np.nonzero(space.joint)
+            assert np.array_equal(xs, want_xs) and np.array_equal(ys, want_ys)
+            assert np.all(np.diff(xs * space.n + ys) > 0)  # strictly row-major
+            assert np.array_equal(weights, space.joint[xs, ys])
+            assert np.all(weights > 0.0)
+            assert space.support is space.support  # computed once per space
+
+    def test_support_under_contention(self):
+        # threads of one sweep share a staged space and may read its support
+        # first at once; each must get the full, row-major support
+        w = reference_world()
+        space = build_augmented_space(inflate(w, 8, seed=6), reference_transforms(w))
+        want_xs, want_ys = np.nonzero(space.joint)
+        start = threading.Barrier(8)
+
+        def read():
+            start.wait(timeout=10)
+            return space.support
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = [fut.result(timeout=30) for fut in [pool.submit(read) for _ in range(8)]]
+        finally:
+            sys.setswitchinterval(interval)
+        for xs, ys, weights in got + [space.support]:
+            assert np.array_equal(xs, want_xs) and np.array_equal(ys, want_ys)
+            assert np.array_equal(weights, space.joint[want_xs, want_ys])
+
+    def test_support_follows_a_replaced_joint(self):
+        space = build_augmented_space(toy_world(), toy_transforms())
+        _ = space.support
+        joint = space.joint.copy()
+        joint[0, 1] = joint[1, 0] = 0.0
+        xs, ys, _w = replace(space, joint=joint).support
+        assert (0, 1) not in set(zip(xs.tolist(), ys.tolist()))
+        assert len(xs) == len(space.support[0]) - 2
 
     def test_mass_split(self):
         space = build_augmented_space(toy_world(), toy_transforms())
@@ -432,6 +484,16 @@ class TestSerialization:
         d, manifest = self._saved(tmp_path)
         self._edit(manifest, "o0000.mat 0 0.16666666666666666", "o0000.mat 0")
         with pytest.raises(ValueError, match=r"manifest.txt: line \d+: expected 'file label weight'"):
+            load_world(d)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_spec_noise_scale_must_be_finite_and_nonnegative(self, tmp_path, value):
+        d, manifest = self._saved(tmp_path)
+        spec_line = manifest.read_text().splitlines()[0]
+        fields = spec_line.split()
+        fields[-2] = value  # spec = K per_class m m' q* rank confusion noise seed
+        self._edit(manifest, spec_line, " ".join(fields))
+        with pytest.raises(ValueError, match=r"manifest.txt: line 1: .*noise_scale"):
             load_world(d)
 
     def test_spec_fields_must_parse(self, tmp_path):
