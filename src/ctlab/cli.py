@@ -30,6 +30,7 @@ from .config import ConfigError, RunConfig, load_config, make_transforms, row_se
 from .graph import connected_components, spectral_embedding, stage_graph
 from .linalg import save_matrix_text
 from .objectives import (
+    DivergenceError,
     Embedding,
     ce_risk,
     classification_error,
@@ -129,6 +130,14 @@ def _stager(cfg: RunConfig, raw_world, transforms):
     return stage
 
 
+def _train(cfg: RunConfig, space, k, seed):
+    """The [train] section's descent on one space, with Monte Carlo draws keyed by `seed`."""
+    return train_free_embeddings(
+        space, k, cfg.train_loss, cfg.train_steps, cfg.train_step_size, seed, cfg.train_M,
+        cfg.mc_config(seed),
+    )
+
+
 def compute_row(cfg: RunConfig, stage, q, k, row_key):
     """One full pipeline evaluation; returns (row dict, list of BoundReports)."""
     seed = row_seed(cfg.seed, row_key)
@@ -138,17 +147,7 @@ def compute_row(cfg: RunConfig, stage, q, k, row_key):
         raise ConfigError(f"train.k: k={k} out of range [1, {staged.graph.n}]")
     lam_k, lam_k1 = staged.levels(k)
 
-    mc = cfg.mc_config(seed)
-    f = train_free_embeddings(
-        space,
-        k,
-        cfg.train_loss,
-        steps=cfg.train_steps,
-        step_size=cfg.train_step_size,
-        seed=seed,
-        M=cfg.train_M,
-        cfg=mc,
-    )
+    f = _train(cfg, space, k, seed)
     # the trained table and, for t4, the closed-form spectral one share one probe
     tables = [f]
     if "t4" in cfg.bounds_which:
@@ -156,7 +155,7 @@ def compute_row(cfg: RunConfig, stage, q, k, row_key):
         tables.append(spectral)
     heads = fit_linear_head(tables, space, cfg.probe_steps, cfg.probe_step_size, cfg.probe_l2)
     head = heads[0]
-    terms = measure_sandwich(f, space, cfg.train_M, mc)
+    terms = measure_sandwich(f, space, cfg.train_M, cfg.mc_config(seed))
     ce_linear = ce_risk(f, head, space)
     reports = []
     if "t1" in cfg.bounds_which and f.normalized:
@@ -240,30 +239,7 @@ def _argmin_summary(rows, key):
 
 
 def _write_manifest(cfg: RunConfig, path, extra_lines=()):
-    lines = [f"ctlab {__version__}", f"seed = {cfg.seed}"]
-    echo = {
-        "world": vars(cfg.world),
-        "svd": {"mode": cfg.svd_mode, "q": cfg.svd_q, "pair_index": cfg.svd_pair_index, "sweep": cfg.svd_sweep},
-        "train": {
-            "loss": cfg.train_loss, "k": cfg.train_k, "k_sweep": cfg.train_k_sweep,
-            "steps": cfg.train_steps, "step_size": cfg.train_step_size, "m": cfg.train_M,
-        },
-        "probe": {"steps": cfg.probe_steps, "step_size": cfg.probe_step_size, "l2": cfg.probe_l2},
-        "bounds": {
-            "which": cfg.bounds_which, "mc_samples": cfg.mc_samples,
-            "mc_replicates": cfg.mc_replicates, "n_max": cfg.mc_n_max, "m_max": cfg.mc_m_max,
-        },
-        "inflation": {"factor": cfg.inflation_factor},
-        "transforms": {
-            "rho": cfg.rho,
-            **{name: f"{kind} {' '.join(map(str, args))} {prob}".replace("  ", " ")
-               for name, kind, args, prob in cfg.transform_descriptors},
-        },
-    }
-    for section in sorted(echo):
-        for key in sorted(echo[section]):
-            lines.append(f"{section}.{key} = {echo[section][key]}")
-    lines.extend(extra_lines)
+    lines = [f"ctlab {__version__}", f"seed = {cfg.seed}", *cfg.echo(), *extra_lines]
     with open(path, "w", newline="\n", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -355,18 +331,7 @@ def cmd_graph(cfg, out_dir, threads, allow_violations):
 def _train_embedding(cfg):
     raw_world = generate_world(cfg.world)
     space = _stager(cfg, raw_world, make_transforms(cfg, raw_world))().space
-    seed = row_seed(cfg.seed, "train")
-    f = train_free_embeddings(
-        space,
-        cfg.train_k,
-        cfg.train_loss,
-        steps=cfg.train_steps,
-        step_size=cfg.train_step_size,
-        seed=seed,
-        M=cfg.train_M,
-        cfg=cfg.mc_config(seed),
-    )
-    return f, space
+    return _train(cfg, space, cfg.train_k, row_seed(cfg.seed, "train")), space
 
 
 def cmd_train(cfg, out_dir, threads, allow_violations):
@@ -456,7 +421,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](
             cfg, out_dir, max(1, args.threads), args.allow_violations
         )
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

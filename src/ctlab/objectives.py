@@ -17,6 +17,7 @@ from .linalg import gaussian_matrix
 from .world import AugmentedSpace
 
 __all__ = [
+    "DivergenceError",
     "Embedding",
     "MeanHead",
     "LinearHead",
@@ -75,6 +76,10 @@ class LinearHead:
     @property
     def frob_norm(self) -> float:
         return float(np.linalg.norm(self.W))
+
+
+class DivergenceError(RuntimeError):
+    """A descent whose loss or parameters stopped being finite."""
 
 
 @dataclass(frozen=True)
@@ -379,7 +384,8 @@ def train_free_embeddings(
     empirical InfoNCE over one seeded sampled batch (the kernel of its Monte
     Carlo path), with re-projection onto the unit sphere after every step.
     Backtracking halves the step size whenever a step would increase the
-    loss, so the loss is non-increasing over accepted steps.
+    loss, so the loss is non-increasing over accepted steps.  A candidate
+    whose loss is not finite raises `DivergenceError`.
     """
     n = space.n
     if k < 1:
@@ -434,7 +440,7 @@ def train_free_embeddings(
             cand = retract(table - eta * g)
             cand_loss, cand_aux = loss_fn(cand)
             if not np.isfinite(cand_loss):
-                raise RuntimeError("train_free_embeddings: loss diverged (NaN/Inf)")
+                raise DivergenceError("train_free_embeddings: loss diverged (NaN/Inf)")
             if cand_loss <= current + 1e-15:
                 table, current, aux = cand, cand_loss, cand_aux
                 accepted = True
@@ -494,7 +500,8 @@ def fit_linear_head(
     max is taken column by column, exact in any order; below 8 classes the
     row sum is column adds too, which have the bits of numpy's row sum
     there.  A non-finite entry of W never turns finite again, so divergence
-    is checked once, after the last step.  Returns one head per table.
+    is checked once, after the last step: a head whose W or Frobenius norm
+    is not finite raises `DivergenceError`.  Returns one head per table.
     """
     F = np.stack([f.table for f in fs])
     FT = F.transpose(0, 2, 1)
@@ -522,8 +529,10 @@ def fit_linear_head(
             np.multiply(p, np.subtract(L, Y, out=L), out=L)
             np.add(np.matmul(FT, L, out=G), np.multiply(l2, W, out=decay), out=G)
             np.subtract(W, np.multiply(step_size, G, out=G), out=W)
-    if not np.all(np.isfinite(W)):
-        raise RuntimeError("fit_linear_head: diverged (NaN/Inf in W)")
+        # the norm t4 reports overflows before W does
+        finite = all(np.isfinite(np.linalg.norm(w)) for w in W)
+    if not finite:
+        raise DivergenceError("fit_linear_head: diverged (NaN/Inf in W or its norm)")
     return [LinearHead(W=w) for w in W]
 
 

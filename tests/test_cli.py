@@ -1,4 +1,5 @@
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -301,6 +302,20 @@ class TestErrors:
         assert main(argv + ["--set", f"world.noise_scale={value}"]) == 2
         assert "noise_scale" in capsys.readouterr().err
         assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("command", ["train", "probe"])
+    def test_divergence_exits_2_with_one_named_error(self, tmp_path, command):
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        argv = [sys.executable, "-m", "ctlab.cli", command, "--config", REFERENCE]
+        argv += ["--out", str(tmp_path / "d"), "--set", f"{command}.step_size=1e300"]
+        proc = subprocess.run(
+            argv, capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2, proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "diverged" in errors[0], proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_unknown_command_rejected(self, small_cfg):
         with pytest.raises(SystemExit):

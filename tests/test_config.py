@@ -1,18 +1,23 @@
 import hashlib
+import math
+import re
 
 import numpy as np
 import pytest
 
+from ctlab import cli, config
 from ctlab.config import (
     ConfigError,
+    RunConfig,
     load_config,
     make_transforms,
     row_seed,
 )
 from ctlab.fixtures import reference_transforms, reference_world
-from ctlab.world import class_pattern, generate_world
+from ctlab.world import WorldSpec, class_pattern, generate_world
 
 REFERENCE = "configs/reference.ini"
+README = "README.md"
 
 MINIMAL = """\
 [run]
@@ -162,6 +167,276 @@ class TestLoadConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config("/does/not/exist.ini")
+
+
+def _table_keys(*kinds):
+    """(section.key, kind, bound) of every table key of the given kinds."""
+    return [
+        (f"{section}.{key}", kind, bound)
+        for section, keys in config._TABLE.items()
+        for key, (_name, kind, _default, bound) in keys.items()
+        if kind in kinds
+    ]
+
+
+def _named(where):
+    return pytest.raises(ConfigError, match=rf"^{re.escape(where)}: ")
+
+
+class TestKeyTable:
+    # every default of today's parser, so moving a default is a failing test
+    WANT_MINIMAL = RunConfig(
+        seed=3,
+        world=WorldSpec(
+            K=2, per_class=1, m=6, m_prime=6, q_star=2, nuisance_rank=1,
+            nuisance_confusion=0.9, noise_scale=0.0, seed=3,
+        ),
+        transform_descriptors=[
+            ("transform_1", "identity", (), 0.4),
+            ("transform_2", "flip", (0, 1), 0.2),
+            ("transform_3", "flip", (1, 0), 0.2),
+            ("transform_4", "bridge", (0, 1), 0.1),
+            ("transform_5", "bridge", (1, 0), 0.1),
+        ],
+        rho=0.35,
+        svd_mode="none",
+        svd_q=None,
+        svd_pair_index=None,
+        svd_sweep=[],
+        train_loss="infonce",
+        train_k=3,
+        train_k_sweep=[],
+        train_steps=30,
+        train_step_size=1.0,
+        train_M=1,
+        probe_steps=300,
+        probe_step_size=2.0,
+        probe_l2=0.0,
+        bounds_which=["t1", "t3", "t4", "corollaries"],
+        mc_samples=20000,
+        mc_replicates=8,
+        mc_n_max=60,
+        mc_m_max=2,
+        inflation_factor=1,
+        output_directory="artifacts",
+        output_formats=["csv", "text"],
+    )
+
+    def test_minimal_gets_todays_defaults(self, tmp_path):
+        assert load_config(write_cfg(tmp_path)) == self.WANT_MINIMAL
+
+    def test_world_seed_defaults_to_run_seed(self, tmp_path):
+        body = MINIMAL.replace("noise_scale = 0.0\nseed = 3\n", "noise_scale = 0.0\n")
+        assert load_config(write_cfg(tmp_path, body), ["run.seed=99"]).world.seed == 99
+
+    def test_zero_svd_indices_count_as_unset(self, tmp_path):
+        cfg = load_config(write_cfg(tmp_path), ["svd.q=0", "svd.pair_index=0"])
+        assert cfg.svd_q is None and cfg.svd_pair_index is None
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x"])
+    @pytest.mark.parametrize("where", [w for w, _, _ in _table_keys("int", "float", "ints")])
+    def test_non_numbers_named(self, tmp_path, where, value):
+        with _named(where):
+            load_config(write_cfg(tmp_path), [f"{where}={value}"])
+
+    # today's bounds, so loosening one is a failing test
+    BOUNDS = {
+        "transforms.rho": ">= 0, <= 1",
+        "train.k": ">= 1",
+        "train.steps": ">= 0",
+        "train.step_size": "> 0",
+        "train.m": ">= 1",
+        "probe.steps": ">= 0",
+        "probe.step_size": "> 0",
+        "probe.l2": ">= 0",
+        "bounds.mc_samples": ">= 1",
+        "bounds.mc_replicates": ">= 2",
+        "bounds.n_max": ">= 1",
+        "bounds.m_max": ">= 1",
+        "inflation.factor": ">= 1",
+    }
+
+    def test_every_bound_is_tested(self):
+        assert {w: b for w, _, b in _table_keys("int", "float") if b is not None} == self.BOUNDS
+
+    @pytest.mark.parametrize("where, bound", sorted(BOUNDS.items()))
+    def test_values_past_each_bound_rejected(self, tmp_path, where, bound):
+        floats = where in [w for w, _, _ in _table_keys("float")]
+        for condition in bound.split(","):
+            op, limit = condition.split()
+            limit = float(limit) if floats else int(limit)
+            if op == "<=":
+                past = math.nextafter(limit, math.inf) if floats else limit + 1
+            elif op == ">":
+                past = limit
+            else:
+                past = math.nextafter(limit, -math.inf) if floats else limit - 1
+            with _named(where):
+                load_config(write_cfg(tmp_path), [f"{where}={past!r}"])
+            if op != ">":  # the limit itself is allowed
+                load_config(write_cfg(tmp_path), [f"{where}={limit!r}"])
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("k", "1"),
+            ("per_class", "0"),
+            ("m", "0"),
+            ("m_prime", "0"),
+            ("q_star", "0"),
+            ("nuisance_rank", "-1"),
+            ("nuisance_confusion", "-5e-324"),
+            ("nuisance_confusion", "1.0000000000000002"),
+            ("noise_scale", "-5e-324"),
+        ],
+    )
+    def test_world_values_past_their_range_rejected(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match="^world: "):
+            load_config(write_cfg(tmp_path), [f"world.{key}={value}"])
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        ["identity 0.2", "flip 0 1 0.2", "bridge 0 1 0.2", "sibling 0 0.2",
+         "block_mask 0 1 0 1 0.2"],
+    )
+    def test_descriptor_token_count_is_exact(self, tmp_path, descriptor):
+        path = write_cfg(tmp_path)
+        kind, *args = descriptor.split()
+        cfg = load_config(path, [f"transforms.transform_2={descriptor}"])
+        want = ("transform_2", kind, tuple(map(int, args[:-1])), 0.2)
+        assert cfg.transform_descriptors[1] == want
+        head, prob = descriptor.rsplit(" ", 1)
+        for bad in (f"{descriptor} 9", f"{head} 0 {prob}", head):
+            with _named("transforms.transform_2"):
+                load_config(path, [f"transforms.transform_2={bad}"])
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        ["identity nan", "identity inf", "identity -inf", "flip 0 x 0.2", "flip 0 1 x"],
+    )
+    def test_descriptor_numbers_named(self, tmp_path, descriptor):
+        with _named("transforms.transform_1"):
+            load_config(write_cfg(tmp_path), [f"transforms.transform_1={descriptor}"])
+
+
+# the manifest echo of today's parser, line for line
+REFERENCE_ECHO = """\
+seed = 6
+bounds.m_max = 2
+bounds.mc_replicates = 8
+bounds.mc_samples = 20000
+bounds.n_max = 60
+bounds.which = ['t1', 't3', 't4', 'corollaries']
+inflation.factor = 1
+probe.l2 = 0.0
+probe.step_size = 2.0
+probe.steps = 300
+svd.mode = none
+svd.pair_index = None
+svd.q = None
+svd.sweep = [1, 2, 3, 4]
+train.k = 3
+train.k_sweep = [1, 2, 3, 4, 5, 6, 7, 8]
+train.loss = infonce
+train.m = 1
+train.step_size = 1.0
+train.steps = 30
+transforms.rho = 0.35
+transforms.transform_1 = identity 0.34
+transforms.transform_10 = sibling 2 0.06
+transforms.transform_2 = flip 0 1 0.12
+transforms.transform_3 = flip 1 2 0.12
+transforms.transform_4 = flip 2 0 0.12
+transforms.transform_5 = bridge 0 1 0.04
+transforms.transform_6 = bridge 1 2 0.04
+transforms.transform_7 = bridge 2 0 0.04
+transforms.transform_8 = sibling 0 0.06
+transforms.transform_9 = sibling 1 0.06
+world.K = 3
+world.m = 12
+world.m_prime = 12
+world.noise_scale = 0.0
+world.nuisance_confusion = 0.9
+world.nuisance_rank = 1
+world.per_class = 2
+world.q_star = 3
+world.seed = 11
+"""
+
+MINIMAL_DISCARD_ECHO = """\
+seed = 3
+bounds.m_max = 2
+bounds.mc_replicates = 8
+bounds.mc_samples = 20000
+bounds.n_max = 60
+bounds.which = ['t1', 't3', 't4', 'corollaries']
+inflation.factor = 1
+probe.l2 = 0.0
+probe.step_size = 2.0
+probe.steps = 300
+svd.mode = discard_pair
+svd.pair_index = 1
+svd.q = None
+svd.sweep = []
+train.k = 3
+train.k_sweep = []
+train.loss = infonce
+train.m = 1
+train.step_size = 1.0
+train.steps = 30
+transforms.rho = 0.35
+transforms.transform_1 = identity 0.4
+transforms.transform_2 = flip 0 1 0.2
+transforms.transform_3 = flip 1 0 0.2
+transforms.transform_4 = bridge 0 1 0.1
+transforms.transform_5 = bridge 1 0 0.1
+world.K = 2
+world.m = 6
+world.m_prime = 6
+world.noise_scale = 0.0
+world.nuisance_confusion = 0.9
+world.nuisance_rank = 1
+world.per_class = 1
+world.q_star = 2
+world.seed = 3
+"""
+
+
+@pytest.mark.parametrize(
+    "body, overrides, want",
+    [
+        (None, [], REFERENCE_ECHO),
+        (MINIMAL, ["svd.mode=discard_pair", "svd.pair_index=1"], MINIMAL_DISCARD_ECHO),
+    ],
+)
+def test_manifest_echo_unchanged(tmp_path, body, overrides, want):
+    path = REFERENCE if body is None else write_cfg(tmp_path, body)
+    manifest = tmp_path / "manifest.txt"
+    cli._write_manifest(load_config(path, overrides), manifest, ["argmin_q = none"])
+    head, rest = manifest.read_text().split("\n", 1)
+    assert head.startswith("ctlab ")
+    assert rest == want + "argmin_q = none\n"
+
+
+def test_readme_key_reference_matches_table():
+    kinds = {"int": "int", "float": "float", "ints": "int list", "choice": "choice",
+             "choices": "choice list", "str": "string"}
+    with open(README, encoding="utf-8") as fh:
+        rows = [line.strip().strip("|").split("|") for line in fh if line.startswith("| `")]
+    cells = {row[0].strip().strip("`"): [c.strip() for c in row[1:]] for row in rows}
+    table = {f"{s}.{k}": entry for s, keys in config._TABLE.items() for k, entry in keys.items()}
+    assert set(cells) == set(table)
+    for where, (_name, kind, default, bound) in table.items():
+        if default is config.REQUIRED:
+            default = "required"
+        elif default is None:
+            default = "run.seed" if where == "world.seed" else "unset"
+        elif isinstance(default, tuple):
+            default = ", ".join(default) or "empty"
+        want = [kinds[kind], str(default)]
+        if bound is not None:
+            want.append(", ".join(bound) if isinstance(bound, tuple) else bound)
+        assert cells[where][: len(want)] == want, where
 
 
 class TestTruncationHelper:
