@@ -93,7 +93,7 @@ def variance_terms(f: Embedding, space: AugmentedSpace) -> VarianceTerms:
     """
     head = mean_head(f, space)
     F = f.table
-    mu_of = head.mu.T[space.labels]  # (n, k) class mean per node
+    mu_of = head.W.T[space.labels]  # (n, k) class mean per node
     dev = np.sum((F - mu_of) ** 2, axis=1)  # ||f(x) - mu_{y_x}||^2 per node
     mask_plus = space.positive_mask()
     w_plus = np.where(mask_plus, space.joint, 0.0)
@@ -106,7 +106,7 @@ def variance_terms(f: Embedding, space: AugmentedSpace) -> VarianceTerms:
     if mass_minus > 0.0:
         # deviation of the positive view from the anchor's class mean:
         # dev_class[c, j] = ||f(j) - mu_c||^2, row picked by the anchor label
-        dev_class = np.stack([np.sum((F - mu) ** 2, axis=1) for mu in head.mu.T])
+        dev_class = np.stack([np.sum((F - mu) ** 2, axis=1) for mu in head.W.T])
         V_minus = float(np.sum(w_minus * dev_class[space.labels])) / mass_minus
     else:
         V_minus = None

@@ -41,6 +41,9 @@ from .objectives import (
 )
 from .world import generate_world, inflate, preprocess_world, save_world
 
+# overflow, invalid operations and division by zero raise; underflow is left alone
+_FP_RAISE = {"over": "raise", "invalid": "raise", "divide": "raise"}
+
 SWEEP_COLUMNS = [
     "q",
     "k",
@@ -85,13 +88,6 @@ def emit_text(rows, path) -> None:
                 fh.write("\n")
             for col in SWEEP_COLUMNS:
                 fh.write(f"{col} = {_fmt_cell(row.get(col))}\n")
-
-
-def parse_csv(path):
-    with open(path, newline="", encoding="ascii") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        return header, [dict(zip(header, row)) for row in reader]
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +135,18 @@ def _train(cfg: RunConfig, space, k, seed):
 
 
 def compute_row(cfg: RunConfig, stage, q, k, row_key):
-    """One full pipeline evaluation; returns (row dict, list of BoundReports)."""
+    """One full pipeline evaluation; returns (row dict, list of BoundReports).
+
+    Floating-point errors raise, whatever thread runs the row, and name it.
+    """
+    try:
+        with np.errstate(**_FP_RAISE):
+            return _row(cfg, stage, q, k, row_key)
+    except (FloatingPointError, DivergenceError) as exc:
+        raise type(exc)(f"row {row_key}: {exc}") from None
+
+
+def _row(cfg: RunConfig, stage, q, k, row_key):
     seed = row_seed(cfg.seed, row_key)
     staged = stage(q)
     space = staged.space
@@ -418,11 +425,15 @@ def main(argv=None) -> int:
             overrides.append(f"run.seed={args.seed}")
         cfg = load_config(args.config, overrides)
         out_dir = args.out if args.out is not None else cfg.output_directory
-        return _COMMANDS[args.command](
-            cfg, out_dir, max(1, args.threads), args.allow_violations
-        )
-    except (ConfigError, ValueError, DivergenceError) as exc:
+        with np.errstate(**_FP_RAISE):
+            return _COMMANDS[args.command](
+                cfg, out_dir, max(1, args.threads), args.allow_violations
+            )
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (FloatingPointError, DivergenceError) as exc:
+        print(f"error: ctlab {args.command}: {exc}", file=sys.stderr)
         return 2
 
 

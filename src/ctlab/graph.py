@@ -111,16 +111,16 @@ def spectral_embedding(G: AugmentationGraph, spec: Spectrum, k: int) -> np.ndarr
     return table
 
 
-def connected_components(A: np.ndarray, tol: float = 0.0) -> int:
+def connected_components(A: np.ndarray) -> int:
     """Number of connected components of the support graph of A.
 
     Every node starts with its own index as label and repeatedly takes the
     smallest label among itself and its neighbours in the symmetric support
-    (A > tol) | (A^T > tol); at the fixed point each component carries its
+    (A > 0) | (A^T > 0); at the fixed point each component carries its
     smallest node index.
     """
     n = A.shape[0]
-    support = (A > tol) | (A.T > tol)
+    support = (A > 0) | (A.T > 0)
     labels = np.arange(n)
     while True:
         spread = np.where(support, labels, labels[:, None]).min(axis=1, initial=n)

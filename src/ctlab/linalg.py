@@ -78,23 +78,20 @@ def sym_eig(S) -> SymEigen:
     return SymEigen(values=values, vectors=_fix_signs(vectors))
 
 
-def orthonormalize(M, tol: float = 1e-10, return_info: bool = False):
+def orthonormalize(M, tol: float = 1e-10) -> np.ndarray:
     """Orthonormalize the columns of M (rows >= cols).
 
     Full-rank input: returns Q with the same column span, QtQ = I, and the
     sign of each column chosen so the corresponding diagonal of R is
     positive.  Rank-deficient input: deficient columns are replaced by
     directions from the orthogonal complement (taken from the identity
-    basis, deterministic) and the result is flagged.
-
-    With return_info=True returns (Q, deficient: bool).
+    basis, deterministic).
     """
     M = as_matrix(M, "orthonormalize input")
     rows, cols = M.shape
     if rows < cols:
         raise LinalgError(f"orthonormalize: rows < cols ({rows} < {cols})")
     Q = np.zeros((rows, cols))
-    deficient = False
     col_norm = max(1.0, float(np.max(np.abs(M))))
     filled = 0
     for j in range(cols):
@@ -107,8 +104,6 @@ def orthonormalize(M, tol: float = 1e-10, return_info: bool = False):
         if nv > tol * col_norm:
             Q[:, filled] = v / nv
             filled += 1
-        else:
-            deficient = True
     while filled < cols:
         # complete from the orthogonal complement: take the identity column
         # with the largest residual against the current basis (deterministic)
@@ -122,8 +117,6 @@ def orthonormalize(M, tol: float = 1e-10, return_info: bool = False):
             v -= Q[:, :filled] @ (Q[:, :filled].T @ v)
         Q[:, filled] = v / np.linalg.norm(v)
         filled += 1
-    if return_info:
-        return Q, deficient
     return Q
 
 

@@ -19,20 +19,16 @@ from .world import AugmentedSpace
 __all__ = [
     "DivergenceError",
     "Embedding",
-    "MeanHead",
     "LinearHead",
     "McConfig",
     "ProbeConfig",
     "infonce_population",
-    "infonce_empirical",
-    "infonce_gradient",
     "spectral_loss",
     "train_free_embeddings",
     "mean_head",
     "ce_risk",
     "fit_linear_head",
     "classification_error",
-    "random_embedding",
 ]
 
 
@@ -40,10 +36,6 @@ __all__ = [
 class Embedding:
     table: np.ndarray  # (n, k)
     normalized: bool
-
-    @property
-    def n(self) -> int:
-        return self.table.shape[0]
 
     @property
     def k(self) -> int:
@@ -54,19 +46,6 @@ class Embedding:
             norms = np.linalg.norm(self.table, axis=1)
             if np.max(np.abs(norms - 1.0)) > 1e-10:
                 raise ValueError("embedding flagged normalized but rows are not unit")
-
-
-def random_embedding(n: int, k: int, seed: int, normalized: bool = True) -> Embedding:
-    table = gaussian_matrix(n, k, seed)
-    if normalized:
-        table = table / np.linalg.norm(table, axis=1, keepdims=True)
-    return Embedding(table=table, normalized=normalized)
-
-
-@dataclass(frozen=True)
-class MeanHead:
-    mu: np.ndarray          # (k, K) class means as columns
-    class_mass: np.ndarray  # (K,)
 
 
 @dataclass(frozen=True)
@@ -110,25 +89,34 @@ def infonce_population(
     """Population InfoNCE with M negatives drawn from the augmented marginal.
 
     Returns (estimate, std_error, exact).  Exact enumeration over the joint
-    support and all negative combinations when M <= cfg.m_max and
-    n <= cfg.n_max, else a seeded Monte Carlo estimate with its standard
-    error.
+    support and all negative combinations within cfg's thresholds, else a
+    seeded Monte Carlo estimate with its standard error.
     """
     if M < 1:
         raise ValueError("infonce_population: M must be >= 1")
     if not np.any(space.joint):
         raise ValueError("infonce_population: empty positive-pair support")
-    F = f.table
-    sims = F @ F.T  # (n, n)
-    if M <= cfg.m_max and space.n <= cfg.n_max:
-        value, _ = _exact_infonce(space, M)(sims)
-        return value, 0.0, True
-
-    batch = _sample_batch(space, M, cfg.samples, cfg.seed)
-    losses, _ = _sampled_infonce(sims, _table_indices(batch, space.n))
-    estimate = float(np.mean(losses))
+    evaluate, exact = _infonce(space, M, cfg, cfg.seed)
+    losses, _ = evaluate(f.table @ f.table.T)
+    if exact:
+        return losses, 0.0, True
     std_error = float(np.std(losses, ddof=1) / np.sqrt(cfg.samples))
-    return estimate, std_error, False
+    return float(np.mean(losses)), std_error, False
+
+
+def _infonce(space: AugmentedSpace, M: int, cfg: McConfig, seed: int):
+    """(evaluate, exact): the population InfoNCE of space with M negatives.
+
+    The one choice of engine: the exact engine when M is within cfg.m_max
+    and the node count within cfg.n_max, else the Monte Carlo kernel on one
+    batch of cfg.samples rows drawn with `seed`.  evaluate(sims, coef=False) -> (losses, C) takes
+    sims = F F^T; losses is the exact loss or the batch's per-row losses,
+    and with coef C is the coefficient matrix of the loss (or of their mean).
+    """
+    if M <= cfg.m_max and space.n <= cfg.n_max:
+        return _exact_infonce(space, M), True
+    flat = _table_indices(_sample_batch(space, M, cfg.samples, seed), space.n)
+    return (lambda sims, coef=False: _sampled_infonce(sims, flat, coef)), False
 
 
 def _exact_infonce(space: AugmentedSpace, M: int):
@@ -197,13 +185,6 @@ def _exact_infonce(space: AugmentedSpace, M: int):
     return engine
 
 
-def _scatter(n: int, rows, cols, coef) -> np.ndarray:
-    """(n, n) matrix summing coef at (rows, cols); the three broadcast together."""
-    rows, cols, coef = np.broadcast_arrays(rows, cols, coef)
-    flat = np.bincount((rows * n + cols).ravel(), coef.ravel(), n * n)
-    return flat.reshape(n, n)
-
-
 def _gradient(F: np.ndarray, C: np.ndarray, normalized: bool) -> np.ndarray:
     """Gradient (C + C^T) F of a loss with dL/d(F F^T) = C.
 
@@ -264,73 +245,6 @@ def _sampled_infonce(sims: np.ndarray, flat: np.ndarray, coef=False):
     return losses, C
 
 
-def infonce_empirical(f: Embedding, batch: np.ndarray, weights=None) -> float:
-    """Empirical InfoNCE over a (B, 2 + M) int batch of node indices.
-
-    Columns are anchor, positive, negative_1..negative_M.  Optional weights
-    turn the plain mean into a weighted mean, which makes a full-support
-    weighted batch reproduce the population loss exactly.
-    """
-    if len(batch) == 0:
-        raise ValueError("infonce_empirical: empty batch")
-    a, pidx, negs = batch[:, 0], batch[:, 1], batch[:, 2:]
-    F = f.table
-    s_pos = np.sum(F[a] * F[pidx], axis=1)
-    s_neg = np.einsum("bk,bmk->bm", F[a], F[negs])
-    stacked = np.concatenate([s_pos[:, None], s_neg], axis=1)
-    mx = stacked.max(axis=1)
-    losses = mx + np.log(np.sum(np.exp(stacked - mx[:, None]), axis=1)) - s_pos
-    if weights is None:
-        return float(np.mean(losses))
-    weights = np.asarray(weights, dtype=float)
-    return float(weights @ losses / weights.sum())
-
-
-def infonce_gradient(f: Embedding, batch: np.ndarray, weights=None) -> np.ndarray:
-    """Analytic gradient of the empirical InfoNCE w.r.t. every embedding row.
-
-    For a normalized embedding the Euclidean gradient is projected onto the
-    tangent space of each row (Riemannian gradient on the sphere).
-    """
-    if len(batch) == 0:
-        raise ValueError("infonce_gradient: empty batch")
-    a, others = batch[:, 0], batch[:, 1:]  # others: positive, then negatives
-    F = f.table
-    sims = np.einsum("bk,bmk->bm", F[a], F[others])  # (B, 1 + M)
-    ex = np.exp(sims - sims.max(axis=1, keepdims=True))
-    probs = ex / ex.sum(axis=1, keepdims=True)
-    if weights is None:
-        w = np.full(len(batch), 1.0 / len(batch))
-    else:
-        w = np.asarray(weights, dtype=float)
-        w = w / w.sum()
-    probs[:, 0] -= 1.0
-    C = _scatter(F.shape[0], a[:, None], others, w[:, None] * probs)
-    return _gradient(F, C, f.normalized)
-
-
-def full_support_batch(space: AugmentedSpace, M: int):
-    """Weighted batch enumerating the joint support with all negative combos.
-
-    Test oracle of the exact InfoNCE engine; no pipeline path builds it.
-
-    Rows (format of `infonce_empirical`) run over support pairs, then over
-    negative combos in lexicographic order, skipping combos of zero weight.
-    Weight of a row is p(x, x+) * prod p(x_i^-); the weighted empirical
-    loss over this batch equals the population loss exactly.
-    """
-    xs, ys, w = space.support
-    combos = np.indices((space.n,) * M).reshape(M, space.n**M).T
-    combo_w = np.ones(1)
-    for _ in range(M):
-        combo_w = np.outer(combo_w, space.marginal).ravel()
-    keep = combo_w != 0.0
-    combos, combo_w = combos[keep], combo_w[keep]
-    pairs = np.repeat(np.column_stack([xs, ys]), len(combos), axis=0)
-    batch = np.column_stack([pairs, np.tile(combos, (len(xs), 1))])
-    return batch, np.outer(w, combo_w).ravel()
-
-
 # ---------------------------------------------------------------------------
 # spectral contrastive loss
 
@@ -379,13 +293,13 @@ def train_free_embeddings(
     """Gradient descent on a free per-node embedding table.
 
     loss "spectral" descends the exact spectral loss unconstrained; loss
-    "infonce" descends the exact population InfoNCE (the computation of
-    `infonce_population`'s exact path) or, past its thresholds, the
-    empirical InfoNCE over one seeded sampled batch (the kernel of its Monte
-    Carlo path), with re-projection onto the unit sphere after every step.
-    Backtracking halves the step size whenever a step would increase the
-    loss, so the loss is non-increasing over accepted steps.  A candidate
-    whose loss is not finite raises `DivergenceError`.
+    "infonce" descends the population InfoNCE of `infonce_population`'s
+    engine (exact, or past its thresholds the mean over one batch drawn with
+    cfg.seed + seed + 1), with re-projection onto the unit sphere after
+    every step.  Backtracking halves the step size whenever a step would
+    increase the loss, so the loss is non-increasing over accepted steps.
+    A candidate whose loss is not finite, or whose arithmetic raises
+    FloatingPointError, raises `DivergenceError`.
     """
     n = space.n
     if k < 1:
@@ -393,19 +307,11 @@ def train_free_embeddings(
     table = 0.5 * gaussian_matrix(n, k, seed)
     if loss == "infonce":
         table = table / np.linalg.norm(table, axis=1, keepdims=True)
-        if M <= cfg.m_max and n <= cfg.n_max:
-            engine = _exact_infonce(space, M)
+        evaluate, _ = _infonce(space, M, cfg, cfg.seed + seed + 1)
 
-            def loss_fn(T):
-                return engine(T @ T.T, coef=True)
-
-        else:
-            batch = _sample_batch(space, M, cfg.samples, cfg.seed + seed + 1)
-            flat = _table_indices(batch, n)
-
-            def loss_fn(T):
-                losses, C = _sampled_infonce(T @ T.T, flat, coef=True)
-                return float(np.mean(losses)), C
+        def loss_fn(T):
+            losses, C = evaluate(T @ T.T, coef=True)
+            return float(np.mean(losses)), C
 
         def grad_fn(T, C):
             return _gradient(T, C, True)
@@ -437,8 +343,11 @@ def train_free_embeddings(
         g = grad_fn(table, aux)
         accepted = False
         for _try in range(40):
-            cand = retract(table - eta * g)
-            cand_loss, cand_aux = loss_fn(cand)
+            try:  # under np.errstate(raise) an overflow raises before the loss is read
+                cand = retract(table - eta * g)
+                cand_loss, cand_aux = loss_fn(cand)
+            except FloatingPointError as exc:
+                raise DivergenceError(f"train_free_embeddings: loss diverged ({exc})") from None
             if not np.isfinite(cand_loss):
                 raise DivergenceError("train_free_embeddings: loss diverged (NaN/Inf)")
             if cand_loss <= current + 1e-15:
@@ -456,28 +365,21 @@ def train_free_embeddings(
 # heads and downstream risks
 
 
-def mean_head(f: Embedding, space: AugmentedSpace) -> MeanHead:
-    """Probability-weighted class means under the augmented marginal."""
-    K = space.K
-    mu = np.zeros((f.k, K))
-    mass = np.zeros(K)
-    for c in range(K):
+def mean_head(f: Embedding, space: AugmentedSpace) -> LinearHead:
+    """The head whose columns are the class means under the augmented marginal."""
+    W = np.zeros((f.k, space.K))
+    for c in range(space.K):
         sel = space.labels == c
-        mass[c] = float(space.marginal[sel].sum())
-        if mass[c] <= 0.0:
+        mass = float(space.marginal[sel].sum())
+        if mass <= 0.0:
             raise ValueError(f"mean_head: class {c} has zero marginal mass")
-        mu[:, c] = space.marginal[sel] @ f.table[sel] / mass[c]
-    return MeanHead(mu=mu, class_mass=mass)
+        W[:, c] = space.marginal[sel] @ f.table[sel] / mass
+    return LinearHead(W=W)
 
 
-def _logits(f: Embedding, head) -> np.ndarray:
-    cols = head.mu if isinstance(head, MeanHead) else head.W
-    return f.table @ cols
-
-
-def ce_risk(f: Embedding, head, space: AugmentedSpace) -> float:
+def ce_risk(f: Embedding, head: LinearHead, space: AugmentedSpace) -> float:
     """Cross-entropy risk under the augmented marginal, exact enumeration."""
-    logits = _logits(f, head)
+    logits = f.table @ head.W
     mx = logits.max(axis=1, keepdims=True)
     log_z = mx[:, 0] + np.log(np.sum(np.exp(logits - mx), axis=1))
     log_p = logits[np.arange(space.n), space.labels] - log_z
@@ -536,8 +438,7 @@ def fit_linear_head(
     return [LinearHead(W=w) for w in W]
 
 
-def classification_error(f: Embedding, head, space: AugmentedSpace) -> float:
+def classification_error(f: Embedding, head: LinearHead, space: AugmentedSpace) -> float:
     """Marginal-weighted top-1 error; argmax ties break to the smallest index."""
-    logits = _logits(f, head)
-    preds = np.argmax(logits, axis=1)
+    preds = np.argmax(f.table @ head.W, axis=1)
     return float(space.marginal @ (preds != space.labels))

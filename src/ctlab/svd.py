@@ -1,4 +1,4 @@
-"""Full, truncated and pair-discard SVD with Eckart-Young checks.
+"""Full, truncated and pair-discard SVD.
 
 The full decomposition goes through the Gram matrix of the smaller side,
 which is accurate enough at desk scale (dimensions <= 256); the squared
@@ -11,16 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, gaussian_matrix, orthonormalize, sym_eig
+from .linalg import as_matrix, orthonormalize, sym_eig
 
 __all__ = [
     "SvdFactors",
     "TruncationSpec",
     "svd_full",
     "svd_truncate",
-    "truncate_matrix",
-    "EckartYoungReport",
-    "eckart_young_check",
 ]
 
 
@@ -35,9 +32,6 @@ class SvdFactors:
     @property
     def rank_bound(self) -> int:
         return len(self.S)
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.U * self.S) @ self.V.T
 
 
 @dataclass(frozen=True)
@@ -123,58 +117,3 @@ def svd_truncate(F: SvdFactors, spec: TruncationSpec) -> np.ndarray:
     else:  # discard_single
         keep[spec.pair_index - 1] = False
     return (F.U[:, keep] * F.S[keep]) @ F.V[:, keep].T
-
-
-def truncate_matrix(X, spec: TruncationSpec) -> np.ndarray:
-    """Convenience wrapper: svd_truncate(svd_full(X), spec)."""
-    return svd_truncate(svd_full(X), spec)
-
-
-@dataclass(frozen=True)
-class EckartYoungReport:
-    truncated_error: float
-    min_competitor_error: float
-    trials: int
-    holds: bool
-
-
-def eckart_young_check(X, q: int, trials: int, seed: int) -> EckartYoungReport:
-    """Check the rank-q optimum against random rank-q competitors.
-
-    Competitors alternate between products of random Gaussian factors and
-    random rank-q projections of X itself.  The truncated SVD must beat
-    every one of them in Frobenius error (slack 1e-10).
-    """
-    X = as_matrix(X, "eckart_young_check input")
-    m, mp = X.shape
-    if trials < 1:
-        raise ValueError("eckart_young_check: trials must be >= 1")
-    if q > min(m, mp):
-        raise ValueError(f"eckart_young_check: q={q} exceeds min(m, m')")
-    F = svd_full(X)
-    Xq = svd_truncate(F, TruncationSpec(mode="keep_top_q", q=q))
-    err_q = float(np.linalg.norm(X - Xq))
-    best = np.inf
-    holds = True
-    for t in range(trials):
-        if t % 2 == 0:
-            left = gaussian_matrix(m, q, seed + 2 * t)
-            right = gaussian_matrix(q, mp, seed + 2 * t + 1)
-            # scale the free competitor to the least-squares optimum along itself
-            B = left @ right
-            denom = float(np.sum(B * B))
-            if denom > 0:
-                B = B * (float(np.sum(X * B)) / denom)
-        else:
-            P = orthonormalize(gaussian_matrix(m, q, seed + 2 * t))
-            B = P @ (P.T @ X)  # random rank-q projection of X
-        err_b = float(np.linalg.norm(X - B))
-        best = min(best, err_b)
-        if err_q > err_b + 1e-10:
-            holds = False
-    return EckartYoungReport(
-        truncated_error=err_q,
-        min_competitor_error=best,
-        trials=trials,
-        holds=holds,
-    )

@@ -110,9 +110,6 @@ class World:
     def n_originals(self) -> int:
         return len(self.originals)
 
-    def payloads(self):
-        return [o[1] for o in self.originals]
-
     def labels(self) -> np.ndarray:
         return np.array([o[2] for o in self.originals], dtype=int)
 
@@ -173,12 +170,6 @@ class AugmentedSpace:
     def positive_mask(self) -> np.ndarray:
         """Boolean (n, n) mask of label-consistent pairs (the X+ set)."""
         return self.labels[:, None] == self.labels[None, :]
-
-    def x_plus_mass(self) -> float:
-        return float(np.sum(self.joint[self.positive_mask()]))
-
-    def x_minus_mass(self) -> float:
-        return float(np.sum(self.joint[~self.positive_mask()]))
 
 
 @dataclass(frozen=True)
@@ -272,7 +263,7 @@ def generate_world(spec: WorldSpec) -> World:
     for c in range(spec.K):
         for j in range(spec.per_class):
             payload = _planted_original(spec, U, V, templates, c, j, idx)
-            label = ground_truth_label_from_templates(payload, templates)
+            label = ground_truth_label(payload, templates)
             originals.append((f"o{idx:04d}", payload, label))
             idx += 1
     weights = np.full(len(originals), 1.0 / len(originals))
@@ -350,25 +341,21 @@ def build_transform(
     )
 
 
-def ground_truth_label_from_templates(payload: np.ndarray, templates) -> int:
+def ground_truth_label(payload, templates) -> int:
+    """Nearest class template under Frobenius distance, ties to smallest index."""
+    payload = as_matrix(payload, "ground_truth_label payload")
+    if payload.shape != templates[0].shape:
+        raise ValueError(
+            f"payload shape {payload.shape} does not match templates "
+            f"{templates[0].shape}"
+        )
     dists = [float(np.linalg.norm(payload - T)) for T in templates]
     return int(np.argmin(dists))  # argmin breaks ties toward the smallest index
 
 
-def ground_truth_label(payload, world: World) -> int:
-    """Nearest class template under Frobenius distance, ties to smallest index."""
-    payload = as_matrix(payload, "ground_truth_label payload")
-    if payload.shape != world.templates[0].shape:
-        raise ValueError(
-            f"payload shape {payload.shape} does not match templates "
-            f"{world.templates[0].shape}"
-        )
-    return ground_truth_label_from_templates(payload, world.templates)
-
-
 def _check_self_consistency(world: World) -> None:
     for oid, payload, label in world.originals:
-        got = ground_truth_label(payload, world)
+        got = ground_truth_label(payload, world.templates)
         if got != label:
             raise ValueError(
                 f"original {oid}: latent label {label} != ground truth {got}"
@@ -463,7 +450,7 @@ def build_augmented_space(world: World, transforms) -> AugmentedSpace:
     marginal = world.weights @ cond
     joint = cond.T @ (cond * world.weights[:, None])
     labels = np.array(
-        [ground_truth_label(p, world) for p in payloads], dtype=int
+        [ground_truth_label(p, world.templates) for p in payloads], dtype=int
     )
     space = AugmentedSpace(
         payloads=tuple(payloads),
@@ -517,7 +504,7 @@ def preprocess_world(world: World, spec: TruncationSpec) -> World:
         F = svd_full(payload)
         spec.validate(F.rank_bound)
         reduced = svd_truncate(F, spec)
-        label = ground_truth_label_from_templates(reduced, world.templates)
+        label = ground_truth_label(reduced, world.templates)
         new_originals.append((oid, reduced, label))
     return World(
         originals=tuple(new_originals),
@@ -552,7 +539,7 @@ def inflate(world: World, factor: int, seed: int = 0) -> World:
                 payload = _planted_original(
                     spec, U, V, templates, c, j, noise_key
                 )
-                label = ground_truth_label_from_templates(payload, templates)
+                label = ground_truth_label(payload, templates)
                 new_originals.append((f"o{idx:04d}", payload, label))
                 idx += 1
     weights = np.full(len(new_originals), 1.0 / len(new_originals))

@@ -12,14 +12,8 @@ import numpy as np
 import pytest
 
 from ctlab.bounds import measure_sandwich, theorem1_check, theorem4_check
-from ctlab.cli import compute_sweep, main, parse_csv
+from ctlab.cli import compute_sweep, main
 from ctlab.config import load_config, make_transforms
-from ctlab.fixtures import (
-    reference_transforms,
-    reference_world,
-    toy_transforms,
-    toy_world,
-)
 from ctlab.graph import (
     build_graph,
     connected_components,
@@ -33,14 +27,11 @@ from ctlab.objectives import (
     ProbeConfig,
     ce_risk,
     fit_linear_head,
-    infonce_empirical,
-    infonce_gradient,
     mean_head,
-    random_embedding,
     spectral_loss,
     train_free_embeddings,
 )
-from ctlab.svd import TruncationSpec, eckart_young_check, svd_full, svd_truncate
+from ctlab.svd import TruncationSpec, svd_full, svd_truncate
 from ctlab.world import (
     Transform,
     WorldSpec,
@@ -50,6 +41,16 @@ from ctlab.world import (
     inflate,
     labeling_error,
     preprocess_world,
+)
+from oracles import (
+    eckart_young_check,
+    infonce_empirical,
+    infonce_gradient,
+    random_embedding,
+    reference_transforms,
+    reference_world,
+    toy_transforms,
+    toy_world,
 )
 
 REFERENCE_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "reference.ini")

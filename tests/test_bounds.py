@@ -20,13 +20,6 @@ from ctlab.bounds import (
     variance_terms,
 )
 from ctlab.cli import main
-from ctlab.fixtures import (
-    reference_spec,
-    reference_transforms,
-    reference_world,
-    toy_transforms,
-    toy_world,
-)
 from ctlab.graph import spectral_embedding, stage_graph
 from ctlab.objectives import (
     Embedding,
@@ -37,7 +30,6 @@ from ctlab.objectives import (
     fit_linear_head,
     infonce_population,
     mean_head,
-    random_embedding,
 )
 from ctlab.svd import TruncationSpec
 from ctlab.world import (
@@ -47,6 +39,14 @@ from ctlab.world import (
     generate_world,
     inflate,
     preprocess_world,
+)
+from oracles import (
+    random_embedding,
+    reference_spec,
+    reference_transforms,
+    reference_world,
+    toy_transforms,
+    toy_world,
 )
 
 
@@ -148,7 +148,7 @@ def cube_variance_terms(f, space):
     """Variance terms with V_minus from the (n, n, k) anchor-by-positive cube."""
     head = mean_head(f, space)
     F = f.table
-    mu_of = head.mu.T[space.labels]
+    mu_of = head.W.T[space.labels]
     dev = np.sum((F - mu_of) ** 2, axis=1)
     mask_plus = space.positive_mask()
     w_plus = np.where(mask_plus, space.joint, 0.0)
@@ -287,7 +287,7 @@ class TestVarianceTerms:
         f = random_embedding(space.n, 3, seed=8)
         F = f.table
         head = mean_head(f, space)
-        mu = head.mu.T[space.labels]
+        mu = head.W.T[space.labels]
         vt = variance_terms(f, space)
         v_num = vm_num = v_mass = vm_mass = 0.0
         for x in range(space.n):

@@ -3,17 +3,25 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from ctlab import cli, graph, objectives, world
-from ctlab.cli import SWEEP_COLUMNS, emit_csv, emit_text, main, parse_csv
+from ctlab import cli, config, graph, objectives, world
+from ctlab.cli import SWEEP_COLUMNS, emit_csv, emit_text, main
 from ctlab.config import load_config, make_transforms
 from ctlab.graph import spectral_embedding
 from ctlab.objectives import Embedding
+from oracles import parse_csv
 
 REFERENCE = os.path.join(os.path.dirname(__file__), "..", "configs", "reference.ini")
+NUMERIC_KEYS = [
+    f"{section}.{key}"
+    for section, keys in config._TABLE.items()
+    for key, (_field, kind, *_rest) in keys.items()
+    if kind in ("int", "float")
+]
 
 
 def _count_calls(monkeypatch, fn):
@@ -316,6 +324,32 @@ class TestErrors:
         errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and "diverged" in errors[0], proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0", "1e300"])
+    @pytest.mark.parametrize("key", NUMERIC_KEYS)
+    def test_numeric_key_runs_or_exits_2_with_a_named_error(self, tmp_path, capsys, key, value):
+        section = key.split(".")[0]
+        command = section if section in ("train", "probe", "bounds") else "graph"
+        argv = [command, "--config", REFERENCE, "--out", str(tmp_path / "o")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(argv + ["--set", f"{key}={value}"])
+        err = capsys.readouterr().err
+        if rc == 0:
+            return
+        assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+        # a config error names its key, WorldSpec.validate the world section and a
+        # spec field, a floating-point or divergence error the command and any row
+        named = [key, f"ctlab {command}: "] + ["error: world: WorldSpec: "] * (section == "world")
+        assert any(name in err for name in named), err
+
+    def test_floating_point_errors_name_the_command_or_row(self, tmp_path, capsys):
+        argv = ["--config", REFERENCE, "--out", str(tmp_path / "o")]
+        assert main(["graph", *argv, "--set", "world.noise_scale=1e300"]) == 2
+        assert capsys.readouterr().err == "error: ctlab graph: overflow encountered in dot\n"
+        assert main(["bounds", *argv, "--set", "train.step_size=1e300"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ctlab bounds: row bounds: train_free_embeddings: loss diverged")
 
     def test_unknown_command_rejected(self, small_cfg):
         with pytest.raises(SystemExit):

@@ -13,8 +13,8 @@ from ctlab.config import (
     make_transforms,
     row_seed,
 )
-from ctlab.fixtures import reference_transforms, reference_world
 from ctlab.world import WorldSpec, class_pattern, generate_world
+from oracles import reference_transforms, reference_world
 
 REFERENCE = "configs/reference.ini"
 README = "README.md"

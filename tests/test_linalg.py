@@ -126,8 +126,9 @@ class TestOrthonormalize:
         M[:, 0] = [1.0, 0, 0, 0]
         M[:, 1] = [2.0, 0, 0, 0]  # dependent
         M[:, 2] = [0, 1.0, 0, 0]
-        Q, deficient = orthonormalize(M, return_info=True)
-        assert deficient
+        Q = orthonormalize(M)
+        # deficient: the completed column lies outside the span of M
+        assert np.allclose(M.T @ Q[:, 2], 0.0, atol=1e-12)
         assert np.allclose(Q.T @ Q, np.eye(3), atol=1e-10)
 
     def test_rejects_wide(self):

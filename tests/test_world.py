@@ -8,13 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctlab.fixtures import (
-    RHO,
-    reference_transforms,
-    reference_world,
-    toy_transforms,
-    toy_world,
-)
 from ctlab.linalg import save_matrix_text
 from ctlab.svd import TruncationSpec
 from ctlab.world import (
@@ -34,6 +27,7 @@ from ctlab.world import (
     preprocess_world,
     save_world,
 )
+from oracles import RHO, reference_transforms, reference_world, toy_transforms, toy_world
 
 
 def _ref_spec(**kw):
@@ -129,16 +123,16 @@ class TestGroundTruthLabel:
     def test_templates_label_themselves(self):
         w = reference_world()
         for c, T in enumerate(w.templates):
-            assert ground_truth_label(T, w) == c
+            assert ground_truth_label(T, w.templates) == c
 
     def test_tie_breaks_to_smallest_index(self):
         w = toy_world()
         # [[2, 1]] is equidistant from [[4,0]] and [[0,2]]
-        assert ground_truth_label(np.array([[2.0, 1.0]]), w) == 0
+        assert ground_truth_label(np.array([[2.0, 1.0]]), w.templates) == 0
 
     def test_shape_checked(self):
         with pytest.raises(ValueError):
-            ground_truth_label(np.zeros((2, 2)), toy_world())
+            ground_truth_label(np.zeros((2, 2)), toy_world().templates)
 
 
 class TestTransforms:
@@ -241,8 +235,9 @@ class TestAugmentedSpace:
     def test_mass_split(self):
         space = build_augmented_space(toy_world(), toy_transforms())
         # X+ mass: label-consistent joint entries = 1 - 2/8
-        assert abs(space.x_plus_mass() - 0.75) < 1e-12
-        assert abs(space.x_minus_mass() - 0.25) < 1e-12
+        plus = space.positive_mask()
+        assert abs(space.joint[plus].sum() - 0.75) < 1e-12
+        assert abs(space.joint[~plus].sum() - 0.25) < 1e-12
 
     def test_joint_symmetric_and_consistent(self):
         w = reference_world()
@@ -363,7 +358,7 @@ class TestLabelingError:
         for _oid, payload, label in w.originals:
             for t in transforms:
                 view = apply_transform(t, payload)
-                if ground_truth_label(view, w) != label:
+                if ground_truth_label(view, w.templates) != label:
                     acc += t.probability / w.n_originals
         assert abs(rep.alpha - acc) < 1e-12
 
@@ -417,8 +412,8 @@ class TestInflate:
     def test_noise_free_inflation_duplicates_payloads(self):
         w = reference_world()
         iw = inflate(w, 3)
-        base = {p.tobytes() for p in w.payloads()}
-        extra = {p.tobytes() for p in iw.payloads()[6:]}
+        base = {o[1].tobytes() for o in w.originals}
+        extra = {o[1].tobytes() for o in iw.originals[6:]}
         assert extra <= base
 
     def test_rejects_bad_factor(self):
