@@ -130,8 +130,9 @@ def lse_approx_error(
     """Measured log-sum-exp approximation error of M-sample negative batches.
 
     Exact value: E_x[log E_z[exp(f(x) . f(z))]] under the marginal.  Each
-    replicate redraws M negatives per anchor and evaluates the plug-in
-    log-mean-exp; returns (mean absolute error, std over replicates).
+    replicate redraws M negatives per anchor from the space's cached marginal
+    inverse-CDF table and evaluates the plug-in log-mean-exp; returns (mean
+    absolute error, std over replicates).
     """
     if replicates < 2:
         raise ValueError("lse_approx_error: replicates must be >= 2")
@@ -148,7 +149,7 @@ def lse_approx_error(
         rng = np.random.Generator(
             np.random.Philox(key=np.array([seed & (2**64 - 1), r], dtype=np.uint64))
         )
-        negs = rng.choice(space.n, size=(space.n, M), p=p)
+        negs = space.marginal_cdf.draw(rng.random((space.n, M)))  # rng.choice(n, p=p)
         s = sims[np.arange(space.n)[:, None], negs]  # (n, M)
         smx = s.max(axis=1)
         est_per = smx + np.log(np.mean(np.exp(s - smx[:, None]), axis=1))

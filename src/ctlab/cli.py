@@ -94,33 +94,33 @@ def emit_text(rows, path) -> None:
 # pipeline
 
 
-def _stage_world(cfg: RunConfig, raw_world, q=None):
-    """Apply the configured preprocessing (or the sweep override) + inflation."""
-    world = raw_world
+def _stage_world(cfg: RunConfig, inflated, q=None):
+    """The world of sweep rank q (default: as configured): only its raw originals are truncated."""
     trunc = cfg.truncation(q)
-    if trunc is not None:
-        world = preprocess_world(world, trunc)
-    if cfg.inflation_factor > 1:
-        world = inflate(world, cfg.inflation_factor, seed=cfg.seed)
-    return world
+    if trunc is None:
+        return inflated
+    return preprocess_world(inflated, trunc, cfg.world.K * cfg.world.per_class)
 
 
 def _stager(cfg: RunConfig, raw_world, transforms):
     """Return stage(q=None): the staged graph of the world of sweep rank q.
 
-    stage remembers only the latest staged world and drops it before staging
-    the next one, so rows that stage the same world in turn share its graph.
-    One thread stages at a time, so threads that ask for a world together
-    (the pool's first rows) stage it once; the others wait and share it.
+    stage inflates the raw world once, in the first row, and remembers only
+    the latest staged world, dropping it before staging the next one, so rows
+    that stage the same world in turn share its graph.  One thread stages at a
+    time, so threads that ask for a world together (the pool's first rows)
+    stage it once; the others wait and share it.
     """
-    latest = {}
+    latest, inflated = {}, []
     lock = threading.Lock()
 
     def stage(q=None):
         with lock:
             if q not in latest:
                 latest.clear()
-                latest[q] = stage_graph(_stage_world(cfg, raw_world, q), transforms)
+                if not inflated:
+                    inflated.append(inflate(raw_world, cfg.inflation_factor, seed=cfg.seed))
+                latest[q] = stage_graph(_stage_world(cfg, inflated[0], q), transforms)
             return latest[q]
 
     return stage
@@ -303,8 +303,8 @@ def cmd_run(cfg: RunConfig, out_dir, threads, allow_violations):
 
 def cmd_world(cfg, out_dir, threads, allow_violations):
     os.makedirs(out_dir, exist_ok=True)
-    world = _stage_world(cfg, generate_world(cfg.world))
-    save_world(world, os.path.join(out_dir, "world"))
+    inflated = inflate(generate_world(cfg.world), cfg.inflation_factor, seed=cfg.seed)
+    save_world(_stage_world(cfg, inflated), os.path.join(out_dir, "world"))
     return 0
 
 

@@ -51,7 +51,7 @@ _TABLE = {
             "svd_mode", "choice", "none", ("none", "keep_top_q", "discard_pair", "discard_single")
         ),
         "q": ("svd_q", "int", None, None),  # 0 counts as unset, like None
-        "pair_index": ("svd_pair_index", "int", None, None),
+        "pair_index": ("svd_pair_index", "int", None, ">= 0"),  # 0 counts as unset
         "sweep": ("svd_sweep", "ints", (), None),
     },
     "train": {
@@ -256,8 +256,9 @@ def parse_config(parser: configparser.ConfigParser) -> RunConfig:
     spec = WorldSpec(**world)
     try:
         spec.validate()
-    except ValueError as exc:
-        raise ConfigError(f"world: {exc}") from None
+    except ValueError as exc:  # named by the keys of the spec fields it read
+        keys = [f"world.{k}" for k, (name, *_) in _TABLE["world"].items() if name in exc.fields]
+        raise ConfigError(f"{'/'.join(keys)}: {exc}") from None
 
     t = parser["transforms"]
     numbered = sorted((k for k in t if k not in _TABLE["transforms"]), key=lambda k: int(k[10:]))
@@ -273,8 +274,12 @@ def parse_config(parser: configparser.ConfigParser) -> RunConfig:
             raise ConfigError(f"svd.q: q={q} out of range [1, {rank_bound}]")
     if cfg.svd_mode == "keep_top_q" and cfg.svd_q is None and not cfg.svd_sweep:
         raise ConfigError("svd.q: required when mode = keep_top_q")
-    if cfg.svd_mode in ("discard_pair", "discard_single") and cfg.svd_pair_index is None:
-        raise ConfigError("svd.pair_index: required for discard modes")
+    if cfg.svd_mode in ("discard_pair", "discard_single"):
+        i, top = cfg.svd_pair_index, rank_bound - (cfg.svd_mode == "discard_pair")
+        if i is None:
+            raise ConfigError("svd.pair_index: required for discard modes")
+        if not 1 <= i <= top:
+            raise ConfigError(f"svd.pair_index: {i} out of range [1, {top}] for {cfg.svd_mode}")
     return cfg
 
 

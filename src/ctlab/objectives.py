@@ -200,17 +200,15 @@ def _gradient(F: np.ndarray, C: np.ndarray, normalized: bool) -> np.ndarray:
 def _sample_batch(space: AugmentedSpace, M: int, samples: int, seed: int):
     """Seeded i.i.d. batch: pairs from the joint, M negatives from the marginal.
 
-    Pairs are drawn by inverse CDF over the joint's support in row-major
-    order.  This is the draw of `rng.choice` over all n^2 cells: the zero
-    cells add exact zeros to the cumulative sum and `side="right"` never
-    lands on one.
+    Both are drawn on the space's cached inverse-CDF tables.  Pairs over the
+    support are `rng.choice` over all n^2 cells (zero cells add exact zeros to
+    the cumulative sum, which a right-side search never lands on); negatives
+    are `rng.choice(n, (samples, M), p=marginal)`, stream included.
     """
     rng = np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
-    xs, ys, w = space.support
-    cdf = np.cumsum(w / space.joint.sum())
-    cdf /= cdf[-1]
-    pair_idx = np.searchsorted(cdf, rng.random(samples), side="right")
-    negs = rng.choice(space.n, size=(samples, M), p=space.marginal)
+    xs, ys, _w = space.support
+    pair_idx = space.pair_cdf.draw(rng.random(samples))
+    negs = space.marginal_cdf.draw(rng.random((samples, M)))
     return np.column_stack([xs[pair_idx], ys[pair_idx], negs])
 
 

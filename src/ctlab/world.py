@@ -42,6 +42,7 @@ __all__ = [
     "World",
     "Transform",
     "AugmentedSpace",
+    "InverseCdf",
     "LabelingReport",
     "PROB_TOL",
     "VIEW_TOL",
@@ -81,22 +82,24 @@ class WorldSpec:
     seed: int
 
     def validate(self) -> None:
-        if self.K < 2:
-            raise ValueError(f"WorldSpec: K must be >= 2, got {self.K}")
-        if self.per_class < 1:
-            raise ValueError("WorldSpec: per_class must be >= 1")
-        if self.q_star < 1:
-            raise ValueError("WorldSpec: q_star must be >= 1")
-        if self.nuisance_rank < 0:
-            raise ValueError("WorldSpec: nuisance_rank must be >= 0")
-        if self.q_star + self.nuisance_rank > min(self.m, self.m_prime):
-            raise ValueError(
-                "WorldSpec: q_star + nuisance_rank exceeds min(m, m')"
-            )
-        if not (0.0 <= self.nuisance_confusion <= 1.0):
-            raise ValueError("WorldSpec: nuisance_confusion must be in [0, 1]")
-        if not (0.0 <= self.noise_scale < np.inf):
-            raise ValueError("WorldSpec: noise_scale must be finite and >= 0")
+        """Raise ValueError at the first range broken; its `fields` names the fields read."""
+        mm = min(self.m, self.m_prime)
+        for ok, what, *fields in (
+            (self.K >= 2, f"K must be >= 2, got {self.K}", "K"),
+            (self.per_class >= 1, "per_class must be >= 1", "per_class"),
+            (self.q_star >= 1, "q_star must be >= 1", "q_star"),
+            (self.nuisance_rank >= 0, "nuisance_rank must be >= 0", "nuisance_rank"),
+            (self.q_star + self.nuisance_rank <= mm, "q_star + nuisance_rank exceeds min(m, m')",
+             "m", "m_prime", "q_star", "nuisance_rank"),
+            (0.0 <= self.nuisance_confusion <= 1.0, "nuisance_confusion must be in [0, 1]",
+             "nuisance_confusion"),
+            (0.0 <= self.noise_scale < np.inf, "noise_scale must be finite and >= 0",
+             "noise_scale"),
+        ):
+            if not ok:
+                err = ValueError(f"WorldSpec: {what}")
+                err.fields = fields
+                raise err
 
 
 @dataclass(frozen=True)
@@ -131,18 +134,43 @@ class Transform:
 
 
 def apply_transform(t: Transform, X: np.ndarray) -> np.ndarray:
+    """t applied to a payload (m, m') or to each payload of a stack (N, m, m')."""
     if t.kind == "identity":
         return X.copy()
     if t.kind == "block_mask":
         r0, r1, c0, c1 = t.params
         out = X.copy()
-        out[r0:r1, c0:c1] = 0.0
+        out[..., r0:r1, c0:c1] = 0.0
         return out
     if t.kind == "additive_pattern":
         if t.pattern is None:
             raise ValueError(f"transform {t.id}: additive_pattern without pattern")
         return X + t.pattern
     raise ValueError(f"transform {t.id}: unknown kind {t.kind!r}")
+
+
+class InverseCdf:
+    """Exact inverse-CDF draws: draw(u) is np.searchsorted(cdf, u, side="right").
+
+    cdf is the given cumulative sum over its last entry, u in [0, 1).  A guide
+    table holds that count at each edge b / G of G = 2^j >= len(cdf) buckets;
+    bucket b = floor(u G) is exact, and a walk from its edge finishes the count.
+    """
+
+    def __init__(self, cumsum: np.ndarray):
+        cdf = cumsum / cumsum[-1]
+        self.G = 1 << (len(cdf) - 1).bit_length()
+        self.guide = np.searchsorted(cdf, np.arange(self.G) / self.G, side="right")
+        self.cdf = np.append(cdf, np.inf)  # the sentinel ends every walk
+
+    def draw(self, u: np.ndarray) -> np.ndarray:
+        flat = np.ravel(u)
+        idx = self.guide[(flat * self.G).astype(np.intp)]
+        walk = np.flatnonzero(self.cdf[idx] <= flat)
+        while walk.size:
+            idx[walk] += 1
+            walk = walk[self.cdf[idx[walk]] <= flat[walk]]
+        return idx.reshape(np.shape(u))
 
 
 @dataclass(frozen=True)
@@ -166,6 +194,16 @@ class AugmentedSpace:
         """(xs, ys, w) of the joint's nonzero cells, row-major; cached, so read-only."""
         xs, ys = np.nonzero(self.joint)
         return xs, ys, self.joint[xs, ys]
+
+    @cached_property
+    def pair_cdf(self) -> InverseCdf:
+        """Draws of an index into `support` with probability w / sum(joint); cached."""
+        return InverseCdf(np.cumsum(self.support[2] / self.joint.sum()))
+
+    @cached_property
+    def marginal_cdf(self) -> InverseCdf:
+        """Node draws with the bits of Generator.choice(n, p=marginal); cached."""
+        return InverseCdf(self.marginal.cumsum())
 
     def positive_mask(self) -> np.ndarray:
         """Boolean (n, n) mask of label-consistent pairs (the X+ set)."""
@@ -258,23 +296,11 @@ def generate_world(spec: WorldSpec) -> World:
             T += s * np.outer(U[:, j], V[:, j])
         templates.append(as_matrix(T))
 
-    originals = []
-    idx = 0
-    for c in range(spec.K):
-        for j in range(spec.per_class):
-            payload = _planted_original(spec, U, V, templates, c, j, idx)
-            label = ground_truth_label(payload, templates)
-            originals.append((f"o{idx:04d}", payload, label))
-            idx += 1
+    payloads = [_planted_original(spec, U, V, templates, c, j, c * spec.per_class + j)
+                for c in range(spec.K) for j in range(spec.per_class)]
+    originals = _labelled([f"o{i:04d}" for i in range(len(payloads))], payloads, templates)
     weights = np.full(len(originals), 1.0 / len(originals))
-    world = World(
-        originals=tuple(originals),
-        weights=weights,
-        templates=tuple(templates),
-        spec=spec,
-    )
-    _check_self_consistency(world)
-    return world
+    return World(originals=originals, weights=weights, templates=tuple(templates), spec=spec)
 
 
 def _planted_original(spec, U, V, templates, c, variant, noise_key) -> np.ndarray:
@@ -341,35 +367,53 @@ def build_transform(
     )
 
 
-def ground_truth_label(payload, templates) -> int:
-    """Nearest class template under Frobenius distance, ties to smallest index."""
-    payload = as_matrix(payload, "ground_truth_label payload")
-    if payload.shape != templates[0].shape:
-        raise ValueError(
-            f"payload shape {payload.shape} does not match templates "
-            f"{templates[0].shape}"
-        )
-    dists = [float(np.linalg.norm(payload - T)) for T in templates]
-    return int(np.argmin(dists))  # argmin breaks ties toward the smallest index
+def ground_truth_label(payloads, templates) -> np.ndarray:
+    """Labels of a payload stack (N, m, m'): the nearest template, ties to the smallest index.
+
+    Each Frobenius distance has the bits of float(np.linalg.norm(payload - T)).
+    """
+    P = np.asarray(payloads, dtype=np.float64)
+    if P.ndim != 3 or P.shape[1:] != templates[0].shape:
+        raise ValueError(f"payload stack {P.shape} does not fit templates {templates[0].shape}")
+    if not np.all(np.isfinite(P)):
+        raise ValueError("ground_truth_label: non-finite payload entries")
+    return np.argmin(_template_distances(P, templates), axis=1)
 
 
-def _check_self_consistency(world: World) -> None:
-    for oid, payload, label in world.originals:
-        got = ground_truth_label(payload, world.templates)
-        if got != label:
-            raise ValueError(
-                f"original {oid}: latent label {label} != ground truth {got}"
-            )
+def _template_distances(P: np.ndarray, templates) -> np.ndarray:
+    """(N, K) Frobenius distances of the stack P to the templates, one template at a time.
+
+    A stacked 1 x L by L x 1 matmul runs the BLAS dot of np.linalg.norm on each
+    raveled row.  An overflow is retaken by norm, to raise or warn as always.
+    """
+    dists = np.empty((len(P), len(templates)))
+    for c, T in enumerate(templates):
+        D = (P - T).reshape(len(P), 1, -1)
+        with np.errstate(over="ignore"):
+            sq = np.matmul(D, D.transpose(0, 2, 1)).ravel()
+        if np.isinf(sq).any():
+            return np.array([[np.linalg.norm(X - T) for T in templates] for X in P])
+        dists[:, c] = np.sqrt(sq)
+    return dists
+
+
+def _labelled(ids, payloads, templates) -> tuple:
+    """(id, payload, label) originals, labelled in one pass."""
+    return tuple(zip(ids, payloads, map(int, ground_truth_label(payloads, templates))))
 
 
 # ---------------------------------------------------------------------------
 # augmented space
 
 
-def _node_key(payload: np.ndarray) -> bytes:
-    # payload-identical nodes merged; quantize to absorb float noise well below
-    # any genuine payload difference (O(1e-2)); + 0.0 folds -0.0 into 0.0
-    return (np.round(payload, 9) + 0.0).tobytes()
+def _node_keys(payloads) -> list:
+    """Merge key of each payload of a stack: its bytes rounded to 9 decimals, -0.0 as 0.0.
+
+    The rounding absorbs float noise well below any genuine payload difference (O(1e-2)).
+    """
+    R = np.round(np.reshape(payloads, (len(payloads), -1)), 9)
+    R += 0.0
+    return R.view(f"V{R.shape[1] * R.itemsize}").ravel().tolist()
 
 
 def _check_distinct_views(payloads, node_ids) -> None:
@@ -382,7 +426,7 @@ def _check_distinct_views(payloads, node_ids) -> None:
     pairs `offset` positions apart are scanned for offset = 1, 2, ... until
     no pair that far apart has close sums.
     """
-    P = np.stack(payloads).reshape(len(payloads), -1)
+    P = np.reshape(payloads, (len(payloads), -1))
     size = P.shape[1]
     sums = P.sum(axis=1)
     # the window also covers the rounding error of both float sums
@@ -420,38 +464,36 @@ def build_augmented_space(world: World, transforms) -> AugmentedSpace:
         raise ValueError("build_augmented_space: empty transform list")
     total_p = sum(t.probability for t in transforms)
     if abs(total_p - 1.0) > PROB_TOL:
-        raise ValueError(
-            f"transform probabilities sum to {total_p}, expected 1 within {PROB_TOL}"
-        )
+        raise ValueError(f"transform probabilities sum to {total_p}, expected 1 within {PROB_TOL}")
     for t in transforms:
         if not (0.0 < t.probability <= 1.0):
             raise ValueError(f"transform {t.id}: probability out of (0, 1]")
 
-    key_to_index: dict[bytes, int] = {}
-    payloads: list[np.ndarray] = []
-    entries = []  # (orig_index, node_index, prob)
-    for oi, (_oid, payload, _label) in enumerate(world.originals):
-        for t in transforms:
-            out = apply_transform(t, payload)
-            key = _node_key(out)
-            ni = key_to_index.get(key)
-            if ni is None:
-                ni = len(payloads)
-                key_to_index[key] = ni
-                payloads.append(out)
-            entries.append((oi, ni, t.probability))
+    # every (original, transform) outcome, original-major, in one stack
+    originals = np.stack([payload for _oid, payload, _label in world.originals])
+    N, shape = len(originals), originals.shape[1:]
+    outcomes = np.empty((N, len(transforms)) + shape)
+    for j, t in enumerate(transforms):
+        outcomes[:, j] = apply_transform(t, originals)
+    # nodes are numbered by first outcome, keyed per original: no rounded copy of all
+    index, first, node_of = {}, [], []
+    for block in outcomes:
+        for key in _node_keys(block):
+            node_of.append(index.setdefault(key, len(first)))
+            if node_of[-1] == len(first):
+                first.append(len(node_of) - 1)
+    payloads = outcomes.reshape(-1, *shape)[first]
+    del index, outcomes
 
     n = len(payloads)
     node_ids = tuple(f"n{i:04d}" for i in range(n))
     _check_distinct_views(payloads, node_ids)
-    cond = np.zeros((world.n_originals, n))
-    for oi, ni, p in entries:
-        cond[oi, ni] += p
+    cond = np.zeros((N, n))
+    probs = np.array([t.probability for t in transforms])
+    np.add.at(cond, (np.repeat(np.arange(N), len(transforms)), node_of), np.tile(probs, N))
     marginal = world.weights @ cond
     joint = cond.T @ (cond * world.weights[:, None])
-    labels = np.array(
-        [ground_truth_label(p, world.templates) for p in payloads], dtype=int
-    )
+    labels = ground_truth_label(payloads, world.templates)
     space = AugmentedSpace(
         payloads=tuple(payloads),
         labels=labels,
@@ -494,20 +536,19 @@ def labeling_error(space: AugmentedSpace, world: World) -> LabelingReport:
 # preprocessing and inflation
 
 
-def preprocess_world(world: World, spec: TruncationSpec) -> World:
-    """Replace every original payload by its truncated-SVD image.
+def preprocess_world(world: World, spec: TruncationSpec, count: int | None = None) -> World:
+    """Replace the first `count` original payloads (default: all) by their truncated-SVD image.
 
-    Latent labels are recomputed from the new payloads; weights are kept.
+    Their latent labels are recomputed from the new payloads; weights are kept.
     """
-    new_originals = []
-    for oid, payload, _label in world.originals:
+    ids, reduced = [], []
+    for oid, payload, _label in world.originals[:count]:
         F = svd_full(payload)
         spec.validate(F.rank_bound)
-        reduced = svd_truncate(F, spec)
-        label = ground_truth_label(reduced, world.templates)
-        new_originals.append((oid, reduced, label))
+        ids.append(oid)
+        reduced.append(svd_truncate(F, spec))
     return World(
-        originals=tuple(new_originals),
+        originals=_labelled(ids, reduced, world.templates) + world.originals[len(ids):],
         weights=world.weights.copy(),
         templates=world.templates,
         spec=world.spec,
@@ -519,8 +560,10 @@ def inflate(world: World, factor: int, seed: int = 0) -> World:
 
     The extra samples come from the same planted generator, continuing the
     per-class variant cycle; with noise_scale > 0 each new sample gets a
-    fresh noise draw.  Weights are re-uniformized.  This is a stand-in for
-    learned generative inflation and is flagged as synthetic in reports.
+    fresh noise draw.  They depend only on the spec, the templates, the
+    original count and the seed, not on the originals' payloads.  Weights are
+    re-uniformized.  This is a stand-in for learned generative inflation and
+    is flagged as synthetic in reports.
     """
     if factor < 1:
         raise ValueError("inflate: factor must be >= 1")
@@ -529,22 +572,18 @@ def inflate(world: World, factor: int, seed: int = 0) -> World:
     spec = world.spec
     _n_shared, _dist, _extra, total = _slot_layout(spec)
     U, V = _frames(spec, total)
-    templates = list(world.templates)
-    new_originals = list(world.originals)
-    idx = world.n_originals
-    for round_ in range(1, factor):
-        for c in range(spec.K):
-            for j in range(spec.per_class):
-                noise_key = 1_000_000 * (seed + 1) + idx
-                payload = _planted_original(
-                    spec, U, V, templates, c, j, noise_key
-                )
-                label = ground_truth_label(payload, templates)
-                new_originals.append((f"o{idx:04d}", payload, label))
-                idx += 1
+    templates = world.templates
+    n0, per_round = world.n_originals, spec.K * spec.per_class
+    payloads = [  # round by round, class by class, variant by variant
+        _planted_original(spec, U, V, templates, *divmod(i % per_round, spec.per_class),
+                          1_000_000 * (seed + 1) + n0 + i)
+        for i in range((factor - 1) * per_round)
+    ]
+    ids = [f"o{i:04d}" for i in range(n0, n0 + len(payloads))]
+    new_originals = world.originals + _labelled(ids, payloads, templates)
     weights = np.full(len(new_originals), 1.0 / len(new_originals))
     return World(
-        originals=tuple(new_originals),
+        originals=new_originals,
         weights=weights,
         templates=world.templates,
         spec=spec,
@@ -643,8 +682,10 @@ def load_world(directory) -> World:
         templates=tuple(templates[c] for c in range(spec.K)),
         spec=spec,
     )
-    try:
-        _check_self_consistency(world)
-    except ValueError as err:
-        raise ValueError(f"{manifest}: {err}") from None
+    # payloads are finite (load_matrix_text) and of the templates' shape
+    got = ground_truth_label([P for _oid, P, _label in originals], world.templates)
+    for (oid, _payload, label), g in zip(originals, got):
+        if g != label:
+            raise ValueError(f"{manifest}: original {oid}: latent label {label} "
+                             f"!= ground truth {g}")
     return world

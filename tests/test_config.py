@@ -151,6 +151,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="svd.pair_index"):
             load_config(path)
 
+    @pytest.mark.parametrize("mode, top", [("discard_pair", 5), ("discard_single", 6)])
+    def test_discard_index_range_checked_at_load(self, tmp_path, mode, top):
+        # the 6 x 6 minimal world: pairs (i, i + 1) need i <= 5, singles i <= 6
+        path = write_cfg(tmp_path)
+        for i in (1, top):
+            assert load_config(path, [f"svd.mode={mode}", f"svd.pair_index={i}"]).svd_pair_index == i
+        for i in (-1, top + 1):
+            with _named("svd.pair_index"):
+                load_config(path, [f"svd.mode={mode}", f"svd.pair_index={i}"])
+
     def test_overrides_applied(self, tmp_path):
         cfg = load_config(
             write_cfg(tmp_path), overrides=["run.seed=99", "train.k=4"]
@@ -254,6 +264,7 @@ class TestKeyTable:
         "bounds.n_max": ">= 1",
         "bounds.m_max": ">= 1",
         "inflation.factor": ">= 1",
+        "svd.pair_index": ">= 0",
     }
 
     def test_every_bound_is_tested(self):
@@ -291,8 +302,10 @@ class TestKeyTable:
         ],
     )
     def test_world_values_past_their_range_rejected(self, tmp_path, key, value):
-        with pytest.raises(ConfigError, match="^world: "):
+        # WorldSpec.validate's message, led by the keys of the fields it read
+        with pytest.raises(ConfigError, match=r"^(world\.\w+/)*world\.\w+: WorldSpec: ") as err:
             load_config(write_cfg(tmp_path), [f"world.{key}={value}"])
+        assert f"world.{key}" in str(err.value).split(": ")[0].split("/")
 
     @pytest.mark.parametrize(
         "descriptor",

@@ -12,10 +12,12 @@ from ctlab.linalg import save_matrix_text
 from ctlab.svd import TruncationSpec
 from ctlab.world import (
     VIEW_TOL,
+    InverseCdf,
     Transform,
     WorldSpec,
     _check_distinct_views,
-    _node_key,
+    _node_keys,
+    _template_distances,
     apply_transform,
     build_augmented_space,
     class_pattern,
@@ -122,17 +124,112 @@ class TestGenerateWorld:
 class TestGroundTruthLabel:
     def test_templates_label_themselves(self):
         w = reference_world()
-        for c, T in enumerate(w.templates):
-            assert ground_truth_label(T, w.templates) == c
+        assert list(ground_truth_label(w.templates, w.templates)) == [0, 1, 2]
 
     def test_tie_breaks_to_smallest_index(self):
         w = toy_world()
         # [[2, 1]] is equidistant from [[4,0]] and [[0,2]]
-        assert ground_truth_label(np.array([[2.0, 1.0]]), w.templates) == 0
+        assert list(ground_truth_label(np.array([[[2.0, 1.0]]]), w.templates)) == [0]
 
     def test_shape_checked(self):
         with pytest.raises(ValueError):
             ground_truth_label(np.zeros((2, 2)), toy_world().templates)
+        with pytest.raises(ValueError):  # one payload is not a stack
+            ground_truth_label(np.zeros((1, 2)), toy_world().templates)
+
+
+def _norm_loop(P, templates):
+    """The per-payload label rule: one float(np.linalg.norm(payload - T)) per pair."""
+    return np.array([[float(np.linalg.norm(X - T)) for T in templates] for X in P])
+
+
+class TestBatchedLabelRule:
+    """The stacked distances against the per-payload norm loop, bit for bit."""
+
+    def _check(self, P, templates):
+        want = _norm_loop(P, templates)
+        assert _template_distances(np.asarray(P), templates).tobytes() == want.tobytes()
+        assert ground_truth_label(P, templates).tolist() == np.argmin(want, axis=1).tolist()
+
+    def test_reference_space(self):
+        w = reference_world()
+        space = build_augmented_space(w, reference_transforms(w))
+        self._check(np.stack(space.payloads), w.templates)
+
+    def test_q1_truncated_reference_world(self):
+        # the six originals are the background alone, equidistant from all three
+        # templates in real arithmetic: rounding alone picks the label
+        w = preprocess_world(reference_world(), TruncationSpec(mode="keep_top_q", q=1))
+        P = np.stack([payload for _oid, payload, _label in w.originals])
+        assert len(P) == 6 and np.ptp(_norm_loop(P, w.templates), axis=1).max() < 1e-14
+        self._check(P, w.templates)
+        assert [label for *_, label in w.originals] == ground_truth_label(P, w.templates).tolist()
+
+    def test_inflated8_space(self):
+        noisy = generate_world(_ref_spec(noise_scale=0.05))
+        space = build_augmented_space(inflate(noisy, 8, seed=6), reference_transforms(noisy))
+        assert space.n > 400
+        self._check(np.stack(space.payloads), noisy.templates)
+
+    @pytest.mark.parametrize("n, shape, K", [(1, (1, 1), 2), (2000, (12, 12), 3), (57, (3, 7), 5)])
+    def test_random_stacks(self, n, shape, K):
+        rng = np.random.default_rng(n)
+        scale = 10.0 ** rng.integers(-3, 4, size=(n, 1, 1))
+        self._check(scale * rng.normal(size=(n,) + shape), list(rng.normal(size=(K,) + shape)))
+
+
+class TestInverseCdf:
+    """draw(u) against np.searchsorted(cdf, u, side="right") and Generator.choice."""
+
+    WEIGHTS = {
+        "one": [1.0],
+        "two": [0.3, 0.7],
+        "zero_first": [0.0, 1.0],
+        "zero_last": [1.0, 0.0],
+        # runs of tiny weights: hundreds of entries share one guide bucket
+        "tiny_runs": np.r_[np.full(300, 1e-9), 0.5, np.full(700, 1e-12), 0.25, 1e-15, 0.25],
+        "random": np.random.default_rng(0).random(477),
+    }
+
+    @pytest.mark.parametrize("name", sorted(WEIGHTS))
+    def test_matches_searchsorted(self, name):
+        cumsum = np.cumsum(self.WEIGHTS[name])
+        cdf = cumsum / cumsum[-1]
+        inv = InverseCdf(cumsum)
+        edges = np.arange(inv.G) / inv.G  # u exactly on every bucket edge k / G
+        inner = cdf[cdf < 1.0]  # u exactly on CDF entries, and one ulp either side
+        u = np.concatenate([
+            edges, np.nextafter(edges, 1.0), np.nextafter(edges[1:], 0.0),
+            inner, np.nextafter(inner, 0.0), np.nextafter(inner, 1.0),
+            [0.0, np.nextafter(1.0, 0.0)], np.random.default_rng(1).random(5000),
+        ])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        assert np.array_equal(inv.draw(u), np.searchsorted(cdf, u, side="right"))
+
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(WEIGHTS))
+    def test_draws_are_generator_choice(self, name, M):
+        w = np.asarray(self.WEIGHTS[name], dtype=float)
+        p = w / w.sum()
+        inv = InverseCdf(p.cumsum())
+        for seed in range(3):
+            a, b = (np.random.Generator(np.random.Philox(key=seed)) for _ in range(2))
+            want = a.choice(len(p), size=(1000, M), p=p)
+            got = inv.draw(b.random((1000, M)))
+            assert got.shape == want.shape and np.array_equal(got, want)
+            assert a.random() == b.random()  # the same stream is consumed
+
+    def test_space_tables_are_choice_over_cells_and_nodes(self):
+        w = reference_world()
+        space = build_augmented_space(w, reference_transforms(w))
+        xs, ys, _w = space.support
+        rng = np.random.Generator(np.random.Philox(key=4))
+        cells = rng.choice(space.n**2, size=3000, p=space.joint.ravel() / space.joint.sum())
+        nodes = rng.choice(space.n, size=(3000, 2), p=space.marginal)
+        rng = np.random.Generator(np.random.Philox(key=4))
+        pairs = space.pair_cdf.draw(rng.random(3000))
+        assert np.array_equal(xs[pairs] * space.n + ys[pairs], cells)
+        assert np.array_equal(space.marginal_cdf.draw(rng.random((3000, 2))), nodes)
 
 
 class TestTransforms:
@@ -281,7 +378,7 @@ class TestAugmentedSpace:
             for (oid, P, label), e in zip(w.originals, eps)
         )
         for (_, P, _), (_, T, _) in zip(w.originals, twins):
-            assert _node_key(T) == _node_key(P)
+            assert _node_keys([T]) == _node_keys([P])
         doubled = replace(
             w, originals=w.originals + twins, weights=np.full(4, 0.25)
         )
@@ -302,7 +399,7 @@ class TestAugmentedSpace:
         below, above = P.copy(), P.copy()
         below[0, 1] = boundary - delta
         above[0, 1] = boundary + delta
-        assert _node_key(below) != _node_key(above)
+        assert _node_keys([below]) != _node_keys([above])
         planted = replace(
             w,
             originals=((oid, below, label), *rest, (oid + "t", above, label)),
@@ -358,7 +455,7 @@ class TestLabelingError:
         for _oid, payload, label in w.originals:
             for t in transforms:
                 view = apply_transform(t, payload)
-                if ground_truth_label(view, w.templates) != label:
+                if ground_truth_label([view], w.templates)[0] != label:
                     acc += t.probability / w.n_originals
         assert abs(rep.alpha - acc) < 1e-12
 
@@ -419,6 +516,20 @@ class TestInflate:
     def test_rejects_bad_factor(self):
         with pytest.raises(ValueError):
             inflate(reference_world(), 0)
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_extras_do_not_depend_on_truncation(self, q):
+        # truncating the raw originals of one inflated world is the world of
+        # inflating the truncated raw world: one inflation serves a q sweep
+        raw = generate_world(_ref_spec(noise_scale=0.05))
+        trunc = TruncationSpec(mode="keep_top_q", q=q)
+        want = inflate(preprocess_world(raw, trunc), 8, seed=6)
+        got = preprocess_world(inflate(raw, 8, seed=6), trunc, raw.n_originals)
+        assert [(i, P.tobytes(), y) for i, P, y in got.originals] == [
+            (i, P.tobytes(), y) for i, P, y in want.originals
+        ]
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.templates is want.templates and got.spec == want.spec
 
 
 class TestSerialization:
