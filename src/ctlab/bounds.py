@@ -48,17 +48,12 @@ class VarianceTerms:
     V: float
     V_minus: float | None  # None when the false-positive set has zero mass
     V_neg: float
-    x_plus_mass: float
-    x_minus_mass: float
 
 
 @dataclass(frozen=True)
 class EpsAlignment:
     eps_min: float
     eps_max: float
-    argmin_pair: tuple
-    argmax_pair: tuple
-    max_plus: float  # max over label-consistent pairs of ||f(x) - f(x+)||
     empty: bool = False
 
 
@@ -115,13 +110,7 @@ def variance_terms(f: Embedding, space: AugmentedSpace) -> VarianceTerms:
     # marginal negative branch
     branch_neg = float(space.marginal @ dev)
     V_neg = 0.5 * branch_pos + 0.5 * branch_neg
-    return VarianceTerms(
-        V=V,
-        V_minus=V_minus,
-        V_neg=V_neg,
-        x_plus_mass=mass_plus,
-        x_minus_mass=mass_minus,
-    )
+    return VarianceTerms(V=V, V_minus=V_minus, V_neg=V_neg)
 
 
 def lse_approx_error(
@@ -160,33 +149,15 @@ def lse_approx_error(
 def alignment_eps(f: Embedding, space: AugmentedSpace) -> EpsAlignment:
     """Min/max embedding distance over the false-positive pair support.
 
-    Distances are taken on the joint support only, in row-major pair order,
-    so ties go to the first pair in that order.
+    Distances are taken on the joint support only.
     """
     F = f.table
     xs, ys, _w = space.support
-    dist = np.sqrt(np.sum((F[xs] - F[ys]) ** 2, axis=1))
-    plus = space.labels[xs] == space.labels[ys]
-    max_plus = float(dist[plus].max()) if np.any(plus) else 0.0
-    minus = np.flatnonzero(~plus)
-    if len(minus) == 0:
-        return EpsAlignment(
-            eps_min=0.0,
-            eps_max=0.0,
-            argmin_pair=(),
-            argmax_pair=(),
-            max_plus=max_plus,
-            empty=True,
-        )
-    imin = minus[np.argmin(dist[minus])]
-    imax = minus[np.argmax(dist[minus])]
-    return EpsAlignment(
-        eps_min=float(dist[imin]),
-        eps_max=float(dist[imax]),
-        argmin_pair=(space.node_ids[xs[imin]], space.node_ids[ys[imin]]),
-        argmax_pair=(space.node_ids[xs[imax]], space.node_ids[ys[imax]]),
-        max_plus=max_plus,
-    )
+    minus = space.labels[xs] != space.labels[ys]
+    if not np.any(minus):
+        return EpsAlignment(eps_min=0.0, eps_max=0.0, empty=True)
+    dist = np.sqrt(np.sum((F[xs[minus]] - F[ys[minus]]) ** 2, axis=1))
+    return EpsAlignment(eps_min=float(dist.min()), eps_max=float(dist.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -346,16 +317,16 @@ def theorem3_check(t: SandwichTerms) -> BoundReport:
 def theorem4_check(staged: StagedGraph, spectral: Embedding, head: LinearHead) -> BoundReport:
     """Downstream error of the spectral embedding against 4a/l_{k+1} + 8a.
 
-    spectral is the closed-form table spectral_embedding(staged.graph,
-    staged.spectrum, k) with k = spectral.k, and head the linear head fitted
-    on it.  Reads the exact labeling error alpha and the Laplacian
-    eigenvalues at levels k and k+1 off the staged graph, scores spectral
-    with head, and checks the achieved error against the bound.  Bounds >= 1
+    spectral is the closed-form table spectral_embedding(staged, k) with
+    k = spectral.k, and head the linear head fitted on it.  Reads the exact
+    labeling error alpha and the Laplacian eigenvalues at levels k and k+1
+    off the staged graph, scores spectral with head, and checks the achieved
+    error against the bound.  Bounds >= 1
     are vacuous; a zero lambda_{k+1} leaves the bound undefined.
     """
-    G, space, alpha, k = staged.graph, staged.space, staged.alpha, spectral.k
-    if not (1 <= k <= G.n):
-        raise ValueError(f"theorem4_check: k={k} out of range [1, {G.n}]")
+    space, alpha, k = staged.space, staged.alpha, spectral.k
+    if not (1 <= k <= space.n):
+        raise ValueError(f"theorem4_check: k={k} out of range [1, {space.n}]")
     if head.W.shape != (k, space.K):
         raise ValueError(
             f"theorem4_check: head shape {head.W.shape} is not (k, K) = ({k}, {space.K})"

@@ -150,15 +150,16 @@ def _row(cfg: RunConfig, stage, q, k, row_key):
     seed = row_seed(cfg.seed, row_key)
     staged = stage(q)
     space = staged.space
-    if not (1 <= k <= staged.graph.n):
-        raise ConfigError(f"train.k: k={k} out of range [1, {staged.graph.n}]")
+    if not (1 <= k <= space.n):  # a k that is not train.k came from train.k_sweep
+        key = "train.k" if k == cfg.train_k else "train.k_sweep"
+        raise ConfigError(f"{key}: k={k} out of range [1, {space.n}]")
     lam_k, lam_k1 = staged.levels(k)
 
     f = _train(cfg, space, k, seed)
     # the trained table and, for t4, the closed-form spectral one share one probe
     tables = [f]
     if "t4" in cfg.bounds_which:
-        spectral = Embedding(spectral_embedding(staged.graph, staged.spectrum, k), False)
+        spectral = Embedding(spectral_embedding(staged, k), False)
         tables.append(spectral)
     heads = fit_linear_head(tables, space, cfg.probe_steps, cfg.probe_step_size, cfg.probe_l2)
     head = heads[0]
@@ -322,16 +323,16 @@ def cmd_graph(cfg, out_dir, threads, allow_violations):
     os.makedirs(out_dir, exist_ok=True)
     raw_world = generate_world(cfg.world)
     staged = _stager(cfg, raw_world, make_transforms(cfg, raw_world))()
-    graph = staged.graph
-    save_matrix_text(os.path.join(out_dir, "adjacency.mat"), graph.A)
+    A = staged.space.joint
+    save_matrix_text(os.path.join(out_dir, "adjacency.mat"), A)
     save_matrix_text(
         os.path.join(out_dir, "spectrum.mat"), staged.spectrum.values.reshape(1, -1)
     )
     with open(os.path.join(out_dir, "graph.txt"), "w", newline="\n") as fh:
-        fh.write(f"nodes = {graph.n}\n")
-        fh.write(f"components = {connected_components(graph.A)}\n")
+        fh.write(f"nodes = {staged.space.n}\n")
+        fh.write(f"components = {connected_components(A)}\n")
         fh.write(f"alpha = {staged.alpha!r}\n")
-        fh.write(f"trace = {float(np.trace(graph.A))!r}\n")
+        fh.write(f"trace = {float(np.trace(A))!r}\n")
     return 0
 
 

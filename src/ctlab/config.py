@@ -31,7 +31,8 @@ _CHECKS = ("t1", "t3", "t4", "corollaries")
 # section -> key -> (field, kind, default, bound or allowed values).  World
 # fields are WorldSpec's and their ranges WorldSpec.validate's, which loaded
 # worlds share; the other fields are RunConfig's.  A bound is a comma-separated
-# list of conditions on the value.  Every float must also be finite.
+# list of conditions on the value, or on each entry of a list.  Every float
+# must also be finite.
 _TABLE = {
     "run": {"seed": ("seed", "int", 0, None)},
     "world": {
@@ -57,7 +58,7 @@ _TABLE = {
     "train": {
         "loss": ("train_loss", "choice", "infonce", ("infonce", "spectral")),
         "k": ("train_k", "int", 3, ">= 1"),
-        "k_sweep": ("train_k_sweep", "ints", (), None),
+        "k_sweep": ("train_k_sweep", "ints", (), ">= 1"),
         "steps": ("train_steps", "int", 30, ">= 0"),
         "step_size": ("train_step_size", "float", 1.0, "> 0"),
         "m": ("train_M", "int", 1, ">= 1"),
@@ -196,16 +197,18 @@ def _value(where, kind, raw, bound):
         raise ConfigError(f"{where}: expected {expected}, got {raw!r}") from None
     if kind == "float" and not math.isfinite(value):
         raise ConfigError(f"{where}: must be finite, got {value}")
+    values = value if kind in ("ints", "choices") else [value]
     if kind in ("choice", "choices"):
-        for v in value if kind == "choices" else [value]:
+        for v in values:
             if v not in bound:
                 allowed = ", ".join(bound)
                 raise ConfigError(f"{where}: unknown value {v!r}, expected one of {allowed}")
     elif bound is not None:
-        for condition in bound.split(","):
-            op, limit = condition.split()
-            if not _OPS[op](value, type(value)(limit)):
-                raise ConfigError(f"{where}: must be {op} {limit}, got {value}")
+        for v in values:
+            for condition in bound.split(","):
+                op, limit = condition.split()
+                if not _OPS[op](v, type(v)(limit)):
+                    raise ConfigError(f"{where}: must be {op} {limit}, got {v}")
     return value
 
 

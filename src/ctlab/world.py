@@ -43,7 +43,6 @@ __all__ = [
     "Transform",
     "AugmentedSpace",
     "InverseCdf",
-    "LabelingReport",
     "PROB_TOL",
     "VIEW_TOL",
     "generate_world",
@@ -208,12 +207,6 @@ class AugmentedSpace:
     def positive_mask(self) -> np.ndarray:
         """Boolean (n, n) mask of label-consistent pairs (the X+ set)."""
         return self.labels[:, None] == self.labels[None, :]
-
-
-@dataclass(frozen=True)
-class LabelingReport:
-    alpha: float
-    per_class_alpha: np.ndarray  # conditional flip probability per class
 
 
 # ---------------------------------------------------------------------------
@@ -517,19 +510,12 @@ def _check_space(space: AugmentedSpace) -> None:
         raise ValueError("augmented space: positive-pair joint does not sum to 1")
 
 
-def labeling_error(space: AugmentedSpace, world: World) -> LabelingReport:
-    """Exact labeling error by enumeration over (original, node) pairs."""
+def labeling_error(space: AugmentedSpace, world: World) -> float:
+    """Exact labeling error alpha by enumeration over (original, node) pairs."""
     orig_labels = world.labels()
     mismatch = (space.labels[None, :] != orig_labels[:, None]).astype(float)
     per_orig = np.sum(space.cond * mismatch, axis=1)
-    alpha = float(world.weights @ per_orig)
-    per_class = np.zeros(world.spec.K)
-    for c in range(world.spec.K):
-        mask = orig_labels == c
-        mass = float(world.weights[mask].sum())
-        if mass > 0:
-            per_class[c] = float(world.weights[mask] @ per_orig[mask]) / mass
-    return LabelingReport(alpha=alpha, per_class_alpha=per_class)
+    return float(world.weights @ per_orig)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +530,6 @@ def preprocess_world(world: World, spec: TruncationSpec, count: int | None = Non
     ids, reduced = [], []
     for oid, payload, _label in world.originals[:count]:
         F = svd_full(payload)
-        spec.validate(F.rank_bound)
         ids.append(oid)
         reduced.append(svd_truncate(F, spec))
     return World(

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ctlab.linalg import as_matrix, gaussian_matrix, orthonormalize
+from ctlab.linalg import SymEigen, as_matrix, gaussian_matrix, orthonormalize, sym_eig
 from ctlab.objectives import Embedding, _gradient
 from ctlab.svd import SvdFactors, TruncationSpec, svd_full, svd_truncate
 from ctlab.world import Transform, World, WorldSpec, build_transform, generate_world
@@ -198,6 +198,54 @@ def full_support_batch(space, M: int):
     pairs = np.repeat(np.column_stack([xs, ys]), len(combos), axis=0)
     batch = np.column_stack([pairs, np.tile(combos, (len(xs), 1))])
     return batch, np.outer(w, combo_w).ravel()
+
+
+# ---------------------------------------------------------------------------
+# graph: the record-per-step staging that graph.stage_graph replaces
+
+
+@dataclass(frozen=True)
+class DenseGraph:
+    A: np.ndarray  # the space's joint
+    degrees: np.ndarray
+    L: np.ndarray  # I - D^-1/2 A D^-1/2, symmetrized
+    labels: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.A.shape[0]
+
+
+def dense_graph(space) -> DenseGraph:
+    """The graph of a space, its Laplacian symmetrized before sym_eig symmetrizes it again."""
+    A = space.joint
+    degrees = A.sum(axis=1)
+    if not np.all(degrees > 0.0):
+        raise ValueError("dense_graph: a node carries no probability mass")
+    inv_sqrt = 1.0 / np.sqrt(degrees)
+    L = np.eye(space.n) - A * np.outer(inv_sqrt, inv_sqrt)
+    return DenseGraph(A=A, degrees=degrees, L=0.5 * (L + L.T), labels=space.labels)
+
+
+def dense_spectrum(G: DenseGraph) -> SymEigen:
+    return sym_eig(G.L)
+
+
+def dense_spectral_embedding(G: DenseGraph, spec: SymEigen, k: int) -> np.ndarray:
+    if not (1 <= k <= G.n):
+        raise ValueError(f"dense_spectral_embedding: k={k} out of range [1, {G.n}]")
+    gammas = np.clip(1.0 - spec.values[:k], 0.0, None)
+    table = spec.vectors[:, :k] * np.sqrt(gammas)
+    table = table / np.sqrt(G.degrees)[:, None]
+    return table
+
+
+def enumerated_labeling_error(space, world: World) -> float:
+    """Exact labeling error by enumeration over (original, node) pairs."""
+    orig_labels = world.labels()
+    mismatch = (space.labels[None, :] != orig_labels[:, None]).astype(float)
+    per_orig = np.sum(space.cond * mismatch, axis=1)
+    return float(world.weights @ per_orig)
 
 
 # ---------------------------------------------------------------------------

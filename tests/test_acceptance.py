@@ -14,13 +14,7 @@ import pytest
 from ctlab.bounds import measure_sandwich, theorem1_check, theorem4_check
 from ctlab.cli import compute_sweep, main
 from ctlab.config import load_config, make_transforms
-from ctlab.graph import (
-    build_graph,
-    connected_components,
-    laplacian_spectrum,
-    spectral_embedding,
-    stage_graph,
-)
+from ctlab.graph import connected_components, spectral_embedding, stage_graph
 from ctlab.objectives import (
     Embedding,
     McConfig,
@@ -59,7 +53,7 @@ REFERENCE_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "ref
 def _theorem4(staged, k):
     """theorem4_check with the spectral head fitted at the probe defaults."""
     probe = ProbeConfig()
-    f = Embedding(spectral_embedding(staged.graph, staged.spectrum, k), normalized=False)
+    f = Embedding(spectral_embedding(staged, k), normalized=False)
     (head,) = fit_linear_head([f], staged.space, probe.steps, probe.step_size, probe.l2)
     return theorem4_check(staged, f, head)
 
@@ -140,22 +134,17 @@ def test_02_spectrum_sanity(capsys):
     detail = ""
     graphs = []
     for name, world, transforms in _spaces_catalog():
-        space = build_augmented_space(world, transforms)
-        graphs.append((name, build_graph(space)))
+        graphs.append((name, stage_graph(world, transforms)))
     inflated = inflate(reference_world(), 3)
-    graphs.append(
-        ("inflated",
-         build_graph(build_augmented_space(inflated,
-                                           reference_transforms(reference_world()))))
-    )
+    graphs.append(("inflated", stage_graph(inflated, reference_transforms(reference_world()))))
     for name, G in graphs:
-        vals = laplacian_spectrum(G).values
+        vals = G.spectrum.values
         if vals[0] < -1e-8 or vals[0] > 1e-8:
             ok, detail = False, f"{name}: lambda_1 = {vals[0]}"
         if vals[-1] > 2.0 + 1e-8:
             ok, detail = False, f"{name}: lambda_max = {vals[-1]}"
         zeros = int(np.sum(vals < 1e-8))
-        comps = connected_components(G.A)
+        comps = connected_components(G.space.joint)
         if zeros != comps:
             ok, detail = False, f"{name}: {zeros} null directions vs {comps} components"
     elapsed = time.time() - t0
@@ -168,23 +157,22 @@ def test_02_spectrum_sanity(capsys):
 
 def test_03_toy_world_exactness(capsys):
     w = toy_world()
-    space = build_augmented_space(w, toy_transforms())
-    G = build_graph(space)
+    G = stage_graph(w, toy_transforms())
     e = 1.0 / 8.0
     ok = True
     detail = ""
-    if np.abs(G.A - np.array([[e, e, 0], [e, 2 * e, e], [0, e, e]])).max() > 1e-10:
+    if np.abs(G.space.joint - np.array([[e, e, 0], [e, 2 * e, e], [0, e, e]])).max() > 1e-10:
         ok, detail = False, "adjacency"
-    vals = laplacian_spectrum(G).values
+    vals = G.spectrum.values
     if np.abs(vals - np.array([0.0, 0.5, 1.0])).max() > 1e-10:
         ok, detail = False, f"spectrum {vals}"
-    alpha = labeling_error(space, w).alpha
+    alpha = labeling_error(G.space, w)
     if abs(alpha - 0.25) > 1e-10:
         ok, detail = False, f"alpha {alpha}"
-    f = spectral_embedding(G, laplacian_spectrum(G), 2)
+    f = spectral_embedding(G, 2)
     if np.abs(f - np.array([[1.0, 1.0], [1.0, 0.0], [1.0, -1.0]])).max() > 1e-10:
         ok, detail = False, "embedding"
-    rep = _theorem4(stage_graph(w, toy_transforms()), k=2)
+    rep = _theorem4(G, k=2)
     if abs(rep.terms["bound"] - 3.0) > 1e-10 or rep.terms["probe_error"] != 0.0:
         ok, detail = False, f"downstream bound {rep.terms}"
     _announce(capsys, ok, 3,
@@ -200,22 +188,19 @@ def test_04_spectral_trainer_matches_closed_form(capsys):
     catalog = _spaces_catalog()
     ks = [2, 3, 4, 5, 6, 7, 8]
     for i, (name, world, transforms) in enumerate(catalog):
-        space = build_augmented_space(world, transforms)
-        G = build_graph(space)
-        k = min(ks[i % len(ks)], G.n)
-        cases.append((name, space, G, k))
+        G = stage_graph(world, transforms)
+        k = min(ks[i % len(ks)], G.space.n)
+        cases.append((name, G.space, G, k))
     # pad to 10 graphs with further k choices on the reference space
     ref = reference_world()
-    ref_space = build_augmented_space(ref, reference_transforms(ref))
-    ref_G = build_graph(ref_space)
+    ref_G = stage_graph(ref, reference_transforms(ref))
     for k in (2, 5, 8, 6):
         if len(cases) >= 10:
             break
-        cases.append((f"reference_k{k}", ref_space, ref_G, k))
+        cases.append((f"reference_k{k}", ref_G.space, ref_G, k))
     assert len(cases) == 10
     for name, space, G, k in cases:
-        spec = laplacian_spectrum(G)
-        gammas = np.clip(1.0 - spec.values[:k], 0.0, None)
+        gammas = np.clip(1.0 - G.spectrum.values[:k], 0.0, None)
         closed = -float(np.sum(gammas**2))
         f = train_free_embeddings(space, k, "spectral", 4000, 0.5, seed=1)
         trained = spectral_loss(f, space)
@@ -400,12 +385,12 @@ def test_10_inflation_preserves_spectrum(capsys):
     detail = ""
     w = reference_world()
     transforms = reference_transforms(w)
-    G0 = build_graph(build_augmented_space(w, transforms))
-    G4 = build_graph(build_augmented_space(inflate(w, 4), transforms))
-    v0 = laplacian_spectrum(G0).values
-    v4 = laplacian_spectrum(G4).values
-    if G0.n != G4.n:
-        ok, detail = False, f"node count changed: {G0.n} -> {G4.n}"
+    G0 = stage_graph(w, transforms)
+    G4 = stage_graph(inflate(w, 4), transforms)
+    v0 = G0.spectrum.values
+    v4 = G4.spectrum.values
+    if G0.space.n != G4.space.n:
+        ok, detail = False, f"node count changed: {G0.space.n} -> {G4.space.n}"
     else:
         k = 3
         if v4[k] < v0[k] - 1e-8:

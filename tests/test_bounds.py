@@ -60,7 +60,7 @@ def _fail(name):
 def theorem4(staged, k):
     """theorem4_check with the spectral head fitted at the probe defaults."""
     probe = ProbeConfig()
-    f = Embedding(spectral_embedding(staged.graph, staged.spectrum, k), normalized=False)
+    f = Embedding(spectral_embedding(staged, k), normalized=False)
     (head,) = fit_linear_head([f], staged.space, probe.steps, probe.step_size, probe.l2)
     return theorem4_check(staged, f, head)
 
@@ -96,20 +96,10 @@ def alignment_eps_of_joint(f, space):
     F = f.table
     xs, ys = np.nonzero(space.joint > 0.0)
     dist = np.sqrt(np.sum((F[xs] - F[ys]) ** 2, axis=1))
-    plus = space.labels[xs] == space.labels[ys]
-    max_plus = float(dist[plus].max()) if np.any(plus) else 0.0
-    minus = np.flatnonzero(~plus)
+    minus = np.flatnonzero(space.labels[xs] != space.labels[ys])
     if len(minus) == 0:
-        return EpsAlignment(0.0, 0.0, (), (), max_plus, empty=True)
-    imin = minus[np.argmin(dist[minus])]
-    imax = minus[np.argmax(dist[minus])]
-    return EpsAlignment(
-        eps_min=float(dist[imin]),
-        eps_max=float(dist[imax]),
-        argmin_pair=(space.node_ids[xs[imin]], space.node_ids[ys[imin]]),
-        argmax_pair=(space.node_ids[xs[imax]], space.node_ids[ys[imax]]),
-        max_plus=max_plus,
-    )
+        return EpsAlignment(0.0, 0.0, empty=True)
+    return EpsAlignment(eps_min=float(dist[minus].min()), eps_max=float(dist[minus].max()))
 
 
 def all_sandwich_terms(f, space, M, cfg=McConfig()):
@@ -162,32 +152,22 @@ def cube_variance_terms(f, space):
         V_minus = float(np.sum(w_minus * np.sum(diff**2, axis=2))) / mass_minus
     branch_pos = float(np.sum(w_plus * dev[None, :])) / mass_plus
     V_neg = 0.5 * branch_pos + 0.5 * float(space.marginal @ dev)
-    return (V, V_minus, V_neg, mass_plus, mass_minus)
+    return (V, V_minus, V_neg)
 
 
 def cube_alignment_eps(f, space):
     """Alignment terms from the (n, n, k) all-pairs difference cube."""
     F = f.table
     mask_minus = (~space.positive_mask()) & (space.joint > 0.0)
-    mask_plus = space.positive_mask() & (space.joint > 0.0)
     dist = np.sqrt(np.sum((F[:, None, :] - F[None, :, :]) ** 2, axis=2))
-    max_plus = float(dist[mask_plus].max()) if np.any(mask_plus) else 0.0
     if not np.any(mask_minus):
-        return EpsAlignment(0.0, 0.0, (), (), max_plus, empty=True)
-    imin = np.unravel_index(np.argmin(np.where(mask_minus, dist, np.inf)), dist.shape)
-    imax = np.unravel_index(np.argmax(np.where(mask_minus, dist, -np.inf)), dist.shape)
-    ids = space.node_ids
-    return EpsAlignment(
-        eps_min=float(dist[imin]),
-        eps_max=float(dist[imax]),
-        argmin_pair=(ids[imin[0]], ids[imin[1]]),
-        argmax_pair=(ids[imax[0]], ids[imax[1]]),
-        max_plus=max_plus,
-    )
+        return EpsAlignment(0.0, 0.0, empty=True)
+    minus = dist[mask_minus]
+    return EpsAlignment(eps_min=float(minus.min()), eps_max=float(minus.max()))
 
 
 def _fields(vt):
-    return (vt.V, vt.V_minus, vt.V_neg, vt.x_plus_mass, vt.x_minus_mass)
+    return (vt.V, vt.V_minus, vt.V_neg)
 
 
 def _parse_value(text):
@@ -273,14 +253,11 @@ class TestVarianceTerms:
         assert vt.V == 0.0
         assert vt.V_minus == 0.0
         assert vt.V_neg == 0.0
-        assert abs(vt.x_plus_mass - 0.75) < 1e-12
-        assert abs(vt.x_minus_mass - 0.25) < 1e-12
 
     def test_no_false_positives_drops_v_minus(self):
         space = identity_only_space()
         vt = variance_terms(random_embedding(space.n, 3, seed=1), space)
         assert vt.V_minus is None
-        assert vt.x_minus_mass == 0.0
 
     def test_brute_force_oracle(self):
         space = toy_space()
@@ -362,7 +339,6 @@ class TestAlignmentEps:
         eps = alignment_eps(f, space)
         assert abs(eps.eps_min - min(dists)) < 1e-12
         assert abs(eps.eps_max - max(dists)) < 1e-12
-        assert eps.argmin_pair and eps.argmax_pair
 
     def test_empty_false_positive_support(self):
         space = identity_only_space()
@@ -385,21 +361,12 @@ class TestAlignmentEps:
                 f = random_embedding(space.n, 3, seed=seed, normalized=normalized)
                 assert alignment_eps(f, space) == alignment_eps_of_joint(f, space)
 
-    def test_ties_go_to_the_first_pair_in_row_major_order(self):
-        # every distance is 0, so argmin and argmax both tie over the whole
-        # false-positive support and must pick its first pair
+    def test_all_zero_distances(self):
+        # every distance is 0 over a nonempty false-positive support
         for space in (toy_space(),) + reference_and_inflated_spaces():
             f = constant_embedding(space.n)
-            first = next(
-                (space.node_ids[x], space.node_ids[y])
-                for x in range(space.n)
-                for y in range(space.n)
-                if space.joint[x, y] > 0 and space.labels[x] != space.labels[y]
-            )
-            eps = alignment_eps(f, space)
-            assert eps.argmin_pair == first
-            assert eps.argmax_pair == first
-            assert eps == cube_alignment_eps(f, space)
+            assert alignment_eps(f, space) == EpsAlignment(0.0, 0.0)
+            assert alignment_eps(f, space) == cube_alignment_eps(f, space)
 
 
 class TestSandwich:
@@ -474,7 +441,7 @@ class TestSandwich:
         space, cfg = staged.space, McConfig(samples=3000, seed=4)
         for table in (
             random_embedding(space.n, k, seed=5, normalized=False).table,
-            spectral_embedding(staged.graph, staged.spectrum, k),
+            spectral_embedding(staged, k),
         ):
             f = Embedding(table, normalized=False)
             want = all_sandwich_terms(f, space, 1, cfg)
@@ -584,15 +551,15 @@ class TestDownstreamBound:
         head = LinearHead(W=np.zeros((2, 2)))
         staged = stage_graph(toy_world(), toy_transforms())
         with pytest.raises(ValueError):
-            theorem4_check(staged, Embedding(np.zeros((staged.graph.n, 0)), False), head)
+            theorem4_check(staged, Embedding(np.zeros((staged.space.n, 0)), False), head)
         with pytest.raises(ValueError):
-            theorem4_check(staged, Embedding(np.zeros((staged.graph.n, 99)), False), head)
+            theorem4_check(staged, Embedding(np.zeros((staged.space.n, 99)), False), head)
 
     def test_head_shape_validated(self):
         # a head fitted on a table of another width cannot score the k-column one
         staged = stage_graph(toy_world(), toy_transforms())
         with pytest.raises(ValueError, match=r"head shape \(1, 2\) is not \(k, K\) = \(2, 2\)"):
-            spectral = Embedding(spectral_embedding(staged.graph, staged.spectrum, 2), False)
+            spectral = Embedding(spectral_embedding(staged, 2), False)
             theorem4_check(staged, spectral, LinearHead(W=np.zeros((1, 2))))
 
 

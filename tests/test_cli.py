@@ -219,7 +219,7 @@ class TestRunCommand:
         _row, reports = cli.compute_row(cfg, stage, None, cfg.train_k, "baseline")
         (t4,) = [r for r in reports if r.theorem == "theorem4"]
         staged = stage(None)
-        table = spectral_embedding(staged.graph, staged.spectrum, cfg.train_k)
+        table = spectral_embedding(staged, cfg.train_k)
         f = Embedding(table=table, normalized=False)
         (alone,) = objectives.fit_linear_head(
             [f], staged.space, cfg.probe_steps, cfg.probe_step_size, cfg.probe_l2
@@ -363,6 +363,12 @@ class TestErrors:
         # a config error names its key, a floating-point or divergence error the
         # command and any row
         assert key in err or f"ctlab {command}: " in err, err
+
+    @pytest.mark.parametrize("key, value", [("train.k", "99"), ("train.k_sweep", "2, 99")])
+    def test_node_count_error_names_the_key_of_its_k(self, tmp_path, capsys, key, value):
+        argv = ["sweep", "--config", REFERENCE, "--out", str(tmp_path / "o")]
+        assert main(argv + ["--set", "svd.sweep=", "--set", f"{key}={value}"]) == 2
+        assert capsys.readouterr().err == f"error: {key}: k=99 out of range [1, 54]\n"
 
     def test_floating_point_errors_name_the_command_or_row(self, tmp_path, capsys):
         argv = ["--config", REFERENCE, "--out", str(tmp_path / "o")]

@@ -83,6 +83,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="svd.q"):
             load_config(path)
 
+    @pytest.mark.parametrize("value, bad", [("0, 2", 0), ("3, -1", -1)])
+    def test_k_sweep_entry_below_one_named(self, tmp_path, value, bad):
+        with pytest.raises(ConfigError, match=rf"^train\.k_sweep: must be >= 1, got {bad}$"):
+            load_config(write_cfg(tmp_path), [f"train.k_sweep={value}"])
+
     def test_bad_integer_named(self, tmp_path):
         path = write_cfg(tmp_path, MINIMAL.replace("seed = 3\n\n[world]", "seed = x\n\n[world]"))
         with pytest.raises(ConfigError, match="run.seed"):

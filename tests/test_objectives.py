@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctlab import objectives
-from ctlab.graph import build_graph, laplacian_spectrum, spectral_embedding
+from ctlab.graph import spectral_embedding, stage_graph
 from ctlab.linalg import gaussian_matrix
 from ctlab.objectives import (
     Embedding,
@@ -531,10 +531,10 @@ class TestSpectralLoss:
 
     def test_embedding_beats_random(self):
         w = reference_world()
-        space = build_augmented_space(w, reference_transforms(w))
-        G = build_graph(space)
+        staged = stage_graph(w, reference_transforms(w))
+        space = staged.space
         k = 4
-        table = spectral_embedding(G, laplacian_spectrum(G), k)
+        table = spectral_embedding(staged, k)
         best = spectral_loss(Embedding(table, False), space)
         for seed in range(200):
             f = random_embedding(space.n, k, seed=seed, normalized=False)

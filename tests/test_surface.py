@@ -35,6 +35,35 @@ def test_every_public_definition_is_used_in_the_package():
     assert unused == UNREACHED
 
 
+def _is_dataclass(definition):
+    return isinstance(definition, ast.ClassDef) and any(
+        (d.func if isinstance(d, ast.Call) else d).id == "dataclass"
+        for d in definition.decorator_list
+    )
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    # a read is an attribute load of the field's name anywhere in src/ctlab;
+    # report_to_text reads BoundReport through dataclasses.fields and
+    # RunConfig.echo reads RunConfig through getattr
+    modules = _modules()
+    read = {
+        n.attr
+        for tree in modules.values()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    unread = {
+        f"{mod}.{definition.name}.{stmt.target.id}"
+        for mod, tree in modules.items()
+        for definition in _definitions(tree)
+        if _is_dataclass(definition) and definition.name not in {"BoundReport", "RunConfig"}
+        for stmt in definition.body
+        if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in read
+    }
+    assert unread == set()
+
+
 def test_test_oracles_stay_out_of_the_package():
     oracles = {n.name for n in _definitions(ast.parse((ROOT / "tests" / "oracles.py").read_text()))}
     for mod, tree in _modules().items():

@@ -441,30 +441,28 @@ class TestAugmentedSpace:
 class TestLabelingError:
     def test_toy_exact(self):
         w = toy_world()
-        rep = labeling_error(build_augmented_space(w, toy_transforms()), w)
-        assert rep.alpha == 0.25
-        assert np.array_equal(rep.per_class_alpha, [0.5, 0.0])
+        assert labeling_error(build_augmented_space(w, toy_transforms()), w) == 0.25
 
     def test_matches_direct_enumeration(self):
         # independent oracle: loop originals x transforms without dedup
         w = reference_world()
         transforms = reference_transforms(w)
         space = build_augmented_space(w, transforms)
-        rep = labeling_error(space, w)
+        alpha = labeling_error(space, w)
         acc = 0.0
         for _oid, payload, label in w.originals:
             for t in transforms:
                 view = apply_transform(t, payload)
                 if ground_truth_label([view], w.templates)[0] != label:
                     acc += t.probability / w.n_originals
-        assert abs(rep.alpha - acc) < 1e-12
+        assert abs(alpha - acc) < 1e-12
 
     def test_identity_only_is_error_free(self):
         w = reference_world()
         space = build_augmented_space(
             w, [Transform(id="i", kind="identity", probability=1.0)]
         )
-        assert labeling_error(space, w).alpha == 0.0
+        assert labeling_error(space, w) == 0.0
 
 
 class TestPreprocess:
@@ -490,7 +488,7 @@ class TestPreprocess:
         for q in (1, 2, 3, 4):
             pw = preprocess_world(w, TruncationSpec(mode="keep_top_q", q=q))
             space = build_augmented_space(pw, transforms)
-            alphas[q] = labeling_error(space, pw).alpha
+            alphas[q] = labeling_error(space, pw)
         # at q = q* the nuisance is gone and only the bridge mass flips
         assert abs(alphas[3] - 0.04) < 1e-12
         assert alphas[3] < min(alphas[q] for q in (1, 2, 4)) - 1e-6
