@@ -272,9 +272,10 @@ def parse_config(parser: configparser.ConfigParser) -> RunConfig:
 
     cfg.svd_q, cfg.svd_pair_index = cfg.svd_q or None, cfg.svd_pair_index or None
     rank_bound = min(spec.m, spec.m_prime)
-    for q in ([cfg.svd_q] if cfg.svd_q else []) + cfg.svd_sweep:
-        if not (1 <= q <= rank_bound):
-            raise ConfigError(f"svd.q: q={q} out of range [1, {rank_bound}]")
+    for key, qs in (("svd.q", [cfg.svd_q] if cfg.svd_q else []), ("svd.sweep", cfg.svd_sweep)):
+        for q in qs:
+            if not (1 <= q <= rank_bound):
+                raise ConfigError(f"{key}: q={q} out of range [1, {rank_bound}]")
     if cfg.svd_mode == "keep_top_q" and cfg.svd_q is None and not cfg.svd_sweep:
         raise ConfigError("svd.q: required when mode = keep_top_q")
     if cfg.svd_mode in ("discard_pair", "discard_single"):

@@ -119,17 +119,37 @@ def _infonce(space: AugmentedSpace, M: int, cfg: McConfig, seed: int):
     return (lambda sims, coef=False: _sampled_infonce(sims, flat, coef)), False
 
 
+def _lse2(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """log(e^a + e^b) into out, as max(a, b) + log1p(exp(-|a - b|)).
+
+    numpy's logaddexp evaluates the same formula one element at a time; here
+    every step is one vectorized ufunc pass.  out and tmp have the broadcast
+    shape of a and b; out must not alias either, tmp may be b (it is left
+    holding max(a, b)).
+    """
+    np.subtract(a, b, out=out)
+    np.maximum(a, b, out=tmp)
+    np.abs(out, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    return np.add(tmp, out, out=out)
+
+
 def _exact_infonce(space: AugmentedSpace, M: int):
     """Build the exact population InfoNCE engine of one space and M.
 
-    The M = 1 scatter indices and the M = 2 anchor offsets of the space's
-    pair support are computed once, here.  Returns `engine(sims, coef=False)
-    -> (loss, C)` for the similarity table sims = F F^T; with coef, C = dL/dS
-    is the (n, n) coefficient matrix of the loss in the entries of S taken
-    as independent variables, else None.  C is fresh on every call, so a C
-    returned earlier stays valid.  M = 1 works in two (pairs, n) buffers
-    owned by the engine; M = 2 loops over anchors and holds (pairs of one
-    anchor, n, n) arrays.
+    The M = 1 scatter indices, the M = 2 anchor offsets of the space's pair
+    support and every buffer an evaluation writes are made once, here.
+    Returns `engine(sims, coef=False) -> (loss, C)` for the similarity table
+    sims = F F^T; with coef, C = dL/dS is the (n, n) coefficient matrix of
+    the loss in the entries of S taken as independent variables, else None.
+    C is fresh on every call, so a C returned earlier stays valid.  Every
+    two-term log-sum-exp is `_lse2`, max(a, b) + log1p(exp(-|a - b|)) in
+    vectorized passes.  M = 1 works in two (pairs, n) buffers S and L;
+    M = 2 loops over anchors, nesting `_lse2` over the two negatives and
+    then the positive, in an (n, n) buffer and two (most pairs of one
+    anchor, n, n) buffers.
     """
     xs, ys, w = space.support
     p = space.marginal
@@ -140,6 +160,10 @@ def _exact_infonce(space: AugmentedSpace, M: int):
         L = np.empty((len(xs), n))
     elif M == 2:
         starts = np.searchsorted(xs, np.arange(n + 1))  # xs is sorted
+        most = int(np.diff(starts).max())
+        R = np.empty((n, n))  # lse of the two negatives
+        T = np.empty((most, n, n))  # lse of positive and negatives per pair
+        U = np.empty((most, n, n))  # scratch
     else:  # pragma: no cover - m_max guards this
         raise ValueError("exact enumeration supports M <= 2")
 
@@ -151,10 +175,12 @@ def _exact_infonce(space: AugmentedSpace, M: int):
             # range; with the default mode="raise", take would copy via a
             # temporary instead of writing into S
             np.take(sims, xs, axis=0, out=S, mode="clip")
-            np.logaddexp(s_pos[:, None], S, out=L)
+            _lse2(s_pos[:, None], S, out=L, tmp=S)
             expect = L @ p
             if coef:
-                # negatives w * exp(s_neg - lse) * p in S, positives in L
+                # negatives w * exp(s_neg - lse) * p in S, positives in L;
+                # _lse2 left max(s+, s_neg) in S, so the negatives come again
+                np.take(sims, xs, axis=0, out=S, mode="clip")
                 np.subtract(S, L, out=S)
                 np.exp(S, out=S)
                 np.multiply(w[:, None], S, out=S)
@@ -170,16 +196,18 @@ def _exact_infonce(space: AugmentedSpace, M: int):
                 if sel.start == sel.stop:
                     continue
                 row = sims[x, :]
-                lse = np.logaddexp(
-                    s_pos[sel, None, None], np.logaddexp(row[:, None], row[None, :])
-                )  # (pairs of x, n, n), symmetric in the two negatives
+                pairs = sel.stop - sel.start
+                lse, tmp = T[:pairs], U[:pairs]  # (pairs of x, n, n)
+                _lse2(row[:, None], row[None, :], out=R, tmp=tmp[0])
+                # symmetric in the two negatives
+                _lse2(s_pos[sel, None, None], R, out=lse, tmp=tmp)
                 expect[sel] = lse @ p @ p
                 if coef:
-                    pos = np.exp(s_pos[sel, None, None] - lse) @ p @ p
-                    C[x, ys[sel]] = w[sel] * (pos - 1.0)
+                    np.exp(np.subtract(s_pos[sel, None, None], lse, out=tmp), out=tmp)
+                    C[x, ys[sel]] = w[sel] * (tmp @ p @ p - 1.0)
                     # both negative slots give the same term by symmetry
-                    neg = np.exp(row[None, :, None] - lse) @ p
-                    C[x, :] += 2.0 * p * (w[sel] @ neg)
+                    np.exp(np.subtract(row[None, :, None], lse, out=tmp), out=tmp)
+                    C[x, :] += 2.0 * p * (w[sel] @ (tmp @ p))
         return float(w @ (expect - s_pos)), C
 
     return engine

@@ -83,6 +83,20 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="svd.q"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (["svd.sweep=0, 2"], "svd.sweep: q=0"),
+            (["svd.sweep=2, 40"], "svd.sweep: q=40"),
+            (["svd.q=2", "svd.sweep=1, 13"], "svd.sweep: q=13"),
+            (["svd.q=13", "svd.sweep=1, 2"], "svd.q: q=13"),
+        ],
+    )
+    def test_q_and_sweep_entries_named_by_their_key(self, tmp_path, overrides, message):
+        # MINIMAL's world has m = m' = 6
+        with pytest.raises(ConfigError, match=rf"^{message} out of range \[1, 6\]$"):
+            load_config(write_cfg(tmp_path), overrides)
+
     @pytest.mark.parametrize("value, bad", [("0, 2", 0), ("3, -1", -1)])
     def test_k_sweep_entry_below_one_named(self, tmp_path, value, bad):
         with pytest.raises(ConfigError, match=rf"^train\.k_sweep: must be >= 1, got {bad}$"):

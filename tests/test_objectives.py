@@ -25,6 +25,7 @@ from ctlab.objectives import (
 from ctlab.objectives import (
     _exact_infonce,
     _gradient,
+    _lse2,
     _sample_batch,
     _sampled_infonce,
     _table_indices,
@@ -85,6 +86,8 @@ def per_call_exact_infonce(sims, space, M, coef=False):
 
     The reference for the built engine's bits: same arithmetic on fresh
     arrays, with the pair support and scatter indices made on every call.
+    Each two-term log-sum-exp is spelled out as max(a, b) + log1p(exp(-|a -
+    b|)), the formula the engine's vectorized passes compute.
     """
     xs, ys = np.nonzero(space.joint)
     w = space.joint[xs, ys]
@@ -94,7 +97,8 @@ def per_call_exact_infonce(sims, space, M, coef=False):
     C = np.zeros((n, n)) if coef else None
     if M == 1:
         s_neg = sims[xs, :]
-        lse = np.logaddexp(s_pos[:, None], s_neg)
+        a = s_pos[:, None]
+        lse = np.maximum(a, s_neg) + np.log1p(np.exp(-np.abs(a - s_neg)))
         expect = lse @ p
         if coef:
             C[xs, ys] = w * (np.exp(s_pos[:, None] - lse) @ p - 1.0)
@@ -109,9 +113,10 @@ def per_call_exact_infonce(sims, space, M, coef=False):
             if sel.start == sel.stop:
                 continue
             row = sims[x, :]
-            lse = np.logaddexp(
-                s_pos[sel, None, None], np.logaddexp(row[:, None], row[None, :])
-            )
+            u, v = row[:, None], row[None, :]
+            negs = np.maximum(u, v) + np.log1p(np.exp(-np.abs(u - v)))
+            a = s_pos[sel, None, None]
+            lse = np.maximum(a, negs) + np.log1p(np.exp(-np.abs(a - negs)))
             expect[sel] = lse @ p @ p
             if coef:
                 pos = np.exp(s_pos[sel, None, None] - lse) @ p @ p
@@ -350,6 +355,47 @@ class TestInfoNceGradient:
                 assert np.abs(got - want).max() < 1e-15
 
 
+def lse2(a, b):
+    a, b = np.broadcast_arrays(a, b)
+    return _lse2(a, b, out=np.empty(a.shape), tmp=np.empty(a.shape))
+
+
+class TestLse2:
+    """The engine's two-term log-sum-exp against numpy's own logaddexp."""
+
+    @staticmethod
+    def ulps_off(a, b):
+        # the error of either is a few roundings of the larger of its two
+        # terms max(a, b) and log1p(exp(-|a - b|)) <= log 2
+        want = np.logaddexp(a, b)
+        top = np.maximum(a, b)
+        ulp = np.spacing(np.maximum(np.abs(top), want - top))
+        return np.abs(lse2(a, b) - want) / ulp
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 10.0, 1000.0])
+    def test_within_four_ulp_of_logaddexp(self, scale):
+        rng = np.random.default_rng(int(scale * 1000))
+        a, b = scale * rng.normal(size=(2, 200_000))
+        assert self.ulps_off(a, b).max() <= 4.0
+
+    def test_both_argument_orders_give_the_same_bits(self):
+        a, b = np.random.default_rng(1).normal(scale=10.0, size=(2, 10_000))
+        assert np.array_equal(lse2(a, b), lse2(b, a))
+
+    def test_equal_arguments_are_exact(self):
+        a = np.random.default_rng(2).normal(scale=10.0, size=10_000)
+        a = np.concatenate([a, [0.0, -0.0, 1.0, -800.0, 800.0]])
+        assert np.array_equal(lse2(a, a), np.logaddexp(a, a))
+
+    @pytest.mark.parametrize("gap", [800.0, -800.0])
+    def test_far_apart_gives_the_larger(self, gap):
+        a = np.random.default_rng(3).normal(size=1000)
+        with np.errstate(all="raise", under="ignore"):
+            assert np.array_equal(lse2(a, a + gap), np.maximum(a, a + gap))
+            assert np.array_equal(lse2(a + gap, a), np.maximum(a, a + gap))
+        assert np.array_equal(lse2(a, a + gap), np.logaddexp(a, a + gap))
+
+
 class TestExactEngine:
     @pytest.mark.parametrize("M, zero_node", [(1, None), (2, None), (2, 4)])
     @pytest.mark.parametrize("normalized", [True, False])
@@ -421,6 +467,20 @@ class TestExactEngine:
         finally:
             tracemalloc.stop()
         assert peak < one_array
+
+    def test_built_m2_engine_allocates_under_one_anchor_block(self):
+        space = reference_space()
+        engine = _exact_infonce(space, 2)
+        sims = unit_sims(space.n, 5)
+        most = np.bincount(space.support[0]).max()
+        one_block = most * space.n * space.n * 8  # (pairs of one anchor, n, n): 443,232 bytes
+        tracemalloc.start()
+        try:
+            engine(sims, coef=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < one_block
 
     @pytest.mark.parametrize("M", [1, 2])
     def test_matches_finite_differences(self, M):
