@@ -1,9 +1,11 @@
 """Command-line front end: config-driven pipelines with deterministic artifacts.
 
-Every sweep row derives its own seed from the global seed and a stable row
-key, so results are independent of sweep order and worker count; all files
-are written with LF endings and repr-formatted floats, which makes repeated
-runs byte-identical.
+`run` and `sweep` compute every configured row through `compute_row`;
+`train`, `probe` and `bounds` compute only `run`'s baseline row (row key
+"baseline") and write their files from it.  Every row derives its own seed
+from the global seed and its row key, so results are independent of sweep
+order and worker count; all files are written with LF endings and
+repr-formatted floats, which makes repeated runs byte-identical.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .objectives import (
     ce_risk,
     classification_error,
     fit_linear_head,
-    mean_head,
     spectral_loss,
     train_free_embeddings,
 )
@@ -126,16 +127,8 @@ def _stager(cfg: RunConfig, raw_world, transforms):
     return stage
 
 
-def _train(cfg: RunConfig, space, k, seed):
-    """The [train] section's descent on one space, with Monte Carlo draws keyed by `seed`."""
-    return train_free_embeddings(
-        space, k, cfg.train_loss, cfg.train_steps, cfg.train_step_size, seed, cfg.train_M,
-        cfg.mc_config(seed),
-    )
-
-
 def compute_row(cfg: RunConfig, stage, q, k, row_key):
-    """One full pipeline evaluation; returns (row dict, list of BoundReports).
+    """One full pipeline evaluation; returns (row, reports, trained table, its head, space).
 
     Floating-point errors raise, whatever thread runs the row, and name it.
     """
@@ -155,7 +148,10 @@ def _row(cfg: RunConfig, stage, q, k, row_key):
         raise ConfigError(f"{key}: k={k} out of range [1, {space.n}]")
     lam_k, lam_k1 = staged.levels(k)
 
-    f = _train(cfg, space, k, seed)
+    f = train_free_embeddings(
+        space, k, cfg.train_loss, cfg.train_steps, cfg.train_step_size, seed, cfg.train_M,
+        cfg.mc_config(seed),
+    )
     # the trained table and, for t4, the closed-form spectral one share one probe
     tables = [f]
     if "t4" in cfg.bounds_which:
@@ -195,25 +191,25 @@ def _row(cfg: RunConfig, stage, q, k, row_key):
         "verdicts": ";".join(f"{r.theorem}={r.verdict}" for r in reports),
         "seed": seed,
     }
-    return row, reports
+    return row, reports, f, head, space
 
 
 def compute_sweep(cfg: RunConfig, raw_world, transforms, threads=1):
-    """Every configured row, each computed once, on one pool of `threads` workers.
+    """Every row of `run` and `sweep`, each one `compute_row` call, on `threads` workers.
 
-    The rows of one world run in turn (the baseline and k rows, then one row
-    per rank q), so each distinct world is staged once at `threads` = 1.
+    The rows of one world run in turn: "baseline" and one "k=K" per dimension,
+    then one "q=Q" per rank, so each world is staged once at `threads` = 1.
     Returns {table name: [(row, reports), ...]}: "baseline" always, then
-    "sweep_q" (the baseline row with q blank, then one row per rank) and
-    "sweep_k" (one row per dimension) when configured.
+    "sweep_q" (the baseline row with q blank, then the q rows) and "sweep_k"
+    (the k rows) when configured. `train`, `probe` and `bounds` run "baseline" alone.
     """
     stage = _stager(cfg, raw_world, transforms)
     plan = [(None, cfg.train_k, "baseline")]
     plan += [(None, k, f"k={k}") for k in cfg.train_k_sweep]
     plan += [(q, cfg.train_k, f"q={q}") for q in cfg.svd_sweep]
 
-    def row(p):
-        return compute_row(cfg, stage, *p)
+    def row(p):  # a row's tables do not outlive it
+        return compute_row(cfg, stage, *p)[:2]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -291,7 +287,6 @@ def _exit_status(reports, allow_violations):
 
 
 def cmd_run(cfg: RunConfig, out_dir, threads, allow_violations):
-    os.makedirs(out_dir, exist_ok=True)
     raw_world = generate_world(cfg.world)
     transforms = make_transforms(cfg, raw_world)
     save_world(raw_world, os.path.join(out_dir, "world"))
@@ -303,14 +298,12 @@ def cmd_run(cfg: RunConfig, out_dir, threads, allow_violations):
 
 
 def cmd_world(cfg, out_dir, threads, allow_violations):
-    os.makedirs(out_dir, exist_ok=True)
     inflated = inflate(generate_world(cfg.world), cfg.inflation_factor, seed=cfg.seed)
     save_world(_stage_world(cfg, inflated), os.path.join(out_dir, "world"))
     return 0
 
 
 def cmd_svd(cfg, out_dir, threads, allow_violations):
-    os.makedirs(out_dir, exist_ok=True)
     raw = generate_world(cfg.world)
     trunc = cfg.truncation()
     if trunc is None:
@@ -320,7 +313,6 @@ def cmd_svd(cfg, out_dir, threads, allow_violations):
 
 
 def cmd_graph(cfg, out_dir, threads, allow_violations):
-    os.makedirs(out_dir, exist_ok=True)
     raw_world = generate_world(cfg.world)
     staged = _stager(cfg, raw_world, make_transforms(cfg, raw_world))()
     A = staged.space.joint
@@ -336,15 +328,15 @@ def cmd_graph(cfg, out_dir, threads, allow_violations):
     return 0
 
 
-def _train_embedding(cfg):
+def _baseline_row(cfg):
+    """`run`'s baseline row of the configured world: compute_row's five values."""
     raw_world = generate_world(cfg.world)
-    space = _stager(cfg, raw_world, make_transforms(cfg, raw_world))().space
-    return _train(cfg, space, cfg.train_k, row_seed(cfg.seed, "train")), space
+    stage = _stager(cfg, raw_world, make_transforms(cfg, raw_world))
+    return compute_row(cfg, stage, None, cfg.train_k, "baseline")
 
 
 def cmd_train(cfg, out_dir, threads, allow_violations):
-    os.makedirs(out_dir, exist_ok=True)
-    f, space = _train_embedding(cfg)
+    _row, _reports, f, _head, space = _baseline_row(cfg)
     save_matrix_text(os.path.join(out_dir, "embedding.mat"), f.table)
     with open(os.path.join(out_dir, "embedding_nodes.txt"), "w", newline="\n") as fh:
         fh.write("\n".join(space.node_ids) + "\n")
@@ -352,32 +344,22 @@ def cmd_train(cfg, out_dir, threads, allow_violations):
 
 
 def cmd_probe(cfg, out_dir, threads, allow_violations):
-    os.makedirs(out_dir, exist_ok=True)
-    f, space = _train_embedding(cfg)
-    (head,) = fit_linear_head([f], space, cfg.probe_steps, cfg.probe_step_size, cfg.probe_l2)
-    err = classification_error(f, head, space)
-    ce_lin = ce_risk(f, head, space)
-    ce_mu = ce_risk(f, mean_head(f, space), space)
+    row, _reports, _f, head, _space = _baseline_row(cfg)
     with open(os.path.join(out_dir, "probe.txt"), "w", newline="\n") as fh:
-        fh.write(f"probe_error = {err!r}\n")
-        fh.write(f"ce_linear = {ce_lin!r}\n")
-        fh.write(f"ce_mean = {ce_mu!r}\n")
+        for col in ("probe_error", "ce_linear", "ce_mean"):
+            fh.write(f"{col} = {row[col]!r}\n")
         fh.write(f"head_frob_norm = {head.frob_norm!r}\n")
-    print(f"probe_error = {err!r}")
+    print(f"probe_error = {row['probe_error']!r}")
     return 0
 
 
 def cmd_bounds(cfg, out_dir, threads, allow_violations):
-    os.makedirs(out_dir, exist_ok=True)
-    raw_world = generate_world(cfg.world)
-    stage = _stager(cfg, raw_world, make_transforms(cfg, raw_world))
-    _row, reports = compute_row(cfg, stage, None, cfg.train_k, "bounds")
+    _row, reports, *_tables = _baseline_row(cfg)
     _write_reports(reports, os.path.join(out_dir, "bounds.txt"))
     return _exit_status(reports, allow_violations)
 
 
 def cmd_sweep(cfg, out_dir, threads, allow_violations):
-    os.makedirs(out_dir, exist_ok=True)
     if not cfg.svd_sweep and not cfg.train_k_sweep:
         raise ConfigError("sweep: neither svd.sweep nor train.k_sweep configured")
     raw_world = generate_world(cfg.world)
@@ -426,6 +408,7 @@ def main(argv=None) -> int:
             overrides.append(f"run.seed={args.seed}")
         cfg = load_config(args.config, overrides)
         out_dir = args.out if args.out is not None else cfg.output_directory
+        os.makedirs(out_dir, exist_ok=True)
         with np.errstate(**_FP_RAISE):
             return _COMMANDS[args.command](
                 cfg, out_dir, max(1, args.threads), args.allow_violations

@@ -14,6 +14,7 @@ from ctlab import cli, config, graph, objectives, world
 from ctlab.cli import SWEEP_COLUMNS, emit_csv, emit_text, main
 from ctlab.config import load_config, make_transforms
 from ctlab.graph import spectral_embedding
+from ctlab.linalg import load_matrix_text
 from ctlab.objectives import Embedding
 from oracles import parse_csv
 
@@ -216,7 +217,7 @@ class TestRunCommand:
         cfg = load_config(small_cfg)
         raw = world.generate_world(cfg.world)
         stage = cli._stager(cfg, raw, make_transforms(cfg, raw))
-        _row, reports = cli.compute_row(cfg, stage, None, cfg.train_k, "baseline")
+        _row, reports, *_tables = cli.compute_row(cfg, stage, None, cfg.train_k, "baseline")
         (t4,) = [r for r in reports if r.theorem == "theorem4"]
         staged = stage(None)
         table = spectral_embedding(staged, cfg.train_k)
@@ -317,6 +318,50 @@ class TestSubcommands:
         assert rc == 2
 
 
+class TestSingleRowCommands:
+    """`train`, `probe` and `bounds` report `run`'s baseline row at the same seed."""
+
+    @pytest.fixture(params=["reference", "small spectral"])
+    def case(self, request, small_cfg):
+        """(config path, seed, overrides)."""
+        if request.param == "reference":
+            return REFERENCE, 6, []
+        return small_cfg, 5, ["train.loss=spectral"]
+
+    @staticmethod
+    def _argv(command, case, out):
+        path, seed, sets = case
+        argv = [command, "--config", path, "--seed", str(seed), "--out", str(out)]
+        return argv + [arg for s in sets for arg in ("--set", s)]
+
+    def test_probe_and_bounds_write_the_baseline_row(self, tmp_path, capsys, case):
+        assert main(self._argv("run", case, tmp_path / "run")) == 0
+        _, (baseline,) = parse_csv(tmp_path / "run" / "baseline.csv")
+        capsys.readouterr()
+        assert main(self._argv("probe", case, tmp_path / "probe")) == 0
+        assert capsys.readouterr().out == f"probe_error = {baseline['probe_error']}\n"
+        lines = (tmp_path / "probe" / "probe.txt").read_text().splitlines()
+        probe = dict(line.split(" = ") for line in lines)
+        for col in ("probe_error", "ce_linear", "ce_mean"):
+            assert probe[col] == baseline[col], col
+        assert main(self._argv("bounds", case, tmp_path / "bounds")) == 0
+        bounds = (tmp_path / "bounds" / "bounds.txt").read_text()
+        assert (tmp_path / "run" / "bounds.txt").read_text().startswith(bounds + "\n")
+        assert bounds.count("theorem = ") == len(baseline["verdicts"].split(";"))
+
+    def test_train_writes_the_baseline_rows_table(self, tmp_path, case):
+        assert main(self._argv("train", case, tmp_path)) == 0
+        path, seed, sets = case
+        cfg = load_config(path, [*sets, f"run.seed={seed}"])
+        raw = world.generate_world(cfg.world)
+        stage = cli._stager(cfg, raw, make_transforms(cfg, raw))
+        baseline = cli.compute_row(cfg, stage, None, cfg.train_k, "baseline")
+        _row, _reports, f, _head, space = baseline
+        np.testing.assert_array_equal(load_matrix_text(tmp_path / "embedding.mat"), f.table)
+        nodes = (tmp_path / "embedding_nodes.txt").read_text().splitlines()
+        assert nodes == list(space.node_ids)
+
+
 class TestErrors:
     def test_bad_config_exits_2(self, tmp_path):
         p = tmp_path / "bad.ini"
@@ -370,13 +415,23 @@ class TestErrors:
         assert main(argv + ["--set", "svd.sweep=", "--set", f"{key}={value}"]) == 2
         assert capsys.readouterr().err == f"error: {key}: k=99 out of range [1, 54]\n"
 
+    @pytest.mark.parametrize("command", ["run", "train", "probe", "bounds"])
+    def test_every_row_command_checks_train_k_against_the_node_count(
+        self, tmp_path, capsys, command
+    ):
+        out = tmp_path / "o"
+        assert main([command, "--config", REFERENCE, "--out", str(out), "--set", "train.k=99"]) == 2
+        assert capsys.readouterr().err == "error: train.k: k=99 out of range [1, 54]\n"
+        assert not (out / "embedding.mat").exists()
+
     def test_floating_point_errors_name_the_command_or_row(self, tmp_path, capsys):
         argv = ["--config", REFERENCE, "--out", str(tmp_path / "o")]
         assert main(["graph", *argv, "--set", "world.noise_scale=1e300"]) == 2
         assert capsys.readouterr().err == "error: ctlab graph: overflow encountered in dot\n"
         assert main(["bounds", *argv, "--set", "train.step_size=1e300"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ctlab bounds: row bounds: train_free_embeddings: loss diverged")
+        want = "error: ctlab bounds: row baseline: train_free_embeddings: loss diverged"
+        assert err.startswith(want)
 
     def test_unknown_command_rejected(self, small_cfg):
         with pytest.raises(SystemExit):
