@@ -227,7 +227,11 @@ def _verdict(slack, envelope) -> str:
     return "violated"
 
 
-def _sandwich_report(theorem, t: SandwichTerms, upper, lower, extra, note):
+def _sandwich_report(theorem, t: SandwichTerms, radius, extra, note):
+    """gap in [-radius - V_neg/2 - envelope - log((M+1)/K), radius + envelope - log(M/K)]."""
+    vt = t.variance
+    upper = radius + t.envelope - np.log(t.M / t.K)
+    lower = -radius - 0.5 * vt.V_neg - t.envelope - np.log((t.M + 1) / t.K)
     slack = float(min(upper - t.gap, t.gap - lower))
     return BoundReport(
         theorem=theorem,
@@ -244,6 +248,8 @@ def _sandwich_report(theorem, t: SandwichTerms, upper, lower, extra, note):
             "lower": float(lower),
             "M": t.M,
             "K": t.K,
+            "V": vt.V,
+            "V_neg": vt.V_neg,
             **extra,
         },
         note=note,
@@ -261,20 +267,11 @@ def theorem1_check(t: SandwichTerms) -> BoundReport:
         raise ValueError("theorem1_check: embedding must be normalized")
     vt = t.variance
     v_minus = 0.0 if vt.V_minus is None else vt.V_minus
-    root_terms = np.sqrt(vt.V) + np.sqrt(v_minus)
-    upper = root_terms + t.envelope - np.log(t.M / t.K)
-    lower = -root_terms - 0.5 * vt.V_neg - t.envelope - np.log((t.M + 1) / t.K)
     return _sandwich_report(
         "theorem1",
         t,
-        upper,
-        lower,
-        {
-            "V": vt.V,
-            "V_minus": vt.V_minus,
-            "V_neg": vt.V_neg,
-            "v_neg_measure": "equal-weight two-branch mixture",
-        },
+        np.sqrt(vt.V) + np.sqrt(v_minus),
+        {"V_minus": vt.V_minus, "v_neg_measure": "equal-weight two-branch mixture"},
         "label-consistent case: V_minus absent" if vt.V_minus is None else "",
     )
 
@@ -288,24 +285,13 @@ def theorem3_check(t: SandwichTerms) -> BoundReport:
     """
     if not t.normalized:
         raise ValueError("theorem3_check: embedding must be normalized")
-    vt, eps = t.variance, t.eps
-    eps_term = 0.0 if eps.empty else eps.eps_min + eps.eps_max
+    eps = t.eps
     # sqrt(V) survives: alignment only replaces the false-positive root
-    base = np.sqrt(vt.V) + eps_term
-    upper = base + t.envelope - np.log(t.M / t.K)
-    lower = -base - 0.5 * vt.V_neg - t.envelope - np.log((t.M + 1) / t.K)
     return _sandwich_report(
         "theorem3",
         t,
-        upper,
-        lower,
-        {
-            "V": vt.V,
-            "V_neg": vt.V_neg,
-            "eps_min": eps.eps_min,
-            "eps_max": eps.eps_max,
-            "no_false_positives": eps.empty,
-        },
+        np.sqrt(t.variance.V) + (0.0 if eps.empty else eps.eps_min + eps.eps_max),
+        {"eps_min": eps.eps_min, "eps_max": eps.eps_max, "no_false_positives": eps.empty},
         "no false positives: reduced to the consistent form" if eps.empty else "",
     )
 

@@ -16,6 +16,7 @@ import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -95,16 +96,16 @@ def emit_text(rows, path) -> None:
 # pipeline
 
 
-def _stage_world(cfg: RunConfig, inflated, q=None):
-    """The world of sweep rank q (default: as configured): only its raw originals are truncated."""
-    trunc = cfg.truncation(q)
+def _stage_world(cfg: RunConfig, inflated):
+    """The world of cfg's truncation: only its raw originals are truncated."""
+    trunc = cfg.truncation()
     if trunc is None:
         return inflated
     return preprocess_world(inflated, trunc, cfg.world.K * cfg.world.per_class)
 
 
-def _stager(cfg: RunConfig, raw_world, transforms):
-    """Return stage(q=None): the staged graph of the world of sweep rank q.
+def _stager(raw_world, transforms):
+    """Return stage(cfg): the staged graph of cfg's world, keyed by cfg.truncation() alone.
 
     stage inflates the raw world once, in the first row, and remembers only
     the latest staged world, dropping it before staging the next one, so rows
@@ -112,40 +113,39 @@ def _stager(cfg: RunConfig, raw_world, transforms):
     time, so threads that ask for a world together (the pool's first rows)
     stage it once; the others wait and share it.
     """
-    latest, inflated = {}, []
-    lock = threading.Lock()
+    latest, inflated, lock = {}, [], threading.Lock()
 
-    def stage(q=None):
+    def stage(cfg):
+        key = cfg.truncation()
         with lock:
-            if q not in latest:
+            if key not in latest:
                 latest.clear()
                 if not inflated:
                     inflated.append(inflate(raw_world, cfg.inflation_factor, seed=cfg.seed))
-                latest[q] = stage_graph(_stage_world(cfg, inflated[0], q), transforms)
-            return latest[q]
+                latest[key] = stage_graph(_stage_world(cfg, inflated[0]), transforms)
+            return latest[key]
 
     return stage
 
 
-def compute_row(cfg: RunConfig, stage, q, k, row_key):
-    """One full pipeline evaluation; returns (row, reports, trained table, its head, space).
+def compute_row(cfg: RunConfig, stage, row_key, k_key="train.k"):
+    """Row row_key of cfg, k from config key k_key: (row, reports, trained table, its head, space).
 
     Floating-point errors raise, whatever thread runs the row, and name it.
     """
     try:
         with np.errstate(**_FP_RAISE):
-            return _row(cfg, stage, q, k, row_key)
+            return _row(cfg, stage, row_key, k_key)
     except (FloatingPointError, DivergenceError) as exc:
         raise type(exc)(f"row {row_key}: {exc}") from None
 
 
-def _row(cfg: RunConfig, stage, q, k, row_key):
-    seed = row_seed(cfg.seed, row_key)
-    staged = stage(q)
+def _row(cfg: RunConfig, stage, row_key, k_key):
+    seed, k = row_seed(cfg.seed, row_key), cfg.train_k
+    staged = stage(cfg)
     space = staged.space
-    if not (1 <= k <= space.n):  # a k that is not train.k came from train.k_sweep
-        key = "train.k" if k == cfg.train_k else "train.k_sweep"
-        raise ConfigError(f"{key}: k={k} out of range [1, {space.n}]")
+    if not (1 <= k <= space.n):
+        raise ConfigError(f"{k_key}: k={k} out of range [1, {space.n}]")
     lam_k, lam_k1 = staged.levels(k)
 
     f = train_free_embeddings(
@@ -175,7 +175,7 @@ def _row(cfg: RunConfig, stage, q, k, row_key):
         reports.extend(corollary_reports(terms, head, ce_linear))
 
     row = {
-        "q": q if q is not None else (cfg.svd_q if cfg.svd_mode == "keep_top_q" else None),
+        "q": cfg.svd_q if cfg.svd_mode == "keep_top_q" else None,
         "k": k,
         "alpha_q": staged.alpha,
         "lambda_k_q": lam_k,
@@ -197,25 +197,27 @@ def _row(cfg: RunConfig, stage, q, k, row_key):
 def compute_sweep(cfg: RunConfig, raw_world, transforms, threads=1):
     """Every row of `run` and `sweep`, each one `compute_row` call, on `threads` workers.
 
-    The rows of one world run in turn: "baseline" and one "k=K" per dimension,
-    then one "q=Q" per rank, so each world is staged once at `threads` = 1.
+    Each row is its own config: "baseline" cfg, one "k=K" per dimension and one
+    "q=Q" per rank (keep_top_q at Q).  The rows of one world run in turn, so
+    each world is staged once at `threads` = 1.
     Returns {table name: [(row, reports), ...]}: "baseline" always, then
     "sweep_q" (the baseline row with q blank, then the q rows) and "sweep_k"
     (the k rows) when configured. `train`, `probe` and `bounds` run "baseline" alone.
     """
-    stage = _stager(cfg, raw_world, transforms)
-    plan = [(None, cfg.train_k, "baseline")]
-    plan += [(None, k, f"k={k}") for k in cfg.train_k_sweep]
-    plan += [(q, cfg.train_k, f"q={q}") for q in cfg.svd_sweep]
+    stage = _stager(raw_world, transforms)
+    plan = [(cfg, "baseline", "train.k")]
+    plan += [(replace(cfg, train_k=k), f"k={k}", "train.k_sweep") for k in cfg.train_k_sweep]
+    plan += [(replace(cfg, svd_mode="keep_top_q", svd_q=q), f"q={q}", "train.k")
+             for q in cfg.svd_sweep]
 
-    def row(p):  # a row's tables do not outlive it
-        return compute_row(cfg, stage, *p)[:2]
+    def row(row_cfg, row_key, k_key):  # a row's tables do not outlive it
+        return compute_row(row_cfg, stage, row_key, k_key)[:2]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(row, plan))
+            results = list(pool.map(row, *zip(*plan)))
     else:  # in the main thread: a worker's own malloc arena costs ~3% peak RSS
-        results = [row(p) for p in plan]
+        results = [row(*p) for p in plan]
     (base_row, base_reports), n_k = results[0], len(cfg.train_k_sweep)
     tables = {"baseline": results[:1]}
     if cfg.svd_sweep:
@@ -288,9 +290,8 @@ def _exit_status(reports, allow_violations):
 
 def cmd_run(cfg: RunConfig, out_dir, threads, allow_violations):
     raw_world = generate_world(cfg.world)
-    transforms = make_transforms(cfg, raw_world)
-    save_world(raw_world, os.path.join(out_dir, "world"))
-    tables = compute_sweep(cfg, raw_world, transforms, threads)
+    tables = compute_sweep(cfg, raw_world, make_transforms(cfg, raw_world), threads)
+    save_world(raw_world, os.path.join(out_dir, "world"))  # nothing is written before every row
     _write_tables(cfg, out_dir, tables)
     reports = _table_reports(tables)
     _write_reports(reports, os.path.join(out_dir, "bounds.txt"))
@@ -314,7 +315,7 @@ def cmd_svd(cfg, out_dir, threads, allow_violations):
 
 def cmd_graph(cfg, out_dir, threads, allow_violations):
     raw_world = generate_world(cfg.world)
-    staged = _stager(cfg, raw_world, make_transforms(cfg, raw_world))()
+    staged = _stager(raw_world, make_transforms(cfg, raw_world))(cfg)
     A = staged.space.joint
     save_matrix_text(os.path.join(out_dir, "adjacency.mat"), A)
     save_matrix_text(
@@ -331,8 +332,7 @@ def cmd_graph(cfg, out_dir, threads, allow_violations):
 def _baseline_row(cfg):
     """`run`'s baseline row of the configured world: compute_row's five values."""
     raw_world = generate_world(cfg.world)
-    stage = _stager(cfg, raw_world, make_transforms(cfg, raw_world))
-    return compute_row(cfg, stage, None, cfg.train_k, "baseline")
+    return compute_row(cfg, _stager(raw_world, make_transforms(cfg, raw_world)), "baseline")
 
 
 def cmd_train(cfg, out_dir, threads, allow_violations):

@@ -14,7 +14,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .objectives import McConfig, ProbeConfig
+from .objectives import McConfig
 from .svd import TruncationSpec
 from .world import PROB_TOL, World, WorldSpec, build_transform
 
@@ -64,9 +64,9 @@ _TABLE = {
         "m": ("train_M", "int", 1, ">= 1"),
     },
     "probe": {
-        "steps": ("probe_steps", "int", ProbeConfig.steps, ">= 0"),
-        "step_size": ("probe_step_size", "float", ProbeConfig.step_size, "> 0"),
-        "l2": ("probe_l2", "float", ProbeConfig.l2, ">= 0"),
+        "steps": ("probe_steps", "int", 300, ">= 0"),
+        "step_size": ("probe_step_size", "float", 2.0, "> 0"),
+        "l2": ("probe_l2", "float", 0.0, ">= 0"),
     },
     "bounds": {
         "which": ("bounds_which", "choices", _CHECKS, _CHECKS),
@@ -126,15 +126,13 @@ class RunConfig:
     output_directory: str
     output_formats: list
 
-    def truncation(self, q=None) -> TruncationSpec | None:
-        mode = self.svd_mode
-        if q is not None:
-            return TruncationSpec(mode="keep_top_q", q=q)
-        if mode == "none":
+    def truncation(self) -> TruncationSpec | None:
+        """The [svd] section's truncation of the raw originals; None for mode none."""
+        if self.svd_mode == "none":
             return None
-        if mode == "keep_top_q":
-            return TruncationSpec(mode=mode, q=self.svd_q)
-        return TruncationSpec(mode=mode, pair_index=self.svd_pair_index)
+        if self.svd_mode == "keep_top_q":
+            return TruncationSpec(mode="keep_top_q", q=self.svd_q)
+        return TruncationSpec(mode=self.svd_mode, pair_index=self.svd_pair_index)
 
     def mc_config(self, seed: int) -> McConfig:
         """Monte Carlo settings of the [bounds] section, keyed by a row seed."""

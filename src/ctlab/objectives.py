@@ -21,7 +21,6 @@ __all__ = [
     "Embedding",
     "LinearHead",
     "McConfig",
-    "ProbeConfig",
     "infonce_population",
     "spectral_loss",
     "train_free_embeddings",
@@ -68,15 +67,6 @@ class McConfig:
     seed: int = 0
     n_max: int = 60   # exact enumeration threshold on node count
     m_max: int = 2    # exact enumeration threshold on negative count
-
-
-@dataclass(frozen=True)
-class ProbeConfig:
-    """Defaults of `fit_linear_head`'s descent, the [probe] config section."""
-
-    steps: int = 300
-    step_size: float = 2.0
-    l2: float = 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ctlab.bounds import theorem4_check
+from ctlab.config import _TABLE
+from ctlab.graph import spectral_embedding
 from ctlab.linalg import SymEigen, as_matrix, gaussian_matrix, orthonormalize, sym_eig
-from ctlab.objectives import Embedding, _gradient
+from ctlab.objectives import Embedding, _gradient, fit_linear_head
 from ctlab.svd import SvdFactors, TruncationSpec, svd_full, svd_truncate
 from ctlab.world import Transform, World, WorldSpec, build_transform, generate_world
 
@@ -309,6 +312,18 @@ def eckart_young_check(X, q: int, trials: int, seed: int) -> EckartYoungReport:
         trials=trials,
         holds=holds,
     )
+
+
+# ---------------------------------------------------------------------------
+# bound checks
+
+
+def theorem4_at_probe_defaults(staged, k: int):
+    """theorem4_check with the spectral head fitted at the [probe] section's defaults."""
+    probe = {key: default for key, (_field, _kind, default, _bound) in _TABLE["probe"].items()}
+    f = Embedding(spectral_embedding(staged, k), normalized=False)
+    (head,) = fit_linear_head([f], staged.space, probe["steps"], probe["step_size"], probe["l2"])
+    return theorem4_check(staged, f, head)
 
 
 # ---------------------------------------------------------------------------

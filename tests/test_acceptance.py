@@ -11,14 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from ctlab.bounds import measure_sandwich, theorem1_check, theorem4_check
+from ctlab.bounds import measure_sandwich, theorem1_check
 from ctlab.cli import compute_sweep, main
 from ctlab.config import load_config, make_transforms
 from ctlab.graph import connected_components, spectral_embedding, stage_graph
 from ctlab.objectives import (
     Embedding,
     McConfig,
-    ProbeConfig,
     ce_risk,
     fit_linear_head,
     mean_head,
@@ -43,19 +42,12 @@ from oracles import (
     random_embedding,
     reference_transforms,
     reference_world,
+    theorem4_at_probe_defaults,
     toy_transforms,
     toy_world,
 )
 
 REFERENCE_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "reference.ini")
-
-
-def _theorem4(staged, k):
-    """theorem4_check with the spectral head fitted at the probe defaults."""
-    probe = ProbeConfig()
-    f = Embedding(spectral_embedding(staged, k), normalized=False)
-    (head,) = fit_linear_head([f], staged.space, probe.steps, probe.step_size, probe.l2)
-    return theorem4_check(staged, f, head)
 
 
 def _announce(capsys, ok, num, desc, detail=""):
@@ -172,7 +164,7 @@ def test_03_toy_world_exactness(capsys):
     f = spectral_embedding(G, 2)
     if np.abs(f - np.array([[1.0, 1.0], [1.0, 0.0], [1.0, -1.0]])).max() > 1e-10:
         ok, detail = False, "embedding"
-    rep = _theorem4(G, k=2)
+    rep = theorem4_at_probe_defaults(G, k=2)
     if abs(rep.terms["bound"] - 3.0) > 1e-10 or rep.terms["probe_error"] != 0.0:
         ok, detail = False, f"downstream bound {rep.terms}"
     _announce(capsys, ok, 3,
@@ -294,7 +286,7 @@ def test_07_downstream_bound_planted_suite(capsys):
                 Transform(id=f"f{c}", kind="additive_pattern", probability=0.12,
                           pattern=class_pattern(w, c, (c + 1) % 3, 0.35))
             )
-        rep = _theorem4(stage_graph(w, transforms), k=3)
+        rep = theorem4_at_probe_defaults(stage_graph(w, transforms), k=3)
         reports.append((f"clean_seed{seed}", rep))
         if rep.terms["alpha_q"] != 0.0 or rep.terms["probe_error"] != 0.0:
             ok, detail = False, f"clean world seed {seed}: {rep.terms}"
@@ -303,11 +295,11 @@ def test_07_downstream_bound_planted_suite(capsys):
         w = reference_world(seed)
         transforms = reference_transforms(w)
         wq = preprocess_world(w, TruncationSpec(mode="keep_top_q", q=3))
-        rep = _theorem4(stage_graph(wq, transforms), k=3)
+        rep = theorem4_at_probe_defaults(stage_graph(wq, transforms), k=3)
         reports.append((f"reference_seed{seed}", rep))
     # the vacuous regime must be flagged, not silently passed
     toy = stage_graph(toy_world(), toy_transforms())
-    reports.append(("toy", _theorem4(toy, k=2)))
+    reports.append(("toy", theorem4_at_probe_defaults(toy, k=2)))
     for name, rep in reports:
         if rep.verdict not in ("holds", "holds_vacuously"):
             ok, detail = False, f"{name}: verdict {rep.verdict}"

@@ -25,7 +25,6 @@ from ctlab.objectives import (
     Embedding,
     LinearHead,
     McConfig,
-    ProbeConfig,
     ce_risk,
     fit_linear_head,
     infonce_population,
@@ -45,6 +44,7 @@ from oracles import (
     reference_spec,
     reference_transforms,
     reference_world,
+    theorem4_at_probe_defaults,
     toy_transforms,
     toy_world,
 )
@@ -55,14 +55,6 @@ def _fail(name):
         raise AssertionError(f"{name} called")
 
     return fail
-
-
-def theorem4(staged, k):
-    """theorem4_check with the spectral head fitted at the probe defaults."""
-    probe = ProbeConfig()
-    f = Embedding(spectral_embedding(staged, k), normalized=False)
-    (head,) = fit_linear_head([f], staged.space, probe.steps, probe.step_size, probe.l2)
-    return theorem4_check(staged, f, head)
 
 
 def toy_space():
@@ -493,7 +485,7 @@ class TestSandwich:
 
 class TestDownstreamBound:
     def test_toy_values(self):
-        rep = theorem4(stage_graph(toy_world(), toy_transforms()), k=2)
+        rep = theorem4_at_probe_defaults(stage_graph(toy_world(), toy_transforms()), k=2)
         t = rep.terms
         assert abs(t["alpha_q"] - 0.25) < 1e-12
         assert abs(t["lambda_k_q"] - 0.5) < 1e-12
@@ -522,7 +514,7 @@ class TestDownstreamBound:
                     pattern=class_pattern(w, c, (c + 1) % 3, 0.35),
                 )
             )
-        rep = theorem4(stage_graph(w, transforms), k=3)
+        rep = theorem4_at_probe_defaults(stage_graph(w, transforms), k=3)
         assert rep.terms["alpha_q"] == 0.0
         assert rep.terms["bound"] == 0.0
         assert rep.terms["probe_error"] == 0.0
@@ -532,7 +524,7 @@ class TestDownstreamBound:
         w = reference_world()
         transforms = reference_transforms(w)
         wq = preprocess_world(w, TruncationSpec(mode="keep_top_q", q=3))
-        rep = theorem4(stage_graph(wq, transforms), k=3)
+        rep = theorem4_at_probe_defaults(stage_graph(wq, transforms), k=3)
         t = rep.terms
         assert abs(t["alpha_q"] - 0.04) < 1e-9
         assert t["bound"] < 1.0
@@ -542,7 +534,7 @@ class TestDownstreamBound:
     def test_zero_lambda_leaves_bound_undefined(self):
         w = reference_world()
         identity = [Transform(id="i", kind="identity", probability=1.0)]
-        rep = theorem4(stage_graph(w, identity), k=1)
+        rep = theorem4_at_probe_defaults(stage_graph(w, identity), k=1)
         assert rep.verdict == "holds_vacuously"
         assert rep.terms["bound"] is None
         assert "undefined" in rep.note

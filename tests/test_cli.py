@@ -16,6 +16,7 @@ from ctlab.config import load_config, make_transforms
 from ctlab.graph import spectral_embedding
 from ctlab.linalg import load_matrix_text
 from ctlab.objectives import Embedding
+from ctlab.svd import TruncationSpec
 from oracles import parse_csv
 
 REFERENCE = os.path.join(os.path.dirname(__file__), "..", "configs", "reference.ini")
@@ -175,6 +176,36 @@ class TestRunCommand:
         cli.compute_sweep(cfg, raw, make_transforms(cfg, raw), threads=2)
         assert len(staged) == 1 + len(cfg.svd_sweep) == 5
 
+    def test_each_row_is_its_own_config(self, monkeypatch):
+        # a k row changes train.k, a q row truncates keep_top_q at q; each names its k's key
+        sets = ["svd.mode=discard_pair", "svd.pair_index=1", "svd.sweep=2", "train.k_sweep=5"]
+        cfg = load_config(REFERENCE, sets)
+        plan = {}
+
+        def row(row_cfg, stage, row_key, k_key):
+            plan[row_key] = (row_cfg, k_key)
+            return {}, [], None, None, None
+
+        monkeypatch.setattr(cli, "compute_row", row)
+        cli.compute_sweep(cfg, None, [])
+        assert list(plan) == ["baseline", "k=5", "q=2"]
+        (base, base_key), (k5, k5_key), (q2, q2_key) = plan.values()
+        assert base is cfg and base_key == "train.k"
+        assert (k5.train_k, k5.truncation(), k5_key) == (5, cfg.truncation(), "train.k_sweep")
+        assert q2.truncation() == TruncationSpec(mode="keep_top_q", q=2)
+        assert (q2.train_k, q2_key) == (cfg.train_k, "train.k")
+
+    def test_a_q_row_with_the_baseline_truncation_shares_its_world(self, monkeypatch):
+        sets = ["svd.mode=keep_top_q", "svd.q=2", "svd.sweep=2,3", "train.k_sweep=2,3"]
+        cfg = load_config(REFERENCE, sets)
+        raw = world.generate_world(cfg.world)
+        staged = _count_calls(monkeypatch, graph.stage_graph)
+        tables = cli.compute_sweep(cfg, raw, make_transforms(cfg, raw))
+        assert len(staged) == 2  # the baseline's world, which is also q=2's, then q=3's
+        ((base, _reports),) = tables["baseline"]
+        q_rows = {row["q"]: row for row, _reports in tables["sweep_q"]}
+        assert q_rows[2]["alpha_q"] == base["alpha_q"]
+
     def test_stager_stages_once_under_contention(self, monkeypatch):
         # more threads than cores ask for one world at once: one stages, all share it
         calls = []
@@ -185,13 +216,14 @@ class TestRunCommand:
             return object()
 
         monkeypatch.setattr(cli, "stage_graph", slow_stage_graph)
-        monkeypatch.setattr(cli, "_stage_world", lambda cfg, raw, q=None: q)
-        stage = cli._stager(SimpleNamespace(inflation_factor=1, seed=0), None, [])
+        monkeypatch.setattr(cli, "_stage_world", lambda cfg, raw: None)
+        stage = cli._stager(None, [])
+        cfg = SimpleNamespace(inflation_factor=1, seed=0, truncation=lambda: None)
         start = threading.Barrier(8)
 
         def ask():
             start.wait(timeout=10)
-            return stage(None)
+            return stage(cfg)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -216,10 +248,10 @@ class TestRunCommand:
     def test_t4_head_is_the_spectral_table_fitted_alone(self, small_cfg):
         cfg = load_config(small_cfg)
         raw = world.generate_world(cfg.world)
-        stage = cli._stager(cfg, raw, make_transforms(cfg, raw))
-        _row, reports, *_tables = cli.compute_row(cfg, stage, None, cfg.train_k, "baseline")
+        stage = cli._stager(raw, make_transforms(cfg, raw))
+        _row, reports, *_tables = cli.compute_row(cfg, stage, "baseline")
         (t4,) = [r for r in reports if r.theorem == "theorem4"]
-        staged = stage(None)
+        staged = stage(cfg)
         table = spectral_embedding(staged, cfg.train_k)
         f = Embedding(table=table, normalized=False)
         (alone,) = objectives.fit_linear_head(
@@ -354,8 +386,8 @@ class TestSingleRowCommands:
         path, seed, sets = case
         cfg = load_config(path, [*sets, f"run.seed={seed}"])
         raw = world.generate_world(cfg.world)
-        stage = cli._stager(cfg, raw, make_transforms(cfg, raw))
-        baseline = cli.compute_row(cfg, stage, None, cfg.train_k, "baseline")
+        stage = cli._stager(raw, make_transforms(cfg, raw))
+        baseline = cli.compute_row(cfg, stage, "baseline")
         _row, _reports, f, _head, space = baseline
         np.testing.assert_array_equal(load_matrix_text(tmp_path / "embedding.mat"), f.table)
         nodes = (tmp_path / "embedding_nodes.txt").read_text().splitlines()
@@ -422,7 +454,7 @@ class TestErrors:
         out = tmp_path / "o"
         assert main([command, "--config", REFERENCE, "--out", str(out), "--set", "train.k=99"]) == 2
         assert capsys.readouterr().err == "error: train.k: k=99 out of range [1, 54]\n"
-        assert not (out / "embedding.mat").exists()
+        assert list(out.iterdir()) == []  # no world, table or embedding is written
 
     def test_floating_point_errors_name_the_command_or_row(self, tmp_path, capsys):
         argv = ["--config", REFERENCE, "--out", str(tmp_path / "o")]

@@ -475,8 +475,6 @@ class TestTruncationHelper:
     def test_modes(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path))
         assert cfg.truncation() is None
-        spec = cfg.truncation(q=2)
-        assert spec.mode == "keep_top_q" and spec.q == 2
         cfg2 = load_config(
             write_cfg(tmp_path),
             overrides=["svd.mode=discard_pair", "svd.pair_index=1"],
