@@ -274,7 +274,7 @@ def parse_config(parser: configparser.ConfigParser) -> RunConfig:
         for q in qs:
             if not (1 <= q <= rank_bound):
                 raise ConfigError(f"{key}: q={q} out of range [1, {rank_bound}]")
-    if cfg.svd_mode == "keep_top_q" and cfg.svd_q is None and not cfg.svd_sweep:
+    if cfg.svd_mode == "keep_top_q" and cfg.svd_q is None:  # the baseline row truncates at it
         raise ConfigError("svd.q: required when mode = keep_top_q")
     if cfg.svd_mode in ("discard_pair", "discard_single"):
         i, top = cfg.svd_pair_index, rank_bound - (cfg.svd_mode == "discard_pair")

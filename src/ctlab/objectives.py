@@ -109,96 +109,81 @@ def _infonce(space: AugmentedSpace, M: int, cfg: McConfig, seed: int):
     return (lambda sims, coef=False: _sampled_infonce(sims, flat, coef)), False
 
 
-def _lse2(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """log(e^a + e^b) into out, as max(a, b) + log1p(exp(-|a - b|)).
-
-    numpy's logaddexp evaluates the same formula one element at a time; here
-    every step is one vectorized ufunc pass.  out and tmp have the broadcast
-    shape of a and b; out must not alias either, tmp may be b (it is left
-    holding max(a, b)).
-    """
-    np.subtract(a, b, out=out)
-    np.maximum(a, b, out=tmp)
-    np.abs(out, out=out)
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    np.log1p(out, out=out)
-    return np.add(tmp, out, out=out)
+_SPREAD_MAX = 700.0  # e^-700 is a normal double; e^-709 and below are not
 
 
 def _exact_infonce(space: AugmentedSpace, M: int):
     """Build the exact population InfoNCE engine of one space and M.
 
-    The M = 1 scatter indices, the M = 2 anchor offsets of the space's pair
-    support and every buffer an evaluation writes are made once, here.
-    Returns `engine(sims, coef=False) -> (loss, C)` for the similarity table
-    sims = F F^T; with coef, C = dL/dS is the (n, n) coefficient matrix of
-    the loss in the entries of S taken as independent variables, else None.
-    C is fresh on every call, so a C returned earlier stays valid.  Every
-    two-term log-sum-exp is `_lse2`, max(a, b) + log1p(exp(-|a - b|)) in
-    vectorized passes.  M = 1 works in two (pairs, n) buffers S and L;
-    M = 2 loops over anchors, nesting `_lse2` over the two negatives and
-    then the positive, in an (n, n) buffer and two (most pairs of one
-    anchor, n, n) buffers.
+    The anchor offsets of the space's pair support and every buffer an
+    evaluation writes are made once, here.  Returns `engine(sims,
+    coef=False) -> (loss, C)` for the similarity table sims = F F^T; with
+    coef, C = dL/dS is the (n, n) coefficient matrix of the loss in the
+    entries of S taken as independent variables, else None.  C is fresh on
+    every call, so a C returned earlier stays valid.
+
+    The engine works in exp space: each row x of sims is shifted by its max
+    m_x and E = exp(sims - m) is taken once per call, so a pair (x, y) with
+    negatives z has log-sum-exp m_x + log Z, Z = E[x, y] + sum_z E[x, z],
+    and softmax weights E / Z; each enumerated term takes one log and one
+    reciprocal.  M = 1 works in two (pairs, n) buffers and sums the
+    negatives' weights over each anchor's pairs with `np.add.reduceat`;
+    M = 2 loops over anchors in an (n, n) buffer of E[x, z1] + E[x, z2] and
+    two (most pairs of one anchor, n, n) buffers.  The identity is exact
+    while no row of sims spreads (max minus min) past _SPREAD_MAX, so that
+    no E underflows; past it the engine raises ValueError.
     """
     xs, ys, w = space.support
     p = space.marginal
     n = space.n
+    starts = np.searchsorted(xs, np.arange(n + 1))  # xs is sorted
+    anchors = np.flatnonzero(np.diff(starts))
+    E = np.empty((n, n))
     if M == 1:
-        neg_idx = (xs[:, None] * n + np.arange(n)).ravel()
-        S = np.empty((len(xs), n))
+        Z = np.empty((len(xs), n))
         L = np.empty((len(xs), n))
     elif M == 2:
-        starts = np.searchsorted(xs, np.arange(n + 1))  # xs is sorted
-        most = int(np.diff(starts).max())
-        R = np.empty((n, n))  # lse of the two negatives
-        T = np.empty((most, n, n))  # lse of positive and negatives per pair
-        U = np.empty((most, n, n))  # scratch
+        N = np.empty((n, n))
+        Z = np.empty((int(np.diff(starts).max()), n, n))
+        L = np.empty_like(Z)
     else:  # pragma: no cover - m_max guards this
         raise ValueError("exact enumeration supports M <= 2")
 
     def engine(sims: np.ndarray, coef=False):
-        s_pos = sims[xs, ys]
+        m = sims.max(axis=1)
+        spread = float(np.max(m - sims.min(axis=1)))
+        if spread > _SPREAD_MAX:
+            raise ValueError(
+                f"exact InfoNCE: a similarity row spreads {spread:.6g} > {_SPREAD_MAX:g}"
+            )
+        np.exp(np.subtract(sims, m[:, None], out=E), out=E)
+        s_pos, e_pos = sims[xs, ys], E[xs, ys]
         C = np.zeros((n, n)) if coef else None
         if M == 1:
-            # E_z log(e^{s+} + e^{s_z}) per pair, vectorized over z.  xs is in
-            # range; with the default mode="raise", take would copy via a
-            # temporary instead of writing into S
-            np.take(sims, xs, axis=0, out=S, mode="clip")
-            _lse2(s_pos[:, None], S, out=L, tmp=S)
-            expect = L @ p
+            # xs is in range; with the default mode="raise", take would copy
+            # via a temporary instead of writing into Z
+            np.add(np.take(E, xs, axis=0, out=Z, mode="clip"), e_pos[:, None], out=Z)
+            expect = np.log(Z, out=L) @ p
             if coef:
-                # negatives w * exp(s_neg - lse) * p in S, positives in L;
-                # _lse2 left max(s+, s_neg) in S, so the negatives come again
-                np.take(sims, xs, axis=0, out=S, mode="clip")
-                np.subtract(S, L, out=S)
-                np.exp(S, out=S)
-                np.multiply(w[:, None], S, out=S)
-                np.multiply(S, p, out=S)
-                np.subtract(s_pos[:, None], L, out=L)
-                np.exp(L, out=L)
-                C[xs, ys] = w * (L @ p - 1.0)
-                C += np.bincount(neg_idx, S.ravel(), n * n).reshape(n, n)
+                R = np.reciprocal(Z, out=Z)
+                C[xs, ys] = w * (e_pos * (R @ p) - 1.0)
+                np.multiply(w[:, None], R, out=R)
+                C[anchors] += p * E[anchors] * np.add.reduceat(R, starts[anchors], axis=0)
         else:
             expect = np.empty(len(xs))
-            for x in range(n):
+            for x in anchors:
                 sel = slice(starts[x], starts[x + 1])
-                if sel.start == sel.stop:
-                    continue
-                row = sims[x, :]
                 pairs = sel.stop - sel.start
-                lse, tmp = T[:pairs], U[:pairs]  # (pairs of x, n, n)
-                _lse2(row[:, None], row[None, :], out=R, tmp=tmp[0])
-                # symmetric in the two negatives
-                _lse2(s_pos[sel, None, None], R, out=lse, tmp=tmp)
-                expect[sel] = lse @ p @ p
+                row = E[x]
+                np.add(row[:, None], row[None, :], out=N)  # symmetric in the negatives
+                z = np.add(e_pos[sel, None, None], N, out=Z[:pairs])
+                expect[sel] = np.log(z, out=L[:pairs]) @ p @ p
                 if coef:
-                    np.exp(np.subtract(s_pos[sel, None, None], lse, out=tmp), out=tmp)
-                    C[x, ys[sel]] = w[sel] * (tmp @ p @ p - 1.0)
+                    Rp = np.reciprocal(z, out=z) @ p
+                    C[x, ys[sel]] = w[sel] * (e_pos[sel] * (Rp @ p) - 1.0)
                     # both negative slots give the same term by symmetry
-                    np.exp(np.subtract(row[None, :, None], lse, out=tmp), out=tmp)
-                    C[x, :] += 2.0 * p * (w[sel] @ (tmp @ p))
-        return float(w @ (expect - s_pos)), C
+                    C[x, :] += 2.0 * p * row * (w[sel] @ Rp)
+        return float(w @ (m[xs] - s_pos + expect)), C
 
     return engine
 

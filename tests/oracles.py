@@ -1,7 +1,8 @@
 """Fixture worlds and reference implementations the tests compare ctlab against.
 
 No `ctlab` command reaches anything here.  The batch InfoNCE functions with
-`full_support_batch` are the oracles of both population InfoNCE engines.
+`full_support_batch` are the oracles of both population InfoNCE engines;
+`logaddexp_exact_infonce` is the log-space oracle of the exact engine.
 
 The toy world has two 1x2 originals and a masking transform whose shared
 blank view carries the wrong label; every probability in its augmented
@@ -201,6 +202,48 @@ def full_support_batch(space, M: int):
     pairs = np.repeat(np.column_stack([xs, ys]), len(combos), axis=0)
     batch = np.column_stack([pairs, np.tile(combos, (len(xs), 1))])
     return batch, np.outer(w, combo_w).ravel()
+
+
+def logaddexp_exact_infonce(sims, space, M: int, coef=False):
+    """Exact population InfoNCE of sims = F F^T, and with coef C = dL/dS.
+
+    The oracle of the exp-space engine: the same enumeration in log space,
+    every two-term log-sum-exp by np.logaddexp (for M = 2 first over the two
+    negatives, then with the positive) and every softmax weight as
+    exp(s - lse).  Returns (loss, C), C None without coef.
+    """
+    xs, ys = np.nonzero(space.joint)
+    w = space.joint[xs, ys]
+    p = space.marginal
+    s_pos = sims[xs, ys]
+    n = space.n
+    C = np.zeros((n, n)) if coef else None
+    if M == 1:
+        s_neg = sims[xs, :]
+        lse = np.logaddexp(s_pos[:, None], s_neg)
+        expect = lse @ p
+        if coef:
+            C[xs, ys] = w * (np.exp(s_pos[:, None] - lse) @ p - 1.0)
+            neg = w[:, None] * np.exp(s_neg - lse) * p
+            flat = (xs[:, None] * n + np.arange(n)).ravel()
+            C += np.bincount(flat, neg.ravel(), n * n).reshape(n, n)
+    else:
+        expect = np.empty(len(xs))
+        starts = np.searchsorted(xs, np.arange(n + 1))
+        for x in range(n):
+            sel = slice(starts[x], starts[x + 1])
+            if sel.start == sel.stop:
+                continue
+            row = sims[x, :]
+            negs = np.logaddexp(row[:, None], row[None, :])
+            lse = np.logaddexp(s_pos[sel, None, None], negs)
+            expect[sel] = lse @ p @ p
+            if coef:
+                pos = np.exp(s_pos[sel, None, None] - lse) @ p @ p
+                C[x, ys[sel]] = w[sel] * (pos - 1.0)
+                neg = np.exp(row[None, :, None] - lse) @ p
+                C[x, :] += 2.0 * p * (w[sel] @ neg)
+    return float(w @ (expect - s_pos)), C
 
 
 # ---------------------------------------------------------------------------

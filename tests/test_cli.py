@@ -441,6 +441,12 @@ class TestErrors:
         # command and any row
         assert key in err or f"ctlab {command}: " in err, err
 
+    @pytest.mark.parametrize("command", ["run", "graph"])
+    def test_keep_top_q_without_q_exits_2_naming_svd_q(self, tmp_path, capsys, command):
+        argv = [command, "--config", REFERENCE, "--out", str(tmp_path / "o")]
+        assert main(argv + ["--set", "svd.mode=keep_top_q"]) == 2
+        assert capsys.readouterr().err == "error: svd.q: required when mode = keep_top_q\n"
+
     @pytest.mark.parametrize("key, value", [("train.k", "99"), ("train.k_sweep", "2, 99")])
     def test_node_count_error_names_the_key_of_its_k(self, tmp_path, capsys, key, value):
         argv = ["sweep", "--config", REFERENCE, "--out", str(tmp_path / "o")]

@@ -78,6 +78,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="svd.banana"):
             load_config(path)
 
+    def test_keep_top_q_requires_q_even_with_a_sweep(self):
+        # the sweep's q rows set their own q, but the baseline row truncates at svd.q
+        with pytest.raises(ConfigError, match=r"^svd.q: required when mode = keep_top_q$"):
+            load_config(REFERENCE, ["svd.mode=keep_top_q"])
+
     def test_q_out_of_range_named(self, tmp_path):
         path = write_cfg(tmp_path, MINIMAL + "\n[svd]\nmode = keep_top_q\nq = 40\n")
         with pytest.raises(ConfigError, match="svd.q"):

@@ -25,7 +25,6 @@ from ctlab.objectives import (
 from ctlab.objectives import (
     _exact_infonce,
     _gradient,
-    _lse2,
     _sample_batch,
     _sampled_infonce,
     _table_indices,
@@ -35,6 +34,7 @@ from oracles import (
     full_support_batch,
     infonce_empirical,
     infonce_gradient,
+    logaddexp_exact_infonce,
     random_embedding,
     reference_spec,
     reference_transforms,
@@ -84,46 +84,39 @@ def exact_loss_and_grad(f, space, M):
 def per_call_exact_infonce(sims, space, M, coef=False):
     """The exact engine as one function that rebuilds everything per call.
 
-    The reference for the built engine's bits: same arithmetic on fresh
-    arrays, with the pair support and scatter indices made on every call.
-    Each two-term log-sum-exp is spelled out as max(a, b) + log1p(exp(-|a -
-    b|)), the formula the engine's vectorized passes compute.
+    The reference for the built engine's bits: same exp-space arithmetic on
+    fresh arrays, with the pair support and anchor offsets made on every call.
     """
     xs, ys = np.nonzero(space.joint)
     w = space.joint[xs, ys]
     p = space.marginal
-    s_pos = sims[xs, ys]
     n = space.n
+    m = sims.max(axis=1)
+    E = np.exp(sims - m[:, None])
+    s_pos, e_pos = sims[xs, ys], E[xs, ys]
+    starts = np.searchsorted(xs, np.arange(n + 1))
+    anchors = np.flatnonzero(np.diff(starts))
     C = np.zeros((n, n)) if coef else None
     if M == 1:
-        s_neg = sims[xs, :]
-        a = s_pos[:, None]
-        lse = np.maximum(a, s_neg) + np.log1p(np.exp(-np.abs(a - s_neg)))
-        expect = lse @ p
+        Z = E[xs, :] + e_pos[:, None]
+        expect = np.log(Z) @ p
         if coef:
-            C[xs, ys] = w * (np.exp(s_pos[:, None] - lse) @ p - 1.0)
-            neg = w[:, None] * np.exp(s_neg - lse) * p
-            flat = (xs[:, None] * n + np.arange(n)).ravel()
-            C += np.bincount(flat, neg.ravel(), n * n).reshape(n, n)
+            R = 1.0 / Z
+            C[xs, ys] = w * (e_pos * (R @ p) - 1.0)
+            seg = np.add.reduceat(w[:, None] * R, starts[anchors], axis=0)
+            C[anchors] += p * E[anchors] * seg
     else:
         expect = np.empty(len(xs))
-        starts = np.searchsorted(xs, np.arange(n + 1))
-        for x in range(n):
+        for x in anchors:
             sel = slice(starts[x], starts[x + 1])
-            if sel.start == sel.stop:
-                continue
-            row = sims[x, :]
-            u, v = row[:, None], row[None, :]
-            negs = np.maximum(u, v) + np.log1p(np.exp(-np.abs(u - v)))
-            a = s_pos[sel, None, None]
-            lse = np.maximum(a, negs) + np.log1p(np.exp(-np.abs(a - negs)))
-            expect[sel] = lse @ p @ p
+            row = E[x]
+            Z = e_pos[sel, None, None] + (row[:, None] + row[None, :])
+            expect[sel] = np.log(Z) @ p @ p
             if coef:
-                pos = np.exp(s_pos[sel, None, None] - lse) @ p @ p
-                C[x, ys[sel]] = w[sel] * (pos - 1.0)
-                neg = np.exp(row[None, :, None] - lse) @ p
-                C[x, :] += 2.0 * p * (w[sel] @ neg)
-    return float(w @ (expect - s_pos)), C
+                Rp = (1.0 / Z) @ p
+                C[x, ys[sel]] = w[sel] * (e_pos[sel] * (Rp @ p) - 1.0)
+                C[x, :] += 2.0 * p * row * (w[sel] @ Rp)
+    return float(w @ (m[xs] - s_pos + expect)), C
 
 
 def eight_node_space():
@@ -355,45 +348,55 @@ class TestInfoNceGradient:
                 assert np.abs(got - want).max() < 1e-15
 
 
-def lse2(a, b):
-    a, b = np.broadcast_arrays(a, b)
-    return _lse2(a, b, out=np.empty(a.shape), tmp=np.empty(a.shape))
+def spread_sims(n, seed, spread):
+    """F F^T of an unnormalized gaussian table, scaled so its widest row spreads `spread`."""
+    F = gaussian_matrix(n, 3, seed)
+    sims = F @ F.T
+    return sims * (spread / np.max(sims.max(axis=1) - sims.min(axis=1)))
 
 
-class TestLse2:
-    """The engine's two-term log-sum-exp against numpy's own logaddexp."""
+class TestExpSpaceAccuracy:
+    """The exp-space engine against the np.logaddexp oracle."""
 
     @staticmethod
-    def ulps_off(a, b):
-        # the error of either is a few roundings of the larger of its two
-        # terms max(a, b) and log1p(exp(-|a - b|)) <= log 2
-        want = np.logaddexp(a, b)
-        top = np.maximum(a, b)
-        ulp = np.spacing(np.maximum(np.abs(top), want - top))
-        return np.abs(lse2(a, b) - want) / ulp
+    def assert_close(got, want):
+        # relative to the loss and to the largest coefficient
+        (loss, C), (want_loss, want_C) = got, want
+        assert abs(loss - want_loss) <= 1e-13 * abs(want_loss)
+        assert np.abs(C - want_C).max() <= 1e-13 * np.abs(want_C).max()
 
-    @pytest.mark.parametrize("scale", [1e-3, 1.0, 10.0, 1000.0])
-    def test_within_four_ulp_of_logaddexp(self, scale):
-        rng = np.random.default_rng(int(scale * 1000))
-        a, b = scale * rng.normal(size=(2, 200_000))
-        assert self.ulps_off(a, b).max() <= 4.0
+    @pytest.mark.parametrize("M", [1, 2])
+    @pytest.mark.parametrize("spread", [None, 5.0, 20.0, 50.0])
+    @pytest.mark.parametrize(
+        "make_space", [reference_space, eight_node_space, zero_marginal_space]
+    )
+    def test_matches_logaddexp_oracle(self, M, spread, make_space):
+        # spread None is a unit table (spread at most 2)
+        space = make_space()
+        engine = _exact_infonce(space, M)
+        for seed in (1, 2):
+            if spread is None:
+                sims = unit_sims(space.n, seed)
+            else:
+                sims = spread_sims(space.n, seed, spread)
+            want = logaddexp_exact_infonce(sims, space, M, coef=True)
+            self.assert_close(engine(sims, coef=True), want)
 
-    def test_both_argument_orders_give_the_same_bits(self):
-        a, b = np.random.default_rng(1).normal(scale=10.0, size=(2, 10_000))
-        assert np.array_equal(lse2(a, b), lse2(b, a))
+    @pytest.mark.parametrize("M", [1, 2])
+    def test_exact_just_inside_the_spread_bound(self, M):
+        # every E stays a normal double, so nothing underflows to log 0
+        space = eight_node_space()
+        sims = spread_sims(space.n, 3, objectives._SPREAD_MAX - 1.0)
+        with np.errstate(all="raise"):
+            got = _exact_infonce(space, M)(sims, coef=True)
+        self.assert_close(got, logaddexp_exact_infonce(sims, space, M, coef=True))
 
-    def test_equal_arguments_are_exact(self):
-        a = np.random.default_rng(2).normal(scale=10.0, size=10_000)
-        a = np.concatenate([a, [0.0, -0.0, 1.0, -800.0, 800.0]])
-        assert np.array_equal(lse2(a, a), np.logaddexp(a, a))
-
-    @pytest.mark.parametrize("gap", [800.0, -800.0])
-    def test_far_apart_gives_the_larger(self, gap):
-        a = np.random.default_rng(3).normal(size=1000)
-        with np.errstate(all="raise", under="ignore"):
-            assert np.array_equal(lse2(a, a + gap), np.maximum(a, a + gap))
-            assert np.array_equal(lse2(a + gap, a), np.maximum(a, a + gap))
-        assert np.array_equal(lse2(a, a + gap), np.logaddexp(a, a + gap))
+    @pytest.mark.parametrize("M", [1, 2])
+    def test_spread_past_the_bound_raises_a_named_error(self, M):
+        space = eight_node_space()
+        sims = spread_sims(space.n, 3, 750.0)
+        with pytest.raises(ValueError, match=r"^exact InfoNCE: a similarity row spreads 750 > 700$"):
+            _exact_infonce(space, M)(sims)
 
 
 class TestExactEngine:
