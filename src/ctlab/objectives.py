@@ -131,7 +131,7 @@ def _exact_infonce(space: AugmentedSpace, M: int):
     M = 2 loops over anchors in an (n, n) buffer of E[x, z1] + E[x, z2] and
     two (most pairs of one anchor, n, n) buffers.  The identity is exact
     while no row of sims spreads (max minus min) past _SPREAD_MAX, so that
-    no E underflows; past it the engine raises ValueError.
+    no E underflows; past it the engine raises FloatingPointError.
     """
     xs, ys, w = space.support
     p = space.marginal
@@ -153,7 +153,7 @@ def _exact_infonce(space: AugmentedSpace, M: int):
         m = sims.max(axis=1)
         spread = float(np.max(m - sims.min(axis=1)))
         if spread > _SPREAD_MAX:
-            raise ValueError(
+            raise FloatingPointError(
                 f"exact InfoNCE: a similarity row spreads {spread:.6g} > {_SPREAD_MAX:g}"
             )
         np.exp(np.subtract(sims, m[:, None], out=E), out=E)

@@ -28,13 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import (
-    as_matrix,
-    gaussian_matrix,
-    load_matrix_text,
-    orthonormalize,
-    save_matrix_text,
-)
+from .linalg import gaussian_matrix, load_matrix_text, orthonormalize, save_matrix_text
 from .svd import TruncationSpec, svd_full, svd_truncate
 
 __all__ = [
@@ -103,17 +97,13 @@ class WorldSpec:
 
 @dataclass(frozen=True)
 class World:
-    originals: tuple  # tuple of (id: str, payload: np.ndarray, label: int)
-    weights: np.ndarray  # positive probabilities, sum to 1
-    templates: tuple  # K class template matrices
+    """Original i is named o{i:04d} by its position in the stack."""
+
+    payloads: np.ndarray  # (N, m, m') original payloads
+    labels: np.ndarray  # (N,) their ground-truth labels
+    weights: np.ndarray  # (N,) positive probabilities, sum to 1
+    templates: np.ndarray  # (K, m, m') class templates
     spec: WorldSpec
-
-    @property
-    def n_originals(self) -> int:
-        return len(self.originals)
-
-    def labels(self) -> np.ndarray:
-        return np.array([o[2] for o in self.originals], dtype=int)
 
 
 @dataclass(frozen=True)
@@ -176,7 +166,7 @@ class InverseCdf:
 class AugmentedSpace:
     """Deduplicated augmented samples with exact probability tables."""
 
-    payloads: tuple                # n node payload matrices
+    payloads: np.ndarray           # (n, m, m') node payloads
     labels: np.ndarray             # (n,) true labels of the nodes
     cond: np.ndarray               # (N_orig, n), rows sum to 1
     marginal: np.ndarray           # (n,), sums to 1
@@ -280,20 +270,16 @@ def generate_world(spec: WorldSpec) -> World:
         )
     U, V = _frames(spec, total)
     sig_dist = _dist_sigmas(dist)
-    templates = []
-    for c in range(spec.K):
-        T = np.zeros((spec.m, spec.m_prime))
+    templates = np.zeros((spec.K, spec.m, spec.m_prime))
+    for c, T in enumerate(templates):
         if n_shared:
             T += _BACKGROUND_SIGMA * np.outer(U[:, 0], V[:, 0])
         for j, s in zip(_dist_slots(spec, c), sig_dist):
             T += s * np.outer(U[:, j], V[:, j])
-        templates.append(as_matrix(T))
-
-    payloads = [_planted_original(spec, U, V, templates, c, j, c * spec.per_class + j)
-                for c in range(spec.K) for j in range(spec.per_class)]
-    originals = _labelled([f"o{i:04d}" for i in range(len(payloads))], payloads, templates)
-    weights = np.full(len(originals), 1.0 / len(originals))
-    return World(originals=originals, weights=weights, templates=tuple(templates), spec=spec)
+    payloads = np.stack([_planted_original(spec, U, V, templates, c, j, c * spec.per_class + j)
+                         for c in range(spec.K) for j in range(spec.per_class)])
+    weights = np.full(len(payloads), 1.0 / len(payloads))
+    return World(payloads, ground_truth_label(payloads, templates), weights, templates, spec)
 
 
 def _planted_original(spec, U, V, templates, c, variant, noise_key) -> np.ndarray:
@@ -352,7 +338,7 @@ def build_transform(
         pattern = class_pattern(world, *args, rho - 1.0)
     elif kind == "sibling":
         base = args[0] * world.spec.per_class
-        pattern = world.originals[base + 1][1] - world.originals[base][1]
+        pattern = world.payloads[base + 1] - world.payloads[base]
     else:
         raise ValueError(f"transform {tid}: unknown kind {kind!r}")
     return Transform(
@@ -388,11 +374,6 @@ def _template_distances(P: np.ndarray, templates) -> np.ndarray:
             return np.array([[np.linalg.norm(X - T) for T in templates] for X in P])
         dists[:, c] = np.sqrt(sq)
     return dists
-
-
-def _labelled(ids, payloads, templates) -> tuple:
-    """(id, payload, label) originals, labelled in one pass."""
-    return tuple(zip(ids, payloads, map(int, ground_truth_label(payloads, templates))))
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +444,10 @@ def build_augmented_space(world: World, transforms) -> AugmentedSpace:
             raise ValueError(f"transform {t.id}: probability out of (0, 1]")
 
     # every (original, transform) outcome, original-major, in one stack
-    originals = np.stack([payload for _oid, payload, _label in world.originals])
-    N, shape = len(originals), originals.shape[1:]
+    N, shape = len(world.payloads), world.payloads.shape[1:]
     outcomes = np.empty((N, len(transforms)) + shape)
     for j, t in enumerate(transforms):
-        outcomes[:, j] = apply_transform(t, originals)
+        outcomes[:, j] = apply_transform(t, world.payloads)
     # nodes are numbered by first outcome, keyed per original: no rounded copy of all
     index, first, node_of = {}, [], []
     for block in outcomes:
@@ -488,7 +468,7 @@ def build_augmented_space(world: World, transforms) -> AugmentedSpace:
     joint = cond.T @ (cond * world.weights[:, None])
     labels = ground_truth_label(payloads, world.templates)
     space = AugmentedSpace(
-        payloads=tuple(payloads),
+        payloads=payloads,
         labels=labels,
         cond=cond,
         marginal=marginal,
@@ -512,8 +492,7 @@ def _check_space(space: AugmentedSpace) -> None:
 
 def labeling_error(space: AugmentedSpace, world: World) -> float:
     """Exact labeling error alpha by enumeration over (original, node) pairs."""
-    orig_labels = world.labels()
-    mismatch = (space.labels[None, :] != orig_labels[:, None]).astype(float)
+    mismatch = (space.labels[None, :] != world.labels[:, None]).astype(float)
     per_orig = np.sum(space.cond * mismatch, axis=1)
     return float(world.weights @ per_orig)
 
@@ -527,13 +506,11 @@ def preprocess_world(world: World, spec: TruncationSpec, count: int | None = Non
 
     Their latent labels are recomputed from the new payloads; weights are kept.
     """
-    ids, reduced = [], []
-    for oid, payload, _label in world.originals[:count]:
-        F = svd_full(payload)
-        ids.append(oid)
-        reduced.append(svd_truncate(F, spec))
+    reduced = np.stack([svd_truncate(svd_full(P), spec) for P in world.payloads[:count]])
     return World(
-        originals=_labelled(ids, reduced, world.templates) + world.originals[len(ids):],
+        payloads=np.concatenate([reduced, world.payloads[len(reduced):]]),
+        labels=np.concatenate([ground_truth_label(reduced, world.templates),
+                               world.labels[len(reduced):]]),
         weights=world.weights.copy(),
         templates=world.templates,
         spec=world.spec,
@@ -558,19 +535,18 @@ def inflate(world: World, factor: int, seed: int = 0) -> World:
     _n_shared, _dist, _extra, total = _slot_layout(spec)
     U, V = _frames(spec, total)
     templates = world.templates
-    n0, per_round = world.n_originals, spec.K * spec.per_class
-    payloads = [  # round by round, class by class, variant by variant
+    n0, per_round = len(world.payloads), spec.K * spec.per_class
+    extra = np.stack([  # round by round, class by class, variant by variant
         _planted_original(spec, U, V, templates, *divmod(i % per_round, spec.per_class),
                           1_000_000 * (seed + 1) + n0 + i)
         for i in range((factor - 1) * per_round)
-    ]
-    ids = [f"o{i:04d}" for i in range(n0, n0 + len(payloads))]
-    new_originals = world.originals + _labelled(ids, payloads, templates)
-    weights = np.full(len(new_originals), 1.0 / len(new_originals))
+    ])
+    payloads = np.concatenate([world.payloads, extra])
     return World(
-        originals=new_originals,
-        weights=weights,
-        templates=world.templates,
+        payloads=payloads,
+        labels=np.concatenate([world.labels, ground_truth_label(extra, templates)]),
+        weights=np.full(len(payloads), 1.0 / len(payloads)),
+        templates=templates,
         spec=spec,
     )
 
@@ -592,22 +568,20 @@ def save_world(world: World, directory) -> None:
         fname = f"template_{c:02d}.mat"
         save_matrix_text(os.path.join(directory, fname), T)
         lines.append(f"template {c} = {fname}")
-    for i, (oid, payload, label) in enumerate(world.originals):
-        fname = f"{oid}.mat"
+    for i, payload in enumerate(world.payloads):
+        fname = f"o{i:04d}.mat"
         save_matrix_text(os.path.join(directory, fname), payload)
-        lines.append(
-            f"original {oid} = {fname} {label} {repr(float(world.weights[i]))}"
-        )
+        lines.append(f"original o{i:04d} = {fname} {world.labels[i]} {float(world.weights[i])!r}")
     with open(os.path.join(directory, "manifest.txt"), "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_world(directory) -> World:
+    """The world save_world wrote; its originals must be named o0000, o0001, ... in order."""
     manifest = os.path.join(directory, "manifest.txt")
     spec = None
     templates = {}
-    originals = []
-    weights = []
+    payloads, labels, weights = [], [], []
     with open(manifest) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -635,6 +609,9 @@ def load_world(directory) -> World:
                     c = int(key.split()[1])
                     templates[c] = load_matrix_text(os.path.join(directory, value))
                 elif key.startswith("original "):
+                    if key != f"original o{len(payloads):04d}":
+                        raise ValueError(f"expected original o{len(payloads):04d}, got {key!r}: "
+                                         "originals are named by position")
                     parts = value.split()
                     if len(parts) != 3:
                         raise ValueError(f"expected 'file label weight', got {value!r}")
@@ -643,7 +620,8 @@ def load_world(directory) -> World:
                     if not 0.0 < weight < np.inf:
                         raise ValueError(f"weight {weight!r} is not finite and positive")
                     payload = load_matrix_text(os.path.join(directory, fname))
-                    originals.append((key.split()[1], payload, int(label)))
+                    payloads.append(payload)
+                    labels.append(int(label))
                     weights.append(weight)
                 else:
                     raise ValueError(f"unknown key {key!r}")
@@ -658,19 +636,20 @@ def load_world(directory) -> World:
         raise ValueError(f"{manifest}: template indices are not 0..{spec.K - 1}")
     shape = (spec.m, spec.m_prime)
     named = [(f"template {c}", T) for c, T in templates.items()]
-    for name, P in named + [(oid, P) for oid, P, _label in originals]:
+    for name, P in named + [(f"o{i:04d}", P) for i, P in enumerate(payloads)]:
         if P.shape != shape:
             raise ValueError(f"{manifest}: {name} has shape {P.shape}, not {shape}")
     world = World(
-        originals=tuple(originals),
+        payloads=np.stack(payloads),
+        labels=np.array(labels),
         weights=weights,
-        templates=tuple(templates[c] for c in range(spec.K)),
+        templates=np.stack([templates[c] for c in range(spec.K)]),
         spec=spec,
     )
     # payloads are finite (load_matrix_text) and of the templates' shape
-    got = ground_truth_label([P for _oid, P, _label in originals], world.templates)
-    for (oid, _payload, label), g in zip(originals, got):
+    got = ground_truth_label(world.payloads, world.templates)
+    for i, (label, g) in enumerate(zip(labels, got)):
         if g != label:
-            raise ValueError(f"{manifest}: original {oid}: latent label {label} "
+            raise ValueError(f"{manifest}: original o{i:04d}: latent label {label} "
                              f"!= ground truth {g}")
     return world

@@ -67,11 +67,11 @@ def toy_world() -> World:
         noise_scale=0.0,
         seed=0,
     )
-    originals = (("o0000", T0, 0), ("o0001", T1, 1))
     return World(
-        originals=originals,
+        payloads=np.stack([T0, T1]),
+        labels=np.array([0, 1]),
         weights=np.array([0.5, 0.5]),
-        templates=(T0, T1),
+        templates=np.stack([T0, T1]),
         spec=spec,
     )
 
@@ -288,8 +288,7 @@ def dense_spectral_embedding(G: DenseGraph, spec: SymEigen, k: int) -> np.ndarra
 
 def enumerated_labeling_error(space, world: World) -> float:
     """Exact labeling error by enumeration over (original, node) pairs."""
-    orig_labels = world.labels()
-    mismatch = (space.labels[None, :] != orig_labels[:, None]).astype(float)
+    mismatch = (space.labels[None, :] != world.labels[:, None]).astype(float)
     per_orig = np.sum(space.cond * mismatch, axis=1)
     return float(world.weights @ per_orig)
 

@@ -471,6 +471,16 @@ class TestErrors:
         want = "error: ctlab bounds: row baseline: train_free_embeddings: loss diverged"
         assert err.startswith(want)
 
+    def test_spread_error_names_the_command_and_row(self, tmp_path, capsys, monkeypatch):
+        # spectral-loss tables are unnormalized; the row's population InfoNCE
+        # sends the trained table through the exact engine's spread guard
+        monkeypatch.setattr(objectives, "_SPREAD_MAX", 1.0)
+        argv = ["train", "--config", REFERENCE, "--out", str(tmp_path / "o")]
+        assert main(argv + ["--set", "train.loss=spectral"]) == 2
+        assert capsys.readouterr().err == (
+            "error: ctlab train: row baseline: exact InfoNCE: a similarity row spreads 6.69893 > 1\n"
+        )
+
     def test_unknown_command_rejected(self, small_cfg):
         with pytest.raises(SystemExit):
             main(["fly", "--config", small_cfg])

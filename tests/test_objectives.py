@@ -65,7 +65,7 @@ def random_space(n, seed, K=2):
     A = A + A.T + np.diag(rng.random(n))
     A /= A.sum()
     return AugmentedSpace(
-        payloads=(np.zeros((1, 1)),) * n,
+        payloads=np.zeros((n, 1, 1)),
         labels=np.arange(n) % K,
         cond=np.full((1, n), 1.0 / n),
         marginal=A.sum(axis=1),
@@ -395,7 +395,9 @@ class TestExpSpaceAccuracy:
     def test_spread_past_the_bound_raises_a_named_error(self, M):
         space = eight_node_space()
         sims = spread_sims(space.n, 3, 750.0)
-        with pytest.raises(ValueError, match=r"^exact InfoNCE: a similarity row spreads 750 > 700$"):
+        with pytest.raises(
+            FloatingPointError, match=r"^exact InfoNCE: a similarity row spreads 750 > 700$"
+        ):
             _exact_infonce(space, M)(sims)
 
 
@@ -792,7 +794,7 @@ class TestHeads:
         kept = np.flatnonzero(space.labels != top)
         restricted = replace(
             space,
-            payloads=tuple(space.payloads[i] for i in kept),
+            payloads=space.payloads[kept],
             labels=space.labels[kept],
             marginal=space.marginal[kept] / space.marginal[kept].sum(),
         )

@@ -78,15 +78,14 @@ class TestGenerateWorld:
     def test_deterministic(self):
         a = reference_world()
         b = reference_world()
-        for (ia, pa, la), (ib, pb, lb) in zip(a.originals, b.originals):
-            assert ia == ib and la == lb
-            assert np.array_equal(pa, pb)
+        assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(a.payloads, b.payloads)
 
     def test_counts_and_weights(self):
         w = reference_world()
-        assert w.n_originals == 6
+        assert w.payloads.shape == (6, 12, 12)
         assert np.allclose(w.weights, 1.0 / 6.0)
-        assert list(w.labels()) == [0, 0, 1, 1, 2, 2]
+        assert list(w.labels) == [0, 0, 1, 1, 2, 2]
 
     def test_templates_rank(self):
         w = reference_world()
@@ -109,7 +108,7 @@ class TestGenerateWorld:
         # singular values of each payload: background, q*-1 semantic, then
         # nuisance strictly below the smallest semantic value
         w = reference_world()
-        for _oid, payload, _label in w.originals:
+        for payload in w.payloads:
             s = np.linalg.svd(payload, compute_uv=False)
             assert abs(s[0] - 8.0) < 1e-9
             assert s[w.spec.q_star - 1] > s[w.spec.q_star] + 0.1
@@ -117,7 +116,7 @@ class TestGenerateWorld:
 
     def test_confusion_zero_gives_pure_templates(self):
         w = generate_world(_ref_spec(nuisance_confusion=0.0))
-        for _oid, payload, label in w.originals:
+        for payload, label in zip(w.payloads, w.labels):
             assert np.allclose(payload, w.templates[label], atol=1e-12)
 
 
@@ -154,22 +153,22 @@ class TestBatchedLabelRule:
     def test_reference_space(self):
         w = reference_world()
         space = build_augmented_space(w, reference_transforms(w))
-        self._check(np.stack(space.payloads), w.templates)
+        self._check(space.payloads, w.templates)
 
     def test_q1_truncated_reference_world(self):
         # the six originals are the background alone, equidistant from all three
         # templates in real arithmetic: rounding alone picks the label
         w = preprocess_world(reference_world(), TruncationSpec(mode="keep_top_q", q=1))
-        P = np.stack([payload for _oid, payload, _label in w.originals])
+        P = w.payloads
         assert len(P) == 6 and np.ptp(_norm_loop(P, w.templates), axis=1).max() < 1e-14
         self._check(P, w.templates)
-        assert [label for *_, label in w.originals] == ground_truth_label(P, w.templates).tolist()
+        assert w.labels.tolist() == ground_truth_label(P, w.templates).tolist()
 
     def test_inflated8_space(self):
         noisy = generate_world(_ref_spec(noise_scale=0.05))
         space = build_augmented_space(inflate(noisy, 8, seed=6), reference_transforms(noisy))
         assert space.n > 400
-        self._check(np.stack(space.payloads), noisy.templates)
+        self._check(space.payloads, noisy.templates)
 
     @pytest.mark.parametrize("n, shape, K", [(1, (1, 1), 2), (2000, (12, 12), 3), (57, (3, 7), 5)])
     def test_random_stacks(self, n, shape, K):
@@ -373,14 +372,12 @@ class TestAugmentedSpace:
         # each toy original has one zero entry; its twin moves it by +-1e-17,
         # which rounds to -0.0 or 0.0 and must still key the same view
         w = toy_world()
-        twins = tuple(
-            (oid + "t", np.where(P == 0.0, e, P), label)
-            for (oid, P, label), e in zip(w.originals, eps)
-        )
-        for (_, P, _), (_, T, _) in zip(w.originals, twins):
+        twins = np.stack([np.where(P == 0.0, e, P) for P, e in zip(w.payloads, eps)])
+        for P, T in zip(w.payloads, twins):
             assert _node_keys([T]) == _node_keys([P])
         doubled = replace(
-            w, originals=w.originals + twins, weights=np.full(4, 0.25)
+            w, payloads=np.concatenate([w.payloads, twins]), labels=np.tile(w.labels, 2),
+            weights=np.full(4, 0.25),
         )
         space = build_augmented_space(doubled, toy_transforms())
         assert space.n == build_augmented_space(w, toy_transforms()).n
@@ -395,14 +392,14 @@ class TestAugmentedSpace:
         # boundary (j + 1/2) * 1e-9: the keys differ, so one view would split
         w = toy_world()
         boundary = (j + 0.5) * 1e-9
-        (oid, P, label), rest = w.originals[0], w.originals[1:]
-        below, above = P.copy(), P.copy()
+        below, above = w.payloads[0].copy(), w.payloads[0].copy()
         below[0, 1] = boundary - delta
         above[0, 1] = boundary + delta
         assert _node_keys([below]) != _node_keys([above])
         planted = replace(
             w,
-            originals=((oid, below, label), *rest, (oid + "t", above, label)),
+            payloads=np.stack([below, *w.payloads[1:], above]),
+            labels=w.labels[[0, 1, 0]],
             weights=np.full(3, 1.0 / 3.0),
         )
         # identity views: n0000 from o0000, n0003 from its twin (n0001 is the
@@ -450,11 +447,11 @@ class TestLabelingError:
         space = build_augmented_space(w, transforms)
         alpha = labeling_error(space, w)
         acc = 0.0
-        for _oid, payload, label in w.originals:
+        for payload, label in zip(w.payloads, w.labels):
             for t in transforms:
                 view = apply_transform(t, payload)
                 if ground_truth_label([view], w.templates)[0] != label:
-                    acc += t.probability / w.n_originals
+                    acc += t.probability / len(w.payloads)
         assert abs(alpha - acc) < 1e-12
 
     def test_identity_only_is_error_free(self):
@@ -469,15 +466,13 @@ class TestPreprocess:
     def test_rank_cut_at_semantic_level_removes_nuisance(self):
         w = reference_world()
         pw = preprocess_world(w, TruncationSpec(mode="keep_top_q", q=w.spec.q_star))
-        for (_i, payload, label), T in zip(
-            pw.originals, (pw.templates[o[2]] for o in w.originals)
-        ):
+        for payload, T in zip(pw.payloads, pw.templates[w.labels]):
             assert np.allclose(payload, T, atol=1e-9)
 
     def test_full_rank_cut_is_identity(self):
         w = reference_world()
         pw = preprocess_world(w, TruncationSpec(mode="keep_top_q", q=12))
-        for (_, pa, la), (_, pb, lb) in zip(w.originals, pw.originals):
+        for pa, la, pb, lb in zip(w.payloads, w.labels, pw.payloads, pw.labels):
             assert np.allclose(pa, pb, atol=1e-9)
             assert la == lb
 
@@ -501,14 +496,14 @@ class TestInflate:
 
     def test_counts_and_uniform_weights(self):
         w = inflate(reference_world(), 4)
-        assert w.n_originals == 24
+        assert len(w.payloads) == len(w.labels) == 24
         assert np.allclose(w.weights, 1.0 / 24.0)
 
     def test_noise_free_inflation_duplicates_payloads(self):
         w = reference_world()
         iw = inflate(w, 3)
-        base = {o[1].tobytes() for o in w.originals}
-        extra = {o[1].tobytes() for o in iw.originals[6:]}
+        base = {P.tobytes() for P in w.payloads}
+        extra = {P.tobytes() for P in iw.payloads[6:]}
         assert extra <= base
 
     def test_rejects_bad_factor(self):
@@ -522,10 +517,10 @@ class TestInflate:
         raw = generate_world(_ref_spec(noise_scale=0.05))
         trunc = TruncationSpec(mode="keep_top_q", q=q)
         want = inflate(preprocess_world(raw, trunc), 8, seed=6)
-        got = preprocess_world(inflate(raw, 8, seed=6), trunc, raw.n_originals)
-        assert [(i, P.tobytes(), y) for i, P, y in got.originals] == [
-            (i, P.tobytes(), y) for i, P, y in want.originals
-        ]
+        got = preprocess_world(inflate(raw, 8, seed=6), trunc, len(raw.payloads))
+        assert got.payloads.shape == want.payloads.shape
+        assert got.payloads.tobytes() == want.payloads.tobytes()
+        assert got.labels.tolist() == want.labels.tolist()
         assert got.weights.tobytes() == want.weights.tobytes()
         assert got.templates is want.templates and got.spec == want.spec
 
@@ -537,11 +532,23 @@ class TestSerialization:
         loaded = load_world(tmp_path / "w")
         assert loaded.spec == w.spec
         assert np.array_equal(loaded.weights, w.weights)
-        for (ia, pa, la), (ib, pb, lb) in zip(w.originals, loaded.originals):
-            assert (ia, la) == (ib, lb)
-            assert np.array_equal(pa, pb)
+        assert np.array_equal(loaded.labels, w.labels)
+        assert np.array_equal(loaded.payloads, w.payloads)
         for Ta, Tb in zip(w.templates, loaded.templates):
             assert np.array_equal(Ta, Tb)
+
+    def test_round_trip_of_an_inflated_truncated_world(self, tmp_path):
+        raw = generate_world(_ref_spec(noise_scale=0.05))
+        w = preprocess_world(inflate(raw, 8, seed=6), TruncationSpec(mode="keep_top_q", q=2), 6)
+        save_world(w, tmp_path / "w")
+        loaded = load_world(tmp_path / "w")
+        assert loaded.payloads.shape == w.payloads.shape == (48, 12, 12)
+        assert loaded.payloads.tobytes() == w.payloads.tobytes()
+        assert loaded.labels.tolist() == w.labels.tolist()
+        assert loaded.weights.tobytes() == w.weights.tobytes()
+        lines = (tmp_path / "w" / "manifest.txt").read_text().splitlines()
+        names = [line.split()[1] for line in lines if line.startswith("original ")]
+        assert names == [f"o{i:04d}" for i in range(48)]
 
     def _saved(self, tmp_path):
         d = tmp_path / "w"
@@ -575,13 +582,36 @@ class TestSerialization:
     def test_payload_shape_must_match_templates(self, tmp_path):
         d, _manifest = self._saved(tmp_path)
         save_matrix_text(d / "o0003.mat", np.zeros((12, 11)))
-        with pytest.raises(ValueError, match="manifest.txt.*o0003 has shape"):
+        with pytest.raises(
+            ValueError, match=r"manifest.txt: o0003 has shape \(12, 11\), not \(12, 12\)$"
+        ):
             load_world(d)
 
     def test_labels_must_match_ground_truth(self, tmp_path):
         d, manifest = self._saved(tmp_path)
         self._edit(manifest, "o0000.mat 0 ", "o0000.mat 1 ")
         with pytest.raises(ValueError, match="manifest.txt.*latent label"):
+            load_world(d)
+
+    @pytest.mark.parametrize("old, new, lineno, name", [
+        ("original o0001 =", "original o0007 =", 6, "o0007"),  # a gap
+        ("original o0000 =", "original o0001 =", 5, "o0001"),  # a repeat
+        ("original o0000 =", "original n0000 =", 5, "n0000"),
+    ])
+    def test_originals_must_be_named_by_position(self, tmp_path, old, new, lineno, name):
+        # saving the loaded world would rename such originals silently
+        d, manifest = self._saved(tmp_path)
+        self._edit(manifest, old, new)
+        want = f"manifest.txt: line {lineno}: expected original o{lineno - 5:04d}, got 'original {name}'"
+        with pytest.raises(ValueError, match=want):
+            load_world(d)
+
+    def test_originals_out_of_order_rejected(self, tmp_path):
+        d, manifest = self._saved(tmp_path)
+        lines = manifest.read_text().splitlines()
+        lines[4], lines[5] = lines[5], lines[4]  # o0001 before o0000
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="line 5: expected original o0000, got 'original o0001'"):
             load_world(d)
 
     def test_original_line_needs_three_fields(self, tmp_path):
