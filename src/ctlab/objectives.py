@@ -98,15 +98,16 @@ def _infonce(space: AugmentedSpace, M: int, cfg: McConfig, seed: int):
     """(evaluate, exact): the population InfoNCE of space with M negatives.
 
     The one choice of engine: the exact engine when M is within cfg.m_max
-    and the node count within cfg.n_max, else the Monte Carlo kernel on one
-    batch of cfg.samples rows drawn with `seed`.  evaluate(sims, coef=False) -> (losses, C) takes
-    sims = F F^T; losses is the exact loss or the batch's per-row losses,
-    and with coef C is the coefficient matrix of the loss (or of their mean).
+    and the node count within cfg.n_max, else the Monte Carlo engine of one
+    batch of cfg.samples rows drawn with `seed`.  evaluate(sims, coef=False)
+    -> (losses, G) takes sims = F F^T; losses is the exact loss or the
+    batch's per-row losses, and with coef G = C + C^T, where C is the
+    coefficient matrix of the loss (or of their mean).
     """
     if M <= cfg.m_max and space.n <= cfg.n_max:
         return _exact_infonce(space, M), True
     flat = _table_indices(_sample_batch(space, M, cfg.samples, seed), space.n)
-    return (lambda sims, coef=False: _sampled_infonce(sims, flat, coef)), False
+    return _sampled_infonce(flat, space.n), False
 
 
 _SPREAD_MAX = 700.0  # e^-700 is a normal double; e^-709 and below are not
@@ -117,10 +118,10 @@ def _exact_infonce(space: AugmentedSpace, M: int):
 
     The anchor offsets of the space's pair support and every buffer an
     evaluation writes are made once, here.  Returns `engine(sims,
-    coef=False) -> (loss, C)` for the similarity table sims = F F^T; with
-    coef, C = dL/dS is the (n, n) coefficient matrix of the loss in the
-    entries of S taken as independent variables, else None.  C is fresh on
-    every call, so a C returned earlier stays valid.
+    coef=False) -> (loss, G)` for the similarity table sims = F F^T; with
+    coef, G = C + C^T, where C = dL/dS is the (n, n) coefficient matrix of
+    the loss in the entries of S taken as independent variables, else None.
+    G is fresh on every call, so a G returned earlier stays valid.
 
     The engine works in exp space: each row x of sims is shifted by its max
     m_x and E = exp(sims - m) is taken once per call, so a pair (x, y) with
@@ -183,18 +184,18 @@ def _exact_infonce(space: AugmentedSpace, M: int):
                     C[x, ys[sel]] = w[sel] * (e_pos[sel] * (Rp @ p) - 1.0)
                     # both negative slots give the same term by symmetry
                     C[x, :] += 2.0 * p * row * (w[sel] @ Rp)
-        return float(w @ (m[xs] - s_pos + expect)), C
+        return float(w @ (m[xs] - s_pos + expect)), (C + C.T if coef else None)
 
     return engine
 
 
-def _gradient(F: np.ndarray, C: np.ndarray, normalized: bool) -> np.ndarray:
-    """Gradient (C + C^T) F of a loss with dL/d(F F^T) = C.
+def _gradient(F: np.ndarray, G: np.ndarray, normalized: bool) -> np.ndarray:
+    """Gradient G F of a loss with G = C + C^T, C = dL/d(F F^T).
 
     For a normalized embedding the radial part of each row is removed
     (Riemannian gradient on the sphere).
     """
-    grad = (C + C.T) @ F
+    grad = G @ F
     if normalized:
         grad = grad - np.sum(grad * F, axis=1, keepdims=True) * F
     return grad
@@ -223,27 +224,66 @@ def _table_indices(batch: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray((batch[:, :1] * n + batch[:, 1:]).T)
 
 
-def _sampled_infonce(sims: np.ndarray, flat: np.ndarray, coef=False):
-    """Per-row InfoNCE losses of a sampled batch from sims = F F^T.
+def _cell_support(flat: np.ndarray, n: int):
+    """(slots, sym, mirror) of a batch given as `_table_indices`.
 
-    flat is the batch as `_table_indices`.  Returns (losses, C); with coef,
-    C = dL/dS is the (n, n) coefficient matrix of the batch mean loss in the
-    entries of S = F F^T, else None.  The log-sum-exp is stabilized by the
-    max over each column.
+    sym is the batch's symmetric support in the raveled (n, n) table,
+    ascending: the cells the batch hits and their mirrors.  slots gives each
+    batch entry the position in sym of its cell, and mirror gives each cell
+    (i, j) of sym the position of (j, i).  So a bincount over slots into
+    len(sym) bins sums each hit cell's terms in its bin and leaves 0.0 in the
+    bin of a cell that only its mirror hits.
     """
-    s = np.take(sims, flat)  # (1 + M, B)
-    mx = s.max(axis=0)
-    ex = np.exp(s - mx)
-    total = ex.sum(axis=0)
-    losses = mx + np.log(total) - s[0]
-    C = None
-    if coef:
-        n = sims.shape[0]
-        probs = ex / total
+    hit = flat.ravel()
+    mark = np.zeros((n, n), dtype=bool)
+    mark.ravel()[hit] = True
+    sym = np.flatnonzero(mark | mark.T)
+    slot = np.zeros(n * n, dtype=np.intp)
+    slot[sym] = np.arange(len(sym))
+    rows, cols = np.divmod(sym, n)
+    return slot[hit], sym, slot[cols * n + rows]
+
+
+def _sampled_infonce(flat: np.ndarray, n: int):
+    """Build the Monte Carlo InfoNCE engine of one batch, flat as `_table_indices`.
+
+    Returns `engine(sims, coef=False) -> (losses, G)`: the per-row InfoNCE
+    losses of the batch from sims = F F^T, each log-sum-exp stabilized by
+    the max over its column, and with coef G = C + C^T, where C = dL/dS is
+    the (n, n) coefficient matrix of the batch mean loss in the entries of
+    S, else None.
+
+    The batch is fixed, so the cells it hits are too.  The first call with
+    coef builds their `_cell_support` and an (n, n) buffer G of zeros; a
+    population estimate, which never asks for coef, builds neither.  Each
+    call with coef then sums the terms of each cell with one bincount over
+    the symmetric support (in batch order, as a bincount over all n^2 cells
+    would) and writes C[i, j] + C[j, i] into G on that support only; every
+    other cell of G stays 0.0.  G is the engine's own buffer: it is valid
+    until the engine's next call with coef, which overwrites it in place.
+    """
+    support = G = None
+
+    def engine(sims: np.ndarray, coef=False):
+        nonlocal support, G
+        s = np.take(sims, flat)  # (1 + M, B)
+        mx = s.max(axis=0)
+        ex = np.exp(s - mx)
+        total = ex.sum(axis=0)
+        losses = mx + np.log(total) - s[0]
+        if not coef:
+            return losses, None
+        if support is None:
+            support, G = _cell_support(flat, n), np.zeros((n, n))
+        slots, sym, mirror = support
+        probs = np.divide(ex, total, out=ex)
         probs[0] -= 1.0
         probs *= 1.0 / flat.shape[1]  # each row's weight in the batch mean
-        C = np.bincount(flat.ravel(), probs.ravel(), n * n).reshape(n, n)
-    return losses, C
+        c = np.bincount(slots, probs.ravel(), len(sym))
+        G.ravel()[sym] = c + c[mirror]
+        return losses, G
+
+    return engine
 
 
 # ---------------------------------------------------------------------------

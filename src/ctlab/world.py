@@ -577,7 +577,10 @@ def save_world(world: World, directory) -> None:
 
 
 def load_world(directory) -> World:
-    """The world save_world wrote; its originals must be named o0000, o0001, ... in order."""
+    """The world save_world wrote; its originals must be named o0000, o0001, ... in order.
+
+    A manifest that gives the spec, or one template, on two lines is rejected.
+    """
     manifest = os.path.join(directory, "manifest.txt")
     spec = None
     templates = {}
@@ -590,6 +593,8 @@ def load_world(directory) -> World:
             key, _, value = line.partition(" = ")
             try:
                 if key == "spec":
+                    if spec is not None:
+                        raise ValueError("repeated key 'spec'")
                     parts = value.split()
                     if len(parts) != 9:
                         raise ValueError(f"spec needs 9 fields, got {len(parts)}")
@@ -607,6 +612,8 @@ def load_world(directory) -> World:
                     spec.validate()
                 elif key.startswith("template "):
                     c = int(key.split()[1])
+                    if c in templates:
+                        raise ValueError(f"repeated key 'template {c}'")
                     templates[c] = load_matrix_text(os.path.join(directory, value))
                 elif key.startswith("original "):
                     if key != f"original o{len(payloads):04d}":

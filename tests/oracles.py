@@ -2,7 +2,8 @@
 
 No `ctlab` command reaches anything here.  The batch InfoNCE functions with
 `full_support_batch` are the oracles of both population InfoNCE engines;
-`logaddexp_exact_infonce` is the log-space oracle of the exact engine.
+`logaddexp_exact_infonce` is the log-space oracle of the exact engine and
+`dense_sampled_infonce` the bit-for-bit oracle of the sampled engine.
 
 The toy world has two 1x2 originals and a masking transform whose shared
 blank view carries the wrong label; every probability in its augmented
@@ -37,7 +38,7 @@ from ctlab.bounds import theorem4_check
 from ctlab.config import _TABLE
 from ctlab.graph import spectral_embedding
 from ctlab.linalg import SymEigen, as_matrix, gaussian_matrix, orthonormalize, sym_eig
-from ctlab.objectives import Embedding, _gradient, fit_linear_head
+from ctlab.objectives import Embedding, fit_linear_head
 from ctlab.svd import SvdFactors, TruncationSpec, svd_full, svd_truncate
 from ctlab.world import Transform, World, WorldSpec, build_transform, generate_world
 
@@ -177,11 +178,38 @@ def infonce_gradient(f: Embedding, batch: np.ndarray, weights=None) -> np.ndarra
         w = np.asarray(weights, dtype=float)
         w = w / w.sum()
     probs[:, 0] -= 1.0
-    # C sums each row's w * probs at (anchor, other)
+    # C sums each row's w * probs at (anchor, other); the loss depends on
+    # F through S = F F^T, so its gradient is (C + C^T) F
     n = F.shape[0]
     rows, cols, coef = np.broadcast_arrays(a[:, None], others, w[:, None] * probs)
     C = np.bincount((rows * n + cols).ravel(), coef.ravel(), n * n).reshape(n, n)
-    return _gradient(F, C, f.normalized)
+    grad = (C + C.T) @ F
+    if f.normalized:
+        grad = grad - np.sum(grad * F, axis=1, keepdims=True) * F
+    return grad
+
+
+def dense_sampled_infonce(sims, flat, coef=False):
+    """Per-row InfoNCE losses of a sampled batch, with coef its dense C = dL/dS.
+
+    The oracle of the sampled engine's bits: flat is the batch as
+    `_table_indices`, and C is one bincount over all n^2 cells of the
+    batch mean's terms, in batch order.  Returns (losses, C), C None
+    without coef.
+    """
+    s = np.take(sims, flat)  # (1 + M, B)
+    mx = s.max(axis=0)
+    ex = np.exp(s - mx)
+    total = ex.sum(axis=0)
+    losses = mx + np.log(total) - s[0]
+    C = None
+    if coef:
+        n = sims.shape[0]
+        probs = ex / total
+        probs[0] -= 1.0
+        probs *= 1.0 / flat.shape[1]  # each row's weight in the batch mean
+        C = np.bincount(flat.ravel(), probs.ravel(), n * n).reshape(n, n)
+    return losses, C
 
 
 def full_support_batch(space, M: int):

@@ -31,6 +31,7 @@ from ctlab.objectives import (
 )
 from ctlab.world import AugmentedSpace, build_augmented_space, generate_world, inflate
 from oracles import (
+    dense_sampled_infonce,
     full_support_batch,
     infonce_empirical,
     infonce_gradient,
@@ -77,8 +78,8 @@ def random_space(n, seed, K=2):
 
 def exact_loss_and_grad(f, space, M):
     F = f.table
-    loss, C = _exact_infonce(space, M)(F @ F.T, coef=True)
-    return loss, _gradient(F, C, f.normalized)
+    loss, G = _exact_infonce(space, M)(F @ F.T, coef=True)
+    return loss, _gradient(F, G, f.normalized)
 
 
 def per_call_exact_infonce(sims, space, M, coef=False):
@@ -86,6 +87,7 @@ def per_call_exact_infonce(sims, space, M, coef=False):
 
     The reference for the built engine's bits: same exp-space arithmetic on
     fresh arrays, with the pair support and anchor offsets made on every call.
+    Returns (loss, C + C^T), like the engine.
     """
     xs, ys = np.nonzero(space.joint)
     w = space.joint[xs, ys]
@@ -116,7 +118,7 @@ def per_call_exact_infonce(sims, space, M, coef=False):
                 Rp = (1.0 / Z) @ p
                 C[x, ys[sel]] = w[sel] * (e_pos[sel] * (Rp @ p) - 1.0)
                 C[x, :] += 2.0 * p * row * (w[sel] @ Rp)
-    return float(w @ (m[xs] - s_pos + expect)), C
+    return float(w @ (m[xs] - s_pos + expect)), (C + C.T if coef else None)
 
 
 def eight_node_space():
@@ -360,10 +362,11 @@ class TestExpSpaceAccuracy:
 
     @staticmethod
     def assert_close(got, want):
-        # relative to the loss and to the largest coefficient
-        (loss, C), (want_loss, want_C) = got, want
+        # the engine's G against the oracle's C + C^T, relative to the loss
+        # and to the largest coefficient
+        (loss, G), (want_loss, want_C) = got, want
         assert abs(loss - want_loss) <= 1e-13 * abs(want_loss)
-        assert np.abs(C - want_C).max() <= 1e-13 * np.abs(want_C).max()
+        assert np.abs(G - (want_C + want_C.T)).max() <= 1e-13 * np.abs(want_C).max()
 
     @pytest.mark.parametrize("M", [1, 2])
     @pytest.mark.parametrize("spread", [None, 5.0, 20.0, 50.0])
@@ -437,28 +440,28 @@ class TestExactEngine:
         engine = _exact_infonce(space, M)
         for seed in (1, 2):
             sims = unit_sims(space.n, seed)
-            loss, C = engine(sims, coef=coef)
-            want_loss, want_C = per_call_exact_infonce(sims, space, M, coef=coef)
+            loss, G = engine(sims, coef=coef)
+            want_loss, want_G = per_call_exact_infonce(sims, space, M, coef=coef)
             assert loss == want_loss
             if coef:
-                assert np.array_equal(C, want_C)
+                assert np.array_equal(G, want_G)
             else:
-                assert C is None and want_C is None
+                assert G is None and want_G is None
 
     @pytest.mark.parametrize("M", [1, 2])
     def test_engine_reuse_keeps_bits_and_earlier_results(self, M):
         space = reference_space() if M == 1 else eight_node_space()
         engine = _exact_infonce(space, M)
         sims_a, sims_b = unit_sims(space.n, 3), unit_sims(space.n, 4)
-        loss_a, C_a = engine(sims_a, coef=True)
-        C_a_bits = C_a.copy()
-        loss_b, C_b = engine(sims_b, coef=True)
-        C_b_bits = C_b.copy()
-        again, C_again = engine(sims_a, coef=True)
+        loss_a, G_a = engine(sims_a, coef=True)
+        G_a_bits = G_a.copy()
+        loss_b, G_b = engine(sims_b, coef=True)
+        G_b_bits = G_b.copy()
+        again, G_again = engine(sims_a, coef=True)
         engine(sims_b)
-        assert again == loss_a and np.array_equal(C_again, C_a_bits)
+        assert again == loss_a and np.array_equal(G_again, G_a_bits)
         assert loss_b != loss_a
-        assert np.array_equal(C_a, C_a_bits) and np.array_equal(C_b, C_b_bits)
+        assert np.array_equal(G_a, G_a_bits) and np.array_equal(G_b, G_b_bits)
 
     def test_built_engine_allocates_under_one_pairs_by_n_array(self):
         space = reference_space()
@@ -559,10 +562,70 @@ class TestSampledKernel:
             batch = _sample_batch(space, M, 2000, seed=M)
             f = random_embedding(space.n, 3, seed=M + 1, normalized=normalized)
             F = f.table
-            losses, C = _sampled_infonce(F @ F.T, _table_indices(batch, space.n), coef=True)
+            engine = _sampled_infonce(_table_indices(batch, space.n), space.n)
+            losses, G = engine(F @ F.T, coef=True)
             assert abs(np.mean(losses) - infonce_empirical(f, batch)) < 1e-12
-            grad = _gradient(F, C, normalized)
+            grad = _gradient(F, G, normalized)
             assert np.abs(grad - infonce_gradient(f, batch)).max() < 1e-12
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 7])
+    @pytest.mark.parametrize(
+        "make_space, samples",
+        [
+            (reference_space, 2000),
+            (lambda: random_space(9, seed=5), 20),
+            (lambda: inflated_space(8), 2000),
+        ],
+    )
+    def test_matches_dense_oracle_bits(self, M, make_space, samples):
+        space = make_space()
+        n = space.n
+        flat = _table_indices(_sample_batch(space, M, samples, seed=M), n)
+        # the batch hits diagonal cells, off-diagonal cells whose mirror it
+        # hits too, and off-diagonal cells whose mirror it misses
+        hit = np.zeros((n, n), dtype=bool)
+        hit.ravel()[flat.ravel()] = True
+        off = hit & ~np.eye(n, dtype=bool)
+        assert hit.diagonal().any() and (off & off.T).any() and (off & ~off.T).any()
+        engine = _sampled_infonce(flat, n)
+        for seed in (1, 2):  # the second call overwrites the first one's G
+            sims = unit_sims(n, seed)
+            want_losses, want_C = dense_sampled_infonce(sims, flat, coef=True)
+            losses, G = engine(sims, coef=True)
+            assert losses.tobytes() == want_losses.tobytes()
+            assert G.tobytes() == (want_C + want_C.T).tobytes()
+            losses, none = engine(sims)
+            assert losses.tobytes() == want_losses.tobytes() and none is None
+
+    def test_owned_g_lives_until_the_next_call_with_coef(self):
+        space = inflated_space(8)
+        flat = _table_indices(_sample_batch(space, 2, 2000, 3), space.n)
+        engine = _sampled_infonce(flat, space.n)
+        sims_a, sims_b = unit_sims(space.n, 3), unit_sims(space.n, 4)
+        _, G_a = engine(sims_a, coef=True)
+        G_a_bits = G_a.copy()
+        engine(sims_b)  # a call without coef leaves G alone
+        assert np.array_equal(G_a, G_a_bits)
+        _, G_b = engine(sims_b, coef=True)  # the next call with coef overwrites it
+        assert G_b is G_a and not np.array_equal(G_b, G_a_bits)
+        assert np.array_equal(engine(sims_a, coef=True)[1], G_a_bits)
+
+    def test_support_is_built_on_the_first_call_with_coef(self, monkeypatch):
+        built = []
+        build = objectives._cell_support
+
+        def recording(*args):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(objectives, "_cell_support", recording)
+        space, cfg = reference_space(), McConfig(n_max=1, samples=2000)
+        f = random_embedding(space.n, 3, seed=1)
+        for M in (1, 2):
+            infonce_population(f, space, M, cfg)
+        assert built == []
+        train_free_embeddings(space, 3, "infonce", 5, 1.0, seed=0, cfg=cfg)
+        assert len(built) == 1
 
     @pytest.mark.parametrize("M", [1, 2, 3, 4, 5])
     def test_population_matches_row_major_route(self, M):
@@ -704,10 +767,11 @@ class TestTraining:
         assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
         assert losses[-1] < losses[0]
 
-    def test_exact_path_evaluates_each_table_once(self, monkeypatch):
-        # the accepted candidate's evaluation also yields the next gradient
+    @staticmethod
+    def record_evaluations(monkeypatch, builder):
+        """Bytes of every sims the engines built by objectives.<builder> evaluate."""
         seen = []
-        build = objectives._exact_infonce
+        build = getattr(objectives, builder)
 
         def recording_build(*args, **kwargs):
             engine = build(*args, **kwargs)
@@ -718,25 +782,51 @@ class TestTraining:
 
             return recording
 
-        monkeypatch.setattr(objectives, "_exact_infonce", recording_build)
+        monkeypatch.setattr(objectives, builder, recording_build)
+        return seen
+
+    def test_exact_path_evaluates_each_table_once(self, monkeypatch):
+        # the accepted candidate's evaluation also yields the next gradient
+        seen = self.record_evaluations(monkeypatch, "_exact_infonce")
         train_free_embeddings(reference_space(), 3, "infonce", 5, 1.0, seed=0)
         assert len(seen) >= 6
         assert len(set(seen)) == len(seen)
 
     def test_sampled_path_evaluates_each_table_once(self, monkeypatch):
         # the accepted candidate's evaluation also yields the next gradient
-        seen = []
-        kernel = objectives._sampled_infonce
-
-        def recording(sims, *args, **kwargs):
-            seen.append(sims.tobytes())
-            return kernel(sims, *args, **kwargs)
-
-        monkeypatch.setattr(objectives, "_sampled_infonce", recording)
+        seen = self.record_evaluations(monkeypatch, "_sampled_infonce")
         cfg = McConfig(n_max=1, samples=2000)
         train_free_embeddings(reference_space(), 3, "infonce", 5, 1.0, seed=0, cfg=cfg)
         assert len(seen) >= 6
         assert len(set(seen)) == len(seen)
+
+    def test_sampled_path_reads_g_before_the_next_evaluation(self, monkeypatch):
+        # each G handed out turns NaN when the engine is called again, so a
+        # G read after the next evaluation would poison the descent; the
+        # large step makes the line search reject candidates
+        space, cfg, steps = inflated_space(8), McConfig(samples=2000), 8
+        want = train_free_embeddings(space, 3, "infonce", steps, 1000.0, seed=1, cfg=cfg)
+        build = objectives._sampled_infonce
+        calls = []
+
+        def poisoning_build(*args):
+            engine = build(*args)
+            handed = []
+
+            def poisoning(sims, coef=False):
+                for G in handed:
+                    G.fill(np.nan)
+                losses, G = engine(sims, coef)
+                calls.append(coef)
+                handed[:] = [] if G is None else [G.copy()]
+                return losses, (handed[0] if handed else None)
+
+            return poisoning
+
+        monkeypatch.setattr(objectives, "_sampled_infonce", poisoning_build)
+        got = train_free_embeddings(space, 3, "infonce", steps, 1000.0, seed=1, cfg=cfg)
+        assert len(calls) > steps + 1 and all(calls)
+        assert got.table.tobytes() == want.table.tobytes()
 
     def test_sampled_path_follows_batch_oracle(self):
         # the same backtracking descent driven by the public batch functions

@@ -630,6 +630,20 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"manifest.txt: line 1: .*noise_scale"):
             load_world(d)
 
+    @pytest.mark.parametrize("line, key", [
+        ("spec = 3 2 12 12 3 1 0.9 0.0 99", "spec"),  # the last line would set seed 99
+        ("template 1 = template_02.mat", "template 1"),
+    ])
+    def test_repeated_spec_or_template_rejected(self, tmp_path, line, key):
+        d, manifest = self._saved(tmp_path)
+        text = manifest.read_text()
+        manifest.write_text(text + line + "\n")
+        lineno = len(text.splitlines()) + 1
+        with pytest.raises(
+            ValueError, match=f"manifest.txt: line {lineno}: repeated key '{key}'$"
+        ):
+            load_world(d)
+
     def test_spec_fields_must_parse(self, tmp_path):
         d, manifest = self._saved(tmp_path)
         self._edit(manifest, "spec = 3 ", "spec = three ")
