@@ -305,12 +305,9 @@ def cmd_world(cfg, out_dir, threads, allow_violations):
 
 
 def cmd_svd(cfg, out_dir, threads, allow_violations):
-    raw = generate_world(cfg.world)
-    trunc = cfg.truncation()
-    if trunc is None:
+    if cfg.truncation() is None:
         raise ConfigError("svd.mode: subcommand svd needs a mode other than none")
-    save_world(preprocess_world(raw, trunc), os.path.join(out_dir, "world"))
-    return 0
+    return cmd_world(cfg, out_dir, threads, allow_violations)
 
 
 def cmd_graph(cfg, out_dir, threads, allow_violations):
@@ -339,7 +336,7 @@ def cmd_train(cfg, out_dir, threads, allow_violations):
     _row, _reports, f, _head, space = _baseline_row(cfg)
     save_matrix_text(os.path.join(out_dir, "embedding.mat"), f.table)
     with open(os.path.join(out_dir, "embedding_nodes.txt"), "w", newline="\n") as fh:
-        fh.write("\n".join(space.node_ids) + "\n")
+        fh.write("".join(f"n{i:04d}\n" for i in range(space.n)))
     return 0
 
 

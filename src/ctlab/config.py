@@ -32,7 +32,7 @@ _CHECKS = ("t1", "t3", "t4", "corollaries")
 # fields are WorldSpec's and their ranges WorldSpec.validate's, which loaded
 # worlds share; the other fields are RunConfig's.  A bound is a comma-separated
 # list of conditions on the value, or on each entry of a list.  Every float
-# must also be finite.
+# must also be finite, and the entries of an int list (a sweep) distinct.
 _TABLE = {
     "run": {"seed": ("seed", "int", 0, None)},
     "world": {
@@ -195,6 +195,9 @@ def _value(where, kind, raw, bound):
         raise ConfigError(f"{where}: expected {expected}, got {raw!r}") from None
     if kind == "float" and not math.isfinite(value):
         raise ConfigError(f"{where}: must be finite, got {value}")
+    if kind == "ints" and len(set(value)) < len(value):
+        repeated = next(v for i, v in enumerate(value) if v in value[:i])
+        raise ConfigError(f"{where}: entry {repeated} repeated")
     values = value if kind in ("ints", "choices") else [value]
     if kind in ("choice", "choices"):
         for v in values:
@@ -269,32 +272,27 @@ def parse_config(parser: configparser.ConfigParser) -> RunConfig:
                     **fields)
 
     cfg.svd_q, cfg.svd_pair_index = cfg.svd_q or None, cfg.svd_pair_index or None
-    rank_bound = min(spec.m, spec.m_prime)
-    for key, qs in (("svd.q", [cfg.svd_q] if cfg.svd_q else []), ("svd.sweep", cfg.svd_sweep)):
-        for q in qs:
-            if not (1 <= q <= rank_bound):
-                raise ConfigError(f"{key}: q={q} out of range [1, {rank_bound}]")
-    if cfg.svd_mode == "keep_top_q" and cfg.svd_q is None:  # the baseline row truncates at it
-        raise ConfigError("svd.q: required when mode = keep_top_q")
-    if cfg.svd_mode in ("discard_pair", "discard_single"):
-        i, top = cfg.svd_pair_index, rank_bound - (cfg.svd_mode == "discard_pair")
-        if i is None:
-            raise ConfigError("svd.pair_index: required for discard modes")
-        if not 1 <= i <= top:
-            raise ConfigError(f"svd.pair_index: {i} out of range [1, {top}] for {cfg.svd_mode}")
+    # each rank set, then the baseline row's truncation, named by the key it reads
+    named = [("svd.q", TruncationSpec(mode="keep_top_q", q=cfg.svd_q))] if cfg.svd_q else []
+    named += [("svd.sweep", TruncationSpec(mode="keep_top_q", q=q)) for q in cfg.svd_sweep]
+    if cfg.svd_mode != "none":
+        named.append(("svd.q" if cfg.svd_mode == "keep_top_q" else "svd.pair_index",
+                      cfg.truncation()))
+    for key, trunc in named:
+        try:
+            trunc.validate(min(spec.m, spec.m_prime))
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
     return cfg
 
 
 def make_transforms(cfg: RunConfig, world: World):
     """Materialize transform descriptors against a generated world."""
-    total, K = 0.0, cfg.world.K
-    for name, kind, args, prob in cfg.transform_descriptors:
-        total += prob
-        for c in () if kind == "block_mask" else args:  # class indices
-            if not (0 <= c < K):
-                raise ConfigError(f"transforms.{name}: class {c} out of range [0, {K - 1}]")
-        if kind == "sibling" and cfg.world.per_class < 2:
-            raise ConfigError(f"transforms.{name}: sibling needs world.per_class >= 2")
+    try:
+        transforms = [build_transform(world, *d, cfg.rho) for d in cfg.transform_descriptors]
+    except ValueError as exc:  # led by the transform's id, which is its key's name
+        raise ConfigError(f"transforms.{exc}") from None
+    total = sum(t.probability for t in transforms)
     if abs(total - 1.0) > PROB_TOL:
         raise ConfigError(f"transforms: probabilities sum to {total}, expected 1")
-    return [build_transform(world, *d, cfg.rho) for d in cfg.transform_descriptors]
+    return transforms

@@ -47,21 +47,18 @@ class TruncationSpec:
     pair_index: int | None = None
 
     def validate(self, rank_bound: int) -> None:
+        """Raise ValueError unless q, or the discarded index, is in range for rank_bound."""
         if self.mode == "keep_top_q":
-            if self.q is None or not (1 <= self.q):
-                raise ValueError(f"keep_top_q: invalid q={self.q}")
-        elif self.mode == "discard_pair":
-            i = self.pair_index
-            if i is None or not (1 <= i <= rank_bound - 1):
-                raise ValueError(
-                    f"discard_pair: pair_index {i} out of range [1, {rank_bound - 1}]"
-                )
-        elif self.mode == "discard_single":
-            i = self.pair_index
-            if i is None or not (1 <= i <= rank_bound):
-                raise ValueError(
-                    f"discard_single: index {i} out of range [1, {rank_bound}]"
-                )
+            if self.q is None:
+                raise ValueError("required when mode = keep_top_q")
+            if not 1 <= self.q <= rank_bound:
+                raise ValueError(f"q={self.q} out of range [1, {rank_bound}]")
+        elif self.mode in ("discard_pair", "discard_single"):
+            i, top = self.pair_index, rank_bound - (self.mode == "discard_pair")
+            if i is None:
+                raise ValueError("required for discard modes")
+            if not 1 <= i <= top:
+                raise ValueError(f"{i} out of range [1, {top}] for {self.mode}")
         else:
             raise ValueError(f"unknown truncation mode {self.mode!r}")
 
@@ -102,15 +99,15 @@ def svd_full(X) -> SvdFactors:
 def svd_truncate(F: SvdFactors, spec: TruncationSpec) -> np.ndarray:
     """Rebuild the matrix from a subset of singular triples.
 
-    keep_top_q keeps the q largest; q above the rank bound returns the
-    exact matrix.  discard_pair zeroes exactly s_i and s_{i+1} and
+    keep_top_q keeps the q largest, q from 1 to the rank bound.
+    discard_pair zeroes exactly s_i and s_{i+1} and
     re-synthesizes from the remaining factors (no rank-1 subtraction, to
     avoid cancellation).
     """
     spec.validate(F.rank_bound)
     keep = np.ones(F.rank_bound, dtype=bool)
     if spec.mode == "keep_top_q":
-        keep[min(spec.q, F.rank_bound):] = False
+        keep[spec.q:] = False
     elif spec.mode == "discard_pair":
         keep[spec.pair_index - 1] = False
         keep[spec.pair_index] = False

@@ -6,7 +6,7 @@ linear combinations of one shared orthonormal direction frame with disjoint
 slots per class, so every quantity below (labels, labeling error, truncation
 effects) is exactly computable:
 
-  * slot 0 (when q* >= 2) carries a class-neutral background direction with
+  * slot 0 carries a class-neutral background direction with
     the largest singular value;
   * each class owns q* - 1 distinguishing slots with a descending band of
     singular values;
@@ -75,15 +75,21 @@ class WorldSpec:
     seed: int
 
     def validate(self) -> None:
-        """Raise ValueError at the first range broken; its `fields` names the fields read."""
+        """Raise ValueError at the first range broken; its `fields` names the fields read.
+
+        The planted construction needs one frame slot per planted direction.
+        """
+        dist, extra, slots = _slot_layout(self)
         mm = min(self.m, self.m_prime)
         for ok, what, *fields in (
             (self.K >= 2, f"K must be >= 2, got {self.K}", "K"),
             (self.per_class >= 1, "per_class must be >= 1", "per_class"),
-            (self.q_star >= 1, "q_star must be >= 1", "q_star"),
+            (self.q_star >= 2, "q_star must be >= 2: q_star = 1 leaves no class-distinguishing "
+             "direction beside the shared background", "q_star"),
             (self.nuisance_rank >= 0, "nuisance_rank must be >= 0", "nuisance_rank"),
-            (self.q_star + self.nuisance_rank <= mm, "q_star + nuisance_rank exceeds min(m, m')",
-             "m", "m_prime", "q_star", "nuisance_rank"),
+            (slots <= mm, f"planted construction needs {slots} direction slots (shared 1 + "
+             f"K*dist {self.K}*{dist} + K*extra {self.K}*{extra}) but min(m, m') = {mm}",
+             "K", "m", "m_prime", "q_star", "nuisance_rank"),
             (0.0 <= self.nuisance_confusion <= 1.0, "nuisance_confusion must be in [0, 1]",
              "nuisance_confusion"),
             (0.0 <= self.noise_scale < np.inf, "noise_scale must be finite and >= 0",
@@ -108,34 +114,26 @@ class World:
 
 @dataclass(frozen=True)
 class Transform:
-    """One member of a finite augmentation family.
+    """One member of a finite augmentation family: it maps a payload X to X * keep + shift.
 
-    kind "block_mask" zeroes the rectangle rows [r0, r1) x cols [c0, c1);
-    kind "additive_pattern" adds a fixed pattern matrix; "identity" is a
-    no-op.  probability is the chance of drawing this transform.
+    keep is 1.0 or an (m, m') 0/1 mask, shift 0.0 or an (m, m') pattern.
+    probability, the chance of drawing this transform, must be in (0, 1], or
+    construction raises a ValueError led by the id.
     """
 
     id: str
-    kind: str  # "identity" | "block_mask" | "additive_pattern"
     probability: float
-    params: tuple = ()
-    pattern: np.ndarray | None = None
+    keep: np.ndarray | float = 1.0
+    shift: np.ndarray | float = 0.0
+
+    def __post_init__(self):
+        if not 0.0 < self.probability <= 1.0:
+            raise ValueError(f"{self.id}: probability {self.probability!r} out of (0, 1]")
 
 
 def apply_transform(t: Transform, X: np.ndarray) -> np.ndarray:
     """t applied to a payload (m, m') or to each payload of a stack (N, m, m')."""
-    if t.kind == "identity":
-        return X.copy()
-    if t.kind == "block_mask":
-        r0, r1, c0, c1 = t.params
-        out = X.copy()
-        out[..., r0:r1, c0:c1] = 0.0
-        return out
-    if t.kind == "additive_pattern":
-        if t.pattern is None:
-            raise ValueError(f"transform {t.id}: additive_pattern without pattern")
-        return X + t.pattern
-    raise ValueError(f"transform {t.id}: unknown kind {t.kind!r}")
+    return X * t.keep + t.shift
 
 
 class InverseCdf:
@@ -164,14 +162,13 @@ class InverseCdf:
 
 @dataclass(frozen=True)
 class AugmentedSpace:
-    """Deduplicated augmented samples with exact probability tables."""
+    """Deduplicated augmented samples with exact probability tables; node i is n{i:04d}."""
 
     payloads: np.ndarray           # (n, m, m') node payloads
     labels: np.ndarray             # (n,) true labels of the nodes
     cond: np.ndarray               # (N_orig, n), rows sum to 1
     marginal: np.ndarray           # (n,), sums to 1
     joint: np.ndarray              # (n, n) positive-pair joint p(x, x+)
-    node_ids: tuple                # stable node identifiers
     K: int                         # class count of the world
 
     @property
@@ -204,20 +201,10 @@ class AugmentedSpace:
 
 
 def _slot_layout(spec: WorldSpec):
-    """Frame slot bookkeeping for the planted construction."""
-    n_shared = 1 if spec.q_star >= 2 else 0
-    dist = spec.q_star - n_shared
+    """(distinguishing, extra) frame slots per class and the total, slot 0 the background's."""
+    dist = spec.q_star - 1
     extra = max(0, spec.nuisance_rank - dist)
-    total = n_shared + spec.K * dist + spec.K * extra
-    return n_shared, dist, extra, total
-
-
-def _dist_sigmas(count: int) -> np.ndarray:
-    if count == 0:
-        return np.zeros(0)
-    if count == 1:
-        return np.array([_DIST_SIGMA_MAX])
-    return np.linspace(_DIST_SIGMA_MAX, _DIST_SIGMA_MIN, count)
+    return dist, extra, 1 + spec.K * dist + spec.K * extra
 
 
 def _frames(spec: WorldSpec, total: int):
@@ -227,14 +214,14 @@ def _frames(spec: WorldSpec, total: int):
 
 
 def _dist_slots(spec: WorldSpec, c: int):
-    n_shared, dist, _extra, _ = _slot_layout(spec)
-    start = n_shared + c * dist
+    dist, _extra, _total = _slot_layout(spec)
+    start = 1 + c * dist
     return list(range(start, start + dist))
 
 
 def _extra_slots(spec: WorldSpec, c: int):
-    n_shared, dist, extra, _ = _slot_layout(spec)
-    start = n_shared + spec.K * dist + c * extra
+    dist, extra, _total = _slot_layout(spec)
+    start = 1 + spec.K * dist + c * extra
     return list(range(start, start + extra))
 
 
@@ -250,30 +237,16 @@ def generate_world(spec: WorldSpec) -> World:
 
     Deterministic for a fixed spec (seed included); the nuisance target
     class cycles with the within-class original index, so inflation can
-    reproduce the exact payload distribution.
-
-    The construction needs one frame slot per planted direction; specs whose
-    slot budget exceeds min(m, m') are rejected with a diagnostic.
+    reproduce the exact payload distribution.  The spec must pass
+    WorldSpec.validate.
     """
     spec.validate()
-    if spec.q_star < 2:
-        raise ValueError(
-            "WorldSpec: q_star = 1 leaves no class-distinguishing direction "
-            "beside the shared background; use q_star >= 2"
-        )
-    n_shared, dist, extra, total = _slot_layout(spec)
-    if total > min(spec.m, spec.m_prime):
-        raise ValueError(
-            f"WorldSpec: planted construction needs {total} direction slots "
-            f"(shared {n_shared} + K*dist {spec.K}*{dist} + K*extra "
-            f"{spec.K}*{extra}) but min(m, m') = {min(spec.m, spec.m_prime)}"
-        )
+    dist, _extra, total = _slot_layout(spec)
     U, V = _frames(spec, total)
-    sig_dist = _dist_sigmas(dist)
+    sig_dist = np.linspace(_DIST_SIGMA_MAX, _DIST_SIGMA_MIN, dist)
     templates = np.zeros((spec.K, spec.m, spec.m_prime))
     for c, T in enumerate(templates):
-        if n_shared:
-            T += _BACKGROUND_SIGMA * np.outer(U[:, 0], V[:, 0])
+        T += _BACKGROUND_SIGMA * np.outer(U[:, 0], V[:, 0])
         for j, s in zip(_dist_slots(spec, c), sig_dist):
             T += s * np.outer(U[:, j], V[:, j])
     payloads = np.stack([_planted_original(spec, U, V, templates, c, j, c * spec.per_class + j)
@@ -284,7 +257,7 @@ def generate_world(spec: WorldSpec) -> World:
 
 def _planted_original(spec, U, V, templates, c, variant, noise_key) -> np.ndarray:
     payload = templates[c].copy()
-    _n_shared, dist, extra, _total = _slot_layout(spec)
+    dist, _extra, _total = _slot_layout(spec)
     conf = spec.nuisance_confusion
     if conf > 0.0 and spec.nuisance_rank > 0:
         w = _wrong_class(spec, c, variant)
@@ -321,29 +294,41 @@ def class_pattern(world: World, c: int, w: int, scale: float) -> np.ndarray:
 def build_transform(
     world: World, tid: str, kind: str, args: tuple, probability: float, rho: float
 ) -> Transform:
-    """Materialize one transform descriptor against a world.
+    """Materialize one transform descriptor against a world, or raise a ValueError led by tid.
 
     kind "identity" takes no args; "flip" (c, w) adds the class pattern
     rho * (T_w - T_c) and "bridge" (c, w) adds (rho - 1) * (T_w - T_c);
     "sibling" (c,) adds the payload difference of class c's first two
-    originals; "block_mask" (r0, r1, c0, c1) zeroes that rectangle.
+    originals, so it needs per_class >= 2; "block_mask" (r0, r1, c0, c1)
+    zeroes rows [r0, r1) x cols [c0, c1), which needs 0 <= r0 < r1 <= m and
+    0 <= c0 < c1 <= m'.  Class indices are in [0, K), probability in (0, 1].
     """
-    if kind == "identity":
-        return Transform(id=tid, kind="identity", probability=probability)
+    spec = world.spec
     if kind == "block_mask":
-        return Transform(id=tid, kind="block_mask", probability=probability, params=args)
+        r0, r1, c0, c1 = args
+        if not (0 <= r0 < r1 <= spec.m and 0 <= c0 < c1 <= spec.m_prime):
+            raise ValueError(f"{tid}: block_mask {r0} {r1} {c0} {c1} needs "
+                             f"0 <= r0 < r1 <= {spec.m} and 0 <= c0 < c1 <= {spec.m_prime}")
+        keep = np.ones((spec.m, spec.m_prime))
+        keep[r0:r1, c0:c1] = 0.0
+        return Transform(tid, probability, keep=keep)
+    for c in args:
+        if not 0 <= c < spec.K:
+            raise ValueError(f"{tid}: class {c} out of range [0, {spec.K - 1}]")
+    if kind == "identity":
+        return Transform(tid, probability)
     if kind == "flip":
-        pattern = class_pattern(world, *args, rho)
+        shift = class_pattern(world, *args, rho)
     elif kind == "bridge":
-        pattern = class_pattern(world, *args, rho - 1.0)
+        shift = class_pattern(world, *args, rho - 1.0)
     elif kind == "sibling":
-        base = args[0] * world.spec.per_class
-        pattern = world.payloads[base + 1] - world.payloads[base]
+        if spec.per_class < 2:
+            raise ValueError(f"{tid}: sibling needs world.per_class >= 2")
+        base = args[0] * spec.per_class
+        shift = world.payloads[base + 1] - world.payloads[base]
     else:
-        raise ValueError(f"transform {tid}: unknown kind {kind!r}")
-    return Transform(
-        id=tid, kind="additive_pattern", probability=probability, pattern=pattern
-    )
+        raise ValueError(f"{tid}: unknown kind {kind!r}")
+    return Transform(tid, probability, shift=shift)
 
 
 def ground_truth_label(payloads, templates) -> np.ndarray:
@@ -390,7 +375,7 @@ def _node_keys(payloads) -> list:
     return R.view(f"V{R.shape[1] * R.itemsize}").ravel().tolist()
 
 
-def _check_distinct_views(payloads, node_ids) -> None:
+def _check_distinct_views(payloads) -> None:
     """Raise if two distinct nodes lie within VIEW_TOL of each other in max-abs.
 
     Rounded keys can split one view across a rounding boundary; this makes
@@ -421,7 +406,7 @@ def _check_distinct_views(payloads, node_ids) -> None:
             c = close[0]
             lo, hi = sorted((int(i[c]), int(j[c])))
             raise ValueError(
-                f"build_augmented_space: nodes {node_ids[lo]} and {node_ids[hi]} are "
+                f"build_augmented_space: nodes n{lo:04d} and n{hi:04d} are "
                 f"distinct views {float(dist[c])!r} apart in max-abs, within "
                 f"VIEW_TOL = {VIEW_TOL}: rounded keys may have split one view"
             )
@@ -439,9 +424,6 @@ def build_augmented_space(world: World, transforms) -> AugmentedSpace:
     total_p = sum(t.probability for t in transforms)
     if abs(total_p - 1.0) > PROB_TOL:
         raise ValueError(f"transform probabilities sum to {total_p}, expected 1 within {PROB_TOL}")
-    for t in transforms:
-        if not (0.0 < t.probability <= 1.0):
-            raise ValueError(f"transform {t.id}: probability out of (0, 1]")
 
     # every (original, transform) outcome, original-major, in one stack
     N, shape = len(world.payloads), world.payloads.shape[1:]
@@ -459,8 +441,7 @@ def build_augmented_space(world: World, transforms) -> AugmentedSpace:
     del index, outcomes
 
     n = len(payloads)
-    node_ids = tuple(f"n{i:04d}" for i in range(n))
-    _check_distinct_views(payloads, node_ids)
+    _check_distinct_views(payloads)
     cond = np.zeros((N, n))
     probs = np.array([t.probability for t in transforms])
     np.add.at(cond, (np.repeat(np.arange(N), len(transforms)), node_of), np.tile(probs, N))
@@ -473,7 +454,6 @@ def build_augmented_space(world: World, transforms) -> AugmentedSpace:
         cond=cond,
         marginal=marginal,
         joint=joint,
-        node_ids=node_ids,
         K=world.spec.K,
     )
     _check_space(space)
@@ -532,7 +512,7 @@ def inflate(world: World, factor: int, seed: int = 0) -> World:
     if factor == 1:
         return world
     spec = world.spec
-    _n_shared, _dist, _extra, total = _slot_layout(spec)
+    _dist, _extra, total = _slot_layout(spec)
     U, V = _frames(spec, total)
     templates = world.templates
     n0, per_round = len(world.payloads), spec.K * spec.per_class

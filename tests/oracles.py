@@ -80,8 +80,8 @@ def toy_world() -> World:
 def toy_transforms():
     """Identity and a full mask, each with probability 1/2."""
     return [
-        Transform(id="identity", kind="identity", probability=0.5),
-        Transform(id="mask_all", kind="block_mask", probability=0.5, params=(0, 1, 0, 2)),
+        Transform("identity", 0.5),
+        Transform("mask_all", 0.5, keep=np.zeros((1, 2))),
     ]
 
 

@@ -69,7 +69,7 @@ def _spaces_catalog():
         wq = preprocess_world(ref, TruncationSpec(mode="keep_top_q", q=q))
         catalog.append((f"reference_q{q}", wq, ref_tr))
     catalog.append(
-        ("identity_only", ref, [Transform(id="i", kind="identity", probability=1.0)])
+        ("identity_only", ref, [Transform("i", 1.0)])
     )
     spec = WorldSpec(
         K=2, per_class=1, m=6, m_prime=6, q_star=2,
@@ -77,15 +77,11 @@ def _spaces_catalog():
     )
     small = generate_world(spec)
     small_tr = [
-        Transform(id="i", kind="identity", probability=0.4),
-        Transform(id="f01", kind="additive_pattern", probability=0.2,
-                  pattern=class_pattern(small, 0, 1, 0.35)),
-        Transform(id="f10", kind="additive_pattern", probability=0.2,
-                  pattern=class_pattern(small, 1, 0, 0.35)),
-        Transform(id="b01", kind="additive_pattern", probability=0.1,
-                  pattern=class_pattern(small, 0, 1, -0.65)),
-        Transform(id="b10", kind="additive_pattern", probability=0.1,
-                  pattern=class_pattern(small, 1, 0, -0.65)),
+        Transform("i", 0.4),
+        Transform("f01", 0.2, shift=class_pattern(small, 0, 1, 0.35)),
+        Transform("f10", 0.2, shift=class_pattern(small, 1, 0, 0.35)),
+        Transform("b01", 0.1, shift=class_pattern(small, 0, 1, -0.65)),
+        Transform("b10", 0.1, shift=class_pattern(small, 1, 0, -0.65)),
     ]
     catalog.append(("small", small, small_tr))
     return catalog
@@ -280,11 +276,10 @@ def test_07_downstream_bound_planted_suite(capsys):
             nuisance_rank=1, nuisance_confusion=0.0, noise_scale=0.0, seed=seed,
         )
         w = generate_world(spec)
-        transforms = [Transform(id="i", kind="identity", probability=0.64)]
+        transforms = [Transform("i", 0.64)]
         for c in range(3):
             transforms.append(
-                Transform(id=f"f{c}", kind="additive_pattern", probability=0.12,
-                          pattern=class_pattern(w, c, (c + 1) % 3, 0.35))
+                Transform(f"f{c}", 0.12, shift=class_pattern(w, c, (c + 1) % 3, 0.35))
             )
         rep = theorem4_at_probe_defaults(stage_graph(w, transforms), k=3)
         reports.append((f"clean_seed{seed}", rep))

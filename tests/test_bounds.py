@@ -70,7 +70,7 @@ def constant_embedding(n, k=3):
 def identity_only_space():
     w = reference_world()
     return build_augmented_space(
-        w, [Transform(id="i", kind="identity", probability=1.0)]
+        w, [Transform("i", 1.0)]
     )
 
 
@@ -504,15 +504,10 @@ class TestDownstreamBound:
         from ctlab.world import class_pattern
 
         # flips at rho < 1/2 never cross the boundary on clean payloads
-        transforms = [Transform(id="i", kind="identity", probability=0.64)]
+        transforms = [Transform("i", 0.64)]
         for c in range(3):
             transforms.append(
-                Transform(
-                    id=f"flip_{c}",
-                    kind="additive_pattern",
-                    probability=0.12,
-                    pattern=class_pattern(w, c, (c + 1) % 3, 0.35),
-                )
+                Transform(f"flip_{c}", 0.12, shift=class_pattern(w, c, (c + 1) % 3, 0.35))
             )
         rep = theorem4_at_probe_defaults(stage_graph(w, transforms), k=3)
         assert rep.terms["alpha_q"] == 0.0
@@ -533,7 +528,7 @@ class TestDownstreamBound:
 
     def test_zero_lambda_leaves_bound_undefined(self):
         w = reference_world()
-        identity = [Transform(id="i", kind="identity", probability=1.0)]
+        identity = [Transform("i", 1.0)]
         rep = theorem4_at_probe_defaults(stage_graph(w, identity), k=1)
         assert rep.verdict == "holds_vacuously"
         assert rep.terms["bound"] is None

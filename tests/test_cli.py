@@ -300,6 +300,20 @@ class TestSubcommands:
         ) == 0
         assert os.path.exists(os.path.join(out2, "world", "manifest.txt"))
 
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_svd_writes_what_world_writes(self, small_cfg, tmp_path, factor):
+        sets = ["--set", f"inflation.factor={factor}", "--set", "svd.mode=keep_top_q",
+                "--set", "svd.q=2"]
+        trees = []
+        for command in ("svd", "world"):
+            out = str(tmp_path / command)
+            assert main([command, "--config", small_cfg, "--out", out, *sets]) == 0
+            trees.append(_tree_bytes(out))
+        assert trees[0] == trees[1]
+        manifest = trees[0][os.path.join("world", "manifest.txt")].decode()
+        cfg = load_config(small_cfg)
+        assert manifest.count("original o") == factor * cfg.world.K * cfg.world.per_class
+
     def test_svd_requires_mode(self, small_cfg, tmp_path):
         out = str(tmp_path / "s")
         assert main(["svd", "--config", small_cfg, "--out", out]) == 2
@@ -391,7 +405,7 @@ class TestSingleRowCommands:
         _row, _reports, f, _head, space = baseline
         np.testing.assert_array_equal(load_matrix_text(tmp_path / "embedding.mat"), f.table)
         nodes = (tmp_path / "embedding_nodes.txt").read_text().splitlines()
-        assert nodes == list(space.node_ids)
+        assert nodes == [f"n{i:04d}" for i in range(space.n)]
 
 
 class TestErrors:

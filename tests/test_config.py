@@ -102,6 +102,27 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=rf"^{message} out of range \[1, 6\]$"):
             load_config(write_cfg(tmp_path), overrides)
 
+    @pytest.mark.parametrize("key", ["train.k_sweep", "svd.sweep"])
+    @pytest.mark.parametrize("value, repeated", [("3, 3", 3), ("1, 2, 4, 2, 4", 2)])
+    def test_repeated_sweep_entry_named(self, key, value, repeated):
+        # a repeated entry would write the same row twice under one row key
+        with pytest.raises(ConfigError, match=rf"^{key}: entry {repeated} repeated$"):
+            load_config(REFERENCE, [f"{key}={value}"])
+
+    @pytest.mark.parametrize(
+        "overrides, keys, message",
+        [
+            (["world.q_star=1"], "world.q_star", "q_star must be >= 2"),
+            # 1 + 5 * (3 - 1) = 11 planted slots, though q_star + nuisance_rank = 4 fits
+            (["world.k=5", "world.m=8", "world.m_prime=8"],
+             "world.k/world.m/world.m_prime/world.q_star/world.nuisance_rank",
+             "planted construction needs 11 direction slots"),
+        ],
+    )
+    def test_world_the_generator_cannot_plant_rejected(self, overrides, keys, message):
+        with pytest.raises(ConfigError, match=rf"^{keys}: WorldSpec: {message}"):
+            load_config(REFERENCE, overrides)
+
     @pytest.mark.parametrize("value, bad", [("0, 2", 0), ("3, -1", -1)])
     def test_k_sweep_entry_below_one_named(self, tmp_path, value, bad):
         with pytest.raises(ConfigError, match=rf"^train\.k_sweep: must be >= 1, got {bad}$"):
@@ -510,9 +531,9 @@ class TestMakeTransforms:
         ]
         assert abs(sum(t.probability for t in transforms) - 1.0) < 1e-12
         flip = transforms[1]
-        assert np.allclose(flip.pattern, class_pattern(world, 0, 1, 0.35))
+        assert np.allclose(flip.shift, class_pattern(world, 0, 1, 0.35))
         bridge = transforms[3]
-        assert np.allclose(bridge.pattern, class_pattern(world, 0, 1, -0.65))
+        assert np.allclose(bridge.shift, class_pattern(world, 0, 1, -0.65))
 
     def test_probability_sum_checked(self, tmp_path):
         # 0.4000000001 sums to 1 + 1e-10: beyond the tolerance that
@@ -540,7 +561,7 @@ class TestMakeTransforms:
         for t in fixture[1:]:  # flip, bridge and sibling patterns
             kind, classes = t.id.split("_")
             want = by_descriptor[(kind, tuple(int(c) for c in classes))]
-            assert t.pattern.tobytes() == want.pattern.tobytes()
+            assert t.shift.tobytes() == want.shift.tobytes()
             assert t.probability == want.probability
 
     def test_class_index_checked(self, tmp_path):
@@ -550,6 +571,28 @@ class TestMakeTransforms:
         world = generate_world(cfg.world)
         with pytest.raises(ConfigError, match="class 7"):
             make_transforms(cfg, world)
+
+    @pytest.mark.parametrize(
+        "rect", ["5 2 0 3", "-3 -1 0 2", "0 99 0 99", "0 7 0 2", "0 2 6 6"]
+    )
+    def test_block_mask_outside_the_payload_named(self, tmp_path, rect):
+        # reversed, negative, oversized or empty: none may clip to another mask
+        cfg = load_config(write_cfg(tmp_path), [f"transforms.transform_2=block_mask {rect} 0.2"])
+        with pytest.raises(
+            ConfigError,
+            match=rf"^transforms\.transform_2: block_mask {rect} needs 0 <= r0 < r1 <= 6 "
+            r"and 0 <= c0 < c1 <= 6$",
+        ):
+            make_transforms(cfg, generate_world(cfg.world))
+
+    @pytest.mark.parametrize("prob", ["0.0", "-0.2"])
+    def test_probability_at_or_below_zero_named(self, tmp_path, prob):
+        # the identity takes up the rest, so the probabilities still sum to 1
+        rest = f"identity {0.6 - float(prob)!r}"
+        cfg = load_config(write_cfg(tmp_path), [f"transforms.transform_1={rest}",
+                                                f"transforms.transform_2=flip 0 1 {prob}"])
+        with pytest.raises(ConfigError, match=rf"^transforms\.transform_2: probability "):
+            make_transforms(cfg, generate_world(cfg.world))
 
     def test_sibling_needs_two_per_class(self, tmp_path):
         cfg = load_config(

@@ -137,7 +137,7 @@ class TestSpectrum:
     def test_disconnected_world(self):
         # identity-only transforms: every original is its own component
         w = reference_world()
-        G = stage_graph(w, [Transform(id="i", kind="identity", probability=1.0)])
+        G = stage_graph(w, [Transform("i", 1.0)])
         vals = G.spectrum.values
         assert connected_components(G.space.joint) == 6
         assert np.sum(vals < 1e-8) == 6
@@ -238,8 +238,8 @@ class TestTrace:
         w = toy_world()
         A1 = stage_graph(w, toy_transforms()).space.joint
         both_blank = [
-            Transform(id="m1", kind="block_mask", probability=0.5, params=(0, 1, 0, 2)),
-            Transform(id="m2", kind="block_mask", probability=0.5, params=(0, 1, 0, 2)),
+            Transform("m1", 0.5, keep=np.zeros((1, 2))),
+            Transform("m2", 0.5, keep=np.zeros((1, 2))),
         ]
         A2 = stage_graph(w, both_blank).space.joint
         assert np.trace(A2) == 1.0

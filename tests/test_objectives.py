@@ -71,7 +71,6 @@ def random_space(n, seed, K=2):
         cond=np.full((1, n), 1.0 / n),
         marginal=A.sum(axis=1),
         joint=A,
-        node_ids=tuple(f"n{i:04d}" for i in range(n)),
         K=K,
     )
 

@@ -55,10 +55,13 @@ class TestTruncation:
             got = truncate_matrix(X, TruncationSpec(mode="keep_top_q", q=q))
             assert np.allclose(got, want, atol=1e-8 * S[0])
 
-    def test_q_above_rank_is_exact(self):
+    def test_q_above_rank_raises(self):
         X = _rand(5, 7, 3)
-        got = truncate_matrix(X, TruncationSpec(mode="keep_top_q", q=40))
+        got = truncate_matrix(X, TruncationSpec(mode="keep_top_q", q=5))
         assert np.allclose(got, X, atol=1e-9 * np.abs(X).max())
+        for q in (6, 40):
+            with pytest.raises(ValueError, match=rf"^q={q} out of range \[1, 5\]$"):
+                truncate_matrix(X, TruncationSpec(mode="keep_top_q", q=q))
 
     def test_discard_pair_error(self):
         # removing s_i, s_{i+1} leaves exactly that much squared error
@@ -80,6 +83,8 @@ class TestTruncation:
         F = svd_full(_rand(4, 4, 0))
         with pytest.raises(ValueError):
             svd_truncate(F, TruncationSpec(mode="keep_top_q", q=0))
+        with pytest.raises(ValueError, match="^required when mode = keep_top_q$"):
+            svd_truncate(F, TruncationSpec(mode="keep_top_q"))
         with pytest.raises(ValueError):
             svd_truncate(F, TruncationSpec(mode="discard_pair", pair_index=4))
         with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ from ctlab.world import (
     _template_distances,
     apply_transform,
     build_augmented_space,
+    build_transform,
     class_pattern,
     generate_world,
     ground_truth_label,
@@ -65,11 +66,26 @@ class TestWorldSpec:
         with pytest.raises(ValueError):
             generate_world(_ref_spec(m=6, m_prime=6))
 
+    @pytest.mark.parametrize(
+        "K, q_star, nuisance_rank", [(2, 2, 0), (3, 3, 1), (4, 2, 3), (2, 5, 6)]
+    )
+    def test_slot_budget_is_exact(self, K, q_star, nuisance_rank):
+        slots = 1 + K * (q_star - 1) + K * max(0, nuisance_rank - q_star + 1)
+        fit = _ref_spec(K=K, q_star=q_star, nuisance_rank=nuisance_rank, m=slots, m_prime=slots)
+        fit.validate()
+        generate_world(fit)
+        with pytest.raises(ValueError, match=f"needs {slots} direction slots") as err:
+            replace(fit, m_prime=slots - 1).validate()
+        assert err.value.fields == ["K", "m", "m_prime", "q_star", "nuisance_rank"]
+
     def test_q_star_one_rejected(self):
         spec = WorldSpec(
             K=2, per_class=1, m=4, m_prime=4, q_star=1,
             nuisance_rank=0, nuisance_confusion=0.0, noise_scale=0.0, seed=0,
         )
+        with pytest.raises(ValueError, match="q_star must be >= 2") as err:
+            spec.validate()
+        assert err.value.fields == ["q_star"]
         with pytest.raises(ValueError):
             generate_world(spec)
 
@@ -234,33 +250,75 @@ class TestInverseCdf:
 class TestTransforms:
     def test_identity_copies(self):
         X = np.arange(6.0).reshape(2, 3)
-        t = Transform(id="i", kind="identity", probability=1.0)
+        t = Transform("i", 1.0)
         out = apply_transform(t, X)
         assert np.array_equal(out, X)
         assert out is not X
 
     def test_block_mask(self):
-        X = np.ones((3, 3))
-        t = Transform(id="m", kind="block_mask", probability=1.0, params=(0, 2, 1, 3))
+        X = np.ones((12, 12))
+        t = build_transform(reference_world(), "m", "block_mask", (0, 2, 1, 3), 1.0, RHO)
         out = apply_transform(t, X)
         assert out[0:2, 1:3].sum() == 0.0
-        assert out.sum() == 9.0 - 4.0
+        assert out.sum() == 144.0 - 4.0
+
+    @pytest.mark.parametrize("rect", [(0, 2, 1, 3), (0, 12, 0, 12), (11, 12, 5, 6), (3, 7, 0, 1)])
+    def test_block_mask_zeroes_its_rectangle_bit_for_bit(self, rect):
+        # the affine form has the bits of a copy whose rectangle is set to 0.0
+        w = reference_world()
+        r0, r1, c0, c1 = rect
+        want = w.payloads.copy()
+        want[..., r0:r1, c0:c1] = 0.0
+        got = apply_transform(build_transform(w, "m", "block_mask", rect, 0.5, RHO), w.payloads)
+        assert got.tobytes() == want.tobytes()
 
     def test_additive(self):
         X = np.zeros((2, 2))
         P = np.eye(2)
-        t = Transform(id="a", kind="additive_pattern", probability=1.0, pattern=P)
+        t = Transform("a", 1.0, shift=P)
         assert np.array_equal(apply_transform(t, X), P)
 
-    def test_additive_requires_pattern(self):
-        t = Transform(id="a", kind="additive_pattern", probability=1.0)
-        with pytest.raises(ValueError):
-            apply_transform(t, np.zeros((2, 2)))
+    def test_every_kind_carries_its_pattern(self):
+        w = reference_world()
+        shape = w.payloads.shape[1:]
+        for kind, args in (("flip", (0, 1)), ("bridge", (1, 2)), ("sibling", (2,))):
+            t = build_transform(w, "t", kind, args, 0.5, RHO)
+            assert t.keep == 1.0 and t.shift.shape == shape
+        mask = build_transform(w, "t", "block_mask", (0, 1, 0, 1), 0.5, RHO)
+        assert mask.keep.shape == shape and mask.shift == 0.0
+        identity = build_transform(w, "t", "identity", (), 0.5, RHO)
+        assert identity.keep == 1.0 and identity.shift == 0.0
 
     def test_unknown_kind(self):
-        t = Transform(id="x", kind="warp", probability=1.0)
-        with pytest.raises(ValueError):
-            apply_transform(t, np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="^x: unknown kind 'warp'$"):
+            build_transform(reference_world(), "x", "warp", (), 1.0, RHO)
+
+    @pytest.mark.parametrize(
+        "kind, args, message",
+        [
+            ("block_mask", (5, 2, 0, 3), "block_mask 5 2 0 3 needs"),  # reversed
+            ("block_mask", (-3, -1, 0, 2), "block_mask -3 -1 0 2 needs"),  # negative
+            ("block_mask", (0, 99, 0, 99), "block_mask 0 99 0 99 needs"),  # past the payload
+            ("block_mask", (0, 2, 3, 3), "block_mask 0 2 3 3 needs"),  # no columns
+            ("flip", (0, 3), "class 3 out of range"),
+            ("sibling", (-1,), "class -1 out of range"),
+        ],
+    )
+    def test_descriptor_outside_its_world_rejected(self, kind, args, message):
+        with pytest.raises(ValueError, match=f"^t: {message}"):
+            build_transform(reference_world(), "t", kind, args, 0.5, RHO)
+
+    def test_sibling_needs_two_per_class(self):
+        w = generate_world(_ref_spec(per_class=1))
+        with pytest.raises(ValueError, match="^t: sibling needs world.per_class >= 2$"):
+            build_transform(w, "t", "sibling", (0,), 0.5, RHO)
+
+    @pytest.mark.parametrize("p", [0.0, -0.25, 1.5, float("nan")])
+    def test_probability_outside_unit_interval_rejected(self, p):
+        with pytest.raises(ValueError, match=r"^t: probability .* out of \(0, 1\]$"):
+            Transform("t", p)
+        with pytest.raises(ValueError, match=r"^t: probability .* out of \(0, 1\]$"):
+            build_transform(reference_world(), "t", "identity", (), p, RHO)
 
     def test_class_pattern_background_cancels(self):
         w = reference_world()
@@ -348,7 +406,7 @@ class TestAugmentedSpace:
             build_augmented_space(toy_world(), [])
 
     def test_probability_sum_checked(self):
-        t = [Transform(id="i", kind="identity", probability=0.7)]
+        t = [Transform("i", 0.7)]
         with pytest.raises(ValueError):
             build_augmented_space(toy_world(), t)
 
@@ -356,9 +414,9 @@ class TestAugmentedSpace:
         # two different masks producing the same blank view share one node
         w = toy_world()
         t = [
-            Transform(id="m1", kind="block_mask", probability=0.5, params=(0, 1, 0, 2)),
-            Transform(id="m2", kind="block_mask", probability=0.25, params=(0, 1, 0, 2)),
-            Transform(id="i", kind="identity", probability=0.25),
+            Transform("m1", 0.5, keep=np.zeros((1, 2))),
+            Transform("m2", 0.25, keep=np.zeros((1, 2))),
+            Transform("i", 0.25),
         ]
         space = build_augmented_space(w, t)
         assert space.n == 3
@@ -425,14 +483,13 @@ class TestAugmentedSpace:
         flat = np.array([v.ravel() for v in views])
         dist = np.abs(flat[:, None, :] - flat[None, :, :]).max(axis=2)
         close = np.triu(dist <= VIEW_TOL, k=1)
-        ids = tuple(f"n{i:04d}" for i in range(len(views)))
         if close.any():
             with pytest.raises(ValueError, match=r"nodes n(\d+) and n(\d+) are") as err:
-                _check_distinct_views(views, ids)
+                _check_distinct_views(views)
             a, b = (int(x) for x in re.search(r"nodes n(\d+) and n(\d+)", str(err.value)).groups())
             assert a < b and close[a, b]
         else:
-            _check_distinct_views(views, ids)
+            _check_distinct_views(views)
 
 
 class TestLabelingError:
@@ -457,7 +514,7 @@ class TestLabelingError:
     def test_identity_only_is_error_free(self):
         w = reference_world()
         space = build_augmented_space(
-            w, [Transform(id="i", kind="identity", probability=1.0)]
+            w, [Transform("i", 1.0)]
         )
         assert labeling_error(space, w) == 0.0
 
