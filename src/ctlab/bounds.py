@@ -27,8 +27,6 @@ from .objectives import (
 from .world import AugmentedSpace
 
 __all__ = [
-    "VarianceTerms",
-    "EpsAlignment",
     "BoundReport",
     "SandwichTerms",
     "variance_terms",
@@ -41,20 +39,6 @@ __all__ = [
     "corollary_reports",
     "report_to_text",
 ]
-
-
-@dataclass(frozen=True)
-class VarianceTerms:
-    V: float
-    V_minus: float | None  # None when the false-positive set has zero mass
-    V_neg: float
-
-
-@dataclass(frozen=True)
-class EpsAlignment:
-    eps_min: float
-    eps_max: float
-    empty: bool = False
 
 
 @dataclass(frozen=True)
@@ -77,14 +61,14 @@ class BoundReport:
 # measured terms
 
 
-def variance_terms(f: Embedding, space: AugmentedSpace) -> VarianceTerms:
-    """Intra-class variance terms by exact enumeration over the pair joint.
+def variance_terms(f: Embedding, space: AugmentedSpace):
+    """Intra-class variance terms (V, V_minus, V_neg) by exact enumeration over the pair joint.
 
     V averages ||f(x) - mu_{y_x}||^2 over label-consistent pairs, V_minus
     averages ||f(x+) - mu_{y_x}||^2 over label-violating pairs.  V_neg is an
     equal-weight mixture of the same-class positive branch and the marginal
     negative branch, each deviation taken from the class mean of the point
-    itself.
+    itself.  V_minus is None when the false-positive set has zero mass.
     """
     head = mean_head(f, space)
     F = f.table
@@ -110,7 +94,7 @@ def variance_terms(f: Embedding, space: AugmentedSpace) -> VarianceTerms:
     # marginal negative branch
     branch_neg = float(space.marginal @ dev)
     V_neg = 0.5 * branch_pos + 0.5 * branch_neg
-    return VarianceTerms(V=V, V_minus=V_minus, V_neg=V_neg)
+    return V, V_minus, V_neg
 
 
 def lse_approx_error(
@@ -146,18 +130,19 @@ def lse_approx_error(
     return float(np.mean(errors)), float(np.std(errors, ddof=1))
 
 
-def alignment_eps(f: Embedding, space: AugmentedSpace) -> EpsAlignment:
-    """Min/max embedding distance over the false-positive pair support.
+def alignment_eps(f: Embedding, space: AugmentedSpace):
+    """(eps_min, eps_max): min/max embedding distance over the false-positive pair support.
 
-    Distances are taken on the joint support only.
+    Distances are taken on the joint support only; (None, None) when it has
+    no false positives.
     """
     F = f.table
     xs, ys, _w = space.support
     minus = space.labels[xs] != space.labels[ys]
     if not np.any(minus):
-        return EpsAlignment(eps_min=0.0, eps_max=0.0, empty=True)
+        return None, None
     dist = np.sqrt(np.sum((F[xs[minus]] - F[ys[minus]]) ** 2, axis=1))
-    return EpsAlignment(eps_min=float(dist.min()), eps_max=float(dist.max()))
+    return float(dist.min()), float(dist.max())
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +164,11 @@ class SandwichTerms:
     infonce: float
     infonce_std_error: float
     infonce_exact: bool
-    variance: VarianceTerms | None  # None, like envelope, when not normalized
-    eps: EpsAlignment
+    eps_min: float | None  # None, like eps_max, when there are no false positives
+    eps_max: float | None
+    V: float | None  # None, like V_neg and envelope, when not normalized
+    V_minus: float | None  # None also when the false positives have zero mass
+    V_neg: float | None
     envelope: float | None
 
     @property
@@ -194,12 +182,16 @@ def measure_sandwich(
     """Measure the sandwich terms of f on space with M negatives, once.
 
     Works for any embedding; the sandwich checks refuse terms of an
-    embedding that is not normalized, so V and the envelope go unmeasured.
+    embedding that is not normalized, so V, V_minus, V_neg and envelope stay None.
     """
     f.check()
     nce, nce_se, exact = infonce_population(f, space, M, cfg)
+    V = V_minus = V_neg = envelope = None
     if f.normalized:
         lse_mean, lse_std = lse_approx_error(f, space, M, cfg.replicates, cfg.seed)
+        envelope = lse_mean + 3.0 * lse_std + 3.0 * nce_se
+        V, V_minus, V_neg = variance_terms(f, space)
+    eps_min, eps_max = alignment_eps(f, space)
     return SandwichTerms(
         M=M,
         K=space.K,
@@ -208,9 +200,12 @@ def measure_sandwich(
         infonce=nce,
         infonce_std_error=nce_se,
         infonce_exact=exact,
-        variance=variance_terms(f, space) if f.normalized else None,
-        eps=alignment_eps(f, space),
-        envelope=lse_mean + 3.0 * lse_std + 3.0 * nce_se if f.normalized else None,
+        eps_min=eps_min,
+        eps_max=eps_max,
+        V=V,
+        V_minus=V_minus,
+        V_neg=V_neg,
+        envelope=envelope,
     )
 
 
@@ -229,9 +224,8 @@ def _verdict(slack, envelope) -> str:
 
 def _sandwich_report(theorem, t: SandwichTerms, radius, extra, note):
     """gap in [-radius - V_neg/2 - envelope - log((M+1)/K), radius + envelope - log(M/K)]."""
-    vt = t.variance
     upper = radius + t.envelope - np.log(t.M / t.K)
-    lower = -radius - 0.5 * vt.V_neg - t.envelope - np.log((t.M + 1) / t.K)
+    lower = -radius - 0.5 * t.V_neg - t.envelope - np.log((t.M + 1) / t.K)
     slack = float(min(upper - t.gap, t.gap - lower))
     return BoundReport(
         theorem=theorem,
@@ -248,8 +242,8 @@ def _sandwich_report(theorem, t: SandwichTerms, radius, extra, note):
             "lower": float(lower),
             "M": t.M,
             "K": t.K,
-            "V": vt.V,
-            "V_neg": vt.V_neg,
+            "V": t.V,
+            "V_neg": t.V_neg,
             **extra,
         },
         note=note,
@@ -265,14 +259,13 @@ def theorem1_check(t: SandwichTerms) -> BoundReport:
     """
     if not t.normalized:
         raise ValueError("theorem1_check: embedding must be normalized")
-    vt = t.variance
-    v_minus = 0.0 if vt.V_minus is None else vt.V_minus
+    v_minus = 0.0 if t.V_minus is None else t.V_minus
     return _sandwich_report(
         "theorem1",
         t,
-        np.sqrt(vt.V) + np.sqrt(v_minus),
-        {"V_minus": vt.V_minus, "v_neg_measure": "equal-weight two-branch mixture"},
-        "label-consistent case: V_minus absent" if vt.V_minus is None else "",
+        np.sqrt(t.V) + np.sqrt(v_minus),
+        {"V_minus": t.V_minus, "v_neg_measure": "equal-weight two-branch mixture"},
+        "label-consistent case: V_minus absent" if t.V_minus is None else "",
     )
 
 
@@ -285,14 +278,15 @@ def theorem3_check(t: SandwichTerms) -> BoundReport:
     """
     if not t.normalized:
         raise ValueError("theorem3_check: embedding must be normalized")
-    eps = t.eps
+    empty = t.eps_min is None
+    eps_min, eps_max = (0.0, 0.0) if empty else (t.eps_min, t.eps_max)
     # sqrt(V) survives: alignment only replaces the false-positive root
     return _sandwich_report(
         "theorem3",
         t,
-        np.sqrt(t.variance.V) + (0.0 if eps.empty else eps.eps_min + eps.eps_max),
-        {"eps_min": eps.eps_min, "eps_max": eps.eps_max, "no_false_positives": eps.empty},
-        "no false positives: reduced to the consistent form" if eps.empty else "",
+        np.sqrt(t.V) + (eps_min + eps_max),
+        {"eps_min": eps_min, "eps_max": eps_max, "no_false_positives": empty},
+        "no false positives: reduced to the consistent form" if empty else "",
     )
 
 
@@ -320,39 +314,31 @@ def theorem4_check(staged: StagedGraph, spectral: Embedding, head: LinearHead) -
     lam_k, lam_k1 = staged.levels(k)
     err = classification_error(spectral, head, space)
     norm_budget = 1.0 / (1.0 - lam_k) if lam_k < 1.0 else None
-    terms = {
-        "alpha_q": alpha,
-        "lambda_k_q": lam_k,
-        "lambda_k1_q": lam_k1,
-        "k": k,
-        "probe_error": err,
-        "head_frob_norm": head.frob_norm,
-        "norm_budget": norm_budget,
-        "norm_within_budget": (
-            None if norm_budget is None else bool(head.frob_norm <= norm_budget + 1e-9)
-        ),
-    }
     if lam_k1 is None or lam_k1 <= 1e-12:
-        return BoundReport(
-            theorem="theorem4",
-            verdict="holds_vacuously",
-            slack=0.0,
-            terms={**terms, "bound": None},
-            note="lambda_{k+1} undefined or zero: bound undefined",
-        )
-    bound = 4.0 * alpha / lam_k1 + 8.0 * alpha
-    terms["bound"] = bound
-    if bound >= 1.0:
-        return BoundReport(
-            theorem="theorem4",
-            verdict="holds_vacuously",
-            slack=float(bound - err),
-            terms=terms,
-            note="bound >= 1",
-        )
-    slack = float(bound - err)
-    verdict = "holds" if slack >= 0.0 else "violated"
-    return BoundReport(theorem="theorem4", verdict=verdict, slack=slack, terms=terms)
+        bound, slack, note = None, 0.0, "lambda_{k+1} undefined or zero: bound undefined"
+    else:
+        bound = 4.0 * alpha / lam_k1 + 8.0 * alpha
+        slack, note = float(bound - err), "bound >= 1" if bound >= 1.0 else ""
+    return BoundReport(
+        theorem="theorem4",
+        # every degenerate case carries a note and holds vacuously
+        verdict="holds_vacuously" if note else "holds" if slack >= 0.0 else "violated",
+        slack=slack,
+        terms={
+            "alpha_q": alpha,
+            "lambda_k_q": lam_k,
+            "lambda_k1_q": lam_k1,
+            "k": k,
+            "probe_error": err,
+            "head_frob_norm": head.frob_norm,
+            "norm_budget": norm_budget,
+            "norm_within_budget": (
+                None if norm_budget is None else bool(head.frob_norm <= norm_budget + 1e-9)
+            ),
+            "bound": bound,
+        },
+        note=note,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -170,7 +170,7 @@ def _row(cfg: RunConfig, stage, row_key, k_key):
     if "t4" in cfg.bounds_which:
         t4 = theorem4_check(staged, spectral, heads[1])
         reports.append(t4)
-        bound_t4 = t4.terms.get("bound")
+        bound_t4 = t4.terms["bound"]
     if "corollaries" in cfg.bounds_which and f.normalized:
         reports.extend(corollary_reports(terms, head, ce_linear))
 
@@ -186,8 +186,8 @@ def _row(cfg: RunConfig, stage, row_key, k_key):
         "spectral_loss": spectral_loss(f, space),
         "ce_mean": terms.ce_mean,
         "ce_linear": ce_linear,
-        "eps_min": None if terms.eps.empty else terms.eps.eps_min,
-        "eps_max": None if terms.eps.empty else terms.eps.eps_max,
+        "eps_min": terms.eps_min,
+        "eps_max": terms.eps_max,
         "verdicts": ";".join(f"{r.theorem}={r.verdict}" for r in reports),
         "seed": seed,
     }

@@ -195,10 +195,10 @@ def _value(where, kind, raw, bound):
         raise ConfigError(f"{where}: expected {expected}, got {raw!r}") from None
     if kind == "float" and not math.isfinite(value):
         raise ConfigError(f"{where}: must be finite, got {value}")
-    if kind == "ints" and len(set(value)) < len(value):
-        repeated = next(v for i, v in enumerate(value) if v in value[:i])
-        raise ConfigError(f"{where}: entry {repeated} repeated")
     values = value if kind in ("ints", "choices") else [value]
+    if len(set(values)) < len(values):
+        repeated = next(v for i, v in enumerate(values) if v in values[:i])
+        raise ConfigError(f"{where}: entry {repeated} repeated")
     if kind in ("choice", "choices"):
         for v in values:
             if v not in bound:

@@ -225,13 +225,6 @@ def _extra_slots(spec: WorldSpec, c: int):
     return list(range(start, start + extra))
 
 
-def _wrong_class(spec: WorldSpec, c: int, variant: int) -> int:
-    w = (c + 1 + variant % max(1, spec.K - 1)) % spec.K
-    if w == c:
-        w = (c + 1) % spec.K
-    return w
-
-
 def generate_world(spec: WorldSpec) -> World:
     """Plant K class templates of rank q* plus per-original wrong-class signal.
 
@@ -260,7 +253,7 @@ def _planted_original(spec, U, V, templates, c, variant, noise_key) -> np.ndarra
     dist, _extra, _total = _slot_layout(spec)
     conf = spec.nuisance_confusion
     if conf > 0.0 and spec.nuisance_rank > 0:
-        w = _wrong_class(spec, c, variant)
+        w = (c + 1 + variant % (spec.K - 1)) % spec.K  # cycles over the classes but c
         cap = _NUISANCE_CAP * _DIST_SIGMA_MIN
         # wrong-class signal: coefficients on w's distinguishing slots,
         # strictly descending to keep the singular ordering unambiguous
@@ -559,7 +552,8 @@ def save_world(world: World, directory) -> None:
 def load_world(directory) -> World:
     """The world save_world wrote; its originals must be named o0000, o0001, ... in order.
 
-    A manifest that gives the spec, or one template, on two lines is rejected.
+    Each line must name the file save_world writes for it.  A manifest that
+    gives the spec, or one template, on two lines is rejected.
     """
     manifest = os.path.join(directory, "manifest.txt")
     spec = None
@@ -594,15 +588,20 @@ def load_world(directory) -> World:
                     c = int(key.split()[1])
                     if c in templates:
                         raise ValueError(f"repeated key 'template {c}'")
+                    if value != f"template_{c:02d}.mat":
+                        raise ValueError(f"expected file template_{c:02d}.mat, got {value!r}")
                     templates[c] = load_matrix_text(os.path.join(directory, value))
                 elif key.startswith("original "):
-                    if key != f"original o{len(payloads):04d}":
-                        raise ValueError(f"expected original o{len(payloads):04d}, got {key!r}: "
+                    name = f"o{len(payloads):04d}"
+                    if key != f"original {name}":
+                        raise ValueError(f"expected original {name}, got {key!r}: "
                                          "originals are named by position")
                     parts = value.split()
                     if len(parts) != 3:
                         raise ValueError(f"expected 'file label weight', got {value!r}")
                     fname, label, weight = parts
+                    if fname != f"{name}.mat":
+                        raise ValueError(f"expected file {name}.mat, got {fname!r}")
                     weight = float(weight)
                     if not 0.0 < weight < np.inf:
                         raise ValueError(f"weight {weight!r} is not finite and positive")

@@ -7,7 +7,6 @@ import pytest
 from ctlab import bounds
 from ctlab.bounds import (
     BoundReport,
-    EpsAlignment,
     SandwichTerms,
     alignment_eps,
     corollary_reports,
@@ -90,21 +89,26 @@ def alignment_eps_of_joint(f, space):
     dist = np.sqrt(np.sum((F[xs] - F[ys]) ** 2, axis=1))
     minus = np.flatnonzero(space.labels[xs] != space.labels[ys])
     if len(minus) == 0:
-        return EpsAlignment(0.0, 0.0, empty=True)
-    return EpsAlignment(eps_min=float(dist[minus].min()), eps_max=float(dist[minus].max()))
+        return None, None
+    return float(dist[minus].min()), float(dist[minus].max())
 
 
 def all_sandwich_terms(f, space, M, cfg=McConfig()):
     """Every sandwich term measured, whatever the embedding's normalization."""
     nce, nce_se, exact = infonce_population(f, space, M, cfg)
     lse_mean, lse_std = lse_approx_error(f, space, M, cfg.replicates, cfg.seed)
+    V, V_minus, V_neg = variance_terms(f, space)
+    eps_min, eps_max = alignment_eps_of_joint(f, space)
     return dict(
         ce_mean=ce_risk(f, mean_head(f, space), space),
         infonce=nce,
         infonce_std_error=nce_se,
         infonce_exact=exact,
-        variance=variance_terms(f, space),
-        eps=alignment_eps_of_joint(f, space),
+        eps_min=eps_min,
+        eps_max=eps_max,
+        V=V,
+        V_minus=V_minus,
+        V_neg=V_neg,
         envelope=lse_mean + 3.0 * lse_std + 3.0 * nce_se,
     )
 
@@ -153,13 +157,9 @@ def cube_alignment_eps(f, space):
     mask_minus = (~space.positive_mask()) & (space.joint > 0.0)
     dist = np.sqrt(np.sum((F[:, None, :] - F[None, :, :]) ** 2, axis=2))
     if not np.any(mask_minus):
-        return EpsAlignment(0.0, 0.0, empty=True)
+        return None, None
     minus = dist[mask_minus]
-    return EpsAlignment(eps_min=float(minus.min()), eps_max=float(minus.max()))
-
-
-def _fields(vt):
-    return (vt.V, vt.V_minus, vt.V_neg)
+    return float(minus.min()), float(minus.max())
 
 
 def _parse_value(text):
@@ -241,15 +241,15 @@ def _recompute(theorem, t):
 class TestVarianceTerms:
     def test_constant_embedding_vanishes(self):
         space = toy_space()
-        vt = variance_terms(constant_embedding(space.n), space)
-        assert vt.V == 0.0
-        assert vt.V_minus == 0.0
-        assert vt.V_neg == 0.0
+        V, V_minus, V_neg = variance_terms(constant_embedding(space.n), space)
+        assert V == 0.0
+        assert V_minus == 0.0
+        assert V_neg == 0.0
 
     def test_no_false_positives_drops_v_minus(self):
         space = identity_only_space()
-        vt = variance_terms(random_embedding(space.n, 3, seed=1), space)
-        assert vt.V_minus is None
+        _V, V_minus, _V_neg = variance_terms(random_embedding(space.n, 3, seed=1), space)
+        assert V_minus is None
 
     def test_brute_force_oracle(self):
         space = toy_space()
@@ -257,7 +257,7 @@ class TestVarianceTerms:
         F = f.table
         head = mean_head(f, space)
         mu = head.W.T[space.labels]
-        vt = variance_terms(f, space)
+        V, V_minus, _V_neg = variance_terms(f, space)
         v_num = vm_num = v_mass = vm_mass = 0.0
         for x in range(space.n):
             for y in range(space.n):
@@ -271,8 +271,8 @@ class TestVarianceTerms:
                 else:
                     vm_num += pw * d
                     vm_mass += pw
-        assert abs(vt.V - v_num / v_mass) < 1e-12
-        assert abs(vt.V_minus - vm_num / vm_mass) < 1e-12
+        assert abs(V - v_num / v_mass) < 1e-12
+        assert abs(V_minus - vm_num / vm_mass) < 1e-12
 
     @pytest.mark.parametrize("normalized", [True, False])
     def test_matches_cube_oracle_bit_for_bit(self, normalized):
@@ -280,7 +280,7 @@ class TestVarianceTerms:
             for seed in range(4):
                 for k in (1, 3, 8):
                     f = random_embedding(space.n, k, seed=seed, normalized=normalized)
-                    assert _fields(variance_terms(f, space)) == cube_variance_terms(f, space)
+                    assert variance_terms(f, space) == cube_variance_terms(f, space)
 
 
 class TestLseApproxError:
@@ -314,10 +314,9 @@ class TestLseApproxError:
 class TestAlignmentEps:
     def test_constant_embedding(self):
         space = toy_space()
-        eps = alignment_eps(constant_embedding(space.n), space)
-        assert not eps.empty
-        assert eps.eps_min == 0.0
-        assert eps.eps_max == 0.0
+        eps_min, eps_max = alignment_eps(constant_embedding(space.n), space)
+        assert eps_min == 0.0
+        assert eps_max == 0.0
 
     def test_exhaustive_oracle(self):
         space = toy_space()
@@ -328,15 +327,13 @@ class TestAlignmentEps:
             for y in range(space.n):
                 if space.joint[x, y] > 0 and space.labels[x] != space.labels[y]:
                     dists.append(float(np.linalg.norm(F[x] - F[y])))
-        eps = alignment_eps(f, space)
-        assert abs(eps.eps_min - min(dists)) < 1e-12
-        assert abs(eps.eps_max - max(dists)) < 1e-12
+        eps_min, eps_max = alignment_eps(f, space)
+        assert abs(eps_min - min(dists)) < 1e-12
+        assert abs(eps_max - max(dists)) < 1e-12
 
     def test_empty_false_positive_support(self):
         space = identity_only_space()
-        eps = alignment_eps(random_embedding(space.n, 3, seed=1), space)
-        assert eps.empty
-        assert eps.eps_min == 0.0 and eps.eps_max == 0.0
+        assert alignment_eps(random_embedding(space.n, 3, seed=1), space) == (None, None)
 
     def test_matches_cube_oracle_bit_for_bit(self):
         spaces = reference_and_inflated_spaces() + (identity_only_space(),)
@@ -357,7 +354,7 @@ class TestAlignmentEps:
         # every distance is 0 over a nonempty false-positive support
         for space in (toy_space(),) + reference_and_inflated_spaces():
             f = constant_embedding(space.n)
-            assert alignment_eps(f, space) == EpsAlignment(0.0, 0.0)
+            assert alignment_eps(f, space) == (0.0, 0.0)
             assert alignment_eps(f, space) == cube_alignment_eps(f, space)
 
 
@@ -441,8 +438,9 @@ class TestSandwich:
                 for name in ("variance_terms", "lse_approx_error"):
                     m.setattr(bounds, name, _fail(name))
                 t = measure_sandwich(f, space, 1, cfg)
-            assert t.variance is None and t.envelope is None and not t.normalized
-            for key in ("ce_mean", "infonce", "infonce_std_error", "infonce_exact", "eps"):
+            assert (t.V, t.V_minus, t.V_neg, t.envelope) == (None,) * 4 and not t.normalized
+            for key in ("ce_mean", "infonce", "infonce_std_error", "infonce_exact", "eps_min",
+                        "eps_max"):
                 assert getattr(t, key) == want[key], key
             assert t.infonce_exact == (space.n <= cfg.n_max)
 
@@ -607,3 +605,52 @@ class TestReportText:
         text = report_to_text(rep)
         line = [l for l in text.splitlines() if l.startswith("terms.x")][0]
         assert float(line.split(" = ")[1]) == 0.1 + 0.2
+
+    def test_label_consistent_sandwich_reports_pinned(self):
+        # no workload reaches a space without false positives: pin both texts,
+        # on simple terms that keep the space's measured absences
+        space = identity_only_space()
+        t = measure_sandwich(random_embedding(space.n, 3, seed=0), space, 1)
+        assert (t.eps_min, t.eps_max, t.V_minus) == (None, None, None)
+        t = replace(t, K=2, ce_mean=0.75, infonce=0.25, V=0.25, V_neg=0.5, envelope=0.0)
+        assert report_to_text(theorem1_check(t)) == (
+            "theorem = theorem1\n"
+            "verdict = holds\n"
+            "slack = 0.6931471805599454\n"
+            "terms.K = 2\n"
+            "terms.M = 1\n"
+            "terms.V = 0.25\n"
+            "terms.V_minus = none\n"
+            "terms.V_neg = 0.5\n"
+            "terms.ce_mean = 0.75\n"
+            "terms.envelope = 0.0\n"
+            "terms.gap = 0.5\n"
+            "terms.infonce = 0.25\n"
+            "terms.infonce_exact = true\n"
+            "terms.infonce_std_error = 0.0\n"
+            "terms.lower = -0.75\n"
+            "terms.upper = 1.1931471805599454\n"
+            "terms.v_neg_measure = equal-weight two-branch mixture\n"
+            "note = label-consistent case: V_minus absent\n"
+        )
+        assert report_to_text(theorem3_check(t)) == (
+            "theorem = theorem3\n"
+            "verdict = holds\n"
+            "slack = 0.6931471805599454\n"
+            "terms.K = 2\n"
+            "terms.M = 1\n"
+            "terms.V = 0.25\n"
+            "terms.V_neg = 0.5\n"
+            "terms.ce_mean = 0.75\n"
+            "terms.envelope = 0.0\n"
+            "terms.eps_max = 0.0\n"
+            "terms.eps_min = 0.0\n"
+            "terms.gap = 0.5\n"
+            "terms.infonce = 0.25\n"
+            "terms.infonce_exact = true\n"
+            "terms.infonce_std_error = 0.0\n"
+            "terms.lower = -0.75\n"
+            "terms.no_false_positives = true\n"
+            "terms.upper = 1.1931471805599454\n"
+            "note = no false positives: reduced to the consistent form\n"
+        )

@@ -109,6 +109,19 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=rf"^{key}: entry {repeated} repeated$"):
             load_config(REFERENCE, [f"{key}={value}"])
 
+    @pytest.mark.parametrize("key, value, repeated", [
+        ("bounds.which", "t1, t1, t4", "t1"),
+        ("bounds.which", "t4, corollaries, t3, corollaries", "corollaries"),
+        ("output.formats", "csv, csv", "csv"),
+    ])
+    def test_repeated_choice_entry_named(self, tmp_path, capsys, key, value, repeated):
+        # a repeated check would run twice, a repeated format write its files twice
+        with pytest.raises(ConfigError, match=rf"^{key}: entry {repeated} repeated$"):
+            load_config(REFERENCE, [f"{key}={value}"])
+        argv = ["graph", "--config", REFERENCE, "--out", str(tmp_path / "o")]
+        assert cli.main(argv + ["--set", f"{key}={value}"]) == 2
+        assert capsys.readouterr().err == f"error: {key}: entry {repeated} repeated\n"
+
     @pytest.mark.parametrize(
         "overrides, keys, message",
         [

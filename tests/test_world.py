@@ -632,7 +632,8 @@ class TestSerialization:
 
     def test_template_indices_must_be_contiguous(self, tmp_path):
         d, manifest = self._saved(tmp_path)
-        self._edit(manifest, "template 2 =", "template 5 =")
+        (d / "template_02.mat").rename(d / "template_05.mat")
+        self._edit(manifest, "template 2 = template_02.mat", "template 5 = template_05.mat")
         with pytest.raises(ValueError, match="manifest.txt.*template indices"):
             load_world(d)
 
@@ -661,6 +662,21 @@ class TestSerialization:
         self._edit(manifest, old, new)
         want = f"manifest.txt: line {lineno}: expected original o{lineno - 5:04d}, got 'original {name}'"
         with pytest.raises(ValueError, match=want):
+            load_world(d)
+
+    @pytest.mark.parametrize("old, new, lineno, want", [
+        ("o0001 = o0001.mat", "o0001 = o0000.mat", 6, "o0001.mat"),  # a duplicate payload
+        ("template 1 = template_01.mat", "template 1 = template_00.mat", 3, "template_01.mat"),
+        ("o0002 = o0002.mat", "o0002 = sub/o0002.mat", 7, "o0002.mat"),
+    ])
+    def test_lines_must_name_the_files_save_world_writes(self, tmp_path, old, new, lineno, want):
+        # another file would load silently as this line's payload or template
+        d, manifest = self._saved(tmp_path)
+        self._edit(manifest, old, new)
+        got = new.split(" = ")[1]
+        with pytest.raises(
+            ValueError, match=f"manifest.txt: line {lineno}: expected file {want}, got '{got}'$"
+        ):
             load_world(d)
 
     def test_originals_out_of_order_rejected(self, tmp_path):
