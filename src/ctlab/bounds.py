@@ -356,41 +356,26 @@ def corollary_reports(t: SandwichTerms, head: LinearHead, ce_linear: float) -> l
     """
     if not t.normalized:
         raise ValueError("corollary_reports: embedding must be normalized")
-    if not np.any(head.W):
-        return [
-            BoundReport(
-                theorem=f"corollary_{base}",
-                verdict="holds_vacuously",
-                slack=0.0,
-                terms={"ce_mean": t.ce_mean, "ce_linear": ce_linear},
-                note="optimization-inadequate: zero head, verdict withheld",
-            )
-            for base in ("theorem1", "theorem3")
-        ]
+    zero_head = not np.any(head.W)
     head_ok = ce_linear <= t.ce_mean + 1e-3
     gap_linear = ce_linear - t.infonce
     reports = []
     for base in (theorem1_check(t), theorem3_check(t)):
         up_margin = base.terms["upper"] - gap_linear
-        if head_ok:
+        terms = {**base.terms, "ce_linear": ce_linear, "gap_linear": gap_linear,
+                 "head_vs_mean_ok": head_ok}
+        note = ""
+        if zero_head:
+            verdict, slack = "holds_vacuously", 0.0
+            terms = {"ce_mean": t.ce_mean, "ce_linear": ce_linear}
+            note = "optimization-inadequate: zero head, verdict withheld"
+        elif head_ok:
             slack = float(up_margin)
             verdict = _verdict(slack, t.envelope)
         else:
             slack = float(min(up_margin, t.ce_mean + 1e-3 - ce_linear))
             verdict = "violated"
-        reports.append(
-            BoundReport(
-                theorem=f"corollary_{base.theorem}",
-                verdict=verdict,
-                slack=slack,
-                terms={
-                    **base.terms,
-                    "ce_linear": ce_linear,
-                    "gap_linear": gap_linear,
-                    "head_vs_mean_ok": head_ok,
-                },
-            )
-        )
+        reports.append(BoundReport(f"corollary_{base.theorem}", verdict, slack, terms, note))
     return reports
 
 

@@ -96,34 +96,26 @@ def emit_text(rows, path) -> None:
 # pipeline
 
 
-def _stage_world(cfg: RunConfig, inflated):
-    """The world of cfg's truncation: only its raw originals are truncated."""
-    trunc = cfg.truncation()
-    if trunc is None:
-        return inflated
-    return preprocess_world(inflated, trunc, cfg.world.K * cfg.world.per_class)
+def _stager(cfg: RunConfig, raw_world):
+    """Return stage(truncation): the staged graph of cfg's world at that truncation.
 
-
-def _stager(raw_world, transforms):
-    """Return stage(cfg): the staged graph of cfg's world, keyed by cfg.truncation() alone.
-
-    stage inflates the raw world once, in the first row, and remembers only
+    The transforms and the inflated world are built once, here; a row can vary
+    only the truncation, and stage keys its memo by it.  stage remembers only
     the latest staged world, dropping it before staging the next one, so rows
     that stage the same world in turn share its graph.  One thread stages at a
     time, so threads that ask for a world together (the pool's first rows)
     stage it once; the others wait and share it.
     """
-    latest, inflated, lock = {}, [], threading.Lock()
+    transforms = make_transforms(cfg, raw_world)
+    inflated = inflate(raw_world, cfg.inflation_factor, seed=cfg.seed)
+    latest, lock = {}, threading.Lock()
 
-    def stage(cfg):
-        key = cfg.truncation()
+    def stage(trunc):
         with lock:
-            if key not in latest:
+            if trunc not in latest:
                 latest.clear()
-                if not inflated:
-                    inflated.append(inflate(raw_world, cfg.inflation_factor, seed=cfg.seed))
-                latest[key] = stage_graph(_stage_world(cfg, inflated[0]), transforms)
-            return latest[key]
+                latest[trunc] = stage_graph(preprocess_world(inflated, trunc), transforms)
+            return latest[trunc]
 
     return stage
 
@@ -142,7 +134,7 @@ def compute_row(cfg: RunConfig, stage, row_key, k_key="train.k"):
 
 def _row(cfg: RunConfig, stage, row_key, k_key):
     seed, k = row_seed(cfg.seed, row_key), cfg.train_k
-    staged = stage(cfg)
+    staged = stage(cfg.truncation())
     space = staged.space
     if not (1 <= k <= space.n):
         raise ConfigError(f"{k_key}: k={k} out of range [1, {space.n}]")
@@ -194,17 +186,17 @@ def _row(cfg: RunConfig, stage, row_key, k_key):
     return row, reports, f, head, space
 
 
-def compute_sweep(cfg: RunConfig, raw_world, transforms, threads=1):
+def compute_sweep(cfg: RunConfig, stage, threads=1):
     """Every row of `run` and `sweep`, each one `compute_row` call, on `threads` workers.
 
     Each row is its own config: "baseline" cfg, one "k=K" per dimension and one
-    "q=Q" per rank (keep_top_q at Q).  The rows of one world run in turn, so
+    "q=Q" per rank (keep_top_q at Q).  Every row stages its world through
+    `stage`, `_stager(cfg, raw_world)`.  The rows of one world run in turn, so
     each world is staged once at `threads` = 1.
     Returns {table name: [(row, reports), ...]}: "baseline" always, then
     "sweep_q" (the baseline row with q blank, then the q rows) and "sweep_k"
     (the k rows) when configured. `train`, `probe` and `bounds` run "baseline" alone.
     """
-    stage = _stager(raw_world, transforms)
     plan = [(cfg, "baseline", "train.k")]
     plan += [(replace(cfg, train_k=k), f"k={k}", "train.k_sweep") for k in cfg.train_k_sweep]
     plan += [(replace(cfg, svd_mode="keep_top_q", svd_q=q), f"q={q}", "train.k")
@@ -232,16 +224,9 @@ def _table_reports(tables):
 
 
 def _argmin_summary(rows, key):
-    best = None
-    for row in rows:
-        err = row.get("probe_error")
-        if err is None:
-            continue
-        if best is None or err < best[1]:
-            best = (row.get(key), err)
-    if best is None:
-        return f"argmin_{key} = none"
-    return f"argmin_{key} = {_fmt_cell(best[0])} (probe_error = {_fmt_cell(best[1])})"
+    best = min(rows, key=lambda row: row["probe_error"])  # the first least row wins
+    err = best["probe_error"]
+    return f"argmin_{key} = {_fmt_cell(best[key])} (probe_error = {_fmt_cell(err)})"
 
 
 def _write_manifest(cfg: RunConfig, path, extra_lines=()):
@@ -290,7 +275,7 @@ def _exit_status(reports, allow_violations):
 
 def cmd_run(cfg: RunConfig, out_dir, threads, allow_violations):
     raw_world = generate_world(cfg.world)
-    tables = compute_sweep(cfg, raw_world, make_transforms(cfg, raw_world), threads)
+    tables = compute_sweep(cfg, _stager(cfg, raw_world), threads)
     save_world(raw_world, os.path.join(out_dir, "world"))  # nothing is written before every row
     _write_tables(cfg, out_dir, tables)
     reports = _table_reports(tables)
@@ -300,7 +285,7 @@ def cmd_run(cfg: RunConfig, out_dir, threads, allow_violations):
 
 def cmd_world(cfg, out_dir, threads, allow_violations):
     inflated = inflate(generate_world(cfg.world), cfg.inflation_factor, seed=cfg.seed)
-    save_world(_stage_world(cfg, inflated), os.path.join(out_dir, "world"))
+    save_world(preprocess_world(inflated, cfg.truncation()), os.path.join(out_dir, "world"))
     return 0
 
 
@@ -311,8 +296,7 @@ def cmd_svd(cfg, out_dir, threads, allow_violations):
 
 
 def cmd_graph(cfg, out_dir, threads, allow_violations):
-    raw_world = generate_world(cfg.world)
-    staged = _stager(raw_world, make_transforms(cfg, raw_world))(cfg)
+    staged = _stager(cfg, generate_world(cfg.world))(cfg.truncation())
     A = staged.space.joint
     save_matrix_text(os.path.join(out_dir, "adjacency.mat"), A)
     save_matrix_text(
@@ -328,8 +312,7 @@ def cmd_graph(cfg, out_dir, threads, allow_violations):
 
 def _baseline_row(cfg):
     """`run`'s baseline row of the configured world: compute_row's five values."""
-    raw_world = generate_world(cfg.world)
-    return compute_row(cfg, _stager(raw_world, make_transforms(cfg, raw_world)), "baseline")
+    return compute_row(cfg, _stager(cfg, generate_world(cfg.world)), "baseline")
 
 
 def cmd_train(cfg, out_dir, threads, allow_violations):
@@ -359,9 +342,7 @@ def cmd_bounds(cfg, out_dir, threads, allow_violations):
 def cmd_sweep(cfg, out_dir, threads, allow_violations):
     if not cfg.svd_sweep and not cfg.train_k_sweep:
         raise ConfigError("sweep: neither svd.sweep nor train.k_sweep configured")
-    raw_world = generate_world(cfg.world)
-    transforms = make_transforms(cfg, raw_world)
-    tables = compute_sweep(cfg, raw_world, transforms, threads)
+    tables = compute_sweep(cfg, _stager(cfg, generate_world(cfg.world)), threads)
     del tables["baseline"]  # written by `run` only; its row heads sweep_q
     for line in _write_tables(cfg, out_dir, tables):
         print(line)

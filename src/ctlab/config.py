@@ -199,6 +199,8 @@ def _value(where, kind, raw, bound):
     if len(set(values)) < len(values):
         repeated = next(v for i, v in enumerate(values) if v in values[:i])
         raise ConfigError(f"{where}: entry {repeated} repeated")
+    if kind == "choices" and not values:
+        raise ConfigError(f"{where}: needs at least one entry")
     if kind in ("choice", "choices"):
         for v in values:
             if v not in bound:

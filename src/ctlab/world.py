@@ -474,12 +474,17 @@ def labeling_error(space: AugmentedSpace, world: World) -> float:
 # preprocessing and inflation
 
 
-def preprocess_world(world: World, spec: TruncationSpec, count: int | None = None) -> World:
-    """Replace the first `count` original payloads (default: all) by their truncated-SVD image.
+def preprocess_world(world: World, spec: TruncationSpec | None) -> World:
+    """Replace the raw originals, the first K * per_class, by their truncated-SVD image.
 
-    Their latent labels are recomputed from the new payloads; weights are kept.
+    An inflated world's extras stay untruncated.  The raw originals' latent
+    labels are recomputed from the new payloads; weights are kept.  With
+    spec None the world itself is returned.
     """
-    reduced = np.stack([svd_truncate(svd_full(P), spec) for P in world.payloads[:count]])
+    if spec is None:
+        return world
+    raw = world.payloads[: world.spec.K * world.spec.per_class]
+    reduced = np.stack([svd_truncate(svd_full(P), spec) for P in raw])
     return World(
         payloads=np.concatenate([reduced, world.payloads[len(reduced):]]),
         labels=np.concatenate([ground_truth_label(reduced, world.templates),

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from ctlab.bounds import measure_sandwich, theorem1_check
-from ctlab.cli import compute_sweep, main
-from ctlab.config import load_config, make_transforms
+from ctlab.cli import _stager, compute_sweep, main
+from ctlab.config import load_config
 from ctlab.graph import connected_components, spectral_embedding, stage_graph
 from ctlab.objectives import (
     Embedding,
@@ -313,9 +313,7 @@ def test_07_downstream_bound_planted_suite(capsys):
 @pytest.fixture(scope="module")
 def reference_run():
     cfg = load_config(REFERENCE_CONFIG)
-    world = generate_world(cfg.world)
-    transforms = make_transforms(cfg, world)
-    tables = compute_sweep(cfg, world, transforms, threads=2)
+    tables = compute_sweep(cfg, _stager(cfg, generate_world(cfg.world)), threads=2)
     q_rows = [row for row, _ in tables["sweep_q"]]
     k_rows = [row for row, _ in tables["sweep_k"]]
     return cfg, q_rows, k_rows

@@ -5,14 +5,13 @@ import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ctlab import cli, config, graph, objectives, world
 from ctlab.cli import SWEEP_COLUMNS, emit_csv, emit_text, main
-from ctlab.config import load_config, make_transforms
+from ctlab.config import load_config
 from ctlab.graph import spectral_embedding
 from ctlab.linalg import load_matrix_text
 from ctlab.objectives import Embedding
@@ -173,7 +172,7 @@ class TestRunCommand:
         cfg = load_config(REFERENCE)
         raw = world.generate_world(cfg.world)
         staged = _count_calls(monkeypatch, graph.stage_graph)
-        cli.compute_sweep(cfg, raw, make_transforms(cfg, raw), threads=2)
+        cli.compute_sweep(cfg, cli._stager(cfg, raw), threads=2)
         assert len(staged) == 1 + len(cfg.svd_sweep) == 5
 
     def test_each_row_is_its_own_config(self, monkeypatch):
@@ -187,7 +186,7 @@ class TestRunCommand:
             return {}, [], None, None, None
 
         monkeypatch.setattr(cli, "compute_row", row)
-        cli.compute_sweep(cfg, None, [])
+        cli.compute_sweep(cfg, None)
         assert list(plan) == ["baseline", "k=5", "q=2"]
         (base, base_key), (k5, k5_key), (q2, q2_key) = plan.values()
         assert base is cfg and base_key == "train.k"
@@ -200,7 +199,7 @@ class TestRunCommand:
         cfg = load_config(REFERENCE, sets)
         raw = world.generate_world(cfg.world)
         staged = _count_calls(monkeypatch, graph.stage_graph)
-        tables = cli.compute_sweep(cfg, raw, make_transforms(cfg, raw))
+        tables = cli.compute_sweep(cfg, cli._stager(cfg, raw))
         assert len(staged) == 2  # the baseline's world, which is also q=2's, then q=3's
         ((base, _reports),) = tables["baseline"]
         q_rows = {row["q"]: row for row, _reports in tables["sweep_q"]}
@@ -216,14 +215,13 @@ class TestRunCommand:
             return object()
 
         monkeypatch.setattr(cli, "stage_graph", slow_stage_graph)
-        monkeypatch.setattr(cli, "_stage_world", lambda cfg, raw: None)
-        stage = cli._stager(None, [])
-        cfg = SimpleNamespace(inflation_factor=1, seed=0, truncation=lambda: None)
+        cfg = load_config(REFERENCE)
+        stage = cli._stager(cfg, world.generate_world(cfg.world))
         start = threading.Barrier(8)
 
         def ask():
             start.wait(timeout=10)
-            return stage(cfg)
+            return stage(None)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -248,10 +246,10 @@ class TestRunCommand:
     def test_t4_head_is_the_spectral_table_fitted_alone(self, small_cfg):
         cfg = load_config(small_cfg)
         raw = world.generate_world(cfg.world)
-        stage = cli._stager(raw, make_transforms(cfg, raw))
+        stage = cli._stager(cfg, raw)
         _row, reports, *_tables = cli.compute_row(cfg, stage, "baseline")
         (t4,) = [r for r in reports if r.theorem == "theorem4"]
-        staged = stage(cfg)
+        staged = stage(cfg.truncation())
         table = spectral_embedding(staged, cfg.train_k)
         f = Embedding(table=table, normalized=False)
         (alone,) = objectives.fit_linear_head(
@@ -400,8 +398,7 @@ class TestSingleRowCommands:
         path, seed, sets = case
         cfg = load_config(path, [*sets, f"run.seed={seed}"])
         raw = world.generate_world(cfg.world)
-        stage = cli._stager(raw, make_transforms(cfg, raw))
-        baseline = cli.compute_row(cfg, stage, "baseline")
+        baseline = cli.compute_row(cfg, cli._stager(cfg, raw), "baseline")
         _row, _reports, f, _head, space = baseline
         np.testing.assert_array_equal(load_matrix_text(tmp_path / "embedding.mat"), f.table)
         nodes = (tmp_path / "embedding_nodes.txt").read_text().splitlines()

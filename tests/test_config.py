@@ -122,6 +122,20 @@ class TestLoadConfig:
         assert cli.main(argv + ["--set", f"{key}={value}"]) == 2
         assert capsys.readouterr().err == f"error: {key}: entry {repeated} repeated\n"
 
+    @pytest.mark.parametrize("key", ["bounds.which", "output.formats"])
+    @pytest.mark.parametrize("value", [",", " , ", ""])
+    def test_empty_choice_list_named(self, tmp_path, capsys, key, value):
+        # no check would run, or no table would be written
+        with pytest.raises(ConfigError, match=rf"^{key}: needs at least one entry$"):
+            load_config(REFERENCE, [f"{key}={value}"])
+        argv = ["graph", "--config", REFERENCE, "--out", str(tmp_path / "o")]
+        assert cli.main(argv + ["--set", f"{key}={value}"]) == 2
+        assert capsys.readouterr().err == f"error: {key}: needs at least one entry\n"
+
+    def test_empty_sweeps_stay_legal(self):
+        cfg = load_config(REFERENCE, ["train.k_sweep=", "svd.sweep= "])
+        assert cfg.train_k_sweep == [] and cfg.svd_sweep == []
+
     @pytest.mark.parametrize(
         "overrides, keys, message",
         [

@@ -545,6 +545,27 @@ class TestPreprocess:
         assert abs(alphas[3] - 0.04) < 1e-12
         assert alphas[3] < min(alphas[q] for q in (1, 2, 4)) - 1e-6
 
+    def test_truncates_only_the_raw_originals(self):
+        # on an 8x inflated world exactly the first K * per_class originals change
+        raw = generate_world(_ref_spec(noise_scale=0.05))
+        iw = inflate(raw, 8, seed=6)
+        pw = preprocess_world(iw, TruncationSpec(mode="keep_top_q", q=1))
+        n_raw = raw.spec.K * raw.spec.per_class
+        changed = [i for i in range(len(iw.payloads))
+                   if pw.payloads[i].tobytes() != iw.payloads[i].tobytes()]
+        assert changed == list(range(n_raw))
+        assert pw.payloads[n_raw:].tobytes() == iw.payloads[n_raw:].tobytes()
+        assert pw.labels[n_raw:].tolist() == iw.labels[n_raw:].tolist()
+        # their labels are recomputed from the truncated payloads; at q = 1 one moves
+        assert pw.labels[:n_raw].tolist() == ground_truth_label(pw.payloads[:n_raw],
+                                                                pw.templates).tolist()
+        assert pw.labels[:n_raw].tolist() != iw.labels[:n_raw].tolist()
+        assert pw.weights.tobytes() == iw.weights.tobytes()
+
+    def test_no_truncation_returns_the_world_itself(self):
+        iw = inflate(generate_world(_ref_spec(noise_scale=0.05)), 8, seed=6)
+        assert preprocess_world(iw, None) is iw
+
 
 class TestInflate:
     def test_factor_one_is_noop(self):
@@ -574,7 +595,7 @@ class TestInflate:
         raw = generate_world(_ref_spec(noise_scale=0.05))
         trunc = TruncationSpec(mode="keep_top_q", q=q)
         want = inflate(preprocess_world(raw, trunc), 8, seed=6)
-        got = preprocess_world(inflate(raw, 8, seed=6), trunc, len(raw.payloads))
+        got = preprocess_world(inflate(raw, 8, seed=6), trunc)
         assert got.payloads.shape == want.payloads.shape
         assert got.payloads.tobytes() == want.payloads.tobytes()
         assert got.labels.tolist() == want.labels.tolist()
@@ -596,7 +617,7 @@ class TestSerialization:
 
     def test_round_trip_of_an_inflated_truncated_world(self, tmp_path):
         raw = generate_world(_ref_spec(noise_scale=0.05))
-        w = preprocess_world(inflate(raw, 8, seed=6), TruncationSpec(mode="keep_top_q", q=2), 6)
+        w = preprocess_world(inflate(raw, 8, seed=6), TruncationSpec(mode="keep_top_q", q=2))
         save_world(w, tmp_path / "w")
         loaded = load_world(tmp_path / "w")
         assert loaded.payloads.shape == w.payloads.shape == (48, 12, 12)
