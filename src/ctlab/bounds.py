@@ -293,6 +293,10 @@ def theorem3_check(t: SandwichTerms) -> BoundReport:
 # ---------------------------------------------------------------------------
 # downstream error bound
 
+# an all-zero head signals an inadequate probe: t4 and the corollaries withhold
+# their verdicts
+_ZERO_HEAD = "optimization-inadequate: zero head, verdict withheld"
+
 
 def theorem4_check(staged: StagedGraph, spectral: Embedding, head: LinearHead) -> BoundReport:
     """Downstream error of the spectral embedding against 4a/l_{k+1} + 8a.
@@ -302,7 +306,8 @@ def theorem4_check(staged: StagedGraph, spectral: Embedding, head: LinearHead) -
     labeling error alpha and the Laplacian eigenvalues at levels k and k+1
     off the staged graph, scores spectral with head, and checks the achieved
     error against the bound.  Bounds >= 1
-    are vacuous; a zero lambda_{k+1} leaves the bound undefined.
+    are vacuous; a zero lambda_{k+1} leaves the bound undefined; an all-zero
+    head withholds the verdict, as in corollary_reports, and keeps the terms.
     """
     space, alpha, k = staged.space, staged.alpha, spectral.k
     if not (1 <= k <= space.n):
@@ -319,6 +324,8 @@ def theorem4_check(staged: StagedGraph, spectral: Embedding, head: LinearHead) -
     else:
         bound = 4.0 * alpha / lam_k1 + 8.0 * alpha
         slack, note = float(bound - err), "bound >= 1" if bound >= 1.0 else ""
+    if not np.any(head.W):
+        note = _ZERO_HEAD
     return BoundReport(
         theorem="theorem4",
         # every degenerate case carries a note and holds vacuously
@@ -368,7 +375,7 @@ def corollary_reports(t: SandwichTerms, head: LinearHead, ce_linear: float) -> l
         if zero_head:
             verdict, slack = "holds_vacuously", 0.0
             terms = {"ce_mean": t.ce_mean, "ce_linear": ce_linear}
-            note = "optimization-inadequate: zero head, verdict withheld"
+            note = _ZERO_HEAD
         elif head_ok:
             slack = float(up_margin)
             verdict = _verdict(slack, t.envelope)

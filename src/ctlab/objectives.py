@@ -437,46 +437,45 @@ def fit_linear_head(
     """Gradient descent on the CE risk plus l2 ||W||^2 / 2, from W = 0, per table.
 
     The tables are same-shape (n, k) embeddings of one space.  Their heads
-    descend together on the stacked (T, n, k) array; every step's arithmetic
-    stays within one table, so each head has the bits of a descent on its
-    table alone.  Steps run in buffers allocated once per call.  The softmax
-    max is taken column by column, exact in any order; below 8 classes the
-    row sum is column adds too, which have the bits of numpy's row sum
-    there.  A non-finite entry of W never turns finite again, so divergence
-    is checked once, after the last step: a head whose W or Frobenius norm
-    is not finite raises `DivergenceError`.  Returns one head per table.
+    descend together on the stacked (T, n, k) array, class-major: the heads
+    are (T, K, k) and the logits (T, K, n), so the softmax max and sum run
+    over contiguous (T, n) rows.  The step size and the marginal are folded
+    into the tables once, Fp = step_size p F, and the label term Y^T Fp is one
+    constant, so a step is W^T <- (1 - step_size l2) W^T - P^T Fp + Y^T Fp for
+    the softmax P.
+    Every step's arithmetic stays within one table, so each head has the bits
+    of the call on its table alone.  A non-finite entry of W never turns
+    finite again, so divergence is checked once, after the last step: a head
+    whose W or Frobenius norm is not finite raises `DivergenceError`.
+    Returns one (k, K) head per table.
     """
     F = np.stack([f.table for f in fs])
-    FT = F.transpose(0, 2, 1)
     K = space.K
-    p = space.marginal[:, None]
-    Y = np.eye(K)[space.labels]
-    W, G, decay = np.zeros((3, F.shape[0], F.shape[2], K))  # heads, grad, l2 * W
-    L = np.empty(F.shape[:2] + (K,))  # logits, softmax, then p * (probs - Y)
-    mx, total = np.empty((2,) + F.shape[:2])
+    WT, G = np.zeros((2, F.shape[0], K, F.shape[2]))  # heads, step
+    L = np.empty((F.shape[0], K, F.shape[1]))  # logits, then softmax
+    mx, total = np.empty((2, F.shape[0], 1, F.shape[1]))
     # a diverging head runs on quietly to the check after the loop
     with np.errstate(over="ignore", invalid="ignore"):
+        decay = 1.0 - step_size * l2
+        Fp = F * (step_size * space.marginal)[:, None]
+        label_term = np.matmul(np.eye(K)[:, space.labels], Fp)
+        FT = np.ascontiguousarray(F.transpose(0, 2, 1))
         for _ in range(steps):
-            np.matmul(F, W, out=L)
-            np.maximum(L[..., 0], L[..., 1], out=mx)
-            for c in range(2, K):
-                np.maximum(mx, L[..., c], out=mx)
-            np.exp(np.subtract(L, mx[..., None], out=L), out=L)
-            if K < 8:
-                np.add(L[..., 0], L[..., 1], out=total)
-                for c in range(2, K):
-                    np.add(total, L[..., c], out=total)
-            else:
-                L.sum(axis=-1, out=total)
-            np.divide(L, total[..., None], out=L)
-            np.multiply(p, np.subtract(L, Y, out=L), out=L)
-            np.add(np.matmul(FT, L, out=G), np.multiply(l2, W, out=decay), out=G)
-            np.subtract(W, np.multiply(step_size, G, out=G), out=W)
+            np.matmul(WT, FT, out=L)
+            np.maximum.reduce(L, axis=1, out=mx, keepdims=True)
+            np.exp(np.subtract(L, mx, out=L), out=L)
+            np.add.reduce(L, axis=1, out=total, keepdims=True)
+            np.divide(L, total, out=L)
+            np.subtract(np.matmul(L, Fp, out=G), label_term, out=G)
+            if l2:
+                np.multiply(WT, decay, out=WT)
+            np.subtract(WT, G, out=WT)
+        heads = [LinearHead(W=np.ascontiguousarray(w.T)) for w in WT]
         # the norm t4 reports overflows before W does
-        finite = all(np.isfinite(np.linalg.norm(w)) for w in W)
+        finite = all(np.isfinite(h.frob_norm) for h in heads)
     if not finite:
         raise DivergenceError("fit_linear_head: diverged (NaN/Inf in W or its norm)")
-    return [LinearHead(W=w) for w in W]
+    return heads
 
 
 def classification_error(f: Embedding, head: LinearHead, space: AugmentedSpace) -> float:

@@ -2,8 +2,9 @@
 
 No `ctlab` command reaches anything here.  The batch InfoNCE functions with
 `full_support_batch` are the oracles of both population InfoNCE engines;
-`logaddexp_exact_infonce` is the log-space oracle of the exact engine and
-`dense_sampled_infonce` the bit-for-bit oracle of the sampled engine.
+`logaddexp_exact_infonce` is the log-space oracle of the exact engine,
+`dense_sampled_infonce` the bit-for-bit oracle of the sampled engine, and
+`fit_alone` the plain per-table descent the stacked probe is held to.
 
 The toy world has two 1x2 originals and a masking transform whose shared
 blank view carries the wrong label; every probability in its augmented
@@ -382,6 +383,30 @@ def eckart_young_check(X, q: int, trials: int, seed: int) -> EckartYoungReport:
         trials=trials,
         holds=holds,
     )
+
+
+# ---------------------------------------------------------------------------
+# probe
+
+
+def fit_alone(F, space, steps, step_size, l2):
+    """Reference probe: the per-table, row-major descent with a row-wise max
+    and a divergence check after every step."""
+    K = space.K
+    p = space.marginal
+    Y = np.zeros((space.n, K))
+    Y[np.arange(space.n), space.labels] = 1.0
+    W = np.zeros((F.shape[1], K))
+    for _ in range(steps):
+        logits = F @ W
+        mx = logits.max(axis=1, keepdims=True)
+        ex = np.exp(logits - mx)
+        probs = ex / ex.sum(axis=1, keepdims=True)
+        grad = F.T @ (p[:, None] * (probs - Y)) + l2 * W
+        W = W - step_size * grad
+        if not np.all(np.isfinite(W)):
+            raise RuntimeError("fit_linear_head: diverged (NaN/Inf in W)")
+    return W
 
 
 # ---------------------------------------------------------------------------

@@ -233,7 +233,7 @@ def _recompute(theorem, t):
     if bound is None:
         return "holds_vacuously", 0.0
     assert bound == 4.0 * alpha / t["lambda_k1_q"] + 8.0 * alpha
-    if bound >= 1.0:
+    if bound >= 1.0 or t["head_frob_norm"] == 0.0:  # vacuous, or zero head: withheld
         return "holds_vacuously", bound - err
     return ("holds" if bound >= err else "violated"), bound - err
 
@@ -531,6 +531,28 @@ class TestDownstreamBound:
         assert rep.verdict == "holds_vacuously"
         assert rep.terms["bound"] is None
         assert "undefined" in rep.note
+
+    def test_zero_head_withheld(self):
+        # the reference world at q = 3, k = 3: bound 0.48 < 1, and an untrained
+        # head scores chance (2/3), which is not a violation of theorem 4
+        w = reference_world()
+        wq = preprocess_world(w, TruncationSpec(mode="keep_top_q", q=3))
+        staged = stage_graph(wq, reference_transforms(w))
+        spectral = Embedding(spectral_embedding(staged, 3), False)
+        fitted = theorem4_at_probe_defaults(staged, k=3)
+        zero = theorem4_check(staged, spectral, LinearHead(W=np.zeros((3, 3))))
+        t = zero.terms
+        assert zero.verdict == "holds_vacuously"
+        assert zero.note == "optimization-inadequate: zero head, verdict withheld"
+        assert t["head_frob_norm"] == 0.0
+        assert t["bound"] < 1.0
+        assert zero.slack == t["bound"] - t["probe_error"] < 0.0
+        assert t.keys() == fitted.terms.keys()
+        for key in ("alpha_q", "lambda_k_q", "lambda_k1_q", "k", "bound", "norm_budget"):
+            assert t[key] == fitted.terms[key], key
+        assert fitted.verdict == "holds" and fitted.note == ""
+        for rep in (zero, fitted):
+            assert _recompute("theorem4", rep.terms) == (rep.verdict, rep.slack)
 
     def test_k_validated(self):
         head = LinearHead(W=np.zeros((2, 2)))

@@ -115,6 +115,21 @@ class TestRunCommand:
         assert "verdict = violated\n" not in bounds
         assert "verdict = holds" in bounds
 
+    def test_untrained_probe_violates_nothing(self, tmp_path, capsys):
+        # probe.steps = 0 leaves every head zero: theorem 4 and the corollaries
+        # withhold their verdicts alike, so the run exits 0
+        out = tmp_path / "art"
+        argv = ["run", "--config", REFERENCE, "--out", str(out), "--set", "probe.steps=0"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 0
+        assert "violated:" not in capsys.readouterr().err
+        bounds = (out / "bounds.txt").read_text()
+        assert "verdict = violated\n" not in bounds
+        assert bounds.count("theorem = theorem4\n") == bounds.count(
+            "terms.head_frob_norm = 0.0\n"
+        ) > 0
+
     def test_runs_are_byte_identical(self, small_cfg, tmp_path):
         out1 = str(tmp_path / "a")
         out2 = str(tmp_path / "b")

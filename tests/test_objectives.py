@@ -32,6 +32,7 @@ from ctlab.objectives import (
 from ctlab.world import AugmentedSpace, build_augmented_space, generate_world, inflate
 from oracles import (
     dense_sampled_infonce,
+    fit_alone,
     full_support_batch,
     infonce_empirical,
     infonce_gradient,
@@ -939,32 +940,12 @@ class TestHeads:
         assert abs(classification_error(f, always_one, space) - 0.25) < 1e-15
 
 
-def _fit_alone(F, space, steps, step_size, l2):
-    """Reference probe: the per-table descent with a row-wise max and a
-    divergence check after every step."""
-    K = space.K
-    p = space.marginal
-    Y = np.zeros((space.n, K))
-    Y[np.arange(space.n), space.labels] = 1.0
-    W = np.zeros((F.shape[1], K))
-    for _ in range(steps):
-        logits = F @ W
-        mx = logits.max(axis=1, keepdims=True)
-        ex = np.exp(logits - mx)
-        probs = ex / ex.sum(axis=1, keepdims=True)
-        grad = F.T @ (p[:, None] * (probs - Y)) + l2 * W
-        W = W - step_size * grad
-        if not np.all(np.isfinite(W)):
-            raise RuntimeError("fit_linear_head: diverged (NaN/Inf in W)")
-    return W
-
-
 class TestStackedProbe:
     @pytest.mark.parametrize("n", [13, 54, 477])
     @pytest.mark.parametrize("K", [2, 3, 7, 8, 12])
     def test_each_head_is_its_table_fitted_alone(self, K, n):
-        # bit-equal, not close: stacking must not change any head.  K >= 8
-        # catches a column-wise softmax sum, whose bits differ from numpy's
+        # the class-major descent folds its constants, so it holds the plain
+        # per-table descent to 1e-12 of the head's size, and 0 steps to zeros
         space = random_space(n, seed=K * 1000 + n, K=K)
         rng = np.random.default_rng(n + K)
         for k, l2, steps in itertools.product((1, 3, 8), (0.0, 0.5), (0, 1, 300)):
@@ -974,9 +955,28 @@ class TestStackedProbe:
             )
             assert len(heads) == 2
             for t, head in zip(tables, heads):
-                want = _fit_alone(t, space, steps, 2.0, l2)
-                assert np.array_equal(head.W, want), (k, l2, steps)
-                assert head.frob_norm == float(np.linalg.norm(want)), (k, l2, steps)
+                want = fit_alone(t, space, steps, 2.0, l2)
+                assert head.W.shape == want.shape == (k, K)
+                if steps == 0:
+                    assert np.array_equal(head.W, np.zeros((k, K))), (k, l2)
+                    continue
+                err = np.max(np.abs(head.W - want))
+                assert err <= 1e-12 * np.max(np.abs(want)), (k, l2, steps, err)
+
+    @pytest.mark.parametrize("n", [13, 54, 477])
+    @pytest.mark.parametrize("K", [2, 3, 8, 12])
+    def test_stacking_changes_no_head(self, K, n):
+        # bit-equal, not close: every head of a 2- or 3-table call is the
+        # head of the call on that table alone
+        space = random_space(n, seed=K * 1000 + n + 1, K=K)
+        rng = np.random.default_rng(n * K)
+        for k, l2, count in itertools.product((1, 3, 8), (0.0, 0.5), (2, 3)):
+            fs = [Embedding(rng.normal(size=(n, k)), False) for _ in range(count)]
+            heads = fit_linear_head(fs, space, 300, 2.0, l2)
+            for f, head in zip(fs, heads):
+                (alone,) = fit_linear_head([f], space, 300, 2.0, l2)
+                assert np.array_equal(head.W, alone.W), (k, l2, count)
+                assert head.frob_norm == alone.frob_norm
 
     def test_inputs_are_not_mutated(self):
         space = random_space(54, seed=5, K=3)
@@ -1016,7 +1016,7 @@ class TestStackedProbe:
         with pytest.raises(RuntimeError, match="diverged"):
             fit_linear_head(tables, space, steps=20, step_size=1e300)
         with pytest.raises(RuntimeError, match="diverged"), np.errstate(all="ignore"):
-            _fit_alone(tables[0].table, space, 20, 1e300, 0.0)
+            fit_alone(tables[0].table, space, 20, 1e300, 0.0)
 
 
     def test_silenced_overflow_does_not_leak(self):
