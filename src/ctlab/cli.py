@@ -15,12 +15,11 @@ import csv
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 
-from . import __version__
+from . import BLAS_THREADS, __version__
 from .bounds import (
     corollary_reports,
     measure_sandwich,
@@ -102,19 +101,24 @@ def _stager(cfg: RunConfig, raw_world):
     The transforms and the inflated world are built once, here; a row can vary
     only the truncation, and stage keys its memo by it.  stage remembers only
     the latest staged world, dropping it before staging the next one, so rows
-    that stage the same world in turn share its graph.  One thread stages at a
-    time, so threads that ask for a world together (the pool's first rows)
-    stage it once; the others wait and share it.
+    that stage the same world in turn share its graph.  It also hands
+    stage_graph a one-entry spectrum memo, so a world whose positive-pair
+    joint equals the last eigendecomposed one exactly (the q rows of an
+    inflated world, which differ only in their labels) reuses that graph's
+    degrees and spectrum.  One thread stages at a time, so threads that ask
+    for a world together (the pool's first rows) stage it once; the others
+    wait and share it.
     """
     transforms = make_transforms(cfg, raw_world)
     inflated = inflate(raw_world, cfg.inflation_factor, seed=cfg.seed)
-    latest, lock = {}, threading.Lock()
+    latest, spectrum_memo, lock = {}, {}, threading.Lock()
 
     def stage(trunc):
         with lock:
             if trunc not in latest:
                 latest.clear()
-                latest[trunc] = stage_graph(preprocess_world(inflated, trunc), transforms)
+                world = preprocess_world(inflated, trunc)
+                latest[trunc] = stage_graph(world, transforms, spectrum_memo)
             return latest[trunc]
 
     return stage
@@ -206,6 +210,8 @@ def compute_sweep(cfg: RunConfig, stage, threads=1):
         return compute_row(row_cfg, stage, row_key, k_key)[:2]
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loads logging: only when used
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(row, *zip(*plan)))
     else:  # in the main thread: a worker's own malloc arena costs ~3% peak RSS
@@ -230,7 +236,8 @@ def _argmin_summary(rows, key):
 
 
 def _write_manifest(cfg: RunConfig, path, extra_lines=()):
-    lines = [f"ctlab {__version__}", f"seed = {cfg.seed}", *cfg.echo(), *extra_lines]
+    lines = [f"ctlab {__version__} ({BLAS_THREADS})", f"seed = {cfg.seed}", *cfg.echo(),
+             *extra_lines]
     with open(path, "w", newline="\n", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -26,11 +26,17 @@ __all__ = [
 def laplacian_spectrum(A: np.ndarray, degrees: np.ndarray) -> SymEigen:
     """Full ascending spectrum of the normalized Laplacian I - D^-1/2 A D^-1/2.
 
-    A symmetric A leaves the Laplacian exactly symmetric; sym_eig's own
-    symmetrization is the only one.
+    The Laplacian is built in one n x n buffer with the bits of
+    np.eye(n) - A * np.outer(s, s).  A positive-pair joint is symmetric only
+    to rounding (cond^T (w cond) groups a cell's factors and its mirror's
+    differently), so sym_eig's symmetrization does real work.
     """
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    return sym_eig(np.eye(len(degrees)) - A * np.outer(inv_sqrt, inv_sqrt))
+    L = np.outer(inv_sqrt, inv_sqrt)
+    L *= A
+    np.subtract(0.0, L, out=L)  # 0.0 - x, not -x: a zero cell stays +0.0
+    L.flat[:: len(degrees) + 1] += 1.0
+    return sym_eig(L)
 
 
 @dataclass(frozen=True)
@@ -52,22 +58,36 @@ class StagedGraph:
         return float(values[k - 1]), lam_k1
 
 
-def stage_graph(world: World, transforms) -> StagedGraph:
+def stage_graph(world: World, transforms, memo: dict | None = None) -> StagedGraph:
     """Augment a world, take its graph's degrees and eigendecompose the Laplacian once.
 
     Every node must carry probability mass, which positive world weights and
     transform probabilities guarantee.
+
+    memo, when given, is a dict that remembers the last spectrum computed
+    with it: the support triple (xs, ys, w), the degrees and the SymEigen of
+    that graph, never its space.  A world whose joint has the same node count
+    and the same support triple takes the remembered degrees and spectrum;
+    such joints are equal, since no joint entry is -0.0.  Any other world
+    empties memo before its Laplacian is eigendecomposed and is remembered
+    after.  Without memo every call eigendecomposes its own graph.
     """
     space = build_augmented_space(world, transforms)
-    degrees = space.joint.sum(axis=1)
-    if not np.all(degrees > 0.0):
-        raise ValueError("stage_graph: a node carries no probability mass")
-    return StagedGraph(
-        space=space,
-        degrees=degrees,
-        spectrum=laplacian_spectrum(space.joint, degrees),
-        alpha=labeling_error(space, world),
-    )
+    if memo and len(memo["degrees"]) == space.n and all(
+        np.array_equal(old, new) for old, new in zip(memo["support"], space.support)
+    ):
+        degrees, spectrum = memo["degrees"], memo["spectrum"]
+    else:
+        degrees = space.joint.sum(axis=1)
+        if not np.all(degrees > 0.0):
+            raise ValueError("stage_graph: a node carries no probability mass")
+        if memo is not None:
+            memo.clear()
+        spectrum = laplacian_spectrum(space.joint, degrees)
+        if memo is not None:
+            memo.update(support=space.support, degrees=degrees, spectrum=spectrum)
+    return StagedGraph(space=space, degrees=degrees, spectrum=spectrum,
+                       alpha=labeling_error(space, world))
 
 
 def spectral_embedding(staged: StagedGraph, k: int) -> np.ndarray:

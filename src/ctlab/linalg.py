@@ -50,14 +50,14 @@ class SymEigen:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip each column so its first non-negligible component is positive."""
-    # no (n, n) float temporary beside the result: peak memory stays that of a copy
+    """Flip each column, in place, so its first non-negligible component is positive."""
     col_max = np.maximum(vectors.max(axis=0), -vectors.min(axis=0))  # max |col|
     thresh = 1e-12 * np.maximum(1.0, col_max)
     first = np.argmax((vectors > thresh) | (vectors < -thresh), axis=0)
     lead = vectors[first, np.arange(vectors.shape[1])]
     # a column with no entry above its threshold has |lead| <= thresh: kept
-    return vectors * np.where(lead < -thresh, -1.0, 1.0)
+    vectors *= np.where(lead < -thresh, -1.0, 1.0)
+    return vectors
 
 
 def sym_eig(S) -> SymEigen:
@@ -71,10 +71,16 @@ def sym_eig(S) -> SymEigen:
     n, m = S.shape
     if n != m:
         raise LinalgError(f"sym_eig: matrix is {n}x{m}, not square")
-    scale = max(1.0, float(np.max(np.abs(S))))
-    if np.max(np.abs(S - S.T)) > _SYM_TOL * scale:
+    scale = max(1.0, float(S.max()), -float(S.min()))  # max(1, max |S|)
+    # one n x n buffer: S - S^T for the check (antisymmetric, so its max is
+    # its largest magnitude), then 0.5 * (S + S^T) for eigh
+    sym = np.subtract(S, S.T)
+    if float(sym.max()) > _SYM_TOL * scale:
         raise LinalgError("sym_eig: matrix is not symmetric within 1e-10")
-    values, vectors = np.linalg.eigh(0.5 * (S + S.T))
+    np.add(S, S.T, out=sym)
+    sym *= 0.5
+    values, vectors = np.linalg.eigh(sym)
+    del sym  # freed before _fix_signs' mask temporaries: peak memory stays that of eigh
     return SymEigen(values=values, vectors=_fix_signs(vectors))
 
 

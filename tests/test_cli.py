@@ -9,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import ctlab
 from ctlab import cli, config, graph, objectives, world
 from ctlab.cli import SWEEP_COLUMNS, emit_csv, emit_text, main
 from ctlab.config import load_config
@@ -190,6 +191,21 @@ class TestRunCommand:
         cli.compute_sweep(cfg, cli._stager(cfg, raw), threads=2)
         assert len(staged) == 1 + len(cfg.svd_sweep) == 5
 
+    @pytest.mark.parametrize(
+        "sets, spectra",
+        [([], 5), (["inflation.factor=8", "world.noise_scale=0.05"], 2)],
+    )
+    def test_each_graph_in_turn_is_eigendecomposed_once(self, monkeypatch, sets, spectra):
+        # inflated, the q = 1..4 worlds share one joint and so one spectrum; on
+        # reference the baseline and q = 4 share one too, but not in turn
+        cfg = load_config(REFERENCE, sets + ["train.loss=spectral"])  # staging ignores the loss
+        raw = world.generate_world(cfg.world)
+        staged = _count_calls(monkeypatch, graph.stage_graph)
+        spectrum = _count_calls(monkeypatch, graph.laplacian_spectrum)
+        cli.compute_sweep(cfg, cli._stager(cfg, raw))
+        assert len(staged) == 1 + len(cfg.svd_sweep) == 5
+        assert len(spectrum) == spectra
+
     def test_each_row_is_its_own_config(self, monkeypatch):
         # a k row changes train.k, a q row truncates keep_top_q at q; each names its k's key
         sets = ["svd.mode=discard_pair", "svd.pair_index=1", "svd.sweep=2", "train.k_sweep=5"]
@@ -224,7 +240,7 @@ class TestRunCommand:
         # more threads than cores ask for one world at once: one stages, all share it
         calls = []
 
-        def slow_stage_graph(world, transforms):
+        def slow_stage_graph(world, transforms, memo):
             calls.append(None)
             time.sleep(0.01)
             return object()
@@ -510,3 +526,38 @@ class TestErrors:
     def test_unknown_command_rejected(self, small_cfg):
         with pytest.raises(SystemExit):
             main(["fly", "--config", small_cfg])
+
+
+class TestBlasThreads:
+    BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    @pytest.mark.parametrize(
+        "preset, want",
+        [
+            ({}, "OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1"),
+            ({"OPENBLAS_NUM_THREADS": "3"}, "OPENBLAS_NUM_THREADS=3 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1"),
+        ],
+    )
+    def test_unset_blas_threads_are_pinned_to_one(self, preset, want):
+        # the package sets them before the CLI module loads numpy; a set one is kept
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = {k: v for k, v in os.environ.items() if k not in self.BLAS_VARS}
+        code = (
+            "import os, sys, ctlab\n"
+            "assert 'numpy' not in sys.modules\n"
+            "import ctlab.cli\n"
+            f"print(' '.join(f'{{v}}={{os.environ[v]}}' for v in {self.BLAS_VARS!r}))\n"
+            "print(ctlab.BLAS_THREADS)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env={**env, **preset, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{want}\n{want}\n"
+
+    def test_manifest_records_the_blas_threads(self, tmp_path):
+        manifest = tmp_path / "manifest.txt"
+        cli._write_manifest(load_config(REFERENCE), manifest)
+        head = manifest.read_text().split("\n", 1)[0]
+        assert head == f"ctlab {ctlab.__version__} ({ctlab.BLAS_THREADS})"

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ctlab import graph
-from ctlab.graph import connected_components, spectral_embedding, stage_graph
+from ctlab.graph import connected_components, laplacian_spectrum, spectral_embedding, stage_graph
 from ctlab.linalg import sym_eig
 from ctlab.svd import TruncationSpec
 from ctlab.world import (
@@ -90,10 +90,20 @@ class TestStageGraph:
         assert np.all(A >= 0.0)
 
     def test_laplacian_symmetric(self, monkeypatch):
-        # exactly, so sym_eig's own symmetrization is the only one it needs
+        # exactly on this world; a joint is symmetric only to rounding in general
+        # (72 cells of the CLI's reference world), which sym_eig symmetrizes away
         _G, L = reference_laplacian(monkeypatch)
         assert np.array_equal(L, L.T)
 
+
+@pytest.mark.parametrize("which", ["reference", "inflated8"])
+def test_laplacian_has_the_bits_of_the_plain_formula(monkeypatch, which):
+    seen = []
+    monkeypatch.setattr(graph, "sym_eig", lambda S: seen.append(S.copy()) or sym_eig(S))
+    staged = stage_graph(*oracle_world(which))
+    inv_sqrt = 1.0 / np.sqrt(staged.degrees)
+    want = np.eye(staged.space.n) - staged.space.joint * np.outer(inv_sqrt, inv_sqrt)
+    assert seen[0].tobytes() == want.tobytes()
 
 @pytest.mark.parametrize("which", ["reference", 1, 2, 3, 4, "inflated8"])
 def test_staged_graph_matches_dense_graph_bit_for_bit(which):
@@ -109,6 +119,73 @@ def test_staged_graph_matches_dense_graph_bit_for_bit(which):
     for k in range(1, 9):
         assert np.array_equal(spectral_embedding(staged, k), dense_spectral_embedding(G, spec, k))
     assert staged.alpha == labeling_error(space, world) == enumerated_labeling_error(space, world)
+
+
+def inflated_world(q):
+    """(world, transforms): the 8x inflated noisy world truncated at keep_top_q q."""
+    noisy = generate_world(replace(reference_spec(), noise_scale=0.05))
+    inflated = inflate(noisy, 8, seed=6)
+    return preprocess_world(inflated, TruncationSpec(mode="keep_top_q", q=q)), reference_transforms(noisy)
+
+
+class TestSpectrumMemo:
+    """stage_graph(world, transforms, memo) reuses the last spectrum for an equal joint only."""
+
+    def test_equal_joint_reuses_the_spectrum_bit_for_bit(self):
+        # the inflated q = 1 and q = 2 worlds have one joint; only their labels differ
+        memo = {}
+        first = stage_graph(*inflated_world(1), memo)
+        reused = stage_graph(*inflated_world(2), memo)
+        fresh = stage_graph(*inflated_world(2))
+        assert reused.spectrum is first.spectrum and reused.degrees is first.degrees
+        assert reused.alpha != first.alpha and reused.alpha == fresh.alpha
+        for got, want in [
+            (reused.degrees, fresh.degrees),
+            (reused.spectrum.values, fresh.spectrum.values),
+            (reused.spectrum.vectors, fresh.spectrum.vectors),
+        ]:
+            assert got.tobytes() == want.tobytes()
+
+    def test_a_different_joint_is_eigendecomposed(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            graph, "laplacian_spectrum", lambda A, d: calls.append(None) or laplacian_spectrum(A, d)
+        )
+        w = reference_world()
+        transforms = reference_transforms(w)
+        memo = {}
+        base = stage_graph(w, transforms, memo)
+        q3 = stage_graph(preprocess_world(w, TruncationSpec(mode="keep_top_q", q=3)), transforms, memo)
+        assert len(calls) == 2
+        assert memo["spectrum"] is q3.spectrum and q3.spectrum is not base.spectrum
+
+    def test_same_support_other_weights_is_eigendecomposed(self):
+        # the support cells agree, their weights do not
+        toy, memo = toy_world(), {}
+        uniform = stage_graph(toy, toy_transforms(), memo)
+        skewed = replace(toy, weights=np.array([0.25, 0.75]))
+        got = stage_graph(skewed, toy_transforms(), memo)
+        assert np.array_equal(got.space.support[0], uniform.space.support[0])
+        assert np.array_equal(got.space.support[1], uniform.space.support[1])
+        assert got.spectrum is not uniform.spectrum
+        want = stage_graph(skewed, toy_transforms()).spectrum
+        assert got.spectrum.values.tobytes() == want.values.tobytes()
+        assert got.spectrum.vectors.tobytes() == want.vectors.tobytes()
+
+    def test_an_extra_massless_node_is_not_a_hit(self, monkeypatch):
+        # one more node with no mass leaves the support triple as it was
+        memo = {}
+        stage_graph(toy_world(), toy_transforms(), memo)
+        space = build_augmented_space(toy_world(), toy_transforms())
+        padded = replace(
+            space,
+            payloads=np.concatenate([space.payloads, space.payloads[:1] + 1.0]),
+            joint=np.pad(space.joint, ((0, 1), (0, 1))),
+        )
+        assert all(np.array_equal(a, b) for a, b in zip(padded.support, memo["support"]))
+        monkeypatch.setattr(graph, "build_augmented_space", lambda *_: padded)
+        with pytest.raises(ValueError, match="a node carries no probability mass"):
+            stage_graph(toy_world(), toy_transforms(), memo)
 
 
 class TestSpectrum:

@@ -80,7 +80,7 @@ class TestSymEig:
                         break
             return out
 
-        assert _fix_signs(V).tobytes() == column_loop(V).tobytes()
+        assert _fix_signs(V.copy()).tobytes() == column_loop(V).tobytes()
 
     def test_rejects_asymmetric(self):
         with pytest.raises(LinalgError):
@@ -102,6 +102,18 @@ class TestSymEig:
         assert np.allclose(R, S, atol=1e-9 * max(1.0, np.abs(S).max()))
         assert np.allclose(eig.vectors.T @ eig.vectors, np.eye(n), atol=1e-10)
 
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=10**6))
+    def test_bits_of_the_plain_symmetrization(self, n, seed):
+        # S is symmetric only to rounding, as a positive-pair joint is
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(n, n))
+        S = A + A.T + 1e-13 * rng.normal(size=(n, n))
+        values, vectors = np.linalg.eigh(0.5 * (S + S.T))
+        eig = sym_eig(S)
+        assert eig.values.tobytes() == values.tobytes()
+        assert eig.vectors.tobytes() == _fix_signs(vectors).tobytes()
 
 class TestOrthonormalize:
     def test_full_rank(self):
