@@ -17,7 +17,6 @@ import numpy as np
 from .graph import StagedGraph
 from .objectives import (
     Embedding,
-    LinearHead,
     McConfig,
     ce_risk,
     classification_error,
@@ -61,18 +60,18 @@ class BoundReport:
 # measured terms
 
 
-def variance_terms(f: Embedding, space: AugmentedSpace):
+def variance_terms(f: Embedding, space: AugmentedSpace, mu: np.ndarray):
     """Intra-class variance terms (V, V_minus, V_neg) by exact enumeration over the pair joint.
 
+    mu is f's mean head, mean_head(f, space): column c is the class mean mu_c.
     V averages ||f(x) - mu_{y_x}||^2 over label-consistent pairs, V_minus
     averages ||f(x+) - mu_{y_x}||^2 over label-violating pairs.  V_neg is an
     equal-weight mixture of the same-class positive branch and the marginal
     negative branch, each deviation taken from the class mean of the point
     itself.  V_minus is None when the false-positive set has zero mass.
     """
-    head = mean_head(f, space)
     F = f.table
-    mu_of = head.W.T[space.labels]  # (n, k) class mean per node
+    mu_of = mu.T[space.labels]  # (n, k) class mean per node
     dev = np.sum((F - mu_of) ** 2, axis=1)  # ||f(x) - mu_{y_x}||^2 per node
     mask_plus = space.positive_mask()
     w_plus = np.where(mask_plus, space.joint, 0.0)
@@ -85,7 +84,7 @@ def variance_terms(f: Embedding, space: AugmentedSpace):
     if mass_minus > 0.0:
         # deviation of the positive view from the anchor's class mean:
         # dev_class[c, j] = ||f(j) - mu_c||^2, row picked by the anchor label
-        dev_class = np.stack([np.sum((F - mu) ** 2, axis=1) for mu in head.W.T])
+        dev_class = np.stack([np.sum((F - mu_c) ** 2, axis=1) for mu_c in mu.T])
         V_minus = float(np.sum(w_minus * dev_class[space.labels])) / mass_minus
     else:
         V_minus = None
@@ -186,17 +185,18 @@ def measure_sandwich(
     """
     f.check()
     nce, nce_se, exact = infonce_population(f, space, M, cfg)
+    mu = mean_head(f, space)
     V = V_minus = V_neg = envelope = None
     if f.normalized:
         lse_mean, lse_std = lse_approx_error(f, space, M, cfg.replicates, cfg.seed)
         envelope = lse_mean + 3.0 * lse_std + 3.0 * nce_se
-        V, V_minus, V_neg = variance_terms(f, space)
+        V, V_minus, V_neg = variance_terms(f, space, mu)
     eps_min, eps_max = alignment_eps(f, space)
     return SandwichTerms(
         M=M,
         K=space.K,
         normalized=f.normalized,
-        ce_mean=ce_risk(f, mean_head(f, space), space),
+        ce_mean=ce_risk(f, mu, space),
         infonce=nce,
         infonce_std_error=nce_se,
         infonce_exact=exact,
@@ -298,11 +298,11 @@ def theorem3_check(t: SandwichTerms) -> BoundReport:
 _ZERO_HEAD = "optimization-inadequate: zero head, verdict withheld"
 
 
-def theorem4_check(staged: StagedGraph, spectral: Embedding, head: LinearHead) -> BoundReport:
+def theorem4_check(staged: StagedGraph, spectral: Embedding, head: np.ndarray) -> BoundReport:
     """Downstream error of the spectral embedding against 4a/l_{k+1} + 8a.
 
     spectral is the closed-form table spectral_embedding(staged, k) with
-    k = spectral.k, and head the linear head fitted on it.  Reads the exact
+    k = spectral.k, and head the (k, K) linear head fitted on it.  Reads the exact
     labeling error alpha and the Laplacian eigenvalues at levels k and k+1
     off the staged graph, scores spectral with head, and checks the achieved
     error against the bound.  Bounds >= 1
@@ -312,19 +312,20 @@ def theorem4_check(staged: StagedGraph, spectral: Embedding, head: LinearHead) -
     space, alpha, k = staged.space, staged.alpha, spectral.k
     if not (1 <= k <= space.n):
         raise ValueError(f"theorem4_check: k={k} out of range [1, {space.n}]")
-    if head.W.shape != (k, space.K):
+    if head.shape != (k, space.K):
         raise ValueError(
-            f"theorem4_check: head shape {head.W.shape} is not (k, K) = ({k}, {space.K})"
+            f"theorem4_check: head shape {head.shape} is not (k, K) = ({k}, {space.K})"
         )
     lam_k, lam_k1 = staged.levels(k)
     err = classification_error(spectral, head, space)
+    frob_norm = float(np.linalg.norm(head))
     norm_budget = 1.0 / (1.0 - lam_k) if lam_k < 1.0 else None
     if lam_k1 is None or lam_k1 <= 1e-12:
         bound, slack, note = None, 0.0, "lambda_{k+1} undefined or zero: bound undefined"
     else:
         bound = 4.0 * alpha / lam_k1 + 8.0 * alpha
         slack, note = float(bound - err), "bound >= 1" if bound >= 1.0 else ""
-    if not np.any(head.W):
+    if not np.any(head):
         note = _ZERO_HEAD
     return BoundReport(
         theorem="theorem4",
@@ -337,10 +338,10 @@ def theorem4_check(staged: StagedGraph, spectral: Embedding, head: LinearHead) -
             "lambda_k1_q": lam_k1,
             "k": k,
             "probe_error": err,
-            "head_frob_norm": head.frob_norm,
+            "head_frob_norm": frob_norm,
             "norm_budget": norm_budget,
             "norm_within_budget": (
-                None if norm_budget is None else bool(head.frob_norm <= norm_budget + 1e-9)
+                None if norm_budget is None else bool(frob_norm <= norm_budget + 1e-9)
             ),
             "bound": bound,
         },
@@ -352,10 +353,11 @@ def theorem4_check(staged: StagedGraph, spectral: Embedding, head: LinearHead) -
 # corollaries (linear head replaces the mean head on the upper side)
 
 
-def corollary_reports(t: SandwichTerms, head: LinearHead, ce_linear: float) -> list:
+def corollary_reports(t: SandwichTerms, head: np.ndarray, ce_linear: float, sandwich) -> list:
     """Upper sides of the sandwiches with the fitted linear head's CE risk.
 
-    ce_linear is the CE risk of head on the space t was measured on.  Valid
+    ce_linear is the CE risk of the (k, K) head on the space t was measured
+    on, and sandwich the pair (theorem1_check(t), theorem3_check(t)).  Valid
     because the fitted head cannot do worse than the mean head by more than
     the optimization tolerance; that inequality is checked too.  An
     all-zero head signals an inadequate probe and the verdict is withheld
@@ -363,11 +365,11 @@ def corollary_reports(t: SandwichTerms, head: LinearHead, ce_linear: float) -> l
     """
     if not t.normalized:
         raise ValueError("corollary_reports: embedding must be normalized")
-    zero_head = not np.any(head.W)
+    zero_head = not np.any(head)
     head_ok = ce_linear <= t.ce_mean + 1e-3
     gap_linear = ce_linear - t.infonce
     reports = []
-    for base in (theorem1_check(t), theorem3_check(t)):
+    for base in sandwich:
         up_margin = base.terms["upper"] - gap_linear
         terms = {**base.terms, "ce_linear": ce_linear, "gap_linear": gap_linear,
                  "head_vs_mean_ok": head_ok}

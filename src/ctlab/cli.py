@@ -157,18 +157,16 @@ def _row(cfg: RunConfig, stage, row_key, k_key):
     head = heads[0]
     terms = measure_sandwich(f, space, cfg.train_M, cfg.mc_config(seed))
     ce_linear = ce_risk(f, head, space)
-    reports = []
-    if "t1" in cfg.bounds_which and f.normalized:
-        reports.append(theorem1_check(terms))
-    if "t3" in cfg.bounds_which and f.normalized:
-        reports.append(theorem3_check(terms))
+    # the sandwich checks refuse an unnormalized embedding; the corollaries reuse them
+    sandwich = (theorem1_check(terms), theorem3_check(terms)) if f.normalized else ()
+    reports = [rep for rep, key in zip(sandwich, ("t1", "t3")) if key in cfg.bounds_which]
     bound_t4 = None
     if "t4" in cfg.bounds_which:
         t4 = theorem4_check(staged, spectral, heads[1])
         reports.append(t4)
         bound_t4 = t4.terms["bound"]
     if "corollaries" in cfg.bounds_which and f.normalized:
-        reports.extend(corollary_reports(terms, head, ce_linear))
+        reports.extend(corollary_reports(terms, head, ce_linear, sandwich))
 
     row = {
         "q": cfg.svd_q if cfg.svd_mode == "keep_top_q" else None,
@@ -198,7 +196,7 @@ def compute_sweep(cfg: RunConfig, stage, threads=1):
     `stage`, `_stager(cfg, raw_world)`.  The rows of one world run in turn, so
     each world is staged once at `threads` = 1.
     Returns {table name: [(row, reports), ...]}: "baseline" always, then
-    "sweep_q" (the baseline row with q blank, then the q rows) and "sweep_k"
+    "sweep_q" (the baseline row, unchanged, then the q rows) and "sweep_k"
     (the k rows) when configured. `train`, `probe` and `bounds` run "baseline" alone.
     """
     plan = [(cfg, "baseline", "train.k")]
@@ -216,10 +214,10 @@ def compute_sweep(cfg: RunConfig, stage, threads=1):
             results = list(pool.map(row, *zip(*plan)))
     else:  # in the main thread: a worker's own malloc arena costs ~3% peak RSS
         results = [row(*p) for p in plan]
-    (base_row, base_reports), n_k = results[0], len(cfg.train_k_sweep)
+    n_k = len(cfg.train_k_sweep)
     tables = {"baseline": results[:1]}
     if cfg.svd_sweep:
-        tables["sweep_q"] = [({**base_row, "q": None}, base_reports)] + results[1 + n_k:]
+        tables["sweep_q"] = results[:1] + results[1 + n_k:]
     if cfg.train_k_sweep:
         tables["sweep_k"] = results[1 : 1 + n_k]
     return tables
@@ -335,7 +333,7 @@ def cmd_probe(cfg, out_dir, threads, allow_violations):
     with open(os.path.join(out_dir, "probe.txt"), "w", newline="\n") as fh:
         for col in ("probe_error", "ce_linear", "ce_mean"):
             fh.write(f"{col} = {row[col]!r}\n")
-        fh.write(f"head_frob_norm = {head.frob_norm!r}\n")
+        fh.write(f"head_frob_norm = {float(np.linalg.norm(head))!r}\n")
     print(f"probe_error = {row['probe_error']!r}")
     return 0
 

@@ -70,10 +70,10 @@ _TABLE = {
     },
     "bounds": {
         "which": ("bounds_which", "choices", _CHECKS, _CHECKS),
-        "mc_samples": ("mc_samples", "int", McConfig.samples, ">= 1"),
+        "mc_samples": ("mc_samples", "int", McConfig.samples, ">= 2"),
         "mc_replicates": ("mc_replicates", "int", McConfig.replicates, ">= 2"),
         "n_max": ("mc_n_max", "int", McConfig.n_max, ">= 1"),
-        "m_max": ("mc_m_max", "int", McConfig.m_max, ">= 1"),
+        "m_max": ("mc_m_max", "int", McConfig.m_max, ">= 1, <= 2"),
     },
     "inflation": {"factor": ("inflation_factor", "int", 1, ">= 1")},
     "output": {

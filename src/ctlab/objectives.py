@@ -19,7 +19,6 @@ from .world import AugmentedSpace
 __all__ = [
     "DivergenceError",
     "Embedding",
-    "LinearHead",
     "McConfig",
     "infonce_population",
     "spectral_loss",
@@ -45,15 +44,6 @@ class Embedding:
             norms = np.linalg.norm(self.table, axis=1)
             if np.max(np.abs(norms - 1.0)) > 1e-10:
                 raise ValueError("embedding flagged normalized but rows are not unit")
-
-
-@dataclass(frozen=True)
-class LinearHead:
-    W: np.ndarray  # (k, K)
-
-    @property
-    def frob_norm(self) -> float:
-        return float(np.linalg.norm(self.W))
 
 
 class DivergenceError(RuntimeError):
@@ -147,7 +137,7 @@ def _exact_infonce(space: AugmentedSpace, M: int):
         N = np.empty((n, n))
         Z = np.empty((int(np.diff(starts).max()), n, n))
         L = np.empty_like(Z)
-    else:  # pragma: no cover - m_max guards this
+    else:  # pragma: no cover - the config bound bounds.m_max <= 2 guards this
         raise ValueError("exact enumeration supports M <= 2")
 
     def engine(sims: np.ndarray, coef=False):
@@ -406,8 +396,8 @@ def train_free_embeddings(
 # heads and downstream risks
 
 
-def mean_head(f: Embedding, space: AugmentedSpace) -> LinearHead:
-    """The head whose columns are the class means under the augmented marginal."""
+def mean_head(f: Embedding, space: AugmentedSpace) -> np.ndarray:
+    """The (k, K) head whose columns are the class means under the augmented marginal."""
     W = np.zeros((f.k, space.K))
     for c in range(space.K):
         sel = space.labels == c
@@ -415,12 +405,12 @@ def mean_head(f: Embedding, space: AugmentedSpace) -> LinearHead:
         if mass <= 0.0:
             raise ValueError(f"mean_head: class {c} has zero marginal mass")
         W[:, c] = space.marginal[sel] @ f.table[sel] / mass
-    return LinearHead(W=W)
+    return W
 
 
-def ce_risk(f: Embedding, head: LinearHead, space: AugmentedSpace) -> float:
-    """Cross-entropy risk under the augmented marginal, exact enumeration."""
-    logits = f.table @ head.W
+def ce_risk(f: Embedding, W: np.ndarray, space: AugmentedSpace) -> float:
+    """Cross-entropy risk of head W under the augmented marginal, exact enumeration."""
+    logits = f.table @ W
     mx = logits.max(axis=1, keepdims=True)
     log_z = mx[:, 0] + np.log(np.sum(np.exp(logits - mx), axis=1))
     log_p = logits[np.arange(space.n), space.labels] - log_z
@@ -433,7 +423,7 @@ def fit_linear_head(
     steps: int,
     step_size: float,
     l2: float = 0.0,
-) -> list[LinearHead]:
+) -> list[np.ndarray]:
     """Gradient descent on the CE risk plus l2 ||W||^2 / 2, from W = 0, per table.
 
     The tables are same-shape (n, k) embeddings of one space.  Their heads
@@ -470,15 +460,15 @@ def fit_linear_head(
             if l2:
                 np.multiply(WT, decay, out=WT)
             np.subtract(WT, G, out=WT)
-        heads = [LinearHead(W=np.ascontiguousarray(w.T)) for w in WT]
+        heads = [np.ascontiguousarray(w.T) for w in WT]
         # the norm t4 reports overflows before W does
-        finite = all(np.isfinite(h.frob_norm) for h in heads)
+        finite = all(np.isfinite(np.linalg.norm(W)) for W in heads)
     if not finite:
         raise DivergenceError("fit_linear_head: diverged (NaN/Inf in W or its norm)")
     return heads
 
 
-def classification_error(f: Embedding, head: LinearHead, space: AugmentedSpace) -> float:
-    """Marginal-weighted top-1 error; argmax ties break to the smallest index."""
-    preds = np.argmax(f.table @ head.W, axis=1)
+def classification_error(f: Embedding, W: np.ndarray, space: AugmentedSpace) -> float:
+    """Marginal-weighted top-1 error of head W; argmax ties break to the smallest index."""
+    preds = np.argmax(f.table @ W, axis=1)
     return float(space.marginal @ (preds != space.labels))

@@ -12,8 +12,8 @@ space is a small dyadic rational, so adjacency, spectrum, labeling error,
 and bound values are all checkable by hand.
 
 The reference world is a 3-class planted world (semantic rank 3, one
-wrong-class nuisance direction per original) with four groups of
-transforms:
+wrong-class nuisance direction per original) with the transforms of
+configs/reference.ini, in four groups:
 
   * identity;
   * flip patterns rho*(T_w - T_c): harmless on clean payloads (rho < 1/2)
@@ -31,19 +31,21 @@ transforms:
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
 from ctlab.bounds import theorem4_check
-from ctlab.config import _TABLE
+from ctlab.config import _TABLE, load_config, make_transforms
 from ctlab.graph import spectral_embedding
 from ctlab.linalg import SymEigen, as_matrix, gaussian_matrix, orthonormalize, sym_eig
 from ctlab.objectives import Embedding, fit_linear_head
 from ctlab.svd import SvdFactors, TruncationSpec, svd_full, svd_truncate
-from ctlab.world import Transform, World, WorldSpec, build_transform, generate_world
+from ctlab.world import Transform, World, WorldSpec, generate_world
 
 RHO = 0.35  # flip-pattern strength; < 1/2 so clean payloads never flip
+REFERENCE_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "reference.ini")
 
 
 # ---------------------------------------------------------------------------
@@ -104,27 +106,9 @@ def reference_world(seed: int = 11) -> World:
     return generate_world(reference_spec(seed))
 
 
-def reference_transforms(
-    world: World,
-    rho: float = RHO,
-    p_flip: float = 0.12,
-    p_bridge: float = 0.04,
-    p_sibling: float = 0.06,
-):
-    """Transform family for the reference world; probabilities must leave
-    room for the identity, which absorbs the remainder."""
-    K = world.spec.K
-    total = K * (p_flip + p_bridge + p_sibling)
-    p_id = 1.0 - total
-    if p_id <= 0.0:
-        raise ValueError("reference_transforms: probabilities exceed 1")
-    descriptors = [("identity", "identity", (), p_id)]
-    for c in range(K):
-        w = (c + 1) % K
-        descriptors.append((f"flip_{c}{w}", "flip", (c, w), p_flip))
-        descriptors.append((f"bridge_{c}{w}", "bridge", (c, w), p_bridge))
-    descriptors += [(f"sibling_{c}", "sibling", (c,), p_sibling) for c in range(K)]
-    return [build_transform(world, *d, rho) for d in descriptors]
+def reference_transforms(world: World, rho: float = RHO):
+    """The transforms `ctlab` builds for world from configs/reference.ini, at strength rho."""
+    return make_transforms(replace(load_config(REFERENCE_CONFIG), rho=rho), world)
 
 
 # ---------------------------------------------------------------------------

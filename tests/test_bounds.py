@@ -22,7 +22,6 @@ from ctlab.cli import main
 from ctlab.graph import spectral_embedding, stage_graph
 from ctlab.objectives import (
     Embedding,
-    LinearHead,
     McConfig,
     ce_risk,
     fit_linear_head,
@@ -97,7 +96,7 @@ def all_sandwich_terms(f, space, M, cfg=McConfig()):
     """Every sandwich term measured, whatever the embedding's normalization."""
     nce, nce_se, exact = infonce_population(f, space, M, cfg)
     lse_mean, lse_std = lse_approx_error(f, space, M, cfg.replicates, cfg.seed)
-    V, V_minus, V_neg = variance_terms(f, space)
+    V, V_minus, V_neg = variance_terms(f, space, mean_head(f, space))
     eps_min, eps_max = alignment_eps_of_joint(f, space)
     return dict(
         ce_mean=ce_risk(f, mean_head(f, space), space),
@@ -132,9 +131,9 @@ class UnreadTerms(SandwichTerms):
 
 def cube_variance_terms(f, space):
     """Variance terms with V_minus from the (n, n, k) anchor-by-positive cube."""
-    head = mean_head(f, space)
+    mu = mean_head(f, space)
     F = f.table
-    mu_of = head.W.T[space.labels]
+    mu_of = mu.T[space.labels]
     dev = np.sum((F - mu_of) ** 2, axis=1)
     mask_plus = space.positive_mask()
     w_plus = np.where(mask_plus, space.joint, 0.0)
@@ -241,14 +240,16 @@ def _recompute(theorem, t):
 class TestVarianceTerms:
     def test_constant_embedding_vanishes(self):
         space = toy_space()
-        V, V_minus, V_neg = variance_terms(constant_embedding(space.n), space)
+        f = constant_embedding(space.n)
+        V, V_minus, V_neg = variance_terms(f, space, mean_head(f, space))
         assert V == 0.0
         assert V_minus == 0.0
         assert V_neg == 0.0
 
     def test_no_false_positives_drops_v_minus(self):
         space = identity_only_space()
-        _V, V_minus, _V_neg = variance_terms(random_embedding(space.n, 3, seed=1), space)
+        f = random_embedding(space.n, 3, seed=1)
+        _V, V_minus, _V_neg = variance_terms(f, space, mean_head(f, space))
         assert V_minus is None
 
     def test_brute_force_oracle(self):
@@ -256,8 +257,8 @@ class TestVarianceTerms:
         f = random_embedding(space.n, 3, seed=8)
         F = f.table
         head = mean_head(f, space)
-        mu = head.W.T[space.labels]
-        V, V_minus, _V_neg = variance_terms(f, space)
+        mu = head.T[space.labels]
+        V, V_minus, _V_neg = variance_terms(f, space, head)
         v_num = vm_num = v_mass = vm_mass = 0.0
         for x in range(space.n):
             for y in range(space.n):
@@ -280,7 +281,8 @@ class TestVarianceTerms:
             for seed in range(4):
                 for k in (1, 3, 8):
                     f = random_embedding(space.n, k, seed=seed, normalized=normalized)
-                    assert variance_terms(f, space) == cube_variance_terms(f, space)
+                    want = cube_variance_terms(f, space)
+                    assert variance_terms(f, space, mean_head(f, space)) == want
 
 
 class TestLseApproxError:
@@ -455,12 +457,11 @@ class TestSandwich:
     def test_checks_refuse_unnormalized_terms_before_reading_any(self):
         terms = {f.name: None for f in fields(SandwichTerms)}
         t = UnreadTerms(**{**terms, "normalized": False})
-        head = LinearHead(W=np.ones((3, 2)))
         calls = [
             ("theorem1_check", lambda: theorem1_check(t)),
             ("theorem3_check", lambda: theorem3_check(t)),
-            ("corollary_reports", lambda: corollary_reports(t, head, 0.5)),
-            ("corollary_reports", lambda: corollary_reports(t, LinearHead(W=np.zeros((3, 2))), 0.5)),
+            ("corollary_reports", lambda: corollary_reports(t, np.ones((3, 2)), 0.5, ())),
+            ("corollary_reports", lambda: corollary_reports(t, np.zeros((3, 2)), 0.5, ())),
         ]
         for name, call in calls:
             with pytest.raises(ValueError, match=f"^{name}: embedding must be normalized$"):
@@ -540,7 +541,7 @@ class TestDownstreamBound:
         staged = stage_graph(wq, reference_transforms(w))
         spectral = Embedding(spectral_embedding(staged, 3), False)
         fitted = theorem4_at_probe_defaults(staged, k=3)
-        zero = theorem4_check(staged, spectral, LinearHead(W=np.zeros((3, 3))))
+        zero = theorem4_check(staged, spectral, np.zeros((3, 3)))
         t = zero.terms
         assert zero.verdict == "holds_vacuously"
         assert zero.note == "optimization-inadequate: zero head, verdict withheld"
@@ -555,7 +556,7 @@ class TestDownstreamBound:
             assert _recompute("theorem4", rep.terms) == (rep.verdict, rep.slack)
 
     def test_k_validated(self):
-        head = LinearHead(W=np.zeros((2, 2)))
+        head = np.zeros((2, 2))
         staged = stage_graph(toy_world(), toy_transforms())
         with pytest.raises(ValueError):
             theorem4_check(staged, Embedding(np.zeros((staged.space.n, 0)), False), head)
@@ -567,17 +568,20 @@ class TestDownstreamBound:
         staged = stage_graph(toy_world(), toy_transforms())
         with pytest.raises(ValueError, match=r"head shape \(1, 2\) is not \(k, K\) = \(2, 2\)"):
             spectral = Embedding(spectral_embedding(staged, 2), False)
-            theorem4_check(staged, spectral, LinearHead(W=np.zeros((1, 2))))
+            theorem4_check(staged, spectral, np.zeros((1, 2)))
+
+
+def sandwich_of(t):
+    return theorem1_check(t), theorem3_check(t)
 
 
 class TestCorollaries:
     def test_zero_head_withheld(self):
         space = toy_space()
         f = random_embedding(space.n, 3, seed=1)
-        head = LinearHead(W=np.zeros((3, 2)))
-        reports = corollary_reports(
-            measure_sandwich(f, space, 1, McConfig()), head, ce_risk(f, head, space)
-        )
+        head = np.zeros((3, 2))
+        t = measure_sandwich(f, space, 1, McConfig())
+        reports = corollary_reports(t, head, ce_risk(f, head, space), sandwich_of(t))
         assert len(reports) == 2
         for rep in reports:
             assert rep.verdict == "holds_vacuously"
@@ -587,9 +591,8 @@ class TestCorollaries:
         space = toy_space()
         f = random_embedding(space.n, 3, seed=6)
         (head,) = fit_linear_head([f], space, steps=300, step_size=2.0)
-        reports = corollary_reports(
-            measure_sandwich(f, space, 1, McConfig()), head, ce_risk(f, head, space)
-        )
+        t = measure_sandwich(f, space, 1, McConfig())
+        reports = corollary_reports(t, head, ce_risk(f, head, space), sandwich_of(t))
         assert [r.theorem for r in reports] == [
             "corollary_theorem1",
             "corollary_theorem3",
@@ -598,6 +601,18 @@ class TestCorollaries:
             assert rep.verdict == "holds", rep
             assert rep.terms["head_vs_mean_ok"]
             assert rep.terms["ce_linear"] <= rep.terms["ce_mean"] + 1e-3
+
+    def test_builds_on_the_sandwich_reports_given(self, monkeypatch):
+        space = toy_space()
+        f = random_embedding(space.n, 3, seed=6)
+        (head,) = fit_linear_head([f], space, steps=300, step_size=2.0)
+        t = measure_sandwich(f, space, 1, McConfig())
+        sandwich = sandwich_of(t)
+        for name in ("theorem1_check", "theorem3_check"):
+            monkeypatch.setattr(bounds, name, _fail(name))
+        reports = corollary_reports(t, head, ce_risk(f, head, space), sandwich)
+        for rep, base in zip(reports, sandwich):
+            assert rep.terms.items() >= base.terms.items()
 
 
 class TestReportText:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ctlab
-from ctlab import cli, config, graph, objectives, world
+from ctlab import bounds, cli, config, graph, objectives, world
 from ctlab.cli import SWEEP_COLUMNS, emit_csv, emit_text, main
 from ctlab.config import load_config
 from ctlab.graph import spectral_embedding
@@ -108,6 +108,16 @@ class TestRunCommand:
         for r in q_rows + k_rows:
             assert "theorem4=" in r["verdicts"]
             assert r["seed"]
+
+    def test_sweep_q_head_row_is_the_truncated_baseline(self, small_cfg, tmp_path):
+        # a truncated baseline keeps its q at the head of sweep_q, as in baseline.csv
+        out = str(tmp_path / "art")
+        sets = ["--set", "svd.mode=keep_top_q", "--set", "svd.q=2"]
+        assert main(["run", "--config", small_cfg, "--out", out] + sets) == 0
+        _, (base,) = parse_csv(os.path.join(out, "baseline.csv"))
+        _, q_rows = parse_csv(os.path.join(out, "sweep_q.csv"))
+        assert q_rows[0] == base and base["q"] == "2"
+        assert [r["q"] for r in q_rows] == ["2", "1", "2", "3"]
 
     def test_no_violations_in_small_run(self, small_cfg, tmp_path):
         out = str(tmp_path / "art")
@@ -274,6 +284,21 @@ class TestRunCommand:
         assert len(rows) == 1 + 3 + 2
         assert len(probes) == len(rows)
 
+    @pytest.mark.parametrize("which", ["t1, t3, t4, corollaries", "t1, corollaries", "t3"])
+    def test_one_mean_head_and_sandwich_per_row(self, small_cfg, tmp_path, monkeypatch, which):
+        # the corollaries reuse the row's t1 and t3 reports, and variance_terms
+        # the mean head measure_sandwich built for ce_mean
+        rows = _count_calls(monkeypatch, cli.compute_row)
+        counts = [_count_calls(monkeypatch, fn) for fn in
+                  (objectives.mean_head, bounds.theorem1_check, bounds.theorem3_check)]
+        argv = ["run", "--config", small_cfg, "--out", str(tmp_path / "art")]
+        assert main(argv + ["--set", f"bounds.which={which}"]) == 0
+        assert [len(c) for c in counts] == [len(rows)] * 3
+        text = (tmp_path / "art" / "bounds.txt").read_text()
+        checks = [w.strip() for w in which.split(",")]
+        assert ("t1" in checks) == ("theorem = theorem1\n" in text)
+        assert ("t3" in checks) == ("theorem = theorem3\n" in text)
+
     def test_t4_head_is_the_spectral_table_fitted_alone(self, small_cfg):
         cfg = load_config(small_cfg)
         raw = world.generate_world(cfg.world)
@@ -287,7 +312,7 @@ class TestRunCommand:
             [f], staged.space, cfg.probe_steps, cfg.probe_step_size, cfg.probe_l2
         )
         assert t4.terms["probe_error"] == objectives.classification_error(f, alone, staged.space)
-        assert t4.terms["head_frob_norm"] == alone.frob_norm
+        assert t4.terms["head_frob_norm"] == float(np.linalg.norm(alone))
 
     def test_set_override(self, small_cfg, tmp_path):
         out = str(tmp_path / "art")
@@ -482,6 +507,18 @@ class TestErrors:
         # a config error names its key, a floating-point or divergence error the
         # command and any row
         assert key in err or f"ctlab {command}: " in err, err
+
+    @pytest.mark.parametrize("command, sets, error", [
+        # the exact engine enumerates at most M = 2 negatives
+        ("train", ["train.m=3", "bounds.m_max=3"], "bounds.m_max: must be <= 2, got 3"),
+        # one Monte Carlo sample has no standard error
+        ("bounds", ["bounds.mc_samples=1", "bounds.n_max=10"],
+         "bounds.mc_samples: must be >= 2, got 1"),
+    ])
+    def test_engine_limits_exit_2_naming_their_key(self, tmp_path, capsys, command, sets, error):
+        argv = [command, "--config", REFERENCE, "--out", str(tmp_path / "o")]
+        assert main(argv + [arg for s in sets for arg in ("--set", s)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
 
     @pytest.mark.parametrize("command", ["run", "graph"])
     def test_keep_top_q_without_q_exits_2_naming_svd_q(self, tmp_path, capsys, command):

@@ -42,11 +42,11 @@ def reference_graph(q=None):
     return stage_graph(w, transforms)
 
 
-def reference_laplacian(monkeypatch):
-    """The reference graph and the Laplacian that stage_graph hands to sym_eig."""
+def staged_laplacian(monkeypatch, staged_graph=reference_graph):
+    """A staged graph, the reference one by default, and the Laplacian handed to sym_eig."""
     seen = []
     monkeypatch.setattr(graph, "sym_eig", lambda S: seen.append(S) or sym_eig(S))
-    G = reference_graph()
+    G = staged_graph()
     (L,) = seen
     return G, L
 
@@ -85,15 +85,21 @@ class TestStageGraph:
         assert abs(G.space.joint.sum() - 1.0) < 1e-10
 
     def test_adjacency_symmetric_nonnegative(self):
-        A = reference_graph().space.joint
+        # exactly on the toy world; on the reference world 72 cells differ
+        # from their mirror by rounding, at most 2^-60 (about 8.7e-19)
+        A = toy_graph().space.joint
         assert np.array_equal(A, A.T)
+        A = reference_graph().space.joint
+        assert np.max(np.abs(A - A.T)) <= 2.0**-60
         assert np.all(A >= 0.0)
 
     def test_laplacian_symmetric(self, monkeypatch):
-        # exactly on this world; a joint is symmetric only to rounding in general
-        # (72 cells of the CLI's reference world), which sym_eig symmetrizes away
-        _G, L = reference_laplacian(monkeypatch)
+        # exactly on the toy world; on the reference world to rounding, at most
+        # 2^-55 (about 2.8e-17), which sym_eig symmetrizes away
+        _G, L = staged_laplacian(monkeypatch, toy_graph)
         assert np.array_equal(L, L.T)
+        _G, L = staged_laplacian(monkeypatch)
+        assert np.max(np.abs(L - L.T)) <= 2.0**-55
 
 
 @pytest.mark.parametrize("which", ["reference", "inflated8"])
@@ -201,7 +207,7 @@ class TestSpectrum:
 
     def test_constant_direction_is_null(self, monkeypatch):
         # sqrt(degrees) is always a 0-eigenvector of the normalized Laplacian
-        G, L = reference_laplacian(monkeypatch)
+        G, L = staged_laplacian(monkeypatch)
         v = np.sqrt(G.degrees)
         assert np.abs(L @ v).max() < 1e-12
 

@@ -12,7 +12,6 @@ from ctlab.graph import spectral_embedding, stage_graph
 from ctlab.linalg import gaussian_matrix
 from ctlab.objectives import (
     Embedding,
-    LinearHead,
     McConfig,
     ce_risk,
     classification_error,
@@ -874,8 +873,8 @@ class TestHeads:
         head = mean_head(f, space)
         class_mass = [space.marginal[space.labels == c].sum() for c in range(space.K)]
         assert np.allclose(class_mass, [0.25, 0.75], atol=1e-15)
-        assert np.allclose(head.W[:, 0], [1.0, 1.0], atol=1e-12)
-        assert np.allclose(head.W[:, 1], [1.0, -1.0 / 3.0], atol=1e-12)
+        assert np.allclose(head[:, 0], [1.0, 1.0], atol=1e-12)
+        assert np.allclose(head[:, 1], [1.0, -1.0 / 3.0], atol=1e-12)
 
     def test_class_count_comes_from_the_world(self):
         # dropping every node of the top class must not shrink K silently
@@ -892,19 +891,19 @@ class TestHeads:
         f = random_embedding(restricted.n, 3, seed=0)
         with pytest.raises(ValueError, match=f"mean_head: class {top} has zero marginal mass"):
             mean_head(f, restricted)
-        assert fit_linear_head([f], restricted, steps=1, step_size=1.0)[0].W.shape == (3, 3)
+        assert fit_linear_head([f], restricted, steps=1, step_size=1.0)[0].shape == (3, 3)
 
     def test_zero_head_risk_is_log_k(self):
         space = toy_space()
         f = constant_embedding(space.n, 2)
-        head = LinearHead(W=np.zeros((2, 2)))
+        head = np.zeros((2, 2))
         assert abs(ce_risk(f, head, space) - np.log(2)) < 1e-12
 
     def test_ce_risk_hand_value(self):
         # logits (1, 0) on every node
         space = toy_space()
         f = constant_embedding(space.n, 2)
-        head = LinearHead(W=np.array([[1.0, 0.0], [0.0, 0.0]]))
+        head = np.array([[1.0, 0.0], [0.0, 0.0]])
         want = 0.25 * np.log1p(np.exp(-1.0)) + 0.75 * np.log1p(np.exp(1.0))
         assert abs(ce_risk(f, head, space) - want) < 1e-12
 
@@ -912,7 +911,7 @@ class TestHeads:
         space = toy_space()
         f = Embedding(TOY_SPECTRAL_F, normalized=False)
         (head,) = fit_linear_head([f], space, steps=0, step_size=1.0)
-        assert np.array_equal(head.W, np.zeros((2, 2)))
+        assert np.array_equal(head, np.zeros((2, 2)))
 
     def test_fit_decreases_risk_and_separates(self):
         space = toy_space()
@@ -926,17 +925,17 @@ class TestHeads:
         f = Embedding(TOY_SPECTRAL_F, normalized=False)
         (small,) = fit_linear_head([f], space, steps=200, step_size=0.5, l2=1.0)
         (big,) = fit_linear_head([f], space, steps=200, step_size=0.5, l2=0.0)
-        assert small.frob_norm < big.frob_norm
+        assert np.linalg.norm(small) < np.linalg.norm(big)
 
     def test_classification_tie_breaks_to_class_zero(self):
         space = toy_space()
         f = constant_embedding(space.n, 2)
-        head = LinearHead(W=np.zeros((2, 2)))
+        head = np.zeros((2, 2))
         # all-zero logits predict class 0 everywhere; only mass with true
         # label != 0 is wrong
         assert abs(classification_error(f, head, space) - 0.75) < 1e-15
         # predicting class 1 everywhere: the error is the label-0 marginal mass
-        always_one = LinearHead(W=np.array([[0.0, 1.0], [0.0, 0.0]]))
+        always_one = np.array([[0.0, 1.0], [0.0, 0.0]])
         assert abs(classification_error(f, always_one, space) - 0.25) < 1e-15
 
 
@@ -956,11 +955,11 @@ class TestStackedProbe:
             assert len(heads) == 2
             for t, head in zip(tables, heads):
                 want = fit_alone(t, space, steps, 2.0, l2)
-                assert head.W.shape == want.shape == (k, K)
+                assert head.shape == want.shape == (k, K) and head.flags.c_contiguous
                 if steps == 0:
-                    assert np.array_equal(head.W, np.zeros((k, K))), (k, l2)
+                    assert np.array_equal(head, np.zeros((k, K))), (k, l2)
                     continue
-                err = np.max(np.abs(head.W - want))
+                err = np.max(np.abs(head - want))
                 assert err <= 1e-12 * np.max(np.abs(want)), (k, l2, steps, err)
 
     @pytest.mark.parametrize("n", [13, 54, 477])
@@ -975,8 +974,8 @@ class TestStackedProbe:
             heads = fit_linear_head(fs, space, 300, 2.0, l2)
             for f, head in zip(fs, heads):
                 (alone,) = fit_linear_head([f], space, 300, 2.0, l2)
-                assert np.array_equal(head.W, alone.W), (k, l2, count)
-                assert head.frob_norm == alone.frob_norm
+                assert np.array_equal(head, alone), (k, l2, count)
+                assert np.linalg.norm(head) == np.linalg.norm(alone)
 
     def test_inputs_are_not_mutated(self):
         space = random_space(54, seed=5, K=3)
@@ -997,14 +996,14 @@ class TestStackedProbe:
         first = fit_linear_head(
             [Embedding(rng.normal(size=(54, 3)), False) for _ in range(2)], space, 40, 2.0
         )
-        bits = [h.W.copy() for h in first]
+        bits = [h.copy() for h in first]
         second = fit_linear_head(
             [Embedding(rng.normal(size=(54, 3)), False) for _ in range(2)], space, 40, 2.0
         )
         for head, want in zip(first, bits):
-            assert np.array_equal(head.W, want)
-            assert not any(np.shares_memory(head.W, h.W) for h in second)
-        assert not np.array_equal(first[0].W, second[0].W)
+            assert np.array_equal(head, want)
+            assert not any(np.shares_memory(head, h) for h in second)
+        assert not np.array_equal(first[0], second[0])
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_divergence_raises(self, count):
