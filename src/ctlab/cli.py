@@ -192,17 +192,19 @@ def compute_sweep(cfg: RunConfig, stage, threads=1):
     """Every row of `run` and `sweep`, each one `compute_row` call, on `threads` workers.
 
     Each row is its own config: "baseline" cfg, one "k=K" per dimension and one
-    "q=Q" per rank (keep_top_q at Q).  Every row stages its world through
-    `stage`, `_stager(cfg, raw_world)`.  The rows of one world run in turn, so
-    each world is staged once at `threads` = 1.
+    "q=Q" per rank (keep_top_q at Q) whose truncation is not the baseline's.
+    Every row stages its world through `stage`, `_stager(cfg, raw_world)`.
+    The rows of one world run in turn, so each world is staged once at
+    `threads` = 1.
     Returns {table name: [(row, reports), ...]}: "baseline" always, then
     "sweep_q" (the baseline row, unchanged, then the q rows) and "sweep_k"
     (the k rows) when configured. `train`, `probe` and `bounds` run "baseline" alone.
     """
     plan = [(cfg, "baseline", "train.k")]
     plan += [(replace(cfg, train_k=k), f"k={k}", "train.k_sweep") for k in cfg.train_k_sweep]
-    plan += [(replace(cfg, svd_mode="keep_top_q", svd_q=q), f"q={q}", "train.k")
-             for q in cfg.svd_sweep]
+    q_cfgs = [replace(cfg, svd_mode="keep_top_q", svd_q=q) for q in cfg.svd_sweep]
+    plan += [(q_cfg, f"q={q_cfg.svd_q}", "train.k") for q_cfg in q_cfgs
+             if q_cfg.truncation() != cfg.truncation()]
 
     def row(row_cfg, row_key, k_key):  # a row's tables do not outlive it
         return compute_row(row_cfg, stage, row_key, k_key)[:2]

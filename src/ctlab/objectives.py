@@ -179,18 +179,6 @@ def _exact_infonce(space: AugmentedSpace, M: int):
     return engine
 
 
-def _gradient(F: np.ndarray, G: np.ndarray, normalized: bool) -> np.ndarray:
-    """Gradient G F of a loss with G = C + C^T, C = dL/d(F F^T).
-
-    For a normalized embedding the radial part of each row is removed
-    (Riemannian gradient on the sphere).
-    """
-    grad = G @ F
-    if normalized:
-        grad = grad - np.sum(grad * F, axis=1, keepdims=True) * F
-    return grad
-
-
 def _sample_batch(space: AugmentedSpace, M: int, samples: int, seed: int):
     """Seeded i.i.d. batch: pairs from the joint, M negatives from the marginal.
 
@@ -290,21 +278,16 @@ def spectral_loss(f: Embedding, space: AugmentedSpace) -> float:
 
 
 def _spectral_terms(F: np.ndarray, space: AugmentedSpace):
-    """Spectral loss of the table F from k-wide products; returns (loss, (JF, G)).
+    """(loss, gradient) of the spectral loss at the table F, from k-wide products.
 
     With JF = joint F and G = F^T diag(p) F, the positive term
     sum(joint * F F^T) is sum(F * JF) and the negative term is sum(G * G),
-    so no n x n array is formed.  JF and G are the gradient's products too.
+    so no n x n array is formed.  The gradient is -4 JF + 4 diag(p) F G.
     """
     JF = space.joint @ F
-    G = F.T @ (space.marginal[:, None] * F)  # (k, k)
-    return -2.0 * float(np.sum(F * JF)) + float(np.sum(G * G)), (JF, G)
-
-
-def _spectral_grad(F: np.ndarray, space: AugmentedSpace, aux) -> np.ndarray:
-    """Gradient -4 JF + 4 diag(p) F G from the (JF, G) of `_spectral_terms(F)`."""
-    JF, G = aux
-    return -4.0 * JF + 4.0 * (space.marginal[:, None] * F) @ G
+    pF = space.marginal[:, None] * F
+    G = F.T @ pF  # (k, k)
+    return -2.0 * float(np.sum(F * JF)) + float(np.sum(G * G)), -4.0 * JF + 4.0 * pF @ G
 
 
 # ---------------------------------------------------------------------------
@@ -329,65 +312,54 @@ def train_free_embeddings(
     cfg.seed + seed + 1), with re-projection onto the unit sphere after
     every step.  Backtracking halves the step size whenever a step would
     increase the loss, so the loss is non-increasing over accepted steps.
-    A candidate whose loss is not finite, or whose arithmetic raises
-    FloatingPointError, raises `DivergenceError`.
+    Each evaluation returns the loss and its gradient at one table, so an
+    accepted candidate brings the next step's gradient; a zero gradient ends
+    the descent.  A candidate whose loss is not finite, or whose arithmetic
+    overflows, divides by zero or is invalid (in any numpy error state),
+    raises `DivergenceError`.
     """
     n = space.n
     if k < 1:
         raise ValueError("train_free_embeddings: k must be >= 1")
+    normalized = loss == "infonce"
     table = 0.5 * gaussian_matrix(n, k, seed)
-    if loss == "infonce":
+    if normalized:
         table = table / np.linalg.norm(table, axis=1, keepdims=True)
         evaluate, _ = _infonce(space, M, cfg, cfg.seed + seed + 1)
 
-        def loss_fn(T):
-            losses, C = evaluate(T @ T.T, coef=True)
-            return float(np.mean(losses)), C
-
-        def grad_fn(T, C):
-            return _gradient(T, C, True)
-
-        def retract(T):
-            return T / np.linalg.norm(T, axis=1, keepdims=True)
-
-        normalized = True
+        def loss_fn(T):  # the gradient G T on the sphere: its radial part removed
+            losses, G = evaluate(T @ T.T, coef=True)
+            grad = G @ T
+            return float(np.mean(losses)), grad - np.sum(grad * T, axis=1, keepdims=True) * T
     elif loss == "spectral":
 
         def loss_fn(T):
             return _spectral_terms(T, space)
-
-        def grad_fn(T, aux):
-            return _spectral_grad(T, space, aux)
-
-        def retract(T):
-            return T
-
-        normalized = False
     else:
         raise ValueError(f"train_free_embeddings: unknown loss {loss!r}")
 
-    # loss_fn returns (loss, aux) and grad_fn reads the aux of the same table,
-    # so the accepted candidate's evaluation also serves the next gradient
-    current, aux = loss_fn(table)
+    current, g = loss_fn(table)
     eta = step_size
     for _ in range(steps):
-        g = grad_fn(table, aux)
-        accepted = False
+        if not g.any():  # a step would return the same table (k = 1 unit rows)
+            break
         for _try in range(40):
-            try:  # under np.errstate(raise) an overflow raises before the loss is read
-                cand = retract(table - eta * g)
-                cand_loss, cand_aux = loss_fn(cand)
+            try:
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    cand = table - eta * g
+                    if normalized:
+                        cand = cand / np.linalg.norm(cand, axis=1, keepdims=True)
+                    cand_loss, cand_g = loss_fn(cand)
             except FloatingPointError as exc:
                 raise DivergenceError(f"train_free_embeddings: loss diverged ({exc})") from None
             if not np.isfinite(cand_loss):
                 raise DivergenceError("train_free_embeddings: loss diverged (NaN/Inf)")
             if cand_loss <= current + 1e-15:
-                table, current, aux = cand, cand_loss, cand_aux
-                accepted = True
+                table, current, g = cand, cand_loss, cand_g
                 eta = min(eta * 1.1, step_size * 10)
                 break
             eta *= 0.5
-        if not accepted:
+        else:
             break
     return Embedding(table=table, normalized=normalized)
 

@@ -117,7 +117,7 @@ class TestRunCommand:
         _, (base,) = parse_csv(os.path.join(out, "baseline.csv"))
         _, q_rows = parse_csv(os.path.join(out, "sweep_q.csv"))
         assert q_rows[0] == base and base["q"] == "2"
-        assert [r["q"] for r in q_rows] == ["2", "1", "2", "3"]
+        assert [r["q"] for r in q_rows] == ["2", "1", "3"]  # q = 2 once, as the baseline
 
     def test_no_violations_in_small_run(self, small_cfg, tmp_path):
         out = str(tmp_path / "art")
@@ -235,16 +235,17 @@ class TestRunCommand:
         assert q2.truncation() == TruncationSpec(mode="keep_top_q", q=2)
         assert (q2.train_k, q2_key) == (cfg.train_k, "train.k")
 
-    def test_a_q_row_with_the_baseline_truncation_shares_its_world(self, monkeypatch):
+    def test_sweep_q_plans_no_row_with_the_baseline_truncation(self, monkeypatch):
+        # such a row would stage the baseline's world again under another row seed
         sets = ["svd.mode=keep_top_q", "svd.q=2", "svd.sweep=2,3", "train.k_sweep=2,3"]
         cfg = load_config(REFERENCE, sets)
         raw = world.generate_world(cfg.world)
         staged = _count_calls(monkeypatch, graph.stage_graph)
         tables = cli.compute_sweep(cfg, cli._stager(cfg, raw))
-        assert len(staged) == 2  # the baseline's world, which is also q=2's, then q=3's
+        assert len(staged) == 2  # the baseline's world, then q=3's
         ((base, _reports),) = tables["baseline"]
-        q_rows = {row["q"]: row for row, _reports in tables["sweep_q"]}
-        assert q_rows[2]["alpha_q"] == base["alpha_q"]
+        q_rows = [row for row, _reports in tables["sweep_q"]]
+        assert q_rows[0] is base and [row["q"] for row in q_rows] == [2, 3]
 
     def test_stager_stages_once_under_contention(self, monkeypatch):
         # more threads than cores ask for one world at once: one stages, all share it
@@ -477,11 +478,14 @@ class TestErrors:
         assert "noise_scale" in capsys.readouterr().err
         assert not (tmp_path / "g").exists()
 
-    @pytest.mark.parametrize("command", ["train", "probe"])
-    def test_divergence_exits_2_with_one_named_error(self, tmp_path, command):
+    @pytest.mark.parametrize("command, sets", [
+        ("train", []), ("train", ["train.loss=spectral"]), ("probe", []),
+    ], ids=["train", "train-spectral", "probe"])
+    def test_divergence_exits_2_with_one_named_error(self, tmp_path, command, sets):
         src = os.path.join(os.path.dirname(__file__), "..", "src")
         argv = [sys.executable, "-m", "ctlab.cli", command, "--config", REFERENCE]
         argv += ["--out", str(tmp_path / "d"), "--set", f"{command}.step_size=1e300"]
+        argv += [arg for s in sets for arg in ("--set", s)]
         proc = subprocess.run(
             argv, capture_output=True, text=True, timeout=300,
             env={**os.environ, "PYTHONPATH": src},

@@ -23,7 +23,6 @@ from ctlab.objectives import (
 )
 from ctlab.objectives import (
     _exact_infonce,
-    _gradient,
     _sample_batch,
     _sampled_infonce,
     _table_indices,
@@ -75,10 +74,18 @@ def random_space(n, seed, K=2):
     )
 
 
+def gradient(F, G, normalized):
+    """G F for G = C + C^T, C = dL/d(F F^T); its radial part removed for unit rows."""
+    grad = G @ F
+    if normalized:
+        grad = grad - np.sum(grad * F, axis=1, keepdims=True) * F
+    return grad
+
+
 def exact_loss_and_grad(f, space, M):
     F = f.table
     loss, G = _exact_infonce(space, M)(F @ F.T, coef=True)
-    return loss, _gradient(F, G, f.normalized)
+    return loss, gradient(F, G, f.normalized)
 
 
 def per_call_exact_infonce(sims, space, M, coef=False):
@@ -564,7 +571,7 @@ class TestSampledKernel:
             engine = _sampled_infonce(_table_indices(batch, space.n), space.n)
             losses, G = engine(F @ F.T, coef=True)
             assert abs(np.mean(losses) - infonce_empirical(f, batch)) < 1e-12
-            grad = _gradient(F, G, normalized)
+            grad = gradient(F, G, normalized)
             assert np.abs(grad - infonce_gradient(f, batch)).max() < 1e-12
 
     @pytest.mark.parametrize("M", [1, 2, 3, 7])
@@ -686,8 +693,8 @@ class TestSpectralLoss:
         F = gaussian_matrix(space.n, 3, 7)
         pF = space.marginal[:, None] * F
         want = -4.0 * (space.joint @ F) + 4.0 * pF @ (F.T @ pF)
-        _, aux = objectives._spectral_terms(F, space)
-        assert objectives._spectral_grad(F, space, aux).tobytes() == want.tobytes()
+        _, grad = objectives._spectral_terms(F, space)
+        assert grad.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("k", [1, 3, 8])
@@ -799,10 +806,36 @@ class TestTraining:
         assert len(seen) >= 6
         assert len(set(seen)) == len(seen)
 
+    @pytest.mark.parametrize("factor, n_max, builder", [
+        (1, 60, "_exact_infonce"), (1, 1, "_sampled_infonce"), (8, 60, "_sampled_infonce"),
+    ])
+    def test_k1_descent_evaluates_once_and_returns_its_init(self, monkeypatch, factor, n_max,
+                                                             builder):
+        # unit rows at k = 1 are +-1: no tangent space, so the gradient is zero
+        space = reference_space() if factor == 1 else inflated_space(factor)
+        cfg = McConfig(n_max=n_max, samples=2000)
+        init = train_free_embeddings(space, 1, "infonce", 0, 1.0, seed=2, cfg=cfg)
+        seen = self.record_evaluations(monkeypatch, builder)
+        got = train_free_embeddings(space, 1, "infonce", 30, 1.0, seed=2, cfg=cfg)
+        assert len(seen) == 1
+        assert got.table.tobytes() == init.table.tobytes()
+
+    @pytest.mark.parametrize("steps", [1, 5])
+    @pytest.mark.parametrize("state", ["raise", "warn", "ignore"])
+    @pytest.mark.parametrize("loss", ["infonce", "spectral"])
+    def test_overflowing_step_diverges_in_every_error_state(self, loss, state, steps):
+        # a row norm that overflows would retract the row to zeros, whose
+        # gradient is zero: the descent would stop there and return them
+        with warnings.catch_warnings(), np.errstate(all=state):
+            warnings.simplefilter("error")
+            with pytest.raises(objectives.DivergenceError, match="loss diverged"):
+                train_free_embeddings(toy_space(), 2, loss, steps, 1e300, seed=0)
+
     def test_sampled_path_reads_g_before_the_next_evaluation(self, monkeypatch):
         # each G handed out turns NaN when the engine is called again, so a
         # G read after the next evaluation would poison the descent; the
-        # large step makes the line search reject candidates
+        # trainer turns G into its gradient within the evaluation that made
+        # it.  The large step makes the line search reject candidates
         space, cfg, steps = inflated_space(8), McConfig(samples=2000), 8
         want = train_free_embeddings(space, 3, "infonce", steps, 1000.0, seed=1, cfg=cfg)
         build = objectives._sampled_infonce
