@@ -4,8 +4,9 @@
 `train`, `probe` and `bounds` compute only `run`'s baseline row (row key
 "baseline") and write their files from it.  Every row derives its own seed
 from the global seed and its row key, so results are independent of sweep
-order and worker count; all files are written with LF endings and
-repr-formatted floats, which makes repeated runs byte-identical.
+order and worker count.  cli writes its text files through one writer, as
+ASCII with LF endings, with repr-formatted floats, which makes repeated runs
+byte-identical.
 """
 
 from __future__ import annotations
@@ -45,24 +46,6 @@ from .world import generate_world, inflate, preprocess_world, save_world
 # overflow, invalid operations and division by zero raise; underflow is left alone
 _FP_RAISE = {"over": "raise", "invalid": "raise", "divide": "raise"}
 
-SWEEP_COLUMNS = [
-    "q",
-    "k",
-    "alpha_q",
-    "lambda_k_q",
-    "lambda_k1_q",
-    "bound_t4",
-    "probe_error",
-    "infonce",
-    "spectral_loss",
-    "ce_mean",
-    "ce_linear",
-    "eps_min",
-    "eps_max",
-    "verdicts",
-    "seed",
-]
-
 
 def _fmt_cell(v) -> str:
     if v is None:
@@ -72,23 +55,29 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
+def _write(path, chunks) -> None:
+    """Stream chunks to path as ASCII with LF line endings."""
+    with open(path, "w", newline="\n", encoding="ascii") as fh:
+        fh.writelines(chunks)
+
+
+def _blocks(texts):
+    """texts, one chunk each, with a blank line between each two."""
+    return ("\n" * (i > 0) + text for i, text in enumerate(texts))
+
+
 def emit_csv(rows, path) -> None:
-    """Fixed column order, '.' decimals, LF line endings."""
+    """Columns in the row's key order, '.' decimals, LF line endings."""
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt_cell(row.get(col)) for col in SWEEP_COLUMNS])
+        writer.writerow(rows[0])
+        writer.writerows([_fmt_cell(v) for v in row.values()] for row in rows)
 
 
 def emit_text(rows, path) -> None:
-    """Structured text: one key = value block per row, stable key order."""
-    with open(path, "w", newline="\n", encoding="ascii") as fh:
-        for i, row in enumerate(rows):
-            if i:
-                fh.write("\n")
-            for col in SWEEP_COLUMNS:
-                fh.write(f"{col} = {_fmt_cell(row.get(col))}\n")
+    """Structured text: one key = value block per row, in the row's key order."""
+    _write(path, _blocks("".join(f"{col} = {_fmt_cell(v)}\n" for col, v in row.items())
+                         for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +123,8 @@ def compute_row(cfg: RunConfig, stage, row_key, k_key="train.k"):
             return _row(cfg, stage, row_key, k_key)
     except (FloatingPointError, DivergenceError) as exc:
         raise type(exc)(f"row {row_key}: {exc}") from None
+    except ConfigError as exc:  # keeps the "<key>: " head that names the key
+        raise ConfigError(f"{exc} (row {row_key})") from None
 
 
 def _row(cfg: RunConfig, stage, row_key, k_key):
@@ -238,8 +229,7 @@ def _argmin_summary(rows, key):
 def _write_manifest(cfg: RunConfig, path, extra_lines=()):
     lines = [f"ctlab {__version__} ({BLAS_THREADS})", f"seed = {cfg.seed}", *cfg.echo(),
              *extra_lines]
-    with open(path, "w", newline="\n", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(path, (f"{line}\n" for line in lines))
 
 
 def _write_tables(cfg: RunConfig, out_dir, tables):
@@ -260,14 +250,6 @@ def _write_tables(cfg: RunConfig, out_dir, tables):
     return summaries
 
 
-def _write_reports(reports, path):
-    with open(path, "w", newline="\n") as fh:
-        for i, rep in enumerate(reports):
-            if i:
-                fh.write("\n")
-            fh.write(report_to_text(rep))
-
-
 def _exit_status(reports, allow_violations):
     """Print every hard violation to stderr; 1 if any and not allowed, else 0."""
     bad = [r for r in reports if r.verdict == "violated"]
@@ -286,7 +268,7 @@ def cmd_run(cfg: RunConfig, out_dir, threads, allow_violations):
     save_world(raw_world, os.path.join(out_dir, "world"))  # nothing is written before every row
     _write_tables(cfg, out_dir, tables)
     reports = _table_reports(tables)
-    _write_reports(reports, os.path.join(out_dir, "bounds.txt"))
+    _write(os.path.join(out_dir, "bounds.txt"), _blocks(map(report_to_text, reports)))
     return _exit_status(reports, allow_violations)
 
 
@@ -309,11 +291,12 @@ def cmd_graph(cfg, out_dir, threads, allow_violations):
     save_matrix_text(
         os.path.join(out_dir, "spectrum.mat"), staged.spectrum.values.reshape(1, -1)
     )
-    with open(os.path.join(out_dir, "graph.txt"), "w", newline="\n") as fh:
-        fh.write(f"nodes = {staged.space.n}\n")
-        fh.write(f"components = {connected_components(A)}\n")
-        fh.write(f"alpha = {staged.alpha!r}\n")
-        fh.write(f"trace = {float(np.trace(A))!r}\n")
+    _write(os.path.join(out_dir, "graph.txt"), [
+        f"nodes = {staged.space.n}\n",
+        f"components = {connected_components(A)}\n",
+        f"alpha = {staged.alpha!r}\n",
+        f"trace = {float(np.trace(A))!r}\n",
+    ])
     return 0
 
 
@@ -325,24 +308,23 @@ def _baseline_row(cfg):
 def cmd_train(cfg, out_dir, threads, allow_violations):
     _row, _reports, f, _head, space = _baseline_row(cfg)
     save_matrix_text(os.path.join(out_dir, "embedding.mat"), f.table)
-    with open(os.path.join(out_dir, "embedding_nodes.txt"), "w", newline="\n") as fh:
-        fh.write("".join(f"n{i:04d}\n" for i in range(space.n)))
+    _write(os.path.join(out_dir, "embedding_nodes.txt"), (f"n{i:04d}\n" for i in range(space.n)))
     return 0
 
 
 def cmd_probe(cfg, out_dir, threads, allow_violations):
     row, _reports, _f, head, _space = _baseline_row(cfg)
-    with open(os.path.join(out_dir, "probe.txt"), "w", newline="\n") as fh:
-        for col in ("probe_error", "ce_linear", "ce_mean"):
-            fh.write(f"{col} = {row[col]!r}\n")
-        fh.write(f"head_frob_norm = {float(np.linalg.norm(head))!r}\n")
+    _write(os.path.join(out_dir, "probe.txt"), [
+        *(f"{col} = {row[col]!r}\n" for col in ("probe_error", "ce_linear", "ce_mean")),
+        f"head_frob_norm = {float(np.linalg.norm(head))!r}\n",
+    ])
     print(f"probe_error = {row['probe_error']!r}")
     return 0
 
 
 def cmd_bounds(cfg, out_dir, threads, allow_violations):
     _row, reports, *_tables = _baseline_row(cfg)
-    _write_reports(reports, os.path.join(out_dir, "bounds.txt"))
+    _write(os.path.join(out_dir, "bounds.txt"), _blocks(map(report_to_text, reports)))
     return _exit_status(reports, allow_violations)
 
 
@@ -357,14 +339,8 @@ def cmd_sweep(cfg, out_dir, threads, allow_violations):
 
 
 _COMMANDS = {
-    "run": cmd_run,
-    "world": cmd_world,
-    "svd": cmd_svd,
-    "graph": cmd_graph,
-    "train": cmd_train,
-    "probe": cmd_probe,
-    "bounds": cmd_bounds,
-    "sweep": cmd_sweep,
+    "run": cmd_run, "world": cmd_world, "svd": cmd_svd, "graph": cmd_graph,
+    "train": cmd_train, "probe": cmd_probe, "bounds": cmd_bounds, "sweep": cmd_sweep,
 }
 
 
@@ -379,13 +355,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="artifact directory")
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--allow-violations", action="store_true")
-    parser.add_argument(
-        "--set",
-        action="append",
-        default=[],
-        metavar="SECTION.KEY=VALUE",
-        help="override a config entry (repeatable)",
-    )
+    parser.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
+                        help="override a config entry (repeatable)")
     args = parser.parse_args(argv)
     try:
         overrides = list(args.set)

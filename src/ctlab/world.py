@@ -550,7 +550,7 @@ def save_world(world: World, directory) -> None:
         fname = f"o{i:04d}.mat"
         save_matrix_text(os.path.join(directory, fname), payload)
         lines.append(f"original o{i:04d} = {fname} {world.labels[i]} {float(world.weights[i])!r}")
-    with open(os.path.join(directory, "manifest.txt"), "w", newline="\n") as fh:
+    with open(os.path.join(directory, "manifest.txt"), "w", newline="\n", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import ctlab
 from ctlab import bounds, cli, config, graph, objectives, world
-from ctlab.cli import SWEEP_COLUMNS, emit_csv, emit_text, main
+from ctlab.cli import emit_csv, emit_text, main
 from ctlab.config import load_config
 from ctlab.graph import spectral_embedding
 from ctlab.linalg import load_matrix_text
@@ -25,6 +25,11 @@ NUMERIC_KEYS = [
     for section, keys in config._TABLE.items()
     for key, (_field, kind, *_rest) in keys.items()
     if kind in ("int", "float")
+]
+# every table's header, in order
+COLUMNS = [
+    "q", "k", "alpha_q", "lambda_k_q", "lambda_k1_q", "bound_t4", "probe_error", "infonce",
+    "spectral_loss", "ce_mean", "ce_linear", "eps_min", "eps_max", "verdicts", "seed",
 ]
 
 
@@ -58,25 +63,25 @@ def _tree_bytes(root):
 class TestEmitters:
     def test_csv_round_trip(self, tmp_path):
         rows = [
-            {c: None for c in SWEEP_COLUMNS} | {"q": 2, "probe_error": 0.125},
-            {c: None for c in SWEEP_COLUMNS} | {"k": 3, "verdicts": "t4=holds"},
+            {c: None for c in COLUMNS} | {"q": 2, "probe_error": 0.125},
+            {c: None for c in COLUMNS} | {"k": 3, "verdicts": "t4=holds"},
         ]
         path = tmp_path / "rows.csv"
         emit_csv(rows, path)
         header, parsed = parse_csv(path)
-        assert header == SWEEP_COLUMNS
+        assert header == COLUMNS
         assert parsed[0]["q"] == "2"
         assert float(parsed[0]["probe_error"]) == 0.125
         assert parsed[1]["q"] == ""  # None -> empty cell
         assert parsed[1]["verdicts"] == "t4=holds"
 
     def test_text_blocks(self, tmp_path):
-        rows = [{c: None for c in SWEEP_COLUMNS} | {"q": 1}]
+        rows = [{c: None for c in COLUMNS} | {"q": 1}]
         path = tmp_path / "rows.txt"
         emit_text(rows, path)
         text = path.read_text()
         assert text.startswith("q = 1\n")
-        assert text.count(" = ") == len(SWEEP_COLUMNS)
+        assert text.count(" = ") == len(COLUMNS)
 
 
 class TestRunCommand:
@@ -95,6 +100,8 @@ class TestRunCommand:
             os.path.join("world", "manifest.txt"),
         ):
             assert os.path.exists(os.path.join(out, name)), name
+        for name in ("baseline.csv", "sweep_q.csv", "sweep_k.csv"):
+            assert parse_csv(os.path.join(out, name))[0] == COLUMNS, name
 
     def test_sweep_rows_structure(self, small_cfg, tmp_path):
         out = str(tmp_path / "art")
@@ -369,6 +376,18 @@ class TestSubcommands:
         cfg = load_config(small_cfg)
         assert manifest.count("original o") == factor * cfg.world.K * cfg.world.per_class
 
+    @pytest.mark.parametrize(
+        "command", ["run", "sweep", "graph", "train", "probe", "bounds", "world"]
+    )
+    def test_every_file_is_ascii_with_lf_endings(self, small_cfg, tmp_path, command):
+        out = str(tmp_path / command)
+        assert main([command, "--config", small_cfg, "--out", out]) == 0
+        tree = _tree_bytes(out)
+        assert tree
+        for name, data in tree.items():
+            data.decode("ascii")  # raises on any non-ASCII byte
+            assert b"\r" not in data and data.endswith(b"\n"), name
+
     def test_svd_requires_mode(self, small_cfg, tmp_path):
         out = str(tmp_path / "s")
         assert main(["svd", "--config", small_cfg, "--out", out]) == 2
@@ -534,7 +553,8 @@ class TestErrors:
     def test_node_count_error_names_the_key_of_its_k(self, tmp_path, capsys, key, value):
         argv = ["sweep", "--config", REFERENCE, "--out", str(tmp_path / "o")]
         assert main(argv + ["--set", "svd.sweep=", "--set", f"{key}={value}"]) == 2
-        assert capsys.readouterr().err == f"error: {key}: k=99 out of range [1, 54]\n"
+        row = "baseline" if key == "train.k" else "k=99"
+        assert capsys.readouterr().err == f"error: {key}: k=99 out of range [1, 54] (row {row})\n"
 
     @pytest.mark.parametrize("command", ["run", "train", "probe", "bounds"])
     def test_every_row_command_checks_train_k_against_the_node_count(
@@ -542,8 +562,15 @@ class TestErrors:
     ):
         out = tmp_path / "o"
         assert main([command, "--config", REFERENCE, "--out", str(out), "--set", "train.k=99"]) == 2
-        assert capsys.readouterr().err == "error: train.k: k=99 out of range [1, 54]\n"
+        err = capsys.readouterr().err
+        assert err == "error: train.k: k=99 out of range [1, 54] (row baseline)\n"
         assert list(out.iterdir()) == []  # no world, table or embedding is written
+
+    def test_node_count_error_names_its_row(self, tmp_path, capsys):
+        # the baseline has 54 nodes; the q = 1 world has 10, so its row fails
+        argv = ["run", "--config", REFERENCE, "--out", str(tmp_path / "o")]
+        assert main(argv + ["--set", "train.k=54", "--set", "train.k_sweep="]) == 2
+        assert capsys.readouterr().err == "error: train.k: k=54 out of range [1, 10] (row q=1)\n"
 
     def test_floating_point_errors_name_the_command_or_row(self, tmp_path, capsys):
         argv = ["--config", REFERENCE, "--out", str(tmp_path / "o")]
