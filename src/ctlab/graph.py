@@ -23,20 +23,59 @@ __all__ = [
 ]
 
 
-def laplacian_spectrum(A: np.ndarray, degrees: np.ndarray) -> SymEigen:
-    """Full ascending spectrum of the normalized Laplacian I - D^-1/2 A D^-1/2.
+def _component_labels(xs, ys, n: int) -> np.ndarray:
+    """Each node's connected component, named by its smallest node.
+
+    (xs, ys) is a symmetric, row-major support with no empty row.  Each pass
+    gives a node the least label of its row and itself, then that label's label.
+    """
+    starts = np.flatnonzero(np.diff(xs, prepend=-1))
+    labels, spread = None, np.arange(n)
+    while not np.array_equal(spread, labels):
+        labels = spread
+        least = np.minimum(np.minimum.reduceat(labels[ys], starts), labels)
+        spread = least[least]
+    if not np.array_equal(labels[xs], labels[ys]):
+        raise ValueError("component labels: the support is not symmetric")
+    return labels
+
+
+def laplacian_spectrum(space: AugmentedSpace, degrees: np.ndarray) -> SymEigen:
+    """Full ascending spectrum of the normalized Laplacian I - D^-1/2 A D^-1/2, A = space.joint.
 
     The Laplacian is built in one n x n buffer with the bits of
     np.eye(n) - A * np.outer(s, s).  A positive-pair joint is symmetric only
     to rounding (cond^T (w cond) groups a cell's factors and its mirror's
     differently), so sym_eig's symmetrization does real work.
+
+    Components are labelled from space.support.  A connected graph hands its
+    whole Laplacian to one sym_eig, keeping a dense eigh's bits.  Otherwise
+    each component's block (all else is exactly +0.0) goes to sym_eig alone;
+    the values merge ascending by a stable sort, so ties keep component order
+    (smallest node first), and each vector is exactly zero off its component.
     """
+    n = space.n
+    components = _component_labels(*space.support[:2], n)
     inv_sqrt = 1.0 / np.sqrt(degrees)
     L = np.outer(inv_sqrt, inv_sqrt)
-    L *= A
+    L *= space.joint
     np.subtract(0.0, L, out=L)  # 0.0 - x, not -x: a zero cell stays +0.0
-    L.flat[:: len(degrees) + 1] += 1.0
-    return sym_eig(L)
+    L.flat[:: n + 1] += 1.0
+    roots = np.flatnonzero(components == np.arange(n))
+    if len(roots) == 1:
+        return sym_eig(L)
+    members = [np.flatnonzero(components == root) for root in roots]
+    parts = [sym_eig(L[np.ix_(m, m)]) for m in members]
+    del L  # freed before the vectors: one n x n buffer at a time
+    values = np.concatenate([part.values for part in parts])
+    order = sorted(range(n), key=values.tolist().__getitem__)
+    column = np.empty(n, dtype=np.intp)
+    column[order] = np.arange(n)  # where each block's eigenpair lands
+    vectors, start = np.zeros((n, n)), 0
+    for m, part in zip(members, parts):
+        vectors[np.ix_(m, column[start:start + len(m)])] = part.vectors
+        start += len(m)
+    return SymEigen(values=values[order], vectors=vectors)
 
 
 @dataclass(frozen=True)
@@ -83,7 +122,7 @@ def stage_graph(world: World, transforms, memo: dict | None = None) -> StagedGra
             raise ValueError("stage_graph: a node carries no probability mass")
         if memo is not None:
             memo.clear()
-        spectrum = laplacian_spectrum(space.joint, degrees)
+        spectrum = laplacian_spectrum(space, degrees)
         if memo is not None:
             memo.update(support=space.support, degrees=degrees, spectrum=spectrum)
     return StagedGraph(space=space, degrees=degrees, spectrum=spectrum,
@@ -109,18 +148,8 @@ def spectral_embedding(staged: StagedGraph, k: int) -> np.ndarray:
 
 
 def connected_components(A: np.ndarray) -> int:
-    """Number of connected components of the support graph of A.
-
-    Every node starts with its own index as label and repeatedly takes the
-    smallest label among itself and its neighbours in the symmetric support
-    (A > 0) | (A^T > 0); at the fixed point each component carries its
-    smallest node index.
-    """
-    n = A.shape[0]
+    """Number of connected components of the support graph (A > 0) | (A^T > 0)."""
+    n = len(A)
     support = (A > 0) | (A.T > 0)
-    labels = np.arange(n)
-    while True:
-        spread = np.where(support, labels, labels[:, None]).min(axis=1, initial=n)
-        if np.array_equal(spread, labels):
-            return len(np.unique(labels))
-        labels = spread
+    np.fill_diagonal(support, True)  # a node with no edge still has a row
+    return int(np.count_nonzero(_component_labels(*np.nonzero(support), n) == np.arange(n)))

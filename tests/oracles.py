@@ -3,8 +3,10 @@
 No `ctlab` command reaches anything here.  The batch InfoNCE functions with
 `full_support_batch` are the oracles of both population InfoNCE engines;
 `logaddexp_exact_infonce` is the log-space oracle of the exact engine,
-`dense_sampled_infonce` the bit-for-bit oracle of the sampled engine, and
-`fit_alone` the plain per-table descent the stacked probe is held to.
+`dense_sampled_infonce` the bit-for-bit oracle of the sampled engine,
+`fit_alone` the plain per-table descent the stacked probe is held to, and
+`dense_component_spectrum` the per-component oracle of a graph's spectrum
+when the graph is not connected.
 
 The toy world has two 1x2 originals and a masking transform whose shared
 blank view carries the wrong label; every probability in its augmented
@@ -288,6 +290,45 @@ def dense_graph(space) -> DenseGraph:
 
 def dense_spectrum(G: DenseGraph) -> SymEigen:
     return sym_eig(G.L)
+
+
+def dense_components(G: DenseGraph) -> list:
+    """G's connected components by depth-first search over A > 0, each as ascending nodes.
+
+    Components come in the order of their smallest node.
+    """
+    seen, components = set(), []
+    for root in range(G.n):
+        if root in seen:
+            continue
+        seen.add(root)
+        stack, members = [root], []
+        while stack:
+            x = stack.pop()
+            members.append(x)
+            for y in np.flatnonzero((G.A[x] > 0) | (G.A[:, x] > 0)).tolist():
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        components.append(sorted(members))
+    return components
+
+
+def dense_component_spectrum(G: DenseGraph) -> SymEigen:
+    """sym_eig of each component's block of G.L, merged ascending.
+
+    Equal values keep component order, then sym_eig's order within the
+    component; each vector is zero outside its component.
+    """
+    components = dense_components(G)
+    parts = [sym_eig(G.L[np.ix_(nodes, nodes)]) for nodes in components]
+    pairs = sorted(
+        (float(value), c, j) for c, part in enumerate(parts) for j, value in enumerate(part.values)
+    )
+    vectors = np.zeros((G.n, G.n))
+    for col, (_value, c, j) in enumerate(pairs):
+        vectors[components[c], col] = parts[c].vectors[:, j]
+    return SymEigen(values=np.array([value for value, _c, _j in pairs]), vectors=vectors)
 
 
 def dense_spectral_embedding(G: DenseGraph, spec: SymEigen, k: int) -> np.ndarray:

@@ -18,6 +18,8 @@ from ctlab.world import (
     preprocess_world,
 )
 from oracles import (
+    dense_component_spectrum,
+    dense_components,
     dense_graph,
     dense_spectral_embedding,
     dense_spectrum,
@@ -104,21 +106,40 @@ class TestStageGraph:
 
 @pytest.mark.parametrize("which", ["reference", "inflated8"])
 def test_laplacian_has_the_bits_of_the_plain_formula(monkeypatch, which):
+    # a split graph hands sym_eig one block per component, in component order;
+    # laid on a +0.0 matrix, the blocks give the whole plain formula's bits
     seen = []
     monkeypatch.setattr(graph, "sym_eig", lambda S: seen.append(S.copy()) or sym_eig(S))
     staged = stage_graph(*oracle_world(which))
+    n = staged.space.n
     inv_sqrt = 1.0 / np.sqrt(staged.degrees)
-    want = np.eye(staged.space.n) - staged.space.joint * np.outer(inv_sqrt, inv_sqrt)
-    assert seen[0].tobytes() == want.tobytes()
+    want = np.eye(n) - staged.space.joint * np.outer(inv_sqrt, inv_sqrt)
+    components = dense_components(dense_graph(staged.space))
+    assert len(seen) == len(components) == {"reference": 1, "inflated8": 45}[which]
+    got = np.zeros((n, n))
+    for nodes, block in zip(components, seen):
+        got[np.ix_(nodes, nodes)] = block
+    assert got.tobytes() == want.tobytes()
+
 
 @pytest.mark.parametrize("which", ["reference", 1, 2, 3, 4, "inflated8"])
 def test_staged_graph_matches_dense_graph_bit_for_bit(which):
-    # against the graph record with a Laplacian symmetrized twice
+    # against the graph record with a Laplacian symmetrized twice: its dense
+    # spectrum when the graph is connected, its per-component one otherwise
     world, transforms = oracle_world(which)
     staged = stage_graph(world, transforms)
     space = build_augmented_space(world, transforms)
     G = dense_graph(space)
+    components = dense_components(G)
+    assert (len(components) > 1) == (which in (2, "inflated8"))
     spec = dense_spectrum(G)
+    if len(components) > 1:
+        split = dense_component_spectrum(G)
+        V = split.vectors
+        assert np.max(np.abs(split.values - spec.values)) <= 1e-12
+        assert np.linalg.norm(G.L @ V - V * split.values) <= 1e-12
+        assert np.max(np.abs(V.T @ V - np.eye(G.n))) <= 1e-12
+        spec = split
     assert np.array_equal(staged.degrees, G.degrees)
     assert np.array_equal(staged.spectrum.values, spec.values)
     assert np.array_equal(staged.spectrum.vectors, spec.vectors)
@@ -218,12 +239,31 @@ class TestSpectrum:
             assert zeros == connected_components(G.space.joint)
 
     def test_disconnected_world(self):
-        # identity-only transforms: every original is its own component
+        # identity-only transforms: every original is its own component, a
+        # 1 x 1 block; the six values are equal, so they keep node order
         w = reference_world()
         G = stage_graph(w, [Transform("i", 1.0)])
         vals = G.spectrum.values
         assert connected_components(G.space.joint) == 6
         assert np.sum(vals < 1e-8) == 6
+        assert len(set(vals.tolist())) == 1
+        assert G.spectrum.vectors.tobytes() == np.eye(6).tobytes()
+
+    @pytest.mark.parametrize("which", [2, "inflated8"])
+    def test_a_split_spectrum_keeps_each_vector_on_its_component(self, which):
+        G = stage_graph(*oracle_world(which))
+        components = dense_components(dense_graph(G.space))
+        assert connected_components(G.space.joint) == len(components) > 1
+        labels = np.empty(G.space.n, dtype=int)
+        for c, nodes in enumerate(components):
+            labels[nodes] = c
+        for column in G.spectrum.vectors.T:
+            assert len(set(labels[column != 0.0].tolist())) == 1
+        # the Laplacian's cross-component cells are +0.0, so the split drops nothing
+        inv_sqrt = 1.0 / np.sqrt(G.degrees)
+        L = np.eye(G.space.n) - G.space.joint * np.outer(inv_sqrt, inv_sqrt)
+        cross = L[labels[:, None] != labels[None, :]]
+        assert cross.size and cross.tobytes() == np.zeros(cross.size).tobytes()
 
 
 class TestSpectralEmbedding:
@@ -269,6 +309,19 @@ class TestComponents:
     def test_empty(self):
         assert connected_components(np.zeros((5, 5))) == 5
         assert connected_components(np.zeros((0, 0))) == 0
+
+    def test_a_path_through_larger_nodes(self):
+        # 0 - 8 - 9 - 6: node 6 learns label 0 only through nodes larger than itself
+        A = np.zeros((11, 11))
+        for i, j in [(0, 8), (8, 9), (9, 6)]:
+            A[i, j] = A[j, i] = 0.2
+        assert connected_components(A) == 8
+
+    def test_a_one_way_support_cell_raises(self):
+        # row 0 lists cell (0, 1), row 1 does not list (1, 0): node 0 never
+        # hears of node 1, so the cell would cross two components
+        with pytest.raises(ValueError, match="the support is not symmetric"):
+            graph._component_labels(np.array([0, 1]), np.array([1, 1]), 2)
 
     @settings(max_examples=150, deadline=None)
     @given(
