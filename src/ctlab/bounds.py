@@ -74,22 +74,24 @@ def variance_terms(f: Embedding, space: AugmentedSpace, mu: np.ndarray):
     mu_of = mu.T[space.labels]  # (n, k) class mean per node
     dev = np.sum((F - mu_of) ** 2, axis=1)  # ||f(x) - mu_{y_x}||^2 per node
     mask_plus = space.positive_mask()
-    w_plus = np.where(mask_plus, space.joint, 0.0)
-    w_minus = np.where(~mask_plus, space.joint, 0.0)
-    mass_plus = float(w_plus.sum())
-    mass_minus = float(w_minus.sum())
+    # one (n, n) buffer: the label-consistent part of the joint, then the rest
+    w = np.where(mask_plus, space.joint, 0.0)
+    mass_plus = float(w.sum())
     if mass_plus <= 0.0:
         raise ValueError("variance_terms: empty label-consistent pair support")
-    V = float(w_plus.sum(axis=1) @ dev) / mass_plus
+    V = float(w.sum(axis=1) @ dev) / mass_plus
+    # same-class positive branch of the mixture
+    branch_pos = float(np.sum(np.multiply(w, dev, out=w))) / mass_plus
+    np.copyto(w, space.joint)
+    np.copyto(w, 0.0, where=mask_plus)
+    mass_minus = float(w.sum())
     if mass_minus > 0.0:
         # deviation of the positive view from the anchor's class mean:
         # dev_class[c, j] = ||f(j) - mu_c||^2, row picked by the anchor label
         dev_class = np.stack([np.sum((F - mu_c) ** 2, axis=1) for mu_c in mu.T])
-        V_minus = float(np.sum(w_minus * dev_class[space.labels])) / mass_minus
+        V_minus = float(np.sum(np.multiply(w, dev_class[space.labels], out=w))) / mass_minus
     else:
         V_minus = None
-    # same-class positive branch of the mixture
-    branch_pos = float(np.sum(w_plus * dev[None, :])) / mass_plus
     # marginal negative branch
     branch_neg = float(space.marginal @ dev)
     V_neg = 0.5 * branch_pos + 0.5 * branch_neg
@@ -114,8 +116,8 @@ def lse_approx_error(
     sims = F @ F.T
     p = space.marginal
     mx = sims.max(axis=1)
-    exact_per = mx + np.log((np.exp(sims - mx[:, None]) @ p))
-    exact = float(p @ exact_per)
+    shifted = np.subtract(sims, mx[:, None])
+    exact = float(p @ (mx + np.log(np.exp(shifted, out=shifted) @ p)))
     errors = np.empty(replicates)
     for r in range(replicates):
         rng = np.random.Generator(

@@ -48,10 +48,9 @@ def laplacian_spectrum(space: AugmentedSpace, degrees: np.ndarray) -> SymEigen:
     to rounding (cond^T (w cond) groups a cell's factors and its mirror's
     differently), so sym_eig's symmetrization does real work.
 
-    Components are labelled from space.support.  A connected graph hands its
-    whole Laplacian to one sym_eig, keeping a dense eigh's bits.  Otherwise
-    each component's block (all else is exactly +0.0) goes to sym_eig alone;
-    the values merge ascending by a stable sort, so ties keep component order
+    Each component of space.support has its block (all else is exactly +0.0)
+    eigendecomposed alone, so a connected graph keeps a dense eigh's bits.
+    Values merge ascending by a stable sort: ties keep component order
     (smallest node first), and each vector is exactly zero off its component.
     """
     n = space.n
@@ -62,8 +61,6 @@ def laplacian_spectrum(space: AugmentedSpace, degrees: np.ndarray) -> SymEigen:
     np.subtract(0.0, L, out=L)  # 0.0 - x, not -x: a zero cell stays +0.0
     L.flat[:: n + 1] += 1.0
     roots = np.flatnonzero(components == np.arange(n))
-    if len(roots) == 1:
-        return sym_eig(L)
     members = [np.flatnonzero(components == root) for root in roots]
     parts = [sym_eig(L[np.ix_(m, m)]) for m in members]
     del L  # freed before the vectors: one n x n buffer at a time

@@ -246,7 +246,8 @@ def _sampled_infonce(flat: np.ndarray, n: int):
         nonlocal support, G
         s = np.take(sims, flat)  # (1 + M, B)
         mx = s.max(axis=0)
-        ex = np.exp(s - mx)
+        ex = np.subtract(s, mx)
+        np.exp(ex, out=ex)
         total = ex.sum(axis=0)
         losses = mx + np.log(total) - s[0]
         if not coef:
@@ -326,9 +327,10 @@ def train_free_embeddings(
     if normalized:
         table = table / np.linalg.norm(table, axis=1, keepdims=True)
         evaluate, _ = _infonce(space, M, cfg, cfg.seed + seed + 1)
+        sims = np.empty((n, n))  # each evaluation's T T^T, written in place
 
         def loss_fn(T):  # the gradient G T on the sphere: its radial part removed
-            losses, G = evaluate(T @ T.T, coef=True)
+            losses, G = evaluate(np.matmul(T, T.T, out=sims), coef=True)
             grad = G @ T
             return float(np.mean(losses)), grad - np.sum(grad * T, axis=1, keepdims=True) * T
     elif loss == "spectral":
