@@ -278,12 +278,6 @@ def cmd_world(cfg, out_dir, threads, allow_violations):
     return 0
 
 
-def cmd_svd(cfg, out_dir, threads, allow_violations):
-    if cfg.truncation() is None:
-        raise ConfigError("svd.mode: subcommand svd needs a mode other than none")
-    return cmd_world(cfg, out_dir, threads, allow_violations)
-
-
 def cmd_graph(cfg, out_dir, threads, allow_violations):
     staged = _stager(cfg, generate_world(cfg.world))(cfg.truncation())
     A = staged.space.joint
@@ -339,7 +333,7 @@ def cmd_sweep(cfg, out_dir, threads, allow_violations):
 
 
 _COMMANDS = {
-    "run": cmd_run, "world": cmd_world, "svd": cmd_svd, "graph": cmd_graph,
+    "run": cmd_run, "world": cmd_world, "graph": cmd_graph,
     "train": cmd_train, "probe": cmd_probe, "bounds": cmd_bounds, "sweep": cmd_sweep,
 }
 

@@ -29,10 +29,10 @@ REQUIRED = object()  # the default of a key that has none
 _CHECKS = ("t1", "t3", "t4", "corollaries")
 
 # section -> key -> (field, kind, default, bound or allowed values).  World
-# fields are WorldSpec's and their ranges WorldSpec.validate's, which loaded
-# worlds share; the other fields are RunConfig's.  A bound is a comma-separated
-# list of conditions on the value, or on each entry of a list.  Every float
-# must also be finite, and the entries of an int list (a sweep) distinct.
+# fields are WorldSpec's and their ranges WorldSpec.validate's; the other
+# fields are RunConfig's.  A bound is a comma-separated list of conditions on
+# the value, or on each entry of a list.  Every float must also be finite, and
+# the entries of an int list (a sweep) distinct.
 _TABLE = {
     "run": {"seed": ("seed", "int", 0, None)},
     "world": {

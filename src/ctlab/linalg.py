@@ -19,7 +19,6 @@ __all__ = [
     "orthonormalize",
     "gaussian_matrix",
     "save_matrix_text",
-    "load_matrix_text",
 ]
 
 _SYM_TOL = 1e-10
@@ -164,20 +163,3 @@ def save_matrix_text(path, X) -> None:
         for r in range(rows):
             fh.write(" ".join(repr(float(v)) for v in X[r]) + "\n")
 
-
-def load_matrix_text(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != _TEXT_HEADER:
-            raise LinalgError(f"{path}: bad header {header!r}")
-        dims = fh.readline().split()
-        if len(dims) != 2:
-            raise LinalgError(f"{path}: bad dimension line")
-        rows, cols = int(dims[0]), int(dims[1])
-        values = fh.read().split()
-    if len(values) != rows * cols:
-        raise LinalgError(
-            f"{path}: expected {rows * cols} values, got {len(values)}"
-        )
-    X = np.array([float(v) for v in values]).reshape(rows, cols)
-    return as_matrix(X, path)

@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import gaussian_matrix, load_matrix_text, orthonormalize, save_matrix_text
+from .linalg import gaussian_matrix, orthonormalize, save_matrix_text
 from .svd import TruncationSpec, svd_full, svd_truncate
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "preprocess_world",
     "inflate",
     "save_world",
-    "load_world",
 ]
 
 PROB_TOL = 1e-12  # how far transform or original probabilities may sum from 1
@@ -553,94 +552,3 @@ def save_world(world: World, directory) -> None:
     with open(os.path.join(directory, "manifest.txt"), "w", newline="\n", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def load_world(directory) -> World:
-    """The world save_world wrote; its originals must be named o0000, o0001, ... in order.
-
-    Each line must name the file save_world writes for it.  A manifest that
-    gives the spec, or one template, on two lines is rejected.
-    """
-    manifest = os.path.join(directory, "manifest.txt")
-    spec = None
-    templates = {}
-    payloads, labels, weights = [], [], []
-    with open(manifest) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            key, _, value = line.partition(" = ")
-            try:
-                if key == "spec":
-                    if spec is not None:
-                        raise ValueError("repeated key 'spec'")
-                    parts = value.split()
-                    if len(parts) != 9:
-                        raise ValueError(f"spec needs 9 fields, got {len(parts)}")
-                    spec = WorldSpec(
-                        K=int(parts[0]),
-                        per_class=int(parts[1]),
-                        m=int(parts[2]),
-                        m_prime=int(parts[3]),
-                        q_star=int(parts[4]),
-                        nuisance_rank=int(parts[5]),
-                        nuisance_confusion=float(parts[6]),
-                        noise_scale=float(parts[7]),
-                        seed=int(parts[8]),
-                    )
-                    spec.validate()
-                elif key.startswith("template "):
-                    c = int(key.split()[1])
-                    if c in templates:
-                        raise ValueError(f"repeated key 'template {c}'")
-                    if value != f"template_{c:02d}.mat":
-                        raise ValueError(f"expected file template_{c:02d}.mat, got {value!r}")
-                    templates[c] = load_matrix_text(os.path.join(directory, value))
-                elif key.startswith("original "):
-                    name = f"o{len(payloads):04d}"
-                    if key != f"original {name}":
-                        raise ValueError(f"expected original {name}, got {key!r}: "
-                                         "originals are named by position")
-                    parts = value.split()
-                    if len(parts) != 3:
-                        raise ValueError(f"expected 'file label weight', got {value!r}")
-                    fname, label, weight = parts
-                    if fname != f"{name}.mat":
-                        raise ValueError(f"expected file {name}.mat, got {fname!r}")
-                    weight = float(weight)
-                    if not 0.0 < weight < np.inf:
-                        raise ValueError(f"weight {weight!r} is not finite and positive")
-                    payload = load_matrix_text(os.path.join(directory, fname))
-                    payloads.append(payload)
-                    labels.append(int(label))
-                    weights.append(weight)
-                else:
-                    raise ValueError(f"unknown key {key!r}")
-            except ValueError as err:
-                raise ValueError(f"{manifest}: line {lineno}: {err}") from None
-    if spec is None:
-        raise ValueError(f"{manifest}: missing spec line")
-    weights = np.array(weights)
-    if abs(float(weights.sum()) - 1.0) > PROB_TOL:
-        raise ValueError(f"{manifest}: weights sum to {weights.sum()!r}, not 1")
-    if sorted(templates) != list(range(spec.K)):
-        raise ValueError(f"{manifest}: template indices are not 0..{spec.K - 1}")
-    shape = (spec.m, spec.m_prime)
-    named = [(f"template {c}", T) for c, T in templates.items()]
-    for name, P in named + [(f"o{i:04d}", P) for i, P in enumerate(payloads)]:
-        if P.shape != shape:
-            raise ValueError(f"{manifest}: {name} has shape {P.shape}, not {shape}")
-    world = World(
-        payloads=np.stack(payloads),
-        labels=np.array(labels),
-        weights=weights,
-        templates=np.stack([templates[c] for c in range(spec.K)]),
-        spec=spec,
-    )
-    # payloads are finite (load_matrix_text) and of the templates' shape
-    got = ground_truth_label(world.payloads, world.templates)
-    for i, (label, g) in enumerate(zip(labels, got)):
-        if g != label:
-            raise ValueError(f"{manifest}: original o{i:04d}: latent label {label} "
-                             f"!= ground truth {g}")
-    return world

@@ -6,7 +6,8 @@ No `ctlab` command reaches anything here.  The batch InfoNCE functions with
 `dense_sampled_infonce` the bit-for-bit oracle of the sampled engine,
 `fit_alone` the plain per-table descent the stacked probe is held to, and
 `dense_component_spectrum` the per-component oracle of a graph's spectrum
-when the graph is not connected.
+when the graph is not connected.  `load_matrix_text` and `read_world` read
+back what `save_matrix_text` and `save_world` write; ctlab never reads them.
 
 The toy world has two 1x2 originals and a masking transform whose shared
 blank view carries the wrong label; every probability in its augmented
@@ -41,7 +42,9 @@ import numpy as np
 from ctlab.bounds import theorem4_check
 from ctlab.config import _TABLE, load_config, make_transforms
 from ctlab.graph import spectral_embedding
-from ctlab.linalg import SymEigen, as_matrix, gaussian_matrix, orthonormalize, sym_eig
+from ctlab.linalg import (
+    _TEXT_HEADER, SymEigen, as_matrix, gaussian_matrix, orthonormalize, sym_eig,
+)
 from ctlab.objectives import Embedding, fit_linear_head
 from ctlab.svd import SvdFactors, TruncationSpec, svd_full, svd_truncate
 from ctlab.world import Transform, World, WorldSpec, generate_world
@@ -455,3 +458,34 @@ def parse_csv(path):
         reader = csv.reader(fh)
         header = next(reader)
         return header, [dict(zip(header, row)) for row in reader]
+
+
+def load_matrix_text(path) -> np.ndarray:
+    """The matrix save_matrix_text wrote to path."""
+    with open(path, encoding="ascii") as fh:
+        assert fh.readline() == _TEXT_HEADER + "\n", path
+        rows, cols = map(int, fh.readline().split())
+        values = [float(v) for v in fh.read().split()]
+    assert len(values) == rows * cols, path
+    return np.array(values).reshape(rows, cols)
+
+
+def read_world(directory) -> World:
+    """The world save_world wrote to directory, in the order of its manifest."""
+    directory = Path(directory)
+    templates, payloads, labels, weights = [], [], [], []
+    for line in (directory / "manifest.txt").read_text(encoding="ascii").splitlines():
+        key, _, value = line.partition(" = ")
+        fields = value.split()
+        if key == "spec":
+            assert len(fields) == 9, line
+            *ints, confusion, noise, seed = fields
+            spec = WorldSpec(*map(int, ints), float(confusion), float(noise), int(seed))
+        elif key.startswith("template "):
+            templates.append(load_matrix_text(directory / value))
+        else:
+            fname, label, weight = fields
+            payloads.append(load_matrix_text(directory / fname))
+            labels.append(int(label))
+            weights.append(float(weight))
+    return World(np.stack(payloads), np.array(labels), np.array(weights), np.stack(templates), spec)
