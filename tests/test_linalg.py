@@ -190,3 +190,16 @@ class TestSerialization:
         p = tmp_path / "x.mat"
         save_matrix_text(p, X)
         assert np.array_equal(load_matrix_text(p), X)
+
+    # the reader refuses what save_matrix_text never writes, so a round trip fails loudly
+    def test_text_header_checked(self, tmp_path):
+        p = tmp_path / "bad.mat"
+        p.write_text("NOT-A-HEADER\n1 1\n0.0\n")
+        with pytest.raises(AssertionError):
+            load_matrix_text(p)
+
+    def test_text_count_checked(self, tmp_path):
+        p = tmp_path / "short.mat"
+        p.write_text("CTLAB-MAT v1\n2 2\n0.0 1.0 2.0\n")
+        with pytest.raises(AssertionError):
+            load_matrix_text(p)

@@ -29,7 +29,8 @@ from ctlab.world import (
     save_world,
 )
 from oracles import (
-    RHO, read_world, reference_transforms, reference_world, toy_transforms, toy_world,
+    RHO, load_matrix_text, read_world, reference_transforms, reference_world, toy_transforms,
+    toy_world,
 )
 
 
@@ -627,3 +628,75 @@ class TestSerialization:
         lines = (tmp_path / "w" / "manifest.txt").read_text().splitlines()
         names = [line.split()[1] for line in lines if line.startswith("original ")]
         assert names == [f"o{i:04d}" for i in range(48)]
+
+
+SAVED_WORLDS = {
+    "toy": toy_world,
+    "reference": reference_world,
+    "truncated": lambda: preprocess_world(
+        reference_world(), TruncationSpec(mode="keep_top_q", q=1)),
+    "inflated_truncated": lambda: preprocess_world(
+        inflate(generate_world(_ref_spec(noise_scale=0.05)), 8, seed=6),
+        TruncationSpec(mode="keep_top_q", q=2)),
+}
+
+
+@pytest.mark.parametrize("name", list(SAVED_WORLDS))
+class TestSavedWorldFormat:
+    """What save_world writes: one manifest line per key, in a fixed order, each file named."""
+
+    def _save(self, name, directory):
+        w = SAVED_WORLDS[name]()
+        save_world(w, directory)
+        return w, (directory / "manifest.txt").read_text(encoding="ascii").splitlines()
+
+    def test_manifest_lines_name_the_files_in_order(self, name, tmp_path):
+        w, lines = self._save(name, tmp_path / "w")
+        K, n = len(w.templates), len(w.payloads)
+        assert len(lines) == 1 + K + n
+        assert lines[0].startswith("spec = ")
+        assert lines[1:1 + K] == [f"template {c} = template_{c:02d}.mat" for c in range(K)]
+        for i, line in enumerate(lines[1 + K:]):
+            key, _, value = line.partition(" = ")
+            assert key == f"original o{i:04d}"
+            assert len(value.split()) == 3 and value.split()[0] == f"o{i:04d}.mat", line
+        keys = [line.partition(" = ")[0] for line in lines]
+        assert len(set(keys)) == len(keys)
+
+    def test_directory_holds_exactly_the_named_files(self, name, tmp_path):
+        _w, lines = self._save(name, tmp_path / "w")
+        named = {line.partition(" = ")[2].split()[0] for line in lines[1:]}
+        assert {p.name for p in (tmp_path / "w").iterdir()} == named | {"manifest.txt"}
+
+    def test_spec_line_echoes_a_valid_spec(self, name, tmp_path):
+        w, lines = self._save(name, tmp_path / "w")
+        fields = lines[0].partition(" = ")[2].split()
+        assert len(fields) == 9
+        *ints, confusion, noise, seed = fields
+        spec = WorldSpec(*map(int, ints), float(confusion), float(noise), int(seed))
+        assert spec == w.spec
+        assert np.isfinite(spec.noise_scale) and spec.noise_scale >= 0.0
+
+    def test_weights_written_exactly_and_sum_to_one(self, name, tmp_path):
+        w, lines = self._save(name, tmp_path / "w")
+        weights = np.array([float(line.split()[-1]) for line in lines if line.startswith("original ")])
+        assert weights.tobytes() == w.weights.astype(float).tobytes()
+        assert np.all(np.isfinite(weights)) and np.all(weights > 0.0)
+        assert abs(weights.sum() - 1.0) < 1e-12
+
+    def test_payloads_have_the_template_shape(self, name, tmp_path):
+        w, lines = self._save(name, tmp_path / "w")
+        shape = w.templates[0].shape
+        for line in lines[1:]:
+            fname, *rest = line.partition(" = ")[2].split()
+            assert load_matrix_text(tmp_path / "w" / fname).shape == shape, line
+            if rest:
+                assert 0 <= int(rest[0]) < w.spec.K, line
+
+    def test_saving_twice_writes_the_same_bytes(self, name, tmp_path):
+        w = SAVED_WORLDS[name]()
+        trees = []
+        for d in ("a", "b"):
+            save_world(w, tmp_path / d)
+            trees.append({p.name: p.read_bytes() for p in (tmp_path / d).iterdir()})
+        assert trees[0] == trees[1]
