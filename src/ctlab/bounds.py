@@ -99,26 +99,25 @@ def variance_terms(f: Embedding, space: AugmentedSpace, mu: np.ndarray):
 
 
 def lse_approx_error(
-    f: Embedding, space: AugmentedSpace, M: int, replicates: int, seed: int
+    f: Embedding, space: AugmentedSpace, M: int, replicates: int, seed: int, sims=None
 ):
     """Measured log-sum-exp approximation error of M-sample negative batches.
 
     Exact value: E_x[log E_z[exp(f(x) . f(z))]] under the marginal.  Each
     replicate redraws M negatives per anchor from the space's cached marginal
     inverse-CDF table and evaluates the plug-in log-mean-exp; returns (mean
-    absolute error, std over replicates).
+    absolute error, std over replicates).  sims, when given, is f's
+    similarity table F F^T; the replicates read it first, then the exact
+    value is taken in it, in place.
     """
     if replicates < 2:
         raise ValueError("lse_approx_error: replicates must be >= 2")
     if M < 1:
         raise ValueError("lse_approx_error: M must be >= 1")
-    F = f.table
-    sims = F @ F.T
+    if sims is None:
+        sims = f.table @ f.table.T
     p = space.marginal
-    mx = sims.max(axis=1)
-    shifted = np.subtract(sims, mx[:, None])
-    exact = float(p @ (mx + np.log(np.exp(shifted, out=shifted) @ p)))
-    errors = np.empty(replicates)
+    estimates = np.empty(replicates)
     for r in range(replicates):
         rng = np.random.Generator(
             np.random.Philox(key=np.array([seed & (2**64 - 1), r], dtype=np.uint64))
@@ -126,8 +125,11 @@ def lse_approx_error(
         negs = space.marginal_cdf.draw(rng.random((space.n, M)))  # rng.choice(n, p=p)
         s = sims[np.arange(space.n)[:, None], negs]  # (n, M)
         smx = s.max(axis=1)
-        est_per = smx + np.log(np.mean(np.exp(s - smx[:, None]), axis=1))
-        errors[r] = abs(float(p @ est_per) - exact)
+        estimates[r] = float(p @ (smx + np.log(np.mean(np.exp(s - smx[:, None]), axis=1))))
+    mx = sims.max(axis=1)
+    shifted = np.subtract(sims, mx[:, None], out=sims)
+    exact = float(p @ (mx + np.log(np.exp(shifted, out=shifted) @ p)))
+    errors = np.abs(estimates - exact)
     return float(np.mean(errors)), float(np.std(errors, ddof=1))
 
 
@@ -186,11 +188,13 @@ def measure_sandwich(
     embedding that is not normalized, so V, V_minus, V_neg and envelope stay None.
     """
     f.check()
-    nce, nce_se, exact = infonce_population(f, space, M, cfg)
+    sims = f.table @ f.table.T  # one similarity table for both measures
+    nce, nce_se, exact = infonce_population(f, space, M, cfg, sims)
     mu = mean_head(f, space)
     V = V_minus = V_neg = envelope = None
     if f.normalized:
-        lse_mean, lse_std = lse_approx_error(f, space, M, cfg.replicates, cfg.seed)
+        lse_mean, lse_std = lse_approx_error(f, space, M, cfg.replicates, cfg.seed, sims)
+        del sims  # freed before variance_terms' n x n buffer
         envelope = lse_mean + 3.0 * lse_std + 3.0 * nce_se
         V, V_minus, V_neg = variance_terms(f, space, mu)
     eps_min, eps_max = alignment_eps(f, space)

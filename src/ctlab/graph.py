@@ -2,7 +2,8 @@
 
 The adjacency is the exact positive-pair joint of an augmented space, so
 its total mass is 1 and the degree vector equals the augmented marginal.
-Everything is dense; desk-scale graphs stay well under 500 nodes.
+The joint is dense, since desk-scale graphs stay well under 500 nodes; the
+spectrum is kept per connected component, so no other n x n table is made.
 """
 
 from __future__ import annotations
@@ -11,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SymEigen, sym_eig
+from .linalg import sym_eig
 from .world import AugmentedSpace, World, build_augmented_space, labeling_error
 
 __all__ = [
+    "ComponentSpectrum",
     "StagedGraph",
     "laplacian_spectrum",
     "stage_graph",
@@ -40,39 +42,58 @@ def _component_labels(xs, ys, n: int) -> np.ndarray:
     return labels
 
 
-def laplacian_spectrum(space: AugmentedSpace, degrees: np.ndarray) -> SymEigen:
+@dataclass(frozen=True)
+class ComponentSpectrum:
+    """Ascending spectrum of a normalized Laplacian, eigenvectors kept by connected component.
+
+    Component c (in the order of its smallest node) spans nodes[c], ascending.
+    Its eigenpair j is pair positions[c][j] of the ascending spectrum, with
+    eigenvalue values[positions[c][j]] and eigenvector vectors[c][:, j] on
+    nodes[c]; that vector is exactly zero off its component, and no n x n
+    table of them is made.
+    """
+
+    values: np.ndarray  # (n,) ascending
+    nodes: tuple        # per component, its (s,) nodes, ascending
+    positions: tuple    # per component, its (s,) positions in values, ascending
+    vectors: tuple      # per component, its (s, s) unit eigenvectors as columns
+
+
+def laplacian_spectrum(space: AugmentedSpace, degrees: np.ndarray) -> ComponentSpectrum:
     """Full ascending spectrum of the normalized Laplacian I - D^-1/2 A D^-1/2, A = space.joint.
 
-    The Laplacian is built in one n x n buffer with the bits of
-    np.eye(n) - A * np.outer(s, s).  A positive-pair joint is symmetric only
-    to rounding (cond^T (w cond) groups a cell's factors and its mirror's
-    differently), so sym_eig's symmetrization does real work.
-
-    Each component of space.support has its block (all else is exactly +0.0)
+    The Laplacian is block-diagonal over the connected components of
+    space.support (every other cell is exactly +0.0).  Each block is built
+    alone with the bits of np.eye(n) - A * np.outer(s, s) in its cells and
     eigendecomposed alone, so a connected graph keeps a dense eigh's bits.
-    Values merge ascending by a stable sort: ties keep component order
-    (smallest node first), and each vector is exactly zero off its component.
+    A positive-pair joint is symmetric only to rounding (cond^T (w cond)
+    groups a cell's factors and its mirror's differently), so sym_eig's
+    symmetrization does real work.  Values merge ascending by a stable
+    sort: ties keep component order (smallest node first).
     """
     n = space.n
     components = _component_labels(*space.support[:2], n)
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    L = np.outer(inv_sqrt, inv_sqrt)
-    L *= space.joint
-    np.subtract(0.0, L, out=L)  # 0.0 - x, not -x: a zero cell stays +0.0
-    L.flat[:: n + 1] += 1.0
     roots = np.flatnonzero(components == np.arange(n))
-    members = [np.flatnonzero(components == root) for root in roots]
-    parts = [sym_eig(L[np.ix_(m, m)]) for m in members]
-    del L  # freed before the vectors: one n x n buffer at a time
+    nodes = tuple(np.flatnonzero(components == root) for root in roots)
+    parts = []
+    for m in nodes:
+        L = np.outer(inv_sqrt[m], inv_sqrt[m])
+        L *= space.joint[np.ix_(m, m)]
+        np.subtract(0.0, L, out=L)  # 0.0 - x, not -x: a zero cell stays +0.0
+        L.flat[:: len(m) + 1] += 1.0
+        parts.append(sym_eig(L))
     values = np.concatenate([part.values for part in parts])
     order = sorted(range(n), key=values.tolist().__getitem__)
-    column = np.empty(n, dtype=np.intp)
-    column[order] = np.arange(n)  # where each block's eigenpair lands
-    vectors, start = np.zeros((n, n)), 0
-    for m, part in zip(members, parts):
-        vectors[np.ix_(m, column[start:start + len(m)])] = part.vectors
-        start += len(m)
-    return SymEigen(values=values[order], vectors=vectors)
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(n)  # where each block's eigenpair lands
+    ends = np.cumsum([len(m) for m in nodes])
+    return ComponentSpectrum(
+        values=values[order],
+        nodes=nodes,
+        positions=tuple(np.split(position, ends[:-1])),
+        vectors=tuple(part.vectors for part in parts),
+    )
 
 
 @dataclass(frozen=True)
@@ -83,9 +104,9 @@ class StagedGraph:
     """
 
     space: AugmentedSpace
-    degrees: np.ndarray  # (n,) row sums of the adjacency, all > 0
-    spectrum: SymEigen   # of the normalized Laplacian
-    alpha: float         # exact labeling error of the world on that space
+    degrees: np.ndarray          # (n,) row sums of the adjacency, all > 0
+    spectrum: ComponentSpectrum  # of the normalized Laplacian
+    alpha: float                 # exact labeling error of the world on that space
 
     def levels(self, k: int):
         """(lambda_k, lambda_{k+1}); lambda_{k+1} is None when k is the node count."""
@@ -101,7 +122,7 @@ def stage_graph(world: World, transforms, memo: dict | None = None) -> StagedGra
     transform probabilities guarantee.
 
     memo, when given, is a dict that remembers the last spectrum computed
-    with it: the support triple (xs, ys, w), the degrees and the SymEigen of
+    with it: the support triple (xs, ys, w), the degrees and the spectrum of
     that graph, never its space.  A world whose joint has the same node count
     and the same support triple takes the remembered degrees and spectrum;
     such joints are equal, since no joint entry is -0.0.  Any other world
@@ -132,15 +153,23 @@ def spectral_embedding(staged: StagedGraph, k: int) -> np.ndarray:
     Row x is D_xx^{-1/2} (sqrt(g_1) v_1(x), ..., sqrt(g_k) v_k(x)) with
     g_i = max(1 - lambda_i, 0) and v_i the eigenvectors of the normalized
     adjacency.  Clamping at zero is safe: directions with negative adjacency
-    eigenvalue contribute nothing to the minimizer.
+    eigenvalue contribute nothing to the minimizer.  Only the first k
+    eigenpairs are read, and column i is +0.0 off pair i's component.
     """
     n = staged.space.n
     if not (1 <= k <= n):
         raise ValueError(f"spectral_embedding: k={k} out of range [1, {n}]")
     spec = staged.spectrum
+    # each entry takes the two steps of V[:, :k] * sqrt(gammas) / sqrt(degrees)[:, None]
+    # for the dense eigenvector table V, so it has that formula's bits
     gammas = np.clip(1.0 - spec.values[:k], 0.0, None)
-    table = spec.vectors[:, :k] * np.sqrt(gammas)
-    table = table / np.sqrt(staged.degrees)[:, None]
+    roots, scale = np.sqrt(gammas), np.sqrt(staged.degrees)
+    table = np.zeros((n, k))
+    for nodes, positions, vectors in zip(spec.nodes, spec.positions, spec.vectors):
+        for j, i in enumerate(positions.tolist()):
+            if i >= k:  # positions ascend: the component's other pairs lie past k too
+                break
+            table[nodes, i] = vectors[:, j] * roots[i] / scale[nodes]
     return table
 
 

@@ -6,8 +6,10 @@ No `ctlab` command reaches anything here.  The batch InfoNCE functions with
 `dense_sampled_infonce` the bit-for-bit oracle of the sampled engine,
 `fit_alone` the plain per-table descent the stacked probe is held to, and
 `dense_component_spectrum` the per-component oracle of a graph's spectrum
-when the graph is not connected.  `load_matrix_text` and `read_world` read
-back what `save_matrix_text` and `save_world` write; ctlab never reads them.
+when the graph is not connected; `dense_vectors` lays a staged spectrum's
+per-component eigenvectors out as the n x n table those oracles hold.
+`load_matrix_text` and `read_world` read back what `save_matrix_text` and
+`save_world` write; ctlab never reads them.
 
 The toy world has two 1x2 originals and a masking transform whose shared
 blank view carries the wrong label; every probability in its augmented
@@ -332,6 +334,15 @@ def dense_component_spectrum(G: DenseGraph) -> SymEigen:
     for col, (_value, c, j) in enumerate(pairs):
         vectors[components[c], col] = parts[c].vectors[:, j]
     return SymEigen(values=np.array([value for value, _c, _j in pairs]), vectors=vectors)
+
+
+def dense_vectors(spectrum) -> np.ndarray:
+    """The n x n eigenvector table of a ComponentSpectrum: column i is eigenpair i's vector."""
+    n = len(spectrum.values)
+    vectors = np.zeros((n, n))
+    for nodes, positions, block in zip(spectrum.nodes, spectrum.positions, spectrum.vectors):
+        vectors[np.ix_(nodes, positions)] = block
+    return vectors
 
 
 def dense_spectral_embedding(G: DenseGraph, spec: SymEigen, k: int) -> np.ndarray:

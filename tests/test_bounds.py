@@ -1,3 +1,4 @@
+import inspect
 import itertools
 from dataclasses import fields, replace
 
@@ -451,6 +452,28 @@ class TestSandwich:
         f = random_embedding(space.n, 3, seed=5)
         t = measure_sandwich(f, space, 1)
         want = all_sandwich_terms(f, space, 1)
+        for key in want:
+            assert getattr(t, key) == want[key], key
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_one_similarity_table_reaches_both_measures(self, which, monkeypatch):
+        # measure_sandwich forms F F^T once: infonce_population reads it as it
+        # is, and lse_approx_error takes its exact value in it, in place
+        space = reference_and_inflated_spaces()[which]
+        f, cfg = random_embedding(space.n, 3, seed=5), McConfig(samples=3000, seed=4)
+        want = all_sandwich_terms(f, space, 1, cfg)
+        seen = {}
+        for name in ("infonce_population", "lse_approx_error"):
+            def spy(*args, _fn=getattr(bounds, name), _name=name, **kwargs):
+                sims = inspect.signature(_fn).bind(*args, **kwargs).arguments.get("sims")
+                seen[_name] = (sims, None if sims is None else sims.tobytes())
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(bounds, name, spy)
+        t = measure_sandwich(f, space, 1, cfg)
+        (nce_sims, nce_bytes), (lse_sims, lse_bytes) = seen.values()
+        assert nce_sims is not None and nce_sims is lse_sims
+        assert nce_bytes == lse_bytes == (f.table @ f.table.T).tobytes()
         for key in want:
             assert getattr(t, key) == want[key], key
 

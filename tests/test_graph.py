@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from oracles import (
     dense_graph,
     dense_spectral_embedding,
     dense_spectrum,
+    dense_vectors,
     enumerated_labeling_error,
     reference_spec,
     reference_transforms,
@@ -54,7 +56,10 @@ def staged_laplacian(monkeypatch, staged_graph=reference_graph):
 
 
 def oracle_world(which):
-    """(world, transforms): the reference world, a q truncation or the 8x inflated noisy world."""
+    """(world, transforms): the reference world, a q truncation, the 8x inflated noisy world
+    or the toy world under the identity alone, one component per original."""
+    if which == "toy_identity":
+        return toy_world(), [Transform("i", 1.0)]
     if which == "inflated8":
         noisy = generate_world(replace(reference_spec(), noise_scale=0.05))
         return inflate(noisy, 8, seed=6), reference_transforms(noisy)
@@ -122,16 +127,18 @@ def test_laplacian_has_the_bits_of_the_plain_formula(monkeypatch, which):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("which", ["reference", 1, 2, 3, 4, "inflated8"])
+@pytest.mark.parametrize("which", ["reference", 1, 2, 3, 4, "toy_identity", "inflated8"])
 def test_staged_graph_matches_dense_graph_bit_for_bit(which):
     # against the graph record with a Laplacian symmetrized twice: its dense
-    # spectrum when the graph is connected, its per-component one otherwise
+    # spectrum when the graph is connected, its per-component one otherwise;
+    # the spectral embedding at every k against the dense formula on that
+    # record's n x n eigenvector table
     world, transforms = oracle_world(which)
     staged = stage_graph(world, transforms)
     space = build_augmented_space(world, transforms)
     G = dense_graph(space)
     components = dense_components(G)
-    assert (len(components) > 1) == (which in (2, "inflated8"))
+    assert (len(components) > 1) == (which in (2, "toy_identity", "inflated8"))
     spec = dense_spectrum(G)
     if len(components) > 1:
         split = dense_component_spectrum(G)
@@ -142,10 +149,49 @@ def test_staged_graph_matches_dense_graph_bit_for_bit(which):
         spec = split
     assert np.array_equal(staged.degrees, G.degrees)
     assert np.array_equal(staged.spectrum.values, spec.values)
-    assert np.array_equal(staged.spectrum.vectors, spec.vectors)
-    for k in range(1, 9):
-        assert np.array_equal(spectral_embedding(staged, k), dense_spectral_embedding(G, spec, k))
+    assert np.array_equal(dense_vectors(staged.spectrum), spec.vectors)
+    for k in range(1, G.n + 1):
+        got, want = spectral_embedding(staged, k), dense_spectral_embedding(G, spec, k)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), k
     assert staged.alpha == labeling_error(space, world) == enumerated_labeling_error(space, world)
+
+
+def _held_arrays(obj):
+    """Every numpy array obj holds: in its attributes (cached ones too), tuples, lists and dicts."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _held_arrays(value)
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _held_arrays(item)
+    elif hasattr(obj, "__dict__"):
+        yield from _held_arrays(vars(obj))
+
+
+class TestSpectrumMemory:
+    """On the 8x inflated graph, 45 components of at most 19 nodes, the spectrum needs no n x n table."""
+
+    def test_laplacian_spectrum_peaks_below_one_n_by_n_table(self):
+        staged = stage_graph(*oracle_world("inflated8"))  # caches space.support, as a run does
+        n = staged.space.n
+        tracemalloc.start()
+        try:
+            laplacian_spectrum(staged.space, staged.degrees)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
+
+    def test_staged_graph_and_memo_hold_no_n_by_n_array_but_the_joint(self):
+        memo = {}
+        staged = stage_graph(*oracle_world("inflated8"), memo)
+        n = staged.space.n
+        assert len(staged.spectrum.nodes) == 45
+        square = [a for a in _held_arrays(staged) if a.shape == (n, n)]
+        assert len(square) == 1 and square[0] is staged.space.joint
+        assert [a for a in _held_arrays(memo) if a.shape == (n, n)] == []
 
 
 def inflated_world(q):
@@ -169,7 +215,7 @@ class TestSpectrumMemo:
         for got, want in [
             (reused.degrees, fresh.degrees),
             (reused.spectrum.values, fresh.spectrum.values),
-            (reused.spectrum.vectors, fresh.spectrum.vectors),
+            (dense_vectors(reused.spectrum), dense_vectors(fresh.spectrum)),
         ]:
             assert got.tobytes() == want.tobytes()
 
@@ -197,7 +243,7 @@ class TestSpectrumMemo:
         assert got.spectrum is not uniform.spectrum
         want = stage_graph(skewed, toy_transforms()).spectrum
         assert got.spectrum.values.tobytes() == want.values.tobytes()
-        assert got.spectrum.vectors.tobytes() == want.vectors.tobytes()
+        assert dense_vectors(got.spectrum).tobytes() == dense_vectors(want).tobytes()
 
     def test_an_extra_massless_node_is_not_a_hit(self, monkeypatch):
         # one more node with no mass leaves the support triple as it was
@@ -247,17 +293,18 @@ class TestSpectrum:
         assert connected_components(G.space.joint) == 6
         assert np.sum(vals < 1e-8) == 6
         assert len(set(vals.tolist())) == 1
-        assert G.spectrum.vectors.tobytes() == np.eye(6).tobytes()
+        assert dense_vectors(G.spectrum).tobytes() == np.eye(6).tobytes()
 
     @pytest.mark.parametrize("which", [2, "inflated8"])
     def test_a_split_spectrum_keeps_each_vector_on_its_component(self, which):
         G = stage_graph(*oracle_world(which))
         components = dense_components(dense_graph(G.space))
         assert connected_components(G.space.joint) == len(components) > 1
+        assert [nodes.tolist() for nodes in G.spectrum.nodes] == components
         labels = np.empty(G.space.n, dtype=int)
         for c, nodes in enumerate(components):
             labels[nodes] = c
-        for column in G.spectrum.vectors.T:
+        for column in dense_vectors(G.spectrum).T:
             assert len(set(labels[column != 0.0].tolist())) == 1
         # the Laplacian's cross-component cells are +0.0, so the split drops nothing
         inv_sqrt = 1.0 / np.sqrt(G.degrees)
