@@ -99,23 +99,21 @@ def variance_terms(f: Embedding, space: AugmentedSpace, mu: np.ndarray):
 
 
 def lse_approx_error(
-    f: Embedding, space: AugmentedSpace, M: int, replicates: int, seed: int, sims=None
+    sims: np.ndarray, space: AugmentedSpace, M: int, replicates: int, seed: int
 ):
     """Measured log-sum-exp approximation error of M-sample negative batches.
 
-    Exact value: E_x[log E_z[exp(f(x) . f(z))]] under the marginal.  Each
+    sims is the (n, n) similarity table F F^T of an embedding f.  Exact
+    value: E_x[log E_z[exp(f(x) . f(z))]] under the marginal.  Each
     replicate redraws M negatives per anchor from the space's cached marginal
     inverse-CDF table and evaluates the plug-in log-mean-exp; returns (mean
-    absolute error, std over replicates).  sims, when given, is f's
-    similarity table F F^T; the replicates read it first, then the exact
-    value is taken in it, in place.
+    absolute error, std over replicates).  The table is consumed: the
+    replicates read it first, then the exact value is taken in it, in place.
     """
     if replicates < 2:
         raise ValueError("lse_approx_error: replicates must be >= 2")
     if M < 1:
         raise ValueError("lse_approx_error: M must be >= 1")
-    if sims is None:
-        sims = f.table @ f.table.T
     p = space.marginal
     estimates = np.empty(replicates)
     for r in range(replicates):
@@ -189,12 +187,12 @@ def measure_sandwich(
     """
     f.check()
     sims = f.table @ f.table.T  # one similarity table for both measures
-    nce, nce_se, exact = infonce_population(f, space, M, cfg, sims)
+    nce, nce_se, exact = infonce_population(sims, space, M, cfg)
     mu = mean_head(f, space)
     V = V_minus = V_neg = envelope = None
     if f.normalized:
-        lse_mean, lse_std = lse_approx_error(f, space, M, cfg.replicates, cfg.seed, sims)
-        del sims  # freed before variance_terms' n x n buffer
+        lse_mean, lse_std = lse_approx_error(sims, space, M, cfg.replicates, cfg.seed)
+        del sims  # consumed; freed before variance_terms' n x n buffer
         envelope = lse_mean + 3.0 * lse_std + 3.0 * nce_se
         V, V_minus, V_neg = variance_terms(f, space, mu)
     eps_min, eps_max = alignment_eps(f, space)

@@ -166,10 +166,10 @@ def spectral_embedding(staged: StagedGraph, k: int) -> np.ndarray:
     roots, scale = np.sqrt(gammas), np.sqrt(staged.degrees)
     table = np.zeros((n, k))
     for nodes, positions, vectors in zip(spec.nodes, spec.positions, spec.vectors):
-        for j, i in enumerate(positions.tolist()):
-            if i >= k:  # positions ascend: the component's other pairs lie past k too
-                break
-            table[nodes, i] = vectors[:, j] * roots[i] / scale[nodes]
+        if positions[0] < k:  # positions ascend: the component holds c of the first k pairs
+            c = np.searchsorted(positions, k)
+            p = positions[:c]
+            table[np.ix_(nodes, p)] = vectors[:, :c] * roots[p] / scale[nodes][:, None]
     return table
 
 

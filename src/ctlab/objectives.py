@@ -64,21 +64,22 @@ class McConfig:
 
 
 def infonce_population(
-    f: Embedding, space: AugmentedSpace, M: int, cfg: McConfig = McConfig(), sims=None
+    sims: np.ndarray, space: AugmentedSpace, M: int, cfg: McConfig = McConfig()
 ):
     """Population InfoNCE with M negatives drawn from the augmented marginal.
 
-    Returns (estimate, std_error, exact).  Exact enumeration over the joint
-    support and all negative combinations within cfg's thresholds, else a
-    seeded Monte Carlo estimate with its standard error.  sims, when given,
-    is f's similarity table F F^T, read and left as it is.
+    sims is the (n, n) similarity table F F^T of an embedding f; it is read
+    and left as it is.  Returns (estimate, std_error, exact).  Exact
+    enumeration over the joint support and all negative combinations within
+    cfg's thresholds, else a seeded Monte Carlo estimate with its standard
+    error.
     """
     if M < 1:
         raise ValueError("infonce_population: M must be >= 1")
     if not np.any(space.joint):
         raise ValueError("infonce_population: empty positive-pair support")
     evaluate, exact = _infonce(space, M, cfg, cfg.seed)
-    losses, _ = evaluate(f.table @ f.table.T if sims is None else sims)
+    losses, _ = evaluate(sims)
     if exact:
         return losses, 0.0, True
     std_error = float(np.std(losses, ddof=1) / np.sqrt(cfg.samples))

@@ -129,6 +129,11 @@ def random_embedding(n: int, k: int, seed: int, normalized: bool = True) -> Embe
     return Embedding(table=table, normalized=normalized)
 
 
+def similarities(f: Embedding) -> np.ndarray:
+    """F F^T, the similarity table infonce_population and lse_approx_error take."""
+    return f.table @ f.table.T
+
+
 def infonce_empirical(f: Embedding, batch: np.ndarray, weights=None) -> float:
     """Empirical InfoNCE over a (B, 2 + M) int batch of node indices.
 

@@ -43,6 +43,7 @@ from oracles import (
     reference_spec,
     reference_transforms,
     reference_world,
+    similarities,
     theorem4_at_probe_defaults,
     toy_transforms,
     toy_world,
@@ -95,8 +96,8 @@ def alignment_eps_of_joint(f, space):
 
 def all_sandwich_terms(f, space, M, cfg=McConfig()):
     """Every sandwich term measured, whatever the embedding's normalization."""
-    nce, nce_se, exact = infonce_population(f, space, M, cfg)
-    lse_mean, lse_std = lse_approx_error(f, space, M, cfg.replicates, cfg.seed)
+    nce, nce_se, exact = infonce_population(similarities(f), space, M, cfg)
+    lse_mean, lse_std = lse_approx_error(similarities(f), space, M, cfg.replicates, cfg.seed)
     V, V_minus, V_neg = variance_terms(f, space, mean_head(f, space))
     eps_min, eps_max = alignment_eps_of_joint(f, space)
     return dict(
@@ -289,29 +290,30 @@ class TestVarianceTerms:
 class TestLseApproxError:
     def test_constant_embedding_exact(self):
         space = toy_space()
-        mean, std = lse_approx_error(constant_embedding(space.n), space, 2, 4, 0)
+        mean, std = lse_approx_error(similarities(constant_embedding(space.n)), space, 2, 4, 0)
         assert mean == 0.0
         assert std == 0.0
 
     def test_deterministic(self):
         space = toy_space()
         f = random_embedding(space.n, 3, seed=2)
-        assert lse_approx_error(f, space, 3, 6, 5) == lse_approx_error(f, space, 3, 6, 5)
+        a = lse_approx_error(similarities(f), space, 3, 6, 5)
+        assert a == lse_approx_error(similarities(f), space, 3, 6, 5)
 
     def test_error_shrinks_with_m(self):
         space = toy_space()
         f = random_embedding(space.n, 3, seed=2)
-        small, _ = lse_approx_error(f, space, 1, 64, 0)
-        large, _ = lse_approx_error(f, space, 256, 64, 0)
+        small, _ = lse_approx_error(similarities(f), space, 1, 64, 0)
+        large, _ = lse_approx_error(similarities(f), space, 256, 64, 0)
         assert large < small
 
     def test_validation(self):
         space = toy_space()
         f = constant_embedding(space.n)
         with pytest.raises(ValueError):
-            lse_approx_error(f, space, 1, 1, 0)
+            lse_approx_error(similarities(f), space, 1, 1, 0)
         with pytest.raises(ValueError):
-            lse_approx_error(f, space, 0, 2, 0)
+            lse_approx_error(similarities(f), space, 0, 2, 0)
 
 
 class TestAlignmentEps:
@@ -465,15 +467,15 @@ class TestSandwich:
         seen = {}
         for name in ("infonce_population", "lse_approx_error"):
             def spy(*args, _fn=getattr(bounds, name), _name=name, **kwargs):
-                sims = inspect.signature(_fn).bind(*args, **kwargs).arguments.get("sims")
-                seen[_name] = (sims, None if sims is None else sims.tobytes())
+                sims = inspect.signature(_fn).bind(*args, **kwargs).arguments["sims"]
+                seen[_name] = (sims, sims.tobytes())
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(bounds, name, spy)
         t = measure_sandwich(f, space, 1, cfg)
         (nce_sims, nce_bytes), (lse_sims, lse_bytes) = seen.values()
-        assert nce_sims is not None and nce_sims is lse_sims
-        assert nce_bytes == lse_bytes == (f.table @ f.table.T).tobytes()
+        assert nce_sims is lse_sims
+        assert nce_bytes == lse_bytes == similarities(f).tobytes()
         for key in want:
             assert getattr(t, key) == want[key], key
 

@@ -39,6 +39,7 @@ from oracles import (
     reference_spec,
     reference_transforms,
     reference_world,
+    similarities,
     toy_transforms,
     toy_world,
 )
@@ -159,7 +160,7 @@ class TestInfoNcePopulation:
         space = toy_space()
         f = constant_embedding(space.n)
         for M in (1, 2):
-            val, se, exact = infonce_population(f, space, M)
+            val, se, exact = infonce_population(similarities(f), space, M)
             assert exact and se == 0.0
             assert abs(val - np.log(M + 1)) < 1e-12
 
@@ -167,7 +168,7 @@ class TestInfoNcePopulation:
         # MC path, but every sampled loss equals log(M + 1) so stderr is 0
         space = toy_space()
         f = constant_embedding(space.n)
-        val, se, exact = infonce_population(f, space, 5, McConfig(samples=500))
+        val, se, exact = infonce_population(similarities(f), space, 5, McConfig(samples=500))
         assert not exact
         assert abs(val - np.log(6)) < 1e-12
         assert se < 1e-12
@@ -190,16 +191,16 @@ class TestInfoNcePopulation:
                     want += pw * p[z] * (
                         np.log(np.exp(s_pos) + np.exp(s_neg)) - s_pos
                     )
-        got, se, exact = infonce_population(f, space, 1)
+        got, se, exact = infonce_population(similarities(f), space, 1)
         assert exact
         assert abs(got - want) < 1e-12
 
     def test_mc_agrees_with_exact(self):
         space = toy_space()
         f = random_embedding(space.n, 3, seed=5)
-        exact_val, _, _ = infonce_population(f, space, 1)
+        exact_val, _, _ = infonce_population(similarities(f), space, 1)
         mc_val, se, exact = infonce_population(
-            f, space, 1, McConfig(samples=40000, n_max=1)
+            similarities(f), space, 1, McConfig(samples=40000, n_max=1)
         )
         assert not exact
         assert se > 0.0
@@ -208,13 +209,13 @@ class TestInfoNcePopulation:
     def test_mc_deterministic(self):
         space = toy_space()
         f = random_embedding(space.n, 3, seed=5)
-        a = infonce_population(f, space, 5, McConfig(samples=1000, seed=4))
-        b = infonce_population(f, space, 5, McConfig(samples=1000, seed=4))
+        a = infonce_population(similarities(f), space, 5, McConfig(samples=1000, seed=4))
+        b = infonce_population(similarities(f), space, 5, McConfig(samples=1000, seed=4))
         assert a == b
 
     def test_m_validated(self):
         with pytest.raises(ValueError):
-            infonce_population(constant_embedding(3), toy_space(), 0)
+            infonce_population(similarities(constant_embedding(3)), toy_space(), 0)
 
 
 class TestInfoNceEmpirical:
@@ -235,7 +236,7 @@ class TestInfoNceEmpirical:
         for M in (1, 2):
             batch, weights = full_support_batch(space, M)
             emp = infonce_empirical(f, batch, weights)
-            pop, _, exact = infonce_population(f, space, M)
+            pop, _, exact = infonce_population(similarities(f), space, M)
             assert exact
             assert abs(emp - pop) < 1e-10
 
@@ -426,7 +427,7 @@ class TestExactEngine:
         loss, grad = exact_loss_and_grad(f, space, M)
         assert abs(loss - infonce_empirical(f, batch, weights)) < 1e-12
         assert np.abs(grad - infonce_gradient(f, batch, weights)).max() < 1e-12
-        assert loss == infonce_population(f, space, M)[0]
+        assert loss == infonce_population(similarities(f), space, M)[0]
 
     def test_matches_full_support_oracle_on_reference_space(self):
         space = reference_space()
@@ -506,8 +507,8 @@ class TestExactEngine:
         for i, j in itertools.product(*map(range, table.shape)):
             step = np.zeros_like(table)
             step[i, j] = h
-            up = infonce_population(Embedding(table + step, False), space, M)[0]
-            down = infonce_population(Embedding(table - step, False), space, M)[0]
+            up = infonce_population(similarities(Embedding(table + step, False)), space, M)[0]
+            down = infonce_population(similarities(Embedding(table - step, False)), space, M)[0]
             fd[i, j] = (up - down) / (2 * h)
         assert np.abs(grad - fd).max() < 1e-8
 
@@ -628,7 +629,7 @@ class TestSampledKernel:
         space, cfg = reference_space(), McConfig(n_max=1, samples=2000)
         f = random_embedding(space.n, 3, seed=1)
         for M in (1, 2):
-            infonce_population(f, space, M, cfg)
+            infonce_population(similarities(f), space, M, cfg)
         assert built == []
         train_free_embeddings(space, 3, "infonce", 5, 1.0, seed=0, cfg=cfg)
         assert len(built) == 1
@@ -649,7 +650,7 @@ class TestSampledKernel:
                 float(np.std(losses, ddof=1) / np.sqrt(cfg.samples)),
                 False,
             )
-            assert infonce_population(f, space, M, cfg) == want
+            assert infonce_population(similarities(f), space, M, cfg) == want
 
 
 class TestSpectralLoss:
@@ -755,8 +756,8 @@ class TestTraining:
                 assert not np.array_equal(f1.table, exact.table)
                 # the shared sampler draws the trainer's own batch from this seed
                 own = McConfig(n_max=1, samples=500, seed=cfg.seed + seed + 1)
-                l0, _, _ = infonce_population(f0, space, 1, own)
-                l1, _, _ = infonce_population(f1, space, 1, own)
+                l0, _, _ = infonce_population(similarities(f0), space, 1, own)
+                l1, _, _ = infonce_population(similarities(f1), space, 1, own)
             assert l1 <= l0 + 1e-12
             f1.check()
 
@@ -766,7 +767,9 @@ class TestTraining:
         space = reference_space() if M == 1 else random_space(8, seed=3)
         losses = [
             infonce_population(
-                train_free_embeddings(space, 3, "infonce", s, 1.0, seed=4, M=M), space, M
+                similarities(train_free_embeddings(space, 3, "infonce", s, 1.0, seed=4, M=M)),
+                space,
+                M,
             )[0]
             for s in range(12)
         ]
