@@ -18,6 +18,8 @@ from .graph import StagedGraph
 from .objectives import (
     Embedding,
     McConfig,
+    _block_rows,
+    _similarity_blocks,
     ce_risk,
     classification_error,
     infonce_population,
@@ -99,34 +101,42 @@ def variance_terms(f: Embedding, space: AugmentedSpace, mu: np.ndarray):
 
 
 def lse_approx_error(
-    sims: np.ndarray, space: AugmentedSpace, M: int, replicates: int, seed: int
+    F: np.ndarray, space: AugmentedSpace, M: int, replicates: int, seed: int
 ):
     """Measured log-sum-exp approximation error of M-sample negative batches.
 
-    sims is the (n, n) similarity table F F^T of an embedding f.  Exact
-    value: E_x[log E_z[exp(f(x) . f(z))]] under the marginal.  Each
-    replicate redraws M negatives per anchor from the space's cached marginal
-    inverse-CDF table and evaluates the plug-in log-mean-exp; returns (mean
-    absolute error, std over replicates).  The table is consumed: the
-    replicates read it first, then the exact value is taken in it, in place.
+    F is the (n, k) table of an embedding f; it is read and left as it is.
+    Exact value: E_x[log E_z[exp(f(x) . f(z))]] under the marginal.  Each
+    replicate redraws M negatives per anchor from the space's cached
+    marginal inverse-CDF table and evaluates the plug-in log-mean-exp;
+    returns (mean absolute error, std over replicates).  F F^T is read one
+    row block at a time: each block serves every replicate's rows, then
+    takes the exact log-sum-exp of its rows in place.
     """
     if replicates < 2:
         raise ValueError("lse_approx_error: replicates must be >= 2")
     if M < 1:
         raise ValueError("lse_approx_error: M must be >= 1")
-    p = space.marginal
-    estimates = np.empty(replicates)
+    p, n = space.marginal, space.n
+    negs = []  # each replicate's M negatives per anchor
     for r in range(replicates):
         rng = np.random.Generator(
             np.random.Philox(key=np.array([seed & (2**64 - 1), r], dtype=np.uint64))
         )
-        negs = space.marginal_cdf.draw(rng.random((space.n, M)))  # rng.choice(n, p=p)
-        s = sims[np.arange(space.n)[:, None], negs]  # (n, M)
-        smx = s.max(axis=1)
-        estimates[r] = float(p @ (smx + np.log(np.mean(np.exp(s - smx[:, None]), axis=1))))
-    mx = sims.max(axis=1)
-    shifted = np.subtract(sims, mx[:, None], out=sims)
-    exact = float(p @ (mx + np.log(np.exp(shifted, out=shifted) @ p)))
+        negs.append(space.marginal_cdf.draw(rng.random((n, M))))  # rng.choice(n, p=p)
+    plug_in = np.empty((replicates, n))  # each replicate's log-mean-exp per anchor
+    lse = np.empty(n)
+    for r0, S in _similarity_blocks(F, _block_rows(n)):
+        rows = slice(r0, r0 + len(S))
+        for est, neg in zip(plug_in, negs):
+            s = S[np.arange(len(S))[:, None], neg[rows]]  # (rows, M)
+            smx = s.max(axis=1)
+            est[rows] = smx + np.log(np.mean(np.exp(s - smx[:, None]), axis=1))
+        mx = S.max(axis=1)
+        np.exp(np.subtract(S, mx[:, None], out=S), out=S)
+        lse[rows] = mx + np.log(S @ p)
+    exact = float(p @ lse)
+    estimates = np.array([p @ est for est in plug_in])  # one dot per replicate
     errors = np.abs(estimates - exact)
     return float(np.mean(errors)), float(np.std(errors, ddof=1))
 
@@ -184,15 +194,14 @@ def measure_sandwich(
 
     Works for any embedding; the sandwich checks refuse terms of an
     embedding that is not normalized, so V, V_minus, V_neg and envelope stay None.
+    Both measures read f's table, so no n x n similarity table is formed.
     """
     f.check()
-    sims = f.table @ f.table.T  # one similarity table for both measures
-    nce, nce_se, exact = infonce_population(sims, space, M, cfg)
+    nce, nce_se, exact = infonce_population(f.table, space, M, cfg)
     mu = mean_head(f, space)
     V = V_minus = V_neg = envelope = None
     if f.normalized:
-        lse_mean, lse_std = lse_approx_error(sims, space, M, cfg.replicates, cfg.seed)
-        del sims  # consumed; freed before variance_terms' n x n buffer
+        lse_mean, lse_std = lse_approx_error(f.table, space, M, cfg.replicates, cfg.seed)
         envelope = lse_mean + 3.0 * lse_std + 3.0 * nce_se
         V, V_minus, V_neg = variance_terms(f, space, mu)
     eps_min, eps_max = alignment_eps(f, space)

@@ -41,7 +41,7 @@ from .objectives import (
     spectral_loss,
     train_free_embeddings,
 )
-from .world import generate_world, inflate, preprocess_world, save_world
+from .world import generate_world, inflate, preprocess_world, raw_factors, save_world
 
 # overflow, invalid operations and division by zero raise; underflow is left alone
 _FP_RAISE = {"over": "raise", "invalid": "raise", "divide": "raise"}
@@ -87,7 +87,8 @@ def emit_text(rows, path) -> None:
 def _stager(cfg: RunConfig, raw_world):
     """Return stage(truncation): the staged graph of cfg's world at that truncation.
 
-    The transforms and the inflated world are built once, here; a row can vary
+    The transforms and the inflated world are built once, here, and the raw
+    originals are factored once, at the first truncation; a row can vary
     only the truncation, and stage keys its memo by it.  stage remembers only
     the latest staged world, dropping it before staging the next one, so rows
     that stage the same world in turn share its graph.  It also hands
@@ -100,13 +101,15 @@ def _stager(cfg: RunConfig, raw_world):
     """
     transforms = make_transforms(cfg, raw_world)
     inflated = inflate(raw_world, cfg.inflation_factor, seed=cfg.seed)
-    latest, spectrum_memo, lock = {}, {}, threading.Lock()
+    latest, spectrum_memo, factors, lock = {}, {}, [], threading.Lock()
 
     def stage(trunc):
         with lock:
             if trunc not in latest:
                 latest.clear()
-                world = preprocess_world(inflated, trunc)
+                if trunc is not None and not factors:
+                    factors.extend(raw_factors(inflated))
+                world = preprocess_world(inflated, trunc, factors)
                 latest[trunc] = stage_graph(world, transforms, spectrum_memo)
             return latest[trunc]
 

@@ -64,22 +64,21 @@ class McConfig:
 
 
 def infonce_population(
-    sims: np.ndarray, space: AugmentedSpace, M: int, cfg: McConfig = McConfig()
+    F: np.ndarray, space: AugmentedSpace, M: int, cfg: McConfig = McConfig()
 ):
     """Population InfoNCE with M negatives drawn from the augmented marginal.
 
-    sims is the (n, n) similarity table F F^T of an embedding f; it is read
-    and left as it is.  Returns (estimate, std_error, exact).  Exact
-    enumeration over the joint support and all negative combinations within
-    cfg's thresholds, else a seeded Monte Carlo estimate with its standard
-    error.
+    F is the (n, k) table of an embedding f; it is read and left as it is.
+    Returns (estimate, std_error, exact).  Exact enumeration over the joint
+    support and all negative combinations within cfg's thresholds, else a
+    seeded Monte Carlo estimate with its standard error.
     """
     if M < 1:
         raise ValueError("infonce_population: M must be >= 1")
     if not np.any(space.joint):
         raise ValueError("infonce_population: empty positive-pair support")
     evaluate, exact = _infonce(space, M, cfg, cfg.seed)
-    losses, _ = evaluate(sims)
+    losses, _ = evaluate(F)
     if exact:
         return losses, 0.0, True
     std_error = float(np.std(losses, ddof=1) / np.sqrt(cfg.samples))
@@ -91,15 +90,38 @@ def _infonce(space: AugmentedSpace, M: int, cfg: McConfig, seed: int):
 
     The one choice of engine: the exact engine when M is within cfg.m_max
     and the node count within cfg.n_max, else the Monte Carlo engine of one
-    batch of cfg.samples rows drawn with `seed`.  evaluate(sims, coef=False)
-    -> (losses, G) takes sims = F F^T; losses is the exact loss or the
-    batch's per-row losses, and with coef G = C + C^T, where C is the
-    coefficient matrix of the loss (or of their mean).
+    batch of cfg.samples rows drawn with `seed`.  evaluate(T, coef=False)
+    -> (losses, GT) takes an (n, k) table T; losses is the exact loss or the
+    batch's per-row losses, and with coef GT = G T for G = C + C^T, where C
+    is the coefficient matrix of the loss (or of their mean) in the entries
+    of S = T T^T, so GT is the loss's gradient in T.
     """
     if M <= cfg.m_max and space.n <= cfg.n_max:
         return _exact_infonce(space, M), True
     flat = _table_indices(_sample_batch(space, M, cfg.samples, seed), space.n)
     return _sampled_infonce(flat, space.n), False
+
+
+_BLOCK_CELLS = 2**17  # the most cells of T T^T one row block holds: 1 MB of doubles
+
+
+def _block_rows(n: int) -> int:
+    """Rows in a row block of an (n, n) table: as many as _BLOCK_CELLS cells hold, one at least."""
+    return max(1, _BLOCK_CELLS // n)
+
+
+def _similarity_blocks(F: np.ndarray, rows: int):
+    """Yield (r0, F[r0:r0 + rows] @ F.T) for r0 = 0, rows, 2 rows, ...: F F^T in row blocks.
+
+    Every block is written into one buffer, valid until the next block is
+    read, and its reader may write in it.  A block of every row is F @ F.T
+    bit for bit (numpy sends the full-row slice down the same syrk route);
+    a block of some rows is a gemm, whose cells can differ in the last place.
+    """
+    n = len(F)
+    buf = np.empty((min(rows, n), n))
+    for r0 in range(0, n, rows):
+        yield r0, np.matmul(F[r0 : r0 + rows], F.T, out=buf[: n - r0])
 
 
 _SPREAD_MAX = 700.0  # e^-700 is a normal double; e^-709 and below are not
@@ -109,22 +131,23 @@ def _exact_infonce(space: AugmentedSpace, M: int):
     """Build the exact population InfoNCE engine of one space and M.
 
     The anchor offsets of the space's pair support and every buffer an
-    evaluation writes are made once, here.  Returns `engine(sims,
-    coef=False) -> (loss, G)` for the similarity table sims = F F^T; with
-    coef, G = C + C^T, where C = dL/dS is the (n, n) coefficient matrix of
-    the loss in the entries of S taken as independent variables, else None.
-    G is fresh on every call, so a G returned earlier stays valid.
+    evaluation writes are made once, here.  Returns `engine(T, coef=False)
+    -> (loss, GT)` for an (n, k) table T; with coef, GT = G T for
+    G = C + C^T, where C = dL/dS is the (n, n) coefficient matrix of the
+    loss in the entries of S = T T^T taken as independent variables, else
+    None.  GT is fresh on every call, so a GT returned earlier stays valid.
 
-    The engine works in exp space: each row x of sims is shifted by its max
-    m_x and E = exp(sims - m) is taken once per call, so a pair (x, y) with
-    negatives z has log-sum-exp m_x + log Z, Z = E[x, y] + sum_z E[x, z],
-    and softmax weights E / Z; each enumerated term takes one log and one
-    reciprocal.  M = 1 works in two (pairs, n) buffers and sums the
-    negatives' weights over each anchor's pairs with `np.add.reduceat`;
-    M = 2 loops over anchors in an (n, n) buffer of E[x, z1] + E[x, z2] and
-    two (most pairs of one anchor, n, n) buffers.  The identity is exact
-    while no row of sims spreads (max minus min) past _SPREAD_MAX, so that
-    no E underflows; past it the engine raises FloatingPointError.
+    The engine forms S in its own (n, n) buffer and works in exp space: each
+    row x of S is shifted by its max m_x and E = exp(S - m) is taken in that
+    buffer once per call, so a pair (x, y) with negatives z has log-sum-exp
+    m_x + log Z, Z = E[x, y] + sum_z E[x, z], and softmax weights E / Z;
+    each enumerated term takes one log and one reciprocal.  M = 1 works in
+    two (pairs, n) buffers and sums the negatives' weights over each
+    anchor's pairs with `np.add.reduceat`; M = 2 loops over anchors in an
+    (n, n) buffer of E[x, z1] + E[x, z2] and two (most pairs of one anchor,
+    n, n) buffers.  The identity is exact while no row of S spreads (max
+    minus min) past _SPREAD_MAX, so that no E underflows; past it the
+    engine raises FloatingPointError.
     """
     xs, ys, w = space.support
     p = space.marginal
@@ -142,15 +165,17 @@ def _exact_infonce(space: AugmentedSpace, M: int):
     else:  # pragma: no cover - the config bound bounds.m_max <= 2 guards this
         raise ValueError("exact enumeration supports M <= 2")
 
-    def engine(sims: np.ndarray, coef=False):
-        m = sims.max(axis=1)
-        spread = float(np.max(m - sims.min(axis=1)))
+    def engine(T: np.ndarray, coef=False):
+        np.matmul(T, T.T, out=E)  # S, turned into exp(S - m) in place below
+        m = E.max(axis=1)
+        spread = float(np.max(m - E.min(axis=1)))
         if spread > _SPREAD_MAX:
             raise FloatingPointError(
                 f"exact InfoNCE: a similarity row spreads {spread:.6g} > {_SPREAD_MAX:g}"
             )
-        np.exp(np.subtract(sims, m[:, None], out=E), out=E)
-        s_pos, e_pos = sims[xs, ys], E[xs, ys]
+        s_pos = E[xs, ys]
+        np.exp(np.subtract(E, m[:, None], out=E), out=E)
+        e_pos = E[xs, ys]
         C = np.zeros((n, n)) if coef else None
         if M == 1:
             # xs is in range; with the default mode="raise", take would copy
@@ -176,7 +201,7 @@ def _exact_infonce(space: AugmentedSpace, M: int):
                     C[x, ys[sel]] = w[sel] * (e_pos[sel] * (Rp @ p) - 1.0)
                     # both negative slots give the same term by symmetry
                     C[x, :] += 2.0 * p * row * (w[sel] @ Rp)
-        return float(w @ (m[xs] - s_pos + expect)), (C + C.T if coef else None)
+        return float(w @ (m[xs] - s_pos + expect)), ((C + C.T) @ T if coef else None)
 
     return engine
 
@@ -204,65 +229,93 @@ def _table_indices(batch: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray((batch[:, :1] * n + batch[:, 1:]).T)
 
 
-def _cell_support(flat: np.ndarray, n: int):
-    """(slots, sym, mirror) of a batch given as `_table_indices`.
+def _cell_support(parts: list, n: int, rows: int):
+    """(slots, mirror, blocks): the symmetric support of a batch split as in `_sampled_infonce`.
 
-    sym is the batch's symmetric support in the raveled (n, n) table,
-    ascending: the cells the batch hits and their mirrors.  slots gives each
-    batch entry the position in sym of its cell, and mirror gives each cell
-    (i, j) of sym the position of (j, i).  So a bincount over slots into
-    len(sym) bins sums each hit cell's terms in its bin and leaves 0.0 in the
-    bin of a cell that only its mirror hits.
+    parts[b] holds the cells that the batch's part b hits, raveled within
+    row block b (the rows from b * rows).  The support is the hit cells of
+    the (n, n) table and their mirrors, ascending.  slots gives each batch
+    entry (the parts side by side, raveled) the position of its cell in the
+    support, and mirror gives each cell (i, j) the position of (j, i): a
+    bincount over slots sums each hit cell's terms in its bin and leaves 0.0
+    in a bin that only a mirror hits.  blocks holds each row block's (r0,
+    its support cells raveled in the block, their positions).  Positions
+    are looked up in a table of one block's cells.
     """
-    hit = flat.ravel()
+    starts = range(0, n, rows)
     mark = np.zeros((n, n), dtype=bool)
-    mark.ravel()[hit] = True
+    for r0, idx in zip(starts, parts):
+        mark[r0 : r0 + rows].ravel()[idx.ravel()] = True
     sym = np.flatnonzero(mark | mark.T)
-    slot = np.zeros(n * n, dtype=np.intp)
-    slot[sym] = np.arange(len(sym))
-    rows, cols = np.divmod(sym, n)
-    return slot[hit], sym, slot[cols * n + rows]
+    i, j = np.divmod(sym, n)
+    cuts = np.searchsorted(sym, [*(r0 * n for r0 in starts), n * n])
+    slot = np.empty(min(rows, n) * n, dtype=np.int32)
+    slots, mirror, blocks = [], np.empty(len(sym), dtype=np.intp), []
+    for r0, idx, a, b in zip(starts, parts, cuts, cuts[1:]):
+        cells = sym[a:b] - r0 * n
+        slot[cells] = np.arange(a, b)
+        slots.append(slot[idx])
+        back = (r0 <= j) & (j < r0 + rows)  # cells whose mirror lies in this block
+        mirror[back] = slot[(j[back] - r0) * n + i[back]]
+        blocks.append((r0, cells, slice(a, b)))
+    return np.concatenate(slots, axis=1, dtype=np.intp).ravel(), mirror, blocks
 
 
 def _sampled_infonce(flat: np.ndarray, n: int):
     """Build the Monte Carlo InfoNCE engine of one batch, flat as `_table_indices`.
 
-    Returns `engine(sims, coef=False) -> (losses, G)`: the per-row InfoNCE
-    losses of the batch from sims = F F^T, each log-sum-exp stabilized by
-    the max over its column, and with coef G = C + C^T, where C = dL/dS is
-    the (n, n) coefficient matrix of the batch mean loss in the entries of
-    S, else None.
+    Returns `engine(T, coef=False) -> (losses, GT)`: the batch's per-row
+    InfoNCE losses at the (n, k) table T, in batch order, each log-sum-exp
+    stabilized by the max over its column, and with coef a fresh GT = G T
+    for G = C + C^T, C = dL/dS the coefficient matrix of the batch mean loss
+    in the entries of S = T T^T, else None.
 
-    The batch is fixed, so the cells it hits are too.  The first call with
-    coef builds their `_cell_support` and an (n, n) buffer G of zeros; a
-    population estimate, which never asks for coef, builds neither.  Each
-    call with coef then sums the terms of each cell with one bincount over
-    the symmetric support (in batch order, as a bincount over all n^2 cells
-    would) and writes C[i, j] + C[j, i] into G on that support only; every
-    other cell of G stays 0.0.  G is the engine's own buffer: it is valid
-    until the engine's next call with coef, which overwrites it in place.
+    A batch row's cells all lie in its anchor's row of S, so the batch is
+    split here by the row block of its anchors, in batch order within each
+    part, and each block of `_similarity_blocks` serves one part; no (n, n)
+    array is formed.  The first call with coef builds the `_cell_support`
+    (a population estimate never does).  Each such call sums each cell's
+    terms with one bincount, in batch order as a bincount over all n^2
+    cells would (a cell's terms share its anchor, so the split keeps their
+    order), then writes G and takes G T one row block at a time.
     """
-    support = G = None
+    rows = _block_rows(n)
+    starts = range(0, n, rows)
+    block = flat[0] // n // rows
+    picks = [np.flatnonzero(block == b) for b in range(len(starts))]
+    order = np.concatenate(picks)
+    # each block's part of the batch, as cells of the raveled block
+    parts = [flat[:, pick] - r0 * n for r0, pick in zip(starts, picks)]
+    support = None
 
-    def engine(sims: np.ndarray, coef=False):
-        nonlocal support, G
-        s = np.take(sims, flat)  # (1 + M, B)
+    def engine(T: np.ndarray, coef=False):
+        nonlocal support
+        s = np.concatenate(
+            [np.take(S, idx) for (_r0, S), idx in zip(_similarity_blocks(T, rows), parts)], axis=1
+        )  # (1 + M, B), the parts side by side
         mx = s.max(axis=0)
         ex = np.subtract(s, mx)
         np.exp(ex, out=ex)
         total = ex.sum(axis=0)
-        losses = mx + np.log(total) - s[0]
+        losses = np.empty(len(order))
+        losses[order] = mx + np.log(total) - s[0]
         if not coef:
             return losses, None
         if support is None:
-            support, G = _cell_support(flat, n), np.zeros((n, n))
-        slots, sym, mirror = support
+            support = _cell_support(parts, n, rows)
+        slots, mirror, blocks = support
         probs = np.divide(ex, total, out=ex)
         probs[0] -= 1.0
-        probs *= 1.0 / flat.shape[1]  # each row's weight in the batch mean
-        c = np.bincount(slots, probs.ravel(), len(sym))
-        G.ravel()[sym] = c + c[mirror]
-        return losses, G
+        probs *= 1.0 / len(order)  # each row's weight in the batch mean
+        c = np.bincount(slots, probs.ravel(), len(mirror))
+        c += c[mirror]  # G[i, j] = C[i, j] + C[j, i] on the support
+        GT = np.empty(T.shape)
+        G = np.zeros((min(rows, n), n))
+        for r0, cells, sel in blocks:
+            G.ravel()[cells] = c[sel]
+            np.matmul(G[: n - r0], T, out=GT[r0 : r0 + rows])
+            G.ravel()[cells] = 0.0
+        return losses, GT
 
     return engine
 
@@ -329,11 +382,9 @@ def train_free_embeddings(
     if normalized:
         table = table / np.linalg.norm(table, axis=1, keepdims=True)
         evaluate, _ = _infonce(space, M, cfg, cfg.seed + seed + 1)
-        sims = np.empty((n, n))  # each evaluation's T T^T, written in place
 
         def loss_fn(T):  # the gradient G T on the sphere: its radial part removed
-            losses, G = evaluate(np.matmul(T, T.T, out=sims), coef=True)
-            grad = G @ T
+            losses, grad = evaluate(T, coef=True)
             return float(np.mean(losses)), grad - np.sum(grad * T, axis=1, keepdims=True) * T
     elif loss == "spectral":
 

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import gaussian_matrix, orthonormalize, save_matrix_text
-from .svd import TruncationSpec, svd_full, svd_truncate
+from .svd import SvdFactors, TruncationSpec, svd_full, svd_truncate
 
 __all__ = [
     "WorldSpec",
@@ -45,6 +45,7 @@ __all__ = [
     "apply_transform",
     "build_augmented_space",
     "labeling_error",
+    "raw_factors",
     "preprocess_world",
     "inflate",
     "save_world",
@@ -473,17 +474,27 @@ def labeling_error(space: AugmentedSpace, world: World) -> float:
 # preprocessing and inflation
 
 
-def preprocess_world(world: World, spec: TruncationSpec | None) -> World:
+def raw_factors(world: World) -> list[SvdFactors]:
+    """The SVD factors of world's raw originals, the first K * per_class, in order."""
+    return [svd_full(P) for P in world.payloads[: world.spec.K * world.spec.per_class]]
+
+
+def preprocess_world(
+    world: World, spec: TruncationSpec | None, factors: list[SvdFactors] | None = None
+) -> World:
     """Replace the raw originals, the first K * per_class, by their truncated-SVD image.
 
-    An inflated world's extras stay untruncated.  The raw originals' latent
-    labels are recomputed from the new payloads; weights are kept.  With
-    spec None the world itself is returned.
+    factors are `raw_factors(world)`, factored here when None, so a caller
+    that truncates one world at several specs factors it once.  An inflated
+    world's extras stay untruncated.  The raw originals' latent labels are
+    recomputed from the new payloads; weights are kept.  With spec None the
+    world itself is returned.
     """
     if spec is None:
         return world
-    raw = world.payloads[: world.spec.K * world.spec.per_class]
-    reduced = np.stack([svd_truncate(svd_full(P), spec) for P in raw])
+    if factors is None:
+        factors = raw_factors(world)
+    reduced = np.stack([svd_truncate(F, spec) for F in factors])
     return World(
         payloads=np.concatenate([reduced, world.payloads[len(reduced):]]),
         labels=np.concatenate([ground_truth_label(reduced, world.templates),

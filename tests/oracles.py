@@ -3,7 +3,8 @@
 No `ctlab` command reaches anything here.  The batch InfoNCE functions with
 `full_support_batch` are the oracles of both population InfoNCE engines;
 `logaddexp_exact_infonce` is the log-space oracle of the exact engine,
-`dense_sampled_infonce` the bit-for-bit oracle of the sampled engine,
+`dense_sampled_infonce` the oracle of the sampled engine on the whole
+similarity table, `dense_lse_approx_error` that of `lse_approx_error`,
 `fit_alone` the plain per-table descent the stacked probe is held to, and
 `dense_component_spectrum` the per-component oracle of a graph's spectrum
 when the graph is not connected; `dense_vectors` lays a staged spectrum's
@@ -129,11 +130,6 @@ def random_embedding(n: int, k: int, seed: int, normalized: bool = True) -> Embe
     return Embedding(table=table, normalized=normalized)
 
 
-def similarities(f: Embedding) -> np.ndarray:
-    """F F^T, the similarity table infonce_population and lse_approx_error take."""
-    return f.table @ f.table.T
-
-
 def infonce_empirical(f: Embedding, batch: np.ndarray, weights=None) -> float:
     """Empirical InfoNCE over a (B, 2 + M) int batch of node indices.
 
@@ -189,10 +185,10 @@ def infonce_gradient(f: Embedding, batch: np.ndarray, weights=None) -> np.ndarra
 def dense_sampled_infonce(sims, flat, coef=False):
     """Per-row InfoNCE losses of a sampled batch, with coef its dense C = dL/dS.
 
-    The oracle of the sampled engine's bits: flat is the batch as
-    `_table_indices`, and C is one bincount over all n^2 cells of the
-    batch mean's terms, in batch order.  Returns (losses, C), C None
-    without coef.
+    The oracle of the sampled engine, bit for bit when sims holds the
+    engine's row blocks: flat is the batch as `_table_indices`, and C is one
+    bincount over all n^2 cells of the batch mean's terms, in batch order.
+    Returns (losses, C), C None without coef.
     """
     s = np.take(sims, flat)  # (1 + M, B)
     mx = s.max(axis=0)
@@ -207,6 +203,28 @@ def dense_sampled_infonce(sims, flat, coef=False):
         probs *= 1.0 / flat.shape[1]  # each row's weight in the batch mean
         C = np.bincount(flat.ravel(), probs.ravel(), n * n).reshape(n, n)
     return losses, C
+
+
+def dense_lse_approx_error(sims, space, M: int, replicates: int, seed: int):
+    """lse_approx_error on the whole similarity table sims = F F^T, left as it is.
+
+    The dense oracle of the block reader: the same replicate draws and the
+    same per-row arithmetic, every row read from one (n, n) table.
+    """
+    p = space.marginal
+    estimates = np.empty(replicates)
+    for r in range(replicates):
+        rng = np.random.Generator(
+            np.random.Philox(key=np.array([seed & (2**64 - 1), r], dtype=np.uint64))
+        )
+        negs = space.marginal_cdf.draw(rng.random((space.n, M)))
+        s = sims[np.arange(space.n)[:, None], negs]  # (n, M)
+        smx = s.max(axis=1)
+        estimates[r] = float(p @ (smx + np.log(np.mean(np.exp(s - smx[:, None]), axis=1))))
+    mx = sims.max(axis=1)
+    exact = float(p @ (mx + np.log(np.exp(sims - mx[:, None]) @ p)))
+    errors = np.abs(estimates - exact)
+    return float(np.mean(errors)), float(np.std(errors, ddof=1))
 
 
 def full_support_batch(space, M: int):

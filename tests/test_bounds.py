@@ -43,7 +43,6 @@ from oracles import (
     reference_spec,
     reference_transforms,
     reference_world,
-    similarities,
     theorem4_at_probe_defaults,
     toy_transforms,
     toy_world,
@@ -96,8 +95,8 @@ def alignment_eps_of_joint(f, space):
 
 def all_sandwich_terms(f, space, M, cfg=McConfig()):
     """Every sandwich term measured, whatever the embedding's normalization."""
-    nce, nce_se, exact = infonce_population(similarities(f), space, M, cfg)
-    lse_mean, lse_std = lse_approx_error(similarities(f), space, M, cfg.replicates, cfg.seed)
+    nce, nce_se, exact = infonce_population(f.table, space, M, cfg)
+    lse_mean, lse_std = lse_approx_error(f.table, space, M, cfg.replicates, cfg.seed)
     V, V_minus, V_neg = variance_terms(f, space, mean_head(f, space))
     eps_min, eps_max = alignment_eps_of_joint(f, space)
     return dict(
@@ -290,30 +289,30 @@ class TestVarianceTerms:
 class TestLseApproxError:
     def test_constant_embedding_exact(self):
         space = toy_space()
-        mean, std = lse_approx_error(similarities(constant_embedding(space.n)), space, 2, 4, 0)
+        mean, std = lse_approx_error(constant_embedding(space.n).table, space, 2, 4, 0)
         assert mean == 0.0
         assert std == 0.0
 
     def test_deterministic(self):
         space = toy_space()
         f = random_embedding(space.n, 3, seed=2)
-        a = lse_approx_error(similarities(f), space, 3, 6, 5)
-        assert a == lse_approx_error(similarities(f), space, 3, 6, 5)
+        a = lse_approx_error(f.table, space, 3, 6, 5)
+        assert a == lse_approx_error(f.table, space, 3, 6, 5)
 
     def test_error_shrinks_with_m(self):
         space = toy_space()
         f = random_embedding(space.n, 3, seed=2)
-        small, _ = lse_approx_error(similarities(f), space, 1, 64, 0)
-        large, _ = lse_approx_error(similarities(f), space, 256, 64, 0)
+        small, _ = lse_approx_error(f.table, space, 1, 64, 0)
+        large, _ = lse_approx_error(f.table, space, 256, 64, 0)
         assert large < small
 
     def test_validation(self):
         space = toy_space()
         f = constant_embedding(space.n)
         with pytest.raises(ValueError):
-            lse_approx_error(similarities(f), space, 1, 1, 0)
+            lse_approx_error(f.table, space, 1, 1, 0)
         with pytest.raises(ValueError):
-            lse_approx_error(similarities(f), space, 0, 2, 0)
+            lse_approx_error(f.table, space, 0, 2, 0)
 
 
 class TestAlignmentEps:
@@ -458,24 +457,23 @@ class TestSandwich:
             assert getattr(t, key) == want[key], key
 
     @pytest.mark.parametrize("which", [0, 1])
-    def test_one_similarity_table_reaches_both_measures(self, which, monkeypatch):
-        # measure_sandwich forms F F^T once: infonce_population reads it as it
-        # is, and lse_approx_error takes its exact value in it, in place
+    def test_both_measures_read_the_table_and_leave_it(self, which, monkeypatch):
+        # measure_sandwich forms no F F^T: infonce_population and
+        # lse_approx_error each read f's own table, and neither writes in it
         space = reference_and_inflated_spaces()[which]
         f, cfg = random_embedding(space.n, 3, seed=5), McConfig(samples=3000, seed=4)
         want = all_sandwich_terms(f, space, 1, cfg)
+        bits = f.table.tobytes()
         seen = {}
         for name in ("infonce_population", "lse_approx_error"):
             def spy(*args, _fn=getattr(bounds, name), _name=name, **kwargs):
-                sims = inspect.signature(_fn).bind(*args, **kwargs).arguments["sims"]
-                seen[_name] = (sims, sims.tobytes())
+                seen[_name] = inspect.signature(_fn).bind(*args, **kwargs).arguments["F"]
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(bounds, name, spy)
         t = measure_sandwich(f, space, 1, cfg)
-        (nce_sims, nce_bytes), (lse_sims, lse_bytes) = seen.values()
-        assert nce_sims is lse_sims
-        assert nce_bytes == lse_bytes == similarities(f).tobytes()
+        assert seen["infonce_population"] is seen["lse_approx_error"] is f.table
+        assert f.table.tobytes() == bits
         for key in want:
             assert getattr(t, key) == want[key], key
 

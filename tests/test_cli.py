@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ctlab
-from ctlab import bounds, cli, config, graph, objectives, world
+from ctlab import bounds, cli, config, graph, objectives, svd, world
 from ctlab.cli import emit_csv, emit_text, main
 from ctlab.config import load_config
 from ctlab.graph import spectral_embedding
@@ -178,6 +178,14 @@ class TestRunCommand:
         assert len(rows) == n_rows
         assert len(population) == n_rows
         assert len(augment) == 4  # one per world: no q, then q in (1, 2, 3)
+
+    def test_reference_run_factors_each_raw_original_once(self, tmp_path, monkeypatch):
+        # the four q rows truncate the six raw originals from one set of factors
+        factored = _count_calls(monkeypatch, svd.svd_full)
+        truncated = _count_calls(monkeypatch, svd.svd_truncate)
+        assert main(["run", "--config", REFERENCE, "--out", str(tmp_path / "art")]) == 0
+        assert len(factored) == 6
+        assert len(truncated) == 4 * 6
 
     def test_inflated_sweep_inflates_once_and_never_calls_choice(
         self, small_cfg, tmp_path, monkeypatch

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctlab import objectives
+from ctlab.bounds import lse_approx_error
 from ctlab.graph import spectral_embedding, stage_graph
 from ctlab.linalg import gaussian_matrix
 from ctlab.objectives import (
@@ -29,6 +30,7 @@ from ctlab.objectives import (
 )
 from ctlab.world import AugmentedSpace, build_augmented_space, generate_world, inflate
 from oracles import (
+    dense_lse_approx_error,
     dense_sampled_infonce,
     fit_alone,
     full_support_batch,
@@ -39,7 +41,6 @@ from oracles import (
     reference_spec,
     reference_transforms,
     reference_world,
-    similarities,
     toy_transforms,
     toy_world,
 )
@@ -75,31 +76,31 @@ def random_space(n, seed, K=2):
     )
 
 
-def gradient(F, G, normalized):
-    """G F for G = C + C^T, C = dL/d(F F^T); its radial part removed for unit rows."""
-    grad = G @ F
+def gradient(F, GT, normalized):
+    """An engine's G F, G = C + C^T, C = dL/d(F F^T); its radial part removed for unit rows."""
     if normalized:
-        grad = grad - np.sum(grad * F, axis=1, keepdims=True) * F
-    return grad
+        return GT - np.sum(GT * F, axis=1, keepdims=True) * F
+    return GT
 
 
 def exact_loss_and_grad(f, space, M):
     F = f.table
-    loss, G = _exact_infonce(space, M)(F @ F.T, coef=True)
-    return loss, gradient(F, G, f.normalized)
+    loss, GT = _exact_infonce(space, M)(F, coef=True)
+    return loss, gradient(F, GT, f.normalized)
 
 
-def per_call_exact_infonce(sims, space, M, coef=False):
+def per_call_exact_infonce(T, space, M, coef=False):
     """The exact engine as one function that rebuilds everything per call.
 
     The reference for the built engine's bits: same exp-space arithmetic on
-    fresh arrays, with the pair support and anchor offsets made on every call.
-    Returns (loss, C + C^T), like the engine.
+    fresh arrays from sims = T T^T, with the pair support and anchor offsets
+    made on every call.  Returns (loss, (C + C^T) @ T), like the engine.
     """
     xs, ys = np.nonzero(space.joint)
     w = space.joint[xs, ys]
     p = space.marginal
     n = space.n
+    sims = T @ T.T
     m = sims.max(axis=1)
     E = np.exp(sims - m[:, None])
     s_pos, e_pos = sims[xs, ys], E[xs, ys]
@@ -125,7 +126,7 @@ def per_call_exact_infonce(sims, space, M, coef=False):
                 Rp = (1.0 / Z) @ p
                 C[x, ys[sel]] = w[sel] * (e_pos[sel] * (Rp @ p) - 1.0)
                 C[x, :] += 2.0 * p * row * (w[sel] @ Rp)
-    return float(w @ (m[xs] - s_pos + expect)), (C + C.T if coef else None)
+    return float(w @ (m[xs] - s_pos + expect)), ((C + C.T) @ T if coef else None)
 
 
 def eight_node_space():
@@ -140,9 +141,8 @@ def zero_marginal_space(node=2):
     return replace(space, marginal=p / p.sum())
 
 
-def unit_sims(n, seed, k=3):
-    F = random_embedding(n, k, seed=seed).table
-    return F @ F.T
+def unit_table(n, seed, k=3):
+    return random_embedding(n, k, seed=seed).table
 
 
 def constant_embedding(n, k=3):
@@ -160,7 +160,7 @@ class TestInfoNcePopulation:
         space = toy_space()
         f = constant_embedding(space.n)
         for M in (1, 2):
-            val, se, exact = infonce_population(similarities(f), space, M)
+            val, se, exact = infonce_population(f.table, space, M)
             assert exact and se == 0.0
             assert abs(val - np.log(M + 1)) < 1e-12
 
@@ -168,7 +168,7 @@ class TestInfoNcePopulation:
         # MC path, but every sampled loss equals log(M + 1) so stderr is 0
         space = toy_space()
         f = constant_embedding(space.n)
-        val, se, exact = infonce_population(similarities(f), space, 5, McConfig(samples=500))
+        val, se, exact = infonce_population(f.table, space, 5, McConfig(samples=500))
         assert not exact
         assert abs(val - np.log(6)) < 1e-12
         assert se < 1e-12
@@ -191,16 +191,16 @@ class TestInfoNcePopulation:
                     want += pw * p[z] * (
                         np.log(np.exp(s_pos) + np.exp(s_neg)) - s_pos
                     )
-        got, se, exact = infonce_population(similarities(f), space, 1)
+        got, se, exact = infonce_population(f.table, space, 1)
         assert exact
         assert abs(got - want) < 1e-12
 
     def test_mc_agrees_with_exact(self):
         space = toy_space()
         f = random_embedding(space.n, 3, seed=5)
-        exact_val, _, _ = infonce_population(similarities(f), space, 1)
+        exact_val, _, _ = infonce_population(f.table, space, 1)
         mc_val, se, exact = infonce_population(
-            similarities(f), space, 1, McConfig(samples=40000, n_max=1)
+            f.table, space, 1, McConfig(samples=40000, n_max=1)
         )
         assert not exact
         assert se > 0.0
@@ -209,13 +209,13 @@ class TestInfoNcePopulation:
     def test_mc_deterministic(self):
         space = toy_space()
         f = random_embedding(space.n, 3, seed=5)
-        a = infonce_population(similarities(f), space, 5, McConfig(samples=1000, seed=4))
-        b = infonce_population(similarities(f), space, 5, McConfig(samples=1000, seed=4))
+        a = infonce_population(f.table, space, 5, McConfig(samples=1000, seed=4))
+        b = infonce_population(f.table, space, 5, McConfig(samples=1000, seed=4))
         assert a == b
 
     def test_m_validated(self):
         with pytest.raises(ValueError):
-            infonce_population(similarities(constant_embedding(3)), toy_space(), 0)
+            infonce_population(constant_embedding(3).table, toy_space(), 0)
 
 
 class TestInfoNceEmpirical:
@@ -236,7 +236,7 @@ class TestInfoNceEmpirical:
         for M in (1, 2):
             batch, weights = full_support_batch(space, M)
             emp = infonce_empirical(f, batch, weights)
-            pop, _, exact = infonce_population(similarities(f), space, M)
+            pop, _, exact = infonce_population(f.table, space, M)
             assert exact
             assert abs(emp - pop) < 1e-10
 
@@ -357,23 +357,24 @@ class TestInfoNceGradient:
                 assert np.abs(got - want).max() < 1e-15
 
 
-def spread_sims(n, seed, spread):
-    """F F^T of an unnormalized gaussian table, scaled so its widest row spreads `spread`."""
+def spread_table(n, seed, spread):
+    """An unnormalized gaussian table, scaled so the widest row of F F^T spreads `spread`."""
     F = gaussian_matrix(n, 3, seed)
     sims = F @ F.T
-    return sims * (spread / np.max(sims.max(axis=1) - sims.min(axis=1)))
+    return F * np.sqrt(spread / np.max(sims.max(axis=1) - sims.min(axis=1)))
 
 
 class TestExpSpaceAccuracy:
     """The exp-space engine against the np.logaddexp oracle."""
 
     @staticmethod
-    def assert_close(got, want):
-        # the engine's G against the oracle's C + C^T, relative to the loss
-        # and to the largest coefficient
-        (loss, G), (want_loss, want_C) = got, want
+    def assert_close(T, got, want):
+        # the engine's G T against the oracle's (C + C^T) T, relative to the
+        # loss and to the largest coefficient times T's largest column sum
+        (loss, GT), (want_loss, want_C) = got, want
         assert abs(loss - want_loss) <= 1e-13 * abs(want_loss)
-        assert np.abs(G - (want_C + want_C.T)).max() <= 1e-13 * np.abs(want_C).max()
+        scale = np.abs(want_C).max() * np.abs(T).sum(axis=0).max()
+        assert np.abs(GT - (want_C + want_C.T) @ T).max() <= 1e-13 * scale
 
     @pytest.mark.parametrize("M", [1, 2])
     @pytest.mark.parametrize("spread", [None, 5.0, 20.0, 50.0])
@@ -386,29 +387,29 @@ class TestExpSpaceAccuracy:
         engine = _exact_infonce(space, M)
         for seed in (1, 2):
             if spread is None:
-                sims = unit_sims(space.n, seed)
+                T = unit_table(space.n, seed)
             else:
-                sims = spread_sims(space.n, seed, spread)
-            want = logaddexp_exact_infonce(sims, space, M, coef=True)
-            self.assert_close(engine(sims, coef=True), want)
+                T = spread_table(space.n, seed, spread)
+            want = logaddexp_exact_infonce(T @ T.T, space, M, coef=True)
+            self.assert_close(T, engine(T, coef=True), want)
 
     @pytest.mark.parametrize("M", [1, 2])
     def test_exact_just_inside_the_spread_bound(self, M):
         # every E stays a normal double, so nothing underflows to log 0
         space = eight_node_space()
-        sims = spread_sims(space.n, 3, objectives._SPREAD_MAX - 1.0)
+        T = spread_table(space.n, 3, objectives._SPREAD_MAX - 1.0)
         with np.errstate(all="raise"):
-            got = _exact_infonce(space, M)(sims, coef=True)
-        self.assert_close(got, logaddexp_exact_infonce(sims, space, M, coef=True))
+            got = _exact_infonce(space, M)(T, coef=True)
+        self.assert_close(T, got, logaddexp_exact_infonce(T @ T.T, space, M, coef=True))
 
     @pytest.mark.parametrize("M", [1, 2])
     def test_spread_past_the_bound_raises_a_named_error(self, M):
         space = eight_node_space()
-        sims = spread_sims(space.n, 3, 750.0)
+        T = spread_table(space.n, 3, 750.0)
         with pytest.raises(
             FloatingPointError, match=r"^exact InfoNCE: a similarity row spreads 750 > 700$"
         ):
-            _exact_infonce(space, M)(sims)
+            _exact_infonce(space, M)(T)
 
 
 class TestExactEngine:
@@ -427,7 +428,7 @@ class TestExactEngine:
         loss, grad = exact_loss_and_grad(f, space, M)
         assert abs(loss - infonce_empirical(f, batch, weights)) < 1e-12
         assert np.abs(grad - infonce_gradient(f, batch, weights)).max() < 1e-12
-        assert loss == infonce_population(similarities(f), space, M)[0]
+        assert loss == infonce_population(f.table, space, M)[0]
 
     def test_matches_full_support_oracle_on_reference_space(self):
         space = reference_space()
@@ -446,26 +447,26 @@ class TestExactEngine:
         space = make_space()
         engine = _exact_infonce(space, M)
         for seed in (1, 2):
-            sims = unit_sims(space.n, seed)
-            loss, G = engine(sims, coef=coef)
-            want_loss, want_G = per_call_exact_infonce(sims, space, M, coef=coef)
+            T = unit_table(space.n, seed)
+            loss, GT = engine(T, coef=coef)
+            want_loss, want_GT = per_call_exact_infonce(T, space, M, coef=coef)
             assert loss == want_loss
             if coef:
-                assert np.array_equal(G, want_G)
+                assert GT.tobytes() == want_GT.tobytes()
             else:
-                assert G is None and want_G is None
+                assert GT is None and want_GT is None
 
     @pytest.mark.parametrize("M", [1, 2])
     def test_engine_reuse_keeps_bits_and_earlier_results(self, M):
         space = reference_space() if M == 1 else eight_node_space()
         engine = _exact_infonce(space, M)
-        sims_a, sims_b = unit_sims(space.n, 3), unit_sims(space.n, 4)
-        loss_a, G_a = engine(sims_a, coef=True)
+        T_a, T_b = unit_table(space.n, 3), unit_table(space.n, 4)
+        loss_a, G_a = engine(T_a, coef=True)
         G_a_bits = G_a.copy()
-        loss_b, G_b = engine(sims_b, coef=True)
+        loss_b, G_b = engine(T_b, coef=True)
         G_b_bits = G_b.copy()
-        again, G_again = engine(sims_a, coef=True)
-        engine(sims_b)
+        again, G_again = engine(T_a, coef=True)
+        engine(T_b)
         assert again == loss_a and np.array_equal(G_again, G_a_bits)
         assert loss_b != loss_a
         assert np.array_equal(G_a, G_a_bits) and np.array_equal(G_b, G_b_bits)
@@ -473,11 +474,11 @@ class TestExactEngine:
     def test_built_engine_allocates_under_one_pairs_by_n_array(self):
         space = reference_space()
         engine = _exact_infonce(space, 1)
-        sims = unit_sims(space.n, 5)
+        T = unit_table(space.n, 5)
         one_array = np.count_nonzero(space.joint) * space.n * 8  # 256,608 bytes
         tracemalloc.start()
         try:
-            engine(sims, coef=True)
+            engine(T, coef=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -486,12 +487,12 @@ class TestExactEngine:
     def test_built_m2_engine_allocates_under_one_anchor_block(self):
         space = reference_space()
         engine = _exact_infonce(space, 2)
-        sims = unit_sims(space.n, 5)
+        T = unit_table(space.n, 5)
         most = np.bincount(space.support[0]).max()
         one_block = most * space.n * space.n * 8  # (pairs of one anchor, n, n): 443,232 bytes
         tracemalloc.start()
         try:
-            engine(sims, coef=True)
+            engine(T, coef=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -507,8 +508,8 @@ class TestExactEngine:
         for i, j in itertools.product(*map(range, table.shape)):
             step = np.zeros_like(table)
             step[i, j] = h
-            up = infonce_population(similarities(Embedding(table + step, False)), space, M)[0]
-            down = infonce_population(similarities(Embedding(table - step, False)), space, M)[0]
+            up = infonce_population(table + step, space, M)[0]
+            down = infonce_population(table - step, space, M)[0]
             fd[i, j] = (up - down) / (2 * h)
         assert np.abs(grad - fd).max() < 1e-8
 
@@ -570,9 +571,9 @@ class TestSampledKernel:
             f = random_embedding(space.n, 3, seed=M + 1, normalized=normalized)
             F = f.table
             engine = _sampled_infonce(_table_indices(batch, space.n), space.n)
-            losses, G = engine(F @ F.T, coef=True)
+            losses, GT = engine(F, coef=True)
             assert abs(np.mean(losses) - infonce_empirical(f, batch)) < 1e-12
-            grad = gradient(F, G, normalized)
+            grad = gradient(F, GT, normalized)
             assert np.abs(grad - infonce_gradient(f, batch)).max() < 1e-12
 
     @pytest.mark.parametrize("M", [1, 2, 3, 7])
@@ -595,27 +596,32 @@ class TestSampledKernel:
         off = hit & ~np.eye(n, dtype=bool)
         assert hit.diagonal().any() and (off & off.T).any() and (off & ~off.T).any()
         engine = _sampled_infonce(flat, n)
-        for seed in (1, 2):  # the second call overwrites the first one's G
-            sims = unit_sims(n, seed)
+        rows = objectives._block_rows(n)
+        for seed in (1, 2):
+            T = unit_table(n, seed)
+            # the dense oracle on the engine's row blocks of T T^T and G
+            sims = np.vstack([T[r0 : r0 + rows] @ T.T for r0 in range(0, n, rows)])
             want_losses, want_C = dense_sampled_infonce(sims, flat, coef=True)
-            losses, G = engine(sims, coef=True)
+            G = want_C + want_C.T
+            want_GT = np.vstack([G[r0 : r0 + rows] @ T for r0 in range(0, n, rows)])
+            losses, GT = engine(T, coef=True)
             assert losses.tobytes() == want_losses.tobytes()
-            assert G.tobytes() == (want_C + want_C.T).tobytes()
-            losses, none = engine(sims)
+            assert GT.tobytes() == want_GT.tobytes()
+            losses, none = engine(T)
             assert losses.tobytes() == want_losses.tobytes() and none is None
 
-    def test_owned_g_lives_until_the_next_call_with_coef(self):
+    def test_gt_is_fresh_on_every_call(self):
         space = inflated_space(8)
         flat = _table_indices(_sample_batch(space, 2, 2000, 3), space.n)
         engine = _sampled_infonce(flat, space.n)
-        sims_a, sims_b = unit_sims(space.n, 3), unit_sims(space.n, 4)
-        _, G_a = engine(sims_a, coef=True)
-        G_a_bits = G_a.copy()
-        engine(sims_b)  # a call without coef leaves G alone
-        assert np.array_equal(G_a, G_a_bits)
-        _, G_b = engine(sims_b, coef=True)  # the next call with coef overwrites it
-        assert G_b is G_a and not np.array_equal(G_b, G_a_bits)
-        assert np.array_equal(engine(sims_a, coef=True)[1], G_a_bits)
+        T_a, T_b = unit_table(space.n, 3), unit_table(space.n, 4)
+        _, GT_a = engine(T_a, coef=True)
+        GT_a_bits = GT_a.copy()
+        engine(T_b)
+        _, GT_b = engine(T_b, coef=True)
+        assert GT_b is not GT_a and np.array_equal(GT_a, GT_a_bits)
+        assert not np.array_equal(GT_b, GT_a_bits)
+        assert np.array_equal(engine(T_a, coef=True)[1], GT_a_bits)
 
     def test_support_is_built_on_the_first_call_with_coef(self, monkeypatch):
         built = []
@@ -629,7 +635,7 @@ class TestSampledKernel:
         space, cfg = reference_space(), McConfig(n_max=1, samples=2000)
         f = random_embedding(space.n, 3, seed=1)
         for M in (1, 2):
-            infonce_population(similarities(f), space, M, cfg)
+            infonce_population(f.table, space, M, cfg)
         assert built == []
         train_free_embeddings(space, 3, "infonce", 5, 1.0, seed=0, cfg=cfg)
         assert len(built) == 1
@@ -641,7 +647,7 @@ class TestSampledKernel:
         cfg = McConfig(samples=4000, seed=M, n_max=1)
         for space in (reference_space(), inflated_space()):
             f = random_embedding(space.n, 3, seed=M)
-            sims = f.table @ f.table.T
+            sims = f.table @ f.table.T  # one row block: n < 362
             batch = _sample_batch(space, M, cfg.samples, cfg.seed)
             a = batch[:, 0]
             losses = row_major_losses(sims[a, batch[:, 1]], sims[a[:, None], batch[:, 2:]])
@@ -650,7 +656,138 @@ class TestSampledKernel:
                 float(np.std(losses, ddof=1) / np.sqrt(cfg.samples)),
                 False,
             )
-            assert infonce_population(similarities(f), space, M, cfg) == want
+            assert infonce_population(f.table, space, M, cfg) == want
+
+
+def split_in_three(monkeypatch, n):
+    """Patch the block constant so F F^T of n rows reads in at least three row blocks."""
+    monkeypatch.setattr(objectives, "_BLOCK_CELLS", n // 3 * n)
+    assert len(range(0, n, objectives._block_rows(n))) >= 3
+
+
+BLOCK_SPACES = {"reference": reference_space, "inflated8": lambda: inflated_space(8)}
+
+
+class TestBlockReader:
+    """F F^T read in row blocks, against F @ F.T and the dense per-call oracles.
+
+    A block of some rows is a gemm, whose cells can differ from F @ F.T's
+    syrk in the last place; unit rows keep every similarity within [-1, 1],
+    so each value below is held to the oracle's within 1e-14 (losses,
+    estimates and errors) or 1e-13 relative to |G| |T| (the gradient G T).
+    """
+
+    @pytest.mark.parametrize("n", [54, 477])
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_one_block_is_the_full_product(self, n, k):
+        # reference's bytes rest on numpy sending a full-row slice down
+        # F @ F.T's BLAS route
+        F = random_embedding(n, k, seed=k).table
+        (r0, S), = objectives._similarity_blocks(F, n)
+        assert r0 == 0 and S.tobytes() == (F @ F.T).tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 100, 273, 477])
+    def test_blocks_tile_the_product(self, rows):
+        F = random_embedding(477, 3, seed=2).table
+        blocks = [(r0, S.copy()) for r0, S in objectives._similarity_blocks(F, rows)]
+        assert [r0 for r0, _ in blocks] == list(range(0, 477, rows))
+        assert np.abs(np.vstack([S for _, S in blocks]) - F @ F.T).max() <= 1e-15
+
+    def test_the_block_constant_sets_the_rows(self):
+        assert objectives._block_rows(54) == 2**17 // 54 > 54  # one block
+        assert objectives._block_rows(477) == 274  # two blocks
+        assert objectives._block_rows(2**18) == 1
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("M", [1, 2])
+    @pytest.mark.parametrize("which", sorted(BLOCK_SPACES))
+    def test_sampled_engine_matches_dense_oracle(self, monkeypatch, which, M, k):
+        space = BLOCK_SPACES[which]()
+        n = space.n
+        split_in_three(monkeypatch, n)
+        flat = _table_indices(_sample_batch(space, M, 2000, seed=M), n)
+        T = unit_table(n, 5, k)
+        want_losses, want_C = dense_sampled_infonce(T @ T.T, flat, coef=True)
+        G = want_C + want_C.T
+        losses, GT = _sampled_infonce(flat, n)(T, coef=True)
+        assert np.abs(losses - want_losses).max() <= 1e-14
+        assert np.abs(GT - G @ T).max() <= 1e-13 * (np.abs(G) @ np.abs(T)).max()
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("M", [1, 2])
+    @pytest.mark.parametrize("which", sorted(BLOCK_SPACES))
+    def test_population_and_lse_match_dense_oracles(self, monkeypatch, which, M, k):
+        space = BLOCK_SPACES[which]()
+        split_in_three(monkeypatch, space.n)
+        cfg = McConfig(samples=4000, seed=M, n_max=1)
+        F = unit_table(space.n, 7, k)
+        flat = _table_indices(_sample_batch(space, M, cfg.samples, cfg.seed), space.n)
+        losses, _ = dense_sampled_infonce(F @ F.T, flat)
+        mean, se, exact = infonce_population(F, space, M, cfg)
+        assert not exact
+        assert abs(mean - np.mean(losses)) <= 1e-14
+        assert abs(se - np.std(losses, ddof=1) / np.sqrt(cfg.samples)) <= 1e-14
+        got = lse_approx_error(F, space, M, 8, 3)
+        want = dense_lse_approx_error(F @ F.T, space, M, 8, 3)
+        assert np.abs(np.subtract(got, want)).max() <= 1e-14
+
+    @pytest.mark.parametrize("M", [1, 2])
+    def test_one_block_lse_keeps_dense_bits(self, M):
+        # n <= 362 reads F F^T in one block, so nothing moves there
+        for space in (reference_space(), inflated_space(4)):
+            F = unit_table(space.n, 4)
+            want = dense_lse_approx_error(F @ F.T, space, M, 8, 3)
+            assert lse_approx_error(F, space, M, 8, 3) == want
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("M", [1, 2])
+    def test_exact_engine_keeps_per_call_bits(self, monkeypatch, M, k):
+        # the exact engine forms T T^T in its own buffer, whatever the block constant
+        space = reference_space()
+        split_in_three(monkeypatch, space.n)
+        T = unit_table(space.n, 9, k)
+        loss, GT = _exact_infonce(space, M)(T, coef=True)
+        want_loss, want_GT = per_call_exact_infonce(T, space, M, coef=True)
+        assert loss == want_loss and GT.tobytes() == want_GT.tobytes()
+
+
+class TestSimilarityMemory:
+    """On the 8x inflated space (n = 477, two row blocks) no reader of F F^T forms it.
+
+    tracemalloc's peak bounds every single allocation, so a peak under
+    n^2 * 8 bytes shows that none is an n x n table of doubles.  Batches of
+    2000 samples keep the batch's own arrays (each under n^2 * 8 bytes at
+    any size) from filling that budget.
+    """
+
+    @staticmethod
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture(scope="class")
+    def space(self):
+        space = inflated_space(8)
+        space.support, space.pair_cdf, space.marginal_cdf  # cached, as a run does
+        return space
+
+    @pytest.mark.parametrize("M", [1, 2])
+    def test_monte_carlo_descent(self, space, M):
+        cfg = McConfig(samples=2000)
+        peak = self.peak(lambda: train_free_embeddings(space, 3, "infonce", 5, 1.0, 0, M, cfg))
+        assert peak < space.n * space.n * 8
+
+    @pytest.mark.parametrize("M", [1, 2])
+    def test_population_estimate_and_lse_error(self, space, M):
+        F = unit_table(space.n, 1)
+        assert self.peak(lambda: infonce_population(F, space, M, McConfig(samples=2000))) < (
+            space.n * space.n * 8
+        )
+        assert self.peak(lambda: lse_approx_error(F, space, M, 8, 0)) < space.n * space.n * 8
 
 
 class TestSpectralLoss:
@@ -756,8 +893,8 @@ class TestTraining:
                 assert not np.array_equal(f1.table, exact.table)
                 # the shared sampler draws the trainer's own batch from this seed
                 own = McConfig(n_max=1, samples=500, seed=cfg.seed + seed + 1)
-                l0, _, _ = infonce_population(similarities(f0), space, 1, own)
-                l1, _, _ = infonce_population(similarities(f1), space, 1, own)
+                l0, _, _ = infonce_population(f0.table, space, 1, own)
+                l1, _, _ = infonce_population(f1.table, space, 1, own)
             assert l1 <= l0 + 1e-12
             f1.check()
 
@@ -767,7 +904,7 @@ class TestTraining:
         space = reference_space() if M == 1 else random_space(8, seed=3)
         losses = [
             infonce_population(
-                similarities(train_free_embeddings(space, 3, "infonce", s, 1.0, seed=4, M=M)),
+                train_free_embeddings(space, 3, "infonce", s, 1.0, seed=4, M=M).table,
                 space,
                 M,
             )[0]
@@ -778,16 +915,16 @@ class TestTraining:
 
     @staticmethod
     def record_evaluations(monkeypatch, builder):
-        """Bytes of every sims the engines built by objectives.<builder> evaluate."""
+        """Bytes of every table the engines built by objectives.<builder> evaluate."""
         seen = []
         build = getattr(objectives, builder)
 
         def recording_build(*args, **kwargs):
             engine = build(*args, **kwargs)
 
-            def recording(sims, *args, **kwargs):
-                seen.append(sims.tobytes())
-                return engine(sims, *args, **kwargs)
+            def recording(T, *args, **kwargs):
+                seen.append(T.tobytes())
+                return engine(T, *args, **kwargs)
 
             return recording
 
@@ -835,9 +972,9 @@ class TestTraining:
                 train_free_embeddings(toy_space(), 2, loss, steps, 1e300, seed=0)
 
     def test_sampled_path_reads_g_before_the_next_evaluation(self, monkeypatch):
-        # each G handed out turns NaN when the engine is called again, so a
-        # G read after the next evaluation would poison the descent; the
-        # trainer turns G into its gradient within the evaluation that made
+        # each G T handed out turns NaN when the engine is called again, so a
+        # G T read after the next evaluation would poison the descent; the
+        # trainer turns G T into its gradient within the evaluation that made
         # it.  The large step makes the line search reject candidates
         space, cfg, steps = inflated_space(8), McConfig(samples=2000), 8
         want = train_free_embeddings(space, 3, "infonce", steps, 1000.0, seed=1, cfg=cfg)
@@ -848,12 +985,12 @@ class TestTraining:
             engine = build(*args)
             handed = []
 
-            def poisoning(sims, coef=False):
-                for G in handed:
-                    G.fill(np.nan)
-                losses, G = engine(sims, coef)
+            def poisoning(T, coef=False):
+                for GT in handed:
+                    GT.fill(np.nan)
+                losses, GT = engine(T, coef)
                 calls.append(coef)
-                handed[:] = [] if G is None else [G.copy()]
+                handed[:] = [] if GT is None else [GT.copy()]
                 return losses, (handed[0] if handed else None)
 
             return poisoning

@@ -26,6 +26,7 @@ from ctlab.world import (
     inflate,
     labeling_error,
     preprocess_world,
+    raw_factors,
     save_world,
 )
 from oracles import (
@@ -566,6 +567,19 @@ class TestPreprocess:
     def test_no_truncation_returns_the_world_itself(self):
         iw = inflate(generate_world(_ref_spec(noise_scale=0.05)), 8, seed=6)
         assert preprocess_world(iw, None) is iw
+
+    def test_kept_factors_give_the_bits_of_fresh_ones(self):
+        # one set of raw factors serves every truncation of a sweep
+        iw = inflate(generate_world(_ref_spec(noise_scale=0.05)), 8, seed=6)
+        factors = raw_factors(iw)
+        assert len(factors) == 6
+        for spec in [TruncationSpec(mode="keep_top_q", q=q) for q in (1, 2, 3, 4)] + [
+            TruncationSpec(mode="discard_pair", pair_index=1),
+            TruncationSpec(mode="discard_single", pair_index=2),
+        ]:
+            got, want = preprocess_world(iw, spec, factors), preprocess_world(iw, spec)
+            assert got.payloads.tobytes() == want.payloads.tobytes()
+            assert got.labels.tolist() == want.labels.tolist()
 
 
 class TestInflate:
