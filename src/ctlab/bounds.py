@@ -71,27 +71,27 @@ def variance_terms(f: Embedding, space: AugmentedSpace, mu: np.ndarray):
     equal-weight mixture of the same-class positive branch and the marginal
     negative branch, each deviation taken from the class mean of the point
     itself.  V_minus is None when the false-positive set has zero mass.
+    Every sum runs over the joint's support, in its row-major order.
     """
     F = f.table
-    mu_of = mu.T[space.labels]  # (n, k) class mean per node
-    dev = np.sum((F - mu_of) ** 2, axis=1)  # ||f(x) - mu_{y_x}||^2 per node
-    mask_plus = space.positive_mask()
-    # one (n, n) buffer: the label-consistent part of the joint, then the rest
-    w = np.where(mask_plus, space.joint, 0.0)
-    mass_plus = float(w.sum())
+    labels = space.labels
+    xs, ys, w = space.support
+    dev = np.sum((F - mu.T[labels]) ** 2, axis=1)  # ||f(x) - mu_{y_x}||^2 per node
+    same = labels[xs] == labels[ys]
+    w_plus = w * same  # the label-consistent part of the joint
+    mass_plus = float(w_plus.sum())
     if mass_plus <= 0.0:
         raise ValueError("variance_terms: empty label-consistent pair support")
-    V = float(w.sum(axis=1) @ dev) / mass_plus
+    V = float(w_plus @ dev[xs]) / mass_plus
     # same-class positive branch of the mixture
-    branch_pos = float(np.sum(np.multiply(w, dev, out=w))) / mass_plus
-    np.copyto(w, space.joint)
-    np.copyto(w, 0.0, where=mask_plus)
-    mass_minus = float(w.sum())
+    branch_pos = float(w_plus @ dev[ys]) / mass_plus
+    minus = ~same
+    w_minus = w[minus]
+    mass_minus = float(w_minus.sum())
     if mass_minus > 0.0:
-        # deviation of the positive view from the anchor's class mean:
-        # dev_class[c, j] = ||f(j) - mu_c||^2, row picked by the anchor label
-        dev_class = np.stack([np.sum((F - mu_c) ** 2, axis=1) for mu_c in mu.T])
-        V_minus = float(np.sum(np.multiply(w, dev_class[space.labels], out=w))) / mass_minus
+        # deviation of the positive view from the anchor's class mean
+        x_mu = mu.T[labels[xs[minus]]]
+        V_minus = float(w_minus @ np.sum((F[ys[minus]] - x_mu) ** 2, axis=1)) / mass_minus
     else:
         V_minus = None
     # marginal negative branch

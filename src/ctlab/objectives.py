@@ -336,14 +336,18 @@ def spectral_loss(f: Embedding, space: AugmentedSpace) -> float:
 def _spectral_terms(F: np.ndarray, space: AugmentedSpace):
     """(loss, gradient) of the spectral loss at the table F, from k-wide products.
 
-    With JF = joint F and G = F^T diag(p) F, the positive term
-    sum(joint * F F^T) is sum(F * JF) and the negative term is sum(G * G),
-    so no n x n array is formed.  The gradient is -4 JF + 4 diag(p) F G.
+    The joint is read through its factor cond^T diag(w) cond, w the original
+    weights: with H = cond F and WH = diag(w) H, the positive term
+    sum(joint * F F^T) is sum(H * WH) and JF = joint F is cond^T WH, two
+    (N_orig, n) products and no n x n one.  With G = F^T diag(p) F the
+    negative term is sum(G * G) and the gradient is -4 JF + 4 diag(p) F G.
     """
-    JF = space.joint @ F
+    H = space.cond @ F  # (N_orig, k)
+    WH = space.weights[:, None] * H
     pF = space.marginal[:, None] * F
     G = F.T @ pF  # (k, k)
-    return -2.0 * float(np.sum(F * JF)) + float(np.sum(G * G)), -4.0 * JF + 4.0 * pF @ G
+    loss = -2.0 * float(np.sum(H * WH)) + float(np.sum(G * G))
+    return loss, -4.0 * (space.cond.T @ WH) + 4.0 * pF @ G
 
 
 # ---------------------------------------------------------------------------

@@ -167,8 +167,9 @@ class AugmentedSpace:
     payloads: np.ndarray           # (n, m, m') node payloads
     labels: np.ndarray             # (n,) true labels of the nodes
     cond: np.ndarray               # (N_orig, n), rows sum to 1
-    marginal: np.ndarray           # (n,), sums to 1
-    joint: np.ndarray              # (n, n) positive-pair joint p(x, x+)
+    weights: np.ndarray            # (N_orig,) original probabilities, sum to 1
+    marginal: np.ndarray           # (n,) weights @ cond, sums to 1
+    joint: np.ndarray              # (n, n) positive-pair joint cond^T diag(weights) cond
     K: int                         # class count of the world
 
     @property
@@ -190,10 +191,6 @@ class AugmentedSpace:
     def marginal_cdf(self) -> InverseCdf:
         """Node draws with the bits of Generator.choice(n, p=marginal); cached."""
         return InverseCdf(self.marginal.cumsum())
-
-    def positive_mask(self) -> np.ndarray:
-        """Boolean (n, n) mask of label-consistent pairs (the X+ set)."""
-        return self.labels[:, None] == self.labels[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +442,7 @@ def build_augmented_space(world: World, transforms) -> AugmentedSpace:
         payloads=payloads,
         labels=labels,
         cond=cond,
+        weights=world.weights,
         marginal=marginal,
         joint=joint,
         K=world.spec.K,

@@ -5,10 +5,12 @@ No `ctlab` command reaches anything here.  The batch InfoNCE functions with
 `logaddexp_exact_infonce` is the log-space oracle of the exact engine,
 `dense_sampled_infonce` the oracle of the sampled engine on the whole
 similarity table, `dense_lse_approx_error` that of `lse_approx_error`,
-`fit_alone` the plain per-table descent the stacked probe is held to, and
-`dense_component_spectrum` the per-component oracle of a graph's spectrum
-when the graph is not connected; `dense_vectors` lays a staged spectrum's
-per-component eigenvectors out as the n x n table those oracles hold.
+`fit_alone` the plain per-table descent the stacked probe is held to,
+`positive_mask` the (n, n) label-consistency mask of the variance and
+alignment oracles, and `dense_component_spectrum` the per-component oracle
+of a graph's spectrum when the graph is not connected; `dense_vectors` lays
+a staged spectrum's per-component eigenvectors out as the n x n table those
+oracles hold.
 `load_matrix_text` and `read_world` read back what `save_matrix_text` and
 `save_world` write; ctlab never reads them.
 
@@ -375,6 +377,11 @@ def dense_spectral_embedding(G: DenseGraph, spec: SymEigen, k: int) -> np.ndarra
     table = spec.vectors[:, :k] * np.sqrt(gammas)
     table = table / np.sqrt(G.degrees)[:, None]
     return table
+
+
+def positive_mask(space) -> np.ndarray:
+    """Boolean (n, n) mask of a space's label-consistent pairs (the X+ set)."""
+    return space.labels[:, None] == space.labels[None, :]
 
 
 def enumerated_labeling_error(space, world: World) -> float:

@@ -39,6 +39,7 @@ from ctlab.world import (
     preprocess_world,
 )
 from oracles import (
+    positive_mask,
     random_embedding,
     reference_spec,
     reference_transforms,
@@ -136,7 +137,7 @@ def cube_variance_terms(f, space):
     F = f.table
     mu_of = mu.T[space.labels]
     dev = np.sum((F - mu_of) ** 2, axis=1)
-    mask_plus = space.positive_mask()
+    mask_plus = positive_mask(space)
     w_plus = np.where(mask_plus, space.joint, 0.0)
     w_minus = np.where(~mask_plus, space.joint, 0.0)
     mass_plus = float(w_plus.sum())
@@ -151,10 +152,32 @@ def cube_variance_terms(f, space):
     return (V, V_minus, V_neg)
 
 
+def support_variance_terms(f, space):
+    """Variance terms summed over the pairs of `joint > 0`, row-major, weighted by the label mask."""
+    mu = mean_head(f, space)
+    F = f.table
+    xs, ys = np.nonzero(space.joint > 0.0)
+    w = space.joint[xs, ys]
+    plus = positive_mask(space)[xs, ys]
+    dev = np.sum((F - mu.T[space.labels]) ** 2, axis=1)
+    w_plus = np.where(plus, w, 0.0)
+    mass_plus = float(w_plus.sum())
+    V = float(w_plus @ dev[xs]) / mass_plus
+    V_minus = None
+    w_minus = w[~plus]
+    mass_minus = float(w_minus.sum())
+    if mass_minus > 0.0:
+        d = np.sum((F[ys[~plus]] - mu.T[space.labels[xs[~plus]]]) ** 2, axis=1)
+        V_minus = float(w_minus @ d) / mass_minus
+    branch_pos = float(w_plus @ dev[ys]) / mass_plus
+    V_neg = 0.5 * branch_pos + 0.5 * float(space.marginal @ dev)
+    return (V, V_minus, V_neg)
+
+
 def cube_alignment_eps(f, space):
     """Alignment terms from the (n, n, k) all-pairs difference cube."""
     F = f.table
-    mask_minus = (~space.positive_mask()) & (space.joint > 0.0)
+    mask_minus = (~positive_mask(space)) & (space.joint > 0.0)
     dist = np.sqrt(np.sum((F[:, None, :] - F[None, :, :]) ** 2, axis=2))
     if not np.any(mask_minus):
         return None, None
@@ -278,12 +301,16 @@ class TestVarianceTerms:
 
     @pytest.mark.parametrize("normalized", [True, False])
     def test_matches_cube_oracle_bit_for_bit(self, normalized):
+        # bit for bit the support-order sums; the (n, n) and (n, n, k) sums
+        # of the cube oracle agree to 1e-15 relative (7e-16 seen)
         for space in reference_and_inflated_spaces():
             for seed in range(4):
                 for k in (1, 3, 8):
                     f = random_embedding(space.n, k, seed=seed, normalized=normalized)
-                    want = cube_variance_terms(f, space)
-                    assert variance_terms(f, space, mean_head(f, space)) == want
+                    got = variance_terms(f, space, mean_head(f, space))
+                    assert got == support_variance_terms(f, space)
+                    for a, b in zip(got, cube_variance_terms(f, space)):
+                        assert abs(a - b) <= 1e-15 * abs(b)
 
 
 class TestLseApproxError:

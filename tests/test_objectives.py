@@ -1,7 +1,7 @@
 import itertools
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -61,17 +61,26 @@ def inflated_space(factor=4):
 
 
 def random_space(n, seed, K=2):
-    """Space of n nodes with a sparse random symmetric joint; no payloads."""
+    """Space of n nodes and (n + 1) // 2 originals with a sparse random cond; no payloads.
+
+    The joint and the marginal come from cond and the original weights as
+    `build_augmented_space` forms them.  Original i % N_orig keeps node i,
+    so every node has marginal mass.
+    """
     rng = np.random.default_rng(seed)
-    A = rng.random((n, n)) * (rng.random((n, n)) < 0.4)
-    A = A + A.T + np.diag(rng.random(n))
-    A /= A.sum()
+    N = (n + 1) // 2
+    cond = rng.random((N, n)) * (rng.random((N, n)) < 0.4)
+    cond[np.arange(n) % N, np.arange(n)] += rng.random(n)
+    cond /= cond.sum(axis=1, keepdims=True)
+    weights = rng.random(N)
+    weights /= weights.sum()
     return AugmentedSpace(
         payloads=np.zeros((n, 1, 1)),
         labels=np.arange(n) % K,
-        cond=np.full((1, n), 1.0 / n),
-        marginal=A.sum(axis=1),
-        joint=A,
+        cond=cond,
+        weights=weights,
+        marginal=weights @ cond,
+        joint=cond.T @ (cond * weights[:, None]),
         K=K,
     )
 
@@ -790,6 +799,15 @@ class TestSimilarityMemory:
         assert self.peak(lambda: lse_approx_error(F, space, M, 8, 0)) < space.n * space.n * 8
 
 
+class JointlessSpace(AugmentedSpace):
+    """An AugmentedSpace whose joint fails when read."""
+
+    def __getattribute__(self, name):
+        if name == "joint":
+            raise AssertionError("joint read")
+        return super().__getattribute__(name)
+
+
 class TestSpectralLoss:
     def test_zero_embedding(self):
         space = toy_space()
@@ -826,43 +844,69 @@ class TestSpectralLoss:
             assert abs(got - want) < 1e-12
 
     def test_gradient_matches_formula(self):
-        # -4 joint F + 4 diag(p) F G, each product recomputed from F
+        # -4 cond^T diag(w) cond F + 4 diag(p) F G, each product recomputed
+        # from F; the dense -4 joint F gives it to 1e-15 of its largest entry
         space = inflated_space(8)
         F = gaussian_matrix(space.n, 3, 7)
         pF = space.marginal[:, None] * F
-        want = -4.0 * (space.joint @ F) + 4.0 * pF @ (F.T @ pF)
+        negative = 4.0 * pF @ (F.T @ pF)
+        want = -4.0 * (space.cond.T @ (space.weights[:, None] * (space.cond @ F))) + negative
         _, grad = objectives._spectral_terms(F, space)
         assert grad.tobytes() == want.tobytes()
+        dense = -4.0 * (space.joint @ F) + negative
+        assert np.max(np.abs(grad - dense)) <= 1e-15 * np.max(np.abs(dense))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("k", [1, 3, 8])
     @pytest.mark.parametrize("factor", [1, 8])
     def test_training_follows_n_by_n_loop(self, factor, k, seed):
-        # the backtracking descent on the loss summed over the n x n joint
+        # the backtracking descent written out: bit for bit on the products
+        # through cond, and to 1e-11 on the loss summed over the n x n joint
+        # (its rounding drifts the tables apart, by 3.4e-12 at most here)
         space = reference_space() if factor == 1 else inflated_space(factor)
         steps, step_size = 30, 1.0
         p, J = space.marginal[:, None], space.joint
+        C, w = space.cond, space.weights[:, None]
 
-        def loss(F):
+        def factored(F):
+            H, G = C @ F, F.T @ (p * F)
+            loss = -2.0 * float(np.sum(H * (w * H))) + float(np.sum(G * G))
+            return loss, -4.0 * (C.T @ (w * H)) + 4.0 * (p * F) @ G
+
+        def dense(F):
             G = F.T @ (p * F)
-            return -2.0 * float(np.sum(J * (F @ F.T))) + float(np.sum(G * G))
+            loss = -2.0 * float(np.sum(J * (F @ F.T))) + float(np.sum(G * G))
+            return loss, -4.0 * (J @ F) + 4.0 * (p * F) @ G
 
-        table = 0.5 * gaussian_matrix(space.n, k, seed)
-        current, eta = loss(table), step_size
-        for _ in range(steps):
-            g = -4.0 * (J @ table) + 4.0 * (p * table) @ (table.T @ (p * table))
-            for _try in range(40):
-                cand = table - eta * g
-                cand_loss = loss(cand)
-                if cand_loss <= current + 1e-15:
-                    table, current = cand, cand_loss
-                    eta = min(eta * 1.1, step_size * 10)
+        def descend(terms):
+            table = 0.5 * gaussian_matrix(space.n, k, seed)
+            (current, g), eta = terms(table), step_size
+            for _ in range(steps):
+                for _try in range(40):
+                    cand = table - eta * g
+                    cand_loss, cand_g = terms(cand)
+                    if cand_loss <= current + 1e-15:
+                        table, current, g = cand, cand_loss, cand_g
+                        eta = min(eta * 1.1, step_size * 10)
+                        break
+                    eta *= 0.5
+                else:
                     break
-                eta *= 0.5
-            else:
-                break
+            return table
+
         got = train_free_embeddings(space, k, "spectral", steps, step_size, seed=seed)
-        assert got.table.tobytes() == table.tobytes()
+        assert got.table.tobytes() == descend(factored).tobytes()
+        assert np.max(np.abs(got.table - descend(dense))) <= 1e-11
+
+    def test_spectral_path_reads_no_joint(self):
+        # the loss and the descent read the joint through cond and weights only
+        for space in (reference_space(), inflated_space(8)):
+            jointless = JointlessSpace(**{f.name: getattr(space, f.name) for f in fields(space)})
+            f = Embedding(gaussian_matrix(space.n, 3, 7), normalized=False)
+            assert spectral_loss(f, jointless) == spectral_loss(f, space)
+            got = train_free_embeddings(jointless, 3, "spectral", 30, 1.0, seed=0)
+            want = train_free_embeddings(space, 3, "spectral", 30, 1.0, seed=0)
+            assert got.table.tobytes() == want.table.tobytes()
 
 
 class TestTraining:

@@ -30,8 +30,8 @@ from ctlab.world import (
     save_world,
 )
 from oracles import (
-    RHO, load_matrix_text, read_world, reference_transforms, reference_world, toy_transforms,
-    toy_world,
+    RHO, load_matrix_text, positive_mask, read_world, reference_transforms, reference_world,
+    toy_transforms, toy_world,
 )
 
 
@@ -391,7 +391,7 @@ class TestAugmentedSpace:
     def test_mass_split(self):
         space = build_augmented_space(toy_world(), toy_transforms())
         # X+ mass: label-consistent joint entries = 1 - 2/8
-        plus = space.positive_mask()
+        plus = positive_mask(space)
         assert abs(space.joint[plus].sum() - 0.75) < 1e-12
         assert abs(space.joint[~plus].sum() - 0.25) < 1e-12
 
@@ -402,6 +402,21 @@ class TestAugmentedSpace:
         assert abs(space.joint.sum() - 1.0) < 1e-10
         assert np.allclose(space.joint.sum(axis=1), space.marginal, atol=1e-12)
         assert np.allclose(space.cond.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_joint_and_marginal_are_products_of_the_factor(self):
+        # the spectral loss reads the joint as cond^T diag(weights) cond
+        raw = reference_world()
+        noisy = generate_world(_ref_spec(noise_scale=0.05))
+        for world, transforms in ((raw, reference_transforms(raw)),
+                                  (inflate(noisy, 8, seed=6), reference_transforms(noisy))):
+            truncated = [preprocess_world(world, TruncationSpec(mode="keep_top_q", q=q))
+                         for q in (1, 2, 3, 4)]
+            for w in [world, *truncated]:
+                space = build_augmented_space(w, transforms)
+                C, weights = space.cond, space.weights
+                assert weights.tobytes() == w.weights.tobytes()
+                assert space.joint.tobytes() == (C.T @ (C * weights[:, None])).tobytes()
+                assert space.marginal.tobytes() == (weights @ C).tobytes()
 
     def test_empty_transforms_rejected(self):
         with pytest.raises(ValueError):
