@@ -30,7 +30,7 @@ from .bounds import (
     theorem4_check,
 )
 from .config import ConfigError, RunConfig, load_config, make_transforms, row_seed
-from .graph import connected_components, spectral_embedding, stage_graph
+from .graph import spectral_embedding, stage_graph
 from .linalg import save_matrix_text
 from .objectives import (
     DivergenceError,
@@ -95,9 +95,9 @@ def _stager(cfg: RunConfig, raw_world):
     stage_graph a one-entry spectrum memo, so a world whose positive-pair
     joint equals the last eigendecomposed one exactly (the q rows of an
     inflated world, which differ only in their labels) reuses that graph's
-    degrees and spectrum.  One thread stages at a time, so threads that ask
-    for a world together (the pool's first rows) stage it once; the others
-    wait and share it.
+    spectrum.  One thread stages at a time, so threads that ask for a world
+    together (the pool's first rows) stage it once, pair support included;
+    the others wait and share it.
     """
     transforms = make_transforms(cfg, raw_world)
     inflated = inflate(raw_world, cfg.inflation_factor, seed=cfg.seed)
@@ -290,7 +290,7 @@ def cmd_graph(cfg, out_dir, threads, allow_violations):
     )
     _write(os.path.join(out_dir, "graph.txt"), [
         f"nodes = {staged.space.n}\n",
-        f"components = {connected_components(A)}\n",
+        f"components = {len(staged.spectrum.nodes)}\n",
         f"alpha = {staged.alpha!r}\n",
         f"trace = {float(np.trace(A))!r}\n",
     ])

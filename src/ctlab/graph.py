@@ -2,8 +2,8 @@
 
 The adjacency is the exact positive-pair joint of an augmented space, so
 its total mass is 1 and the degree vector equals the augmented marginal.
-The joint is dense, since desk-scale graphs stay well under 500 nodes; the
-spectrum is kept per connected component, so no other n x n table is made.
+The space holds the joint's support, not the joint, and the spectrum is
+kept per connected component, so no n x n table is made.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "laplacian_spectrum",
     "stage_graph",
     "spectral_embedding",
-    "connected_components",
 ]
 
 
@@ -59,28 +58,31 @@ class ComponentSpectrum:
     vectors: tuple      # per component, its (s, s) unit eigenvectors as columns
 
 
-def laplacian_spectrum(space: AugmentedSpace, degrees: np.ndarray) -> ComponentSpectrum:
+def laplacian_spectrum(space: AugmentedSpace) -> ComponentSpectrum:
     """Full ascending spectrum of the normalized Laplacian I - D^-1/2 A D^-1/2, A = space.joint.
 
-    The Laplacian is block-diagonal over the connected components of
-    space.support (every other cell is exactly +0.0).  Each block is built
-    alone with the bits of np.eye(n) - A * np.outer(s, s) in its cells and
-    eigendecomposed alone, so a connected graph keeps a dense eigh's bits.
+    D = diag(space.degrees).  The Laplacian is block-diagonal over the connected
+    components of space.support (every other cell is exactly +0.0).  Each block
+    is laid from its support cells with the bits of np.eye(n) - A * np.outer(s, s)
+    and eigendecomposed alone, so a connected graph keeps a dense eigh's bits.
     A positive-pair joint is symmetric only to rounding (cond^T (w cond)
     groups a cell's factors and its mirror's differently), so sym_eig's
     symmetrization does real work.  Values merge ascending by a stable
     sort: ties keep component order (smallest node first).
     """
     n = space.n
-    components = _component_labels(*space.support[:2], n)
-    inv_sqrt = 1.0 / np.sqrt(degrees)
+    xs, ys, w = space.support
+    components = _component_labels(xs, ys, n)
+    inv_sqrt = 1.0 / np.sqrt(space.degrees)
+    cells = 0.0 - inv_sqrt[xs] * inv_sqrt[ys] * w  # 0.0 - x, not -x: an underflow stays +0.0
     roots = np.flatnonzero(components == np.arange(n))
     nodes = tuple(np.flatnonzero(components == root) for root in roots)
-    parts = []
-    for m in nodes:
-        L = np.outer(inv_sqrt[m], inv_sqrt[m])
-        L *= space.joint[np.ix_(m, m)]
-        np.subtract(0.0, L, out=L)  # 0.0 - x, not -x: a zero cell stays +0.0
+    owner, local, parts = components[xs], np.empty(n, dtype=np.intp), []
+    for root, m in zip(roots, nodes):
+        local[m] = np.arange(len(m))  # each node's place in its block
+        mine = owner == root
+        L = np.zeros((len(m), len(m)))
+        L[local[xs[mine]], local[ys[mine]]] = cells[mine]
         L.flat[:: len(m) + 1] += 1.0
         parts.append(sym_eig(L))
     values = np.concatenate([part.values for part in parts])
@@ -98,13 +100,12 @@ def laplacian_spectrum(space: AugmentedSpace, degrees: np.ndarray) -> ComponentS
 
 @dataclass(frozen=True)
 class StagedGraph:
-    """A world's augmented space, graph degrees, spectrum and labeling error, built once.
+    """A world's augmented space, spectrum and labeling error, built once.
 
-    The graph's adjacency is space.joint.
+    The graph's adjacency is space.joint; the space holds its support and degrees.
     """
 
     space: AugmentedSpace
-    degrees: np.ndarray          # (n,) row sums of the adjacency, all > 0
     spectrum: ComponentSpectrum  # of the normalized Laplacian
     alpha: float                 # exact labeling error of the world on that space
 
@@ -116,35 +117,33 @@ class StagedGraph:
 
 
 def stage_graph(world: World, transforms, memo: dict | None = None) -> StagedGraph:
-    """Augment a world, take its graph's degrees and eigendecompose the Laplacian once.
+    """Augment a world and eigendecompose its graph's Laplacian once.
 
     Every node must carry probability mass, which positive world weights and
     transform probabilities guarantee.
 
     memo, when given, is a dict that remembers the last spectrum computed
-    with it: the support triple (xs, ys, w), the degrees and the spectrum of
-    that graph, never its space.  A world whose joint has the same node count
-    and the same support triple takes the remembered degrees and spectrum;
+    with it: the support triple (xs, ys, w) and the spectrum of that graph,
+    never its space.  A world whose joint has the same node count and the
+    same support triple takes the remembered spectrum;
     such joints are equal, since no joint entry is -0.0.  Any other world
     empties memo before its Laplacian is eigendecomposed and is remembered
     after.  Without memo every call eigendecomposes its own graph.
     """
     space = build_augmented_space(world, transforms)
-    if memo and len(memo["degrees"]) == space.n and all(
+    if memo and len(memo["spectrum"].values) == space.n and all(
         np.array_equal(old, new) for old, new in zip(memo["support"], space.support)
     ):
-        degrees, spectrum = memo["degrees"], memo["spectrum"]
+        spectrum = memo["spectrum"]
     else:
-        degrees = space.joint.sum(axis=1)
-        if not np.all(degrees > 0.0):
+        if not np.all(space.degrees > 0.0):
             raise ValueError("stage_graph: a node carries no probability mass")
         if memo is not None:
             memo.clear()
-        spectrum = laplacian_spectrum(space, degrees)
+        spectrum = laplacian_spectrum(space)
         if memo is not None:
-            memo.update(support=space.support, degrees=degrees, spectrum=spectrum)
-    return StagedGraph(space=space, degrees=degrees, spectrum=spectrum,
-                       alpha=labeling_error(space, world))
+            memo.update(support=space.support, spectrum=spectrum)
+    return StagedGraph(space=space, spectrum=spectrum, alpha=labeling_error(space, world))
 
 
 def spectral_embedding(staged: StagedGraph, k: int) -> np.ndarray:
@@ -163,7 +162,7 @@ def spectral_embedding(staged: StagedGraph, k: int) -> np.ndarray:
     # each entry takes the two steps of V[:, :k] * sqrt(gammas) / sqrt(degrees)[:, None]
     # for the dense eigenvector table V, so it has that formula's bits
     gammas = np.clip(1.0 - spec.values[:k], 0.0, None)
-    roots, scale = np.sqrt(gammas), np.sqrt(staged.degrees)
+    roots, scale = np.sqrt(gammas), np.sqrt(staged.space.degrees)
     table = np.zeros((n, k))
     for nodes, positions, vectors in zip(spec.nodes, spec.positions, spec.vectors):
         if positions[0] < k:  # positions ascend: the component holds c of the first k pairs
@@ -171,11 +170,3 @@ def spectral_embedding(staged: StagedGraph, k: int) -> np.ndarray:
             p = positions[:c]
             table[np.ix_(nodes, p)] = vectors[:, :c] * roots[p] / scale[nodes][:, None]
     return table
-
-
-def connected_components(A: np.ndarray) -> int:
-    """Number of connected components of the support graph (A > 0) | (A^T > 0)."""
-    n = len(A)
-    support = (A > 0) | (A.T > 0)
-    np.fill_diagonal(support, True)  # a node with no edge still has a row
-    return int(np.count_nonzero(_component_labels(*np.nonzero(support), n) == np.arange(n)))

@@ -75,7 +75,7 @@ def infonce_population(
     """
     if M < 1:
         raise ValueError("infonce_population: M must be >= 1")
-    if not np.any(space.joint):
+    if not len(space.support[0]):
         raise ValueError("infonce_population: empty positive-pair support")
     evaluate, exact = _infonce(space, M, cfg, cfg.seed)
     losses, _ = evaluate(F)

@@ -169,23 +169,34 @@ class AugmentedSpace:
     cond: np.ndarray               # (N_orig, n), rows sum to 1
     weights: np.ndarray            # (N_orig,) original probabilities, sum to 1
     marginal: np.ndarray           # (n,) weights @ cond, sums to 1
-    joint: np.ndarray              # (n, n) positive-pair joint cond^T diag(weights) cond
     K: int                         # class count of the world
 
     @property
     def n(self) -> int:
         return len(self.payloads)
 
+    @property
+    def joint(self) -> np.ndarray:
+        """(n, n) positive-pair joint cond^T diag(weights) cond, formed anew on each read."""
+        return self.cond.T @ (self.cond * self.weights[:, None])
+
     @cached_property
-    def support(self):
-        """(xs, ys, w) of the joint's nonzero cells, row-major; cached, so read-only."""
-        xs, ys = np.nonzero(self.joint)
-        return xs, ys, self.joint[xs, ys]
+    def _pairs(self):
+        """The joint's support, row sums and sum, from one product that is then dropped."""
+        joint = self.cond.T @ (self.cond * self.weights[:, None])
+        xs, ys = np.nonzero(joint)
+        return (xs, ys, joint[xs, ys]), joint.sum(axis=1), joint.sum()
+
+    # cached, so read-only: the joint's nonzero cells (xs, ys, w), row-major;
+    # its row sums, the graph's degrees; and its total mass
+    support = property(lambda self: self._pairs[0])
+    degrees = property(lambda self: self._pairs[1])
+    mass = property(lambda self: self._pairs[2])
 
     @cached_property
     def pair_cdf(self) -> InverseCdf:
-        """Draws of an index into `support` with probability w / sum(joint); cached."""
-        return InverseCdf(np.cumsum(self.support[2] / self.joint.sum()))
+        """Draws of an index into `support` with probability w / mass; cached."""
+        return InverseCdf(np.cumsum(self.support[2] / self.mass))
 
     @cached_property
     def marginal_cdf(self) -> InverseCdf:
@@ -436,7 +447,6 @@ def build_augmented_space(world: World, transforms) -> AugmentedSpace:
     probs = np.array([t.probability for t in transforms])
     np.add.at(cond, (np.repeat(np.arange(N), len(transforms)), node_of), np.tile(probs, N))
     marginal = world.weights @ cond
-    joint = cond.T @ (cond * world.weights[:, None])
     labels = ground_truth_label(payloads, world.templates)
     space = AugmentedSpace(
         payloads=payloads,
@@ -444,7 +454,6 @@ def build_augmented_space(world: World, transforms) -> AugmentedSpace:
         cond=cond,
         weights=world.weights,
         marginal=marginal,
-        joint=joint,
         K=world.spec.K,
     )
     _check_space(space)
@@ -457,7 +466,7 @@ def _check_space(space: AugmentedSpace) -> None:
         raise ValueError("augmented space: conditional rows do not sum to 1")
     if abs(float(space.marginal.sum()) - 1.0) > 1e-9:
         raise ValueError("augmented space: marginal does not sum to 1")
-    if abs(float(space.joint.sum()) - 1.0) > 1e-9:
+    if abs(float(space.mass) - 1.0) > 1e-9:
         raise ValueError("augmented space: positive-pair joint does not sum to 1")
 
 

@@ -7,7 +7,8 @@ No `ctlab` command reaches anything here.  The batch InfoNCE functions with
 similarity table, `dense_lse_approx_error` that of `lse_approx_error`,
 `fit_alone` the plain per-table descent the stacked probe is held to,
 `positive_mask` the (n, n) label-consistency mask of the variance and
-alignment oracles, and `dense_component_spectrum` the per-component oracle
+alignment oracles, `connected_components` the component count of a dense
+adjacency, and `dense_component_spectrum` the per-component oracle
 of a graph's spectrum when the graph is not connected; `dense_vectors` lays
 a staged spectrum's per-component eigenvectors out as the n x n table those
 oracles hold.
@@ -46,7 +47,7 @@ import numpy as np
 
 from ctlab.bounds import theorem4_check
 from ctlab.config import _TABLE, load_config, make_transforms
-from ctlab.graph import spectral_embedding
+from ctlab.graph import _component_labels, spectral_embedding
 from ctlab.linalg import (
     _TEXT_HEADER, SymEigen, as_matrix, gaussian_matrix, orthonormalize, sym_eig,
 )
@@ -320,6 +321,14 @@ def dense_graph(space) -> DenseGraph:
 
 def dense_spectrum(G: DenseGraph) -> SymEigen:
     return sym_eig(G.L)
+
+
+def connected_components(A: np.ndarray) -> int:
+    """Number of connected components of the support graph (A > 0) | (A^T > 0)."""
+    n = len(A)
+    support = (A > 0) | (A.T > 0)
+    np.fill_diagonal(support, True)  # a node with no edge still has a row
+    return int(np.count_nonzero(_component_labels(*np.nonzero(support), n) == np.arange(n)))
 
 
 def dense_components(G: DenseGraph) -> list:

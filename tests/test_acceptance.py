@@ -14,7 +14,7 @@ import pytest
 from ctlab.bounds import measure_sandwich, theorem1_check
 from ctlab.cli import _stager, compute_sweep, main
 from ctlab.config import load_config
-from ctlab.graph import connected_components, spectral_embedding, stage_graph
+from ctlab.graph import spectral_embedding, stage_graph
 from ctlab.objectives import (
     Embedding,
     McConfig,
@@ -36,6 +36,7 @@ from ctlab.world import (
     preprocess_world,
 )
 from oracles import (
+    connected_components,
     eckart_young_check,
     infonce_empirical,
     infonce_gradient,

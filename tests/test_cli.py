@@ -230,6 +230,19 @@ class TestRunCommand:
         assert len(staged) == 1 + len(cfg.svd_sweep) == 5
         assert len(spectrum) == spectra
 
+    @pytest.mark.parametrize(
+        "sets, threads", [([], 2), (["train.loss=spectral"], 1)], ids=["monte_carlo", "spectral"]
+    )
+    def test_inflated_sweep_reads_no_dense_joint(self, monkeypatch, sets, threads):
+        # staging keeps the joint's support, row sums and mass; no step forms the n x n joint
+        def joint(space):
+            raise AssertionError("joint read")
+
+        monkeypatch.setattr(world.AugmentedSpace, "joint", property(joint))
+        cfg = load_config(REFERENCE, ["inflation.factor=8", "world.noise_scale=0.05"] + sets)
+        tables = cli.compute_sweep(cfg, cli._stager(cfg, world.generate_world(cfg.world)), threads)
+        assert [len(rows) for rows in tables.values()] == [1, 5, len(cfg.train_k_sweep)]
+
     def test_each_row_is_its_own_config(self, monkeypatch):
         # a k row changes train.k, a q row truncates keep_top_q at q; each names its k's key
         sets = ["svd.mode=discard_pair", "svd.pair_index=1", "svd.sweep=2", "train.k_sweep=5"]

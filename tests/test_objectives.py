@@ -63,8 +63,8 @@ def inflated_space(factor=4):
 def random_space(n, seed, K=2):
     """Space of n nodes and (n + 1) // 2 originals with a sparse random cond; no payloads.
 
-    The joint and the marginal come from cond and the original weights as
-    `build_augmented_space` forms them.  Original i % N_orig keeps node i,
+    The marginal comes from cond and the original weights as
+    `build_augmented_space` forms it, and the joint is their product.  Original i % N_orig keeps node i,
     so every node has marginal mass.
     """
     rng = np.random.default_rng(seed)
@@ -80,7 +80,6 @@ def random_space(n, seed, K=2):
         cond=cond,
         weights=weights,
         marginal=weights @ cond,
-        joint=cond.T @ (cond * weights[:, None]),
         K=K,
     )
 

@@ -341,26 +341,39 @@ class TestAugmentedSpace:
         want_joint = np.array([[e, e, 0], [e, 2 * e, e], [0, e, e]])
         assert np.allclose(space.joint, want_joint, atol=1e-15)
 
-    def test_support_is_the_joints_nonzero_cells_in_row_major_order(self):
-        w = reference_world()
-        for space in (
-            build_augmented_space(toy_world(), toy_transforms()),
-            build_augmented_space(w, reference_transforms(w)),
-            build_augmented_space(inflate(w, 8, seed=6), reference_transforms(w)),
-        ):
-            xs, ys, weights = space.support
-            want_xs, want_ys = np.nonzero(space.joint)
-            assert np.array_equal(xs, want_xs) and np.array_equal(ys, want_ys)
-            assert np.all(np.diff(xs * space.n + ys) > 0)  # strictly row-major
-            assert np.array_equal(weights, space.joint[xs, ys])
-            assert np.all(weights > 0.0)
-            assert space.support is space.support  # computed once per space
+    @pytest.mark.parametrize("which", ["toy", "reference", "reference_q2", "inflated8"])
+    def test_support_is_the_joints_nonzero_cells_in_row_major_order(self, which):
+        # support, row sums and mass come from one product, formed at build and dropped
+        raw, noisy = reference_world(), generate_world(_ref_spec(noise_scale=0.05))
+        world, transforms = {
+            "toy": (toy_world(), toy_transforms()),
+            "reference": (raw, reference_transforms(raw)),
+            "reference_q2": (preprocess_world(raw, TruncationSpec(mode="keep_top_q", q=2)),
+                             reference_transforms(raw)),
+            "inflated8": (inflate(noisy, 8, seed=6), reference_transforms(noisy)),
+        }[which]
+        space = build_augmented_space(world, transforms)
+        assert "_pairs" in vars(space)
+        C = space.cond
+        joint = C.T @ (C * space.weights[:, None])
+        want_xs, want_ys = np.nonzero(joint)
+        xs, ys, weights = space.support
+        assert xs.tobytes() == want_xs.tobytes() and ys.tobytes() == want_ys.tobytes()
+        assert np.all(np.diff(xs * space.n + ys) > 0)  # strictly row-major
+        assert weights.tobytes() == joint[xs, ys].tobytes()
+        assert np.all(weights > 0.0)
+        assert space.degrees.tobytes() == joint.sum(axis=1).tobytes()
+        assert np.float64(space.mass).tobytes() == joint.sum().tobytes()
+        assert space.joint.tobytes() == joint.tobytes()
+        assert not np.signbit(space.joint).any()  # no -0.0 cell: equal supports mean equal joints
+        assert space.support is space.support  # computed once per space
 
     def test_support_under_contention(self):
         # threads of one sweep share a staged space and may read its support
         # first at once; each must get the full, row-major support
         w = reference_world()
         space = build_augmented_space(inflate(w, 8, seed=6), reference_transforms(w))
+        space = replace(space)  # a fresh instance: its support is not cached yet
         want_xs, want_ys = np.nonzero(space.joint)
         start = threading.Barrier(8)
 
@@ -379,12 +392,12 @@ class TestAugmentedSpace:
             assert np.array_equal(xs, want_xs) and np.array_equal(ys, want_ys)
             assert np.array_equal(weights, space.joint[want_xs, want_ys])
 
-    def test_support_follows_a_replaced_joint(self):
+    def test_support_follows_a_replaced_cond(self):
         space = build_augmented_space(toy_world(), toy_transforms())
         _ = space.support
-        joint = space.joint.copy()
-        joint[0, 1] = joint[1, 0] = 0.0
-        xs, ys, _w = replace(space, joint=joint).support
+        # original 0 no longer reaches the blank view 1: joint cells (0, 1), (1, 0) go
+        cond = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])
+        xs, ys, _w = replace(space, cond=cond).support
         assert (0, 1) not in set(zip(xs.tolist(), ys.tolist()))
         assert len(xs) == len(space.support[0]) - 2
 
