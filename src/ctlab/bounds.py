@@ -16,7 +16,6 @@ import numpy as np
 
 from .graph import StagedGraph
 from .objectives import (
-    Embedding,
     McConfig,
     _block_rows,
     _similarity_blocks,
@@ -62,10 +61,11 @@ class BoundReport:
 # measured terms
 
 
-def variance_terms(f: Embedding, space: AugmentedSpace, mu: np.ndarray):
+def variance_terms(F: np.ndarray, space: AugmentedSpace, mu: np.ndarray):
     """Intra-class variance terms (V, V_minus, V_neg) by exact enumeration over the pair joint.
 
-    mu is f's mean head, mean_head(f, space): column c is the class mean mu_c.
+    F is the (n, k) table of an embedding f, and mu its mean head,
+    mean_head(F, space): column c is the class mean mu_c.
     V averages ||f(x) - mu_{y_x}||^2 over label-consistent pairs, V_minus
     averages ||f(x+) - mu_{y_x}||^2 over label-violating pairs.  V_neg is an
     equal-weight mixture of the same-class positive branch and the marginal
@@ -73,7 +73,6 @@ def variance_terms(f: Embedding, space: AugmentedSpace, mu: np.ndarray):
     itself.  V_minus is None when the false-positive set has zero mass.
     Every sum runs over the joint's support, in its row-major order.
     """
-    F = f.table
     labels = space.labels
     xs, ys, w = space.support
     dev = np.sum((F - mu.T[labels]) ** 2, axis=1)  # ||f(x) - mu_{y_x}||^2 per node
@@ -141,13 +140,12 @@ def lse_approx_error(
     return float(np.mean(errors)), float(np.std(errors, ddof=1))
 
 
-def alignment_eps(f: Embedding, space: AugmentedSpace):
-    """(eps_min, eps_max): min/max embedding distance over the false-positive pair support.
+def alignment_eps(F: np.ndarray, space: AugmentedSpace):
+    """(eps_min, eps_max): min/max distance of the (n, k) table's rows over the false positives.
 
     Distances are taken on the joint support only; (None, None) when it has
     no false positives.
     """
-    F = f.table
     xs, ys, _w = space.support
     minus = space.labels[xs] != space.labels[ys]
     if not np.any(minus):
@@ -164,8 +162,11 @@ def alignment_eps(f: Embedding, space: AugmentedSpace):
 class SandwichTerms:
     """Every term the sandwich checks read, measured once for one embedding.
 
-    envelope is the measured LSE error (mean + 3 std) plus three InfoNCE
-    standard errors; it stands in for the unspecified O(M^-1/2) constant.
+    normalized is True when every row of the embedding's table has unit norm
+    within 1e-10, which puts it on the unit sphere the sandwich theorems
+    quantify over.  envelope is the measured LSE error (mean + 3 std) plus
+    three InfoNCE standard errors; it stands in for the unspecified
+    O(M^-1/2) constant.
     """
 
     M: int
@@ -188,28 +189,29 @@ class SandwichTerms:
 
 
 def measure_sandwich(
-    f: Embedding, space: AugmentedSpace, M: int, cfg: McConfig = McConfig()
+    F: np.ndarray, space: AugmentedSpace, M: int, cfg: McConfig = McConfig()
 ) -> SandwichTerms:
-    """Measure the sandwich terms of f on space with M negatives, once.
+    """Measure the sandwich terms of the (n, k) table F on space with M negatives, once.
 
-    Works for any embedding; the sandwich checks refuse terms of an
-    embedding that is not normalized, so V, V_minus, V_neg and envelope stay None.
-    Both measures read f's table, so no n x n similarity table is formed.
+    Works for any table.  The sandwich checks refuse terms of a table whose
+    rows are not unit within 1e-10 (`normalized` False), so V, V_minus,
+    V_neg and envelope stay None for it.  Both measures read F, so no n x n
+    similarity table is formed.
     """
-    f.check()
-    nce, nce_se, exact = infonce_population(f.table, space, M, cfg)
-    mu = mean_head(f, space)
+    normalized = bool(np.max(np.abs(np.linalg.norm(F, axis=1) - 1.0)) <= 1e-10)
+    nce, nce_se, exact = infonce_population(F, space, M, cfg)
+    mu = mean_head(F, space)
     V = V_minus = V_neg = envelope = None
-    if f.normalized:
-        lse_mean, lse_std = lse_approx_error(f.table, space, M, cfg.replicates, cfg.seed)
+    if normalized:
+        lse_mean, lse_std = lse_approx_error(F, space, M, cfg.replicates, cfg.seed)
         envelope = lse_mean + 3.0 * lse_std + 3.0 * nce_se
-        V, V_minus, V_neg = variance_terms(f, space, mu)
-    eps_min, eps_max = alignment_eps(f, space)
+        V, V_minus, V_neg = variance_terms(F, space, mu)
+    eps_min, eps_max = alignment_eps(F, space)
     return SandwichTerms(
         M=M,
         K=space.K,
-        normalized=f.normalized,
-        ce_mean=ce_risk(f, mu, space),
+        normalized=normalized,
+        ce_mean=ce_risk(F, mu, space),
         infonce=nce,
         infonce_std_error=nce_se,
         infonce_exact=exact,
@@ -311,18 +313,18 @@ def theorem3_check(t: SandwichTerms) -> BoundReport:
 _ZERO_HEAD = "optimization-inadequate: zero head, verdict withheld"
 
 
-def theorem4_check(staged: StagedGraph, spectral: Embedding, head: np.ndarray) -> BoundReport:
+def theorem4_check(staged: StagedGraph, spectral: np.ndarray, head: np.ndarray) -> BoundReport:
     """Downstream error of the spectral embedding against 4a/l_{k+1} + 8a.
 
-    spectral is the closed-form table spectral_embedding(staged, k) with
-    k = spectral.k, and head the (k, K) linear head fitted on it.  Reads the exact
+    spectral is the closed-form (n, k) table spectral_embedding(staged, k),
+    k its width, and head the (k, K) linear head fitted on it.  Reads the exact
     labeling error alpha and the Laplacian eigenvalues at levels k and k+1
     off the staged graph, scores spectral with head, and checks the achieved
     error against the bound.  Bounds >= 1
     are vacuous; a zero lambda_{k+1} leaves the bound undefined; an all-zero
     head withholds the verdict, as in corollary_reports, and keeps the terms.
     """
-    space, alpha, k = staged.space, staged.alpha, spectral.k
+    space, alpha, k = staged.space, staged.alpha, spectral.shape[1]
     if not (1 <= k <= space.n):
         raise ValueError(f"theorem4_check: k={k} out of range [1, {space.n}]")
     if head.shape != (k, space.K):

@@ -34,7 +34,6 @@ from .graph import spectral_embedding, stage_graph
 from .linalg import save_matrix_text
 from .objectives import (
     DivergenceError,
-    Embedding,
     ce_risk,
     classification_error,
     fit_linear_head,
@@ -138,28 +137,28 @@ def _row(cfg: RunConfig, stage, row_key, k_key):
         raise ConfigError(f"{k_key}: k={k} out of range [1, {space.n}]")
     lam_k, lam_k1 = staged.levels(k)
 
-    f = train_free_embeddings(
+    F = train_free_embeddings(
         space, k, cfg.train_loss, cfg.train_steps, cfg.train_step_size, seed, cfg.train_M,
         cfg.mc_config(seed),
     )
     # the trained table and, for t4, the closed-form spectral one share one probe
-    tables = [f]
+    tables = [F]
     if "t4" in cfg.bounds_which:
-        spectral = Embedding(spectral_embedding(staged, k), False)
+        spectral = spectral_embedding(staged, k)
         tables.append(spectral)
     heads = fit_linear_head(tables, space, cfg.probe_steps, cfg.probe_step_size, cfg.probe_l2)
     head = heads[0]
-    terms = measure_sandwich(f, space, cfg.train_M, cfg.mc_config(seed))
-    ce_linear = ce_risk(f, head, space)
-    # the sandwich checks refuse an unnormalized embedding; the corollaries reuse them
-    sandwich = (theorem1_check(terms), theorem3_check(terms)) if f.normalized else ()
+    terms = measure_sandwich(F, space, cfg.train_M, cfg.mc_config(seed))
+    ce_linear = ce_risk(F, head, space)
+    # the sandwich checks refuse a table off the unit sphere; the corollaries reuse them
+    sandwich = (theorem1_check(terms), theorem3_check(terms)) if terms.normalized else ()
     reports = [rep for rep, key in zip(sandwich, ("t1", "t3")) if key in cfg.bounds_which]
     bound_t4 = None
     if "t4" in cfg.bounds_which:
         t4 = theorem4_check(staged, spectral, heads[1])
         reports.append(t4)
         bound_t4 = t4.terms["bound"]
-    if "corollaries" in cfg.bounds_which and f.normalized:
+    if "corollaries" in cfg.bounds_which and terms.normalized:
         reports.extend(corollary_reports(terms, head, ce_linear, sandwich))
 
     row = {
@@ -169,9 +168,9 @@ def _row(cfg: RunConfig, stage, row_key, k_key):
         "lambda_k_q": lam_k,
         "lambda_k1_q": lam_k1,
         "bound_t4": bound_t4,
-        "probe_error": classification_error(f, head, space),
+        "probe_error": classification_error(F, head, space),
         "infonce": terms.infonce,
-        "spectral_loss": spectral_loss(f, space),
+        "spectral_loss": spectral_loss(F, space),
         "ce_mean": terms.ce_mean,
         "ce_linear": ce_linear,
         "eps_min": terms.eps_min,
@@ -179,7 +178,7 @@ def _row(cfg: RunConfig, stage, row_key, k_key):
         "verdicts": ";".join(f"{r.theorem}={r.verdict}" for r in reports),
         "seed": seed,
     }
-    return row, reports, f, head, space
+    return row, reports, F, head, space
 
 
 def compute_sweep(cfg: RunConfig, stage, threads=1):
@@ -303,14 +302,14 @@ def _baseline_row(cfg):
 
 
 def cmd_train(cfg, out_dir, threads, allow_violations):
-    _row, _reports, f, _head, space = _baseline_row(cfg)
-    save_matrix_text(os.path.join(out_dir, "embedding.mat"), f.table)
+    _row, _reports, F, _head, space = _baseline_row(cfg)
+    save_matrix_text(os.path.join(out_dir, "embedding.mat"), F)
     _write(os.path.join(out_dir, "embedding_nodes.txt"), (f"n{i:04d}\n" for i in range(space.n)))
     return 0
 
 
 def cmd_probe(cfg, out_dir, threads, allow_violations):
-    row, _reports, _f, head, _space = _baseline_row(cfg)
+    row, _reports, _F, head, _space = _baseline_row(cfg)
     _write(os.path.join(out_dir, "probe.txt"), [
         *(f"{col} = {row[col]!r}\n" for col in ("probe_error", "ce_linear", "ce_mean")),
         f"head_frob_norm = {float(np.linalg.norm(head))!r}\n",
@@ -355,12 +354,14 @@ def main(argv=None) -> int:
     parser.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                         help="override a config entry (repeatable)")
     args = parser.parse_args(argv)
+    out_dir = args.out
     try:
         overrides = list(args.set)
         if args.seed is not None:
             overrides.append(f"run.seed={args.seed}")
         cfg = load_config(args.config, overrides)
-        out_dir = args.out if args.out is not None else cfg.output_directory
+        if out_dir is None:
+            out_dir = cfg.output_directory
         os.makedirs(out_dir, exist_ok=True)
         with np.errstate(**_FP_RAISE):
             return _COMMANDS[args.command](
@@ -371,6 +372,10 @@ def main(argv=None) -> int:
         return 2
     except (FloatingPointError, DivergenceError) as exc:
         print(f"error: ctlab {args.command}: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # --out, or an artifact in it, cannot be written
+        print(f"error: cannot write {exc.filename or out_dir}: {exc.strerror or exc}",
+              file=sys.stderr)
         return 2
 
 

@@ -18,7 +18,6 @@ from .world import AugmentedSpace
 
 __all__ = [
     "DivergenceError",
-    "Embedding",
     "McConfig",
     "infonce_population",
     "spectral_loss",
@@ -28,22 +27,6 @@ __all__ = [
     "fit_linear_head",
     "classification_error",
 ]
-
-
-@dataclass(frozen=True)
-class Embedding:
-    table: np.ndarray  # (n, k)
-    normalized: bool
-
-    @property
-    def k(self) -> int:
-        return self.table.shape[1]
-
-    def check(self) -> None:
-        if self.normalized:
-            norms = np.linalg.norm(self.table, axis=1)
-            if np.max(np.abs(norms - 1.0)) > 1e-10:
-                raise ValueError("embedding flagged normalized but rows are not unit")
 
 
 class DivergenceError(RuntimeError):
@@ -324,13 +307,13 @@ def _sampled_infonce(flat: np.ndarray, n: int):
 # spectral contrastive loss
 
 
-def spectral_loss(f: Embedding, space: AugmentedSpace) -> float:
-    """Exact spectral contrastive loss.
+def spectral_loss(F: np.ndarray, space: AugmentedSpace) -> float:
+    """Exact spectral contrastive loss of the (n, k) table F of an embedding f.
 
     -2 E_{(x,x+)}[f(x)^T f(x+)] + E_{x,x- iid marginal}[(f(x)^T f(x-))^2];
     both expectations are quadratic forms in the embedding table.
     """
-    return _spectral_terms(f.table, space)[0]
+    return _spectral_terms(F, space)[0]
 
 
 def _spectral_terms(F: np.ndarray, space: AugmentedSpace):
@@ -363,8 +346,8 @@ def train_free_embeddings(
     seed: int,
     M: int = 1,
     cfg: McConfig = McConfig(),
-) -> Embedding:
-    """Gradient descent on a free per-node embedding table.
+) -> np.ndarray:
+    """Gradient descent on a free per-node embedding table; returns the (n, k) table.
 
     loss "spectral" descends the exact spectral loss unconstrained; loss
     "infonce" descends the population InfoNCE of `infonce_population`'s
@@ -420,28 +403,28 @@ def train_free_embeddings(
             eta *= 0.5
         else:
             break
-    return Embedding(table=table, normalized=normalized)
+    return table
 
 
 # ---------------------------------------------------------------------------
 # heads and downstream risks
 
 
-def mean_head(f: Embedding, space: AugmentedSpace) -> np.ndarray:
-    """The (k, K) head whose columns are the class means under the augmented marginal."""
-    W = np.zeros((f.k, space.K))
+def mean_head(F: np.ndarray, space: AugmentedSpace) -> np.ndarray:
+    """The (k, K) head of the (n, k) table F: its columns are the class means under the marginal."""
+    W = np.zeros((F.shape[1], space.K))
     for c in range(space.K):
         sel = space.labels == c
         mass = float(space.marginal[sel].sum())
         if mass <= 0.0:
             raise ValueError(f"mean_head: class {c} has zero marginal mass")
-        W[:, c] = space.marginal[sel] @ f.table[sel] / mass
+        W[:, c] = space.marginal[sel] @ F[sel] / mass
     return W
 
 
-def ce_risk(f: Embedding, W: np.ndarray, space: AugmentedSpace) -> float:
-    """Cross-entropy risk of head W under the augmented marginal, exact enumeration."""
-    logits = f.table @ W
+def ce_risk(F: np.ndarray, W: np.ndarray, space: AugmentedSpace) -> float:
+    """Cross-entropy risk of head W on the (n, k) table F under the augmented marginal, exactly."""
+    logits = F @ W
     mx = logits.max(axis=1, keepdims=True)
     log_z = mx[:, 0] + np.log(np.sum(np.exp(logits - mx), axis=1))
     log_p = logits[np.arange(space.n), space.labels] - log_z
@@ -449,7 +432,7 @@ def ce_risk(f: Embedding, W: np.ndarray, space: AugmentedSpace) -> float:
 
 
 def fit_linear_head(
-    fs: Sequence[Embedding],
+    tables: Sequence[np.ndarray],
     space: AugmentedSpace,
     steps: int,
     step_size: float,
@@ -470,7 +453,7 @@ def fit_linear_head(
     whose W or Frobenius norm is not finite raises `DivergenceError`.
     Returns one (k, K) head per table.
     """
-    F = np.stack([f.table for f in fs])
+    F = np.stack(tables)
     K = space.K
     WT, G = np.zeros((2, F.shape[0], K, F.shape[2]))  # heads, step
     L = np.empty((F.shape[0], K, F.shape[1]))  # logits, then softmax
@@ -499,7 +482,7 @@ def fit_linear_head(
     return heads
 
 
-def classification_error(f: Embedding, W: np.ndarray, space: AugmentedSpace) -> float:
-    """Marginal-weighted top-1 error of head W; argmax ties break to the smallest index."""
-    preds = np.argmax(f.table @ W, axis=1)
+def classification_error(F: np.ndarray, W: np.ndarray, space: AugmentedSpace) -> float:
+    """Marginal-weighted top-1 error of head W on F; argmax ties break to the smallest index."""
+    preds = np.argmax(F @ W, axis=1)
     return float(space.marginal @ (preds != space.labels))

@@ -51,7 +51,7 @@ from ctlab.graph import _component_labels, spectral_embedding
 from ctlab.linalg import (
     _TEXT_HEADER, SymEigen, as_matrix, gaussian_matrix, orthonormalize, sym_eig,
 )
-from ctlab.objectives import Embedding, fit_linear_head
+from ctlab.objectives import fit_linear_head
 from ctlab.svd import SvdFactors, TruncationSpec, svd_full, svd_truncate
 from ctlab.world import Transform, World, WorldSpec, generate_world
 
@@ -126,14 +126,20 @@ def reference_transforms(world: World, rho: float = RHO):
 # batch InfoNCE
 
 
-def random_embedding(n: int, k: int, seed: int, normalized: bool = True) -> Embedding:
+def random_embedding(n: int, k: int, seed: int, normalized: bool = True) -> np.ndarray:
+    """A gaussian (n, k) table, its rows scaled to unit norm when normalized."""
     table = gaussian_matrix(n, k, seed)
     if normalized:
         table = table / np.linalg.norm(table, axis=1, keepdims=True)
-    return Embedding(table=table, normalized=normalized)
+    return table
 
 
-def infonce_empirical(f: Embedding, batch: np.ndarray, weights=None) -> float:
+def unit_rows(F: np.ndarray) -> bool:
+    """Whether every row of F has unit norm within 1e-10, the sandwich checks' tolerance."""
+    return bool(np.max(np.abs(np.linalg.norm(F, axis=1) - 1.0)) <= 1e-10)
+
+
+def infonce_empirical(F: np.ndarray, batch: np.ndarray, weights=None) -> float:
     """Empirical InfoNCE over a (B, 2 + M) int batch of node indices.
 
     Columns are anchor, positive, negative_1..negative_M.  Optional weights
@@ -143,7 +149,6 @@ def infonce_empirical(f: Embedding, batch: np.ndarray, weights=None) -> float:
     if len(batch) == 0:
         raise ValueError("infonce_empirical: empty batch")
     a, pidx, negs = batch[:, 0], batch[:, 1], batch[:, 2:]
-    F = f.table
     s_pos = np.sum(F[a] * F[pidx], axis=1)
     s_neg = np.einsum("bk,bmk->bm", F[a], F[negs])
     stacked = np.concatenate([s_pos[:, None], s_neg], axis=1)
@@ -155,16 +160,15 @@ def infonce_empirical(f: Embedding, batch: np.ndarray, weights=None) -> float:
     return float(weights @ losses / weights.sum())
 
 
-def infonce_gradient(f: Embedding, batch: np.ndarray, weights=None) -> np.ndarray:
-    """Analytic gradient of the empirical InfoNCE w.r.t. every embedding row.
+def infonce_gradient(F: np.ndarray, batch: np.ndarray, weights=None, tangent=False):
+    """Analytic gradient of the empirical InfoNCE w.r.t. every row of the table F.
 
-    For a normalized embedding the Euclidean gradient is projected onto the
-    tangent space of each row (Riemannian gradient on the sphere).
+    With tangent, F's rows are unit and the Euclidean gradient is projected
+    onto the tangent space of each row (Riemannian gradient on the sphere).
     """
     if len(batch) == 0:
         raise ValueError("infonce_gradient: empty batch")
     a, others = batch[:, 0], batch[:, 1:]  # others: positive, then negatives
-    F = f.table
     sims = np.einsum("bk,bmk->bm", F[a], F[others])  # (B, 1 + M)
     ex = np.exp(sims - sims.max(axis=1, keepdims=True))
     probs = ex / ex.sum(axis=1, keepdims=True)
@@ -180,7 +184,7 @@ def infonce_gradient(f: Embedding, batch: np.ndarray, weights=None) -> np.ndarra
     rows, cols, coef = np.broadcast_arrays(a[:, None], others, w[:, None] * probs)
     C = np.bincount((rows * n + cols).ravel(), coef.ravel(), n * n).reshape(n, n)
     grad = (C + C.T) @ F
-    if f.normalized:
+    if tangent:
         grad = grad - np.sum(grad * F, axis=1, keepdims=True) * F
     return grad
 
@@ -494,9 +498,9 @@ def fit_alone(F, space, steps, step_size, l2):
 def theorem4_at_probe_defaults(staged, k: int):
     """theorem4_check with the spectral head fitted at the [probe] section's defaults."""
     probe = {key: default for key, (_field, _kind, default, _bound) in _TABLE["probe"].items()}
-    f = Embedding(spectral_embedding(staged, k), normalized=False)
-    (head,) = fit_linear_head([f], staged.space, probe["steps"], probe["step_size"], probe["l2"])
-    return theorem4_check(staged, f, head)
+    F = spectral_embedding(staged, k)
+    (head,) = fit_linear_head([F], staged.space, probe["steps"], probe["step_size"], probe["l2"])
+    return theorem4_check(staged, F, head)
 
 
 # ---------------------------------------------------------------------------

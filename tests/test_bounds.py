@@ -4,8 +4,9 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ctlab import bounds
+from ctlab import bounds, cli
 from ctlab.bounds import (
     BoundReport,
     SandwichTerms,
@@ -20,14 +21,15 @@ from ctlab.bounds import (
     variance_terms,
 )
 from ctlab.cli import main
+from ctlab.config import load_config
 from ctlab.graph import spectral_embedding, stage_graph
 from ctlab.objectives import (
-    Embedding,
     McConfig,
     ce_risk,
     fit_linear_head,
     infonce_population,
     mean_head,
+    train_free_embeddings,
 )
 from ctlab.svd import TruncationSpec
 from ctlab.world import (
@@ -39,6 +41,7 @@ from ctlab.world import (
     preprocess_world,
 )
 from oracles import (
+    REFERENCE_CONFIG,
     positive_mask,
     random_embedding,
     reference_spec,
@@ -64,7 +67,7 @@ def toy_space():
 def constant_embedding(n, k=3):
     table = np.zeros((n, k))
     table[:, 0] = 1.0
-    return Embedding(table=table, normalized=True)
+    return table
 
 
 def identity_only_space():
@@ -83,9 +86,8 @@ def reference_and_inflated_spaces():
     )
 
 
-def alignment_eps_of_joint(f, space):
+def alignment_eps_of_joint(F, space):
     """alignment_eps over a support recomputed from `joint > 0`."""
-    F = f.table
     xs, ys = np.nonzero(space.joint > 0.0)
     dist = np.sqrt(np.sum((F[xs] - F[ys]) ** 2, axis=1))
     minus = np.flatnonzero(space.labels[xs] != space.labels[ys])
@@ -96,8 +98,8 @@ def alignment_eps_of_joint(f, space):
 
 def all_sandwich_terms(f, space, M, cfg=McConfig()):
     """Every sandwich term measured, whatever the embedding's normalization."""
-    nce, nce_se, exact = infonce_population(f.table, space, M, cfg)
-    lse_mean, lse_std = lse_approx_error(f.table, space, M, cfg.replicates, cfg.seed)
+    nce, nce_se, exact = infonce_population(f, space, M, cfg)
+    lse_mean, lse_std = lse_approx_error(f, space, M, cfg.replicates, cfg.seed)
     V, V_minus, V_neg = variance_terms(f, space, mean_head(f, space))
     eps_min, eps_max = alignment_eps_of_joint(f, space)
     return dict(
@@ -131,10 +133,9 @@ class UnreadTerms(SandwichTerms):
         return super().__getattribute__(name)
 
 
-def cube_variance_terms(f, space):
+def cube_variance_terms(F, space):
     """Variance terms with V_minus from the (n, n, k) anchor-by-positive cube."""
-    mu = mean_head(f, space)
-    F = f.table
+    mu = mean_head(F, space)
     mu_of = mu.T[space.labels]
     dev = np.sum((F - mu_of) ** 2, axis=1)
     mask_plus = positive_mask(space)
@@ -152,10 +153,9 @@ def cube_variance_terms(f, space):
     return (V, V_minus, V_neg)
 
 
-def support_variance_terms(f, space):
+def support_variance_terms(F, space):
     """Variance terms summed over the pairs of `joint > 0`, row-major, weighted by the label mask."""
-    mu = mean_head(f, space)
-    F = f.table
+    mu = mean_head(F, space)
     xs, ys = np.nonzero(space.joint > 0.0)
     w = space.joint[xs, ys]
     plus = positive_mask(space)[xs, ys]
@@ -174,9 +174,8 @@ def support_variance_terms(f, space):
     return (V, V_minus, V_neg)
 
 
-def cube_alignment_eps(f, space):
+def cube_alignment_eps(F, space):
     """Alignment terms from the (n, n, k) all-pairs difference cube."""
-    F = f.table
     mask_minus = (~positive_mask(space)) & (space.joint > 0.0)
     dist = np.sqrt(np.sum((F[:, None, :] - F[None, :, :]) ** 2, axis=2))
     if not np.any(mask_minus):
@@ -278,11 +277,10 @@ class TestVarianceTerms:
 
     def test_brute_force_oracle(self):
         space = toy_space()
-        f = random_embedding(space.n, 3, seed=8)
-        F = f.table
-        head = mean_head(f, space)
+        F = random_embedding(space.n, 3, seed=8)
+        head = mean_head(F, space)
         mu = head.T[space.labels]
-        V, V_minus, _V_neg = variance_terms(f, space, head)
+        V, V_minus, _V_neg = variance_terms(F, space, head)
         v_num = vm_num = v_mass = vm_mass = 0.0
         for x in range(space.n):
             for y in range(space.n):
@@ -316,30 +314,30 @@ class TestVarianceTerms:
 class TestLseApproxError:
     def test_constant_embedding_exact(self):
         space = toy_space()
-        mean, std = lse_approx_error(constant_embedding(space.n).table, space, 2, 4, 0)
+        mean, std = lse_approx_error(constant_embedding(space.n), space, 2, 4, 0)
         assert mean == 0.0
         assert std == 0.0
 
     def test_deterministic(self):
         space = toy_space()
         f = random_embedding(space.n, 3, seed=2)
-        a = lse_approx_error(f.table, space, 3, 6, 5)
-        assert a == lse_approx_error(f.table, space, 3, 6, 5)
+        a = lse_approx_error(f, space, 3, 6, 5)
+        assert a == lse_approx_error(f, space, 3, 6, 5)
 
     def test_error_shrinks_with_m(self):
         space = toy_space()
         f = random_embedding(space.n, 3, seed=2)
-        small, _ = lse_approx_error(f.table, space, 1, 64, 0)
-        large, _ = lse_approx_error(f.table, space, 256, 64, 0)
+        small, _ = lse_approx_error(f, space, 1, 64, 0)
+        large, _ = lse_approx_error(f, space, 256, 64, 0)
         assert large < small
 
     def test_validation(self):
         space = toy_space()
         f = constant_embedding(space.n)
         with pytest.raises(ValueError):
-            lse_approx_error(f.table, space, 1, 1, 0)
+            lse_approx_error(f, space, 1, 1, 0)
         with pytest.raises(ValueError):
-            lse_approx_error(f.table, space, 0, 2, 0)
+            lse_approx_error(f, space, 0, 2, 0)
 
 
 class TestAlignmentEps:
@@ -351,14 +349,13 @@ class TestAlignmentEps:
 
     def test_exhaustive_oracle(self):
         space = toy_space()
-        f = random_embedding(space.n, 3, seed=4)
-        F = f.table
+        F = random_embedding(space.n, 3, seed=4)
         dists = []
         for x in range(space.n):
             for y in range(space.n):
                 if space.joint[x, y] > 0 and space.labels[x] != space.labels[y]:
                     dists.append(float(np.linalg.norm(F[x] - F[y])))
-        eps_min, eps_max = alignment_eps(f, space)
+        eps_min, eps_max = alignment_eps(F, space)
         assert abs(eps_min - min(dists)) < 1e-12
         assert abs(eps_max - max(dists)) < 1e-12
 
@@ -438,9 +435,32 @@ class TestSandwich:
         assert rep.terms["V_minus"] is None
         assert "V_minus absent" in rep.note
 
+    @pytest.mark.parametrize("loss", ["infonce", "spectral"])
+    def test_terms_and_reports_follow_unit_rows_whatever_loss_made_them(self, loss):
+        # one trained table, put on the unit sphere, then one row's norm moved
+        # by 5e-11 (still unit within 1e-10) and by 2e-10 (not)
+        space = reference_and_inflated_spaces()[0]
+        F = train_free_embeddings(space, 3, loss, 5, 1.0, seed=1)
+        unit = F / np.linalg.norm(F, axis=1, keepdims=True)
+        near, off = unit.copy(), unit.copy()
+        near[7] *= 1.0 + 5e-11
+        off[7] *= 1.0 + 2e-10
+        for table, normalized in ((F, loss == "infonce"), (unit, True), (near, True),
+                                  (off, False)):
+            t = measure_sandwich(table, space, 1)
+            assert t.normalized is normalized
+            measured = (t.V, t.V_neg, t.envelope)
+            assert all(v is not None for v in measured) if normalized else measured == (None,) * 3
+            for check in (theorem1_check, theorem3_check):
+                if normalized:
+                    assert check(t).verdict == "holds"
+                else:
+                    with pytest.raises(ValueError, match="embedding must be normalized"):
+                        check(t)
+
     def test_requires_normalized(self):
         space = toy_space()
-        f = Embedding(np.ones((space.n, 2)), normalized=False)
+        f = np.ones((space.n, 2))
         terms = measure_sandwich(f, space, 1)
         with pytest.raises(ValueError):
             theorem1_check(terms)
@@ -459,11 +479,10 @@ class TestSandwich:
                 world = inflate(raw, 8, seed=6)
             staged, k = stage_graph(world, reference_transforms(raw)), 3
         space, cfg = staged.space, McConfig(samples=3000, seed=4)
-        for table in (
-            random_embedding(space.n, k, seed=5, normalized=False).table,
+        for f in (
+            random_embedding(space.n, k, seed=5, normalized=False),
             spectral_embedding(staged, k),
         ):
-            f = Embedding(table, normalized=False)
             want = all_sandwich_terms(f, space, 1, cfg)
             with monkeypatch.context() as m:
                 for name in ("variance_terms", "lse_approx_error"):
@@ -490,7 +509,7 @@ class TestSandwich:
         space = reference_and_inflated_spaces()[which]
         f, cfg = random_embedding(space.n, 3, seed=5), McConfig(samples=3000, seed=4)
         want = all_sandwich_terms(f, space, 1, cfg)
-        bits = f.table.tobytes()
+        bits = f.tobytes()
         seen = {}
         for name in ("infonce_population", "lse_approx_error"):
             def spy(*args, _fn=getattr(bounds, name), _name=name, **kwargs):
@@ -499,8 +518,8 @@ class TestSandwich:
 
             monkeypatch.setattr(bounds, name, spy)
         t = measure_sandwich(f, space, 1, cfg)
-        assert seen["infonce_population"] is seen["lse_approx_error"] is f.table
-        assert f.table.tobytes() == bits
+        assert seen["infonce_population"] is seen["lse_approx_error"] is f
+        assert f.tobytes() == bits
         for key in want:
             assert getattr(t, key) == want[key], key
 
@@ -589,7 +608,7 @@ class TestDownstreamBound:
         w = reference_world()
         wq = preprocess_world(w, TruncationSpec(mode="keep_top_q", q=3))
         staged = stage_graph(wq, reference_transforms(w))
-        spectral = Embedding(spectral_embedding(staged, 3), False)
+        spectral = spectral_embedding(staged, 3)
         fitted = theorem4_at_probe_defaults(staged, k=3)
         zero = theorem4_check(staged, spectral, np.zeros((3, 3)))
         t = zero.terms
@@ -609,15 +628,15 @@ class TestDownstreamBound:
         head = np.zeros((2, 2))
         staged = stage_graph(toy_world(), toy_transforms())
         with pytest.raises(ValueError):
-            theorem4_check(staged, Embedding(np.zeros((staged.space.n, 0)), False), head)
+            theorem4_check(staged, np.zeros((staged.space.n, 0)), head)
         with pytest.raises(ValueError):
-            theorem4_check(staged, Embedding(np.zeros((staged.space.n, 99)), False), head)
+            theorem4_check(staged, np.zeros((staged.space.n, 99)), head)
 
     def test_head_shape_validated(self):
         # a head fitted on a table of another width cannot score the k-column one
         staged = stage_graph(toy_world(), toy_transforms())
         with pytest.raises(ValueError, match=r"head shape \(1, 2\) is not \(k, K\) = \(2, 2\)"):
-            spectral = Embedding(spectral_embedding(staged, 2), False)
+            spectral = spectral_embedding(staged, 2)
             theorem4_check(staged, spectral, np.zeros((1, 2)))
 
 
@@ -663,6 +682,56 @@ class TestCorollaries:
         reports = corollary_reports(t, head, ce_risk(f, head, space), sandwich)
         for rep, base in zip(reports, sandwich):
             assert rep.terms.items() >= base.terms.items()
+
+
+class TestOffReferenceWorlds:
+    """The bounds on exact-path worlds away from the reference one.
+
+    Each example draws transform probabilities from a Dirichlet(0.7) over the
+    reference's ten transforms, rho in [0.1, 0.9], noise 0, 0.02 or 0.05, a
+    world seed, a rank q (none or 1-4) and k in 1-8 (at most the node count),
+    and computes one row of configs/reference.ini so changed through
+    `cli._stager` and `compute_row`.  At most 60 nodes (six originals, ten
+    transforms) keep every row on the exact InfoNCE path.  No report may
+    read violated or violated_within_mc_error, and each verdict and slack
+    must recompute from the report's terms.
+    """
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        mix=st.integers(0, 2**32 - 1),
+        rho=st.floats(0.1, 0.9),
+        noise=st.sampled_from([0.0, 0.02, 0.05]),
+        world_seed=st.integers(0, 999),
+        q=st.sampled_from([None, 1, 2, 3, 4]),
+        k=st.integers(1, 8),
+    )
+    def test_no_bound_is_violated_and_every_verdict_recomputes(
+        self, mix, rho, noise, world_seed, q, k
+    ):
+        ref = load_config(REFERENCE_CONFIG)
+        probs = np.random.default_rng(mix).dirichlet(np.full(len(ref.transform_descriptors), 0.7))
+        cfg = replace(
+            ref,
+            world=replace(ref.world, noise_scale=noise, seed=world_seed),
+            rho=rho,
+            transform_descriptors=[
+                (name, kind, args, float(p))
+                for (name, kind, args, _p), p in zip(ref.transform_descriptors, probs)
+            ],
+        )
+        if q is not None:
+            cfg = replace(cfg, svd_mode="keep_top_q", svd_q=q)
+        stage = cli._stager(cfg, generate_world(cfg.world))
+        cfg = replace(cfg, train_k=min(k, stage(cfg.truncation()).space.n))
+        _row, reports, *_tables = cli.compute_row(cfg, stage, "baseline")
+        assert [r.theorem for r in reports] == [
+            "theorem1", "theorem3", "theorem4", "corollary_theorem1", "corollary_theorem3"
+        ]
+        assert reports[0].terms["infonce_exact"]
+        for rep in reports:
+            assert rep.verdict in ("holds", "holds_vacuously"), rep
+            assert _recompute(rep.theorem, rep.terms) == (rep.verdict, rep.slack), rep
 
 
 class TestReportText:

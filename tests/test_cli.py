@@ -5,6 +5,7 @@ import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,9 +15,8 @@ from ctlab import bounds, cli, config, graph, objectives, svd, world
 from ctlab.cli import emit_csv, emit_text, main
 from ctlab.config import load_config
 from ctlab.graph import spectral_embedding
-from ctlab.objectives import Embedding
 from ctlab.svd import TruncationSpec
-from oracles import load_matrix_text, parse_csv
+from oracles import load_matrix_text, parse_csv, unit_rows
 
 REFERENCE = os.path.join(os.path.dirname(__file__), "..", "configs", "reference.ini")
 NUMERIC_KEYS = [
@@ -131,6 +131,24 @@ class TestRunCommand:
         bounds = open(os.path.join(out, "bounds.txt")).read()
         assert "verdict = violated\n" not in bounds
         assert "verdict = holds" in bounds
+
+    @pytest.mark.parametrize("loss", ["infonce", "spectral"])
+    def test_sandwich_reports_run_exactly_on_unit_tables(self, small_cfg, loss):
+        # t1, t3 and the corollaries follow the trained table's rows, not its
+        # loss; on the small config every InfoNCE table is unit and no spectral one
+        cfg = load_config(small_cfg, [f"train.loss={loss}"])
+        stage = cli._stager(cfg, world.generate_world(cfg.world))
+        for k, q in [(k, q) for k in (1, 2) for q in (None, 1, 2, 3)]:
+            row_cfg = replace(cfg, train_k=k)
+            if q is not None:
+                row_cfg = replace(row_cfg, svd_mode="keep_top_q", svd_q=q)
+            row, reports, F, _head, _space = cli.compute_row(row_cfg, stage, f"k={k} q={q}")
+            unit = unit_rows(F)
+            assert unit == (loss == "infonce")
+            names = ["theorem1", "theorem3", "theorem4", "corollary_theorem1",
+                     "corollary_theorem3"] if unit else ["theorem4"]
+            assert [r.theorem for r in reports] == names
+            assert row["verdicts"] == ";".join(f"{r.theorem}={r.verdict}" for r in reports)
 
     def test_untrained_probe_violates_nothing(self, tmp_path, capsys):
         # probe.steps = 0 leaves every head zero: theorem 4 and the corollaries
@@ -335,11 +353,12 @@ class TestRunCommand:
         (t4,) = [r for r in reports if r.theorem == "theorem4"]
         staged = stage(cfg.truncation())
         table = spectral_embedding(staged, cfg.train_k)
-        f = Embedding(table=table, normalized=False)
         (alone,) = objectives.fit_linear_head(
-            [f], staged.space, cfg.probe_steps, cfg.probe_step_size, cfg.probe_l2
+            [table], staged.space, cfg.probe_steps, cfg.probe_step_size, cfg.probe_l2
         )
-        assert t4.terms["probe_error"] == objectives.classification_error(f, alone, staged.space)
+        assert t4.terms["probe_error"] == objectives.classification_error(
+            table, alone, staged.space
+        )
         assert t4.terms["head_frob_norm"] == float(np.linalg.norm(alone))
 
     def test_set_override(self, small_cfg, tmp_path):
@@ -476,8 +495,8 @@ class TestSingleRowCommands:
         cfg = load_config(path, [*sets, f"run.seed={seed}"])
         raw = world.generate_world(cfg.world)
         baseline = cli.compute_row(cfg, cli._stager(cfg, raw), "baseline")
-        _row, _reports, f, _head, space = baseline
-        np.testing.assert_array_equal(load_matrix_text(tmp_path / "embedding.mat"), f.table)
+        _row, _reports, F, _head, space = baseline
+        np.testing.assert_array_equal(load_matrix_text(tmp_path / "embedding.mat"), F)
         nodes = (tmp_path / "embedding_nodes.txt").read_text().splitlines()
         assert nodes == [f"n{i:04d}" for i in range(space.n)]
 
@@ -490,6 +509,21 @@ class TestErrors:
 
     def test_missing_config_exits_2(self):
         assert main(["run", "--config", "/no/such.ini"]) == 2
+
+    @pytest.mark.parametrize("where, strerror", [
+        ("F", "File exists"), ("F/sub", "Not a directory"),
+    ], ids=["a-file", "under-a-file"])
+    def test_out_that_cannot_be_made_exits_2_naming_it(self, tmp_path, capsys, where, strerror):
+        (tmp_path / "F").write_text("")
+        out = tmp_path / where
+        assert main(["graph", "--config", REFERENCE, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: {strerror}\n"
+
+    def test_artifact_that_cannot_be_written_exits_2_naming_it(self, tmp_path, capsys):
+        (tmp_path / "o" / "graph.txt").mkdir(parents=True)
+        assert main(["graph", "--config", REFERENCE, "--out", str(tmp_path / "o")]) == 2
+        want = f"error: cannot write {tmp_path / 'o' / 'graph.txt'}: Is a directory\n"
+        assert capsys.readouterr().err == want
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_noise_scale_exits_2(self, tmp_path, capsys, value):

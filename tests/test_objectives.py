@@ -12,7 +12,6 @@ from ctlab.bounds import lse_approx_error
 from ctlab.graph import spectral_embedding, stage_graph
 from ctlab.linalg import gaussian_matrix
 from ctlab.objectives import (
-    Embedding,
     McConfig,
     ce_risk,
     classification_error,
@@ -43,6 +42,7 @@ from oracles import (
     reference_world,
     toy_transforms,
     toy_world,
+    unit_rows,
 )
 
 
@@ -91,10 +91,9 @@ def gradient(F, GT, normalized):
     return GT
 
 
-def exact_loss_and_grad(f, space, M):
-    F = f.table
+def exact_loss_and_grad(F, space, M, normalized):
     loss, GT = _exact_infonce(space, M)(F, coef=True)
-    return loss, gradient(F, GT, f.normalized)
+    return loss, gradient(F, GT, normalized)
 
 
 def per_call_exact_infonce(T, space, M, coef=False):
@@ -150,13 +149,13 @@ def zero_marginal_space(node=2):
 
 
 def unit_table(n, seed, k=3):
-    return random_embedding(n, k, seed=seed).table
+    return random_embedding(n, k, seed=seed)
 
 
 def constant_embedding(n, k=3):
     table = np.zeros((n, k))
     table[:, 0] = 1.0
-    return Embedding(table=table, normalized=True)
+    return table
 
 
 TOY_SPECTRAL_F = np.array([[1.0, 1.0], [1.0, 0.0], [1.0, -1.0]])
@@ -168,7 +167,7 @@ class TestInfoNcePopulation:
         space = toy_space()
         f = constant_embedding(space.n)
         for M in (1, 2):
-            val, se, exact = infonce_population(f.table, space, M)
+            val, se, exact = infonce_population(f, space, M)
             assert exact and se == 0.0
             assert abs(val - np.log(M + 1)) < 1e-12
 
@@ -176,7 +175,7 @@ class TestInfoNcePopulation:
         # MC path, but every sampled loss equals log(M + 1) so stderr is 0
         space = toy_space()
         f = constant_embedding(space.n)
-        val, se, exact = infonce_population(f.table, space, 5, McConfig(samples=500))
+        val, se, exact = infonce_population(f, space, 5, McConfig(samples=500))
         assert not exact
         assert abs(val - np.log(6)) < 1e-12
         assert se < 1e-12
@@ -184,8 +183,7 @@ class TestInfoNcePopulation:
     def test_exact_matches_brute_force(self):
         # independent oracle: raw triple/quad loops over the 3-node space
         space = toy_space()
-        f = random_embedding(space.n, 4, seed=2)
-        F = f.table
+        F = random_embedding(space.n, 4, seed=2)
         p = space.marginal
         want = 0.0
         for x in range(3):
@@ -199,16 +197,16 @@ class TestInfoNcePopulation:
                     want += pw * p[z] * (
                         np.log(np.exp(s_pos) + np.exp(s_neg)) - s_pos
                     )
-        got, se, exact = infonce_population(f.table, space, 1)
+        got, se, exact = infonce_population(F, space, 1)
         assert exact
         assert abs(got - want) < 1e-12
 
     def test_mc_agrees_with_exact(self):
         space = toy_space()
         f = random_embedding(space.n, 3, seed=5)
-        exact_val, _, _ = infonce_population(f.table, space, 1)
+        exact_val, _, _ = infonce_population(f, space, 1)
         mc_val, se, exact = infonce_population(
-            f.table, space, 1, McConfig(samples=40000, n_max=1)
+            f, space, 1, McConfig(samples=40000, n_max=1)
         )
         assert not exact
         assert se > 0.0
@@ -217,13 +215,13 @@ class TestInfoNcePopulation:
     def test_mc_deterministic(self):
         space = toy_space()
         f = random_embedding(space.n, 3, seed=5)
-        a = infonce_population(f.table, space, 5, McConfig(samples=1000, seed=4))
-        b = infonce_population(f.table, space, 5, McConfig(samples=1000, seed=4))
+        a = infonce_population(f, space, 5, McConfig(samples=1000, seed=4))
+        b = infonce_population(f, space, 5, McConfig(samples=1000, seed=4))
         assert a == b
 
     def test_m_validated(self):
         with pytest.raises(ValueError):
-            infonce_population(constant_embedding(3).table, toy_space(), 0)
+            infonce_population(constant_embedding(3), toy_space(), 0)
 
 
 class TestInfoNceEmpirical:
@@ -244,7 +242,7 @@ class TestInfoNceEmpirical:
         for M in (1, 2):
             batch, weights = full_support_batch(space, M)
             emp = infonce_empirical(f, batch, weights)
-            pop, _, exact = infonce_population(f.table, space, M)
+            pop, _, exact = infonce_population(f, space, M)
             assert exact
             assert abs(emp - pop) < 1e-10
 
@@ -290,8 +288,8 @@ class TestInfoNceGradient:
                 tp[i, j] += h
                 tm = table.copy()
                 tm[i, j] -= h
-                fp = infonce_empirical(Embedding(tp, False), batch, weights)
-                fm = infonce_empirical(Embedding(tm, False), batch, weights)
+                fp = infonce_empirical(tp, batch, weights)
+                fm = infonce_empirical(tm, batch, weights)
                 g[i, j] = (fp - fm) / (2 * h)
         return g
 
@@ -305,8 +303,7 @@ class TestInfoNceGradient:
                 + [int(rng.integers(n)) for _ in range(M)]
                 for _ in range(6)
             ])
-            f = Embedding(table, normalized=False)
-            g = infonce_gradient(f, batch)
+            g = infonce_gradient(table, batch)
             fd = self._fd(table, batch, None, h=1e-5)
             scale = max(1.0, np.abs(fd).max())
             assert np.abs(g - fd).max() / scale < 1e-5
@@ -316,27 +313,25 @@ class TestInfoNceGradient:
         table = rng.normal(size=(4, 2))
         batch = np.array([[0, 1, 2], [3, 2, 1], [1, 0, 3]])
         weights = np.array([0.5, 0.3, 0.2])
-        f = Embedding(table, normalized=False)
-        g = infonce_gradient(f, batch, weights)
+        g = infonce_gradient(table, batch, weights)
         fd = self._fd(table, batch, weights, h=1e-5)
         assert np.abs(g - fd).max() < 1e-6
 
     def test_normalized_gradient_is_tangential(self):
         f = random_embedding(5, 3, seed=9)
         batch = np.array([[0, 1, 2, 3], [4, 2, 0, 1]])
-        g = infonce_gradient(f, batch)
-        radial = np.sum(g * f.table, axis=1)
+        g = infonce_gradient(f, batch, tangent=True)
+        radial = np.sum(g * f, axis=1)
         assert np.abs(radial).max() < 1e-12
         # and equals the projected Euclidean gradient
-        g_raw = infonce_gradient(Embedding(f.table, False), batch)
-        proj = g_raw - np.sum(g_raw * f.table, axis=1, keepdims=True) * f.table
+        g_raw = infonce_gradient(f, batch)
+        proj = g_raw - np.sum(g_raw * f, axis=1, keepdims=True) * f
         assert np.allclose(g, proj, atol=1e-14)
 
     @staticmethod
-    def _add_at_reference(f, batch, weights):
+    def _add_at_reference(F, batch, weights, tangent):
         # row-by-row scatter of every (anchor, other) term into the rows
         a, others = batch[:, 0], batch[:, 1:]
-        F = f.table
         s = np.einsum("bk,bmk->bm", F[a], F[others])
         probs = np.exp(s - s.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
@@ -347,7 +342,7 @@ class TestInfoNceGradient:
             coef = (w * probs[:, m])[:, None]
             np.add.at(grad, a, coef * F[others[:, m]])
             np.add.at(grad, others[:, m], coef * F[a])
-        if f.normalized:
+        if tangent:
             grad -= np.sum(grad * F, axis=1, keepdims=True) * F
         return grad
 
@@ -360,8 +355,8 @@ class TestInfoNceGradient:
         for weights in (None, rng.random(400)):
             for normalized in (True, False):
                 f = random_embedding(7, 4, seed=M, normalized=normalized)
-                got = infonce_gradient(f, batch, weights)
-                want = self._add_at_reference(f, batch, weights)
+                got = infonce_gradient(f, batch, weights, tangent=normalized)
+                want = self._add_at_reference(f, batch, weights, normalized)
                 assert np.abs(got - want).max() < 1e-15
 
 
@@ -433,18 +428,18 @@ class TestExactEngine:
             space = replace(space, marginal=p / p.sum())
         f = random_embedding(space.n, 3, seed=6, normalized=normalized)
         batch, weights = full_support_batch(space, M)
-        loss, grad = exact_loss_and_grad(f, space, M)
+        loss, grad = exact_loss_and_grad(f, space, M, normalized)
         assert abs(loss - infonce_empirical(f, batch, weights)) < 1e-12
-        assert np.abs(grad - infonce_gradient(f, batch, weights)).max() < 1e-12
-        assert loss == infonce_population(f.table, space, M)[0]
+        assert np.abs(grad - infonce_gradient(f, batch, weights, tangent=normalized)).max() < 1e-12
+        assert loss == infonce_population(f, space, M)[0]
 
     def test_matches_full_support_oracle_on_reference_space(self):
         space = reference_space()
         f = random_embedding(space.n, 3, seed=2)
         batch, weights = full_support_batch(space, 1)
-        loss, grad = exact_loss_and_grad(f, space, 1)
+        loss, grad = exact_loss_and_grad(f, space, 1, True)
         assert abs(loss - infonce_empirical(f, batch, weights)) < 1e-12
-        assert np.abs(grad - infonce_gradient(f, batch, weights)).max() < 1e-12
+        assert np.abs(grad - infonce_gradient(f, batch, weights, tangent=True)).max() < 1e-12
 
     @pytest.mark.parametrize("M", [1, 2])
     @pytest.mark.parametrize("coef", [False, True])
@@ -510,7 +505,7 @@ class TestExactEngine:
     def test_matches_finite_differences(self, M):
         space = random_space(6, seed=10 + M)
         table = np.random.default_rng(M).normal(size=(space.n, 3))
-        _, grad = exact_loss_and_grad(Embedding(table, False), space, M)
+        _, grad = exact_loss_and_grad(table, space, M, False)
         h = 1e-6
         fd = np.zeros_like(table)
         for i, j in itertools.product(*map(range, table.shape)):
@@ -576,13 +571,12 @@ class TestSampledKernel:
     def test_matches_batch_oracle(self, M, normalized):
         for space in (reference_space(), random_space(9, seed=M)):
             batch = _sample_batch(space, M, 2000, seed=M)
-            f = random_embedding(space.n, 3, seed=M + 1, normalized=normalized)
-            F = f.table
+            F = random_embedding(space.n, 3, seed=M + 1, normalized=normalized)
             engine = _sampled_infonce(_table_indices(batch, space.n), space.n)
             losses, GT = engine(F, coef=True)
-            assert abs(np.mean(losses) - infonce_empirical(f, batch)) < 1e-12
+            assert abs(np.mean(losses) - infonce_empirical(F, batch)) < 1e-12
             grad = gradient(F, GT, normalized)
-            assert np.abs(grad - infonce_gradient(f, batch)).max() < 1e-12
+            assert np.abs(grad - infonce_gradient(F, batch, tangent=normalized)).max() < 1e-12
 
     @pytest.mark.parametrize("M", [1, 2, 3, 7])
     @pytest.mark.parametrize(
@@ -643,7 +637,7 @@ class TestSampledKernel:
         space, cfg = reference_space(), McConfig(n_max=1, samples=2000)
         f = random_embedding(space.n, 3, seed=1)
         for M in (1, 2):
-            infonce_population(f.table, space, M, cfg)
+            infonce_population(f, space, M, cfg)
         assert built == []
         train_free_embeddings(space, 3, "infonce", 5, 1.0, seed=0, cfg=cfg)
         assert len(built) == 1
@@ -655,7 +649,7 @@ class TestSampledKernel:
         cfg = McConfig(samples=4000, seed=M, n_max=1)
         for space in (reference_space(), inflated_space()):
             f = random_embedding(space.n, 3, seed=M)
-            sims = f.table @ f.table.T  # one row block: n < 362
+            sims = f @ f.T  # one row block: n < 362
             batch = _sample_batch(space, M, cfg.samples, cfg.seed)
             a = batch[:, 0]
             losses = row_major_losses(sims[a, batch[:, 1]], sims[a[:, None], batch[:, 2:]])
@@ -664,7 +658,7 @@ class TestSampledKernel:
                 float(np.std(losses, ddof=1) / np.sqrt(cfg.samples)),
                 False,
             )
-            assert infonce_population(f.table, space, M, cfg) == want
+            assert infonce_population(f, space, M, cfg) == want
 
 
 def split_in_three(monkeypatch, n):
@@ -690,13 +684,13 @@ class TestBlockReader:
     def test_one_block_is_the_full_product(self, n, k):
         # reference's bytes rest on numpy sending a full-row slice down
         # F @ F.T's BLAS route
-        F = random_embedding(n, k, seed=k).table
+        F = random_embedding(n, k, seed=k)
         (r0, S), = objectives._similarity_blocks(F, n)
         assert r0 == 0 and S.tobytes() == (F @ F.T).tobytes()
 
     @pytest.mark.parametrize("rows", [1, 100, 273, 477])
     def test_blocks_tile_the_product(self, rows):
-        F = random_embedding(477, 3, seed=2).table
+        F = random_embedding(477, 3, seed=2)
         blocks = [(r0, S.copy()) for r0, S in objectives._similarity_blocks(F, rows)]
         assert [r0 for r0, _ in blocks] == list(range(0, 477, rows))
         assert np.abs(np.vstack([S for _, S in blocks]) - F @ F.T).max() <= 1e-15
@@ -810,12 +804,12 @@ class JointlessSpace(AugmentedSpace):
 class TestSpectralLoss:
     def test_zero_embedding(self):
         space = toy_space()
-        assert spectral_loss(Embedding(np.zeros((3, 2)), False), space) == 0.0
+        assert spectral_loss(np.zeros((3, 2)), space) == 0.0
 
     def test_toy_closed_form_value(self):
         # minimizer value -sum_i (1 - lambda_i)^2 = -(1 + 1/4) on the toy graph
         space = toy_space()
-        f = Embedding(TOY_SPECTRAL_F, normalized=False)
+        f = TOY_SPECTRAL_F
         assert abs(spectral_loss(f, space) + 1.25) < 1e-12
 
     def test_embedding_beats_random(self):
@@ -824,7 +818,7 @@ class TestSpectralLoss:
         space = staged.space
         k = 4
         table = spectral_embedding(staged, k)
-        best = spectral_loss(Embedding(table, False), space)
+        best = spectral_loss(table, space)
         for seed in range(200):
             f = random_embedding(space.n, k, seed=seed, normalized=False)
             assert best <= spectral_loss(f, space) + 1e-12
@@ -839,7 +833,7 @@ class TestSpectralLoss:
                 for y in range(space.n):
                     want -= 2.0 * space.joint[x, y] * float(F[x] @ F[y])
                     want += p[x] * p[y] * float(F[x] @ F[y]) ** 2
-            got = spectral_loss(Embedding(F, False), space)
+            got = spectral_loss(F, space)
             assert abs(got - want) < 1e-12
 
     def test_gradient_matches_formula(self):
@@ -894,18 +888,18 @@ class TestSpectralLoss:
             return table
 
         got = train_free_embeddings(space, k, "spectral", steps, step_size, seed=seed)
-        assert got.table.tobytes() == descend(factored).tobytes()
-        assert np.max(np.abs(got.table - descend(dense))) <= 1e-11
+        assert got.tobytes() == descend(factored).tobytes()
+        assert np.max(np.abs(got - descend(dense))) <= 1e-11
 
     def test_spectral_path_reads_no_joint(self):
         # the loss and the descent read the joint through cond and weights only
         for space in (reference_space(), inflated_space(8)):
             jointless = JointlessSpace(**{f.name: getattr(space, f.name) for f in fields(space)})
-            f = Embedding(gaussian_matrix(space.n, 3, 7), normalized=False)
+            f = gaussian_matrix(space.n, 3, 7)
             assert spectral_loss(f, jointless) == spectral_loss(f, space)
             got = train_free_embeddings(jointless, 3, "spectral", 30, 1.0, seed=0)
             want = train_free_embeddings(space, 3, "spectral", 30, 1.0, seed=0)
-            assert got.table.tobytes() == want.table.tobytes()
+            assert got.tobytes() == want.tobytes()
 
 
 class TestTraining:
@@ -913,9 +907,8 @@ class TestTraining:
         space = toy_space()
         a = train_free_embeddings(space, 2, "infonce", 0, 0.5, seed=3)
         b = train_free_embeddings(space, 2, "infonce", 0, 0.5, seed=3)
-        assert np.array_equal(a.table, b.table)
-        assert a.normalized
-        a.check()
+        assert np.array_equal(a, b)
+        assert unit_rows(a)
 
     def test_infonce_loss_decreases(self):
         space = toy_space()
@@ -931,15 +924,15 @@ class TestTraining:
                 again = train_free_embeddings(
                     space, 2, "infonce", 50, 1.0, seed=seed, cfg=cfg
                 )
-                assert np.array_equal(f1.table, again.table)
+                assert np.array_equal(f1, again)
                 exact = train_free_embeddings(space, 2, "infonce", 50, 1.0, seed=seed)
-                assert not np.array_equal(f1.table, exact.table)
+                assert not np.array_equal(f1, exact)
                 # the shared sampler draws the trainer's own batch from this seed
                 own = McConfig(n_max=1, samples=500, seed=cfg.seed + seed + 1)
-                l0, _, _ = infonce_population(f0.table, space, 1, own)
-                l1, _, _ = infonce_population(f1.table, space, 1, own)
+                l0, _, _ = infonce_population(f0, space, 1, own)
+                l1, _, _ = infonce_population(f1, space, 1, own)
             assert l1 <= l0 + 1e-12
-            f1.check()
+            assert unit_rows(f1)
 
     @pytest.mark.parametrize("M", [1, 2])
     def test_exact_loss_non_increasing_over_accepted_steps(self, M):
@@ -947,7 +940,7 @@ class TestTraining:
         space = reference_space() if M == 1 else random_space(8, seed=3)
         losses = [
             infonce_population(
-                train_free_embeddings(space, 3, "infonce", s, 1.0, seed=4, M=M).table,
+                train_free_embeddings(space, 3, "infonce", s, 1.0, seed=4, M=M),
                 space,
                 M,
             )[0]
@@ -1001,7 +994,7 @@ class TestTraining:
         seen = self.record_evaluations(monkeypatch, builder)
         got = train_free_embeddings(space, 1, "infonce", 30, 1.0, seed=2, cfg=cfg)
         assert len(seen) == 1
-        assert got.table.tobytes() == init.table.tobytes()
+        assert got.tobytes() == init.tobytes()
 
     @pytest.mark.parametrize("steps", [1, 5])
     @pytest.mark.parametrize("state", ["raise", "warn", "ignore"])
@@ -1041,7 +1034,7 @@ class TestTraining:
         monkeypatch.setattr(objectives, "_sampled_infonce", poisoning_build)
         got = train_free_embeddings(space, 3, "infonce", steps, 1000.0, seed=1, cfg=cfg)
         assert len(calls) > steps + 1 and all(calls)
-        assert got.table.tobytes() == want.table.tobytes()
+        assert got.tobytes() == want.tobytes()
 
     def test_sampled_path_follows_batch_oracle(self):
         # the same backtracking descent driven by the public batch functions
@@ -1051,14 +1044,14 @@ class TestTraining:
         batch = _sample_batch(space, 1, cfg.samples, cfg.seed + seed + 1)
         table = 0.5 * gaussian_matrix(space.n, k, seed)
         table /= np.linalg.norm(table, axis=1, keepdims=True)
-        first = current = infonce_empirical(Embedding(table, True), batch)
+        first = current = infonce_empirical(table, batch)
         eta = 1.0
         for _ in range(steps):
-            g = infonce_gradient(Embedding(table, True), batch)
+            g = infonce_gradient(table, batch, tangent=True)
             for _try in range(40):
                 cand = table - eta * g
                 cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-                cand_loss = infonce_empirical(Embedding(cand, True), batch)
+                cand_loss = infonce_empirical(cand, batch)
                 if cand_loss <= current + 1e-15:
                     table, current, eta = cand, cand_loss, min(eta * 1.1, 10.0)
                     break
@@ -1066,7 +1059,7 @@ class TestTraining:
             else:
                 break
         assert current < first
-        assert np.abs(got.table - table).max() < 1e-13
+        assert np.abs(got - table).max() < 1e-13
 
     def test_spectral_training_reaches_closed_form(self):
         space = toy_space()
@@ -1085,7 +1078,7 @@ class TestTraining:
 class TestHeads:
     def test_mean_head_toy(self):
         space = toy_space()
-        f = Embedding(TOY_SPECTRAL_F, normalized=False)
+        f = TOY_SPECTRAL_F
         head = mean_head(f, space)
         class_mass = [space.marginal[space.labels == c].sum() for c in range(space.K)]
         assert np.allclose(class_mass, [0.25, 0.75], atol=1e-15)
@@ -1125,20 +1118,20 @@ class TestHeads:
 
     def test_fit_zero_steps(self):
         space = toy_space()
-        f = Embedding(TOY_SPECTRAL_F, normalized=False)
+        f = TOY_SPECTRAL_F
         (head,) = fit_linear_head([f], space, steps=0, step_size=1.0)
         assert np.array_equal(head, np.zeros((2, 2)))
 
     def test_fit_decreases_risk_and_separates(self):
         space = toy_space()
-        f = Embedding(TOY_SPECTRAL_F, normalized=False)
+        f = TOY_SPECTRAL_F
         (head,) = fit_linear_head([f], space, steps=400, step_size=2.0)
         assert ce_risk(f, head, space) < np.log(2) - 0.1
         assert classification_error(f, head, space) == 0.0
 
     def test_l2_shrinks_head(self):
         space = toy_space()
-        f = Embedding(TOY_SPECTRAL_F, normalized=False)
+        f = TOY_SPECTRAL_F
         (small,) = fit_linear_head([f], space, steps=200, step_size=0.5, l2=1.0)
         (big,) = fit_linear_head([f], space, steps=200, step_size=0.5, l2=0.0)
         assert np.linalg.norm(small) < np.linalg.norm(big)
@@ -1166,7 +1159,7 @@ class TestStackedProbe:
         for k, l2, steps in itertools.product((1, 3, 8), (0.0, 0.5), (0, 1, 300)):
             tables = [rng.normal(size=(n, k)) for _ in range(2)]
             heads = fit_linear_head(
-                [Embedding(t, normalized=False) for t in tables], space, steps, 2.0, l2
+                [t for t in tables], space, steps, 2.0, l2
             )
             assert len(heads) == 2
             for t, head in zip(tables, heads):
@@ -1186,7 +1179,7 @@ class TestStackedProbe:
         space = random_space(n, seed=K * 1000 + n + 1, K=K)
         rng = np.random.default_rng(n * K)
         for k, l2, count in itertools.product((1, 3, 8), (0.0, 0.5), (2, 3)):
-            fs = [Embedding(rng.normal(size=(n, k)), False) for _ in range(count)]
+            fs = [rng.normal(size=(n, k)) for _ in range(count)]
             heads = fit_linear_head(fs, space, 300, 2.0, l2)
             for f, head in zip(fs, heads):
                 (alone,) = fit_linear_head([f], space, 300, 2.0, l2)
@@ -1198,7 +1191,7 @@ class TestStackedProbe:
         before = [space.marginal.copy(), space.labels.copy(), space.joint.copy()]
         tables = [np.random.default_rng(t).normal(size=(54, 3)) for t in range(2)]
         copies = [t.copy() for t in tables]
-        fit_linear_head([Embedding(t, False) for t in tables], space, 50, 2.0, 0.5)
+        fit_linear_head([t for t in tables], space, 50, 2.0, 0.5)
         for t, c in zip(tables, copies):
             assert np.array_equal(t, c)
         for a, b in zip((space.marginal, space.labels, space.joint), before):
@@ -1210,11 +1203,11 @@ class TestStackedProbe:
         space = random_space(54, seed=K, K=K)
         rng = np.random.default_rng(K)
         first = fit_linear_head(
-            [Embedding(rng.normal(size=(54, 3)), False) for _ in range(2)], space, 40, 2.0
+            [rng.normal(size=(54, 3)) for _ in range(2)], space, 40, 2.0
         )
         bits = [h.copy() for h in first]
         second = fit_linear_head(
-            [Embedding(rng.normal(size=(54, 3)), False) for _ in range(2)], space, 40, 2.0
+            [rng.normal(size=(54, 3)) for _ in range(2)], space, 40, 2.0
         )
         for head, want in zip(first, bits):
             assert np.array_equal(head, want)
@@ -1226,18 +1219,18 @@ class TestStackedProbe:
         # the first step overflows W; the check after the loop must still see it
         space = toy_space()
         tables = [
-            Embedding(TOY_SPECTRAL_F * 1e10 * (t + 1), normalized=False) for t in range(count)
+            TOY_SPECTRAL_F * 1e10 * (t + 1) for t in range(count)
         ]
         with pytest.raises(RuntimeError, match="diverged"):
             fit_linear_head(tables, space, steps=20, step_size=1e300)
         with pytest.raises(RuntimeError, match="diverged"), np.errstate(all="ignore"):
-            fit_alone(tables[0].table, space, 20, 1e300, 0.0)
+            fit_alone(tables[0], space, 20, 1e300, 0.0)
 
 
     def test_silenced_overflow_does_not_leak(self):
         # the descent silences its own overflow; with warnings as errors the
         # caller still sees only the divergence error
-        tables = [Embedding(TOY_SPECTRAL_F * 1e10, normalized=False)]
+        tables = [TOY_SPECTRAL_F * 1e10]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(RuntimeError, match="diverged"):
