@@ -40,7 +40,7 @@ from .objectives import (
     spectral_loss,
     train_free_embeddings,
 )
-from .world import generate_world, inflate, preprocess_world, raw_factors, save_world
+from .world import generate_world, inflate, preprocess_world, save_world
 
 # overflow, invalid operations and division by zero raise; underflow is left alone
 _FP_RAISE = {"over": "raise", "invalid": "raise", "divide": "raise"}
@@ -86,30 +86,26 @@ def emit_text(rows, path) -> None:
 def _stager(cfg: RunConfig, raw_world):
     """Return stage(truncation): the staged graph of cfg's world at that truncation.
 
-    The transforms and the inflated world are built once, here, and the raw
-    originals are factored once, at the first truncation; a row can vary
-    only the truncation, and stage keys its memo by it.  stage remembers only
-    the latest staged world, dropping it before staging the next one, so rows
-    that stage the same world in turn share its graph.  It also hands
-    stage_graph a one-entry spectrum memo, so a world whose positive-pair
-    joint equals the last eigendecomposed one exactly (the q rows of an
-    inflated world, which differ only in their labels) reuses that graph's
-    spectrum.  One thread stages at a time, so threads that ask for a world
-    together (the pool's first rows) stage it once, pair support included;
-    the others wait and share it.
+    The transforms and the inflated world are built once, here, so every
+    truncation is augmented by the transforms of the raw world; a row can
+    vary only the truncation.  stage keeps only the latest staged graph,
+    dropping it before staging the next one, so rows that stage the same
+    world in turn share its graph.  It hands the dropped graph's spectrum to
+    stage_graph, so a world whose positive-pair joint equals the last
+    eigendecomposed one exactly (the q rows of an inflated world, which
+    differ only in their labels) reuses that spectrum.  One thread stages at
+    a time, so threads that ask for a world together (the pool's first rows)
+    stage it once, pair support included; the others wait and share it.
     """
     transforms = make_transforms(cfg, raw_world)
     inflated = inflate(raw_world, cfg.inflation_factor, seed=cfg.seed)
-    latest, spectrum_memo, factors, lock = {}, {}, [], threading.Lock()
+    latest, lock = {}, threading.Lock()
 
     def stage(trunc):
         with lock:
             if trunc not in latest:
-                latest.clear()
-                if trunc is not None and not factors:
-                    factors.extend(raw_factors(inflated))
-                world = preprocess_world(inflated, trunc, factors)
-                latest[trunc] = stage_graph(world, transforms, spectrum_memo)
+                last = latest.popitem()[1].spectrum if latest else None
+                latest[trunc] = stage_graph(preprocess_world(inflated, trunc), transforms, last)
             return latest[trunc]
 
     return stage
@@ -277,6 +273,7 @@ def cmd_run(cfg: RunConfig, out_dir, threads, allow_violations):
 def cmd_world(cfg, out_dir, threads, allow_violations):
     inflated = inflate(generate_world(cfg.world), cfg.inflation_factor, seed=cfg.seed)
     save_world(preprocess_world(inflated, cfg.truncation()), os.path.join(out_dir, "world"))
+    _write_manifest(cfg, os.path.join(out_dir, "manifest.txt"))
     return 0
 
 
@@ -293,6 +290,7 @@ def cmd_graph(cfg, out_dir, threads, allow_violations):
         f"alpha = {staged.alpha!r}\n",
         f"trace = {float(np.trace(A))!r}\n",
     ])
+    _write_manifest(cfg, os.path.join(out_dir, "manifest.txt"))
     return 0
 
 
@@ -305,6 +303,7 @@ def cmd_train(cfg, out_dir, threads, allow_violations):
     _row, _reports, F, _head, space = _baseline_row(cfg)
     save_matrix_text(os.path.join(out_dir, "embedding.mat"), F)
     _write(os.path.join(out_dir, "embedding_nodes.txt"), (f"n{i:04d}\n" for i in range(space.n)))
+    _write_manifest(cfg, os.path.join(out_dir, "manifest.txt"))
     return 0
 
 
@@ -314,6 +313,7 @@ def cmd_probe(cfg, out_dir, threads, allow_violations):
         *(f"{col} = {row[col]!r}\n" for col in ("probe_error", "ce_linear", "ce_mean")),
         f"head_frob_norm = {float(np.linalg.norm(head))!r}\n",
     ])
+    _write_manifest(cfg, os.path.join(out_dir, "manifest.txt"))
     print(f"probe_error = {row['probe_error']!r}")
     return 0
 
@@ -321,6 +321,7 @@ def cmd_probe(cfg, out_dir, threads, allow_violations):
 def cmd_bounds(cfg, out_dir, threads, allow_violations):
     _row, reports, *_tables = _baseline_row(cfg)
     _write(os.path.join(out_dir, "bounds.txt"), _blocks(map(report_to_text, reports)))
+    _write_manifest(cfg, os.path.join(out_dir, "manifest.txt"))
     return _exit_status(reports, allow_violations)
 
 
@@ -356,6 +357,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out_dir = args.out
     try:
+        if args.threads < 1:
+            raise ValueError(f"--threads: {args.threads} is below 1")
         overrides = list(args.set)
         if args.seed is not None:
             overrides.append(f"run.seed={args.seed}")
@@ -365,7 +368,7 @@ def main(argv=None) -> int:
         os.makedirs(out_dir, exist_ok=True)
         with np.errstate(**_FP_RAISE):
             return _COMMANDS[args.command](
-                cfg, out_dir, max(1, args.threads), args.allow_violations
+                cfg, out_dir, args.threads, args.allow_violations
             )
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,13 +49,15 @@ class ComponentSpectrum:
     Its eigenpair j is pair positions[c][j] of the ascending spectrum, with
     eigenvalue values[positions[c][j]] and eigenvector vectors[c][:, j] on
     nodes[c]; that vector is exactly zero off its component, and no n x n
-    table of them is made.
+    table of them is made.  support is the space's support triple (xs, ys, w)
+    the Laplacian was laid from.
     """
 
     values: np.ndarray  # (n,) ascending
     nodes: tuple        # per component, its (s,) nodes, ascending
     positions: tuple    # per component, its (s,) positions in values, ascending
     vectors: tuple      # per component, its (s, s) unit eigenvectors as columns
+    support: tuple      # the (xs, ys, w) support triple of the graph
 
 
 def laplacian_spectrum(space: AugmentedSpace) -> ComponentSpectrum:
@@ -95,6 +97,7 @@ def laplacian_spectrum(space: AugmentedSpace) -> ComponentSpectrum:
         nodes=nodes,
         positions=tuple(np.split(position, ends[:-1])),
         vectors=tuple(part.vectors for part in parts),
+        support=space.support,
     )
 
 
@@ -116,33 +119,25 @@ class StagedGraph:
         return float(values[k - 1]), lam_k1
 
 
-def stage_graph(world: World, transforms, memo: dict | None = None) -> StagedGraph:
+def stage_graph(world: World, transforms, last: ComponentSpectrum | None = None) -> StagedGraph:
     """Augment a world and eigendecompose its graph's Laplacian once.
 
     Every node must carry probability mass, which positive world weights and
     transform probabilities guarantee.
 
-    memo, when given, is a dict that remembers the last spectrum computed
-    with it: the support triple (xs, ys, w) and the spectrum of that graph,
-    never its space.  A world whose joint has the same node count and the
-    same support triple takes the remembered spectrum;
-    such joints are equal, since no joint entry is -0.0.  Any other world
-    empties memo before its Laplacian is eigendecomposed and is remembered
-    after.  Without memo every call eigendecomposes its own graph.
+    last, when given, is an earlier spectrum.  A world whose joint has last's
+    node count and support triple takes last; such joints are equal, since
+    no joint entry is -0.0.  Any other world's Laplacian is eigendecomposed.
     """
     space = build_augmented_space(world, transforms)
-    if memo and len(memo["spectrum"].values) == space.n and all(
-        np.array_equal(old, new) for old, new in zip(memo["support"], space.support)
+    if last is not None and len(last.values) == space.n and all(
+        np.array_equal(old, new) for old, new in zip(last.support, space.support)
     ):
-        spectrum = memo["spectrum"]
+        spectrum = last
     else:
         if not np.all(space.degrees > 0.0):
             raise ValueError("stage_graph: a node carries no probability mass")
-        if memo is not None:
-            memo.clear()
         spectrum = laplacian_spectrum(space)
-        if memo is not None:
-            memo.update(support=space.support, spectrum=spectrum)
     return StagedGraph(space=space, spectrum=spectrum, alpha=labeling_error(space, world))
 
 

@@ -45,7 +45,6 @@ __all__ = [
     "apply_transform",
     "build_augmented_space",
     "labeling_error",
-    "raw_factors",
     "preprocess_world",
     "inflate",
     "save_world",
@@ -110,6 +109,11 @@ class World:
     weights: np.ndarray  # (N,) positive probabilities, sum to 1
     templates: np.ndarray  # (K, m, m') class templates
     spec: WorldSpec
+
+    @cached_property
+    def raw_factors(self) -> list[SvdFactors]:
+        """The SVD factors of the raw originals, the first K * per_class, in order."""
+        return [svd_full(P) for P in self.payloads[: self.spec.K * self.spec.per_class]]
 
 
 @dataclass(frozen=True)
@@ -481,27 +485,18 @@ def labeling_error(space: AugmentedSpace, world: World) -> float:
 # preprocessing and inflation
 
 
-def raw_factors(world: World) -> list[SvdFactors]:
-    """The SVD factors of world's raw originals, the first K * per_class, in order."""
-    return [svd_full(P) for P in world.payloads[: world.spec.K * world.spec.per_class]]
-
-
-def preprocess_world(
-    world: World, spec: TruncationSpec | None, factors: list[SvdFactors] | None = None
-) -> World:
+def preprocess_world(world: World, spec: TruncationSpec | None) -> World:
     """Replace the raw originals, the first K * per_class, by their truncated-SVD image.
 
-    factors are `raw_factors(world)`, factored here when None, so a caller
-    that truncates one world at several specs factors it once.  An inflated
-    world's extras stay untruncated.  The raw originals' latent labels are
+    The factors are world.raw_factors, computed once per world, so every
+    truncation of one world reads the same factors.  An inflated world's
+    extras stay untruncated.  The raw originals' latent labels are
     recomputed from the new payloads; weights are kept.  With spec None the
     world itself is returned.
     """
     if spec is None:
         return world
-    if factors is None:
-        factors = raw_factors(world)
-    reduced = np.stack([svd_truncate(F, spec) for F in factors])
+    reduced = np.stack([svd_truncate(F, spec) for F in world.raw_factors])
     return World(
         payloads=np.concatenate([reduced, world.payloads[len(reduced):]]),
         labels=np.concatenate([ground_truth_label(reduced, world.templates),

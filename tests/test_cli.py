@@ -296,7 +296,7 @@ class TestRunCommand:
         # more threads than cores ask for one world at once: one stages, all share it
         calls = []
 
-        def slow_stage_graph(world, transforms, memo):
+        def slow_stage_graph(world, transforms, last):
             calls.append(None)
             time.sleep(0.01)
             return object()
@@ -319,6 +319,22 @@ class TestRunCommand:
             sys.setswitchinterval(interval)
         assert len(calls) == 1
         assert all(g is got[0] for g in got)
+
+    @pytest.mark.parametrize("sets, want", [
+        (["world.noise_scale=0.05"], [(57, 3), (60, 6), (60, 6), (60, 6), (60, 6)]),
+        ([], [(54, 1), (10, 1), (30, 3), (27, 1), (54, 1)]),
+    ], ids=["noise", "reference"])
+    def test_stager_augments_every_truncation_with_the_raw_worlds_transforms(self, sets, want):
+        # fixed patterns: `sibling c` shifts by the raw payload difference of
+        # class c's first two originals, so on a truncated world the sibling view
+        # of the first no longer lands on the second; transforms built from
+        # each truncated world would merge views (57 nodes at every q with
+        # noise, 7 / 21 / 18 on the reference world at q = 1-3)
+        cfg = load_config(REFERENCE, sets)
+        stage = cli._stager(cfg, world.generate_world(cfg.world))
+        truncs = [None] + [TruncationSpec(mode="keep_top_q", q=q) for q in (1, 2, 3, 4)]
+        got = [(g.space.n, len(g.spectrum.nodes)) for g in map(stage, truncs)]
+        assert got == want
 
     @pytest.mark.parametrize("which", ["t1, t3, t4, corollaries", "t1, t3, corollaries"])
     def test_one_probe_per_row(self, small_cfg, tmp_path, monkeypatch, which):
@@ -411,6 +427,28 @@ class TestSubcommands:
         for name, data in tree.items():
             data.decode("ascii")  # raises on any non-ASCII byte
             assert b"\r" not in data and data.endswith(b"\n"), name
+
+    @pytest.mark.parametrize("command", ["world", "graph", "train", "probe", "bounds"])
+    def test_single_commands_write_their_config_manifest(self, small_cfg, tmp_path, command):
+        # run's manifest without argmin lines: the config the artifacts came from
+        out = tmp_path / command
+        assert main([command, "--config", small_cfg, "--out", str(out), "--seed", "3"]) == 0
+        want = tmp_path / "want.txt"
+        cli._write_manifest(load_config(small_cfg, ["run.seed=3"]), want)
+        assert (out / "manifest.txt").read_bytes() == want.read_bytes()
+
+    def test_inflated_worlds_of_two_seeds_differ_in_their_manifests(self, tmp_path):
+        # the run seed draws the extra originals; the saved world's manifest does not name it
+        sets = ["--set", "inflation.factor=2", "--set", "world.noise_scale=0.05"]
+        trees = []
+        for seed in ("3", "4"):
+            out = str(tmp_path / seed)
+            assert main(["world", "--config", REFERENCE, "--out", out, "--seed", seed, *sets]) == 0
+            trees.append(_tree_bytes(out))
+        three, four = trees
+        assert three["world/manifest.txt"] == four["world/manifest.txt"]
+        assert three["world/o0006.mat"] != four["world/o0006.mat"]
+        assert b"seed = 3\n" in three["manifest.txt"] and b"seed = 4\n" in four["manifest.txt"]
 
     def test_graph(self, small_cfg, tmp_path):
         out = str(tmp_path / "g")
@@ -524,6 +562,13 @@ class TestErrors:
         assert main(["graph", "--config", REFERENCE, "--out", str(tmp_path / "o")]) == 2
         want = f"error: cannot write {tmp_path / 'o' / 'graph.txt'}: Is a directory\n"
         assert capsys.readouterr().err == want
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_exit_2_naming_the_flag(self, tmp_path, capsys, threads):
+        out = tmp_path / "g"
+        assert main(["graph", "--config", REFERENCE, "--out", str(out), "--threads", threads]) == 2
+        assert capsys.readouterr().err == f"error: --threads: {threads} is below 1\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_noise_scale_exits_2(self, tmp_path, capsys, value):

@@ -188,15 +188,17 @@ class TestSpectrumMemory:
             tracemalloc.stop()
         assert peak < n * n * 8
 
-    def test_staged_graph_and_memo_hold_no_array_of_n_squared_entries(self):
+    def test_staged_graph_and_its_spectrum_hold_no_array_of_n_squared_entries(self):
         # the space's fields, its cached support, row sums and sampling tables,
-        # and the spectrum: the joint is formed at staging and dropped
-        memo = {}
-        staged = stage_graph(*oracle_world("inflated8"), memo)
+        # and the spectrum, which a stager hands on, with its support: the
+        # joint is formed at staging and dropped
+        first = stage_graph(*oracle_world("inflated8"))
+        staged = stage_graph(*oracle_world("inflated8"), first.spectrum)
         space, n = staged.space, staged.space.n
         _ = space.pair_cdf, space.marginal_cdf  # cache every table a run reads
         assert len(staged.spectrum.nodes) == 45 and "_pairs" in vars(space)
-        held = list(_held_arrays(staged)) + list(_held_arrays(memo))
+        assert staged.spectrum is first.spectrum and len(staged.spectrum.support) == 3
+        held = list(_held_arrays(staged))
         assert len(held) > 10 and max(a.size for a in held) < n * n
 
 
@@ -207,14 +209,13 @@ def inflated_world(q):
     return preprocess_world(inflated, TruncationSpec(mode="keep_top_q", q=q)), reference_transforms(noisy)
 
 
-class TestSpectrumMemo:
-    """stage_graph(world, transforms, memo) reuses the last spectrum for an equal joint only."""
+class TestSpectrumReuse:
+    """stage_graph(world, transforms, last) reuses the spectrum last for an equal joint only."""
 
     def test_equal_joint_reuses_the_spectrum_bit_for_bit(self):
         # the inflated q = 1 and q = 2 worlds have one joint; only their labels differ
-        memo = {}
-        first = stage_graph(*inflated_world(1), memo)
-        reused = stage_graph(*inflated_world(2), memo)
+        first = stage_graph(*inflated_world(1))
+        reused = stage_graph(*inflated_world(2), first.spectrum)
         fresh = stage_graph(*inflated_world(2))
         assert reused.spectrum is first.spectrum
         assert reused.alpha != first.alpha and reused.alpha == fresh.alpha
@@ -232,18 +233,19 @@ class TestSpectrumMemo:
         )
         w = reference_world()
         transforms = reference_transforms(w)
-        memo = {}
-        base = stage_graph(w, transforms, memo)
-        q3 = stage_graph(preprocess_world(w, TruncationSpec(mode="keep_top_q", q=3)), transforms, memo)
+        base = stage_graph(w, transforms)
+        q3 = stage_graph(preprocess_world(w, TruncationSpec(mode="keep_top_q", q=3)), transforms,
+                         base.spectrum)
         assert len(calls) == 2
-        assert memo["spectrum"] is q3.spectrum and q3.spectrum is not base.spectrum
+        assert q3.spectrum is not base.spectrum
+        assert all(np.array_equal(a, b) for a, b in zip(q3.spectrum.support, q3.space.support))
 
     def test_same_support_other_weights_is_eigendecomposed(self):
         # the support cells agree, their weights do not
-        toy, memo = toy_world(), {}
-        uniform = stage_graph(toy, toy_transforms(), memo)
+        toy = toy_world()
+        uniform = stage_graph(toy, toy_transforms())
         skewed = replace(toy, weights=np.array([0.25, 0.75]))
-        got = stage_graph(skewed, toy_transforms(), memo)
+        got = stage_graph(skewed, toy_transforms(), uniform.spectrum)
         assert np.array_equal(got.space.support[0], uniform.space.support[0])
         assert np.array_equal(got.space.support[1], uniform.space.support[1])
         assert got.spectrum is not uniform.spectrum
@@ -253,18 +255,17 @@ class TestSpectrumMemo:
 
     def test_an_extra_massless_node_is_not_a_hit(self, monkeypatch):
         # one more node with no mass leaves the support triple as it was
-        memo = {}
-        stage_graph(toy_world(), toy_transforms(), memo)
+        last = stage_graph(toy_world(), toy_transforms()).spectrum
         space = build_augmented_space(toy_world(), toy_transforms())
         padded = replace(
             space,
             payloads=np.concatenate([space.payloads, space.payloads[:1] + 1.0]),
             cond=np.pad(space.cond, ((0, 0), (0, 1))),
         )
-        assert all(np.array_equal(a, b) for a, b in zip(padded.support, memo["support"]))
+        assert all(np.array_equal(a, b) for a, b in zip(padded.support, last.support))
         monkeypatch.setattr(graph, "build_augmented_space", lambda *_: padded)
         with pytest.raises(ValueError, match="a node carries no probability mass"):
-            stage_graph(toy_world(), toy_transforms(), memo)
+            stage_graph(toy_world(), toy_transforms(), last)
 
 
 class TestOriginalOrder:

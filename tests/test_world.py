@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctlab.svd import TruncationSpec
+from ctlab.svd import TruncationSpec, svd_full
 from ctlab.world import (
     VIEW_TOL,
     InverseCdf,
@@ -26,7 +26,6 @@ from ctlab.world import (
     inflate,
     labeling_error,
     preprocess_world,
-    raw_factors,
     save_world,
 )
 from oracles import (
@@ -596,16 +595,26 @@ class TestPreprocess:
         iw = inflate(generate_world(_ref_spec(noise_scale=0.05)), 8, seed=6)
         assert preprocess_world(iw, None) is iw
 
-    def test_kept_factors_give_the_bits_of_fresh_ones(self):
-        # one set of raw factors serves every truncation of a sweep
-        iw = inflate(generate_world(_ref_spec(noise_scale=0.05)), 8, seed=6)
-        factors = raw_factors(iw)
-        assert len(factors) == 6
-        for spec in [TruncationSpec(mode="keep_top_q", q=q) for q in (1, 2, 3, 4)] + [
+    def test_raw_factors_are_computed_once_with_the_bits_of_fresh_ones(self, monkeypatch):
+        # one set of raw factors, cached on the world, serves every truncation of a sweep
+        def make():
+            return inflate(generate_world(_ref_spec(noise_scale=0.05)), 8, seed=6)
+
+        iw, calls = make(), []
+        monkeypatch.setattr("ctlab.world.svd_full", lambda P: calls.append(None) or svd_full(P))
+        specs = [TruncationSpec(mode="keep_top_q", q=q) for q in (1, 2, 3, 4)] + [
             TruncationSpec(mode="discard_pair", pair_index=1),
             TruncationSpec(mode="discard_single", pair_index=2),
-        ]:
-            got, want = preprocess_world(iw, spec, factors), preprocess_world(iw, spec)
+        ]
+        truncated = [preprocess_world(iw, spec) for spec in specs]
+        assert len(calls) == len(iw.raw_factors) == 6
+        assert iw.raw_factors is iw.raw_factors
+        for got, P in zip(iw.raw_factors, iw.payloads):
+            want = svd_full(P)
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in [(got.U, want.U), (got.S, want.S), (got.V, want.V)])
+        for spec, got in zip(specs, truncated):
+            want = preprocess_world(make(), spec)
             assert got.payloads.tobytes() == want.payloads.tobytes()
             assert got.labels.tolist() == want.labels.tolist()
 
