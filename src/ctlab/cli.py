@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import os
+import pickle
 import sys
 import threading
 from dataclasses import replace
@@ -111,21 +112,22 @@ def _stager(cfg: RunConfig, raw_world):
     return stage
 
 
-def compute_row(cfg: RunConfig, stage, row_key, k_key="train.k"):
+def compute_row(cfg: RunConfig, stage, row_key, k_key="train.k", run=None):
     """Row row_key of cfg, k from config key k_key: (row, reports, trained table, its head, space).
 
     Floating-point errors raise, whatever thread runs the row, and name it.
+    `run` is the trainer's hook for its descent (see `train_free_embeddings`).
     """
     try:
         with np.errstate(**_FP_RAISE):
-            return _row(cfg, stage, row_key, k_key)
+            return _row(cfg, stage, row_key, k_key, run)
     except (FloatingPointError, DivergenceError) as exc:
         raise type(exc)(f"row {row_key}: {exc}") from None
     except ConfigError as exc:  # keeps the "<key>: " head that names the key
         raise ConfigError(f"{exc} (row {row_key})") from None
 
 
-def _row(cfg: RunConfig, stage, row_key, k_key):
+def _row(cfg: RunConfig, stage, row_key, k_key, run):
     seed, k = row_seed(cfg.seed, row_key), cfg.train_k
     staged = stage(cfg.truncation())
     space = staged.space
@@ -135,7 +137,7 @@ def _row(cfg: RunConfig, stage, row_key, k_key):
 
     F = train_free_embeddings(
         space, k, cfg.train_loss, cfg.train_steps, cfg.train_step_size, seed, cfg.train_M,
-        cfg.mc_config(seed),
+        cfg.mc_config(seed), run,
     )
     # the trained table and, for t4, the closed-form spectral one share one probe
     tables = [F]
@@ -177,14 +179,109 @@ def _row(cfg: RunConfig, stage, row_key, k_key):
     return row, reports, F, head, space
 
 
+class _Worker:
+    """A forked process that runs the descents one row thread hands it, one at a time.
+
+    It is forked before any row thread starts, so it copies a process with
+    one thread.  A descent's function and arguments go in pickled, and its
+    result or the exception it raised comes back.  The worker closes the
+    parent's ends of the `others`' pipes, so each worker reads EOF once the
+    parent closes its own end (`close`); on EOF it exits.
+    """
+
+    def __init__(self, others):
+        ask_r, ask_w = os.pipe()
+        reply_r, reply_w = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            try:
+                for other in others:
+                    other.close()
+                os.close(ask_w)
+                os.close(reply_r)
+                with os.fdopen(ask_r, "rb") as ask, os.fdopen(reply_w, "wb") as reply:
+                    _serve(ask, reply)
+                os._exit(0)
+            finally:  # never unwinds into the parent's frames
+                os._exit(1)
+        os.close(ask_r)
+        os.close(reply_w)
+        self._ask, self._reply = os.fdopen(ask_w, "wb"), os.fdopen(reply_r, "rb")
+
+    def run(self, fn, args):
+        """fn(*args), run in the worker; an exception it raised there is raised here."""
+        self._ask.write(pickle.dumps((fn, args), pickle.HIGHEST_PROTOCOL))
+        self._ask.flush()
+        try:
+            ok, value = pickle.load(self._reply)
+        except EOFError:
+            raise RuntimeError(f"descent worker {self.pid} exited") from None
+        if not ok:
+            raise value
+        return value
+
+    def close(self):
+        self._ask.close()
+        self._reply.close()
+
+
+def _serve(ask, reply):
+    """Answer each (fn, args) read from ask on reply, until EOF; fn runs under _FP_RAISE."""
+    with np.errstate(**_FP_RAISE):
+        while True:
+            try:
+                fn, args = pickle.load(ask)
+            except EOFError:
+                return
+            try:
+                answer = pickle.dumps((True, fn(*args)), pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:
+                answer = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+            reply.write(answer)
+            reply.flush()
+
+
+def _run_threaded(row, plan, workers):
+    """row(*p, run=) for each p of plan, on one thread per worker: the results in plan order.
+
+    Each thread takes the next row of the plan and hands its descent to its
+    own worker.  Once a row raises no thread takes another, and the
+    exception of the first such row in the plan is raised here.
+    """
+    results, errors = [None] * len(plan), {}
+    todo, lock = list(enumerate(plan))[::-1], threading.Lock()
+
+    def drain(worker):
+        while True:
+            with lock:
+                if errors or not todo:
+                    return
+                i, p = todo.pop()
+            try:
+                results[i] = row(*p, run=worker.run)
+            except Exception as exc:
+                errors[i] = exc
+
+    threads = [threading.Thread(target=drain, args=(worker,)) for worker in workers]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def compute_sweep(cfg: RunConfig, stage, threads=1):
-    """Every row of `run` and `sweep`, each one `compute_row` call, on `threads` workers.
+    """Every row of `run` and `sweep`, each one `compute_row` call, on `threads` threads.
 
     Each row is its own config: "baseline" cfg, one "k=K" per dimension and one
     "q=Q" per rank (keep_top_q at Q) whose truncation is not the baseline's.
     Every row stages its world through `stage`, `_stager(cfg, raw_world)`.
     The rows of one world run in turn, so each world is staged once at
-    `threads` = 1.
+    `threads` = 1.  Above 1, min(threads, rows) `_Worker`s are forked first,
+    one per row thread, and each thread's rows descend in its worker, off
+    this process's GIL; the workers are closed and reaped however the rows end.
     Returns {table name: [(row, reports), ...]}: "baseline" always, then
     "sweep_q" (the baseline row, unchanged, then the q rows) and "sweep_k"
     (the k rows) when configured. `train`, `probe` and `bounds` run "baseline" alone.
@@ -195,15 +292,21 @@ def compute_sweep(cfg: RunConfig, stage, threads=1):
     plan += [(q_cfg, f"q={q_cfg.svd_q}", "train.k") for q_cfg in q_cfgs
              if q_cfg.truncation() != cfg.truncation()]
 
-    def row(row_cfg, row_key, k_key):  # a row's tables do not outlive it
-        return compute_row(row_cfg, stage, row_key, k_key)[:2]
+    def row(row_cfg, row_key, k_key, run=None):  # a row's tables do not outlive it
+        return compute_row(row_cfg, stage, row_key, k_key, run)[:2]
 
     if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor  # loads logging: only when used
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(row, *zip(*plan)))
-    else:  # in the main thread: a worker's own malloc arena costs ~3% peak RSS
+        workers = []
+        try:
+            for _ in range(min(threads, len(plan))):
+                workers.append(_Worker(workers))
+            results = _run_threaded(row, plan, workers)
+        finally:  # every worker is told to exit before any is waited for
+            for worker in workers:
+                worker.close()
+            for worker in workers:
+                os.waitpid(worker.pid, 0)
+    else:  # in the main thread: a thread's own malloc arena costs ~3% peak RSS
         results = [row(*p) for p in plan]
     n_k = len(cfg.train_k_sweep)
     tables = {"baseline": results[:1]}

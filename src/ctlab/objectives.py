@@ -346,6 +346,7 @@ def train_free_embeddings(
     seed: int,
     M: int = 1,
     cfg: McConfig = McConfig(),
+    run=None,
 ) -> np.ndarray:
     """Gradient descent on a free per-node embedding table; returns the (n, k) table.
 
@@ -359,13 +360,22 @@ def train_free_embeddings(
     accepted candidate brings the next step's gradient; a zero gradient ends
     the descent.  A candidate whose loss is not finite, or whose arithmetic
     overflows, divides by zero or is invalid (in any numpy error state),
-    raises `DivergenceError`.
+    raises `DivergenceError`.  `run(descent, args)`, if given, stands for
+    `descent(*args)`: cli's row threads pass one that runs the descent in a
+    forked worker process.
     """
-    n = space.n
     if k < 1:
         raise ValueError("train_free_embeddings: k must be >= 1")
+    if loss not in ("infonce", "spectral"):
+        raise ValueError(f"train_free_embeddings: unknown loss {loss!r}")
+    args = (space, k, loss, steps, step_size, seed, M, cfg)
+    return _descend(*args) if run is None else run(_descend, args)
+
+
+def _descend(space, k, loss, steps, step_size, seed, M, cfg):
+    """`train_free_embeddings`' descent, its arguments checked."""
     normalized = loss == "infonce"
-    table = 0.5 * gaussian_matrix(n, k, seed)
+    table = 0.5 * gaussian_matrix(space.n, k, seed)
     if normalized:
         table = table / np.linalg.norm(table, axis=1, keepdims=True)
         evaluate, _ = _infonce(space, M, cfg, cfg.seed + seed + 1)
@@ -373,12 +383,10 @@ def train_free_embeddings(
         def loss_fn(T):  # the gradient G T on the sphere: its radial part removed
             losses, grad = evaluate(T, coef=True)
             return float(np.mean(losses)), grad - np.sum(grad * T, axis=1, keepdims=True) * T
-    elif loss == "spectral":
+    else:
 
         def loss_fn(T):
             return _spectral_terms(T, space)
-    else:
-        raise ValueError(f"train_free_embeddings: unknown loss {loss!r}")
 
     current, g = loss_fn(table)
     eta = step_size

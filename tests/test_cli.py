@@ -6,6 +6,7 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -267,7 +268,7 @@ class TestRunCommand:
         cfg = load_config(REFERENCE, sets)
         plan = {}
 
-        def row(row_cfg, stage, row_key, k_key):
+        def row(row_cfg, stage, row_key, k_key, run=None):
             plan[row_key] = (row_cfg, k_key)
             return {}, [], None, None, None
 
@@ -394,6 +395,125 @@ class TestRunCommand:
         ) == 0
         assert not os.path.exists(os.path.join(out, "sweep_q.csv"))
         assert not os.path.exists(os.path.join(out, "sweep_k.csv"))
+
+
+def _staged_space(sets):
+    cfg = load_config(REFERENCE, sets)
+    return cfg, cli._stager(cfg, world.generate_world(cfg.world))(None).space
+
+
+# each case runs in its own interpreter, which then checks that it has no child left
+_LIFE_CYCLE = """
+import os, sys
+from ctlab import cli, world
+from ctlab.config import load_config
+{case}
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+"""
+
+
+class TestDescentWorkers:
+    """Threaded sweeps hand each row's descent to a forked worker process."""
+
+    @pytest.fixture
+    def worker(self):
+        worker = cli._Worker([])
+        yield worker
+        worker.close()
+        os.waitpid(worker.pid, 0)
+
+    def test_threads_fork_at_most_one_worker_per_row(self, monkeypatch):
+        made = []
+
+        class Spied(cli._Worker):
+            def __init__(self, others):
+                made.append(None)
+                super().__init__(others)
+
+        monkeypatch.setattr(cli, "_Worker", Spied)
+        sets = ["svd.mode=discard_pair", "svd.pair_index=1", "svd.sweep=2", "train.k_sweep=5"]
+        cfg = load_config(REFERENCE, sets)
+        tables = cli.compute_sweep(cfg, cli._stager(cfg, world.generate_world(cfg.world)), 64)
+        assert [len(rows) for rows in tables.values()] == [1, 2, 1]  # baseline, k=5, q=2
+        assert len(made) == 3
+
+    @pytest.mark.parametrize("failing, want", [((), [0, 1, 2]), ((1, 2), "1")])
+    def test_rows_come_back_in_plan_order_or_the_first_failing_row_raises(self, failing, want):
+        together = threading.Barrier(3)  # all three rows run at once
+
+        def row(i, run):
+            together.wait(timeout=10)
+            if i in failing:
+                raise ValueError(i)
+            return i
+
+        workers = [SimpleNamespace(run=None)] * 3  # rows that never descend need no process
+        if failing:
+            with pytest.raises(ValueError, match=f"^{want}$"):
+                cli._run_threaded(row, [(0,), (1,), (2,)], workers)
+        else:
+            assert cli._run_threaded(row, [(0,), (1,), (2,)], workers) == want
+
+    @pytest.mark.parametrize("case, stdout, stderr", [
+        (
+            "cfg = load_config(sys.argv[1])\n"
+            "cli.compute_sweep(cfg, cli._stager(cfg, world.generate_world(cfg.world)), 2)",
+            "", "",
+        ),
+        (
+            "print('exit', cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2],"
+            " '--set', 'train.step_size=1e300', '--threads', '2']))",
+            "exit 2\n",
+            "error: ctlab run: row baseline: train_free_embeddings: loss diverged"
+            " (overflow encountered in multiply)\n",
+        ),
+        (
+            "print('exit', cli.main(['sweep', '--config', sys.argv[1], '--out', sys.argv[2],"
+            " '--threads', '3']))",
+            "exit 0\n", "",
+        ),
+        (  # a later worker holds no end of an earlier one's pipes, so each exits alone
+            "first = cli._Worker([])\nsecond = cli._Worker([first])\n"
+            "first.close()\nos.waitpid(first.pid, 0)\n"
+            "print(second.run(len, ('ab',)))\nsecond.close()\nos.waitpid(second.pid, 0)",
+            "2\n", "",
+        ),
+    ], ids=["returns", "diverges", "three-threads", "first-exits-first"])
+    def test_no_worker_outlives_its_sweep(self, tmp_path, case, stdout, stderr):
+        # fork warnings are shown: a fork after a row thread started would warn on 3.12+
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        argv = [sys.executable, "-W", "always:This process:DeprecationWarning", "-c",
+                _LIFE_CYCLE.format(case=case), REFERENCE, str(tmp_path / "out")]
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.stderr == stderr
+        assert proc.stdout.endswith(stdout + "no child left\n")
+
+    @pytest.mark.parametrize("sets", [
+        [], ["train.m=2"], ["inflation.factor=8", "world.noise_scale=0.05"],
+        ["train.loss=spectral"],
+    ], ids=["exact", "exact-m2", "monte-carlo-8x", "spectral"])
+    def test_descent_in_a_worker_has_the_bits_of_the_call(self, worker, sets):
+        cfg, space = _staged_space(sets)
+        args = (space, cfg.train_k, cfg.train_loss, cfg.train_steps, cfg.train_step_size, 7,
+                cfg.train_M, cfg.mc_config(7))
+        got = objectives.train_free_embeddings(*args, run=worker.run)
+        want = objectives.train_free_embeddings(*args)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_divergence_in_a_worker_reaches_the_caller(self, worker):
+        _cfg, space = _staged_space([])
+        args = (space, 3, "infonce", 30, 1e300, 7)
+        with pytest.raises(objectives.DivergenceError) as want:
+            objectives.train_free_embeddings(*args)
+        with pytest.raises(objectives.DivergenceError) as got:
+            objectives.train_free_embeddings(*args, run=worker.run)
+        assert worker.run(len, ([1, 2],)) == 2  # it still serves
+        assert str(got.value) == str(want.value)
+        assert "loss diverged" in str(got.value)
 
 
 class TestSubcommands:
