@@ -41,7 +41,7 @@ from .objectives import (
     spectral_loss,
     train_free_embeddings,
 )
-from .world import generate_world, inflate, preprocess_world, save_world
+from .world import generate_world, preprocess_world, save_world
 
 # overflow, invalid operations and division by zero raise; underflow is left alone
 _FP_RAISE = {"over": "raise", "invalid": "raise", "divide": "raise"}
@@ -84,29 +84,29 @@ def emit_text(rows, path) -> None:
 # pipeline
 
 
-def _stager(cfg: RunConfig, raw_world):
+def _stager(cfg: RunConfig):
     """Return stage(truncation): the staged graph of cfg's world at that truncation.
 
-    The transforms and the inflated world are built once, here, so every
-    truncation is augmented by the transforms of the raw world; a row can
-    vary only the truncation.  stage keeps only the latest staged graph,
-    dropping it before staging the next one, so rows that stage the same
-    world in turn share its graph.  It hands the dropped graph's spectrum to
+    The world, planted with cfg's inflation factor and run seed, and its
+    transforms are built once, here, so every truncation is augmented by the
+    transforms of the untruncated world; a row can vary only the truncation.
+    stage keeps only the latest staged graph, dropping it before staging the
+    next one, so rows that stage the same world in turn share its graph.  It hands the dropped graph's spectrum to
     stage_graph, so a world whose positive-pair joint equals the last
     eigendecomposed one exactly (the q rows of an inflated world, which
     differ only in their labels) reuses that spectrum.  One thread stages at
-    a time, so threads that ask for a world together (the pool's first rows)
-    stage it once, pair support included; the others wait and share it.
+    a time, so threads that ask for a world together stage it once, pair
+    support included; the others wait and share it.
     """
-    transforms = make_transforms(cfg, raw_world)
-    inflated = inflate(raw_world, cfg.inflation_factor, seed=cfg.seed)
+    world = generate_world(cfg.world, cfg.inflation_factor, cfg.seed)
+    transforms = make_transforms(cfg, world)
     latest, lock = {}, threading.Lock()
 
     def stage(trunc):
         with lock:
             if trunc not in latest:
                 last = latest.popitem()[1].spectrum if latest else None
-                latest[trunc] = stage_graph(preprocess_world(inflated, trunc), transforms, last)
+                latest[trunc] = stage_graph(preprocess_world(world, trunc), transforms, last)
             return latest[trunc]
 
     return stage
@@ -277,7 +277,7 @@ def compute_sweep(cfg: RunConfig, stage, threads=1):
 
     Each row is its own config: "baseline" cfg, one "k=K" per dimension and one
     "q=Q" per rank (keep_top_q at Q) whose truncation is not the baseline's.
-    Every row stages its world through `stage`, `_stager(cfg, raw_world)`.
+    Every row stages its world through `stage`, `_stager(cfg)`.
     The rows of one world run in turn, so each world is staged once at
     `threads` = 1.  Above 1, min(threads, rows) `_Worker`s are forked first,
     one per row thread, and each thread's rows descend in its worker, off
@@ -364,9 +364,9 @@ def _exit_status(reports, allow_violations):
 
 
 def cmd_run(cfg: RunConfig, out_dir, threads, allow_violations):
-    raw_world = generate_world(cfg.world)
-    tables = compute_sweep(cfg, _stager(cfg, raw_world), threads)
-    save_world(raw_world, os.path.join(out_dir, "world"))  # nothing is written before every row
+    tables = compute_sweep(cfg, _stager(cfg), threads)
+    # nothing is written before every row; the saved world is the raw one, uninflated
+    save_world(generate_world(cfg.world), os.path.join(out_dir, "world"))
     _write_tables(cfg, out_dir, tables)
     reports = _table_reports(tables)
     _write(os.path.join(out_dir, "bounds.txt"), _blocks(map(report_to_text, reports)))
@@ -374,14 +374,14 @@ def cmd_run(cfg: RunConfig, out_dir, threads, allow_violations):
 
 
 def cmd_world(cfg, out_dir, threads, allow_violations):
-    inflated = inflate(generate_world(cfg.world), cfg.inflation_factor, seed=cfg.seed)
-    save_world(preprocess_world(inflated, cfg.truncation()), os.path.join(out_dir, "world"))
+    world = generate_world(cfg.world, cfg.inflation_factor, cfg.seed)
+    save_world(preprocess_world(world, cfg.truncation()), os.path.join(out_dir, "world"))
     _write_manifest(cfg, os.path.join(out_dir, "manifest.txt"))
     return 0
 
 
 def cmd_graph(cfg, out_dir, threads, allow_violations):
-    staged = _stager(cfg, generate_world(cfg.world))(cfg.truncation())
+    staged = _stager(cfg)(cfg.truncation())
     A = staged.space.joint
     save_matrix_text(os.path.join(out_dir, "adjacency.mat"), A)
     save_matrix_text(
@@ -399,7 +399,7 @@ def cmd_graph(cfg, out_dir, threads, allow_violations):
 
 def _baseline_row(cfg):
     """`run`'s baseline row of the configured world: compute_row's five values."""
-    return compute_row(cfg, _stager(cfg, generate_world(cfg.world)), "baseline")
+    return compute_row(cfg, _stager(cfg), "baseline")
 
 
 def cmd_train(cfg, out_dir, threads, allow_violations):
@@ -431,7 +431,7 @@ def cmd_bounds(cfg, out_dir, threads, allow_violations):
 def cmd_sweep(cfg, out_dir, threads, allow_violations):
     if not cfg.svd_sweep and not cfg.train_k_sweep:
         raise ConfigError("sweep: neither svd.sweep nor train.k_sweep configured")
-    tables = compute_sweep(cfg, _stager(cfg, generate_world(cfg.world)), threads)
+    tables = compute_sweep(cfg, _stager(cfg), threads)
     del tables["baseline"]  # written by `run` only; its row heads sweep_q
     for line in _write_tables(cfg, out_dir, tables):
         print(line)

@@ -46,7 +46,6 @@ __all__ = [
     "build_augmented_space",
     "labeling_error",
     "preprocess_world",
-    "inflate",
     "save_world",
 ]
 
@@ -186,8 +185,8 @@ class AugmentedSpace:
 
     @cached_property
     def _pairs(self):
-        """The joint's support, row sums and sum, from one product that is then dropped."""
-        joint = self.cond.T @ (self.cond * self.weights[:, None])
+        """The joint's support, row sums and sum, from one read of `joint` that is then dropped."""
+        joint = self.joint
         xs, ys = np.nonzero(joint)
         return (xs, ys, joint[xs, ys]), joint.sum(axis=1), joint.sum()
 
@@ -219,12 +218,6 @@ def _slot_layout(spec: WorldSpec):
     return dist, extra, 1 + spec.K * dist + spec.K * extra
 
 
-def _frames(spec: WorldSpec, total: int):
-    U = orthonormalize(gaussian_matrix(spec.m, total, spec.seed * 7919 + 13))
-    V = orthonormalize(gaussian_matrix(spec.m_prime, total, spec.seed * 7919 + 101))
-    return U, V
-
-
 def _dist_slots(spec: WorldSpec, c: int):
     dist, _extra, _total = _slot_layout(spec)
     start = 1 + c * dist
@@ -237,25 +230,36 @@ def _extra_slots(spec: WorldSpec, c: int):
     return list(range(start, start + extra))
 
 
-def generate_world(spec: WorldSpec) -> World:
-    """Plant K class templates of rank q* plus per-original wrong-class signal.
+def generate_world(spec: WorldSpec, factor: int = 1, seed: int = 0) -> World:
+    """Plant K class templates of rank q* and factor * K * per_class originals.
 
-    Deterministic for a fixed spec (seed included); the nuisance target
-    class cycles with the within-class original index, so inflation can
-    reproduce the exact payload distribution.  The spec must pass
-    WorldSpec.validate.
+    Original i is class c's variant j, (c, j) = divmod(i % (K * per_class),
+    per_class); the nuisance target class cycles with j.  The first
+    K * per_class are the raw originals, a pure function of the spec (seed
+    included).  The rest, for factor > 1, are synthetic data inflation, a
+    stand-in for learned generative inflation: more rounds of the same
+    cycle, each original with fresh noise keyed by `seed`, so they depend
+    only on the spec, the factor and that seed.  Weights are uniform.  The
+    spec must pass WorldSpec.validate, and factor must be >= 1.
     """
     spec.validate()
+    if factor < 1:
+        raise ValueError("generate_world: factor must be >= 1")
     dist, _extra, total = _slot_layout(spec)
-    U, V = _frames(spec, total)
+    U = orthonormalize(gaussian_matrix(spec.m, total, spec.seed * 7919 + 13))
+    V = orthonormalize(gaussian_matrix(spec.m_prime, total, spec.seed * 7919 + 101))
     sig_dist = np.linspace(_DIST_SIGMA_MAX, _DIST_SIGMA_MIN, dist)
     templates = np.zeros((spec.K, spec.m, spec.m_prime))
     for c, T in enumerate(templates):
         T += _BACKGROUND_SIGMA * np.outer(U[:, 0], V[:, 0])
         for j, s in zip(_dist_slots(spec, c), sig_dist):
             T += s * np.outer(U[:, j], V[:, j])
-    payloads = np.stack([_planted_original(spec, U, V, templates, c, j, c * spec.per_class + j)
-                         for c in range(spec.K) for j in range(spec.per_class)])
+    n_raw = spec.K * spec.per_class
+    payloads = np.stack([  # round by round, class by class, variant by variant
+        _planted_original(spec, U, V, templates, *divmod(i % n_raw, spec.per_class),
+                          i if i < n_raw else 1_000_000 * (seed + 1) + i)
+        for i in range(factor * n_raw)
+    ])
     weights = np.full(len(payloads), 1.0 / len(payloads))
     return World(payloads, ground_truth_label(payloads, templates), weights, templates, spec)
 
@@ -482,7 +486,7 @@ def labeling_error(space: AugmentedSpace, world: World) -> float:
 
 
 # ---------------------------------------------------------------------------
-# preprocessing and inflation
+# preprocessing
 
 
 def preprocess_world(world: World, spec: TruncationSpec | None) -> World:
@@ -504,40 +508,6 @@ def preprocess_world(world: World, spec: TruncationSpec | None) -> World:
         weights=world.weights.copy(),
         templates=world.templates,
         spec=world.spec,
-    )
-
-
-def inflate(world: World, factor: int, seed: int = 0) -> World:
-    """Synthetic data inflation: draw (factor - 1) |D| extra originals.
-
-    The extra samples come from the same planted generator, continuing the
-    per-class variant cycle; with noise_scale > 0 each new sample gets a
-    fresh noise draw.  They depend only on the spec, the templates, the
-    original count and the seed, not on the originals' payloads.  Weights are
-    re-uniformized.  This is a stand-in for learned generative inflation and
-    is flagged as synthetic in reports.
-    """
-    if factor < 1:
-        raise ValueError("inflate: factor must be >= 1")
-    if factor == 1:
-        return world
-    spec = world.spec
-    _dist, _extra, total = _slot_layout(spec)
-    U, V = _frames(spec, total)
-    templates = world.templates
-    n0, per_round = len(world.payloads), spec.K * spec.per_class
-    extra = np.stack([  # round by round, class by class, variant by variant
-        _planted_original(spec, U, V, templates, *divmod(i % per_round, spec.per_class),
-                          1_000_000 * (seed + 1) + n0 + i)
-        for i in range((factor - 1) * per_round)
-    ])
-    payloads = np.concatenate([world.payloads, extra])
-    return World(
-        payloads=payloads,
-        labels=np.concatenate([world.labels, ground_truth_label(extra, templates)]),
-        weights=np.full(len(payloads), 1.0 / len(payloads)),
-        templates=templates,
-        spec=spec,
     )
 
 

@@ -30,7 +30,6 @@ from ctlab.world import (
     build_augmented_space,
     class_pattern,
     generate_world,
-    inflate,
     labeling_error,
     preprocess_world,
 )
@@ -123,7 +122,7 @@ def test_02_spectrum_sanity(capsys):
     graphs = []
     for name, world, transforms in _spaces_catalog():
         graphs.append((name, stage_graph(world, transforms)))
-    inflated = inflate(reference_world(), 3)
+    inflated = generate_world(reference_world().spec, 3)
     graphs.append(("inflated", stage_graph(inflated, reference_transforms(reference_world()))))
     for name, G in graphs:
         vals = G.spectrum.values
@@ -312,7 +311,7 @@ def test_07_downstream_bound_planted_suite(capsys):
 @pytest.fixture(scope="module")
 def reference_run():
     cfg = load_config(REFERENCE_CONFIG)
-    tables = compute_sweep(cfg, _stager(cfg, generate_world(cfg.world)), threads=2)
+    tables = compute_sweep(cfg, _stager(cfg), threads=2)
     q_rows = [row for row, _ in tables["sweep_q"]]
     k_rows = [row for row, _ in tables["sweep_k"]]
     return cfg, q_rows, k_rows
@@ -370,7 +369,7 @@ def test_10_inflation_preserves_spectrum(capsys):
     w = reference_world()
     transforms = reference_transforms(w)
     G0 = stage_graph(w, transforms)
-    G4 = stage_graph(inflate(w, 4), transforms)
+    G4 = stage_graph(generate_world(w.spec, 4), transforms)
     v0 = G0.spectrum.values
     v4 = G4.spectrum.values
     if G0.space.n != G4.space.n:

@@ -37,7 +37,6 @@ from ctlab.world import (
     WorldSpec,
     build_augmented_space,
     generate_world,
-    inflate,
     preprocess_world,
 )
 from oracles import (
@@ -82,7 +81,7 @@ def reference_and_inflated_spaces():
     noisy = generate_world(replace(reference_spec(), noise_scale=0.05))
     return (
         build_augmented_space(w, reference_transforms(w)),
-        build_augmented_space(inflate(noisy, 4, seed=6), reference_transforms(noisy)),
+        build_augmented_space(generate_world(noisy.spec, 4, 6), reference_transforms(noisy)),
     )
 
 
@@ -118,7 +117,7 @@ def all_sandwich_terms(f, space, M, cfg=McConfig()):
 
 def inflated8_space():
     noisy = generate_world(replace(reference_spec(), noise_scale=0.05))
-    return build_augmented_space(inflate(noisy, 8, seed=6), reference_transforms(noisy))
+    return build_augmented_space(generate_world(noisy.spec, 8, 6), reference_transforms(noisy))
 
 
 TERMS = {f.name for f in fields(SandwichTerms)} - {"normalized"} | {"gap"}
@@ -476,7 +475,7 @@ class TestSandwich:
                 raw = world = reference_world()
             else:
                 raw = generate_world(replace(reference_spec(), noise_scale=0.05))
-                world = inflate(raw, 8, seed=6)
+                world = generate_world(raw.spec, 8, 6)
             staged, k = stage_graph(world, reference_transforms(raw)), 3
         space, cfg = staged.space, McConfig(samples=3000, seed=4)
         for f in (
@@ -722,7 +721,7 @@ class TestOffReferenceWorlds:
         )
         if q is not None:
             cfg = replace(cfg, svd_mode="keep_top_q", svd_q=q)
-        stage = cli._stager(cfg, generate_world(cfg.world))
+        stage = cli._stager(cfg)
         cfg = replace(cfg, train_k=min(k, stage(cfg.truncation()).space.n))
         _row, reports, *_tables = cli.compute_row(cfg, stage, "baseline")
         assert [r.theorem for r in reports] == [

@@ -138,7 +138,7 @@ class TestRunCommand:
         # t1, t3 and the corollaries follow the trained table's rows, not its
         # loss; on the small config every InfoNCE table is unit and no spectral one
         cfg = load_config(small_cfg, [f"train.loss={loss}"])
-        stage = cli._stager(cfg, world.generate_world(cfg.world))
+        stage = cli._stager(cfg)
         for k, q in [(k, q) for k in (1, 2) for q in (None, 1, 2, 3)]:
             row_cfg = replace(cfg, train_k=k)
             if q is not None:
@@ -209,9 +209,11 @@ class TestRunCommand:
     def test_inflated_sweep_inflates_once_and_never_calls_choice(
         self, small_cfg, tmp_path, monkeypatch
     ):
-        # every q world shares the one inflation; every Monte Carlo draw goes
-        # through the space's inverse-CDF tables
-        inflations = _count_calls(monkeypatch, world.inflate)
+        # every q world shares the one inflated world; every Monte Carlo draw
+        # goes through the space's inverse-CDF tables
+        factors, plant = [], world.generate_world
+        monkeypatch.setattr(cli, "generate_world", lambda spec, factor=1, seed=0:
+                            factors.append(factor) or plant(spec, factor, seed))
         batches = _count_calls(monkeypatch, objectives._sample_batch)
         choices = []
 
@@ -223,15 +225,14 @@ class TestRunCommand:
         monkeypatch.setattr(np.random, "Generator", Generator)
         argv = ["run", "--config", small_cfg, "--out", str(tmp_path / "art")]
         assert main(argv + ["--set", "inflation.factor=3", "--set", "bounds.n_max=1"]) == 0
-        assert len(inflations) == 1
+        assert factors == [3, 1]  # the stager's world, then the raw world `run` saves
         assert batches and not choices
 
     def test_threaded_sweep_stages_each_world_once(self, monkeypatch):
         # the two workers ask for the first world together and stage it once
         cfg = load_config(REFERENCE)
-        raw = world.generate_world(cfg.world)
         staged = _count_calls(monkeypatch, graph.stage_graph)
-        cli.compute_sweep(cfg, cli._stager(cfg, raw), threads=2)
+        cli.compute_sweep(cfg, cli._stager(cfg), threads=2)
         assert len(staged) == 1 + len(cfg.svd_sweep) == 5
 
     @pytest.mark.parametrize(
@@ -242,10 +243,9 @@ class TestRunCommand:
         # inflated, the q = 1..4 worlds share one joint and so one spectrum; on
         # reference the baseline and q = 4 share one too, but not in turn
         cfg = load_config(REFERENCE, sets + ["train.loss=spectral"])  # staging ignores the loss
-        raw = world.generate_world(cfg.world)
         staged = _count_calls(monkeypatch, graph.stage_graph)
         spectrum = _count_calls(monkeypatch, graph.laplacian_spectrum)
-        cli.compute_sweep(cfg, cli._stager(cfg, raw))
+        cli.compute_sweep(cfg, cli._stager(cfg))
         assert len(staged) == 1 + len(cfg.svd_sweep) == 5
         assert len(spectrum) == spectra
 
@@ -253,13 +253,18 @@ class TestRunCommand:
         "sets, threads", [([], 2), (["train.loss=spectral"], 1)], ids=["monte_carlo", "spectral"]
     )
     def test_inflated_sweep_reads_no_dense_joint(self, monkeypatch, sets, threads):
-        # staging keeps the joint's support, row sums and mass; no step forms the n x n joint
+        # staging keeps the joint's support, row sums and mass, reduced by
+        # `_pairs` from its one read of the n x n joint; no other step forms it
+        dense = world.AugmentedSpace.joint.fget
+
         def joint(space):
-            raise AssertionError("joint read")
+            if sys._getframe(1).f_code.co_name != "_pairs":
+                raise AssertionError("joint read")
+            return dense(space)
 
         monkeypatch.setattr(world.AugmentedSpace, "joint", property(joint))
         cfg = load_config(REFERENCE, ["inflation.factor=8", "world.noise_scale=0.05"] + sets)
-        tables = cli.compute_sweep(cfg, cli._stager(cfg, world.generate_world(cfg.world)), threads)
+        tables = cli.compute_sweep(cfg, cli._stager(cfg), threads)
         assert [len(rows) for rows in tables.values()] == [1, 5, len(cfg.train_k_sweep)]
 
     def test_each_row_is_its_own_config(self, monkeypatch):
@@ -285,9 +290,8 @@ class TestRunCommand:
         # such a row would stage the baseline's world again under another row seed
         sets = ["svd.mode=keep_top_q", "svd.q=2", "svd.sweep=2,3", "train.k_sweep=2,3"]
         cfg = load_config(REFERENCE, sets)
-        raw = world.generate_world(cfg.world)
         staged = _count_calls(monkeypatch, graph.stage_graph)
-        tables = cli.compute_sweep(cfg, cli._stager(cfg, raw))
+        tables = cli.compute_sweep(cfg, cli._stager(cfg))
         assert len(staged) == 2  # the baseline's world, then q=3's
         ((base, _reports),) = tables["baseline"]
         q_rows = [row for row, _reports in tables["sweep_q"]]
@@ -304,7 +308,7 @@ class TestRunCommand:
 
         monkeypatch.setattr(cli, "stage_graph", slow_stage_graph)
         cfg = load_config(REFERENCE)
-        stage = cli._stager(cfg, world.generate_world(cfg.world))
+        stage = cli._stager(cfg)
         start = threading.Barrier(8)
 
         def ask():
@@ -332,7 +336,7 @@ class TestRunCommand:
         # each truncated world would merge views (57 nodes at every q with
         # noise, 7 / 21 / 18 on the reference world at q = 1-3)
         cfg = load_config(REFERENCE, sets)
-        stage = cli._stager(cfg, world.generate_world(cfg.world))
+        stage = cli._stager(cfg)
         truncs = [None] + [TruncationSpec(mode="keep_top_q", q=q) for q in (1, 2, 3, 4)]
         got = [(g.space.n, len(g.spectrum.nodes)) for g in map(stage, truncs)]
         assert got == want
@@ -364,8 +368,7 @@ class TestRunCommand:
 
     def test_t4_head_is_the_spectral_table_fitted_alone(self, small_cfg):
         cfg = load_config(small_cfg)
-        raw = world.generate_world(cfg.world)
-        stage = cli._stager(cfg, raw)
+        stage = cli._stager(cfg)
         _row, reports, *_tables = cli.compute_row(cfg, stage, "baseline")
         (t4,) = [r for r in reports if r.theorem == "theorem4"]
         staged = stage(cfg.truncation())
@@ -399,13 +402,13 @@ class TestRunCommand:
 
 def _staged_space(sets):
     cfg = load_config(REFERENCE, sets)
-    return cfg, cli._stager(cfg, world.generate_world(cfg.world))(None).space
+    return cfg, cli._stager(cfg)(None).space
 
 
 # each case runs in its own interpreter, which then checks that it has no child left
 _LIFE_CYCLE = """
 import os, sys
-from ctlab import cli, world
+from ctlab import cli
 from ctlab.config import load_config
 {case}
 try:
@@ -436,7 +439,7 @@ class TestDescentWorkers:
         monkeypatch.setattr(cli, "_Worker", Spied)
         sets = ["svd.mode=discard_pair", "svd.pair_index=1", "svd.sweep=2", "train.k_sweep=5"]
         cfg = load_config(REFERENCE, sets)
-        tables = cli.compute_sweep(cfg, cli._stager(cfg, world.generate_world(cfg.world)), 64)
+        tables = cli.compute_sweep(cfg, cli._stager(cfg), 64)
         assert [len(rows) for rows in tables.values()] == [1, 2, 1]  # baseline, k=5, q=2
         assert len(made) == 3
 
@@ -460,7 +463,7 @@ class TestDescentWorkers:
     @pytest.mark.parametrize("case, stdout, stderr", [
         (
             "cfg = load_config(sys.argv[1])\n"
-            "cli.compute_sweep(cfg, cli._stager(cfg, world.generate_world(cfg.world)), 2)",
+            "cli.compute_sweep(cfg, cli._stager(cfg), 2)",
             "", "",
         ),
         (
@@ -651,8 +654,7 @@ class TestSingleRowCommands:
         assert main(self._argv("train", case, tmp_path)) == 0
         path, seed, sets = case
         cfg = load_config(path, [*sets, f"run.seed={seed}"])
-        raw = world.generate_world(cfg.world)
-        baseline = cli.compute_row(cfg, cli._stager(cfg, raw), "baseline")
+        baseline = cli.compute_row(cfg, cli._stager(cfg), "baseline")
         _row, _reports, F, _head, space = baseline
         np.testing.assert_array_equal(load_matrix_text(tmp_path / "embedding.mat"), F)
         nodes = (tmp_path / "embedding_nodes.txt").read_text().splitlines()

@@ -27,7 +27,7 @@ from ctlab.objectives import (
     _sampled_infonce,
     _table_indices,
 )
-from ctlab.world import AugmentedSpace, build_augmented_space, generate_world, inflate
+from ctlab.world import AugmentedSpace, build_augmented_space, generate_world
 from oracles import (
     dense_lse_approx_error,
     dense_sampled_infonce,
@@ -57,7 +57,7 @@ def reference_space():
 
 def inflated_space(factor=4):
     w = generate_world(replace(reference_spec(), noise_scale=0.05))
-    return build_augmented_space(inflate(w, factor, seed=6), reference_transforms(w))
+    return build_augmented_space(generate_world(w.spec, factor, 6), reference_transforms(w))
 
 
 def random_space(n, seed, K=2):

@@ -23,7 +23,6 @@ from ctlab.world import (
     class_pattern,
     generate_world,
     ground_truth_label,
-    inflate,
     labeling_error,
     preprocess_world,
     save_world,
@@ -183,7 +182,7 @@ class TestBatchedLabelRule:
 
     def test_inflated8_space(self):
         noisy = generate_world(_ref_spec(noise_scale=0.05))
-        space = build_augmented_space(inflate(noisy, 8, seed=6), reference_transforms(noisy))
+        space = build_augmented_space(generate_world(noisy.spec, 8, 6), reference_transforms(noisy))
         assert space.n > 400
         self._check(space.payloads, noisy.templates)
 
@@ -349,7 +348,7 @@ class TestAugmentedSpace:
             "reference": (raw, reference_transforms(raw)),
             "reference_q2": (preprocess_world(raw, TruncationSpec(mode="keep_top_q", q=2)),
                              reference_transforms(raw)),
-            "inflated8": (inflate(noisy, 8, seed=6), reference_transforms(noisy)),
+            "inflated8": (generate_world(noisy.spec, 8, 6), reference_transforms(noisy)),
         }[which]
         space = build_augmented_space(world, transforms)
         assert "_pairs" in vars(space)
@@ -371,7 +370,7 @@ class TestAugmentedSpace:
         # threads of one sweep share a staged space and may read its support
         # first at once; each must get the full, row-major support
         w = reference_world()
-        space = build_augmented_space(inflate(w, 8, seed=6), reference_transforms(w))
+        space = build_augmented_space(generate_world(w.spec, 8, 6), reference_transforms(w))
         space = replace(space)  # a fresh instance: its support is not cached yet
         want_xs, want_ys = np.nonzero(space.joint)
         start = threading.Barrier(8)
@@ -420,7 +419,7 @@ class TestAugmentedSpace:
         raw = reference_world()
         noisy = generate_world(_ref_spec(noise_scale=0.05))
         for world, transforms in ((raw, reference_transforms(raw)),
-                                  (inflate(noisy, 8, seed=6), reference_transforms(noisy))):
+                                  (generate_world(noisy.spec, 8, 6), reference_transforms(noisy))):
             truncated = [preprocess_world(world, TruncationSpec(mode="keep_top_q", q=q))
                          for q in (1, 2, 3, 4)]
             for w in [world, *truncated]:
@@ -576,10 +575,9 @@ class TestPreprocess:
 
     def test_truncates_only_the_raw_originals(self):
         # on an 8x inflated world exactly the first K * per_class originals change
-        raw = generate_world(_ref_spec(noise_scale=0.05))
-        iw = inflate(raw, 8, seed=6)
+        iw = generate_world(_ref_spec(noise_scale=0.05), 8, 6)
         pw = preprocess_world(iw, TruncationSpec(mode="keep_top_q", q=1))
-        n_raw = raw.spec.K * raw.spec.per_class
+        n_raw = iw.spec.K * iw.spec.per_class
         changed = [i for i in range(len(iw.payloads))
                    if pw.payloads[i].tobytes() != iw.payloads[i].tobytes()]
         assert changed == list(range(n_raw))
@@ -592,13 +590,13 @@ class TestPreprocess:
         assert pw.weights.tobytes() == iw.weights.tobytes()
 
     def test_no_truncation_returns_the_world_itself(self):
-        iw = inflate(generate_world(_ref_spec(noise_scale=0.05)), 8, seed=6)
+        iw = generate_world(_ref_spec(noise_scale=0.05), 8, 6)
         assert preprocess_world(iw, None) is iw
 
     def test_raw_factors_are_computed_once_with_the_bits_of_fresh_ones(self, monkeypatch):
         # one set of raw factors, cached on the world, serves every truncation of a sweep
         def make():
-            return inflate(generate_world(_ref_spec(noise_scale=0.05)), 8, seed=6)
+            return generate_world(_ref_spec(noise_scale=0.05), 8, 6)
 
         iw, calls = make(), []
         monkeypatch.setattr("ctlab.world.svd_full", lambda P: calls.append(None) or svd_full(P))
@@ -620,39 +618,39 @@ class TestPreprocess:
 
 
 class TestInflate:
+    """generate_world(spec, factor, seed): the raw originals first, then the extras."""
+
     def test_factor_one_is_noop(self):
-        w = reference_world()
-        assert inflate(w, 1) is w
+        w, w1 = generate_world(_ref_spec()), generate_world(_ref_spec(), 1, 6)
+        for field in ("payloads", "labels", "weights", "templates"):
+            assert getattr(w1, field).tobytes() == getattr(w, field).tobytes()
 
     def test_counts_and_uniform_weights(self):
-        w = inflate(reference_world(), 4)
+        w = generate_world(_ref_spec(), 4)
         assert len(w.payloads) == len(w.labels) == 24
-        assert np.allclose(w.weights, 1.0 / 24.0)
+        assert np.all(w.weights == 1.0 / 24.0)
 
     def test_noise_free_inflation_duplicates_payloads(self):
-        w = reference_world()
-        iw = inflate(w, 3)
-        base = {P.tobytes() for P in w.payloads}
+        iw = generate_world(_ref_spec(), 3)
+        base = {P.tobytes() for P in iw.payloads[:6]}
         extra = {P.tobytes() for P in iw.payloads[6:]}
         assert extra <= base
 
     def test_rejects_bad_factor(self):
-        with pytest.raises(ValueError):
-            inflate(reference_world(), 0)
+        with pytest.raises(ValueError, match="factor must be >= 1"):
+            generate_world(_ref_spec(), 0)
 
-    @pytest.mark.parametrize("q", [1, 2, 3, 4])
-    def test_extras_do_not_depend_on_truncation(self, q):
-        # truncating the raw originals of one inflated world is the world of
-        # inflating the truncated raw world: one inflation serves a q sweep
-        raw = generate_world(_ref_spec(noise_scale=0.05))
-        trunc = TruncationSpec(mode="keep_top_q", q=q)
-        want = inflate(preprocess_world(raw, trunc), 8, seed=6)
-        got = preprocess_world(inflate(raw, 8, seed=6), trunc)
-        assert got.payloads.shape == want.payloads.shape
-        assert got.payloads.tobytes() == want.payloads.tobytes()
-        assert got.labels.tolist() == want.labels.tolist()
-        assert got.weights.tobytes() == want.weights.tobytes()
-        assert got.templates is want.templates and got.spec == want.spec
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    @pytest.mark.parametrize("seed", [0, 6])
+    @pytest.mark.parametrize("factor", [1, 2, 8])
+    def test_raw_originals_come_first(self, factor, seed, noise):
+        # the first K * per_class originals, their labels and the templates are the raw world's
+        raw = generate_world(_ref_spec(noise_scale=noise))
+        w = generate_world(raw.spec, factor, seed)
+        assert len(w.payloads) == factor * len(raw.payloads) == factor * 6
+        assert w.payloads[:6].tobytes() == raw.payloads.tobytes()
+        assert w.labels[:6].tolist() == raw.labels.tolist()
+        assert w.templates.tobytes() == raw.templates.tobytes()
 
 
 class TestSerialization:
@@ -668,8 +666,8 @@ class TestSerialization:
             assert np.array_equal(Ta, Tb)
 
     def test_round_trip_of_an_inflated_truncated_world(self, tmp_path):
-        raw = generate_world(_ref_spec(noise_scale=0.05))
-        w = preprocess_world(inflate(raw, 8, seed=6), TruncationSpec(mode="keep_top_q", q=2))
+        w = preprocess_world(generate_world(_ref_spec(noise_scale=0.05), 8, 6),
+                             TruncationSpec(mode="keep_top_q", q=2))
         save_world(w, tmp_path / "w")
         loaded = read_world(tmp_path / "w")
         assert loaded.payloads.shape == w.payloads.shape == (48, 12, 12)
@@ -687,7 +685,7 @@ SAVED_WORLDS = {
     "truncated": lambda: preprocess_world(
         reference_world(), TruncationSpec(mode="keep_top_q", q=1)),
     "inflated_truncated": lambda: preprocess_world(
-        inflate(generate_world(_ref_spec(noise_scale=0.05)), 8, seed=6),
+        generate_world(_ref_spec(noise_scale=0.05), 8, 6),
         TruncationSpec(mode="keep_top_q", q=2)),
 }
 
