@@ -109,28 +109,29 @@ def lse_approx_error(
     replicate redraws M negatives per anchor from the space's cached
     marginal inverse-CDF table and evaluates the plug-in log-mean-exp;
     returns (mean absolute error, std over replicates).  F F^T is read one
-    row block at a time: each block serves every replicate's rows, then
-    takes the exact log-sum-exp of its rows in place.
+    row block at a time: one gather takes every replicate's negatives of the
+    block's rows, then the block takes the exact log-sum-exp of its rows in
+    place.
     """
     if replicates < 2:
         raise ValueError("lse_approx_error: replicates must be >= 2")
     if M < 1:
         raise ValueError("lse_approx_error: M must be >= 1")
     p, n = space.marginal, space.n
-    negs = []  # each replicate's M negatives per anchor
-    for r in range(replicates):
+    negs = np.empty((replicates, n, M), dtype=np.intp)  # each replicate's M negatives per anchor
+    for r, neg in enumerate(negs):
         rng = np.random.Generator(
             np.random.Philox(key=np.array([seed & (2**64 - 1), r], dtype=np.uint64))
         )
-        negs.append(space.marginal_cdf.draw(rng.random((n, M))))  # rng.choice(n, p=p)
+        neg[:] = space.marginal_cdf.draw(rng.random((n, M)))  # rng.choice(n, p=p)
     plug_in = np.empty((replicates, n))  # each replicate's log-mean-exp per anchor
     lse = np.empty(n)
     for r0, S in _similarity_blocks(F, _block_rows(n)):
         rows = slice(r0, r0 + len(S))
-        for est, neg in zip(plug_in, negs):
-            s = S[np.arange(len(S))[:, None], neg[rows]]  # (rows, M)
-            smx = s.max(axis=1)
-            est[rows] = smx + np.log(np.mean(np.exp(s - smx[:, None]), axis=1))
+        # every replicate's (rows, M) negatives, read at their cells of the block
+        s = S.take(negs[:, rows] + np.arange(0, S.size, n)[:, None])
+        smx = s.max(axis=2)
+        plug_in[:, rows] = smx + np.log(np.mean(np.exp(s - smx[..., None]), axis=2))
         mx = S.max(axis=1)
         np.exp(np.subtract(S, mx[:, None], out=S), out=S)
         lse[rows] = mx + np.log(S @ p)

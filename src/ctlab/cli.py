@@ -96,7 +96,8 @@ def _stager(cfg: RunConfig):
     eigendecomposed one exactly (the q rows of an inflated world, which
     differ only in their labels) reuses that spectrum.  One thread stages at
     a time, so threads that ask for a world together stage it once, pair
-    support included; the others wait and share it.
+    support included; the others wait and share it.  stage.world is the
+    planted world, untruncated.
     """
     world = generate_world(cfg.world, cfg.inflation_factor, cfg.seed)
     transforms = make_transforms(cfg, world)
@@ -109,6 +110,7 @@ def _stager(cfg: RunConfig):
                 latest[trunc] = stage_graph(preprocess_world(world, trunc), transforms, last)
             return latest[trunc]
 
+    stage.world = world
     return stage
 
 
@@ -364,9 +366,14 @@ def _exit_status(reports, allow_violations):
 
 
 def cmd_run(cfg: RunConfig, out_dir, threads, allow_violations):
-    tables = compute_sweep(cfg, _stager(cfg), threads)
-    # nothing is written before every row; the saved world is the raw one, uninflated
-    save_world(generate_world(cfg.world), os.path.join(out_dir, "world"))
+    stage = _stager(cfg)
+    tables = compute_sweep(cfg, stage, threads)
+    # nothing is written before every row; the saved world is the raw one, uninflated:
+    # the planted world's first K * per_class originals, uniformly weighted
+    world, n_raw = stage.world, cfg.world.K * cfg.world.per_class
+    raw = replace(world, payloads=world.payloads[:n_raw], labels=world.labels[:n_raw],
+                  weights=np.full(n_raw, 1.0 / n_raw))
+    save_world(raw, os.path.join(out_dir, "world"))
     _write_tables(cfg, out_dir, tables)
     reports = _table_reports(tables)
     _write(os.path.join(out_dir, "bounds.txt"), _blocks(map(report_to_text, reports)))

@@ -113,10 +113,12 @@ _SPREAD_MAX = 700.0  # e^-700 is a normal double; e^-709 and below are not
 def _exact_infonce(space: AugmentedSpace, M: int):
     """Build the exact population InfoNCE engine of one space and M.
 
-    The anchor offsets of the space's pair support and every buffer an
-    evaluation writes are made once, here.  Returns `engine(T, coef=False)
-    -> (loss, GT)` for an (n, k) table T; with coef, GT = G T for
-    G = C + C^T, where C = dL/dS is the (n, n) coefficient matrix of the
+    The anchor offsets and flat cells of the space's pair support and every
+    buffer an evaluation writes are made once, here.  Every node must anchor
+    a pair (`stage_graph` rejects a massless node), or the build raises a
+    ValueError naming the first that does not.  Returns `engine(T,
+    coef=False) -> (loss, GT)` for an (n, k) table T; with coef, GT = G T
+    for G = C + C^T, where C = dL/dS is the (n, n) coefficient matrix of the
     loss in the entries of S = T T^T taken as independent variables, else
     None.  GT is fresh on every call, so a GT returned earlier stays valid.
 
@@ -124,20 +126,27 @@ def _exact_infonce(space: AugmentedSpace, M: int):
     row x of S is shifted by its max m_x and E = exp(S - m) is taken in that
     buffer once per call, so a pair (x, y) with negatives z has log-sum-exp
     m_x + log Z, Z = E[x, y] + sum_z E[x, z], and softmax weights E / Z;
-    each enumerated term takes one log and one reciprocal.  M = 1 works in
-    two (pairs, n) buffers and sums the negatives' weights over each
-    anchor's pairs with `np.add.reduceat`; M = 2 loops over anchors in an
-    (n, n) buffer of E[x, z1] + E[x, z2] and two (most pairs of one anchor,
-    n, n) buffers.  The identity is exact while no row of S spreads (max
-    minus min) past _SPREAD_MAX, so that no E underflows; past it the
-    engine raises FloatingPointError.
+    each enumerated term takes one log and one reciprocal.  The pairs'
+    entries are read at their flat cells x * n + y.  M = 1 works in two
+    (pairs, n) buffers, sums the negatives' weights over each anchor's pairs
+    with `np.add.reduceat`, and builds C in E's buffer: the negatives' terms
+    (E p) times those sums, then each pair's positive term added at its
+    cell.  M = 2 loops over nodes in an (n, n) buffer of E[x, z1] + E[x, z2]
+    and two (most pairs of one anchor, n, n) buffers, into a zeroed C.  The
+    identity is exact while no row of S spreads (max minus min) past
+    _SPREAD_MAX, so that no E underflows; past it the engine raises
+    FloatingPointError.
     """
     xs, ys, w = space.support
     p = space.marginal
     n = space.n
     starts = np.searchsorted(xs, np.arange(n + 1))  # xs is sorted
-    anchors = np.flatnonzero(np.diff(starts))
+    idle = np.flatnonzero(starts[1:] == starts[:-1])
+    if len(idle):  # reduceat would read the next anchor's row for its segment
+        raise ValueError(f"exact InfoNCE: node n{idle[0]:04d} anchors no support pair")
+    cells = xs * n + ys
     E = np.empty((n, n))
+    flat = E.reshape(-1)  # a view of E
     if M == 1:
         Z = np.empty((len(xs), n))
         L = np.empty((len(xs), n))
@@ -156,10 +165,10 @@ def _exact_infonce(space: AugmentedSpace, M: int):
             raise FloatingPointError(
                 f"exact InfoNCE: a similarity row spreads {spread:.6g} > {_SPREAD_MAX:g}"
             )
-        s_pos = E[xs, ys]
+        s_pos = E.take(cells)
         np.exp(np.subtract(E, m[:, None], out=E), out=E)
-        e_pos = E[xs, ys]
-        C = np.zeros((n, n)) if coef else None
+        e_pos = E.take(cells)
+        C = None
         if M == 1:
             # xs is in range; with the default mode="raise", take would copy
             # via a temporary instead of writing into Z
@@ -167,12 +176,15 @@ def _exact_infonce(space: AugmentedSpace, M: int):
             expect = np.log(Z, out=L) @ p
             if coef:
                 R = np.reciprocal(Z, out=Z)
-                C[xs, ys] = w * (e_pos * (R @ p) - 1.0)
+                positive = w * (e_pos * (R @ p) - 1.0)
                 np.multiply(w[:, None], R, out=R)
-                C[anchors] += p * E[anchors] * np.add.reduceat(R, starts[anchors], axis=0)
+                C = np.multiply(E, p, out=E)
+                np.multiply(C, np.add.reduceat(R, starts[:-1], axis=0), out=C)
+                flat[cells] += positive
         else:
+            C = np.zeros((n, n)) if coef else None
             expect = np.empty(len(xs))
-            for x in anchors:
+            for x in range(n):
                 sel = slice(starts[x], starts[x + 1])
                 pairs = sel.stop - sel.start
                 row = E[x]
@@ -378,11 +390,12 @@ def _descend(space, k, loss, steps, step_size, seed, M, cfg):
     table = 0.5 * gaussian_matrix(space.n, k, seed)
     if normalized:
         table = table / np.linalg.norm(table, axis=1, keepdims=True)
-        evaluate, _ = _infonce(space, M, cfg, cfg.seed + seed + 1)
+        evaluate, exact = _infonce(space, M, cfg, cfg.seed + seed + 1)
 
         def loss_fn(T):  # the gradient G T on the sphere: its radial part removed
             losses, grad = evaluate(T, coef=True)
-            return float(np.mean(losses)), grad - np.sum(grad * T, axis=1, keepdims=True) * T
+            loss = losses if exact else float(np.mean(losses))  # an exact loss is one float
+            return loss, grad - np.sum(grad * T, axis=1, keepdims=True) * T
     else:
 
         def loss_fn(T):
@@ -390,27 +403,28 @@ def _descend(space, k, loss, steps, step_size, seed, M, cfg):
 
     current, g = loss_fn(table)
     eta = step_size
-    for _ in range(steps):
-        if not g.any():  # a step would return the same table (k = 1 unit rows)
-            break
-        for _try in range(40):
-            try:
-                with np.errstate(over="raise", invalid="raise", divide="raise"):
+    # one error state for every candidate; the rest of a step is Python float arithmetic
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for _ in range(steps):
+                if not g.any():  # a step would return the same table (k = 1 unit rows)
+                    break
+                for _try in range(40):
                     cand = table - eta * g
                     if normalized:
                         cand = cand / np.linalg.norm(cand, axis=1, keepdims=True)
                     cand_loss, cand_g = loss_fn(cand)
-            except FloatingPointError as exc:
-                raise DivergenceError(f"train_free_embeddings: loss diverged ({exc})") from None
-            if not np.isfinite(cand_loss):
-                raise DivergenceError("train_free_embeddings: loss diverged (NaN/Inf)")
-            if cand_loss <= current + 1e-15:
-                table, current, g = cand, cand_loss, cand_g
-                eta = min(eta * 1.1, step_size * 10)
-                break
-            eta *= 0.5
-        else:
-            break
+                    if not np.isfinite(cand_loss):
+                        raise DivergenceError("train_free_embeddings: loss diverged (NaN/Inf)")
+                    if cand_loss <= current + 1e-15:
+                        table, current, g = cand, cand_loss, cand_g
+                        eta = min(eta * 1.1, step_size * 10)
+                        break
+                    eta *= 0.5
+                else:
+                    break
+    except FloatingPointError as exc:
+        raise DivergenceError(f"train_free_embeddings: loss diverged ({exc})") from None
     return table
 
 

@@ -225,7 +225,7 @@ class TestRunCommand:
         monkeypatch.setattr(np.random, "Generator", Generator)
         argv = ["run", "--config", small_cfg, "--out", str(tmp_path / "art")]
         assert main(argv + ["--set", "inflation.factor=3", "--set", "bounds.n_max=1"]) == 0
-        assert factors == [3, 1]  # the stager's world, then the raw world `run` saves
+        assert factors == [3]  # the stager's world, whose raw originals `run` saves
         assert batches and not choices
 
     def test_threaded_sweep_stages_each_world_once(self, monkeypatch):

@@ -502,6 +502,20 @@ class TestExactEngine:
         assert peak < one_block
 
     @pytest.mark.parametrize("M", [1, 2])
+    def test_a_node_that_anchors_no_pair_is_refused(self, M):
+        # the padded space of test_graph's massless-node test: its last node
+        # has no support row, and np.add.reduceat over an empty segment would
+        # read the next anchor's row
+        space = toy_space()
+        padded = replace(
+            space,
+            payloads=np.concatenate([space.payloads, space.payloads[:1] + 1.0]),
+            cond=np.pad(space.cond, ((0, 0), (0, 1))),
+        )
+        with pytest.raises(ValueError, match=f"node n{space.n:04d} anchors no support pair"):
+            _exact_infonce(padded, M)
+
+    @pytest.mark.parametrize("M", [1, 2])
     def test_matches_finite_differences(self, M):
         space = random_space(6, seed=10 + M)
         table = np.random.default_rng(M).normal(size=(space.n, 3))
@@ -733,9 +747,10 @@ class TestBlockReader:
         want = dense_lse_approx_error(F @ F.T, space, M, 8, 3)
         assert np.abs(np.subtract(got, want)).max() <= 1e-14
 
-    @pytest.mark.parametrize("M", [1, 2])
+    @pytest.mark.parametrize("M", [1, 2, 9])
     def test_one_block_lse_keeps_dense_bits(self, M):
-        # n <= 362 reads F F^T in one block, so nothing moves there
+        # n <= 362 reads F F^T in one block, so nothing moves there; the
+        # replicates' (n, M) negatives, gathered as one stack, reduce row by row
         for space in (reference_space(), inflated_space(4)):
             F = unit_table(space.n, 4)
             want = dense_lse_approx_error(F @ F.T, space, M, 8, 3)
